@@ -13,7 +13,7 @@ can differ between two runs of the same seed:
 
 **AGL009** fires when a tainted value reaches a determinism-critical sink:
 scheduler delays and callback arguments (``schedule_at`` /
-``schedule_immediate`` / ``call_at`` / ``timeout`` / ``Timeout``), event
+``schedule_immediate`` / ``timeout`` / ``Timeout``), event
 payloads (``.trigger`` / ``.succeed``), or :class:`~repro.sim.rng.RngStreams`
 seeds and stream names.  Scheduling *from inside* unordered iteration also
 fires: same-time events are FIFO by sequence number, so insertion order is
@@ -81,7 +81,6 @@ UNSEEDED_NP_FUNCS = {
 SINKS: Dict[str, str] = {
     "schedule_at": "schedule_at() delay/argument",
     "schedule_immediate": "schedule_immediate() argument",
-    "call_at": "call_at() delay",
     "timeout": "timeout() delay",
     "Timeout": "Timeout() delay",
     "trigger": "event payload (.trigger)",
@@ -95,7 +94,7 @@ SINKS: Dict[str, str] = {
 #: events dispatch FIFO by insertion sequence, so *calling* them in an
 #: unordered-iteration order is observable.
 ORDER_SENSITIVE_SINKS = {
-    "schedule_at", "schedule_immediate", "call_at", "timeout", "Timeout",
+    "schedule_at", "schedule_immediate", "timeout", "Timeout",
     "trigger", "succeed",
 }
 

@@ -67,7 +67,6 @@ _PREFIXES: Tuple[Tuple[str, Unit], ...] = (("lat_", Unit.NS),)
 #: Scheduler-delay sinks: (callee name, indices of delay arguments).
 _DELAY_SINKS: Dict[str, Tuple[int, ...]] = {
     "schedule_at": (0,),
-    "call_at": (0,),
     "timeout": (0,),
     "Timeout": (0,),
 }

@@ -1,37 +1,25 @@
-"""Host-side assembly for BaM experiments, mirroring
-:class:`~repro.core.host.AgileHost` so the benchmark drivers can swap the
-two systems symmetrically (same GPU, same SSDs, same queue geometry)."""
+"""Host-side assembly for BaM experiments: the same
+:class:`~repro.core.machine.Machine` as :class:`~repro.core.host.AgileHost`
+(same GPU, same SSDs, same queue geometry, same placement contract), so the
+benchmark drivers can swap the two systems symmetrically."""
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro.baselines.bam import BamCostConfig, BamCtrl
 from repro.config import SystemConfig
-from repro.core.locks import LockDebugger
-from repro.gpu.device import Gpu, KernelLaunch
-from repro.gpu.kernel import KernelSpec, LaunchConfig
-from repro.nvme.driver import NvmeDriver
-from repro.nvme.flash import load_array, read_array
-from repro.placement import (
-    ArrayGeometry,
-    PlacementPolicy,
-    StripedPlacement,
-    placement_for_config,
-)
-from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
-from repro import telemetry as telemetry_mod
+from repro.core.machine import Machine
 
 
-class BamHost:
+class BamHost(Machine):
     """Owns a simulated machine running BaM instead of AGILE.
 
     No background service exists (BaM threads poll inline), so kernels run
     on *all* SMs — BaM gets the hardware advantage its design implies, and
-    still loses on overlap, as in the paper.
+    still loses on overlap, as in the paper.  There are no live placement
+    feeds either: BaM has no recovery daemon, and symmetric mapping keeps
+    the two systems' data layouts comparable.
     """
 
     def __init__(
@@ -44,31 +32,10 @@ class BamHost:
         hbm_capacity: Optional[int] = None,
         telemetry: Optional[bool] = None,
     ):
-        self.cfg = cfg if cfg is not None else SystemConfig()
-        self.cfg.validate()
-        self.sim = Simulator()
-        self.trace = TraceRecorder()
-        self.trace.set_clock(lambda: self.sim.now)
-        capacity = hbm_capacity
-        if capacity is None:
-            capacity = self.cfg.cache.capacity_bytes + (64 << 20)
-        self.gpu = Gpu(self.sim, self.cfg.gpu, hbm_capacity=capacity)
-        self.debugger = LockDebugger(enabled=debug_locks)
-        self.driver = NvmeDriver(self.sim, self.gpu.hbm)
-        self.ssds = [
-            self.driver.add_device(scfg, gpu_pipe=self.gpu.pcie_pipe)
-            for scfg in self.cfg.ssds
-        ]
-        self.queue_pairs = [
-            self.driver.create_io_queues(
-                ssd, self.cfg.queue_pairs, self.cfg.queue_depth
-            )
-            for ssd in self.ssds
-        ]
-        #: Same placement contract as :class:`AgileHost` (no live load or
-        #: health feeds: BaM has no recovery daemon, and symmetric mapping
-        #: keeps the two systems' data layouts comparable).
-        self.placement: PlacementPolicy = placement_for_config(self.cfg)
+        super().__init__(
+            cfg, debug_locks=debug_locks, hbm_capacity=hbm_capacity
+        )
+        self.queue_pairs = self._create_queue_pairs()
         self.ctrl = BamCtrl(
             self.sim,
             self.cfg,
@@ -80,157 +47,5 @@ class BamHost:
             debugger=self.debugger,
             stats=self.trace.group("bam"),
         )
-        #: Same telemetry contract as :class:`AgileHost` (True/False/None);
-        #: BaM runs only wire the shared GPU/NVMe/mem instrumentation.
-        self.telemetry: Optional[telemetry_mod.Telemetry] = None
-        if telemetry is True:
-            self.telemetry = (
-                telemetry_mod.maybe_create(self.sim, registry=self.trace)
-                or telemetry_mod.Telemetry(self.sim, registry=self.trace)
-            )
-        elif telemetry is None:
-            self.telemetry = telemetry_mod.maybe_create(
-                self.sim, registry=self.trace
-            )
-        if self.telemetry is not None:
-            tel = self.telemetry
-            self.sim.telemetry = tel
-            self.gpu.tel = tel
-            for ssd in self.ssds:
-                ssd.tel = tel
-            for si, qps in enumerate(self.queue_pairs):
-                for qp in qps:
-                    qp.sq.occupancy = tel.sampled_gauge(
-                        f"nvme.s{si}.sq{qp.qid}.occupancy",
-                        "nvme", f"s{si}.sq{qp.qid}",
-                    )
-                    qp.cq.occupancy = tel.sampled_gauge(
-                        f"nvme.s{si}.cq{qp.qid}.occupancy",
-                        "nvme", f"s{si}.cq{qp.qid}",
-                    )
-                    qp.sq.doorbell.tel = tel
-                    qp.cq.doorbell.tel = tel
-        self.trace.register_collector(
-            "sim",
-            lambda: {"now": self.sim.now, "event_count": self.sim.event_count},
-        )
-        self.trace.register_collector(
-            "devices",
-            lambda: {
-                f"ssd{i}": st
-                for i, st in enumerate(self.driver.device_stats())
-            },
-        )
-
-    # -- data staging ------------------------------------------------------------
-
-    def load_data(self, ssd_idx: int, start_lba: int, data: np.ndarray) -> int:
-        return load_array(self.ssds[ssd_idx].flash, start_lba, data)
-
-    def load_data_striped(self, start_lba: int, data: np.ndarray) -> int:
-        """Compatibility shim: fixed page-interleaved striping (see
-        :meth:`AgileHost.load_data_striped`)."""
-        n = len(self.ssds)
-        striped = StripedPlacement().attach(
-            ArrayGeometry(n, 0, self.cfg.ssds[0].page_size)
-        )
-        return self._write_pages(striped, start_lba * n, data)
-
-    def _write_pages(
-        self,
-        policy: PlacementPolicy,
-        logical_start: int,
-        data: np.ndarray,
-        tenant: Optional[str] = None,
-    ) -> int:
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        page = self.cfg.ssds[0].page_size
-        n_pages = (raw.size + page - 1) // page
-        for p in range(n_pages):
-            chunk = raw[p * page : (p + 1) * page]
-            buf = np.zeros(page, dtype=np.uint8)
-            buf[: chunk.size] = chunk
-            ssd_idx, device_lba = policy.place(
-                logical_start + p, tenant=tenant
-            )
-            self.ssds[ssd_idx].flash.write_page_data(device_lba, buf)
-        return n_pages
-
-    def load_logical(
-        self,
-        start_lba: int,
-        data: np.ndarray,
-        tenant: Optional[str] = None,
-    ) -> int:
-        """Place a dataset at a logical LBA range through the configured
-        placement policy (mirrors :meth:`AgileHost.load_logical`)."""
-        return self._write_pages(self.placement, start_lba, data, tenant)
-
-    def read_logical(
-        self,
-        start_lba: int,
-        nbytes: int,
-        dtype: np.dtype | str = np.uint8,
-        tenant: Optional[str] = None,
-    ) -> np.ndarray:
-        page = self.cfg.ssds[0].page_size
-        n_pages = (nbytes + page - 1) // page
-        out = np.empty(n_pages * page, dtype=np.uint8)
-        for p in range(n_pages):
-            ssd_idx, device_lba = self.placement.place(
-                start_lba + p, tenant=tenant
-            )
-            out[p * page : (p + 1) * page] = self.ssds[
-                ssd_idx
-            ].flash.read_page_data(device_lba)
-        return out[:nbytes].view(np.dtype(dtype))
-
-    def resolve(
-        self, lba: int, tenant: Optional[str] = None
-    ) -> tuple[int, int]:
-        return self.placement.place(lba, tenant=tenant)
-
-    def read_flash(
-        self,
-        ssd_idx: int,
-        start_lba: int,
-        nbytes: int,
-        dtype: np.dtype | str = np.uint8,
-    ) -> np.ndarray:
-        return read_array(self.ssds[ssd_idx].flash, start_lba, nbytes, dtype)
-
-    def preload_cache(self, ssd_idx: int, lbas: Sequence[int]) -> None:
-        flash = self.ssds[ssd_idx].flash
-        for lba in lbas:
-            self.ctrl.cache.preload(ssd_idx, lba, flash.read_page_data(lba))
-
-    def alloc_view(self, nbytes: int, label: str = "user") -> np.ndarray:
-        return self.gpu.hbm.alloc(nbytes, label=label).view
-
-    # -- kernel execution ----------------------------------------------------------
-
-    def launch_kernel(
-        self,
-        kernel: KernelSpec,
-        launch_cfg: LaunchConfig,
-        args: Sequence[Any] = (),
-    ) -> KernelLaunch:
-        return self.gpu.launch(kernel, launch_cfg, args=(self.ctrl, *args))
-
-    def run_kernel(
-        self,
-        kernel: KernelSpec,
-        launch_cfg: LaunchConfig,
-        args: Sequence[Any] = (),
-    ) -> float:
-        launch = self.launch_kernel(kernel, launch_cfg, args)
-
-        def waiter():
-            yield launch.done
-
-        proc = self.sim.spawn(waiter(), name=f"{kernel.name}.host_wait")
-        self.sim.run(until_procs=[proc])
-        return launch.duration
-
-    def stats(self) -> dict[str, dict[str, float]]:
-        return self.trace.snapshot()
+        self.ctrls.append(self.ctrl)
+        self._finish(telemetry)

@@ -68,18 +68,6 @@ def perf(argv: list[str]) -> int:
     return 0
 
 
-def serve(argv: list[str]) -> int:
-    """Serving-layer saturation smoke: a small open-loop sweep on every
-    system (AGILE / BaM / naive) with per-point goodput and tail latency.
-
-    Thin shim over ``python -m repro.serve sweep`` so serving lives beside
-    the other bench targets; all sweep options pass through.
-    """
-    from repro.serve.__main__ import main as serve_main
-
-    return serve_main(["sweep", *argv])
-
-
 def _serve_saturation_section(quick: bool) -> dict:
     """Serve sweep results in the BENCH.json trend shape."""
     from repro.serve.__main__ import DEFAULT_LOADS, QUICK_LOADS
@@ -216,8 +204,6 @@ def _dispatch(argv: list[str]) -> int:
         return perf(argv[1:])
     if argv and argv[0] == "export":
         return export(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve(argv[1:])
     if not argv or argv[0] in ("-h", "--help", "list"):
         print("available targets:")
         for name in registry:
@@ -225,7 +211,6 @@ def _dispatch(argv: list[str]) -> int:
         print("  all")
         print("  perf [--min-eps N] [--requests N] [--threads N]")
         print("  export [--out FILE] [--quick]")
-        print("  serve [--quick] [--loads ...] [--out FILE]   (saturation sweep)")
         print("  --trace FILE <target>   (Chrome-trace timeline of the run)")
         return 0
     targets = list(registry) if argv == ["all"] else argv

@@ -30,8 +30,8 @@ from repro.core.sharetable import BufState, ShareTable
 from repro.core.issue import IssueEngine
 from repro.core.service import AgileService
 from repro.core.ctrl import AgileCtrl
-from repro.core.host import AgileHost
-from repro.core.multigpu import GpuNode, MultiGpuAgileHost
+from repro.core.host import AgileHost, GpuNode
+from repro.core.multigpu import MultiGpuAgileHost
 
 __all__ = [
     "AgileLock",

@@ -218,10 +218,6 @@ class SoftwareCache:
         """Tag probe without timing (for tests and preloading)."""
         return self._tags.get((ssd_idx, lba))
 
-    def lookup_logical(self, lba: int) -> Optional[CacheLine]:
-        """Tag probe for a logically-addressed line."""
-        return self._tags.get((LOGICAL_NS, int(lba)))
-
     # -- main entry point ---------------------------------------------------------
 
     def acquire(

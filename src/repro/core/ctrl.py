@@ -202,20 +202,6 @@ class AgileCtrl:
         )
         return line
 
-    def prefetch_logical(
-        self,
-        tc: ThreadContext,
-        chain: AgileLockChain,
-        lba: int,
-        tenant: Optional[str] = None,
-    ) -> Generator[Any, Any, None]:
-        """Asynchronous logical prefetch into the software cache."""
-        self.stats.add("logical_prefetches")
-        route = self.resolve(lba, tenant)
-        yield from self.cache.acquire_logical(
-            tc, chain, lba, route, pin=False, wait=False
-        )
-
     # ------------------------------------------------------------------
     # Method 2: async_issue to user-specified buffers
     # ------------------------------------------------------------------

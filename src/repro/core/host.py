@@ -9,46 +9,218 @@ Typical use (mirrors Listing 1 lines 22-47)::
         duration = host.run_kernel(kernel, LaunchConfig(grid, block), args)
 
 Kernel bodies receive ``(tc, ctrl, *args)``; each thread builds its own
-``AgileLockChain`` (Listing 1 line 6) or uses :func:`AgileHost.run_kernel`'s
-per-thread chain helper.
+``AgileLockChain`` (Listing 1 line 6).
+
+The machine itself is :class:`~repro.core.machine.Machine`; this module
+adds the AGILE runtime on top of it: :class:`AgileMachine` builds one
+:class:`GpuNode` stack per GPU and runs their services, and the single-GPU
+:class:`AgileHost` adds the fault plan and the placement feeds.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
+from repro import telemetry as telemetry_mod
+from repro.analysis import hooks as analysis_hooks
 from repro.config import SystemConfig
+from repro.core.buffers import AgileBuf
 from repro.core.cache import DramTier, SoftwareCache
 from repro.core.ctrl import AgileCtrl
 from repro.core.issue import IssueEngine
-from repro.core.locks import LockDebugger
+from repro.core.machine import Machine
 from repro.core.policies import CachePolicy, make_policy
 from repro.core.recovery import RecoveryManager
 from repro.core.service import AgileService
 from repro.core.sharetable import SharePolicy, ShareTable
-from repro.core.buffers import AgileBuf
+from repro.faults import FaultInjector
 from repro.gpu.device import Gpu, KernelLaunch
 from repro.gpu.kernel import KernelSpec, LaunchConfig
-from repro.analysis import hooks as analysis_hooks
-from repro.faults import FaultInjector
-from repro.nvme.driver import NvmeDriver
-from repro.nvme.flash import load_array, read_array
-from repro.placement import (
-    ArrayGeometry,
-    Move,
-    PlacementPolicy,
-    StripedPlacement,
-    placement_for_config,
-)
-from repro.sim.engine import Simulator
+from repro.nvme.queue import QueuePair
+from repro.placement import Move
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceRecorder
-from repro import telemetry as telemetry_mod
 
 
-class AgileHost:
+@dataclass
+class GpuNode:
+    """One GPU's complete AGILE stack."""
+
+    index: int
+    gpu: Gpu
+    issue: IssueEngine
+    cache: SoftwareCache
+    service: AgileService
+    ctrl: AgileCtrl
+    recovery: Optional[RecoveryManager] = None
+    share_table: Optional[ShareTable] = None
+
+
+class AgileMachine(Machine):
+    """A machine whose every GPU runs the (unchanged) AGILE stack, one SM
+    of each reserved for the service kernel."""
+
+    reserved_sms = 1
+    #: One AGILE stack per GPU, in GPU order (set by the subclass).
+    nodes: list[GpuNode]
+
+    def _build_node(
+        self,
+        index: int,
+        queue_pairs: list[list[QueuePair]],
+        *,
+        prefix: str = "",
+        policy: Optional[CachePolicy] = None,
+        share_policy: Optional[SharePolicy] = None,
+        full: bool = True,
+    ) -> GpuNode:
+        """``initializeAgile`` for GPU ``index``: IssueEngine -> SoftwareCache
+        -> ShareTable -> AgileService -> AgileCtrl over its queue pairs,
+        stat groups named ``prefix + {io,cache,...}``.  ``full=False``
+        leaves out the recovery daemon, DRAM tier and Share Table (their
+        per-GPU forms are future work for the multi-GPU host)."""
+        cfg = self.cfg
+        gpu = self.gpus[index]
+
+        def group(name: str):
+            return self.trace.group(prefix + name)
+
+        issue = IssueEngine(
+            self.sim,
+            self.ssds,
+            queue_pairs,
+            cfg.api,
+            debugger=self.debugger,
+            stats=group("io"),
+        )
+        # Built only when configured, so fault-free runs keep the exact
+        # pre-fault event stream (bit-identical golden traces).
+        recovery = None
+        if full and (cfg.faults.active or cfg.recovery.enabled):
+            recovery = RecoveryManager(
+                self.sim, issue, cfg.recovery, stats=group("recovery")
+            )
+        dram_tier = (
+            DramTier(cfg.cache.dram_tier_lines)
+            if full and cfg.cache.dram_tier_lines > 0
+            else None
+        )
+        cache = SoftwareCache(
+            self.sim,
+            cfg.cache,
+            gpu.hbm,
+            policy if policy is not None else make_policy(cfg.cache.policy),
+            issue,
+            cfg.api,
+            dram_tier=dram_tier,
+            debugger=self.debugger,
+            stats=group("cache"),
+        )
+        share_table = None
+        if full and cfg.cache.share_table:
+            share_table = ShareTable(
+                self.sim,
+                cache,
+                cfg.api,
+                policy=share_policy,
+                stats=group("share"),
+            )
+        service = AgileService(
+            self.sim, gpu, issue, cfg.service, stats=group("service")
+        )
+        ctrl = AgileCtrl(
+            self.sim,
+            cfg,
+            cache,
+            issue,
+            share_table,
+            stats=group("ctrl"),
+            placement=self.placement,
+        )
+        self.ctrls.append(ctrl)
+        return GpuNode(
+            index, gpu, issue, cache, service, ctrl, recovery, share_table
+        )
+
+    def _wire_telemetry(self, tel: telemetry_mod.Telemetry) -> None:
+        """On top of the shared wiring: the AGILE stack's spans and the
+        typed per-component instruments (fetch-batch histograms, DMA/HBM
+        byte counters)."""
+        super()._wire_telemetry(tel)
+        reg = tel.registry
+        traffic = reg.counter(
+            "mem.hbm.traffic",
+            description="HBM bytes moved by direction",
+            labels=("load_bytes", "store_bytes"),
+        )
+        for node in self.nodes:
+            node.issue.tel = tel
+            node.cache.tel = tel
+            node.service.tel = tel
+            node.gpu.hbm.traffic = traffic
+        for ssd in self.ssds:
+            ssd.flash.ftl.tel = tel
+            ssd.fetch_batch = reg.histogram(
+                f"nvme.ssd{ssd.index}.fetch_batch",
+                description="SQEs fetched per doorbell-triggered DMA burst",
+                buckets=(1, 2, 4, 8, 16),
+            )
+            ssd.link.dma_bytes = reg.counter(
+                f"mem.ssd{ssd.index}.pcie.dma_bytes",
+                description="SSD-link DMA payload bytes by direction",
+                labels=("read", "write"),
+            )
+
+    # -- service lifecycle ----------------------------------------------------
+
+    def start(self) -> None:
+        """``host.startAgile()``."""
+        for node in self.nodes:
+            node.service.start()
+
+    def stop(self) -> None:
+        """``host.stopAgile()``."""
+        for node in self.nodes:
+            node.service.stop()
+
+    def inflight(self) -> int:
+        """NVMe commands outstanding across all GPUs."""
+        return sum(node.issue.inflight() for node in self.nodes)
+
+    def launch_kernel(
+        self,
+        kernel: KernelSpec,
+        launch_cfg: LaunchConfig,
+        args: Sequence[Any] = (),
+        gpu_idx: int = 0,
+    ) -> KernelLaunch:
+        """Launch without blocking; the AGILE service SM stays reserved."""
+        if not self.nodes[gpu_idx].service.running:
+            raise RuntimeError(
+                "start the AGILE service before launching kernels "
+                f"(paper Listing 1 line 40); GPU {gpu_idx}: service not "
+                "running"
+            )
+        return super().launch_kernel(kernel, launch_cfg, args, gpu_idx)
+
+    def drain(self, poll_ns: float = 2_000.0) -> None:
+        """Run the simulation until no NVMe commands are in flight (the
+        service must be running).  Use after kernels that end with
+        asynchronous work outstanding, e.g. a trailing prefetch epoch."""
+        if self.inflight() == 0:
+            return
+        if not all(node.service.running for node in self.nodes):
+            raise RuntimeError("cannot drain I/O with the service stopped")
+
+        def waiter():
+            while self.inflight() > 0:
+                yield self.sim.timeout(poll_ns)
+
+        proc = self.sim.spawn(waiter(), name="host.drain")
+        self.sim.run(until_procs=[proc])
+
+
+class AgileHost(AgileMachine):
     """Owns the simulated machine and the AGILE runtime on top of it."""
 
     def __init__(
@@ -62,34 +234,18 @@ class AgileHost:
         watchdog_ns: float = 0.0,
         telemetry: Optional[bool] = None,
     ):
-        self.cfg = cfg if cfg is not None else SystemConfig()
-        self.cfg.validate()
-        self.sim = Simulator(watchdog_ns=watchdog_ns)
+        super().__init__(
+            cfg,
+            debug_locks=debug_locks,
+            hbm_capacity=hbm_capacity,
+            watchdog_ns=watchdog_ns,
+            placement_feeds={
+                "load": self._device_loads, "healthy": self._device_healthy,
+            },
+        )
         self.rng = RngStreams(self.cfg.seed)
-        self.trace = TraceRecorder()
-        self.trace.set_clock(lambda: self.sim.now)
-        capacity = hbm_capacity
-        if capacity is None:
-            capacity = self.cfg.cache.capacity_bytes + (64 << 20)
-        self.gpu = Gpu(self.sim, self.cfg.gpu, hbm_capacity=capacity)
-        self.debugger = LockDebugger(enabled=debug_locks)
-
-        # -- addNvmeDev / initNvme ------------------------------------------
-        self.driver = NvmeDriver(self.sim, self.gpu.hbm)
-        self.ssds = [
-            self.driver.add_device(scfg, gpu_pipe=self.gpu.pcie_pipe)
-            for scfg in self.cfg.ssds
-        ]
-        self.queue_pairs = [
-            self.driver.create_io_queues(
-                ssd, self.cfg.queue_pairs, self.cfg.queue_depth
-            )
-            for ssd in self.ssds
-        ]
-
-        # -- fault plan + recovery policy ------------------------------------
-        # Both are built only when configured, so fault-free runs keep the
-        # exact pre-fault event stream (bit-identical golden traces).
+        self.queue_pairs = self._create_queue_pairs()  # initNvme
+        # Built only when configured (see ``_build_node``'s recovery note).
         self.fault_injector: Optional[FaultInjector] = None
         if self.cfg.faults.active:
             self.fault_injector = FaultInjector(
@@ -100,161 +256,25 @@ class AgileHost:
             )
             for ssd in self.ssds:
                 ssd.arm_faults(self.fault_injector)
-
-        # -- initializeAgile -------------------------------------------------
-        self.issue = IssueEngine(
-            self.sim,
-            self.ssds,
-            self.queue_pairs,
-            self.cfg.api,
-            debugger=self.debugger,
-            stats=self.trace.group("io"),
+        node = self._build_node(
+            0, self.queue_pairs, policy=policy, share_policy=share_policy
         )
-        self.recovery: Optional[RecoveryManager] = None
-        if self.cfg.faults.active or self.cfg.recovery.enabled:
-            self.recovery = RecoveryManager(
-                self.sim,
-                self.issue,
-                self.cfg.recovery,
-                stats=self.trace.group("recovery"),
-            )
-        cache_policy = policy if policy is not None else make_policy(
-            self.cfg.cache.policy
-        )
-        dram_tier = (
-            DramTier(self.cfg.cache.dram_tier_lines)
-            if self.cfg.cache.dram_tier_lines > 0
-            else None
-        )
-        self.cache = SoftwareCache(
-            self.sim,
-            self.cfg.cache,
-            self.gpu.hbm,
-            cache_policy,
-            self.issue,
-            self.cfg.api,
-            dram_tier=dram_tier,
-            debugger=self.debugger,
-            stats=self.trace.group("cache"),
-        )
-        self.share_table: Optional[ShareTable] = None
-        if self.cfg.cache.share_table:
-            self.share_table = ShareTable(
-                self.sim,
-                self.cache,
-                self.cfg.api,
-                policy=share_policy,
-                stats=self.trace.group("share"),
-            )
-        self.service = AgileService(
-            self.sim,
-            self.gpu,
-            self.issue,
-            self.cfg.service,
-            stats=self.trace.group("service"),
-        )
-        #: The array's placement policy (logical LBA -> (ssd, device LBA)),
-        #: fed by live in-flight counts and circuit-breaker health.  Built
-        #: host-side with no simulated events, so fault-free goldens stay
-        #: bit-identical.
-        self.placement: PlacementPolicy = placement_for_config(
-            self.cfg,
-            load=self._device_loads,
-            healthy=self._device_healthy,
-        )
-        self.ctrl = AgileCtrl(
-            self.sim,
-            self.cfg,
-            self.cache,
-            self.issue,
-            self.share_table,
-            stats=self.trace.group("ctrl"),
-            placement=self.placement,
-        )
+        self.nodes = [node]
+        self.issue = node.issue
+        self.recovery = node.recovery
+        self.cache = node.cache
+        self.share_table = node.share_table
+        self.service = node.service
+        self.ctrl = node.ctrl
         #: Populated by ``repro.analysis.attach`` (directly, or via the
         #: ``--agile-checks`` pytest flag / ``analysis_hooks.enable()``).
         self.analysis = analysis_hooks.maybe_attach(self)
-        #: The unified telemetry session: ``telemetry=True`` forces one on,
-        #: ``False`` forces it off, and ``None`` (default) defers to a
-        #: global :func:`repro.telemetry.capture` block.  Recording is
-        #: passive, so enabled runs stay bit-identical to disabled ones.
-        self.telemetry: Optional[telemetry_mod.Telemetry] = None
-        if telemetry is True:
-            self.telemetry = (
-                telemetry_mod.maybe_create(self.sim, registry=self.trace)
-                or telemetry_mod.Telemetry(self.sim, registry=self.trace)
-            )
-        elif telemetry is None:
-            self.telemetry = telemetry_mod.maybe_create(
-                self.sim, registry=self.trace
-            )
-        if self.telemetry is not None:
-            self._wire_telemetry()
-        self._register_collectors()
-
-    # -- telemetry wiring (host side, no simulated time) ----------------------
-
-    def _wire_telemetry(self) -> None:
-        """Hand the session to every instrumented model object and create
-        the typed per-component instruments (occupancy gauges, fetch-batch
-        histograms, DMA/HBM byte counters)."""
-        tel = self.telemetry
-        reg = tel.registry
-        self.sim.telemetry = tel
-        self.gpu.tel = tel
-        self.issue.tel = tel
-        self.cache.tel = tel
-        self.service.tel = tel
-        self.gpu.hbm.traffic = reg.counter(
-            "mem.hbm.traffic",
-            description="HBM bytes moved by direction",
-            labels=("load_bytes", "store_bytes"),
-        )
-        for ssd in self.ssds:
-            ssd.tel = tel
-            ssd.flash.ftl.tel = tel
-            ssd.fetch_batch = reg.histogram(
-                f"nvme.ssd{ssd.index}.fetch_batch",
-                description="SQEs fetched per doorbell-triggered DMA burst",
-                buckets=(1, 2, 4, 8, 16),
-            )
-            ssd.link.dma_bytes = reg.counter(
-                f"mem.ssd{ssd.index}.pcie.dma_bytes",
-                description="SSD-link DMA payload bytes by direction",
-                labels=("read", "write"),
-            )
-        for si, qps in enumerate(self.queue_pairs):
-            for qp in qps:
-                qp.sq.occupancy = tel.sampled_gauge(
-                    f"nvme.s{si}.sq{qp.qid}.occupancy",
-                    "nvme", f"s{si}.sq{qp.qid}",
-                    description="outstanding SQEs",
-                )
-                qp.cq.occupancy = tel.sampled_gauge(
-                    f"nvme.s{si}.cq{qp.qid}.occupancy",
-                    "nvme", f"s{si}.cq{qp.qid}",
-                    description="posted, unconsumed CQEs",
-                )
-                qp.sq.doorbell.tel = tel
-                qp.cq.doorbell.tel = tel
+        self._finish(telemetry)
 
     def _register_collectors(self) -> None:
-        """Register pull collectors for accounting that already lives on
-        model objects.  Always on: collectors run only at snapshot time, so
-        they cost nothing during the simulation."""
+        super()._register_collectors()
         reg = self.trace
-        sim = self.sim
         gpu = self.gpu
-        reg.register_collector(
-            "sim", lambda: {"now": sim.now, "event_count": sim.event_count}
-        )
-        reg.register_collector(
-            "devices",
-            lambda: {
-                f"ssd{i}": st
-                for i, st in enumerate(self.driver.device_stats())
-            },
-        )
         reg.register_collector(
             "flash_channel_busy_ns",
             lambda: {
@@ -292,112 +312,7 @@ class AgileHost:
                 f"sm{sm.index}": sm.issued_thread_cycles() for sm in gpu.sms
             },
         )
-        reg.register_collector(
-            "inflight", lambda: {"cids": self.issue.inflight()}
-        )
-
-    # -- data staging (host side, no simulated time) -------------------------
-
-    def load_data(
-        self, ssd_idx: int, start_lba: int, data: np.ndarray
-    ) -> int:
-        """Place a dataset on one SSD's flash; returns pages written."""
-        return load_array(self.ssds[ssd_idx].flash, start_lba, data)
-
-    def load_data_striped(self, start_lba: int, data: np.ndarray) -> int:
-        """Stripe a dataset page-interleaved across all SSDs (the paper's
-        multi-SSD layout: request i goes to SSD ``i mod n``).  Page ``p`` of
-        the logical array lands at LBA ``start_lba + p // n`` of SSD
-        ``p mod n``.  Returns the number of logical pages.
-
-        Compatibility shim: the layout is fixed page-interleaved striping
-        regardless of the configured policy, expressed through an ad-hoc
-        :class:`~repro.placement.StripedPlacement` (logical page ``p`` of
-        the region is logical LBA ``start_lba * n + p``).
-        """
-        n = len(self.ssds)
-        striped = StripedPlacement().attach(
-            ArrayGeometry(n, 0, self.cfg.ssds[0].page_size)
-        )
-        return self._write_pages(striped, start_lba * n, data)
-
-    def _write_pages(
-        self,
-        policy: PlacementPolicy,
-        logical_start: int,
-        data: np.ndarray,
-        tenant: Optional[str] = None,
-    ) -> int:
-        """Pad ``data`` to whole pages and write each through ``policy``."""
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        page = self.cfg.ssds[0].page_size
-        n_pages = (raw.size + page - 1) // page
-        for p in range(n_pages):
-            chunk = raw[p * page : (p + 1) * page]
-            buf = np.zeros(page, dtype=np.uint8)
-            buf[: chunk.size] = chunk
-            ssd_idx, device_lba = policy.place(
-                logical_start + p, tenant=tenant
-            )
-            self.ssds[ssd_idx].flash.write_page_data(device_lba, buf)
-        return n_pages
-
-    def load_logical(
-        self,
-        start_lba: int,
-        data: np.ndarray,
-        tenant: Optional[str] = None,
-    ) -> int:
-        """Place a dataset at a *logical* LBA range, routed through the
-        host's placement policy.  Returns pages written."""
-        return self._write_pages(self.placement, start_lba, data, tenant)
-
-    def read_logical(
-        self,
-        start_lba: int,
-        nbytes: int,
-        dtype: np.dtype | str = np.uint8,
-        tenant: Optional[str] = None,
-    ) -> np.ndarray:
-        """Read a logically-addressed dataset back (verification helper,
-        the placement-aware sibling of :meth:`read_flash`)."""
-        page = self.cfg.ssds[0].page_size
-        n_pages = (nbytes + page - 1) // page
-        out = np.empty(n_pages * page, dtype=np.uint8)
-        for p in range(n_pages):
-            ssd_idx, device_lba = self.placement.place(
-                start_lba + p, tenant=tenant
-            )
-            out[p * page : (p + 1) * page] = self.ssds[
-                ssd_idx
-            ].flash.read_page_data(device_lba)
-        return out[:nbytes].view(np.dtype(dtype))
-
-    def resolve(
-        self, lba: int, tenant: Optional[str] = None
-    ) -> tuple[int, int]:
-        """Placement resolution for one logical LBA."""
-        return self.placement.place(lba, tenant=tenant)
-
-    def rebalance_placement(
-        self, device_loads: Optional[Sequence[float]] = None
-    ) -> list[Move]:
-        """Ask the placement policy to migrate mappings toward balance and
-        copy the affected flash pages; returns the moves performed.
-        Host-side (no simulated time) — the modelled cost is the policy's
-        business to keep small via ``rebalance_max_moves``."""
-        loads = (
-            list(device_loads)
-            if device_loads is not None
-            else self._device_loads()
-        )
-        moves = self.placement.rebalance(loads)
-        for mv in moves:
-            (src_ssd, src_lba), (dst_ssd, dst_lba) = mv.src, mv.dst
-            self.ssds[dst_ssd].flash.write_page_data(
-                dst_lba, self.ssds[src_ssd].flash.read_page_data(src_lba)
-            )
-        return moves
+        reg.register_collector("inflight", lambda: {"cids": self.inflight()})
 
     # -- placement feeds (pull-based; no simulated time) ---------------------
 
@@ -437,105 +352,30 @@ class AgileHost:
             return [True] * len(self.ssds)
         return [not br.open for br in self.recovery.breakers]
 
-    def read_flash(
-        self,
-        ssd_idx: int,
-        start_lba: int,
-        nbytes: int,
-        dtype: np.dtype | str = np.uint8,
-    ) -> np.ndarray:
-        """Read a dataset back from flash (verification helper)."""
-        return read_array(self.ssds[ssd_idx].flash, start_lba, nbytes, dtype)
-
-    def preload_cache(self, ssd_idx: int, lbas: Sequence[int]) -> None:
-        """Install pages into the software cache without NVMe traffic — the
-        paper's Fig. 11 step-3 methodology (cache-API overhead isolation)."""
-        flash = self.ssds[ssd_idx].flash
-        for lba in lbas:
-            self.cache.preload(ssd_idx, lba, flash.read_page_data(lba))
-
-    # -- buffers ---------------------------------------------------------------
-
-    def alloc_view(self, nbytes: int, label: str = "user") -> np.ndarray:
-        return self.gpu.hbm.alloc(nbytes, label=label).view
+    def rebalance_placement(
+        self, device_loads: Optional[Sequence[float]] = None
+    ) -> list[Move]:
+        """Ask the placement policy to migrate mappings toward balance and
+        copy the affected flash pages; returns the moves performed.
+        Host-side (no simulated time) — the modelled cost is the policy's
+        business to keep small via ``rebalance_max_moves``."""
+        loads = (
+            list(device_loads)
+            if device_loads is not None
+            else self._device_loads()
+        )
+        moves = self.placement.rebalance(loads)
+        for mv in moves:
+            (src_ssd, src_lba), (dst_ssd, dst_lba) = mv.src, mv.dst
+            self.ssds[dst_ssd].flash.write_page_data(
+                dst_lba, self.ssds[src_ssd].flash.read_page_data(src_lba)
+            )
+        return moves
 
     def make_buffer(self, nbytes: Optional[int] = None, label: str = "") -> AgileBuf:
         """Allocate and register a user buffer (one cache line by default)."""
         size = nbytes if nbytes is not None else self.cfg.cache.line_size
         return self.ctrl.make_buffer(self.alloc_view(size), label=label)
-
-    # -- service lifecycle --------------------------------------------------------
-
-    def start(self) -> None:
-        """``host.startAgile()``."""
-        self.service.start()
-
-    def stop(self) -> None:
-        """``host.stopAgile()``."""
-        self.service.stop()
-
-    def __enter__(self) -> "AgileHost":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- kernel execution ------------------------------------------------------------
-
-    def launch_kernel(
-        self,
-        kernel: KernelSpec,
-        launch_cfg: LaunchConfig,
-        args: Sequence[Any] = (),
-    ) -> KernelLaunch:
-        """Launch without blocking; the AGILE service SM stays reserved."""
-        if not self.service.running:
-            raise RuntimeError(
-                "start the AGILE service before launching kernels "
-                "(paper Listing 1 line 40)"
-            )
-        return self.gpu.launch(
-            kernel, launch_cfg, args=(self.ctrl, *args), reserve_sms=1
-        )
-
-    def run_kernel(
-        self,
-        kernel: KernelSpec,
-        launch_cfg: LaunchConfig,
-        args: Sequence[Any] = (),
-    ) -> float:
-        """Launch ``kernel`` and run the simulation until it completes;
-        returns the kernel duration in simulated ns."""
-        launch = self.launch_kernel(kernel, launch_cfg, args)
-
-        def waiter():
-            yield launch.done
-
-        proc = self.sim.spawn(waiter(), name=f"{kernel.name}.host_wait")
-        self.sim.run(until_procs=[proc])
-        return launch.duration
-
-    def drain(self, poll_ns: float = 2_000.0) -> None:
-        """Run the simulation until no NVMe commands are in flight (the
-        service must be running).  Use after kernels that end with
-        asynchronous work outstanding, e.g. a trailing prefetch epoch."""
-        if self.issue.inflight() == 0:
-            return
-        if not self.service.running:
-            raise RuntimeError("cannot drain I/O with the service stopped")
-
-        def waiter():
-            while self.issue.inflight() > 0:
-                yield self.sim.timeout(poll_ns)
-
-        proc = self.sim.spawn(waiter(), name="host.drain")
-        self.sim.run(until_procs=[proc])
-
-    # -- introspection -----------------------------------------------------------------
-
-    def stats(self) -> dict[str, dict[str, float]]:
-        return self.trace.snapshot()
 
     def device_health(self) -> list[dict[str, object]]:
         """Per-device counters plus circuit-breaker state (diagnostics for

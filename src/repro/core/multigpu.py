@@ -14,40 +14,14 @@ funnel into the same flash channels and contend for the same bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.core.cache import SoftwareCache
-from repro.core.ctrl import AgileCtrl
-from repro.core.issue import IssueEngine
-from repro.core.locks import LockDebugger
-from repro.core.policies import make_policy
-from repro.core.service import AgileService
-from repro.gpu.device import Gpu, KernelLaunch
+from repro.core.host import AgileMachine
 from repro.gpu.kernel import KernelSpec, LaunchConfig
-from repro.nvme.driver import NvmeDriver
-from repro.nvme.flash import load_array
-from repro.placement import PlacementPolicy, placement_for_config
-from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 
 
-@dataclass
-class GpuNode:
-    """One GPU's complete AGILE stack."""
-
-    index: int
-    gpu: Gpu
-    issue: IssueEngine
-    cache: SoftwareCache
-    service: AgileService
-    ctrl: AgileCtrl
-
-
-class MultiGpuAgileHost:
+class MultiGpuAgileHost(AgileMachine):
     """N GPUs sharing the same SSDs via partitioned queue pairs.
 
     ``cfg.queue_pairs`` is the per-SSD *per-GPU* count, so an SSD serves
@@ -63,157 +37,23 @@ class MultiGpuAgileHost:
         debug_locks: bool = True,
         hbm_capacity: Optional[int] = None,
     ):
-        if num_gpus < 1:
-            raise ValueError("need at least one GPU")
-        self.cfg = cfg if cfg is not None else SystemConfig()
-        self.cfg.validate()
-        for ssd in self.cfg.ssds:
-            if num_gpus * self.cfg.queue_pairs > ssd.max_queue_pairs:
-                raise ValueError(
-                    f"{ssd.name}: {num_gpus} GPUs x {self.cfg.queue_pairs} "
-                    f"queue pairs exceed the device limit of "
-                    f"{ssd.max_queue_pairs}"
-                )
-        self.sim = Simulator()
-        self.trace = TraceRecorder()
-        self.debugger = LockDebugger(enabled=debug_locks)
-        capacity = hbm_capacity
-        if capacity is None:
-            capacity = self.cfg.cache.capacity_bytes + (64 << 20)
-        gpus = [
-            Gpu(self.sim, self.cfg.gpu, hbm_capacity=capacity)
-            for _ in range(num_gpus)
+        super().__init__(
+            cfg,
+            num_gpus=num_gpus,
+            debug_locks=debug_locks,
+            hbm_capacity=hbm_capacity,
+        )
+        self.nodes = [
+            self._build_node(
+                g, self._create_queue_pairs(g), prefix=f"gpu{g}.", full=False
+            )
+            for g in range(num_gpus)
         ]
-        # The SSDs are shared; controller-side DMA timing is charged to the
-        # first GPU's HBM port (traffic actually splits across GPUs, so
-        # this slightly over-serializes — a documented approximation).
-        self.driver = NvmeDriver(self.sim, gpus[0].hbm)
-        self.ssds = [
-            self.driver.add_device(scfg, gpu_pipe=gpus[0].pcie_pipe)
-            for scfg in self.cfg.ssds
-        ]
-        #: One placement policy for the whole array — the SSDs (and hence
-        #: the logical address space) are shared across GPUs, so every
-        #: node's controller must resolve identically.
-        self.placement: PlacementPolicy = placement_for_config(self.cfg)
-        self.nodes: List[GpuNode] = []
-        for g, gpu in enumerate(gpus):
-            queue_pairs = [
-                self.driver.create_io_queues(
-                    ssd,
-                    self.cfg.queue_pairs,
-                    self.cfg.queue_depth,
-                    qid_base=g * self.cfg.queue_pairs,
-                    hbm=gpu.hbm,
-                )
-                for ssd in self.ssds
-            ]
-            issue = IssueEngine(
-                self.sim,
-                self.ssds,
-                queue_pairs,
-                self.cfg.api,
-                debugger=self.debugger,
-                stats=self.trace.group(f"gpu{g}.io"),
-            )
-            cache = SoftwareCache(
-                self.sim,
-                self.cfg.cache,
-                gpu.hbm,
-                make_policy(self.cfg.cache.policy),
-                issue,
-                self.cfg.api,
-                debugger=self.debugger,
-                stats=self.trace.group(f"gpu{g}.cache"),
-            )
-            service = AgileService(
-                self.sim,
-                gpu,
-                issue,
-                self.cfg.service,
-                stats=self.trace.group(f"gpu{g}.service"),
-            )
-            ctrl = AgileCtrl(
-                self.sim,
-                self.cfg,
-                cache,
-                issue,
-                share_table=None,  # per-GPU share tables are future work
-                stats=self.trace.group(f"gpu{g}.ctrl"),
-                placement=self.placement,
-            )
-            self.nodes.append(
-                GpuNode(index=g, gpu=gpu, issue=issue, cache=cache,
-                        service=service, ctrl=ctrl)
-            )
+        self._finish(None)
 
     @property
     def num_gpus(self) -> int:
         return len(self.nodes)
-
-    # -- data staging (shared SSDs) --------------------------------------------
-
-    def load_data(self, ssd_idx: int, start_lba: int, data: np.ndarray) -> int:
-        return load_array(self.ssds[ssd_idx].flash, start_lba, data)
-
-    def load_logical(
-        self,
-        start_lba: int,
-        data: np.ndarray,
-        tenant: Optional[str] = None,
-    ) -> int:
-        """Place a dataset at a logical LBA range through the shared
-        placement policy (mirrors :meth:`AgileHost.load_logical`)."""
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        page = self.cfg.ssds[0].page_size
-        n_pages = (raw.size + page - 1) // page
-        for p in range(n_pages):
-            chunk = raw[p * page : (p + 1) * page]
-            buf = np.zeros(page, dtype=np.uint8)
-            buf[: chunk.size] = chunk
-            ssd_idx, device_lba = self.placement.place(
-                start_lba + p, tenant=tenant
-            )
-            self.ssds[ssd_idx].flash.write_page_data(device_lba, buf)
-        return n_pages
-
-    def resolve(
-        self, lba: int, tenant: Optional[str] = None
-    ) -> tuple[int, int]:
-        return self.placement.place(lba, tenant=tenant)
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        for node in self.nodes:
-            node.service.start()
-
-    def stop(self) -> None:
-        for node in self.nodes:
-            node.service.stop()
-
-    def __enter__(self) -> "MultiGpuAgileHost":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- kernels ----------------------------------------------------------------
-
-    def launch_kernel(
-        self,
-        gpu_idx: int,
-        kernel: KernelSpec,
-        launch_cfg: LaunchConfig,
-        args: Sequence[Any] = (),
-    ) -> KernelLaunch:
-        node = self.nodes[gpu_idx]
-        if not node.service.running:
-            raise RuntimeError(f"GPU {gpu_idx}: AGILE service not running")
-        return node.gpu.launch(
-            kernel, launch_cfg, args=(node.ctrl, *args), reserve_sms=1
-        )
 
     def run_kernels(
         self,
@@ -227,17 +67,8 @@ class MultiGpuAgileHost:
             raise ValueError("one argument tuple per GPU required")
         start = self.sim.now
         launches = [
-            self.launch_kernel(g, kernel, launch_cfg, args)
+            self.launch_kernel(kernel, launch_cfg, args, gpu_idx=g)
             for g, args in enumerate(per_gpu_args)
         ]
-
-        def waiter():
-            for launch in launches:
-                yield launch.done
-
-        proc = self.sim.spawn(waiter(), name="multigpu.wait")
-        self.sim.run(until_procs=[proc])
+        self._run_until_done(launches, "multigpu.wait")
         return self.sim.now - start
-
-    def stats(self) -> dict[str, dict[str, float]]:
-        return self.trace.snapshot()

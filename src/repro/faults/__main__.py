@@ -211,12 +211,10 @@ def storm(argv: List[str]) -> int:
         ),
         registers_per_thread=48,
     )
-    block = min(args.threads, 64)
-    grid = (args.threads + block - 1) // block
     with host:
         duration = host.run_kernel(
             kernel,
-            LaunchConfig(grid, block),
+            LaunchConfig.for_threads(args.threads, 64),
             (bufs, scratch, outcomes, args.seed),
         )
         host.drain()
@@ -467,12 +465,10 @@ def pe_storm(argv: List[str]) -> int:
         body=_make_pe_kernel(args.requests, modify_space, ckpt_base, ckpt_space),
         registers_per_thread=48,
     )
-    block = min(args.threads, 64)
-    grid = (args.threads + block - 1) // block
     with host:
         duration = host.run_kernel(
             kernel,
-            LaunchConfig(grid, block),
+            LaunchConfig.for_threads(args.threads, 64),
             (scratch, outcomes, args.seed),
         )
         host.drain()

@@ -45,6 +45,13 @@ class LaunchConfig:
         if self.grid_dim < 1 or self.block_dim < 1:
             raise ValueError("grid and block dimensions must be positive")
 
+    @classmethod
+    def for_threads(cls, n_threads: int, max_block: int) -> "LaunchConfig":
+        """The smallest grid of ``min(n_threads, max_block)``-wide blocks
+        covering ``n_threads`` (surplus threads in the last block idle)."""
+        block = min(n_threads, max_block)
+        return cls((n_threads + block - 1) // block, block)
+
     @property
     def total_threads(self) -> int:
         return self.grid_dim * self.block_dim

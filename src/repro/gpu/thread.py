@@ -61,10 +61,6 @@ class ThreadContext:
         """Execute ``cycles`` of arithmetic (fair-shared on this SM)."""
         return self.sm.compute(cycles)
 
-    def compute_ns(self, ns: float) -> Generator[Any, Any, None]:
-        """Convenience: arithmetic expressed in nanoseconds."""
-        return self.sm.compute(ns / self.gpu.cfg.cycle_ns)
-
     def hbm_load(self, nbytes: int) -> Generator[Any, Any, None]:
         return self.gpu.hbm.load(nbytes)
 

@@ -122,15 +122,6 @@ def lower_agile_issue(b: TraceBuilder, addr: VReg) -> VReg:
     return txn
 
 
-def lower_agile_prefetch(b: TraceBuilder, idx: VReg) -> None:
-    """prefetch(): warp vote + cache claim + issue; nothing stays live."""
-    mask = b.op("warp.match", [idx])
-    leader = b.op("warp.elect", [mask])
-    line = lower_agile_cache_access(b, idx)
-    txn = lower_agile_issue(b, idx)
-    b.sink(leader, line, txn)
-
-
 def lower_agile_array_get(b: TraceBuilder, idx: VReg) -> VReg:
     """Array-like synchronous get: coalesce, cache access, barrier wait,
     element load."""

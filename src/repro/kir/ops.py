@@ -57,12 +57,3 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.instrs)
-
-    def all_vregs(self) -> List[VReg]:
-        seen: dict[int, VReg] = {}
-        for reg in self.pinned:
-            seen.setdefault(reg.vid, reg)
-        for instr in self.instrs:
-            for reg in (*instr.dst, *instr.src):
-                seen.setdefault(reg.vid, reg)
-        return list(seen.values())

@@ -1,4 +1,4 @@
-"""Memory substrate: HBM, host DRAM, PCIe links, MMIO doorbell registers.
+"""Memory substrate: HBM, PCIe links, MMIO doorbell registers.
 
 Simulated memories are backed by real NumPy byte arrays so that every data
 movement in the system (SSD DMA, cache fill, user-buffer copy) transports
@@ -7,7 +7,6 @@ actual bytes — end-to-end tests verify value correctness, not just timing.
 
 from repro.mem.address import AddressSpaceError, Allocation, BumpAllocator
 from repro.mem.hbm import Hbm, HbmBuffer
-from repro.mem.dram import HostDram
 from repro.mem.pcie import Doorbell, PcieLink
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "AddressSpaceError",
     "Hbm",
     "HbmBuffer",
-    "HostDram",
     "PcieLink",
     "Doorbell",
 ]

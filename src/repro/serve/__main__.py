@@ -88,12 +88,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         help="comma-separated SSD array sizes (a sweep axis)",
     )
     sweep.add_argument(
-        "--num-ssds",
-        type=int,
-        default=0,
-        help=argparse.SUPPRESS,  # legacy alias for a single-value --ssds
-    )
-    sweep.add_argument(
         "--placement",
         default="striped",
         help="comma-separated placement policies (a sweep axis); "
@@ -172,10 +166,7 @@ def _cmd_sweep(args) -> int:
             print(f"unknown system {system!r}; want one of {SYSTEMS}",
                   file=sys.stderr)
             return 2
-    if args.num_ssds:
-        ssd_counts = (args.num_ssds,)
-    else:
-        ssd_counts = tuple(int(tok) for tok in args.ssds.split(",") if tok)
+    ssd_counts = tuple(int(tok) for tok in args.ssds.split(",") if tok)
     placements = tuple(p for p in args.placement.split(",") if p)
     for placement in placements:
         if placement not in PLACEMENTS and placement != "identity":

@@ -3,9 +3,10 @@
 A backend owns the simulated machine and turns one :class:`Batch` into one
 kernel launch — one GPU thread per request, each thread reading its
 request's pages and reporting its own finish time (so per-request latency
-is exact, not batch-granular).  The application-side logic is the same in
-all three kernels; only the I/O discipline differs, mirroring the paper's
-"identical kernel implementations" methodology:
+is exact, not batch-granular).  :class:`ServeBackend` is that kernel, once:
+the application-side logic is literally the same code on every system, and
+a subclass supplies only the I/O discipline (its ``_access`` generator),
+mirroring the paper's "identical kernel implementations" methodology:
 
 - **agile** — ``ctrl.raw_read`` issues every page asynchronously, then the
   thread waits on the transactions; completions are retired by the AGILE
@@ -22,7 +23,7 @@ all three kernels; only the I/O discipline differs, mirroring the paper's
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.config import SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.core.issue import AgileIoError
 from repro.core.locks import DeadlockError
+from repro.core.machine import Machine
 from repro.core.multigpu import MultiGpuAgileHost
 from repro.gpu.kernel import KernelSpec, LaunchConfig
 from repro.nvme.command import Opcode
@@ -50,70 +52,44 @@ NAIVE_STALL_NS = 200_000.0
 
 
 class ServeBackend:
-    """Common machinery: scratch buffers, launch plumbing, batch kernels."""
+    """The batch kernel on one :class:`~repro.core.machine.Machine`:
+    scratch buffers, launch geometry, one thread per request, exactly one
+    ``finish`` each.  Subclasses build the host and implement ``_access``."""
 
     system = "base"
+    #: Backend-imposed ceiling on requests per batch (0 = none).
+    max_batch = 0
+    #: Whether ``op="write"``/``"modify"`` request classes can be served
+    #: (the AGILE write path; BaM and naive are read-only baselines here).
+    supports_writes = False
+    #: Whether ``op="paged"`` classes can be served — reads routed through
+    #: the four-state cache + Share Table so residency and eviction are
+    #: simulated (KV-cache paging needs this).
+    supports_paged = False
 
-    def __init__(self) -> None:
+    def __init__(self, host: Machine) -> None:
+        self.host = host
+        self.sim = host.sim
+        #: The host's metric registry (serve instruments register here).
+        self.trace = host.trace
+        self.telemetry = host.telemetry
+        self.cfg = host.cfg
+        #: The host's :class:`~repro.placement.PlacementPolicy`.
+        self.placement = host.placement
+        #: One dispatch worker per GPU.
+        self.num_workers = len(host.gpus)
         self._scratch: Dict[int, List[Any]] = {}
 
     # -- interface the engine drives ---------------------------------------
 
-    def _host(self):
-        """The simulated host object driving this backend."""
-        raise NotImplementedError
-
-    @property
-    def sim(self):
-        raise NotImplementedError
-
-    @property
-    def trace(self):
-        """The host's metric registry (serve instruments register here)."""
-        raise NotImplementedError
-
-    @property
-    def telemetry(self):
-        return None
-
-    @property
-    def num_workers(self) -> int:
-        return 1
-
-    @property
-    def max_batch(self) -> int:
-        """Backend-imposed ceiling on requests per batch (0 = none)."""
-        return 0
-
-    @property
-    def supports_writes(self) -> bool:
-        """Whether this backend can serve ``op="write"``/``"modify"``
-        request classes (the AGILE write path; BaM and naive are read-only
-        baselines here)."""
-        return False
-
-    @property
-    def supports_paged(self) -> bool:
-        """Whether this backend can serve ``op="paged"`` classes — reads
-        routed through the four-state cache + Share Table so residency and
-        eviction are simulated (KV-cache paging needs this)."""
-        return False
-
     def start(self) -> None:
-        pass
+        self.host.start()
 
     def stop(self) -> None:
-        pass
+        self.host.stop()
 
     def drain(self) -> None:
-        pass
-
-    # -- placement ----------------------------------------------------------
-
-    @property
-    def placement(self):
-        """The host's :class:`~repro.placement.PlacementPolicy`."""
-        return self._host().placement
+        self.host.drain()
 
     def place(self, lba: int, tenant: Optional[str] = None) -> tuple:
         """Resolve one logical LBA to physical ``(ssd_idx, device_lba)``.
@@ -127,7 +103,7 @@ class ServeBackend:
     def device_read_counts(self) -> List[int]:
         """Completed reads per device index (joins on ``index``, not list
         position, so reports survive array regrowth)."""
-        stats = self._host().driver.device_stats()
+        stats = self.host.driver.device_stats()
         counts = [0] * len(stats)
         for entry in stats:
             counts[int(entry["index"])] = int(entry["completed_reads"])
@@ -137,7 +113,7 @@ class ServeBackend:
         """Per-device write-path counters (joined on ``index``): the FTL's
         WAF ledger plus completed write count, for the serve report's
         write-amplification and GC-stall columns."""
-        stats = self._host().driver.device_stats()
+        stats = self.host.driver.device_stats()
         rows: List[Dict[str, float]] = [{} for _ in stats]
         keys = (
             "completed_writes", "host_programs", "gc_programs", "erases",
@@ -151,18 +127,14 @@ class ServeBackend:
             }
         return rows
 
-    def _caches(self) -> List[Any]:
-        """Software caches whose eviction write-backs this backend owns."""
-        return []
-
     def writeback_stats(self) -> Dict[str, int]:
-        """Eviction write-back ledger summed over the backend's caches:
-        snapshots taken, durably acked, and declared lost (terminal write
-        failure after recovery retries)."""
+        """Eviction write-back ledger summed over every GPU's software
+        cache: snapshots taken, durably acked, and declared lost (terminal
+        write failure after recovery retries)."""
         totals = {"writebacks": 0, "writebacks_acked": 0, "writebacks_lost": 0}
-        for cache in self._caches():
+        for ctrl in self.host.ctrls:
             for key in totals:
-                totals[key] += int(cache.stats.get(key))
+                totals[key] += int(ctrl.cache.stats.get(key))
         return totals
 
     def load_pattern(self, classes: Sequence, page_size: int = 4096) -> None:
@@ -171,115 +143,34 @@ class ServeBackend:
         as the tenant key (what tenant-affine placement pivots on)."""
         for cls in classes:
             data = np.arange(cls.lba_space * page_size, dtype=np.uint8)
-            self._host().load_logical(cls.lba_base, data, tenant=cls.name)
+            self.host.load_logical(cls.lba_base, data, tenant=cls.name)
 
-    def run_batch(
-        self, worker_idx: int, batch: Batch, finish
-    ) -> Generator[Any, Any, None]:
-        """Serve one batch on one worker; ``finish(req, ok)`` must be called
-        exactly once per request at that request's own completion time."""
+    def _access(
+        self, tc, ctrl, chain: AgileLockChain, req: Request, dest
+    ) -> Generator[Any, Any, bool]:
+        """One thread's I/O for one request, under this system's
+        discipline; returns whether every page arrived intact."""
         raise NotImplementedError
 
-    # -- shared helpers -----------------------------------------------------
-
-    def _scratch_views(self, worker_idx: int, count: int, alloc) -> List[Any]:
-        """Per-(worker, thread) 4 KiB destination buffers, grown on demand
-        and reused across batches (host-side allocation, no simulated time)."""
-        pool = self._scratch.setdefault(worker_idx, [])
-        while len(pool) < count:
-            view = alloc(4096)
-            view[:] = 0
-            pool.append(view)
-        return pool
-
-    @staticmethod
-    def _launch_geometry(n_threads: int) -> LaunchConfig:
-        block = min(n_threads, 128)
-        grid = (n_threads + block - 1) // block
-        return LaunchConfig(grid, block)
-
-
-class AgileServeBackend(ServeBackend):
-    """AGILE host(s); ``num_gpus > 1`` builds a ``MultiGpuAgileHost``."""
-
-    system = "agile"
-
-    def __init__(
-        self,
-        cfg: Optional[SystemConfig] = None,
-        num_gpus: int = 1,
-        telemetry: Optional[bool] = None,
-    ):
-        super().__init__()
-        self.num_gpus = num_gpus
-        if num_gpus == 1:
-            self.host = AgileHost(cfg, telemetry=telemetry)
-            self._multi: Optional[MultiGpuAgileHost] = None
-        else:
-            self._multi = MultiGpuAgileHost(cfg, num_gpus=num_gpus)
-            self.host = None
-
-    def _host(self):
-        return self.host if self.host is not None else self._multi
-
-    @property
-    def sim(self):
-        return self.host.sim if self.host is not None else self._multi.sim
-
-    @property
-    def trace(self):
-        return self.host.trace if self.host is not None else self._multi.trace
-
-    @property
-    def telemetry(self):
-        return self.host.telemetry if self.host is not None else None
-
-    @property
-    def cfg(self) -> SystemConfig:
-        return self.host.cfg if self.host is not None else self._multi.cfg
-
-    @property
-    def num_workers(self) -> int:
-        return self.num_gpus
-
-    @property
-    def supports_writes(self) -> bool:
-        return True
-
-    @property
-    def supports_paged(self) -> bool:
-        # Cache-routed reads need the single-host AGILE cache; the
-        # multi-GPU host shards its caches per node and the serve engine
-        # does not yet route paged classes node-affinely.
-        return self.host is not None
-
-    def _caches(self) -> List[Any]:
-        if self.host is not None:
-            return [self.host.cache]
-        return [node.cache for node in self._multi.nodes]
-
-    def start(self) -> None:
-        (self.host or self._multi).start()
-
-    def stop(self) -> None:
-        (self.host or self._multi).stop()
-
-    def drain(self) -> None:
-        if self.host is not None:
-            self.host.drain()
-
     def run_batch(
-        self, worker_idx: int, batch: Batch, finish
+        self,
+        worker_idx: int,
+        batch: Batch,
+        finish: Callable[[Request, bool], None],
     ) -> Generator[Any, Any, None]:
-        if self.host is not None:
-            alloc = self.host.alloc_view
-        else:
-            node = self._multi.nodes[worker_idx]
-            alloc = lambda n: node.gpu.hbm.alloc(n, label="serve").view  # noqa: E731
-        scratch = self._scratch_views(worker_idx, len(batch), alloc)
+        """Serve one batch on one worker; ``finish(req, ok)`` is called
+        exactly once per request at that request's own completion time."""
         requests = batch.requests
-        cfg = self._launch_geometry(len(batch))
-        n_threads = cfg.grid_dim * cfg.block_dim
+        # Per-(worker, thread) 4 KiB destination buffers in that worker's
+        # HBM, grown on demand and reused across batches (host-side
+        # allocation, no simulated time).
+        scratch = self._scratch.setdefault(worker_idx, [])
+        while len(scratch) < len(requests):
+            view = self.host.alloc_view(4096, "serve", gpu_idx=worker_idx)
+            view[:] = 0
+            scratch.append(view)
+        cfg = LaunchConfig.for_threads(len(requests), 128)
+        n_threads = cfg.total_threads
 
         def body(tc, ctrl, _batch_args):
             # Global tids are contiguous within one launch, so modulo the
@@ -287,85 +178,96 @@ class AgileServeBackend(ServeBackend):
             tid = tc.tid % n_threads
             if tid >= len(requests):
                 return
-            req: Request = requests[tid]
+            req = requests[tid]
             chain = AgileLockChain(f"serve.b{batch.bid}.t{tid}")
-            dest = scratch[tid]
-            op = req.cls.op
-            ok = True
-            try:
-                if op == "modify":
-                    # Read-modify-write through the software cache: each
-                    # page becomes a MODIFIED line whose device program is
-                    # deferred to eviction write-back.
-                    for lba in req.logical:
-                        yield from ctrl.write_page_logical(
-                            tc, chain, lba, dest, tenant=req.cls.name
-                        )
-                    finish(req, ok)
-                    return
-                if op == "paged":
-                    # Cache-routed reads: hits ride the Share Table, misses
-                    # fault the page in and may evict a cold line — the
-                    # KV-cache paging residency model runs live here.
-                    for lba in req.logical:
-                        line = yield from ctrl.read_page_logical(
-                            tc, chain, lba, tenant=req.cls.name
-                        )
-                        ctrl.cache.unpin(line)
-                    for ssd, lba in req.pages[len(req.logical):]:
-                        line = yield from ctrl.read_page(
-                            tc, chain, ssd, lba
-                        )
-                        ctrl.cache.unpin(line)
-                    finish(req, ok)
-                    return
-                txns = []
-                if req.logical:
-                    # Logical issue path: the controller re-resolves each
-                    # LBA through the same (memoised) placement policy the
-                    # engine used at arrival, so coordinates agree.
-                    for lba in req.logical:
-                        if op == "write":
-                            txn = yield from ctrl.raw_write_logical(
-                                tc, chain, lba, dest, tenant=req.cls.name
-                            )
-                        else:
-                            txn = yield from ctrl.raw_read_logical(
-                                tc, chain, lba, dest, tenant=req.cls.name
-                            )
-                        txns.append(txn)
-                else:
-                    # Trace replay hands us physical coordinates directly.
-                    for ssd, lba in req.pages:
-                        if op == "write":
-                            txn = yield from ctrl.raw_write(
-                                tc, chain, ssd, lba, dest
-                            )
-                        else:
-                            txn = yield from ctrl.raw_read(
-                                tc, chain, ssd, lba, dest
-                            )
-                        txns.append(txn)
-                for txn in txns:
-                    completion = yield from txn.wait()
-                    if completion is None or not completion.ok:
-                        ok = False
-            except AgileIoError:
-                ok = False
+            ok = yield from self._access(tc, ctrl, chain, req, scratch[tid])
             finish(req, ok)
 
         kernel = KernelSpec(
-            name=f"serve_agile_b{batch.bid}",
+            name=f"serve_{self.system}_b{batch.bid}",
             body=body,
             registers_per_thread=SERVE_KERNEL_REGISTERS,
         )
-        if self.host is not None:
-            launch = self.host.launch_kernel(kernel, cfg, args=(None,))
-        else:
-            launch = self._multi.launch_kernel(
-                worker_idx, kernel, cfg, args=(None,)
-            )
+        launch = self.host.launch_kernel(
+            kernel, cfg, args=(None,), gpu_idx=worker_idx
+        )
         yield launch.done
+
+
+class AgileServeBackend(ServeBackend):
+    """AGILE host(s); ``num_gpus > 1`` builds a ``MultiGpuAgileHost``."""
+
+    system = "agile"
+    supports_writes = True
+
+    def __init__(
+        self,
+        cfg: Optional[SystemConfig] = None,
+        num_gpus: int = 1,
+        telemetry: Optional[bool] = None,
+    ):
+        super().__init__(
+            AgileHost(cfg, telemetry=telemetry)
+            if num_gpus == 1
+            else MultiGpuAgileHost(cfg, num_gpus=num_gpus)
+        )
+        # Cache-routed reads need one cache for the whole machine; the
+        # multi-GPU host shards its caches per node and the serve engine
+        # does not yet route paged classes node-affinely.
+        self.supports_paged = num_gpus == 1
+
+    def _access(self, tc, ctrl, chain, req, dest):
+        op = req.cls.op
+        tenant = req.cls.name
+        ok = True
+        try:
+            if op == "modify":
+                # Read-modify-write through the software cache: each page
+                # becomes a MODIFIED line whose device program is deferred
+                # to eviction write-back.
+                for lba in req.logical:
+                    yield from ctrl.write_page_logical(
+                        tc, chain, lba, dest, tenant=tenant
+                    )
+                return ok
+            if op == "paged":
+                # Cache-routed reads: hits ride the Share Table, misses
+                # fault the page in and may evict a cold line — the
+                # KV-cache paging residency model runs live here.
+                for lba in req.logical:
+                    line = yield from ctrl.read_page_logical(
+                        tc, chain, lba, tenant=tenant
+                    )
+                    ctrl.cache.unpin(line)
+                for ssd, lba in req.pages[len(req.logical):]:
+                    line = yield from ctrl.read_page(tc, chain, ssd, lba)
+                    ctrl.cache.unpin(line)
+                return ok
+            txns = []
+            if req.logical:
+                # Logical issue path: the controller re-resolves each LBA
+                # through the same (memoised) placement policy the engine
+                # used at arrival, so coordinates agree.
+                issue = (
+                    ctrl.raw_write_logical if op == "write"
+                    else ctrl.raw_read_logical
+                )
+                for lba in req.logical:
+                    txn = yield from issue(tc, chain, lba, dest, tenant=tenant)
+                    txns.append(txn)
+            else:
+                # Trace replay hands us physical coordinates directly.
+                issue = ctrl.raw_write if op == "write" else ctrl.raw_read
+                for ssd, lba in req.pages:
+                    txn = yield from issue(tc, chain, ssd, lba, dest)
+                    txns.append(txn)
+            for txn in txns:
+                completion = yield from txn.wait()
+                if completion is None or not completion.ok:
+                    ok = False
+        except AgileIoError:
+            ok = False
+        return ok
 
 
 class BamServeBackend(ServeBackend):
@@ -378,53 +280,13 @@ class BamServeBackend(ServeBackend):
         cfg: Optional[SystemConfig] = None,
         telemetry: Optional[bool] = None,
     ):
-        super().__init__()
-        self.host = BamHost(cfg, telemetry=telemetry)
+        super().__init__(BamHost(cfg, telemetry=telemetry))
 
-    def _host(self):
-        return self.host
-
-    @property
-    def sim(self):
-        return self.host.sim
-
-    @property
-    def trace(self):
-        return self.host.trace
-
-    @property
-    def telemetry(self):
-        return self.host.telemetry
-
-    @property
-    def cfg(self) -> SystemConfig:
-        return self.host.cfg
-
-    def run_batch(
-        self, worker_idx: int, batch: Batch, finish
-    ) -> Generator[Any, Any, None]:
-        requests = batch.requests
-        cfg = self._launch_geometry(len(batch))
-        n_threads = cfg.grid_dim * cfg.block_dim
-
-        def body(tc, ctrl, _batch_args):
-            tid = tc.tid % n_threads
-            if tid >= len(requests):
-                return
-            req: Request = requests[tid]
-            chain = AgileLockChain(f"serve.b{batch.bid}.t{tid}")
-            for ssd, lba in req.pages:
-                line = yield from ctrl.read_page(tc, chain, ssd, lba)
-                ctrl.cache.unpin(line)
-            finish(req, True)
-
-        kernel = KernelSpec(
-            name=f"serve_bam_b{batch.bid}",
-            body=body,
-            registers_per_thread=SERVE_KERNEL_REGISTERS,
-        )
-        launch = self.host.launch_kernel(kernel, cfg, args=(None,))
-        yield launch.done
+    def _access(self, tc, ctrl, chain, req, dest):
+        for ssd, lba in req.pages:
+            line = yield from ctrl.read_page(tc, chain, ssd, lba)
+            ctrl.cache.unpin(line)
+        return True
 
 
 class NaiveServeBackend(ServeBackend):
@@ -435,96 +297,50 @@ class NaiveServeBackend(ServeBackend):
     system = "naive"
 
     def __init__(self, cfg: Optional[SystemConfig] = None):
-        super().__init__()
-        self.host = BamHost(cfg)
+        super().__init__(BamHost(cfg))
+        host = self.host
         self.engines = [
-            NaiveAsyncEngine(
-                self.host.sim, qps, debugger=self.host.debugger
-            )
-            for qps in self.host.queue_pairs
+            NaiveAsyncEngine(host.sim, qps, debugger=host.debugger)
+            for qps in host.queue_pairs
         ]
-        #: Total SQ slots per SSD bounds safe concurrent outstanding I/O.
-        self._slots_per_ssd = min(
-            sum(qp.sq.depth for qp in qps) for qps in self.host.queue_pairs
-        )
-
-    def _host(self):
-        return self.host
-
-    @property
-    def sim(self):
-        return self.host.sim
-
-    @property
-    def trace(self):
-        return self.host.trace
-
-    @property
-    def cfg(self) -> SystemConfig:
-        return self.host.cfg
-
-    @property
-    def max_batch(self) -> int:
+        # Total SQ slots per SSD bounds safe concurrent outstanding I/O.
         # Worst case every request in the batch targets the same SSD and
         # holds all its page slots at once; staying under the slot count
         # keeps the strawman live instead of deadlocking mid-sweep.
-        return max(1, self._slots_per_ssd // 2)
-
-    def run_batch(
-        self, worker_idx: int, batch: Batch, finish
-    ) -> Generator[Any, Any, None]:
-        scratch = self._scratch_views(
-            worker_idx, len(batch), self.host.alloc_view
+        slots_per_ssd = min(
+            sum(qp.sq.depth for qp in qps) for qps in host.queue_pairs
         )
-        requests = batch.requests
+        self.max_batch = max(1, slots_per_ssd // 2)
+
+    def _access(self, tc, _ctrl, chain, req, dest):
         engines = self.engines
-        cfg = self._launch_geometry(len(batch))
-        n_threads = cfg.grid_dim * cfg.block_dim
-
-        def body(tc, _ctrl, _batch_args):
-            tid = tc.tid % n_threads
-            if tid >= len(requests):
-                return
-            req: Request = requests[tid]
-            chain = AgileLockChain(f"serve.b{batch.bid}.t{tid}")
-            dest = scratch[tid]
-            tokens = []
-            ok = True
-            try:
-                for ssd, lba in req.pages:
-                    token = yield from engines[ssd].async_issue(
-                        tc, chain, Opcode.READ, lba, dest
-                    )
-                    tokens.append((ssd, token))
-                for ssd in sorted({s for s, _ in tokens}):
-                    group = [t for s, t in tokens if s == ssd]
-                    yield from engines[ssd].wait_all(
-                        tc, chain, group, stall_after_ns=NAIVE_STALL_NS
-                    )
-                ok = all(
-                    t.completion is not None and t.completion.ok
-                    for _, t in tokens
+        tokens = []
+        try:
+            for ssd, lba in req.pages:
+                token = yield from engines[ssd].async_issue(
+                    tc, chain, Opcode.READ, lba, dest
                 )
-            except (DeadlockError, SimStallError):
-                # The Figure 1 defect biting: this thread's completion was
-                # consumed and dropped by a sibling's poll loop (or its next
-                # issue closed a lock cycle).  A real deployment would reset
-                # the queue pair; here the thread releases every slot and
-                # lock it still holds so the rest of the system stays live,
-                # and the request surfaces as ABORTED — the naive curve's
-                # collapse under concurrency is exactly these events.
-                ok = False
-                for _ssd, token in tokens:
-                    if token.completion is None:
-                        token.qp.sq.release(token.slot)
-                for lock in list(chain.held):
-                    lock.release(chain)
-            finish(req, ok)
-
-        kernel = KernelSpec(
-            name=f"serve_naive_b{batch.bid}",
-            body=body,
-            registers_per_thread=SERVE_KERNEL_REGISTERS,
-        )
-        launch = self.host.launch_kernel(kernel, cfg, args=(None,))
-        yield launch.done
+                tokens.append((ssd, token))
+            for ssd in sorted({s for s, _ in tokens}):
+                group = [t for s, t in tokens if s == ssd]
+                yield from engines[ssd].wait_all(
+                    tc, chain, group, stall_after_ns=NAIVE_STALL_NS
+                )
+            return all(
+                t.completion is not None and t.completion.ok
+                for _, t in tokens
+            )
+        except (DeadlockError, SimStallError):
+            # The Figure 1 defect biting: this thread's completion was
+            # consumed and dropped by a sibling's poll loop (or its next
+            # issue closed a lock cycle).  A real deployment would reset
+            # the queue pair; here the thread releases every slot and
+            # lock it still holds so the rest of the system stays live,
+            # and the request surfaces as ABORTED — the naive curve's
+            # collapse under concurrency is exactly these events.
+            for _ssd, token in tokens:
+                if token.completion is None:
+                    token.qp.sq.release(token.slot)
+            for lock in list(chain.held):
+                lock.release(chain)
+            return False

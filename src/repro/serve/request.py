@@ -192,16 +192,6 @@ class Request:
         return self.finished_ns - self.arrival_ns
 
     @property
-    def queue_wait_ns(self) -> float:
-        """Time spent in the admission queue (0 for shed requests)."""
-        if self.admitted_ns is None:
-            return 0.0
-        end = self.batched_ns
-        if end is None:
-            end = self.finished_ns if self.finished_ns is not None else 0.0
-        return max(0.0, end - self.admitted_ns)
-
-    @property
     def within_slo(self) -> bool:
         """Completed inside the class's latency budget."""
         return (

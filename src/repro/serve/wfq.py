@@ -148,12 +148,6 @@ class WeightedFairAdmission:
             )
         return share
 
-    def shed_fraction(self, name: str) -> float:
-        """Shed fraction of offered so far for one class (the starvation
-        bound's live measurement)."""
-        offered = self._offered[name]
-        return self._shed[name] / offered if offered else 0.0
-
     def pull_counts(self) -> Dict[str, int]:
         """Requests handed to the batcher per class (property tests read
         this to check the weighted-fair share bound)."""

@@ -30,7 +30,7 @@ from repro.sim.resources import (
 )
 from repro.sim.sync import Barrier, Gate, SimLock
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Counter, TimeWeightedStat, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -48,7 +48,5 @@ __all__ = [
     "Gate",
     "Barrier",
     "RngStreams",
-    "Counter",
-    "TimeWeightedStat",
     "TraceRecorder",
 ]

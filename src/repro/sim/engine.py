@@ -417,13 +417,6 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (when, self._seq, [self._seq, _K_CALL, fn, args]))
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Back-compat alias for :meth:`schedule_at` without arguments."""
-        self.schedule_at(when, fn)
-
-    def _note_progress(self) -> None:
-        self._last_progress = self.now
-
     def _crash(self, exc: BaseException, proc: Process) -> None:
         if self._crashed is None:
             self._crashed = (exc, proc)

@@ -173,12 +173,11 @@ class FairShareServer:
     by ``w`` since its arrival.
 
     Jobs live on a heap of plain ``(vfinish, seq, event)`` tuples so heap
-    sifting compares in C, and the arrival/departure paths inline the
-    virtual-time advance and departure rescheduling: every GPU instruction
-    issue passes through here, making this the hottest model code in the
-    simulator.  The inlined arithmetic is kept expression-for-expression
-    identical to the readable helpers (:meth:`_rate`, :meth:`_advance`,
-    :meth:`_reschedule`) so results stay bit-exact.
+    sifting compares in C, and the arrival and departure paths each spell
+    out the virtual-time advance and the departure rescheduling in place
+    (the same expressions, so results stay bit-exact between the two):
+    every GPU instruction issue passes through here, making this the
+    hottest model code in the simulator.
     """
 
     _EPS = 1e-9
@@ -208,37 +207,13 @@ class FairShareServer:
     def active_jobs(self) -> int:
         return len(self._jobs)
 
-    def _rate(self) -> float:
-        n = len(self._jobs)
-        if n == 0:
-            return 0.0
-        return min(self.per_job_cap, self.total_rate / n)
-
-    def _advance(self) -> None:
-        now = self.sim.now
-        dt = now - self._last_t
-        if dt > 0:
-            rate = self._rate()
-            if rate > 0:
-                self._V += dt * rate
-                self.work_done += dt * rate * len(self._jobs)
-        self._last_t = now
-
-    def _reschedule(self) -> None:
-        self._version += 1
-        if not self._jobs:
-            return
-        rate = self._rate()
-        dt = max(0.0, (self._jobs[0][0] - self._V) / rate)
-        # Narrow scheduler API: no per-departure lambda closure.
-        self.sim.schedule_at(self.sim.now + dt, self._on_departure, self._version)
-
     def _on_departure(self, version: int) -> None:
         if version != self._version:
             return  # superseded by a later arrival/departure
         jobs = self._jobs
         now = self.sim.now
-        # _advance(), inlined.
+        # Advance virtual time to now at r(n) = min(per_job_cap,
+        # total_rate / n), the rate the n jobs active since _last_t shared.
         dt = now - self._last_t
         if dt > 0:
             n = len(jobs)
@@ -253,7 +228,7 @@ class FairShareServer:
         # This callback fires exactly at the head job's scheduled departure
         # (any arrival in between would have bumped the version), so if the
         # head still appears un-finished it is pure floating-point residue:
-        # the real-time delay rounded down and _advance under-shot vfinish.
+        # the real-time delay rounded down and the advance under-shot vfinish.
         # Snap virtual time forward to guarantee progress (otherwise the
         # same zero-delay callback re-fires forever).
         V = self._V
@@ -264,7 +239,8 @@ class FairShareServer:
         heappop = heapq.heappop
         while jobs and jobs[0][0] <= lim:
             ready.append(heappop(jobs))
-        # _reschedule(), inlined.
+        # Supersede the pending departure callback and schedule the new
+        # head job's (narrow scheduler API: no per-departure closure).
         self._version += 1
         if jobs:
             n = len(jobs)
@@ -288,7 +264,8 @@ class FairShareServer:
         sim = self.sim
         now = sim.now
         jobs = self._jobs
-        # _advance(), inlined.
+        # Advance virtual time to now at r(n) = min(per_job_cap,
+        # total_rate / n), the rate the n jobs active since _last_t shared.
         dt = now - self._last_t
         if dt > 0:
             n = len(jobs)
@@ -303,7 +280,8 @@ class FairShareServer:
         self._seq += 1
         ev = Event(sim, name=self._job_name)
         heapq.heappush(jobs, (self._V + work, self._seq, ev))
-        # _reschedule(), inlined.
+        # Supersede the pending departure callback and schedule the new
+        # head job's (narrow scheduler API: no per-departure closure).
         self._version += 1
         n = len(jobs)
         rate = self.total_rate / n

@@ -1,12 +1,9 @@
-"""The structured protocol event log, plus back-compat re-exports of the
-metric types that moved to :mod:`repro.telemetry`.
+"""The structured protocol event log, and the host's metric registry.
 
-Counters, gauges, and the registry now live in the telemetry spine
-(:mod:`repro.telemetry`); :class:`Counter`, :class:`TimeWeightedStat`, and
-:class:`TraceRecorder` are kept importable from here so existing call
-sites and downstream users keep working — ``TraceRecorder`` is the
-registry itself, restricted to the historical counters-only ``snapshot()``
-shape that ``host.stats()`` guarantees.
+Counters, gauges, and the registry itself live in the telemetry spine
+(:mod:`repro.telemetry`); :class:`TraceRecorder` is that registry
+restricted to the counters-only ``snapshot()`` shape that ``host.stats()``
+guarantees.
 
 The :class:`EventLog` remains the substrate of the :mod:`repro.analysis`
 layer: models emit protocol-level events (queue slot transitions, doorbell
@@ -21,16 +18,10 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.sim.engine import Simulator
-from repro.telemetry.metrics import Counter, TimeWeightedStat
+from repro.telemetry.metrics import Counter
 from repro.telemetry.registry import MetricRegistry
 
-__all__ = [
-    "Counter",
-    "EventLog",
-    "TimeWeightedStat",
-    "TraceEvent",
-    "TraceRecorder",
-]
+__all__ = ["EventLog", "TraceEvent", "TraceRecorder"]
 
 
 class TraceEvent:

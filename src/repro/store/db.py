@@ -142,10 +142,6 @@ class ResultStore:
                 ],
             )
 
-    def delete_run(self, run_id: str) -> None:
-        with self._conn:
-            self._conn.execute("DELETE FROM run WHERE run_id = ?", (run_id,))
-
     # -- reads ---------------------------------------------------------------
 
     def resolve(self, prefix: str) -> str:

@@ -1,11 +1,10 @@
 """The unified telemetry spine.
 
 One :class:`MetricRegistry` per simulated host owns every counter, gauge,
-histogram, and pull collector (``host.trace`` is this registry; the
-historical ``TraceRecorder``/``Counter`` names in :mod:`repro.sim.trace`
-are re-exports).  A :class:`Telemetry` session adds the *timeline* layer —
-span/instant/counter recording keyed to simulated nanoseconds — plus the
-Chrome-trace and snapshot exporters.
+histogram, and pull collector (``host.trace`` is this registry, as
+:class:`repro.sim.trace.TraceRecorder`).  A :class:`Telemetry` session
+adds the *timeline* layer — span/instant/counter recording keyed to
+simulated nanoseconds — plus the Chrome-trace and snapshot exporters.
 
 Gating discipline (mirrors the fault injector's ``injector is None``
 contract): telemetry is **off by default**.  Models hold a ``tel``-style
@@ -35,7 +34,7 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from repro.telemetry import export as _export
-from repro.telemetry.metrics import Counter, Gauge, Histogram, TimeWeightedStat
+from repro.telemetry.metrics import Counter, Gauge, Histogram
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder
 
@@ -46,7 +45,6 @@ __all__ = [
     "MetricRegistry",
     "SpanRecorder",
     "Telemetry",
-    "TimeWeightedStat",
     "TelemetryCapture",
     "capture",
     "enabled",

@@ -128,18 +128,6 @@ class Gauge:
         return {"value": self._value, "mean": self.mean(), "max": self._max}
 
 
-class TimeWeightedStat(Gauge):
-    """Back-compat shim: the historical ``sim/trace.py`` gauge, clocked by
-    a :class:`~repro.sim.engine.Simulator` (duck-typed; only ``.now`` is
-    read, so no engine import is needed here)."""
-
-    __slots__ = ("sim",)
-
-    def __init__(self, sim, initial: float = 0.0) -> None:
-        super().__init__(clock=lambda: sim.now, initial=initial)
-        self.sim = sim
-
-
 class Histogram:
     """Fixed-bucket distribution (doorbell batch sizes, span durations).
 

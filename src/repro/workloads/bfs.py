@@ -138,8 +138,7 @@ def run_bfs(
                 by_ssd.setdefault(ssd, []).append(lba)
             for ssd, lbas in by_ssd.items():
                 host.preload_cache(ssd, lbas)
-        if system == "agile":
-            host.start()
+        host.start()
 
     dist = np.full(n, -1, dtype=np.int64)
     dist[src] = 0
@@ -154,18 +153,16 @@ def run_bfs(
     while frontier and (max_levels is None or level < max_levels):
         next_frontier: list[int] = []
         threads = min(num_threads, max(len(frontier), 1))
-        block = min(threads, 256)
-        grid = (threads + block - 1) // block
+        launch_cfg = LaunchConfig.for_threads(threads, 256)
         args = (np.asarray(frontier), dist, level, next_frontier, threads)
-        if system == "native":
-            gpu.run_to_completion(kernel, LaunchConfig(grid, block),
-                                  args=(None, *args))
+        if host is None:
+            gpu.run_to_completion(kernel, launch_cfg, args=(None, *args))
         else:
-            host.run_kernel(kernel, LaunchConfig(grid, block), args)
+            host.run_kernel(kernel, launch_cfg, args)
         frontier = next_frontier
         level += 1
     total = sim.now - start_ns
-    if system == "agile":
+    if host is not None:
         host.stop()
     stats = host.stats() if host is not None else {}
     return BfsResult(

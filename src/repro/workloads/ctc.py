@@ -106,10 +106,10 @@ def _run_mode(
         body=maker(requests, compute_cycles),
         registers_per_thread=48 if mode == "sync" else 52,
     )
-    block = min(num_threads, 256)
-    grid = (num_threads + block - 1) // block
     with host:
-        duration = host.run_kernel(kernel, LaunchConfig(grid, block), (bufs,))
+        duration = host.run_kernel(
+            kernel, LaunchConfig.for_threads(num_threads, 256), (bufs,)
+        )
         host.drain()
     return duration
 

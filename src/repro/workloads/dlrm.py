@@ -262,10 +262,7 @@ def run_dlrm(
         trace.vocab_sizes[:features], config.embedding_dim, num_ssds
     )
     cfg = _system_config(num_ssds, cache_lines, queue_pairs, queue_depth)
-    if system == "bam":
-        host: AgileHost | BamHost = BamHost(cfg)
-    else:
-        host = AgileHost(cfg)
+    host = BamHost(cfg) if system == "bam" else AgileHost(cfg)
     host.load_data_striped(0, layout.make_table())
 
     out: dict = {}
@@ -286,9 +283,7 @@ def run_dlrm(
         body=_agile_prefetch_kernel(layout),
         registers_per_thread=40,
     )
-    block = min(num_threads, 256)
-    grid = (num_threads + block - 1) // block
-    launch_cfg = LaunchConfig(grid, block)
+    launch_cfg = LaunchConfig.for_threads(num_threads, 256)
     mlp_ns = config.mlp_time_ns(batch)
 
     lookups = [
@@ -315,14 +310,11 @@ def run_dlrm(
             else:
                 yield host.sim.timeout(mlp_ns)
 
-    if isinstance(host, AgileHost):
-        host.start()
-    proc = host.sim.spawn(driver(), name="dlrm.driver")
-    host.sim.run(until_procs=[proc])
-    total = host.sim.now
-    if isinstance(host, AgileHost):
+    with host:
+        proc = host.sim.spawn(driver(), name="dlrm.driver")
+        host.sim.run(until_procs=[proc])
+        total = host.sim.now
         host.drain()
-        host.stop()
     return DlrmResult(
         system=system,
         config=config.name,

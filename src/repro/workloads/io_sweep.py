@@ -11,7 +11,7 @@ requests to keep every flash channel busy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -122,11 +122,11 @@ def run_bandwidth_sweep(
         ),
         registers_per_thread=40,
     )
-    block = min(threads, 256)
-    grid = (threads + block - 1) // block
     with host:
         duration = host.run_kernel(
-            kernel, LaunchConfig(grid, block), (bufs, host.cfg.seed)
+            kernel,
+            LaunchConfig.for_threads(threads, 256),
+            (bufs, host.cfg.seed),
         )
         host.drain()
     moved = sum(
@@ -144,15 +144,3 @@ def run_bandwidth_sweep(
         ),
     )
 
-
-def run_scaling_curve(
-    op: Literal["read", "write"],
-    num_ssds: int,
-    request_counts: List[int],
-    num_threads: int = 256,
-) -> List[SweepPoint]:
-    """A full Fig. 5/6 curve for one SSD count."""
-    return [
-        run_bandwidth_sweep(op, num_ssds, n, num_threads=num_threads)
-        for n in request_counts
-    ]

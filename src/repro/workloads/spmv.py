@@ -138,8 +138,7 @@ def run_spmv(
                 by_ssd.setdefault(ssd, []).append(lba)
             for ssd, lbas in by_ssd.items():
                 host.preload_cache(ssd, lbas)
-        if system == "agile":
-            host.start()
+        host.start()
 
     y = np.zeros(n, dtype=np.float64)
     kernel = KernelSpec(
@@ -148,16 +147,13 @@ def run_spmv(
         registers_per_thread={"native": 36, "agile": 42, "bam": 56}[system],
     )
     threads = min(num_threads, n)
-    block = min(threads, 256)
-    grid = (threads + block - 1) // block
+    launch_cfg = LaunchConfig.for_threads(threads, 256)
     start_ns = sim.now
-    if system == "native":
-        gpu.run_to_completion(kernel, LaunchConfig(grid, block),
-                              args=(None, y, threads))
+    if host is None:
+        gpu.run_to_completion(kernel, launch_cfg, args=(None, y, threads))
     else:
-        host.run_kernel(kernel, LaunchConfig(grid, block), (y, threads))
-    total = sim.now - start_ns
-    if system == "agile":
+        host.run_kernel(kernel, launch_cfg, (y, threads))
         host.stop()
+    total = sim.now - start_ns
     stats = host.stats() if host is not None else {}
     return SpmvResult(system=system, y=y, total_ns=total, stats=stats)

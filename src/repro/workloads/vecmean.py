@@ -60,8 +60,7 @@ def run_vector_mean(
         host = AgileHost(cfg) if system == "agile" else BamHost(cfg)
         sim = host.sim
         host.load_data_striped(0, data)
-        if system == "agile":
-            host.start()
+        host.start()
 
     partials: list[float] = []
 
@@ -88,17 +87,14 @@ def run_vector_mean(
         registers_per_thread={"native": 28, "agile": 31, "bam": 32}[system],
     )
     threads = min(num_threads, max(1, n // chunk))
-    block = min(threads, 256)
-    grid = (threads + block - 1) // block
+    launch_cfg = LaunchConfig.for_threads(threads, 256)
     start_ns = sim.now
-    if system == "native":
-        gpu.run_to_completion(kernel, LaunchConfig(grid, block),
-                              args=(None, threads))
+    if host is None:
+        gpu.run_to_completion(kernel, launch_cfg, args=(None, threads))
     else:
-        host.run_kernel(kernel, LaunchConfig(grid, block), (threads,))
-    total = sim.now - start_ns
-    if system == "agile":
+        host.run_kernel(kernel, launch_cfg, (threads,))
         host.stop()
+    total = sim.now - start_ns
     stats = host.stats() if host is not None else {}
     return VecMeanResult(
         system=system,

@@ -18,7 +18,7 @@ def bare_constant_delay(sim):
 
 
 def bytes_as_delay(sim, transfer_bytes):
-    sim.call_at(transfer_bytes, print)
+    sim.schedule_at(transfer_bytes, print)
 
 
 def declared_ns_gets_pages(num_pages):

@@ -1,4 +1,5 @@
-"""Tests for AgileHost orchestration and BamHost symmetry."""
+"""Tests for AgileHost orchestration and BamHost symmetry (what differs
+per host; the shared ``Machine`` surface is in test_machine_contract.py)."""
 
 from __future__ import annotations
 
@@ -46,13 +47,6 @@ class TestConstruction:
 
 
 class TestDataStaging:
-    def test_load_and_read_flash_roundtrip(self):
-        host = make_host()
-        data = np.arange(5000, dtype=np.int16)
-        host.load_data(0, 3, data)
-        out = host.read_flash(0, 3, data.nbytes, np.int16)
-        assert np.array_equal(out, data)
-
     def test_striped_layout_across_ssds(self):
         host = AgileHost(small_config().with_ssds(2))
         data = np.arange(4096 * 4 // 4, dtype=np.int32)  # 4 pages
@@ -103,13 +97,6 @@ class TestLifecycle:
 
 
 class TestBamHostSymmetry:
-    def test_same_staging_api(self):
-        host = BamHost(small_config())
-        data = np.arange(2048, dtype=np.float32)
-        host.load_data(0, 0, data)
-        out = host.read_flash(0, 0, data.nbytes, np.float32)
-        assert np.array_equal(out, data)
-
     def test_kernel_runs_without_service(self):
         host = BamHost(small_config())
         seen = []

@@ -112,7 +112,7 @@ class TestExecution:
         host = MultiGpuAgileHost(_cfg(), num_gpus=2)
         kernel = KernelSpec(name="k", body=lambda tc, ctrl: iter(()))
         with pytest.raises(RuntimeError, match="service not running"):
-            host.launch_kernel(0, kernel, LaunchConfig(1, 32))
+            host.launch_kernel(kernel, LaunchConfig(1, 32), gpu_idx=1)
 
     def test_args_arity_checked(self):
         host = MultiGpuAgileHost(_cfg(), num_gpus=2)

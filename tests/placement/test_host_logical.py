@@ -7,7 +7,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from repro.baselines.harness import BamHost
 from repro.config import PlacementConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.core.multigpu import MultiGpuAgileHost
@@ -146,13 +145,6 @@ class TestRebalance:
 
 
 class TestOtherHosts:
-    def test_bam_host_logical_roundtrip(self):
-        host = BamHost(array_config(2))
-        data = pattern(4)
-        host.load_logical(1, data)
-        npt.assert_array_equal(host.read_logical(1, data.size), data)
-        assert host.resolve(0) == host.placement.place(0)
-
     def test_multigpu_host_shares_one_placement(self):
         host = MultiGpuAgileHost(array_config(2), num_gpus=2)
         data = pattern(2)

@@ -264,7 +264,7 @@ def test_call_at_past_rejected(sim):
     def proc():
         yield Timeout(10)
         with pytest.raises(ValueError):
-            sim.call_at(5, lambda: None)
+            sim.schedule_at(5, lambda: None)
 
     sim.spawn(proc())
     sim.run()

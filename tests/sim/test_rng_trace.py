@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Counter, RngStreams, Simulator, TimeWeightedStat, Timeout
+from repro.sim import RngStreams, Simulator, Timeout
 from repro.sim.trace import TraceRecorder
+from repro.telemetry import Counter, Gauge
 
 
 class TestRngStreams:
@@ -66,7 +67,7 @@ class TestCounter:
 class TestTimeWeightedStat:
     def test_mean_integrates_over_time(self):
         sim = Simulator()
-        stat = TimeWeightedStat(sim, initial=0.0)
+        stat = Gauge(clock=lambda: sim.now, initial=0.0)
 
         def proc():
             yield Timeout(10)
@@ -83,13 +84,13 @@ class TestTimeWeightedStat:
 
     def test_add_delta(self):
         sim = Simulator()
-        stat = TimeWeightedStat(sim, initial=1.0)
+        stat = Gauge(clock=lambda: sim.now, initial=1.0)
         stat.add(2.0)
         assert stat.value == 3.0
 
     def test_mean_at_time_zero(self):
         sim = Simulator()
-        stat = TimeWeightedStat(sim, initial=7.0)
+        stat = Gauge(clock=lambda: sim.now, initial=7.0)
         assert stat.mean() == 7.0
 
 
