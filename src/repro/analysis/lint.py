@@ -4,9 +4,9 @@ A discrete-event simulation has correctness rules ordinary linters do not
 know about; this one enforces the repository's:
 
 - **AGL001** — no wall-clock reads (``time.time``, ``time.monotonic``,
-  ``datetime.now``, ...) outside ``bench/`` and the store's provenance
-  stamper (``store/meta.py``): simulated components must derive every
-  timestamp from ``sim.now`` or results silently depend on host speed.
+  ``datetime.now``, ...) outside ``bench/``: simulated components must
+  derive every timestamp from ``sim.now`` or results silently depend on
+  host speed.
 - **AGL002** — no unseeded/global randomness (``random`` module,
   ``np.random.<fn>``, bare ``np.random.default_rng()``) outside ``bench/``
   and ``rng.py``: all stochastic behaviour must flow through the named
@@ -217,15 +217,10 @@ class _FileLinter:
         self.config_attrs = config_attrs
         self.violations: List[Violation] = []
         parts = path.as_posix().split("/")
-        #: ``bench`` measures host wall time legitimately, and the
-        #: store's ``meta.py`` is the sanctioned provenance stamper
-        #: (``generated_unix``/``git_sha`` describe when a run happened
-        #: and never feed simulated time); ``rng.py`` is the
-        #: seeded-stream factory itself.  Seeded calls like
+        #: ``bench`` measures host wall time legitimately; ``rng.py`` is
+        #: the seeded-stream factory itself.  Seeded calls like
         #: ``np.random.default_rng(seed)`` pass everywhere.
-        self.wallclock_ok = "bench" in parts or (
-            "store" in parts and path.name == "meta.py"
-        )
+        self.wallclock_ok = "bench" in parts
         self.random_ok = "bench" in parts or path.name == "rng.py"
         #: The engine owns its queues; everyone else uses the narrow API.
         self.scheduler_internals_ok = (

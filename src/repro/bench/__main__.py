@@ -26,14 +26,24 @@ import time
 from repro.bench.figures import ALL_ABLATIONS, ALL_FIGURES
 
 
+def _perf_point(requests: int, threads: int = 64):
+    """One timed Fig. 5 read point -> (point, wall seconds, events/sec)."""
+    from repro.workloads.io_sweep import run_bandwidth_sweep
+
+    start = time.perf_counter()
+    point = run_bandwidth_sweep(
+        "read", num_ssds=1, total_requests=requests, num_threads=threads
+    )
+    wall = time.perf_counter() - start
+    return point, wall, point.sim_events / wall if wall > 0 else 0.0
+
+
 def perf(argv: list[str]) -> int:
     """Scheduler-throughput smoke: one Fig. 5 point, report events/sec.
 
     ``--min-eps N`` turns the report into a regression gate (exit 1 below
     the floor).  ``--requests N`` / ``--threads N`` scale the workload.
     """
-    from repro.workloads.io_sweep import run_bandwidth_sweep
-
     min_eps = 0.0
     requests = 4096
     threads = 64
@@ -48,12 +58,7 @@ def perf(argv: list[str]) -> int:
         else:
             print(f"perf: unknown option {arg!r}", file=sys.stderr)
             return 2
-    start = time.perf_counter()
-    point = run_bandwidth_sweep(
-        "read", num_ssds=1, total_requests=requests, num_threads=threads
-    )
-    wall = time.perf_counter() - start
-    eps = point.sim_events / wall if wall > 0 else 0.0
+    point, wall, eps = _perf_point(requests, threads)
     print(
         f"perf: {point.sim_events:,} events in {wall:.2f} s "
         f"-> {eps:,.0f} events/s "
@@ -68,50 +73,16 @@ def perf(argv: list[str]) -> int:
     return 0
 
 
-def _serve_saturation_section(quick: bool) -> dict:
-    """Serve sweep results in the BENCH.json trend shape."""
-    from repro.serve.__main__ import DEFAULT_LOADS, QUICK_LOADS
-    from repro.serve.sweep import SweepSpec, curves_as_dict, run_saturation_sweep
-
-    spec = SweepSpec(
-        loads_rps=QUICK_LOADS if quick else DEFAULT_LOADS,
-        duration_ns=2_000_000.0 if quick else 10_000_000.0,
-    )
-    curves = run_saturation_sweep(spec)
-    return {
-        "seed": spec.seed,
-        "duration_ns": spec.duration_ns,
-        "loads_rps": list(spec.loads_rps),
-        "curves": curves_as_dict(curves),
-    }
-
-
-def _placement_section(quick: bool) -> dict:
-    """Placement-policy comparison in the BENCH.json trend shape: every
-    policy head-to-head on a 4-SSD hotspot trace, with per-device read
-    counts and the max/mean utilization skew ratio per policy."""
-    from repro.serve.__main__ import SMOKE_RATE_RPS, SMOKE_SKEW
-    from repro.serve.sweep import PLACEMENTS, SweepSpec, placement_comparison
-
-    spec = SweepSpec(
-        loads_rps=(SMOKE_RATE_RPS,),
-        duration_ns=1_000_000.0 if quick else 3_000_000.0,
-        num_ssds=4,
-        skew=SMOKE_SKEW,
-    )
-    return placement_comparison(spec, SMOKE_RATE_RPS, placements=PLACEMENTS)
-
-
 def export(argv: list[str]) -> int:
     """Machine-readable bench snapshot for the CI trend artifact.
 
-    Writes one JSON document holding a Fig. 5-style read-bandwidth table,
-    the scheduler-throughput (events/sec) measurement, per-point device
-    error counts (zero on every fault-free run — a nonzero value here is a
-    regression even when bandwidth looks fine), the serving-layer
-    saturation curves (goodput + p99 vs offered load per system), and the
-    placement-policy comparison (per-device utilization + skew ratio per
-    policy on a hotspot trace).
+    Writes one ``agile-experiment/1`` document holding what only the
+    bench measures: a Fig. 5-style read-bandwidth table (``section=fig5``
+    cells, each with its telemetry snapshot as ``detail``) and the
+    scheduler-throughput measurement (``section=perf``), with per-point
+    device error counts (zero on every fault-free run — a nonzero value
+    here is a regression even when bandwidth looks fine).  The serving
+    experiments have their own artifacts (``python -m repro.serve run``).
     """
     from repro.workloads.io_sweep import run_bandwidth_sweep
 
@@ -133,67 +104,70 @@ def export(argv: list[str]) -> int:
         table_points = [(1, 1024), (1, 4096), (2, 4096), (4, 4096)]
         perf_requests = 4096
 
-    table = []
+    cells = []
     for num_ssds, total_requests in table_points:
         point = run_bandwidth_sweep(
             "read", num_ssds=num_ssds, total_requests=total_requests,
             telemetry=True,
         )
-        table.append(
+        cells.append(
             {
-                "op": "read",
-                "num_ssds": point.num_ssds,
-                "total_requests": point.total_requests,
-                "duration_ns": point.duration_ns,
-                "bandwidth_gbps": point.bandwidth_gbps,
-                "sim_events": point.sim_events,
-                "device_errors": point.device_errors,
-                "telemetry": point.telemetry,
+                "axes": {
+                    "section": "fig5",
+                    "op": "read",
+                    "num_ssds": point.num_ssds,
+                    "total_requests": point.total_requests,
+                },
+                "metrics": {
+                    "duration_ns": point.duration_ns,
+                    "bandwidth_gbps": point.bandwidth_gbps,
+                    "sim_events": point.sim_events,
+                    "device_errors": point.device_errors,
+                },
+                "detail": {"telemetry": point.telemetry},
             }
         )
 
-    start = time.perf_counter()
-    point = run_bandwidth_sweep(
-        "read", num_ssds=1, total_requests=perf_requests, num_threads=64
+    point, wall, eps = _perf_point(perf_requests)
+    cells.append(
+        {
+            "axes": {"section": "perf"},
+            "metrics": {
+                "sim_events": point.sim_events,
+                "wall_s": wall,
+                "events_per_sec": eps,
+                "total_requests": point.total_requests,
+                "bandwidth_gbps": point.bandwidth_gbps,
+                "device_errors": point.device_errors,
+            },
+        }
     )
-    wall = time.perf_counter() - start
     from repro.config import stable_hash
-    from repro.store.meta import BENCH_TREND_SCHEMA, stamp
+    from repro.store.meta import experiment_document
 
-    # /2 adds git_sha + config_hash (the store's baseline key); the
-    # store's ingest adapters keep a compat reader for /1 artifacts.
-    doc = {
-        "generated_unix": time.time(),
-        "python": platform.python_version(),
-        "quick": quick,
-        "config_hash": stable_hash(
+    doc = experiment_document(
+        "bench",
+        stable_hash(
             {
-                "family": "agile-bench-trend",
+                "experiment": "bench",
                 "quick": quick,
                 "table_points": table_points,
                 "perf_requests": perf_requests,
             }
         ),
-        "fig5_read_bandwidth": table,
-        "perf": {
-            "sim_events": point.sim_events,
-            "wall_s": wall,
-            "events_per_sec": point.sim_events / wall if wall > 0 else 0.0,
-            "total_requests": point.total_requests,
-            "bandwidth_gbps": point.bandwidth_gbps,
-            "device_errors": point.device_errors,
-        },
-        "serve_saturation": _serve_saturation_section(quick),
-        "placement": _placement_section(quick),
-    }
-    stamp(doc, BENCH_TREND_SCHEMA)
+        cells,
+        checks=[],
+        generated_unix=time.time(),
+        python=platform.python_version(),
+        quick=quick,
+    )
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    errors = sum(cell["metrics"]["device_errors"] for cell in cells)
     print(
-        f"export: wrote {out} ({len(table)} table points, "
-        f"{doc['perf']['events_per_sec']:,.0f} events/s, "
-        f"{sum(r['device_errors'] for r in table)} device errors)"
+        f"export: wrote {out} ({len(table_points)} table points, "
+        f"{eps:,.0f} events/s, {errors} device errors)"
     )
     return 0
 

@@ -4,10 +4,12 @@ Open-loop load generation (Poisson / MMPP / trace replay), bounded
 admission with explicit load shedding — FIFO or weighted-fair with
 per-class shed guards (:mod:`repro.serve.wfq`) — dynamic batching into
 kernel launches, fair-share dispatch across one or more simulated GPUs,
-per-class SLO accounting on the telemetry spine, and the multi-tenant
-scenario matrix (:mod:`repro.serve.tenancy`).  Tenant classes come from
-the registry (:mod:`repro.serve.registry`): construct them with
-:func:`tenant_class`, never ad hoc.
+per-class SLO accounting on the telemetry spine, and one declarative
+experiment runner (:mod:`repro.serve.experiment`) whose definitions live
+in :mod:`repro.serve.sweep`, :mod:`repro.serve.writepath` and
+:mod:`repro.serve.tenancy`.  Tenant classes come from the registry
+(:mod:`repro.serve.registry`): construct them with :func:`tenant_class`,
+never ad hoc.
 
 Entirely additive: nothing here runs unless a :class:`ServeEngine` is
 constructed, so closed-loop benchmarks and golden traces are untouched.
@@ -30,6 +32,7 @@ from repro.serve.backends import (
 from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher
 from repro.serve.dispatch import Dispatcher
 from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.experiment import Experiment, run_cell
 from repro.serve.registry import KNOWN_TENANTS, tenant_class
 from repro.serve.request import (
     LEGAL_TRANSITIONS,
@@ -40,28 +43,7 @@ from repro.serve.request import (
     TERMINAL_STATES,
 )
 from repro.serve.slo import ClassReport, ServeReport, SloAccountant
-from repro.serve.sweep import (
-    ServePoint,
-    SweepSpec,
-    build_backend,
-    knee_rps,
-    run_saturation_sweep,
-    run_serve_point,
-)
 from repro.serve.wfq import TenancyConfig, TenantShare, WeightedFairAdmission
-
-#: Lazy (PEP 562) re-exports: repro.serve.tenancy builds workload traces,
-#: so importing it eagerly here would cycle through the workload modules
-#: (they import repro.serve.arrival, whose package init is this file).
-_TENANCY_EXPORTS = ("TenancySpec", "run_tenancy_cell", "tenancy_matrix")
-
-
-def __getattr__(name: str):
-    if name in _TENANCY_EXPORTS:
-        from repro.serve import tenancy
-
-        return getattr(tenancy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdmissionQueue",
@@ -73,6 +55,7 @@ __all__ = [
     "ClassReport",
     "Dispatcher",
     "DynamicBatcher",
+    "Experiment",
     "KNOWN_TENANTS",
     "LEGAL_TRANSITIONS",
     "Mmpp",
@@ -84,23 +67,15 @@ __all__ = [
     "ServeBackend",
     "ServeConfig",
     "ServeEngine",
-    "ServePoint",
     "ServeReport",
     "ServeStateError",
     "SloAccountant",
-    "SweepSpec",
     "TERMINAL_STATES",
     "TenancyConfig",
-    "TenancySpec",
     "TenantShare",
     "TraceReplay",
     "WeightedFairAdmission",
-    "build_backend",
-    "knee_rps",
-    "run_saturation_sweep",
-    "run_serve_point",
-    "run_tenancy_cell",
-    "tenancy_matrix",
+    "run_cell",
     "tenant_class",
     "trace_from_access_stream",
 ]

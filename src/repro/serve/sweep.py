@@ -1,4 +1,4 @@
-"""Saturation sweeps: offered load vs goodput and tail latency.
+"""The standard two-tenant mix and the three experiments that serve it.
 
 The serving-layer headline experiment: fix the machine, sweep the offered
 request rate across a range that straddles capacity, and plot goodput and
@@ -10,35 +10,47 @@ where each system starts refusing work instead of silently queueing.
 
 Workload: two tenant classes sharing the machine — ``point`` (1-page
 lookups, tight SLO, 80 % of traffic) and ``scan`` (4-page reads, looser
-SLO, 20 %) — both Poisson.  Identical seeds produce identical arrival
-timelines on every system, so curves are directly comparable point by
-point and bit-identical across runs.
+SLO, 20 %).  Identical seeds produce identical arrival timelines on every
+system, so curves are directly comparable point by point and
+bit-identical across runs.
+
+Three :class:`~repro.serve.experiment.Experiment` definitions share the
+mix and one cell builder:
+
+- ``serve-sweep`` — array size x placement x system x offered load, one
+  ``knee_rps`` row per curve;
+- ``placement-smoke`` — every placement policy head to head on a 4-SSD
+  hotspot trace; claims striping spreads the hot head better than static
+  sharding (lower ``skew_ratio``);
+- ``explore`` — cache size x SQ depth x array size x arrival process at
+  one offered load (the design-space grid the store was built to hold).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
-from repro.config import PlacementConfig, SystemConfig, stable_hash
-from repro.serve.arrival import ArrivalProcess, Poisson
-from repro.serve.backends import (
-    AgileServeBackend,
-    BamServeBackend,
-    NaiveServeBackend,
-    ServeBackend,
+from repro.config import CacheConfig, PlacementConfig, SystemConfig
+from repro.serve.arrival import ArrivalProcess, Mmpp, Poisson
+from repro.serve.experiment import (
+    SYSTEMS,
+    Cell,
+    CellPlan,
+    Check,
+    Experiment,
+    knee_cells,
+    serve_config,
 )
-from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.registry import POINT, SCAN, tenant_class
 from repro.serve.request import RequestClass
-from repro.serve.slo import ServeReport
 
-SYSTEMS = ("agile", "bam", "naive")
-
-#: Placement policies the sweep's ``--placement`` axis accepts (identity is
-#: reachable too, but only on a 1-SSD machine).
+#: Placement policies the ``placement`` / ``policy`` axes accept (1-SSD
+#: cells run ``identity`` so single-device traces stay bit-exact).
 PLACEMENTS = ("shard", "striped", "load_aware", "tenant_affine")
+
+#: Arrival-process kinds the ``arrival`` axis accepts.
+ARRIVALS = ("poisson", "mmpp")
 
 #: Tenant mix used by the standard sweep (fractions sum to 1).
 POINT_FRACTION = 0.8
@@ -47,44 +59,21 @@ SCAN_FRACTION = 0.2
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One saturation sweep's fixed parameters."""
+    """What the standard-mix experiments hold fixed across their cells."""
 
-    loads_rps: Sequence[float]
     duration_ns: float = 10_000_000.0
     seed: int = 7
-    num_ssds: int = 2
     lba_space: int = 2048
     admission_capacity: int = 256
     max_batch: int = 64
     max_wait_ns: float = 50_000.0
     point_slo_ns: float = 2_000_000.0
     scan_slo_ns: float = 5_000_000.0
-    #: Placement policy for the SSD array (1-SSD machines use identity so
-    #: existing single-device traces stay bit-exact).
-    placement: str = "striped"
     stripe_pages: int = 1
     #: Hotspot skew applied to both tenant classes (0.0 = uniform draws,
     #: which also keeps the pre-placement rng streams unchanged).
     skew: float = 0.0
     hot_fraction: float = 0.125
-
-
-@dataclass(frozen=True)
-class ServePoint:
-    """One (system, offered-load) sample on the saturation curve."""
-
-    system: str
-    offered_rps: float
-    report: ServeReport
-
-    def as_dict(self) -> Dict[str, object]:
-        # The point's label wins over the report's: write-path points
-        # relabel the same backend ("agile" vs "agile-gc-off").
-        return {
-            **self.report.as_dict(),
-            "system": self.system,
-            "target_rps": self.offered_rps,
-        }
 
 
 def standard_classes(spec: SweepSpec) -> List[RequestClass]:
@@ -117,186 +106,127 @@ def standard_classes(spec: SweepSpec) -> List[RequestClass]:
     ]
 
 
-def standard_arrivals(
-    spec: SweepSpec, rate_rps: float
-) -> Dict[str, ArrivalProcess]:
-    return {
-        POINT: Poisson(rate_rps * POINT_FRACTION),
-        SCAN: Poisson(rate_rps * SCAN_FRACTION),
-    }
+def _arrival(kind: str, rate_rps: float) -> ArrivalProcess:
+    """A per-class arrival process offering ``rate_rps`` on average.
+
+    The MMPP variant keeps the same mean rate as the Poisson one (calm at
+    half rate, bursting at 3x over the default 2 ms / 0.5 ms dwells), so
+    cells differ in burstiness, never in offered volume.
+    """
+    if kind == "poisson":
+        return Poisson(rate_rps)
+    return Mmpp(calm_rps=0.5 * rate_rps, burst_rps=3.0 * rate_rps)
 
 
-def build_backend(
-    system: str, cfg: Optional[SystemConfig] = None, num_gpus: int = 1
-) -> ServeBackend:
-    if system == "agile":
-        return AgileServeBackend(cfg, num_gpus=num_gpus)
-    if system == "bam":
-        return BamServeBackend(cfg)
-    if system == "naive":
-        return NaiveServeBackend(cfg)
-    raise ValueError(f"unknown serve system {system!r} (want one of {SYSTEMS})")
-
-
-def _system_config(spec: SweepSpec) -> SystemConfig:
-    """The simulated machine: ``num_ssds`` devices behind the spec's
-    placement policy.  A shard policy spans exactly the two class regions
+def standard_cell(spec: SweepSpec, cell: Mapping[str, Any]) -> CellPlan:
+    """One standard-mix cell.  ``ssds`` devices sit behind the cell's
+    placement policy; a shard policy spans exactly the two class regions
     (``2 * lba_space``), so contiguous regions land on contiguous devices —
     the layout striping is supposed to beat under a hotspot."""
-    policy = spec.placement if spec.num_ssds > 1 else "identity"
-    return SystemConfig(
+    ssds = cell["ssds"]
+    cfg = SystemConfig(
         seed=spec.seed,
         placement=PlacementConfig(
-            policy=policy,
+            policy=cell["placement"] if ssds > 1 else "identity",
             stripe_pages=spec.stripe_pages,
             shard_span=2 * spec.lba_space,
         ),
-    ).with_ssds(spec.num_ssds)
-
-
-def run_serve_point(
-    system: str, rate_rps: float, spec: SweepSpec, num_gpus: int = 1
-) -> ServePoint:
-    """Serve one offered-load point on one system (a fresh machine)."""
-    backend = build_backend(system, _system_config(spec), num_gpus=num_gpus)
-    classes = standard_classes(spec)
-    serve_cfg = ServeConfig(
-        duration_ns=spec.duration_ns,
-        admission_capacity=spec.admission_capacity,
-        batch=BatchPolicy(
-            max_batch=spec.max_batch, max_wait_ns=spec.max_wait_ns
-        ),
     )
-    backend.load_pattern(classes)
-    engine = ServeEngine(
-        backend,
-        classes,
-        standard_arrivals(spec, rate_rps),
-        serve_cfg,
-        seed=spec.seed,
-    )
-    report = engine.run()
-    return ServePoint(system=system, offered_rps=rate_rps, report=report)
-
-
-def run_saturation_sweep(
-    spec: SweepSpec,
-    systems: Sequence[str] = SYSTEMS,
-    num_gpus: int = 1,
-) -> Dict[str, List[ServePoint]]:
-    """The full curve: every system at every offered load."""
-    curves: Dict[str, List[ServePoint]] = {}
-    for system in systems:
-        curves[system] = [
-            run_serve_point(system, rate, spec, num_gpus=num_gpus)
-            for rate in spec.loads_rps
-        ]
-    return curves
-
-
-def knee_rps(points: Sequence[ServePoint]) -> float:
-    """The saturation knee: the highest offered load whose goodput still
-    tracks the offered line (>= 90 %).  Past the knee, goodput flattens or
-    collapses while tail latency climbs."""
-    knee = 0.0
-    for pt in points:
-        if pt.offered_rps <= 0:
-            continue
-        if pt.report.goodput_rps >= 0.9 * pt.report.offered_rps:
-            knee = max(knee, pt.offered_rps)
-    return knee
-
-
-def curves_as_dict(
-    curves: Dict[str, List[ServePoint]]
-) -> Dict[str, object]:
-    return {
-        system: {
-            "points": [pt.as_dict() for pt in points],
-            "knee_rps": knee_rps(points),
-        }
-        for system, points in sorted(curves.items())
-    }
-
-
-# -- placement axes -----------------------------------------------------------
-
-
-def grid_label(num_ssds: int, placement: str) -> str:
-    return f"ssds={num_ssds},placement={placement}"
-
-
-def run_placement_grid(
-    spec: SweepSpec,
-    ssd_counts: Sequence[int],
-    placements: Sequence[str],
-    systems: Sequence[str] = ("agile",),
-    num_gpus: int = 1,
-) -> Dict[str, Dict[str, List[ServePoint]]]:
-    """The scaled-out sweep: a full saturation curve per (array size,
-    placement policy) cell.  Keys are :func:`grid_label` strings."""
-    grid: Dict[str, Dict[str, List[ServePoint]]] = {}
-    for count in ssd_counts:
-        for placement in placements:
-            cell = replace(spec, num_ssds=count, placement=placement)
-            grid[grid_label(count, placement)] = run_saturation_sweep(
-                cell, systems=systems, num_gpus=num_gpus
-            )
-    return grid
-
-
-def grid_as_dict(
-    grid: Dict[str, Dict[str, List[ServePoint]]]
-) -> Dict[str, object]:
-    return {label: curves_as_dict(curves) for label, curves in grid.items()}
-
-
-def placement_comparison(
-    spec: SweepSpec,
-    rate_rps: float,
-    placements: Sequence[str] = PLACEMENTS,
-    system: str = "agile",
-) -> Dict[str, object]:
-    """Head-to-head policies at one offered load on one machine size.
-
-    The bench export and the CI placement-smoke job both read this: under
-    a hotspot (``spec.skew > 0``) striping should spread the hot head
-    across devices (low ``skew_ratio``) while static sharding funnels it
-    onto one device — visible as a higher skew ratio and, at a saturating
-    rate, lower goodput.
-    """
-    policies: Dict[str, object] = {}
-    for placement in placements:
-        pt = run_serve_point(
-            system, rate_rps, replace(spec, placement=placement)
+    if "cache_lines" in cell:
+        cfg = replace(
+            cfg,
+            cache=CacheConfig(num_lines=cell["cache_lines"]),
+            queue_depth=cell["queue_depth"],
         )
-        policies[placement] = {
-            "goodput_rps": pt.report.goodput_rps,
-            "p99_ns": pt.report.p99_ns,
-            "completed": pt.report.completed,
-            "skew_ratio": pt.report.skew_ratio,
-            "device_reads": list(pt.report.device_reads),
-        }
-    # The schema tag lives here (not in the CLI) so the comparison carries
-    # it wherever it is embedded — the standalone placement_smoke.json and
-    # the BENCH.json placement section ingest identically.  The literal
-    # matches repro.store.meta.PLACEMENT_SMOKE_SCHEMA; importing it would
-    # cycle (repro.store.explore drives this module).
-    return {
-        "schema": "agile-placement-smoke/1",
-        "system": system,
-        "num_ssds": spec.num_ssds,
-        "rate_rps": rate_rps,
-        "skew": spec.skew,
-        "seed": spec.seed,
-        "config_hash": stable_hash(
-            {
-                "family": "agile-placement-smoke",
-                "spec": spec,
-                "rate_rps": rate_rps,
-                "placements": list(placements),
-                "system": system,
-            }
-        ),
-        "policies": policies,
+    classes = standard_classes(spec)
+    kind = cell.get("arrival", "poisson")
+    arrivals = {
+        cls.name: _arrival(kind, cell["target_rps"] * cls.weight)
+        for cls in classes
     }
+    return CellPlan(
+        system=cell["system"],
+        config=cfg.with_ssds(ssds),
+        classes=classes,
+        arrivals=lambda backend: arrivals,
+        serve=serve_config(spec),
+    )
+
+
+def _striped_beats_shard(spec: SweepSpec, cells: Sequence[Cell]) -> List[Check]:
+    skew = {c["axes"]["policy"]: c["metrics"]["skew_ratio"] for c in cells}
+    if not {"striped", "shard"} <= set(skew):
+        return []
+    return [
+        {
+            "name": "striped_spreads_the_hotspot",
+            "ok": skew["striped"] < skew["shard"],
+            "detail": f"striped skew {skew['striped']:.3f} vs "
+            f"shard skew {skew['shard']:.3f}",
+        }
+    ]
+
+
+SERVE_SWEEP = Experiment(
+    name="serve-sweep",
+    help="offered-load saturation curves per system (goodput, p99, knee)",
+    spec=SweepSpec(),
+    # Loads straddle every system's knee on the 2-SSD machine at 10 ms.
+    axes={
+        "ssds": (2,),
+        "placement": ("striped",),
+        "system": SYSTEMS,
+        "target_rps": (
+            10_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0, 320_000.0,
+        ),
+    },
+    choices={"placement": PLACEMENTS, "system": SYSTEMS},
+    build=standard_cell,
+    derive=lambda spec, cells: knee_cells(cells),
+    quick=("target_rps=20000,80000",),
+)
+
+PLACEMENT_SMOKE = Experiment(
+    name="placement-smoke",
+    help="placement policies head to head on a 4-SSD hotspot trace",
+    spec=SweepSpec(duration_ns=5_000_000.0, skew=0.8),
+    # 80k rps is past the sharded machine's knee under the hotspot and
+    # inside the striped one's.
+    axes={
+        "policy": PLACEMENTS,
+        "ssds": (4,),
+        "system": ("agile",),
+        "target_rps": (80_000.0,),
+    },
+    pinned=("ssds", "system", "target_rps"),
+    choices={"policy": PLACEMENTS, "system": SYSTEMS},
+    build=lambda spec, cell: standard_cell(
+        spec, {**cell, "placement": cell["policy"]}
+    ),
+    metrics=("goodput_rps", "p99_ns", "completed", "skew_ratio", "device_reads"),
+    checks=_striped_beats_shard,
+)
+
+EXPLORE = Experiment(
+    name="explore",
+    help="design-space grid: cache size x SQ depth x SSD count x arrivals",
+    spec=SweepSpec(duration_ns=1_000_000.0),
+    axes={
+        "cache_lines": (256, 1024),
+        "queue_depth": (32, 64),
+        "ssds": (1, 2),
+        "arrival": ("poisson",),
+        "system": ("agile",),
+        "placement": ("striped",),
+        "target_rps": (40_000.0,),
+    },
+    pinned=("system", "placement", "target_rps"),
+    choices={"arrival": ARRIVALS, "system": SYSTEMS, "placement": PLACEMENTS},
+    build=standard_cell,
+    metrics=(
+        "goodput_rps", "p99_ns", "offered", "completed", "shed", "aborted",
+        "mean_batch_size", "skew_ratio", "sim_events",
+    ),
+)
+
+EXPERIMENTS = (SERVE_SWEEP, PLACEMENT_SMOKE, EXPLORE)

@@ -16,20 +16,20 @@ The headline the CI smoke gate asserts: under overload with a fault
 storm, the wfq arm keeps inference's completed-request p99 inside its
 SLO budget while the fifo arm blows it, and the difference is absorbed
 by batch-training *shedding* — bounded by its share's ``max_shed_frac``,
-so no class starves.  Artifact schema ``agile-tenancy/1`` (the literal
-is duplicated from ``repro.store.meta`` on purpose: importing it here
-would cycle, the same convention every serve experiment follows).
+so no class starves.  ``TENANCY`` is the
+:class:`~repro.serve.experiment.Experiment`: mix x storm x placement x
+arm, a ``section=headline`` row per cell pair and one ``section=summary``.
 
 Everything is seed-deterministic: arrival rng streams are named per
 class, storm plans derive from the seed, and the workload traces are
-pure functions of their specs — two runs of ``python -m repro.serve
+pure functions of their specs — two runs of ``python -m repro.serve run
 tenancy`` produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.config import (
     CacheConfig,
@@ -37,13 +37,19 @@ from repro.config import (
     RecoveryConfig,
     SsdConfig,
     SystemConfig,
-    stable_hash,
 )
 from repro.faults import plan_from_seed, program_erase_plan_from_seed
 from repro.serve.arrival import ArrivalProcess, Poisson
-from repro.serve.backends import AgileServeBackend
-from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.backends import ServeBackend
+from repro.serve.experiment import (
+    Cell,
+    CellPlan,
+    Check,
+    Experiment,
+    pivot,
+    run_cell,
+    serve_config,
+)
 from repro.serve.registry import (
     CKPT,
     INFER,
@@ -63,7 +69,7 @@ from repro.workloads.vsearch import (
     vsearch_logical_trace,
 )
 
-#: Matrix axes the CLI accepts.
+#: Legal values of the matrix axes.
 STORMS = ("none", "storm", "pe-storm")
 TENANCY_PLACEMENTS = ("striped", "tenant_affine", "load_aware")
 ARMS = ("wfq", "fifo")
@@ -83,7 +89,7 @@ MIXES: Dict[str, Dict[str, float]] = {
 
 @dataclass(frozen=True)
 class TenancySpec:
-    """One tenancy matrix's fixed parameters."""
+    """What the tenancy matrix holds fixed across its cells."""
 
     rate_rps: float = 250_000.0
     duration_ns: float = 8_000_000.0
@@ -115,23 +121,8 @@ class TenancySpec:
     kv: KvCacheSpec = KvCacheSpec()
     ckpt: CheckpointSpec = CheckpointSpec(table_pages=128, shard_pages=4)
     vsearch: VsearchSpec = VsearchSpec(num_nodes=512)
-    mixes: Tuple[str, ...] = tuple(MIXES)
-    storms: Tuple[str, ...] = ("none", "storm")
-    placements: Tuple[str, ...] = ("striped", "tenant_affine")
 
     def __post_init__(self) -> None:
-        for mix in self.mixes:
-            if mix not in MIXES:
-                raise ValueError(f"unknown mix {mix!r} (want {tuple(MIXES)})")
-        for storm in self.storms:
-            if storm not in STORMS:
-                raise ValueError(f"unknown storm {storm!r} (want {STORMS})")
-        for placement in self.placements:
-            if placement not in TENANCY_PLACEMENTS:
-                raise ValueError(
-                    f"unknown placement {placement!r} "
-                    f"(want {TENANCY_PLACEMENTS})"
-                )
         if self.rate_rps <= 0:
             raise ValueError("rate_rps must be > 0")
         if self.storm_slo_factor < 1.0:
@@ -263,7 +254,7 @@ def _system_config(
 
 
 def tenancy_arrivals(
-    spec: TenancySpec, mix_name: str, backend: AgileServeBackend
+    spec: TenancySpec, mix_name: str, backend: ServeBackend
 ) -> Dict[str, ArrivalProcess]:
     """Arrival processes for one mix: KV traces are lock-step logical
     replays, checkpoints replay their shard schedule through placement,
@@ -296,47 +287,48 @@ def tenancy_arrivals(
 # -- one cell -----------------------------------------------------------------
 
 
-def cell_label(mix: str, storm: str, placement: str) -> str:
-    return f"mix={mix},storm={storm},placement={placement}"
+def tenancy_cell(spec: TenancySpec, cell: Mapping[str, Any]) -> CellPlan:
+    """One arm of one (mix, storm, placement) cell: identical seed and
+    arrival timeline across arms; only the admission policy differs."""
+    return CellPlan(
+        system="agile",
+        config=_system_config(spec, cell["storm"], cell["placement"]),
+        classes=tenancy_classes(spec),
+        arrivals=lambda backend: tenancy_arrivals(spec, cell["mix"], backend),
+        serve=serve_config(
+            spec, tenancy_shares() if cell["arm"] == "wfq" else None
+        ),
+    )
 
 
 def run_tenancy_arm(
     spec: TenancySpec, mix_name: str, storm: str, placement: str, arm: str
 ) -> ServeReport:
-    """One arm of one cell on a fresh machine (identical seed and
-    arrival timeline across arms; only the admission policy differs)."""
-    if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r} (want {ARMS})")
-    backend = AgileServeBackend(_system_config(spec, storm, placement))
-    classes = tenancy_classes(spec)
-    backend.load_pattern(classes)
-    serve_cfg = ServeConfig(
-        duration_ns=spec.duration_ns,
-        admission_capacity=spec.admission_capacity,
-        batch=BatchPolicy(
-            max_batch=spec.max_batch, max_wait_ns=spec.max_wait_ns
-        ),
-        tenancy=tenancy_shares() if arm == "wfq" else None,
+    """One arm of one cell on a fresh machine."""
+    return run_cell(
+        tenancy_cell(
+            spec,
+            {"mix": mix_name, "storm": storm, "placement": placement, "arm": arm},
+        )
     )
-    engine = ServeEngine(
-        backend,
-        classes,
-        tenancy_arrivals(spec, mix_name, backend),
-        serve_cfg,
-        seed=spec.seed,
-    )
-    return engine.run()
 
 
-def _shed_frac(report: ServeReport, name: str) -> float:
-    cls = report.classes[name]
-    return cls.shed / cls.offered if cls.offered else 0.0
+# -- headline arithmetic ------------------------------------------------------
 
 
-def _cell_headline(
-    spec: TenancySpec, wfq: ServeReport, fifo: ServeReport, storm: str
+def _shed_frac(report: Mapping[str, Any], name: str) -> float:
+    cls = report["classes"][name]
+    return cls["shed"] / cls["offered"] if cls["offered"] else 0.0
+
+
+def cell_headline(
+    spec: TenancySpec,
+    wfq: Mapping[str, Any],
+    fifo: Mapping[str, Any],
+    storm: str,
 ) -> Dict[str, object]:
-    """The scalars the smoke gate and the store watch, per cell.
+    """The scalars the smoke gate and the store watch, per cell, from the
+    two arms' report dicts.
 
     ``infer_slo_budget_ns`` is the p99 budget this cell is judged
     against: the strict SLO in calm cells, ``storm_slo_factor`` times it
@@ -344,7 +336,7 @@ def _cell_headline(
     always accounted against the strict SLO.
     """
     starved = sorted(
-        name for name, cls in wfq.classes.items() if cls.completed == 0
+        name for name, cls in wfq["classes"].items() if cls["completed"] == 0
     )
     budget = spec.infer_slo_ns * (
         spec.storm_slo_factor if storm != "none" else 1.0
@@ -352,127 +344,127 @@ def _cell_headline(
     return {
         "infer_slo_ns": spec.infer_slo_ns,
         "infer_slo_budget_ns": budget,
-        "wfq_infer_p99_ns": wfq.classes[INFER].p99_ns,
-        "fifo_infer_p99_ns": fifo.classes[INFER].p99_ns,
-        "wfq_infer_slo_attainment": wfq.classes[INFER].slo_attainment,
-        "fifo_infer_slo_attainment": fifo.classes[INFER].slo_attainment,
+        "wfq_infer_p99_ns": wfq["classes"][INFER]["p99_ns"],
+        "fifo_infer_p99_ns": fifo["classes"][INFER]["p99_ns"],
+        "wfq_infer_slo_attainment": wfq["classes"][INFER]["slo_attainment"],
+        "fifo_infer_slo_attainment": fifo["classes"][INFER]["slo_attainment"],
         "wfq_infer_shed_frac": _shed_frac(wfq, INFER),
         "wfq_train_shed_frac": _shed_frac(wfq, TRAIN),
         "fifo_train_shed_frac": _shed_frac(fifo, TRAIN),
-        "wfq_train_completed": wfq.classes[TRAIN].completed,
+        "wfq_train_completed": wfq["classes"][TRAIN]["completed"],
         "starved_classes": starved,
     }
 
 
-def run_tenancy_cell(
-    spec: TenancySpec, mix_name: str, storm: str, placement: str
-) -> Dict[str, object]:
-    wfq = run_tenancy_arm(spec, mix_name, storm, placement, "wfq")
-    fifo = run_tenancy_arm(spec, mix_name, storm, placement, "fifo")
-    return {
-        "wfq": wfq.as_dict(),
-        "fifo": fifo.as_dict(),
-        "headline": _cell_headline(spec, wfq, fifo, storm),
-    }
-
-
-# -- the matrix ---------------------------------------------------------------
-
-
-def _headline_ok(headline: Dict[str, object]) -> bool:
+def _headline_ok(headline: Mapping[str, Any]) -> bool:
     """One cell's interference claim: wfq keeps inference inside the
     cell's budget, fifo does not, nobody starves, and the sheds that
     protect inference land on batch training."""
-    budget = float(headline["infer_slo_budget_ns"])
+    budget = headline["infer_slo_budget_ns"]
     return (
-        float(headline["wfq_infer_p99_ns"]) <= budget
-        and float(headline["fifo_infer_p99_ns"]) > budget
+        headline["wfq_infer_p99_ns"] <= budget
+        and headline["fifo_infer_p99_ns"] > budget
         and not headline["starved_classes"]
-        and float(headline["wfq_train_shed_frac"])
-        >= float(headline["wfq_infer_shed_frac"])
+        and headline["wfq_train_shed_frac"] >= headline["wfq_infer_shed_frac"]
     )
 
 
-def tenancy_matrix(spec: TenancySpec) -> Dict[str, object]:
-    """The full matrix document (schema ``agile-tenancy/1``).
+#: How the summary takes each headline scalar's worst case.
+WORST = {
+    "wfq_infer_p99_ns": max,
+    "fifo_infer_p99_ns": min,
+    "wfq_infer_slo_attainment": min,
+    "fifo_infer_slo_attainment": max,
+    "wfq_train_shed_frac": max,
+}
+
+
+def tenancy_rows(spec: TenancySpec, cells: Sequence[Cell]) -> List[Cell]:
+    """A ``section=headline`` row per (mix, storm, placement) that ran
+    both arms, then one ``section=summary``.
 
     ``summary.headline_ok`` is 1 iff *every* cell individually passes
     :func:`_headline_ok` — calm cells against the strict inference
-    budget, storm cells against the degraded-mode budget
-    (``storm_slo_factor`` times it).  The worst-case scalars in the
-    summary are taken over the storm cells, the stress condition the
-    store baseline watches.
+    budget, storm cells against the degraded-mode budget.  The worst-case
+    scalars are taken over the storm cells, the stress condition the store
+    baseline watches (over every cell when the matrix has no storm cell).
     """
-    cells: Dict[str, object] = {}
-    all_headlines: List[Dict[str, object]] = []
-    storm_headlines: List[Dict[str, object]] = []
-    for mix_name in spec.mixes:
-        for storm in spec.storms:
-            for placement in spec.placements:
-                cell = run_tenancy_cell(spec, mix_name, storm, placement)
-                cells[cell_label(mix_name, storm, placement)] = cell
-                all_headlines.append(cell["headline"])
-                if storm != "none":
-                    storm_headlines.append(cell["headline"])
-    if not storm_headlines:
-        raise ValueError("tenancy matrix needs at least one storm cell")
-    shares = tenancy_shares()
-    worst = {
-        "wfq_infer_p99_ns": max(
-            float(h["wfq_infer_p99_ns"]) for h in storm_headlines
-        ),
-        "fifo_infer_p99_ns": min(
-            float(h["fifo_infer_p99_ns"]) for h in storm_headlines
-        ),
-        "wfq_infer_slo_attainment": min(
-            float(h["wfq_infer_slo_attainment"]) for h in storm_headlines
-        ),
-        "fifo_infer_slo_attainment": max(
-            float(h["fifo_infer_slo_attainment"]) for h in storm_headlines
-        ),
-        "wfq_train_shed_frac": max(
-            float(h["wfq_train_shed_frac"]) for h in storm_headlines
-        ),
-        "min_train_completed": min(
-            int(h["wfq_train_completed"]) for h in storm_headlines
-        ),
-    }
-    return {
-        "schema": "agile-tenancy/1",
-        "seed": spec.seed,
-        "rate_rps": spec.rate_rps,
-        "duration_ns": spec.duration_ns,
-        "num_ssds": spec.num_ssds,
-        "mixes": list(spec.mixes),
-        "storms": list(spec.storms),
-        "placements": list(spec.placements),
-        "config_hash": stable_hash(
-            {"family": "agile-tenancy", "spec": spec}
-        ),
-        "shares": {
-            s.name: {
-                "weight": s.weight,
-                "priority": s.priority,
-                "max_shed_frac": s.max_shed_frac,
-            }
-            for s in shares.shares
-        },
-        "cells": cells,
-        "summary": {
-            "infer_slo_ns": spec.infer_slo_ns,
-            **worst,
-            "headline_ok": int(
-                all(_headline_ok(h) for h in all_headlines)
+    rows: List[Cell] = [
+        {
+            "axes": {**dict(rest), "section": "headline"},
+            "metrics": cell_headline(
+                spec,
+                arms["wfq"]["metrics"],
+                arms["fifo"]["metrics"],
+                dict(rest)["storm"],
             ),
-        },
+        }
+        for rest, arms in pivot(cells, "arm").items()
+        if len(arms) == len(ARMS)
+    ]
+    if not rows:
+        return []
+    heads = [row["metrics"] for row in rows]
+    stressed = [
+        row["metrics"] for row in rows if row["axes"]["storm"] != "none"
+    ] or heads
+    summary = {
+        "infer_slo_ns": spec.infer_slo_ns,
+        **{key: worst(h[key] for h in stressed) for key, worst in WORST.items()},
+        "min_train_completed": min(h["wfq_train_completed"] for h in stressed),
+        "headline_ok": int(all(map(_headline_ok, heads))),
     }
+    return [*rows, {"axes": {"section": "summary"}, "metrics": summary}]
+
+
+def _headline_check(cell: Cell) -> Check:
+    h = cell["metrics"]
+    return {
+        "name": "headline:" + ",".join(
+            f"{k}={v}" for k, v in cell["axes"].items() if k != "section"
+        ),
+        "ok": _headline_ok(h),
+        "detail": f"infer p99 wfq {h['wfq_infer_p99_ns'] / 1e6:.3f} ms "
+        f"vs fifo {h['fifo_infer_p99_ns'] / 1e6:.3f} ms "
+        f"(budget {h['infer_slo_budget_ns'] / 1e6:g} ms); "
+        f"shed infer {h['wfq_infer_shed_frac']:.3f} "
+        f"train {h['wfq_train_shed_frac']:.3f}; "
+        f"starved {h['starved_classes']}",
+    }
+
+
+def _headline_checks(spec: TenancySpec, cells: Sequence[Cell]) -> List[Check]:
+    """One check per cell: wfq inside budget, fifo outside, sheds on batch
+    training, nobody starved."""
+    return [
+        _headline_check(c) for c in cells if c["axes"].get("section") == "headline"
+    ]
+
+
+TENANCY = Experiment(
+    name="tenancy",
+    help="multi-tenant scenario matrix: wfq vs fifo admission per cell",
+    spec=TenancySpec(),
+    axes={
+        "mix": tuple(MIXES),
+        "storm": ("none", "storm"),
+        "placement": ("striped", "tenant_affine"),
+        "arm": ARMS,
+    },
+    choices={
+        "mix": tuple(MIXES),
+        "storm": STORMS,
+        "placement": TENANCY_PLACEMENTS,
+        "arm": ARMS,
+    },
+    build=tenancy_cell,
+    derive=tenancy_rows,
+    checks=_headline_checks,
+    # The CI-sized matrix: one mix, calm + classic storm, one placement.
+    quick=("mix=inference_heavy", "placement=striped"),
+)
 
 
 def quick_spec(seed: int = 7) -> TenancySpec:
-    """The CI-sized matrix: one mix, calm + classic storm, one placement."""
-    return TenancySpec(
-        seed=seed,
-        mixes=("inference_heavy",),
-        storms=("none", "storm"),
-        placements=("striped",),
-    )
+    """The matrix spec at ``seed`` (the perf harness's entry point)."""
+    return replace(TENANCY.spec, seed=seed)

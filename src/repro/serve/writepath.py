@@ -20,34 +20,41 @@ free blocks, garbage-collects, and GC's relocation reads, programs, and
 erases contend with ``point``'s reads on the same flash channels.  The
 headline comparison runs the identical offered timeline twice — GC
 enabled vs disabled (in-place updates, no erases) — and the delta in
-read p99 *is* the GC pause tail.  Artifact schema: ``agile-write-path/1``.
+read p99 *is* the GC pause tail.  ``WRITE_PATH`` is the
+:class:`~repro.serve.experiment.Experiment`: GC arm x offered load, one
+knee row per arm, and the summary scalars the store gate watches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
-from repro.config import (
-    CacheConfig,
-    PlacementConfig,
-    SsdConfig,
-    SystemConfig,
-    stable_hash,
+from repro.config import CacheConfig, PlacementConfig, SsdConfig, SystemConfig
+from repro.serve.arrival import Poisson
+from repro.serve.experiment import (
+    Cell,
+    CellPlan,
+    Check,
+    Experiment,
+    knee_cells,
+    pivot,
+    run_cell,
+    serve_config,
 )
-from repro.serve.arrival import ArrivalProcess, Poisson
-from repro.serve.backends import AgileServeBackend
-from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.registry import CKPT, HOT, POINT, tenant_class
 from repro.serve.request import RequestClass
-from repro.serve.sweep import ServePoint, knee_rps
+from repro.serve.slo import ServeReport
 from repro.workloads.checkpoint import CheckpointSpec, checkpoint_trace
 
 #: Tenant mix (fractions of the offered request rate; sum to 1).
 READ_FRACTION = 0.5
 MODIFY_FRACTION = 0.3
 CKPT_FRACTION = 0.2
+
+#: The ``system`` axis: the FTL with out-of-place updates and GC, or with
+#: in-place updates (no erases) on the identical arrival timeline.
+GC_ARMS = ("gc_on", "gc_off")
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,6 @@ class WritePathSpec:
     (block erase >> page program) that GC pauses are visible.
     """
 
-    loads_rps: Sequence[float]
     duration_ns: float = 20_000_000.0
     seed: int = 7
     num_ssds: int = 2
@@ -149,106 +155,109 @@ def _system_config(spec: WritePathSpec, gc_enabled: bool) -> SystemConfig:
     ).with_ssds(spec.num_ssds)
 
 
-def run_write_path_point(
-    rate_rps: float, spec: WritePathSpec, gc_enabled: bool = True
-) -> ServePoint:
-    """Serve one offered-load point on a fresh machine; ``gc_enabled``
-    toggles the FTL between out-of-place-with-GC and in-place updates on
-    the *identical* arrival timeline (same seed, same rng streams)."""
-    backend = AgileServeBackend(_system_config(spec, gc_enabled))
-    classes = write_path_classes(spec)
-    backend.load_pattern(classes)
+def write_path_cell(spec: WritePathSpec, cell: Mapping[str, Any]) -> CellPlan:
+    """One offered load on one GC arm; both arms replay the *identical*
+    arrival timeline (same seed, same rng streams)."""
+    rate_rps = cell["target_rps"]
     ckpt_spec = CheckpointSpec(
         table_pages=spec.table_pages, shard_pages=spec.shard_pages
     )
-    arrivals: Dict[str, ArrivalProcess] = {
-        CKPT: checkpoint_trace(
-            ckpt_spec,
-            rate_rps * CKPT_FRACTION,
-            backend.place,
-            lba_base=0,
-            tenant=CKPT,
-        ),
-        HOT: Poisson(rate_rps * MODIFY_FRACTION),
-        POINT: Poisson(rate_rps * READ_FRACTION),
-    }
-    serve_cfg = ServeConfig(
-        duration_ns=spec.duration_ns,
-        admission_capacity=spec.admission_capacity,
-        batch=BatchPolicy(
-            max_batch=spec.max_batch, max_wait_ns=spec.max_wait_ns
-        ),
-    )
-    engine = ServeEngine(
-        backend, classes, arrivals, serve_cfg, seed=spec.seed
-    )
-    report = engine.run()
-    system = "agile" if gc_enabled else "agile-gc-off"
-    return ServePoint(system=system, offered_rps=rate_rps, report=report)
-
-
-def run_write_path_sweep(
-    spec: WritePathSpec, gc_enabled: bool = True
-) -> List[ServePoint]:
-    return [
-        run_write_path_point(rate, spec, gc_enabled=gc_enabled)
-        for rate in spec.loads_rps
-    ]
-
-
-def _curve_dict(points: Sequence[ServePoint]) -> Dict[str, object]:
-    return {
-        "points": [pt.as_dict() for pt in points],
-        "knee_rps": knee_rps(points),
-    }
-
-
-def _read_p99(pt: ServePoint) -> float:
-    cls = pt.report.classes.get(POINT)
-    return cls.p99_ns if cls is not None else pt.report.p99_ns
-
-
-def write_path_comparison(spec: WritePathSpec) -> Dict[str, object]:
-    """GC-on vs GC-off across the load axis, plus the summary scalars the
-    store gate watches (``mean_waf``, ``gc_stall_ns``, read-p99
-    inflation).  The schema literal matches
-    ``repro.store.meta.WRITE_PATH_SCHEMA``; importing it here would cycle
-    (``repro.store.explore`` drives serve modules)."""
-    gc_on = run_write_path_sweep(spec, gc_enabled=True)
-    gc_off = run_write_path_sweep(spec, gc_enabled=False)
-    waf_points = [pt.report.mean_waf for pt in gc_on]
-    stall_points = [pt.report.gc_stall_ns for pt in gc_on]
-    inflation = [
-        (_read_p99(on) / _read_p99(off)) if _read_p99(off) > 0 else 1.0
-        for on, off in zip(gc_on, gc_off)
-    ]
-    lost = sum(pt.report.writebacks_lost for pt in gc_on)
-    return {
-        "schema": "agile-write-path/1",
-        "seed": spec.seed,
-        "num_ssds": spec.num_ssds,
-        "loads_rps": list(spec.loads_rps),
-        "config_hash": stable_hash(
-            {"family": "agile-write-path", "spec": spec}
-        ),
-        "gc_on": _curve_dict(gc_on),
-        "gc_off": _curve_dict(gc_off),
-        "summary": {
-            "mean_waf": max(waf_points) if waf_points else 1.0,
-            "gc_stall_ns": max(stall_points) if stall_points else 0.0,
-            "read_p99_inflation": max(inflation) if inflation else 1.0,
-            "knee_rps_gc_on": knee_rps(gc_on),
-            "knee_rps_gc_off": knee_rps(gc_off),
-            "writebacks_lost": lost,
+    return CellPlan(
+        system="agile",
+        config=_system_config(spec, gc_enabled=cell["system"] == "gc_on"),
+        classes=write_path_classes(spec),
+        arrivals=lambda backend: {
+            CKPT: checkpoint_trace(
+                ckpt_spec,
+                rate_rps * CKPT_FRACTION,
+                backend.place,
+                lba_base=0,
+                tenant=CKPT,
+            ),
+            HOT: Poisson(rate_rps * MODIFY_FRACTION),
+            POINT: Poisson(rate_rps * READ_FRACTION),
         },
-    }
-
-
-def quick_spec(
-    loads: Optional[Sequence[float]] = None, seed: int = 7
-) -> WritePathSpec:
-    """The CI-sized experiment: three loads straddling the write knee."""
-    return WritePathSpec(
-        loads_rps=tuple(loads) if loads else (10_000.0, 30_000.0, 60_000.0),
-        seed=seed,
+        serve=serve_config(spec),
     )
+
+
+@dataclass(frozen=True)
+class ServePoint:
+    """One offered-load sample and its report."""
+
+    system: str
+    offered_rps: float
+    report: ServeReport
+
+
+def run_write_path_point(
+    rate_rps: float, spec: WritePathSpec, gc_enabled: bool = True
+) -> ServePoint:
+    """Serve one offered-load point on a fresh machine."""
+    arm = "gc_on" if gc_enabled else "gc_off"
+    report = run_cell(write_path_cell(spec, {"system": arm, "target_rps": rate_rps}))
+    return ServePoint("agile" if gc_enabled else "agile-gc-off", rate_rps, report)
+
+
+def _read_p99(cell: Cell) -> float:
+    return cell["metrics"]["classes"][POINT]["p99_ns"]
+
+
+def write_path_rows(spec: WritePathSpec, cells: Sequence[Cell]) -> List[Cell]:
+    """A knee per GC arm plus the ``section=summary`` scalars the store
+    gate watches: worst WAF and GC stall over the GC-on loads, the worst
+    GC-on / GC-off read-p99 ratio, and eviction write-backs lost."""
+    knees = knee_cells(cells)
+    knee = {k["axes"]["system"]: k["metrics"]["knee_rps"] for k in knees}
+    gc_on = [
+        c["metrics"]["write_path"] for c in cells if c["axes"]["system"] == "gc_on"
+    ]
+    inflation = [
+        _read_p99(arm["gc_on"]) / _read_p99(arm["gc_off"])
+        if _read_p99(arm["gc_off"]) > 0
+        else 1.0
+        for arm in pivot(cells, "system").values()
+        if len(arm) == 2
+    ]
+    summary = {
+        "mean_waf": max((wp["mean_waf"] for wp in gc_on), default=1.0),
+        "gc_stall_ns": max((wp["gc_stall_ns"] for wp in gc_on), default=0.0),
+        "read_p99_inflation": max(inflation, default=1.0),
+        "knee_rps_gc_on": knee.get("gc_on", 0.0),
+        "knee_rps_gc_off": knee.get("gc_off", 0.0),
+        "writebacks_lost": sum(wp["writebacks_lost"] for wp in gc_on),
+    }
+    return [*knees, {"axes": {"section": "summary"}, "metrics": summary}]
+
+
+def _no_writeback_lost(spec: WritePathSpec, cells: Sequence[Cell]) -> List[Check]:
+    lost = sum(
+        c["metrics"]["writebacks_lost"]
+        for c in cells
+        if c["axes"] == {"section": "summary"}
+    )
+    return [
+        {
+            "name": "no_writeback_lost",
+            "ok": lost == 0,
+            "detail": f"{lost} eviction write-back(s) lost without a fault plan",
+        }
+    ]
+
+
+WRITE_PATH = Experiment(
+    name="write-path",
+    help="write-heavy serving, GC on vs off (WAF, GC stall, read-p99 inflation)",
+    spec=WritePathSpec(),
+    # Three loads straddling the write knee.
+    axes={"system": GC_ARMS, "target_rps": (10_000.0, 30_000.0, 60_000.0)},
+    choices={"system": GC_ARMS},
+    build=write_path_cell,
+    derive=write_path_rows,
+    checks=_no_writeback_lost,
+)
+
+
+def quick_spec(seed: int = 7) -> WritePathSpec:
+    """The CI-sized spec at ``seed`` (the perf harness's entry point)."""
+    return replace(WRITE_PATH.spec, seed=seed)

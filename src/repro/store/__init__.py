@@ -4,8 +4,8 @@ Every bench / serve / chaos artifact the repo emits is a one-shot JSON
 document; this package turns the pile into a queryable perf trajectory.
 Runs are keyed by a canonical config hash (:func:`repro.config.stable_hash`)
 so "the same experiment on a different commit" is a database join, and
-``python -m repro.store`` grows the store (``ingest``, ``explore``),
-inspects it (``ls``, ``show``), and gates on it (``diff``, ``gate``).
+``python -m repro.store`` grows the store (``ingest``), inspects it
+(``ls``, ``show``), and gates on it (``diff``, ``gate``).
 
 See DESIGN.md §10 for the schema and EXPERIMENTS.md for the tolerance
 conventions.
@@ -27,46 +27,30 @@ from repro.store.diff import (
     metric_direction,
     run_score,
 )
-from repro.store.explore import ARRIVALS, ExploreSpec, run_explore
 from repro.store.ingest import (
     UnknownSchemaError,
-    config_fingerprint,
     detect_schema,
     ingest_document,
 )
-from repro.store.meta import (
-    BENCH_TREND_SCHEMA,
-    EXPLORE_SCHEMA,
-    PLACEMENT_SMOKE_SCHEMA,
-    SERVE_SWEEP_SCHEMA,
-    git_sha,
-    stamp,
-)
+from repro.store.meta import EXPERIMENT_SCHEMA, experiment_document, git_sha
 
 __all__ = [
     "AmbiguousRunError",
-    "ARRIVALS",
-    "BENCH_TREND_SCHEMA",
     "Delta",
     "DiffResult",
-    "EXPLORE_SCHEMA",
-    "ExploreSpec",
-    "PLACEMENT_SMOKE_SCHEMA",
+    "EXPERIMENT_SCHEMA",
     "Point",
     "ResultStore",
     "RunRecord",
-    "SERVE_SWEEP_SCHEMA",
     "UnknownSchemaError",
     "axes_key",
     "best_baseline",
-    "config_fingerprint",
     "detect_schema",
     "diff_metrics",
     "diff_runs",
+    "experiment_document",
     "git_sha",
     "ingest_document",
     "metric_direction",
-    "run_explore",
     "run_score",
-    "stamp",
 ]

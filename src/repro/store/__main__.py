@@ -3,11 +3,10 @@
 Subcommands::
 
     ingest FILES...                 # artifacts -> store (idempotent)
-    ls [--schema S]                 # stored runs, oldest first
+    ls                              # stored runs, oldest first
     show RUN [--limit N]            # one run's header + points
     diff RUN_A RUN_B [--tolerance]  # per-metric deltas; exit 1 on regression
     gate FILES... --baseline DB     # fresh artifacts vs best stored baseline
-    explore [axes...]               # parameter grid -> store (+ optional JSON)
 
 Run ids are content hashes; any unique prefix works wherever a RUN is
 expected.  ``--db`` names the store (default ``store.db``); ``gate``
@@ -15,10 +14,9 @@ reads and updates the ``--baseline`` store instead.
 
 Examples::
 
-    python -m repro.store --db store.db ingest BENCH_*.json serve_smoke.json
+    python -m repro.store --db store.db ingest BENCH_*.json serve-sweep.json
     python -m repro.store --db store.db diff 3f2a 9c41 --tolerance 0.05
-    python -m repro.store gate serve_smoke.json --baseline baselines/store-baseline.db
-    python -m repro.store --db store.db explore --ssds 1,2,4 --arrivals poisson,mmpp
+    python -m repro.store gate serve-sweep.json --baseline baselines/store-baseline.db
 """
 
 from __future__ import annotations
@@ -27,19 +25,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.store.db import ResultStore
+from repro.store.db import Point, ResultStore, RunRecord
 from repro.store.diff import DiffResult, best_baseline, diff_runs
-from repro.store.explore import ARRIVALS, ExploreSpec, run_explore
 from repro.store.ingest import UnknownSchemaError, ingest_document
-from repro.store.meta import EXPLORE_SCHEMA, now_unix, stamp
 
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="SQLite experiment store: ingest, diff, gate, explore.",
+        description="SQLite experiment store: ingest, diff, gate.",
     )
     parser.add_argument(
         "--db", default="store.db", help="store path (default: store.db)"
@@ -49,8 +45,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     ingest = sub.add_parser("ingest", help="ingest artifact JSON files")
     ingest.add_argument("files", nargs="+")
 
-    ls = sub.add_parser("ls", help="list stored runs")
-    ls.add_argument("--schema", default="", help="filter by schema tag")
+    sub.add_parser("ls", help="list stored runs")
 
     show = sub.add_parser("show", help="print one run's points")
     show.add_argument("run")
@@ -85,66 +80,48 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     gate.add_argument("--tolerance", type=float, default=0.1)
 
-    explore = sub.add_parser(
-        "explore", help="run a parameter grid and store the results"
-    )
-    explore.add_argument("--cache-lines", default="256,1024")
-    explore.add_argument("--queue-depths", default="32,64")
-    explore.add_argument("--ssds", default="1,2")
-    explore.add_argument(
-        "--arrivals", default="poisson",
-        help="comma list of: " + ", ".join(ARRIVALS),
-    )
-    explore.add_argument("--rate", type=float, default=40_000.0)
-    explore.add_argument("--duration-ms", type=float, default=1.0)
-    explore.add_argument("--seed", type=int, default=7)
-    explore.add_argument("--system", default="agile")
-    explore.add_argument("--out", default="", help="also write grid JSON here")
     return parser.parse_args(argv)
 
 
-def _ingest_file(store: ResultStore, path: str) -> str:
-    """Ingest one artifact file; returns the run id."""
-    p = Path(path)
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    created = doc.get("generated_unix") or p.stat().st_mtime
-    record, points = ingest_document(
-        doc, source=p.name, created_at=float(created)
-    )
-    store.put_run(record, points)
-    print(
-        f"ingested {p.name}: run {record.run_id[:12]} "
-        f"schema {record.schema} config {record.config_hash[:12]} "
-        f"({len(points)} points)"
-    )
-    return record.run_id
+def _load(path: Path) -> Tuple[RunRecord, List[Point]]:
+    """One artifact file as its run row and points (not yet stored)."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    created = doc.get("generated_unix") or path.stat().st_mtime
+    return ingest_document(doc, source=path.name, created_at=float(created))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     with ResultStore(args.db) as store:
         for path in args.files:
             try:
-                _ingest_file(store, path)
+                record, points = _load(Path(path))
             except (UnknownSchemaError, json.JSONDecodeError) as exc:
                 print(f"ingest: {path}: {exc}", file=sys.stderr)
                 return 2
+            store.put_run(record, points)
+            print(
+                f"ingested {Path(path).name}: run {record.run_id[:12]} "
+                f"schema {record.schema} config {record.config_hash[:12]} "
+                f"({len(points)} points)"
+            )
     return 0
 
 
 def _cmd_ls(args: argparse.Namespace) -> int:
     with ResultStore(args.db) as store:
-        records = store.runs(schema=args.schema or None)
+        records = store.runs()
         if not records:
             print("(no stored runs)")
             return 0
         print(
-            f"{'run':12s}  {'schema':24s}  {'config':12s}  "
+            f"{'run':12s}  {'experiment':16s}  {'config':12s}  "
             f"{'points':>6s}  {'git':10s}  source"
         )
         for rec in records:
             n = len(store.points(rec.run_id))
             print(
-                f"{rec.run_id[:12]:12s}  {rec.schema:24s}  "
+                f"{rec.run_id[:12]:12s}  "
+                f"{str(rec.raw.get('experiment', '')):16s}  "
                 f"{rec.config_hash[:12]:12s}  {n:6d}  "
                 f"{rec.git_sha[:10]:10s}  {rec.source}"
             )
@@ -220,11 +197,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     with ResultStore(args.baseline) as store:
         for path in args.files:
             p = Path(path)
-            doc = json.loads(p.read_text(encoding="utf-8"))
-            created = doc.get("generated_unix") or p.stat().st_mtime
-            record, points = ingest_document(
-                doc, source=p.name, created_at=float(created)
-            )
+            record, points = _load(p)
             baseline = best_baseline(store, record.schema, record.config_hash)
             # The fresh run joins the store either way: history should
             # show regressions, and a better run becomes the new bar.
@@ -236,13 +209,14 @@ def _cmd_gate(args: argparse.Namespace) -> int:
                     f"{record.run_id[:12]}"
                 )
                 continue
-            if baseline.run_id == record.run_id:
-                print(f"gate: {p.name}: identical to stored baseline - OK")
-                continue
             result = diff_runs(
                 store, baseline.run_id, record.run_id,
                 tolerance=args.tolerance,
             )
+            # Point-for-point equal (the commit stamp may still differ).
+            if not (result.changed or result.only_a or result.only_b):
+                print(f"gate: {p.name}: identical to stored baseline - OK")
+                continue
             _print_diff(result, show_all=False)
             if result.ok:
                 print(f"gate: {p.name}: OK vs baseline {baseline.run_id[:12]}")
@@ -257,59 +231,6 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _ints(csv: str) -> tuple:
-    return tuple(int(tok) for tok in csv.split(",") if tok)
-
-
-def _cmd_explore(args: argparse.Namespace) -> int:
-    spec = ExploreSpec(
-        cache_lines=_ints(args.cache_lines),
-        queue_depths=_ints(args.queue_depths),
-        ssd_counts=_ints(args.ssds),
-        arrivals=tuple(tok for tok in args.arrivals.split(",") if tok),
-        rate_rps=args.rate,
-        duration_ns=args.duration_ms * 1e6,
-        seed=args.seed,
-        system=args.system,
-    )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        print(f"explore: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"explore: {len(spec.cells)} cells "
-        f"(cache {args.cache_lines} x depth {args.queue_depths} "
-        f"x ssds {args.ssds} x arrivals {args.arrivals}) "
-        f"at {spec.rate_rps:g} rps, seed {spec.seed}"
-    )
-    doc = run_explore(spec)
-    stamp(doc, EXPLORE_SCHEMA)
-    doc["generated_unix"] = now_unix()
-    for cell in doc["cells"]:
-        axes, metrics = cell["axes"], cell["metrics"]
-        print(
-            "  "
-            + " ".join(f"{k}={v}" for k, v in axes.items())
-            + f" | goodput {metrics['goodput_rps']:>9,.0f} rps"
-            f" | p99 {metrics['p99_ns'] / 1e6:7.3f} ms"
-            f" | shed {metrics['shed']}"
-        )
-    record, points = ingest_document(doc, source="explore")
-    with ResultStore(args.db) as store:
-        store.put_run(record, points)
-    print(
-        f"explore: stored run {record.run_id[:12]} "
-        f"({len(points)} points) in {args.db}"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"explore: wrote {args.out}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     handlers = {
@@ -318,7 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "show": _cmd_show,
         "diff": _cmd_diff,
         "gate": _cmd_gate,
-        "explore": _cmd_explore,
     }
     return handlers[args.command](args)
 

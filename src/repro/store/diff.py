@@ -13,7 +13,13 @@ deliberately *informational*: they vary with the host machine, and the
 CI ``perf-smoke`` floor already gates scheduler throughput on controlled
 terms.  Simulated metrics are seed-deterministic, so between two runs of
 the same config any delta at all is a real behaviour change — the
-tolerance exists for cross-config and cross-version comparisons.
+tolerance exists for cross-config and cross-version comparisons.  That
+includes ``sim_events``, the simulator's own cost in machine-independent
+units: an event-count blow-up on any cell is a regression.
+
+``fifo_*`` scalars are a *control arm's* numbers (the tenancy headline):
+a worse FIFO strengthens the claim and a better one weakens it, and the
+claim itself is gated through ``headline_ok``, so they never gate.
 """
 
 from __future__ import annotations
@@ -31,14 +37,14 @@ _LOWER_IS_BETTER = (
     "p50_ns", "p95_ns", "p99_ns", "mean_latency_ns", "latency_ns",
     "skew_ratio", "shed", "aborted", "queue_timeout", "slo_miss",
     "device_errors", "waf", "gc_busy_ns", "gc_stall_ns",
-    "writebacks_lost", "bad_blocks", "read_p99_inflation",
+    "writebacks_lost", "bad_blocks", "read_p99_inflation", "sim_events",
 )
 _HIGHER_IS_BETTER = (
     "goodput_rps", "bandwidth_gbps", "knee_rps", "slo_ok",
     "slo_attainment", "completed", "headline_ok",
 )
 _INFORMATIONAL = (
-    "events_per_sec", "wall_s", "sim_events", "batches", "offered",
+    "events_per_sec", "wall_s", "batches", "offered",
     "admitted", "duration_ns", "target_rps", "offered_rps", "num_ssds",
     "device_pages", "device_reads", "mean_batch_size", "seed",
     "generated_unix", "gc_runs", "erases", "invalidations", "gc_reads",
@@ -50,6 +56,8 @@ _INFORMATIONAL = (
 def metric_direction(metric: str) -> int:
     """+1 when higher is better, -1 when lower is, 0 when informational."""
     leaf = metric.rsplit(".", 1)[-1]
+    if leaf.startswith("fifo_"):
+        return 0
     for token in _INFORMATIONAL:
         if token in leaf:
             return 0
@@ -201,17 +209,8 @@ def run_score(metrics: Dict[Tuple[str, str], float]) -> float:
 def best_baseline(
     store: ResultStore, schema: str, config_hash: str
 ) -> Optional[RunRecord]:
-    """The highest-scoring stored run with this schema family + config.
-
-    Matches on the version-less schema family so a ``/1`` baseline still
-    gates a ``/2`` candidate of the same configuration.
-    """
-    family = schema.rsplit("/", 1)[0]
-    candidates = [
-        rec
-        for rec in store.runs(config_hash=config_hash)
-        if rec.schema.rsplit("/", 1)[0] == family
-    ]
+    """The highest-scoring stored run with this schema and config."""
+    candidates = store.runs(schema=schema, config_hash=config_hash)
     if not candidates:
         return None
     return max(

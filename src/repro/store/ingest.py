@@ -1,93 +1,29 @@
-"""Artifact → store adapters: one per JSON schema family.
+"""Artifact → store: one adapter for the one document shape.
 
-Each adapter turns one artifact document into a :class:`RunRecord` plus a
-flat list of :class:`Point` rows.  Ingestion is **lossless** by
-construction: the full document is kept verbatim in ``run.raw`` (so
-anything the flattener does not model round-trips untouched), while the
-points are a queryable *projection* — every numeric leaf of every result
-record, keyed by its sweep coordinates.
+:func:`ingest_document` turns an ``agile-experiment/1`` document into a
+:class:`RunRecord` plus a flat list of :class:`Point` rows.  Ingestion is
+**lossless** by construction: the full document is kept verbatim in
+``run.raw`` (cell ``detail`` payloads, header fields and checks
+round-trip untouched), while the points are a queryable *projection* —
+exactly one point per numeric leaf of every cell's ``metrics``, keyed by
+the cell's ``axes``.
 
-Supported schemas:
-
-- ``agile-bench-trend/2`` and the legacy ``/1`` (no ``git_sha`` /
-  ``config_hash`` fields; a fingerprint is derived instead),
-- ``agile-serve-sweep/3`` and the legacy ``/2`` (no per-point
-  ``write_path`` section; the adapter is shared — flattening simply
-  yields fewer metrics for old documents),
-- ``agile-placement-smoke/1`` and the tag-less legacy placement document
-  (detected by shape),
-- ``agile-write-path/1`` (GC-on vs GC-off write-heavy serving),
-- ``agile-tenancy/1`` (the multi-tenant scenario matrix: wfq vs fifo
-  admission per mix × storm × placement cell),
-- ``agile-explore/1`` (the store's own parameter-grid sweeps).
-
-Unknown schemas raise :class:`UnknownSchemaError` rather than guessing.
+A document without a known ``schema`` tag raises
+:class:`UnknownSchemaError`; nothing is inferred from its shape.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import stable_hash
 from repro.store.db import Point, RunRecord
-
-LEGACY_BENCH_TREND = "agile-bench-trend/1"
-
-#: Keys that never influence the config fingerprint of a legacy document:
-#: results, provenance, and wall-clock noise.
-_FINGERPRINT_SKIP = frozenset(
-    {
-        "fig5_read_bandwidth", "perf", "serve_saturation", "placement",
-        "grid", "policies", "cells", "curves",
-        "schema", "git_sha", "config_hash", "generated_unix", "python",
-    }
-)
-
-#: Per-record keys that are coordinates or payload, not metrics.
-_NON_METRIC_KEYS = frozenset(
-    {"name", "system", "op", "telemetry", "schema", "policy"}
-)
+from repro.store.meta import EXPERIMENT_SCHEMA
 
 
 class UnknownSchemaError(ValueError):
-    """The document matches no schema this store knows how to ingest."""
-
-
-def detect_schema(doc: Mapping[str, object]) -> str:
-    """The document's schema tag, inferring one for legacy artifacts."""
-    tag = doc.get("schema")
-    if isinstance(tag, str) and tag:
-        return tag
-    # Legacy shape detection, oldest artifacts first.
-    if "fig5_read_bandwidth" in doc:
-        return LEGACY_BENCH_TREND
-    if "grid" in doc and "ssd_counts" in doc:
-        return "agile-serve-sweep/2"
-    if "policies" in doc and "rate_rps" in doc:
-        return "agile-placement-smoke/1"
-    raise UnknownSchemaError(
-        "document has no schema tag and no recognisable shape "
-        f"(top-level keys: {sorted(map(str, doc))})"
-    )
-
-
-def config_fingerprint(doc: Mapping[str, object]) -> str:
-    """The document's baseline key.
-
-    Prefers the producer-stamped ``config_hash``; legacy documents hash
-    their non-result header fields (seed, loads, durations, axes) plus
-    the schema *family* (version-less, so a /1 baseline still gates a /2
-    run of the same configuration).
-    """
-    explicit = doc.get("config_hash")
-    if isinstance(explicit, str) and explicit:
-        return explicit
-    header = {
-        k: v for k, v in doc.items() if k not in _FINGERPRINT_SKIP
-    }
-    header["schema_family"] = detect_schema(doc).rsplit("/", 1)[0]
-    return stable_hash(header)
+    """The document is not one this store knows how to ingest."""
 
 
 def _numeric(value: object) -> Optional[float]:
@@ -99,24 +35,20 @@ def _numeric(value: object) -> Optional[float]:
     return None
 
 
-def _flatten_metrics(
-    record: Mapping[str, object], skip: frozenset = _NON_METRIC_KEYS
-) -> Iterator[Tuple[str, float]]:
+def _flatten_metrics(record: Mapping[str, object]) -> Iterator[Tuple[str, float]]:
     """Every numeric leaf of ``record`` as dotted ``(metric, value)``.
 
     Nested dicts gain a dotted prefix (``classes.point.goodput_rps``),
-    numeric lists index element-wise (``device_reads.2``); coordinate and
-    payload keys in ``skip`` are left to the axes / raw document.
+    numeric lists index element-wise (``device_reads.2``); strings and
+    other non-numeric leaves stay in the raw document only.
     """
     for key in sorted(record, key=str):
-        if key in skip:
-            continue
         value = record[key]
         num = _numeric(value)
         if num is not None:
             yield str(key), num
         elif isinstance(value, Mapping):
-            for sub, subval in _flatten_metrics(value, skip):
+            for sub, subval in _flatten_metrics(value):
                 yield f"{key}.{sub}", subval
         elif isinstance(value, Sequence) and not isinstance(value, str):
             for i, item in enumerate(value):
@@ -125,190 +57,37 @@ def _flatten_metrics(
                     yield f"{key}.{i}", num
 
 
-def _points(
-    axes: Mapping[str, object], record: Mapping[str, object]
-) -> List[Point]:
-    return [
-        Point(axes=dict(axes), metric=metric, value=value)
-        for metric, value in _flatten_metrics(record)
-    ]
-
-
-# -- per-family flatteners ----------------------------------------------------
-
-
-def _serve_curves_points(
-    base_axes: Mapping[str, object], curves: Mapping[str, object]
-) -> List[Point]:
-    """Points for a ``{system: {points, knee_rps}}`` curve set."""
-    out: List[Point] = []
-    for system in sorted(map(str, curves)):
-        entry = curves[system]
-        if not isinstance(entry, Mapping):
-            continue
-        axes = {**base_axes, "system": system}
-        knee = _numeric(entry.get("knee_rps"))
-        if knee is not None:
-            out.append(Point(axes=axes, metric="knee_rps", value=knee))
-        for pt in entry.get("points", ()):
-            if isinstance(pt, Mapping):
-                pt_axes = {**axes, "target_rps": pt.get("target_rps")}
-                skip = _NON_METRIC_KEYS | {"target_rps"}
-                out.extend(
-                    Point(axes=pt_axes, metric=m, value=v)
-                    for m, v in _flatten_metrics(pt, skip)
-                )
-    return out
-
-
-def _placement_policy_points(
-    base_axes: Mapping[str, object], policies: Mapping[str, object]
-) -> List[Point]:
-    out: List[Point] = []
-    for policy in sorted(map(str, policies)):
-        entry = policies[policy]
-        if isinstance(entry, Mapping):
-            out.extend(_points({**base_axes, "policy": policy}, entry))
-    return out
-
-
-def _bench_trend_points(doc: Mapping[str, object]) -> List[Point]:
-    out: List[Point] = []
-    for row in doc.get("fig5_read_bandwidth", ()):
-        if not isinstance(row, Mapping):
-            continue
-        axes = {
-            "section": "fig5",
-            "op": row.get("op"),
-            "num_ssds": row.get("num_ssds"),
-            "total_requests": row.get("total_requests"),
-        }
-        skip = _NON_METRIC_KEYS | {"num_ssds", "total_requests"}
-        out.extend(
-            Point(axes=axes, metric=m, value=v)
-            for m, v in _flatten_metrics(row, skip)
-        )
-    perf = doc.get("perf")
-    if isinstance(perf, Mapping):
-        out.extend(_points({"section": "perf"}, perf))
-    serve = doc.get("serve_saturation")
-    if isinstance(serve, Mapping) and isinstance(
-        serve.get("curves"), Mapping
-    ):
-        out.extend(
-            _serve_curves_points({"section": "serve"}, serve["curves"])
-        )
-    placement = doc.get("placement")
-    if isinstance(placement, Mapping) and isinstance(
-        placement.get("policies"), Mapping
-    ):
-        out.extend(
-            _placement_policy_points(
-                {"section": "placement"}, placement["policies"]
-            )
-        )
-    return out
-
-
-def _parse_grid_label(label: str) -> Dict[str, object]:
-    """``"ssds=2,placement=striped"`` → ``{"ssds": 2, "placement": ...}``."""
-    axes: Dict[str, object] = {}
-    for token in label.split(","):
-        key, _, value = token.partition("=")
-        axes[key.strip()] = (
-            int(value) if value.strip().isdigit() else value.strip()
-        )
-    return axes
-
-
-def _serve_sweep_points(doc: Mapping[str, object]) -> List[Point]:
-    out: List[Point] = []
-    grid = doc.get("grid")
-    if isinstance(grid, Mapping):
-        for label in sorted(map(str, grid)):
-            curves = grid[label]
-            if isinstance(curves, Mapping):
-                out.extend(
-                    _serve_curves_points(_parse_grid_label(label), curves)
-                )
-    return out
-
-
-def _placement_smoke_points(doc: Mapping[str, object]) -> List[Point]:
-    policies = doc.get("policies")
-    if not isinstance(policies, Mapping):
-        return []
-    return _placement_policy_points({}, policies)
-
-
-def _write_path_points(doc: Mapping[str, object]) -> List[Point]:
-    """GC-on/GC-off comparison: the two curves flatten exactly like serve
-    curves (the toggle plays the ``system`` axis role), and the summary
-    scalars — ``mean_waf``, ``read_p99_inflation``, stall time — land
-    under a ``section=summary`` axis for the gate to watch."""
-    curves = {
-        key: doc[key]
-        for key in ("gc_on", "gc_off")
-        if isinstance(doc.get(key), Mapping)
-    }
-    out = _serve_curves_points({}, curves)
-    summary = doc.get("summary")
-    if isinstance(summary, Mapping):
-        out.extend(_points({"section": "summary"}, summary))
-    return out
-
-
-def _tenancy_points(doc: Mapping[str, object]) -> List[Point]:
-    """Tenancy matrix: each cell label (``mix=..,storm=..,placement=..``)
-    parses into axes, the two admission arms add an ``arm`` axis (the
-    per-class reports flatten to ``classes.<name>.<metric>``), the cell
-    headline lands under ``section=headline``, and the matrix summary —
-    the worst-case scalars the gate watches — under ``section=summary``."""
-    out: List[Point] = []
+def _experiment_points(doc: Mapping[str, object]) -> List[Point]:
     cells = doc.get("cells")
-    if isinstance(cells, Mapping):
-        for label in sorted(map(str, cells)):
-            cell = cells[label]
-            if not isinstance(cell, Mapping):
-                continue
-            cell_axes = _parse_grid_label(label)
-            for arm in ("wfq", "fifo"):
-                report = cell.get(arm)
-                if isinstance(report, Mapping):
-                    out.extend(_points({**cell_axes, "arm": arm}, report))
-            headline = cell.get("headline")
-            if isinstance(headline, Mapping):
-                out.extend(
-                    _points({**cell_axes, "section": "headline"}, headline)
-                )
-    summary = doc.get("summary")
-    if isinstance(summary, Mapping):
-        out.extend(_points({"section": "summary"}, summary))
-    return out
-
-
-def _explore_points(doc: Mapping[str, object]) -> List[Point]:
+    if not isinstance(cells, Sequence) or isinstance(cells, str):
+        raise UnknownSchemaError("document has no 'cells' list")
     out: List[Point] = []
-    for cell in doc.get("cells", ()):
-        if not isinstance(cell, Mapping):
-            continue
-        axes = cell.get("axes")
-        metrics = cell.get("metrics")
-        if isinstance(axes, Mapping) and isinstance(metrics, Mapping):
-            out.extend(_points(axes, metrics))
+    for i, cell in enumerate(cells):
+        axes = cell.get("axes") if isinstance(cell, Mapping) else None
+        metrics = cell.get("metrics") if isinstance(cell, Mapping) else None
+        if not isinstance(axes, Mapping) or not isinstance(metrics, Mapping):
+            raise UnknownSchemaError(f"cells[{i}] is not {{axes, metrics}}")
+        out.extend(
+            Point(axes=dict(axes), metric=metric, value=value)
+            for metric, value in _flatten_metrics(metrics)
+        )
     return out
 
 
-_ADAPTERS = {
-    "agile-bench-trend/1": _bench_trend_points,
-    "agile-bench-trend/2": _bench_trend_points,
-    "agile-serve-sweep/2": _serve_sweep_points,
-    "agile-serve-sweep/3": _serve_sweep_points,
-    "agile-placement-smoke/1": _placement_smoke_points,
-    "agile-write-path/1": _write_path_points,
-    "agile-tenancy/1": _tenancy_points,
-    "agile-explore/1": _explore_points,
+_ADAPTERS: Dict[str, Callable[[Mapping[str, object]], List[Point]]] = {
+    EXPERIMENT_SCHEMA: _experiment_points,
 }
+
+
+def detect_schema(doc: Mapping[str, object]) -> str:
+    """The document's ``schema`` tag; a missing or unknown one is an error."""
+    tag = doc.get("schema")
+    if tag not in _ADAPTERS:
+        raise UnknownSchemaError(
+            f"no ingest adapter for schema {tag!r} "
+            f"(known: {', '.join(_ADAPTERS)})"
+        )
+    return str(tag)
 
 
 def ingest_document(
@@ -321,21 +100,21 @@ def ingest_document(
     ``run_id`` is the stable hash of the whole document, so re-ingesting
     the same artifact replaces rather than duplicates.  ``created_at``
     defaults to the artifact's own ``generated_unix`` stamp when present
-    (callers pass file mtimes for artifacts that predate the stamp).
+    (callers pass file mtimes for artifacts without one).
     """
     schema = detect_schema(doc)
-    adapter = _ADAPTERS.get(schema)
-    if adapter is None:
-        raise UnknownSchemaError(f"no ingest adapter for schema {schema!r}")
+    config_hash = doc.get("config_hash")
+    if not isinstance(config_hash, str) or not config_hash:
+        raise UnknownSchemaError("document has no 'config_hash'")
     if created_at is None:
         created_at = _numeric(doc.get("generated_unix")) or 0.0
     record = RunRecord(
         run_id=stable_hash(doc),
         schema=schema,
-        config_hash=config_fingerprint(doc),
+        config_hash=config_hash,
         created_at=created_at,
         git_sha=str(doc.get("git_sha", "") or ""),
         source=source,
         raw=dict(doc),
     )
-    return record, adapter(doc)
+    return record, _ADAPTERS[schema](doc)

@@ -1,46 +1,28 @@
-"""Uniform artifact metadata: schema tags and commit stamping.
+"""The one artifact shape: ``agile-experiment/1`` and its provenance stamp.
 
-Every JSON artifact the repo emits (bench trend, serve sweep, placement
-smoke, explore grids) passes through :func:`stamp` so the three fields
-the experiment store keys on are always present and always spelled the
-same way:
+Every JSON artifact the repo emits — each ``python -m repro.serve run``
+experiment and the bench export — is assembled by
+:func:`experiment_document`, so the fields the experiment store keys on
+are always present and always spelled the same way:
 
-- ``schema``   — the artifact family and version, e.g.
-  ``agile-bench-trend/2``;
+- ``schema``   — :data:`EXPERIMENT_SCHEMA` (the machine-readable contract
+  is ``schemas/agile-experiment-1.schema.json``);
+- ``experiment`` — which experiment produced the document;
 - ``git_sha``  — the commit that produced the run (CI's ``GITHUB_SHA``
   when set, else ``git rev-parse HEAD``, else ``""`` outside a repo);
 - ``config_hash`` — the :func:`~repro.config.stable_hash` fingerprint of
-  the knobs that make two runs comparable (baseline lookup key).
+  the knobs that make two runs comparable (baseline lookup key);
+- ``cells`` — ``[{axes, metrics}]``, one row per measured or derived
+  coordinate; ``checks`` — ``[{name, ok, detail}]``, the run's claims.
 """
 
 from __future__ import annotations
 
 import os
 import subprocess
-import time
-from typing import Dict, MutableMapping, Optional
+from typing import Dict, Mapping, Sequence
 
-#: Current schema tags, one per artifact family.  ``agile-bench-trend``
-#: is at /2 (adds git_sha + config_hash) and ``agile-serve-sweep`` at /3
-#: (adds the per-point ``write_path`` section: WAF, GC busy/stall time,
-#: eviction write-back ledger); the ingest adapters keep compat readers
-#: for the older versions.
-BENCH_TREND_SCHEMA = "agile-bench-trend/2"
-SERVE_SWEEP_SCHEMA = "agile-serve-sweep/3"
-PLACEMENT_SMOKE_SCHEMA = "agile-placement-smoke/1"
-EXPLORE_SCHEMA = "agile-explore/1"
-WRITE_PATH_SCHEMA = "agile-write-path/1"
-TENANCY_SCHEMA = "agile-tenancy/1"
-
-
-def now_unix() -> float:
-    """Wall-clock provenance timestamp (``generated_unix``).
-
-    This is the one sanctioned wall-clock read outside ``bench/`` (the
-    lint exempts exactly this file): provenance stamps describe when an
-    artifact was produced and must never feed back into simulated time.
-    """
-    return time.time()
+EXPERIMENT_SCHEMA = "agile-experiment/1"
 
 
 def git_sha() -> str:
@@ -66,19 +48,22 @@ def git_sha() -> str:
     return out.stdout.strip() if out.returncode == 0 else ""
 
 
-def stamp(
-    doc: MutableMapping[str, object],
-    schema: str,
-    config_hash: Optional[str] = None,
+def experiment_document(
+    experiment: str,
+    config_hash: str,
+    cells: Sequence[Mapping[str, object]],
+    checks: Sequence[Mapping[str, object]],
+    **header: object,
 ) -> Dict[str, object]:
-    """Stamp ``schema`` / ``git_sha`` / ``config_hash`` into ``doc``.
-
-    Mutates and returns the document.  ``config_hash`` is left untouched
-    when already present and no override is given (the producer computed
-    it from its own spec).
-    """
-    doc["schema"] = schema
-    doc["git_sha"] = git_sha()
-    if config_hash is not None:
-        doc["config_hash"] = config_hash
-    return dict(doc)
+    """Assemble one ``agile-experiment/1`` document.  ``header`` carries
+    whatever else describes the run (spec, axes, wall-clock provenance);
+    the store keeps it verbatim in ``run.raw``."""
+    return {
+        "schema": EXPERIMENT_SCHEMA,
+        "experiment": experiment,
+        "git_sha": git_sha(),
+        "config_hash": config_hash,
+        **header,
+        "cells": list(cells),
+        "checks": list(checks),
+    }

@@ -5,10 +5,12 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence
 
 from repro.serve.arrival import ArrivalProcess, Poisson
-from repro.serve.backends import AgileServeBackend, BamServeBackend
 from repro.serve.batcher import BatchPolicy
 from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.experiment import build_backend, run_cell
 from repro.serve.request import RequestClass
+from repro.serve.slo import ServeReport
+from repro.serve.sweep import SweepSpec, standard_cell
 from repro.serve.wfq import TenancyConfig
 
 from tests.helpers import small_config
@@ -25,13 +27,7 @@ def small_serve_engine(
     config_overrides: Optional[Dict[str, Any]] = None,
     tenancy: Optional[TenancyConfig] = None,
 ) -> ServeEngine:
-    cfg = small_config(**(config_overrides or {}))
-    if system == "agile":
-        backend = AgileServeBackend(cfg)
-    elif system == "bam":
-        backend = BamServeBackend(cfg)
-    else:
-        raise ValueError(f"unknown test system {system!r}")
+    backend = build_backend(system, small_config(**(config_overrides or {})))
     if classes is None:
         classes = [
             RequestClass(name="point", pages=1, slo_ns=1_500_000.0,
@@ -52,3 +48,9 @@ def small_serve_engine(
         ),
         seed=seed,
     )
+
+
+def serve_point(system: str, spec: SweepSpec, **cell: Any) -> ServeReport:
+    """One standard-mix cell (2 striped SSDs at 20k rps unless overridden)."""
+    coords = {"ssds": 2, "placement": "striped", "target_rps": 20_000.0}
+    return run_cell(standard_cell(spec, {**coords, "system": system, **cell}))

@@ -1,64 +1,41 @@
 """Placement-aware serve sweep: determinism, the report's placement
 section, the striped-vs-shard hotspot separation, grid plumbing, and the
-CLI surfaces (``sweep --ssds/--placement`` and ``placement-smoke``)."""
+CLI's typed rejection of unknown axis values."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import replace
-
 from repro.serve.__main__ import main
-from repro.serve.sweep import (
-    PLACEMENTS,
-    SweepSpec,
-    grid_as_dict,
-    grid_label,
-    placement_comparison,
-    run_placement_grid,
-    run_serve_point,
-)
+from repro.serve.sweep import PLACEMENT_SMOKE, PLACEMENTS, SERVE_SWEEP, SweepSpec
+
+from tests.serve.helpers import serve_point
 
 #: Small enough to keep every test under a few seconds, hot enough that
 #: the shard-vs-stripe separation is unambiguous.
-SKEWED = SweepSpec(
-    loads_rps=(400_000.0,),
-    duration_ns=2_000_000.0,
-    num_ssds=4,
-    lba_space=256,
-    skew=0.8,
-)
-QUIET = SweepSpec(
-    loads_rps=(100_000.0,),
-    duration_ns=1_000_000.0,
-    num_ssds=2,
-    lba_space=256,
-)
+SKEWED = SweepSpec(duration_ns=2_000_000.0, lba_space=256, skew=0.8)
+QUIET = SweepSpec(duration_ns=1_000_000.0, lba_space=256)
+
+
+def quiet_point(**cell):
+    return serve_point("agile", QUIET, target_rps=100_000.0, **cell)
 
 
 class TestDeterminism:
     def test_same_spec_same_point_bit_for_bit(self):
-        a = run_serve_point("agile", 100_000.0, QUIET)
-        b = run_serve_point("agile", 100_000.0, QUIET)
-        assert a.as_dict() == b.as_dict()
+        assert quiet_point().as_dict() == quiet_point().as_dict()
 
     def test_skew_zero_leaves_placement_out_of_the_rng(self):
         """With skew=0 the hotspot draw never happens, so two policies see
         the identical logical arrival timeline — only the physical spread
         differs."""
-        striped = run_serve_point("agile", 100_000.0, QUIET)
-        shard = run_serve_point(
-            "agile", 100_000.0, replace(QUIET, placement="shard")
-        )
-        assert striped.report.completed == shard.report.completed
-        assert sum(striped.report.device_pages) == sum(
-            shard.report.device_pages
-        )
+        striped = quiet_point()
+        shard = quiet_point(placement="shard")
+        assert striped.completed == shard.completed
+        assert sum(striped.device_pages) == sum(shard.device_pages)
 
 
 class TestPlacementSection:
     def test_report_carries_placement_block(self):
-        pt = run_serve_point("agile", 100_000.0, QUIET)
-        block = pt.as_dict()["placement"]
+        block = quiet_point().as_dict()["placement"]
         assert block["policy"] == "striped"
         assert block["num_ssds"] == 2
         assert len(block["device_pages"]) == 2
@@ -66,88 +43,64 @@ class TestPlacementSection:
         assert block["skew_ratio"] >= 1.0
 
     def test_single_ssd_runs_identity(self):
-        spec = SweepSpec(
-            loads_rps=(100_000.0,),
-            duration_ns=1_000_000.0,
-            num_ssds=1,
-            lba_space=256,
-        )
-        pt = run_serve_point("agile", 100_000.0, spec)
-        block = pt.as_dict()["placement"]
+        block = quiet_point(ssds=1).as_dict()["placement"]
         assert block["policy"] == "identity"
         assert block["skew_ratio"] == 1.0
 
 
 class TestHotspotSeparation:
     def test_striping_spreads_the_hotspot_sharding_funnels_it(self):
-        doc = placement_comparison(
-            SKEWED, 400_000.0, placements=("shard", "striped")
+        doc = PLACEMENT_SMOKE.run(
+            SKEWED,
+            axes={"policy": ("shard", "striped"), "target_rps": (400_000.0,)},
         )
-        shard = doc["policies"]["shard"]
-        striped = doc["policies"]["striped"]
+        shard, striped = (c["metrics"] for c in doc["cells"])
         assert striped["skew_ratio"] < shard["skew_ratio"]
         # The shard layout leaves whole devices nearly idle under the
         # hotspot; striping keeps every lane busy.
         assert min(striped["device_reads"]) > min(shard["device_reads"])
-        assert doc["skew"] == 0.8 and doc["num_ssds"] == 4
+        assert doc["axes"]["ssds"] == [4] and doc["spec"]["skew"] == 0.8
+        assert set(doc["cells"][0]["axes"]) == {"policy"}  # the rest is pinned
+        assert [c["ok"] for c in doc["checks"]] == [True]
 
 
 class TestGrid:
     def test_grid_labels_and_shape(self):
-        assert grid_label(4, "striped") == "ssds=4,placement=striped"
-        grid = run_placement_grid(
-            QUIET, ssd_counts=(1, 2), placements=("striped",)
+        doc = SERVE_SWEEP.run(
+            QUIET,
+            axes={
+                "ssds": (1, 2), "system": ("agile",), "target_rps": (100_000.0,),
+            },
         )
-        assert set(grid) == {
-            "ssds=1,placement=striped",
-            "ssds=2,placement=striped",
-        }
-        doc = grid_as_dict(grid)
-        for label, curves in doc.items():
-            assert set(curves) == {"agile"}
-            point = curves["agile"]["points"][0]
-            assert point["placement"]["num_ssds"] == int(
-                label.split(",")[0].split("=")[1]
-            )
+        points = [c for c in doc["cells"] if "target_rps" in c["axes"]]
+        assert [c["axes"]["ssds"] for c in points] == [1, 2]
+        for cell in points:
+            assert cell["axes"]["placement"] == "striped"
+            assert cell["metrics"]["placement"]["num_ssds"] == cell["axes"]["ssds"]
+        knees = [c for c in doc["cells"] if "target_rps" not in c["axes"]]
+        assert [set(c["metrics"]) for c in knees] == [{"knee_rps"}] * 2
 
 
 class TestCli:
-    def test_sweep_writes_schema_3_json(self, tmp_path, capsys):
-        out = tmp_path / "sweep.json"
-        rc = main([
-            "sweep", "--loads", "50000", "--duration-ms", "1",
-            "--ssds", "1,2", "--placement", "striped",
-            "--systems", "agile", "--out", str(out),
-        ])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "agile-serve-sweep/3"
-        assert doc["ssd_counts"] == [1, 2]
-        assert doc["placements"] == ["striped"]
-        assert set(doc["grid"]) == {
-            "ssds=1,placement=striped",
-            "ssds=2,placement=striped",
-        }
-        assert "knee" in capsys.readouterr().out
-
     def test_sweep_rejects_unknown_placement(self, capsys):
-        assert main(["sweep", "--placement", "raid6"]) == 2
-        assert "unknown placement" in capsys.readouterr().err
+        assert main(["run", "serve-sweep", "--set", "placement=raid6"]) == 2
+        err = capsys.readouterr().err
+        assert "serve-sweep" in err and "'placement'" in err and "raid6" in err
 
     def test_placement_smoke_passes_and_writes_doc(self, tmp_path, capsys):
         out = tmp_path / "smoke.json"
         rc = main([
-            "placement-smoke", "--duration-ms", "2",
-            "--rate", "400000", "--out", str(out),
+            "run", "placement-smoke", "--set", "duration_ns=2e6",
+            "--set", "target_rps=400000", "--set", "policy=shard,striped",
+            "--out", str(out),
         ])
         captured = capsys.readouterr()
         assert rc == 0, captured.err
-        assert "OK: striped skew" in captured.out
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "agile-placement-smoke/1"
-        assert set(doc["policies"]) == {"shard", "striped"}
+        assert "OK: striped_spreads_the_hotspot" in captured.out
+        assert out.exists()
 
     def test_placements_constant_covers_all_policies(self):
         assert set(PLACEMENTS) == {
             "shard", "striped", "load_aware", "tenant_affine"
         }
+        assert PLACEMENT_SMOKE.axes["policy"] == PLACEMENTS

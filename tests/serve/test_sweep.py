@@ -4,51 +4,40 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.slo import ClassReport, ServeReport
-from repro.serve.sweep import (
-    ServePoint,
-    SweepSpec,
-    build_backend,
-    curves_as_dict,
-    knee_rps,
-    run_saturation_sweep,
-    run_serve_point,
-)
+from repro.serve.experiment import build_backend, knee_cells, knee_rps
+from repro.serve.sweep import SweepSpec
+
+from tests.serve.helpers import serve_point
 
 # One modest load on a small window: enough traffic to batch and complete,
 # cheap enough that the sweep tests stay inside the tier-1 budget.
-SPEC = SweepSpec(loads_rps=(20_000.0,), duration_ns=1_000_000.0, seed=7)
+SPEC = SweepSpec(duration_ns=1_000_000.0, seed=7)
 
 
-def _point_report(offered_rps: float, goodput_rps: float) -> ServePoint:
-    cls = ClassReport(
-        name="point", offered=10, completed=10, shed=0, queue_timeout=0,
-        aborted=0, slo_ok=10, p50_ns=1.0, p95_ns=2.0, p99_ns=3.0,
-        mean_latency_ns=1.5, goodput_rps=goodput_rps,
-    )
-    return ServePoint(
-        system="x",
-        offered_rps=offered_rps,
-        report=ServeReport(
-            system="x",
-            duration_ns=1e6,
-            offered_rps=offered_rps,
-            classes={"point": cls},
-        ),
-    )
+def _cell(target_rps: float, goodput_rps: float, system: str = "x"):
+    return {
+        "axes": {"system": system, "target_rps": target_rps},
+        "metrics": {"offered_rps": target_rps, "goodput_rps": goodput_rps},
+    }
 
 
 class TestKnee:
     def test_knee_is_last_tracking_point(self):
-        points = [
-            _point_report(10_000.0, 10_000.0),   # tracks
-            _point_report(20_000.0, 19_000.0),   # tracks (95 %)
-            _point_report(40_000.0, 21_000.0),   # collapsed
+        cells = [
+            _cell(10_000.0, 10_000.0),   # tracks
+            _cell(20_000.0, 19_000.0),   # tracks (95 %)
+            _cell(40_000.0, 21_000.0),   # collapsed
         ]
-        assert knee_rps(points) == 20_000.0
+        assert knee_rps(cells) == 20_000.0
 
     def test_knee_zero_when_nothing_tracks(self):
-        assert knee_rps([_point_report(10_000.0, 100.0)]) == 0.0
+        assert knee_rps([_cell(10_000.0, 100.0)]) == 0.0
+        # One knee row per curve, keyed by the axes that are not the load.
+        rows = knee_cells([_cell(10_000.0, 100.0), _cell(10_000.0, 1e4, "y")])
+        assert rows == [
+            {"axes": {"system": "x"}, "metrics": {"knee_rps": 0.0}},
+            {"axes": {"system": "y"}, "metrics": {"knee_rps": 10_000.0}},
+        ]
 
 
 class TestBuildBackend:
@@ -63,33 +52,14 @@ class TestBuildBackend:
 
 class TestSweepPoints:
     def test_point_is_bit_deterministic(self):
-        a = run_serve_point("agile", 20_000.0, SPEC)
-        b = run_serve_point("agile", 20_000.0, SPEC)
+        a, b = serve_point("agile", SPEC), serve_point("agile", SPEC)
         assert a.as_dict() == b.as_dict()
 
     def test_agile_goodput_at_least_bam(self):
-        agile = run_serve_point("agile", 20_000.0, SPEC)
-        bam = run_serve_point("bam", 20_000.0, SPEC)
-        assert agile.report.goodput_rps >= bam.report.goodput_rps
+        agile, bam = serve_point("agile", SPEC), serve_point("bam", SPEC)
+        assert agile.goodput_rps >= bam.goodput_rps
 
     def test_identical_arrival_timelines_across_systems(self):
         """The seed contract: every system serves the *same* offered
         traffic, so curves are comparable point by point."""
-        reports = {
-            system: run_serve_point(system, 20_000.0, SPEC).report
-            for system in ("agile", "bam")
-        }
-        offered = {s: r.offered for s, r in reports.items()}
-        assert offered["agile"] == offered["bam"]
-
-    def test_curves_as_dict_shape(self):
-        curves = run_saturation_sweep(SPEC, systems=("agile",))
-        doc = curves_as_dict(curves)
-        assert set(doc) == {"agile"}
-        assert "knee_rps" in doc["agile"]
-        (point,) = doc["agile"]["points"]
-        assert point["system"] == "agile"
-        assert point["target_rps"] == 20_000.0
-        assert {"goodput_rps", "p99_ns", "completed", "shed", "aborted",
-                "classes"} <= set(point)
-        assert set(point["classes"]) == {"point", "scan"}
+        assert serve_point("agile", SPEC).offered == serve_point("bam", SPEC).offered

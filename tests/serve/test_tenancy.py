@@ -1,5 +1,5 @@
 """The tenancy scenario matrix: registry discipline, bit-determinism,
-headline logic, and store ingest."""
+headline logic, the calm-only matrix, and store ingest."""
 
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ from repro.serve.registry import (
     tenant_class,
 )
 from repro.serve.tenancy import (
+    TENANCY,
     TenancySpec,
     _headline_ok,
-    cell_label,
-    run_tenancy_cell,
-    tenancy_matrix,
+    run_tenancy_arm,
     tenancy_shares,
 )
 from repro.store.ingest import ingest_document
@@ -42,12 +41,23 @@ def mini_spec(**overrides) -> TenancySpec:
         ckpt=CheckpointSpec(table_pages=32, shard_pages=2),
         vsearch=VsearchSpec(num_nodes=64, num_queries=8),
         train_space=256,
-        mixes=("inference_heavy",),
-        storms=("none",),
-        placements=("striped",),
     )
     defaults.update(overrides)
     return TenancySpec(**defaults)
+
+
+#: One mix on one placement; tests pick the storms.
+MINI_AXES = {"mix": ("inference_heavy",), "placement": ("striped",)}
+
+
+def run_cell_pair(spec: TenancySpec) -> dict:
+    """Both arms of the calm striped inference-heavy cell, as dicts."""
+    return {
+        arm: run_tenancy_arm(
+            spec, "inference_heavy", "none", "striped", arm
+        ).as_dict()
+        for arm in ("wfq", "fifo")
+    }
 
 
 class TestRegistry:
@@ -78,50 +88,56 @@ class TestRegistry:
 class TestCellDeterminism:
     def test_same_spec_same_cell_bit_for_bit(self):
         spec = mini_spec()
-        a = run_tenancy_cell(spec, "inference_heavy", "none", "striped")
-        b = run_tenancy_cell(spec, "inference_heavy", "none", "striped")
+        a, b = run_cell_pair(spec), run_cell_pair(spec)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_arms_actually_differ(self):
         # wfq and fifo are different schedulers on the same arrivals: the
         # cell must not accidentally run the same arm twice.
-        spec = mini_spec(admission_capacity=8)
-        cell = run_tenancy_cell(spec, "inference_heavy", "none", "striped")
+        cell = run_cell_pair(mini_spec(admission_capacity=8))
         assert cell["wfq"] != cell["fifo"]
 
     def test_every_tenant_is_offered_traffic(self):
-        spec = mini_spec()
-        cell = run_tenancy_cell(spec, "inference_heavy", "none", "striped")
+        cell = run_cell_pair(mini_spec())
         for name in (INFER, KV_APPEND, TRAIN, CKPT, VSEARCH):
             assert cell["wfq"]["classes"][name]["offered"] > 0
 
 
 class TestMatrix:
     def test_matrix_document_shape_and_ingest(self):
-        doc = tenancy_matrix(mini_spec(storms=("none", "storm")))
-        assert doc["schema"] == "agile-tenancy/1"
-        assert doc["config_hash"]
-        label = cell_label("inference_heavy", "none", "striped")
-        assert label in doc["cells"]
-        assert "headline_ok" in doc["summary"]
+        doc = TENANCY.run(
+            mini_spec(), axes={**MINI_AXES, "storm": ("none", "storm")}
+        )
+        assert doc["experiment"] == "tenancy" and doc["config_hash"]
+        sections = [c["axes"].get("section") for c in doc["cells"]]
+        assert sections == [None] * 4 + ["headline"] * 2 + ["summary"]
+        assert "headline_ok" in doc["cells"][-1]["metrics"]
+        assert len(doc["checks"]) == 2  # one claim per (mix, storm, placement)
         record, points = ingest_document(doc, source="test")
-        assert record.schema == "agile-tenancy/1"
         axes_seen = {p.axes.get("storm") for p in points}
         assert {"none", "storm"} <= axes_seen
         assert any(p.axes.get("section") == "summary" for p in points)
 
+    def test_calm_only_matrix_summarises_the_cells_it_has(self):
+        # No storm cell: the worst-case summary falls back to the calm
+        # cells instead of failing after every cell has been simulated.
+        doc = TENANCY.run(mini_spec(), axes={**MINI_AXES, "storm": ("none",)})
+        (headline,) = (
+            c["metrics"] for c in doc["cells"]
+            if c["axes"].get("section") == "headline"
+        )
+        summary = doc["cells"][-1]
+        assert summary["axes"] == {"section": "summary"}
+        assert (
+            summary["metrics"]["wfq_infer_p99_ns"] == headline["wfq_infer_p99_ns"]
+        )
+        assert summary["metrics"]["headline_ok"] == int(_headline_ok(headline))
+
     def test_config_hash_tracks_the_spec(self):
-        a = tenancy_matrix(
-            mini_spec(storms=("storm",), duration_ns=800_000.0)
-        )
-        b = tenancy_matrix(
-            mini_spec(
-                storms=("storm",),
-                duration_ns=800_000.0,
-                rate_rps=140_000.0,
-            )
-        )
-        assert a["config_hash"] != b["config_hash"]
+        spec, axes = TENANCY.configure(["storm=storm"])
+        a = TENANCY.config_hash(spec, axes)
+        assert a != TENANCY.config_hash(mini_spec(), axes)
+        assert a != TENANCY.config_hash(spec, {**axes, "storm": ("none",)})
 
 
 class TestHeadline:

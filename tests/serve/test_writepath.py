@@ -9,18 +9,18 @@ from repro.serve.backends import BamServeBackend
 from repro.serve.engine import ServeEngine
 from repro.serve.request import RequestClass
 from repro.serve.writepath import (
+    WRITE_PATH,
     WritePathSpec,
     quick_spec,
     run_write_path_point,
     write_path_classes,
-    write_path_comparison,
 )
 
 from tests.helpers import small_config
 
 #: A sub-second experiment: small array, short window, one offered load.
+RATE_RPS = 20_000.0
 TINY = WritePathSpec(
-    loads_rps=(20_000.0,),
     duration_ns=4_000_000.0,
     num_ssds=2,
     device_pages=128,
@@ -45,7 +45,7 @@ class TestSpecAndClasses:
     def test_regions_must_fit_the_array(self):
         with pytest.raises(ValueError, match="exceed the array"):
             WritePathSpec(
-                loads_rps=(1000.0,), num_ssds=2, device_pages=128,
+                num_ssds=2, device_pages=128,
                 table_pages=200, modify_space=96, read_space=128,
             )
 
@@ -61,9 +61,9 @@ class TestSpecAndClasses:
         assert spans[-1][1] <= TINY.num_ssds * TINY.device_pages
 
     def test_quick_spec_straddles_the_knee(self):
-        spec = quick_spec()
-        assert len(spec.loads_rps) == 3
-        assert list(spec.loads_rps) == sorted(spec.loads_rps)
+        loads = WRITE_PATH.axes["target_rps"]
+        assert len(loads) == 3 and list(loads) == sorted(loads)
+        assert quick_spec(seed=3).seed == 3
 
 
 class TestReadOnlyBackendGuard:
@@ -78,7 +78,7 @@ class TestReadOnlyBackendGuard:
 
 class TestWritePathPoint:
     def test_gc_on_point_serves_and_loses_nothing(self):
-        pt = run_write_path_point(TINY.loads_rps[0], TINY, gc_enabled=True)
+        pt = run_write_path_point(RATE_RPS, TINY, gc_enabled=True)
         rep = pt.report
         assert pt.system == "agile"
         assert sum(rep.device_writes) > 0  # the write path actually ran
@@ -90,7 +90,7 @@ class TestWritePathPoint:
             assert rep.classes[name].completed > 0
 
     def test_gc_off_runs_the_same_timeline_in_place(self):
-        pt = run_write_path_point(TINY.loads_rps[0], TINY, gc_enabled=False)
+        pt = run_write_path_point(RATE_RPS, TINY, gc_enabled=False)
         rep = pt.report
         assert pt.system == "agile-gc-off"
         assert sum(rep.device_gc_busy_ns) == 0.0
@@ -98,23 +98,23 @@ class TestWritePathPoint:
         assert rep.writebacks_lost == 0
 
     def test_point_is_deterministic(self):
-        a = run_write_path_point(TINY.loads_rps[0], TINY)
-        b = run_write_path_point(TINY.loads_rps[0], TINY)
-        assert a.as_dict() == b.as_dict()
+        a = run_write_path_point(RATE_RPS, TINY)
+        b = run_write_path_point(RATE_RPS, TINY)
+        assert a.report.as_dict() == b.report.as_dict()
 
 
 class TestComparison:
     def test_comparison_document_shape(self):
-        doc = write_path_comparison(TINY)
-        assert doc["schema"] == "agile-write-path/1"
-        assert isinstance(doc["config_hash"], str) and doc["config_hash"]
-        for curve in ("gc_on", "gc_off"):
-            points = doc[curve]["points"]
-            assert len(points) == len(TINY.loads_rps)
-        assert {p["system"] for p in doc["gc_off"]["points"]} == {
-            "agile-gc-off"
+        doc = WRITE_PATH.run(TINY, axes={"target_rps": (RATE_RPS,)})
+        by_axes = {
+            tuple(sorted(c["axes"].items())): c["metrics"] for c in doc["cells"]
         }
-        summary = doc["summary"]
+        for arm in ("gc_on", "gc_off"):
+            assert (("system", arm), ("target_rps", RATE_RPS)) in by_axes
+            assert set(by_axes[(("system", arm),)]) == {"knee_rps"}
+        summary = by_axes[(("section", "summary"),)]
         assert summary["writebacks_lost"] == 0
         assert summary["mean_waf"] >= 1.0
         assert summary["read_p99_inflation"] > 0.0
+        assert summary["knee_rps_gc_on"] == by_axes[(("system", "gc_on"),)]["knee_rps"]
+        assert [c["ok"] for c in doc["checks"]] == [True]

@@ -1,23 +1,33 @@
-"""Synthetic artifact documents matching every schema the store ingests.
+"""Synthetic ``agile-experiment/1`` documents for the store tests.
 
-Hand-built miniatures of the real exporters' output shapes — small
-enough that every test constructs, mutates, and round-trips them in
-microseconds, complete enough that the adapters exercise every branch
-(grid labels, per-class nests, device-read lists, telemetry blobs).
+One builder (:func:`experiment_doc`) and hand-built miniature cell lists
+in the real experiments' shapes — small enough that every test
+constructs, mutates, and round-trips them in microseconds, complete
+enough to exercise every flattening branch (per-class nests, device
+lists, derived rows with fewer axes, ``detail`` payloads).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict
+import json
+from pathlib import Path
+from typing import Dict, List, Optional
+
+from repro.store import axes_key
+
+SCHEMA = json.loads(
+    (Path(__file__).parents[2] / "schemas" / "agile-experiment-1.schema.json")
+    .read_text(encoding="utf-8")
+)
 
 
-def serve_point(goodput: float, p99: float, target: float) -> Dict:
+def serve_metrics(goodput: float, p99: float, waf: float = 1.2) -> Dict:
+    """One cell's metrics in ``ServeReport.as_dict()`` shape."""
     return {
         "system": "agile",
-        "target_rps": target,
         "duration_ns": 2_000_000.0,
-        "offered_rps": target,
+        "offered_rps": 20_000.0,
         "offered": 40,
         "completed": 38,
         "shed": 1,
@@ -33,6 +43,16 @@ def serve_point(goodput: float, p99: float, target: float) -> Dict:
             "device_pages": [20, 21],
             "device_reads": [19, 19],
             "skew_ratio": 1.0,
+        },
+        "write_path": {
+            "device_writes": [30, 31],
+            "device_waf": [waf, waf],
+            "mean_waf": waf,
+            "gc_busy_ns": 800_000.0,
+            "gc_stall_ns": 120_000.0,
+            "writebacks": 40,
+            "writebacks_acked": 40,
+            "writebacks_lost": 0,
         },
         "classes": {
             "point": {
@@ -54,187 +74,122 @@ def serve_point(goodput: float, p99: float, target: float) -> Dict:
     }
 
 
-def write_path_point(
-    goodput: float, p99: float, target: float, system: str = "agile",
-    waf: float = 1.2,
+def experiment_doc(
+    experiment: str = "serve-sweep",
+    cells: Optional[List[Dict]] = None,
+    goodput: float = 20_000.0,
+    **header: object,
 ) -> Dict:
-    pt = serve_point(goodput, p99, target)
-    pt["system"] = system
-    pt["write_path"] = {
-        "device_writes": [30, 31],
-        "device_waf": [waf, waf],
-        "mean_waf": waf,
-        "gc_busy_ns": 800_000.0,
-        "gc_stall_ns": 120_000.0,
-        "writebacks": 40,
-        "writebacks_acked": 40,
-        "writebacks_lost": 0,
-    }
-    return pt
-
-
-def serve_sweep_doc(goodput: float = 20_000.0) -> Dict:
-    """An ``agile-serve-sweep/2`` miniature (one cell, one system)."""
+    """An ``agile-experiment/1`` document; the default cells are a
+    one-point serve-sweep curve plus its knee row."""
+    curve = {"ssds": 2, "placement": "striped", "system": "agile"}
+    if cells is None:
+        cells = [
+            {
+                "axes": {**curve, "target_rps": 20_000.0},
+                "metrics": serve_metrics(goodput, p99=300_000.0),
+            },
+            {"axes": curve, "metrics": {"knee_rps": 20_000.0}},
+        ]
     return {
-        "schema": "agile-serve-sweep/2",
+        "schema": "agile-experiment/1",
+        "experiment": experiment,
         "git_sha": "c0ffee" * 6 + "c0ff",
         "config_hash": "feedbeeffeedbeef",
-        "seed": 7,
-        "duration_ns": 2_000_000.0,
-        "ssd_counts": [2],
-        "placements": ["striped"],
-        "skew": 0.0,
-        "num_gpus": 1,
-        "loads_rps": [20_000.0],
-        "grid": {
-            "ssds=2,placement=striped": {
-                "agile": {
-                    "knee_rps": 20_000.0,
-                    "points": [
-                        serve_point(goodput, p99=300_000.0, target=20_000.0)
-                    ],
-                },
-            },
-        },
+        **header,
+        "cells": cells,
+        "checks": [],
     }
 
 
-def serve_sweep3_doc(goodput: float = 20_000.0) -> Dict:
-    """An ``agile-serve-sweep/3`` miniature: the /2 shape plus the
-    per-point ``write_path`` section the schema bump introduced."""
-    doc = serve_sweep_doc(goodput)
-    doc["schema"] = "agile-serve-sweep/3"
-    cell = doc["grid"]["ssds=2,placement=striped"]["agile"]
-    cell["points"] = [
-        write_path_point(goodput, p99=300_000.0, target=20_000.0)
-    ]
-    return doc
+#: Miniatures of the other artifacts, as cell lists for the one builder.
+PLACEMENT_CELLS = [
+    {
+        "axes": {"policy": "shard"},
+        "metrics": {
+            "goodput_rps": 70_000.0, "p99_ns": 450_000.0, "completed": 350,
+            "skew_ratio": 1.9, "device_reads": [270, 29, 307, 33],
+        },
+    },
+    {
+        "axes": {"policy": "striped"},
+        "metrics": {
+            "goodput_rps": 76_000.0, "p99_ns": 380_000.0, "completed": 380,
+            "skew_ratio": 1.1, "device_reads": [156, 177, 137, 169],
+        },
+    },
+]
+WRITE_PATH_CELLS = [
+    {
+        "axes": {"system": "gc_on", "target_rps": 10_000.0},
+        "metrics": serve_metrics(9_500.0, p99=1_200_000.0, waf=1.3),
+    },
+    {"axes": {"system": "gc_on"}, "metrics": {"knee_rps": 10_000.0}},
+    {
+        "axes": {"system": "gc_off", "target_rps": 10_000.0},
+        "metrics": serve_metrics(9_900.0, p99=300_000.0, waf=1.0),
+    },
+    {"axes": {"system": "gc_off"}, "metrics": {"knee_rps": 30_000.0}},
+    {
+        "axes": {"section": "summary"},
+        "metrics": {
+            "mean_waf": 1.3, "gc_stall_ns": 2_000_000.0,
+            "read_p99_inflation": 4.0, "knee_rps_gc_on": 10_000.0,
+            "knee_rps_gc_off": 30_000.0, "writebacks_lost": 0,
+        },
+    },
+]
+BENCH_CELLS = [
+    {
+        "axes": {"section": "fig5", "op": "read", "num_ssds": n,
+                 "total_requests": 512},
+        "metrics": {"duration_ns": 7.5e6 / n, "bandwidth_gbps": gbps,
+                    "sim_events": 123_456, "device_errors": 0},
+        "detail": {"telemetry": {"metrics": {"gpu.stall_ns": 42}, "spans": []}},
+    }
+    for n, gbps in ((1, 3.64), (2, 6.9))
+] + [
+    {
+        "axes": {"section": "perf"},
+        "metrics": {"sim_events": 246_244, "wall_s": 0.61,
+                    "events_per_sec": 401_682.9, "total_requests": 1024,
+                    "bandwidth_gbps": 2.39, "device_errors": 0},
+    },
+]
+
+ALL_DOCS = {
+    "serve-sweep": experiment_doc(),
+    "placement-smoke": experiment_doc("placement-smoke", PLACEMENT_CELLS),
+    "write-path": experiment_doc("write-path", WRITE_PATH_CELLS),
+    "bench": experiment_doc(
+        "bench", BENCH_CELLS, generated_unix=1_700_000_000.0, quick=True
+    ),
+}
 
 
-def write_path_doc(waf: float = 1.3, inflation: float = 4.0) -> Dict:
-    """An ``agile-write-path/1`` miniature (GC on/off, one load each)."""
+def reference_points(doc: Dict) -> set:
+    """``{(axes key, dotted metric, value)}`` by the schema's prose rule —
+    an independent flattener the ingest adapter is checked against."""
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def walk(prefix, node):
+        if number(node):
+            yield prefix, float(node)
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                yield from walk(f"{prefix}.{key}" if prefix else key, value)
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                if number(item):
+                    yield f"{prefix}.{i}", float(item)
+
     return {
-        "schema": "agile-write-path/1",
-        "git_sha": "c0ffee" * 6 + "c0ff",
-        "config_hash": "deadc0dedeadc0de",
-        "seed": 7,
-        "num_ssds": 2,
-        "loads_rps": [10_000.0],
-        "gc_on": {
-            "knee_rps": 10_000.0,
-            "points": [
-                write_path_point(
-                    9_500.0, p99=1_200_000.0, target=10_000.0, waf=waf
-                )
-            ],
-        },
-        "gc_off": {
-            "knee_rps": 30_000.0,
-            "points": [
-                write_path_point(
-                    9_900.0, p99=300_000.0, target=10_000.0,
-                    system="agile-gc-off", waf=1.0,
-                )
-            ],
-        },
-        "summary": {
-            "mean_waf": waf,
-            "gc_stall_ns": 2_000_000.0,
-            "read_p99_inflation": inflation,
-            "knee_rps_gc_on": 10_000.0,
-            "knee_rps_gc_off": 30_000.0,
-            "writebacks_lost": 0,
-        },
+        (axes_key(cell["axes"]), metric, value)
+        for cell in doc["cells"]
+        for metric, value in walk("", cell["metrics"])
     }
-
-
-def placement_smoke_doc(striped_skew: float = 1.1) -> Dict:
-    """An ``agile-placement-smoke/1`` miniature (two policies)."""
-    return {
-        "schema": "agile-placement-smoke/1",
-        "git_sha": "c0ffee" * 6 + "c0ff",
-        "config_hash": "0123456789abcdef",
-        "system": "agile",
-        "num_ssds": 4,
-        "rate_rps": 80_000.0,
-        "skew": 0.8,
-        "seed": 7,
-        "policies": {
-            "shard": {
-                "goodput_rps": 70_000.0,
-                "p99_ns": 450_000.0,
-                "completed": 350,
-                "skew_ratio": 1.9,
-                "device_reads": [270, 29, 307, 33],
-            },
-            "striped": {
-                "goodput_rps": 76_000.0,
-                "p99_ns": 380_000.0,
-                "completed": 380,
-                "skew_ratio": striped_skew,
-                "device_reads": [156, 177, 137, 169],
-            },
-        },
-    }
-
-
-def bench_trend_doc(schema: str = "agile-bench-trend/2") -> Dict:
-    """A bench-trend miniature; pass ``.../1`` for the legacy shape."""
-    doc = {
-        "schema": schema,
-        "generated_unix": 1_700_000_000.0,
-        "python": "3.12.0",
-        "quick": True,
-        "fig5_read_bandwidth": [
-            {
-                "op": "read",
-                "num_ssds": 1,
-                "total_requests": 512,
-                "duration_ns": 7.5e6,
-                "bandwidth_gbps": 3.64,
-                "sim_events": 123_456,
-                "device_errors": 0,
-                "telemetry": {"metrics": {"gpu.stall_ns": 42}, "spans": []},
-            },
-            {
-                "op": "read",
-                "num_ssds": 2,
-                "total_requests": 512,
-                "duration_ns": 4.1e6,
-                "bandwidth_gbps": 6.9,
-                "sim_events": 150_000,
-                "device_errors": 0,
-                "telemetry": {"metrics": {}, "spans": []},
-            },
-        ],
-        "perf": {
-            "sim_events": 246_244,
-            "wall_s": 0.61,
-            "events_per_sec": 401_682.9,
-            "total_requests": 1024,
-            "bandwidth_gbps": 2.39,
-            "device_errors": 0,
-        },
-        "serve_saturation": {
-            "seed": 7,
-            "duration_ns": 2_000_000.0,
-            "loads_rps": [20_000.0],
-            "curves": {
-                "agile": {
-                    "knee_rps": 20_000.0,
-                    "points": [
-                        serve_point(19_700.0, p99=250_000.0, target=20_000.0)
-                    ],
-                },
-            },
-        },
-        "placement": placement_smoke_doc()
-        | {"schema": "agile-placement-smoke/1"},
-    }
-    if schema == "agile-bench-trend/2":
-        doc["git_sha"] = "c0ffee" * 6 + "c0ff"
-        doc["config_hash"] = "cafebabecafebabe"
-    return doc
 
 
 def scale_metric(doc: Dict, metric: str, factor: float) -> Dict:

@@ -1,31 +1,30 @@
-"""Explore: grid determinism and store population."""
+"""Explore: the design-space grid experiment, end to end into the store."""
 
 import pytest
 
-from repro.store import ExploreSpec, ResultStore, ingest_document, run_explore
+from repro.serve.__main__ import main as serve_main
+from repro.serve.experiment import ExperimentError
+from repro.serve.sweep import EXPLORE
+from repro.store import ResultStore, ingest_document
 from repro.store.__main__ import main
 
 #: One tiny grid: 2 cells, sub-second total, still crossing two axes.
-TINY = ExploreSpec(
-    cache_lines=(256,),
-    queue_depths=(32,),
-    ssd_counts=(1, 2),
-    arrivals=("poisson",),
-    rate_rps=20_000.0,
-    duration_ns=300_000.0,
-    seed=11,
-)
+TINY = [
+    "cache_lines=256", "queue_depth=32", "ssds=1,2", "arrival=poisson",
+    "target_rps=20000", "duration_ns=300000", "seed=11",
+]
+
+
+def run_tiny(*extra: str):
+    return EXPLORE.run(*EXPLORE.configure([*TINY, *extra]))
 
 
 class TestSpec:
     def test_cells_cross_every_axis_in_order(self):
-        spec = ExploreSpec(
-            cache_lines=(128, 256),
-            queue_depths=(32,),
-            ssd_counts=(1, 2),
-            arrivals=("poisson", "mmpp"),
+        spec, axes = EXPLORE.configure(
+            ["cache_lines=128,256", "queue_depth=32", "arrival=poisson,mmpp"]
         )
-        cells = spec.cells
+        cells = [axes for axes, _ in EXPLORE.plans(spec, axes)]
         assert len(cells) == 8
         assert cells[0] == {
             "cache_lines": 128, "queue_depth": 32,
@@ -33,41 +32,24 @@ class TestSpec:
         }
 
     def test_unknown_arrival_rejected(self):
-        with pytest.raises(ValueError):
-            ExploreSpec(arrivals=("pareto",)).validate()
+        with pytest.raises(ExperimentError, match="explore.*'arrival'.*pareto"):
+            run_tiny("arrival=pareto")
 
     def test_spec_hash_tracks_axes(self):
-        assert TINY.config_hash() != ExploreSpec(
-            cache_lines=(256,),
-            queue_depths=(32,),
-            ssd_counts=(1, 2),
-            arrivals=("poisson",),
-            rate_rps=20_000.0,
-            duration_ns=300_000.0,
-            seed=12,  # only the seed differs
-        ).config_hash()
+        # Only the seed differs.
+        assert EXPLORE.config_hash(*EXPLORE.configure(TINY)) != (
+            EXPLORE.config_hash(*EXPLORE.configure([*TINY, "seed=12"]))
+        )
 
 
 class TestDeterminism:
     def test_same_spec_same_document_bit_for_bit(self):
         # The property the store's trend analysis rests on: explore output
-        # has no wall-clock or ordering noise, so two runs of the same
-        # grid are byte-identical (provenance is stamped by the CLI, not
-        # here).
-        assert run_explore(TINY) == run_explore(TINY)
+        # has no wall-clock or ordering noise.
+        assert run_tiny() == run_tiny()
 
     def test_mmpp_cells_differ_from_poisson_cells(self):
-        doc = run_explore(
-            ExploreSpec(
-                cache_lines=(256,),
-                queue_depths=(32,),
-                ssd_counts=(1,),
-                arrivals=("poisson", "mmpp"),
-                rate_rps=20_000.0,
-                duration_ns=300_000.0,
-                seed=11,
-            )
-        )
+        doc = run_tiny("ssds=1", "arrival=poisson,mmpp")
         by_arrival = {
             c["axes"]["arrival"]: c["metrics"] for c in doc["cells"]
         }
@@ -76,10 +58,9 @@ class TestDeterminism:
 
 class TestStorePopulation:
     def test_explore_document_ingests(self, tmp_path):
-        doc = run_explore(TINY)
+        doc = run_tiny()
         record, points = ingest_document(doc)
-        assert record.schema == "agile-explore/1"
-        assert record.config_hash == TINY.config_hash()
+        assert record.config_hash == doc["config_hash"]
         # Every cell contributes its metric set, keyed by grid axes.
         goodput = [p for p in points if p.metric == "goodput_rps"]
         assert len(goodput) == len(doc["cells"])
@@ -91,26 +72,15 @@ class TestStorePopulation:
     def test_cli_explore_populates_the_store(self, tmp_path, capsys):
         db = tmp_path / "explore.db"
         out = tmp_path / "grid.json"
-        rc = main([
-            "--db", str(db), "explore",
-            "--cache-lines", "256", "--queue-depths", "32",
-            "--ssds", "1", "--arrivals", "poisson",
-            "--rate", "20000", "--duration-ms", "0.3", "--seed", "11",
-            "--out", str(out),
-        ])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "stored run" in captured.out
-        assert out.exists()
+        sets = [arg for item in [*TINY, "ssds=1"] for arg in ("--set", item)]
+        assert serve_main(["run", "explore", *sets, "--out", str(out)]) == 0
+        assert main(["--db", str(db), "ingest", str(out)]) == 0
+        assert "ingested grid.json" in capsys.readouterr().out
         with ResultStore(db) as store:
-            runs = store.runs(schema="agile-explore/1")
-            assert len(runs) == 1
-            assert store.points(runs[0].run_id)
+            (run,) = store.runs()
+            assert run.raw["experiment"] == "explore"
+            assert store.points(run.run_id)
 
-    def test_cli_rejects_bad_arrival(self, tmp_path, capsys):
-        rc = main([
-            "--db", str(tmp_path / "x.db"), "explore",
-            "--arrivals", "pareto",
-        ])
-        assert rc == 2
+    def test_cli_rejects_bad_arrival(self, capsys):
+        assert serve_main(["run", "explore", "--set", "arrival=pareto"]) == 2
         assert "pareto" in capsys.readouterr().err

@@ -1,31 +1,15 @@
-"""Ingest adapters: every schema round-trips losslessly into the store."""
+"""The ingest adapter: every document round-trips losslessly into the store."""
 
 import pytest
 
 from repro.store import (
     ResultStore,
     UnknownSchemaError,
-    config_fingerprint,
     detect_schema,
     ingest_document,
 )
 
-from tests.store.helpers import (
-    bench_trend_doc,
-    placement_smoke_doc,
-    serve_sweep3_doc,
-    serve_sweep_doc,
-    write_path_doc,
-)
-
-ALL_DOCS = {
-    "serve-sweep": serve_sweep_doc(),
-    "serve-sweep-3": serve_sweep3_doc(),
-    "placement-smoke": placement_smoke_doc(),
-    "write-path": write_path_doc(),
-    "bench-trend-2": bench_trend_doc(),
-    "bench-trend-1-legacy": bench_trend_doc("agile-bench-trend/1"),
-}
+from tests.store.helpers import ALL_DOCS, experiment_doc
 
 
 @pytest.fixture()
@@ -41,7 +25,7 @@ class TestRoundTrip:
         record, points = ingest_document(doc, source=f"{name}.json")
         store.put_run(record, points)
         assert store.raw(record.run_id) == doc  # lossless: nothing dropped
-        assert points, "every schema must project at least one point"
+        assert points, "every document must project at least one point"
 
     @pytest.mark.parametrize("name", sorted(ALL_DOCS))
     def test_reingest_is_idempotent(self, store, name):
@@ -55,55 +39,34 @@ class TestRoundTrip:
 
 class TestSchemaDetection:
     def test_explicit_tags_win(self):
-        assert detect_schema(serve_sweep_doc()) == "agile-serve-sweep/2"
-        assert detect_schema(serve_sweep3_doc()) == "agile-serve-sweep/3"
-        assert detect_schema(placement_smoke_doc()) == "agile-placement-smoke/1"
-        assert detect_schema(write_path_doc()) == "agile-write-path/1"
-        assert detect_schema(bench_trend_doc()) == "agile-bench-trend/2"
-
-    def test_legacy_untagged_documents_detect_by_shape(self):
-        trend = bench_trend_doc("agile-bench-trend/1")
-        del trend["schema"]
-        assert detect_schema(trend) == "agile-bench-trend/1"
-        smoke = placement_smoke_doc()
-        del smoke["schema"]
-        assert detect_schema(smoke) == "agile-placement-smoke/1"
+        for doc in ALL_DOCS.values():
+            assert detect_schema(doc) == "agile-experiment/1"
 
     def test_unknown_shape_raises(self):
+        # No tag, a retired tag, a cell-less body: nothing is inferred.
         with pytest.raises(UnknownSchemaError):
             detect_schema({"mystery": 1})
+        with pytest.raises(UnknownSchemaError):
+            detect_schema({"schema": "agile-serve-sweep/3", "grid": {}})
+        broken = experiment_doc()
+        del broken["cells"]
+        with pytest.raises(UnknownSchemaError):
+            ingest_document(broken)
 
 
 class TestConfigFingerprint:
     def test_producer_stamp_is_authoritative(self):
-        assert config_fingerprint(serve_sweep_doc()) == "feedbeeffeedbeef"
-
-    def test_legacy_fingerprint_ignores_results_and_provenance(self):
-        doc = bench_trend_doc("agile-bench-trend/1")
-        del doc["schema"]
-        base = config_fingerprint(doc)
-        # Result payloads and wall-clock noise must not shift the key...
-        noisy = dict(doc)
-        noisy["generated_unix"] = 9e9
-        noisy["perf"] = {"events_per_sec": 1.0}
-        assert config_fingerprint(noisy) == base
-        # ...but a real config knob must.
-        assert config_fingerprint(dict(doc, quick=False)) != base
-
-    def test_v1_and_v2_of_same_config_share_a_baseline_key(self):
-        # The compat contract: a /1 baseline still gates a /2 candidate.
-        v1 = bench_trend_doc("agile-bench-trend/1")
-        rec1, _ = ingest_document(v1)
-        v2 = bench_trend_doc()
-        rec2, _ = ingest_document(v2)
-        assert rec1.schema == "agile-bench-trend/1"
-        assert rec2.schema == "agile-bench-trend/2"
-        assert rec1.schema.rsplit("/", 1)[0] == rec2.schema.rsplit("/", 1)[0]
+        record, _ = ingest_document(experiment_doc())
+        assert record.config_hash == "feedbeeffeedbeef"
+        unstamped = experiment_doc()
+        del unstamped["config_hash"]
+        with pytest.raises(UnknownSchemaError):
+            ingest_document(unstamped)
 
 
 class TestProjection:
     def test_serve_points_carry_grid_axes(self, store):
-        record, points = ingest_document(serve_sweep_doc())
+        record, points = ingest_document(experiment_doc())
         goodput = [
             p for p in points
             if p.metric == "goodput_rps" and "target_rps" in p.axes
@@ -117,17 +80,20 @@ class TestProjection:
         }
         knees = [p for p in points if p.metric == "knee_rps"]
         assert len(knees) == 1
-        # Nested class reports flatten with dotted names.
+        # Nested sections flatten with dotted names.
         assert any(p.metric == "classes.point.p99_ns" for p in points)
+        waf = [p for p in points if p.metric == "write_path.mean_waf"]
+        assert [p.value for p in waf] == [1.2]
         # Device lists index element-wise.
-        assert any(
-            p.metric == "placement.device_reads.1" for p in points
-        )
+        assert any(p.metric == "placement.device_reads.1" for p in points)
+        assert any(p.metric == "write_path.device_waf.1" for p in points)
+        # Strings are coordinates or payload, never points.
+        assert not any(p.metric.endswith((".name", "system")) for p in points)
 
     def test_bench_points_cover_every_section(self):
-        _, points = ingest_document(bench_trend_doc())
+        _, points = ingest_document(ALL_DOCS["bench"])
         sections = {p.axes.get("section") for p in points}
-        assert sections == {"fig5", "perf", "serve", "placement"}
+        assert sections == {"fig5", "perf"}
         fig5 = [
             p for p in points
             if p.axes.get("section") == "fig5"
@@ -136,11 +102,11 @@ class TestProjection:
         assert {p.axes["num_ssds"] for p in fig5} == {1, 2}
 
     def test_telemetry_blobs_stay_in_raw_not_points(self):
-        _, points = ingest_document(bench_trend_doc())
+        _, points = ingest_document(ALL_DOCS["bench"])
         assert not any("telemetry" in p.metric for p in points)
 
     def test_placement_points_keyed_by_policy(self):
-        _, points = ingest_document(placement_smoke_doc())
+        _, points = ingest_document(ALL_DOCS["placement-smoke"])
         skews = {
             p.axes["policy"]: p.value
             for p in points
@@ -148,18 +114,8 @@ class TestProjection:
         }
         assert skews == {"shard": 1.9, "striped": 1.1}
 
-    def test_sweep3_points_flatten_the_write_path_section(self):
-        _, points = ingest_document(serve_sweep3_doc())
-        waf = [p for p in points if p.metric == "write_path.mean_waf"]
-        assert len(waf) == 1
-        assert waf[0].value == 1.2
-        assert waf[0].axes["system"] == "agile"
-        assert any(
-            p.metric == "write_path.device_waf.1" for p in points
-        )
-
     def test_write_path_curves_and_summary_project(self):
-        _, points = ingest_document(write_path_doc())
+        _, points = ingest_document(ALL_DOCS["write-path"])
         # The GC toggle plays the system-axis role for the two curves.
         knees = {
             p.axes["system"]: p.value for p in points if p.metric == "knee_rps"
@@ -176,9 +132,9 @@ class TestProjection:
 
     def test_metadata_lands_on_the_run_row(self):
         record, _ = ingest_document(
-            serve_sweep_doc(), source="serve_smoke.json", created_at=123.0
+            experiment_doc(), source="serve-sweep.json", created_at=123.0
         )
         assert record.git_sha.startswith("c0ffee")
-        assert record.source == "serve_smoke.json"
+        assert record.source == "serve-sweep.json"
         assert record.created_at == 123.0
-        assert record.schema == "agile-serve-sweep/2"
+        assert record.schema == "agile-experiment/1"
