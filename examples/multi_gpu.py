@@ -50,8 +50,8 @@ with host:
 
 print(f"2 GPUs x 128 threads over one shared SSD: {makespan / 1e3:.1f} us")
 for g in range(2):
-    io = host.trace.group(f"gpu{g}.io")
-    cache = host.trace.group(f"gpu{g}.cache")
+    io = host.trace.counter(f"gpu{g}.io")
+    cache = host.trace.counter(f"gpu{g}.cache")
     print(f"  gpu{g}: {int(io['commands_submitted'])} NVMe commands, "
           f"{int(cache['misses'])} cache misses "
           f"(queue pairs {sorted(qp.qid for qp in host.nodes[g].issue.queue_pairs[0])})")

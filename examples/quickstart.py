@@ -63,5 +63,5 @@ assert results == expected, "data read through AGILE must match the source"
 
 print(f"kernel time: {duration_ns / 1e3:.1f} us (simulated)")
 print(f"cache stats: {host.cache.flush_stats()}")
-print(f"io stats:    {host.trace.group('io').snapshot()}")
+print(f"io stats:    {host.trace.counter('io').snapshot()}")
 print("quickstart OK — all 128 threads read the right values")

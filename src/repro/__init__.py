@@ -15,7 +15,8 @@ Public entry points:
   ``prefetch`` / ``async_read`` / ``async_write`` / array-like APIs.
 - :mod:`repro.baselines.bam` — a faithful reimplementation of the BaM
   synchronous baseline the paper compares against.
-- :mod:`repro.bench.figures` — one driver per paper figure (Fig. 4-12).
+- :mod:`repro.bench.figures` — one experiment per paper figure (Fig. 4-12);
+  ``python -m repro.bench list|run`` fronts every experiment in the repo.
 """
 
 from repro.version import __version__

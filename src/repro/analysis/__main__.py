@@ -1,13 +1,15 @@
-"""``python -m repro.analysis`` — run the analysis stack.
+"""``python -m repro.analysis`` — run the static analysis stack.
 
-``check`` (default) runs a small representative AGILE workload with every
-runtime invariant checker attached, then replays the recorded event stream
-through the offline race/lock-order analyzers and prints a report.
 ``lint`` runs the static simulation-safety lint (same as
 ``python -m repro.analysis.lint``).
 ``flow`` runs the CFG/dataflow static analysis (determinism taint,
 unit consistency, lock-release paths) with SARIF and baseline support
 (same as ``python -m repro.analysis.flow``; see ``flow --help``).
+
+The runtime half — a representative workload with every invariant checker
+attached and the offline race/lock-order replay — is ``python -m
+repro.bench run storm --set intensity=0`` (or any storm: the analysis
+session is always attached there).
 """
 
 from __future__ import annotations
@@ -16,71 +18,14 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-
-def _smoke_check(threads: int, requests: int, verbose: bool) -> int:
-    from repro.analysis import attach
-    from repro.config import CacheConfig, SsdConfig, SystemConfig
-    from repro.core import AgileHost, AgileLockChain
-    from repro.gpu import KernelSpec, LaunchConfig
-
-    cfg = SystemConfig(
-        cache=CacheConfig(num_lines=64, ways=8),
-        ssds=(SsdConfig(name="ssd0", capacity_bytes=1 << 26, channels=8),),
-        queue_pairs=2,
-        queue_depth=16,
-    )
-    host = AgileHost(cfg)
-    session = attach(host)
-    pages = 4 * threads
-    data = np.arange(pages * 1024, dtype=np.uint32)
-    host.load_data(0, 0, data)
-
-    def body(tc, ctrl):
-        chain = AgileLockChain(f"check.t{tc.tid}")
-        for i in range(requests):
-            lba = (tc.tid * 7 + i * 3) % pages
-            line = yield from ctrl.read_page(tc, chain, 0, lba)
-            yield from ctrl.cache.read_line(tc, line, 64)
-            ctrl.cache.unpin(line)
-
-    kernel = KernelSpec(name="analysis_check", body=body)
-    with host:
-        duration = host.run_kernel(
-            kernel, LaunchConfig(max(1, threads // 32), min(threads, 32))
-        )
-    report = session.report()
-    print(
-        f"smoke workload: {threads} threads x {requests} cached reads, "
-        f"{duration:.0f} simulated ns"
-    )
-    print(
-        f"runtime checkers: {session.log.emitted} events emitted, "
-        f"{session.events_checked()} checks passed"
-    )
-    for checker in session.checkers:
-        print(f"  - {type(checker).__name__}: {checker.events_checked} events")
-    print(report.summary())
-    if not report.clean:
-        return 1
-    print("analysis: clean")
-    return 0
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="AGILE protocol analysis: invariant checkers, "
-        "race/lock-order analyzer, simulation-safety lint",
+        description="AGILE static analysis: simulation-safety lint and "
+        "the CFG/dataflow rule packs",
     )
-    sub = parser.add_subparsers(dest="command")
-    check = sub.add_parser(
-        "check", help="run a smoke workload with all checkers attached"
-    )
-    check.add_argument("--threads", type=int, default=64)
-    check.add_argument("--requests", type=int, default=4)
-    check.add_argument("--verbose", action="store_true")
+    sub = parser.add_subparsers(dest="command", required=True)
     lint = sub.add_parser("lint", help="run the simulation-safety lint")
     lint.add_argument("paths", nargs="*", default=["src/repro"])
     sub.add_parser(
@@ -95,14 +40,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return flow_main(argv[1:])
     args = parser.parse_args(argv)
-    if args.command == "lint":
-        from repro.analysis.lint import main as lint_main
+    from repro.analysis.lint import main as lint_main
 
-        return lint_main(args.paths)
-    threads = getattr(args, "threads", 64)
-    requests = getattr(args, "requests", 4)
-    verbose = getattr(args, "verbose", False)
-    return _smoke_check(threads, requests, verbose)
+    return lint_main(args.paths)
 
 
 if __name__ == "__main__":

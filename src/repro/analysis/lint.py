@@ -33,7 +33,7 @@ know about; this one enforces the repository's:
   metric flows through the typed :mod:`repro.telemetry` instruments
   (``Counter.add`` / ``Gauge.set`` / ``Histogram.observe``) so the unified
   registry stays the single source of truth for ``stats()`` snapshots,
-  bench exports, and the Chrome-trace exporters.
+  experiment documents, and the Chrome-trace exporters.
 - **AGL008** — serving-request terminal states (``COMPLETED`` / ``SHED`` /
   ``ABORTED``) may only be assigned to ``state``/``status`` attributes via
   the serve state machine (``Request.transition`` in

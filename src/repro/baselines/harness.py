@@ -45,7 +45,7 @@ class BamHost(Machine):
             costs=costs,
             num_lines=num_cache_lines,
             debugger=self.debugger,
-            stats=self.trace.group("bam"),
+            stats=self.trace.counter("bam"),
         )
         self.ctrls.append(self.ctrl)
         self._finish(telemetry)

@@ -1,13 +1,13 @@
-"""Benchmark harness: one driver per paper figure plus ablations.
+"""The experiment front end: every experiment in the repo behind one CLI.
 
-Each ``figN()`` function in :mod:`repro.bench.figures` regenerates the rows
-or series of the corresponding evaluation figure at a scaled-down default
-size (see EXPERIMENTS.md for the scale substitutions) and returns a
-:class:`repro.bench.report.FigureResult` that both prints the table and is
-consumed by the ``benchmarks/`` pytest-benchmark suite.
+:mod:`repro.bench.figures` holds the paper's figures (Figs. 4-12) and four
+ablations as :class:`~repro.serve.experiment.Experiment` definitions;
+``python -m repro.bench list|run`` fronts those together with the serving
+matrices (:mod:`repro.serve`) and the chaos storms
+(:mod:`repro.faults.storm`), and ``python -m repro.bench perf`` is the one
+wall-clock canary.
 """
 
-from repro.bench.report import FigureResult, format_table
 from repro.bench import figures
 
-__all__ = ["FigureResult", "format_table", "figures"]
+__all__ = ["figures"]

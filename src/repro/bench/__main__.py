@@ -1,234 +1,174 @@
-"""Command-line figure regeneration.
+"""CLI: ``python -m repro.bench`` — list and run every experiment.
 
-Usage::
-
-    python -m repro.bench list            # available figures/ablations
-    python -m repro.bench fig4 fig12      # regenerate specific figures
-    python -m repro.bench all             # everything (minutes)
-    python -m repro.bench perf            # scheduler throughput smoke
-    python -m repro.bench perf --min-eps 60000   # fail below the floor
-    python -m repro.bench export --out BENCH.json   # CI trend artifact
-    python -m repro.bench --trace out.json fig4     # + Perfetto timeline
-
-``--trace FILE`` works with any target: every host built during the run
-records telemetry (spans, counters, occupancy series) and the merged
-Chrome-trace document is written to FILE — load it at
+``list`` prints every registered :class:`~repro.serve.experiment.Experiment`
+with its axes; ``run NAME`` runs one, prints a ``replay:`` line built from
+the arguments it was given, and exits non-zero iff one of its checks
+fails (2 on a bad ``--set``).  ``--set key=v1,v2`` reaches any axis (comma
+list) or spec field (one value; ``a.b`` for a nested spec) by name;
+``--quick`` is the CI-sized variant and ``--seed N`` is short for ``--set
+seed=N``.  ``--out`` writes the ``agile-experiment/1`` document, which
+``python -m repro.store ingest/gate`` reads.  ``--trace FILE`` records
+telemetry (spans, counters, occupancy series) on every host built during
+the run and writes the merged Chrome-trace document — load it at
 https://ui.perfetto.dev or chrome://tracing.
+
+``perf`` is the one wall-clock canary: a timed Fig. 5 read point reported
+as simulator events per second (``--min-eps`` makes it a floor).
+
+Examples::
+
+    python -m repro.bench list
+    python -m repro.bench run fig7 --out fig7.json
+    python -m repro.bench run fig5 --set num_ssds=1,2 --trace chrome_trace.json
+    python -m repro.bench run serve-sweep --quick --out serve-sweep.json
+    python -m repro.bench run tenancy --quick --set storm=none,pe-storm
+    python -m repro.bench run storm --seed 3 --set intensity=2.0
+    python -m repro.bench perf --min-eps 60000
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import platform
 import sys
 import time
+from contextlib import nullcontext
+from typing import Any, Dict, List, Optional
 
-from repro.bench.figures import ALL_ABLATIONS, ALL_FIGURES
+from repro import telemetry
+from repro.bench import figures
+from repro.faults import storm
+from repro.serve import sweep, tenancy, writepath
+from repro.serve.experiment import Cell, Experiment, ExperimentError
+from repro.workloads.io_sweep import run_bandwidth_sweep
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    exp.name: exp
+    for exp in (
+        *sweep.EXPERIMENTS,
+        writepath.WRITE_PATH,
+        tenancy.TENANCY,
+        *figures.EXPERIMENTS,
+        *storm.EXPERIMENTS,
+    )
+}
 
 
-def _perf_point(requests: int, threads: int = 64):
-    """One timed Fig. 5 read point -> (point, wall seconds, events/sec)."""
-    from repro.workloads.io_sweep import run_bandwidth_sweep
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Every experiment in the repo: one runner, one document.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("list", help="registered experiments and their axes")
+    run = sub.add_parser("run", help="run one experiment")
+    run.add_argument("name", choices=sorted(EXPERIMENTS))
+    run.add_argument("--quick", action="store_true", help="CI-sized variant")
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument(
+        "--set", action="append", default=[], metavar="KEY=V1,V2",
+        help="override an axis or a spec field (repeatable)",
+    )
+    run.add_argument("--out", default="", help="write the document here")
+    run.add_argument("--trace", default="", help="write a Chrome trace here")
+    perf = sub.add_parser("perf", help="scheduler-throughput smoke (events/s)")
+    perf.add_argument("--min-eps", type=float, default=0.0, help="fail below this")
+    perf.add_argument("--requests", type=int, default=4096)
+    perf.add_argument("--threads", type=int, default=64)
+    return parser.parse_args(argv)
 
+
+def _scalars(metrics: Dict[str, Any]) -> str:
+    return " ".join(
+        f"{key}={value:g}"
+        for key, value in metrics.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    )
+
+
+def _print_cell(cell: Cell) -> None:
+    axes = " ".join(f"{k}={v}" for k, v in cell["axes"].items())
+    print(f"  [{axes}] {_scalars(cell['metrics'])}", flush=True)
+
+
+def _cmd_list() -> int:
+    for exp in EXPERIMENTS.values():
+        print(f"{exp.name}: {exp.help}")
+        for key, values in exp.axes.items():
+            pinned = " (pinned: one value)" if key in exp.pinned else ""
+            print(f"    {key} = {','.join(str(v) for v in values)}{pinned}")
+        if exp.quick:
+            print(f"    --quick = --set {' --set '.join(exp.quick)}")
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    exp = EXPERIMENTS[args.name]
+    given = [exp.name, *(["--quick"] if args.quick else [])]
+    sets = list(args.set)
+    if args.seed is not None:
+        given.append(f"--seed {args.seed}")
+        sets.append(f"seed={args.seed}")
+    given += [f"--set {item}" for item in args.set]
+    print("replay: python -m repro.bench run " + " ".join(given))
+    try:
+        spec, axes = exp.configure(sets, quick=args.quick)
+        print(f"{exp.name}: config {exp.config_hash(spec, axes)}")
+        with telemetry.capture() if args.trace else nullcontext() as cap:
+            doc = exp.run(spec, axes, on_cell=_print_cell)
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.out}")
+    if args.trace:
+        trace = cap.chrome_trace()
+        telemetry.export.write_chrome_trace(args.trace, trace)
+        print(
+            f"trace: wrote {args.trace} "
+            f"({trace['otherData']['recorded_events']} events from "
+            f"{len(cap.sessions)} run(s))"
+        )
+    failed = [check for check in doc["checks"] if not check["ok"]]
+    for check in doc["checks"]:
+        verdict = "OK" if check["ok"] else "FAIL"
+        stream = sys.stdout if check["ok"] else sys.stderr
+        print(f"{verdict}: {check['name']}: {check['detail']}", file=stream)
+    return 1 if failed else 0
+
+
+def _cmd_perf(args: argparse.Namespace) -> int:
+    """One timed Fig. 5 read point.  Wall-clock reads live in the bench
+    layer only (AGL001): workloads report simulated-event counts."""
     start = time.perf_counter()
     point = run_bandwidth_sweep(
-        "read", num_ssds=1, total_requests=requests, num_threads=threads
+        "read", num_ssds=1, total_requests=args.requests, num_threads=args.threads
     )
     wall = time.perf_counter() - start
-    return point, wall, point.sim_events / wall if wall > 0 else 0.0
-
-
-def perf(argv: list[str]) -> int:
-    """Scheduler-throughput smoke: one Fig. 5 point, report events/sec.
-
-    ``--min-eps N`` turns the report into a regression gate (exit 1 below
-    the floor).  ``--requests N`` / ``--threads N`` scale the workload.
-    """
-    min_eps = 0.0
-    requests = 4096
-    threads = 64
-    it = iter(argv)
-    for arg in it:
-        if arg == "--min-eps":
-            min_eps = float(next(it, "0"))
-        elif arg == "--requests":
-            requests = int(next(it, "4096"))
-        elif arg == "--threads":
-            threads = int(next(it, "64"))
-        else:
-            print(f"perf: unknown option {arg!r}", file=sys.stderr)
-            return 2
-    point, wall, eps = _perf_point(requests, threads)
+    eps = point.sim_events / wall if wall > 0 else 0.0
     print(
         f"perf: {point.sim_events:,} events in {wall:.2f} s "
         f"-> {eps:,.0f} events/s "
         f"({point.total_requests} requests, {point.bandwidth_gbps:.2f} GB/s)"
     )
-    if min_eps and eps < min_eps:
+    if eps < args.min_eps:
         print(
-            f"perf: FAIL - {eps:,.0f} events/s below floor {min_eps:,.0f}",
+            f"perf: FAIL - {eps:,.0f} events/s below floor {args.min_eps:,.0f}",
             file=sys.stderr,
         )
         return 1
     return 0
 
 
-def export(argv: list[str]) -> int:
-    """Machine-readable bench snapshot for the CI trend artifact.
-
-    Writes one ``agile-experiment/1`` document holding what only the
-    bench measures: a Fig. 5-style read-bandwidth table (``section=fig5``
-    cells, each with its telemetry snapshot as ``detail``) and the
-    scheduler-throughput measurement (``section=perf``), with per-point
-    device error counts (zero on every fault-free run — a nonzero value
-    here is a regression even when bandwidth looks fine).  The serving
-    experiments have their own artifacts (``python -m repro.serve run``).
-    """
-    from repro.workloads.io_sweep import run_bandwidth_sweep
-
-    out = "BENCH.json"
-    quick = False
-    it = iter(argv)
-    for arg in it:
-        if arg == "--out":
-            out = next(it, out)
-        elif arg == "--quick":
-            quick = True
-        else:
-            print(f"export: unknown option {arg!r}", file=sys.stderr)
-            return 2
-    if quick:
-        table_points = [(1, 512), (2, 512)]
-        perf_requests = 1024
-    else:
-        table_points = [(1, 1024), (1, 4096), (2, 4096), (4, 4096)]
-        perf_requests = 4096
-
-    cells = []
-    for num_ssds, total_requests in table_points:
-        point = run_bandwidth_sweep(
-            "read", num_ssds=num_ssds, total_requests=total_requests,
-            telemetry=True,
-        )
-        cells.append(
-            {
-                "axes": {
-                    "section": "fig5",
-                    "op": "read",
-                    "num_ssds": point.num_ssds,
-                    "total_requests": point.total_requests,
-                },
-                "metrics": {
-                    "duration_ns": point.duration_ns,
-                    "bandwidth_gbps": point.bandwidth_gbps,
-                    "sim_events": point.sim_events,
-                    "device_errors": point.device_errors,
-                },
-                "detail": {"telemetry": point.telemetry},
-            }
-        )
-
-    point, wall, eps = _perf_point(perf_requests)
-    cells.append(
-        {
-            "axes": {"section": "perf"},
-            "metrics": {
-                "sim_events": point.sim_events,
-                "wall_s": wall,
-                "events_per_sec": eps,
-                "total_requests": point.total_requests,
-                "bandwidth_gbps": point.bandwidth_gbps,
-                "device_errors": point.device_errors,
-            },
-        }
-    )
-    from repro.config import stable_hash
-    from repro.store.meta import experiment_document
-
-    doc = experiment_document(
-        "bench",
-        stable_hash(
-            {
-                "experiment": "bench",
-                "quick": quick,
-                "table_points": table_points,
-                "perf_requests": perf_requests,
-            }
-        ),
-        cells,
-        checks=[],
-        generated_unix=time.time(),
-        python=platform.python_version(),
-        quick=quick,
-    )
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    errors = sum(cell["metrics"]["device_errors"] for cell in cells)
-    print(
-        f"export: wrote {out} ({len(table_points)} table points, "
-        f"{eps:,.0f} events/s, {errors} device errors)"
-    )
-    return 0
-
-
-def _dispatch(argv: list[str]) -> int:
-    registry = {**ALL_FIGURES, **{f"abl_{k}": v for k, v in ALL_ABLATIONS.items()}}
-    if argv and argv[0] == "perf":
-        return perf(argv[1:])
-    if argv and argv[0] == "export":
-        return export(argv[1:])
-    if not argv or argv[0] in ("-h", "--help", "list"):
-        print("available targets:")
-        for name in registry:
-            print(f"  {name}")
-        print("  all")
-        print("  perf [--min-eps N] [--requests N] [--threads N]")
-        print("  export [--out FILE] [--quick]")
-        print("  --trace FILE <target>   (Chrome-trace timeline of the run)")
-        return 0
-    targets = list(registry) if argv == ["all"] else argv
-    unknown = [t for t in targets if t not in registry]
-    if unknown:
-        print(f"unknown target(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    for name in targets:
-        start = time.time()
-        registry[name]().show()
-        print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
-    return 0
-
-
-def main(argv: list[str]) -> int:
-    argv = list(argv)
-    trace_out = None
-    if "--trace" in argv:
-        i = argv.index("--trace")
-        rest = argv[i + 1 : i + 2]
-        if not rest or rest[0].startswith("-"):
-            print("--trace requires an output path", file=sys.stderr)
-            return 2
-        trace_out = rest[0]
-        del argv[i : i + 2]
-    if trace_out is None:
-        return _dispatch(argv)
-
-    from repro import telemetry
-
-    with telemetry.capture() as cap:
-        rc = _dispatch(argv)
-    if not cap.sessions:
-        print("trace: no telemetry sessions recorded", file=sys.stderr)
-        return rc
-    doc = cap.chrome_trace()
-    telemetry.export.write_chrome_trace(trace_out, doc)
-    print(
-        f"trace: wrote {trace_out} "
-        f"({doc['otherData']['recorded_events']} events from "
-        f"{len(cap.sessions)} run(s))"
-    )
-    return rc
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parse_args(argv)
+    if args.command == "list":
+        return _cmd_list()
+    return _cmd_run(args) if args.command == "run" else _cmd_perf(args)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

@@ -83,7 +83,7 @@ class AgileMachine(Machine):
         gpu = self.gpus[index]
 
         def group(name: str):
-            return self.trace.group(prefix + name)
+            return self.trace.counter(prefix + name)
 
         issue = IssueEngine(
             self.sim,
@@ -252,7 +252,7 @@ class AgileHost(AgileMachine):
                 self.sim,
                 self.cfg.faults,
                 self.rng,
-                stats=self.trace.group("faults"),
+                stats=self.trace.counter("faults"),
             )
             for ssd in self.ssds:
                 ssd.arm_faults(self.fault_injector)

@@ -26,7 +26,7 @@ from repro.nvme.flash import load_array, read_array
 from repro.nvme.queue import QueuePair
 from repro.placement import PlacementPolicy, interleaved, placement_for_config
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
+from repro.telemetry.registry import MetricRegistry
 
 
 class Machine:
@@ -59,7 +59,7 @@ class Machine:
                     f"{ssd.max_queue_pairs}"
                 )
         self.sim = Simulator(watchdog_ns=watchdog_ns)
-        self.trace = TraceRecorder()
+        self.trace = MetricRegistry()
         self.trace.set_clock(lambda: self.sim.now)
         capacity = hbm_capacity
         if capacity is None:
@@ -331,4 +331,4 @@ class Machine:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict[str, dict[str, float]]:
-        return self.trace.snapshot()
+        return self.trace.counters_snapshot()

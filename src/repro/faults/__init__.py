@@ -19,7 +19,8 @@ Fault classes:
 - transient PCIe link stalls on DMA transfers.
 
 The recovery machinery these force into existence lives in
-:mod:`repro.core.recovery`; the chaos harness is ``python -m repro.faults``.
+:mod:`repro.core.recovery`; the chaos storms are the ``storm`` and
+``pe-storm`` experiments of :mod:`repro.faults.storm`.
 """
 
 from __future__ import annotations

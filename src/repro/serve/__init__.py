@@ -4,10 +4,11 @@ Open-loop load generation (Poisson / MMPP / trace replay), bounded
 admission with explicit load shedding — FIFO or weighted-fair with
 per-class shed guards (:mod:`repro.serve.wfq`) — dynamic batching into
 kernel launches, fair-share dispatch across one or more simulated GPUs,
-per-class SLO accounting on the telemetry spine, and one declarative
-experiment runner (:mod:`repro.serve.experiment`) whose definitions live
-in :mod:`repro.serve.sweep`, :mod:`repro.serve.writepath` and
-:mod:`repro.serve.tenancy`.  Tenant classes come from the registry
+per-class SLO accounting on the telemetry spine, and the one declarative
+experiment runner (:mod:`repro.serve.experiment`); the serving
+experiments are defined in :mod:`repro.serve.sweep`,
+:mod:`repro.serve.writepath` and :mod:`repro.serve.tenancy`, and
+``python -m repro.bench`` runs them.  Tenant classes come from the registry
 (:mod:`repro.serve.registry`): construct them with :func:`tenant_class`,
 never ad hoc.
 

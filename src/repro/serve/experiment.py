@@ -1,17 +1,22 @@
 """One experiment runner: a fixed machine crossed with a few axes.
 
-Every serving result in this repo is the same object — EagleTree's
-experiment template: a frozen ``spec``, a handful of ordered ``axes``,
-one :class:`~repro.serve.slo.ServeReport` per cell of their cross
-product, a few derived rows (knees, headlines, summaries) and pass/fail
-``checks``.  :class:`Experiment` is that object, declared as data; the
-definitions live beside their tenant classes and machine configs
-(:mod:`repro.serve.sweep`, :mod:`repro.serve.writepath`,
-:mod:`repro.serve.tenancy`) and ``python -m repro.serve`` fronts them.
+Every result in this repo is the same object — EagleTree's experiment
+template: a frozen ``spec``, a handful of ordered ``axes``, one metrics
+mapping per cell of their cross product, a few derived rows (knees,
+speedups, headlines, summaries) and pass/fail ``checks``.
+:class:`Experiment` is that object, declared as data; the definitions
+live beside what they run — the serving matrices in
+:mod:`repro.serve.sweep`, :mod:`repro.serve.writepath` and
+:mod:`repro.serve.tenancy`, the paper figures and ablations in
+:mod:`repro.bench.figures`, the chaos storms in :mod:`repro.faults.storm`
+— and ``python -m repro.bench list|run`` fronts all of them.
 
-:func:`run_cell` is the only ``backend -> load_pattern ->
-ServeEngine.run()`` body in ``src/``: every experiment cell, and
-every entry point the perf harness times, goes through it.
+A cell is anything that returns a metrics mapping: ``build(spec, cell)``
+hands back the cell's zero-argument :data:`Runner`.  The serving
+experiments build theirs with :func:`serve_runner` over a
+:class:`CellPlan`; :func:`run_cell` is the only ``backend ->
+load_pattern -> ServeEngine.run()`` body in ``src/``, so every serve
+cell, and every entry point the perf harness times, goes through it.
 
 Every experiment emits one document shape (``agile-experiment/1``, see
 ``schemas/agile-experiment-1.schema.json``): a header, ``cells``
@@ -53,6 +58,8 @@ SYSTEMS = tuple(BACKENDS)
 Cell = Dict[str, Dict[str, Any]]
 #: One check of a document: ``{"name": ..., "ok": ..., "detail": ...}``.
 Check = Dict[str, Any]
+#: Simulates one cell and returns its metrics.
+Runner = Callable[[], Mapping[str, Any]]
 Arrivals = Dict[str, ArrivalProcess]
 
 
@@ -102,6 +109,19 @@ def run_cell(plan: CellPlan) -> ServeReport:
         plan.serve,
         seed=plan.config.seed,
     ).run()
+
+
+def serve_runner(plan: CellPlan, keep: Tuple[str, ...] = ()) -> Runner:
+    """The runner of a serve cell: its full report, or only the
+    :class:`~repro.serve.slo.ServeReport` attributes named in ``keep``."""
+
+    def run() -> Mapping[str, Any]:
+        report = run_cell(plan)
+        if not keep:
+            return report.as_dict()
+        return {name: getattr(report, name) for name in keep}
+
+    return run
 
 
 def knee_rps(cells: Iterable[Cell]) -> float:
@@ -170,13 +190,12 @@ class Experiment:
     #: Ordered axes and their default values; the cells are their cross
     #: product and ``build(spec, cell)`` gets one point of it.
     axes: Mapping[str, Tuple]
-    build: Callable[[Any, Mapping[str, Any]], CellPlan]
+    build: Callable[[Any, Mapping[str, Any]], Runner]
     #: Axes pinned to a single value and left out of the cells' ``axes``.
     pinned: Tuple[str, ...] = ()
-    #: Legal values of the categorical axes.
+    #: Legal values of the categorical (string) axes that accept more than
+    #: their defaults.
     choices: Mapping[str, Tuple] = field(default_factory=dict)
-    #: ``ServeReport`` attributes kept per cell; empty = the full report.
-    metrics: Tuple[str, ...] = ()
     derive: Callable[[Any, Sequence[Cell]], List[Cell]] = _no_rows
     checks: Callable[[Any, Sequence[Cell]], List[Check]] = _no_rows
     #: What ``--quick`` means, in ``--set`` syntax (``key=v1,v2``).
@@ -213,8 +232,8 @@ class Experiment:
 
     def plans(
         self, spec: Any, axes: Mapping[str, Tuple]
-    ) -> List[Tuple[Dict[str, Any], CellPlan]]:
-        """Validate every axis and build every cell's plan — all of it
+    ) -> List[Tuple[Dict[str, Any], Runner]]:
+        """Validate every axis and build every cell's runner — all of it
         before the first cell is simulated."""
         if set(axes) != set(self.axes):
             raise ExperimentError(f"{self.name}: axes are {tuple(self.axes)}")
@@ -224,11 +243,16 @@ class Experiment:
                     f"{self.name}: axis {key!r} needs "
                     f"{'exactly one value' if key in self.pinned else 'a value'}"
                 )
-            bad = [v for v in values if v not in self.choices.get(key, values)]
+            if len(set(values)) != len(values):
+                raise ExperimentError(
+                    f"{self.name}: axis {key!r} repeats a value in {values}"
+                )
+            legal = self.choices.get(key, self.axes[key])
+            bad = [v for v in values if isinstance(v, str) and v not in legal]
             if bad:
                 raise ExperimentError(
                     f"{self.name}: axis {key!r}: unknown value {bad[0]!r} "
-                    f"(want one of {tuple(self.choices[key])})"
+                    f"(want one of {tuple(legal)})"
                 )
         out = []
         for values in itertools.product(*axes.values()):
@@ -252,12 +276,10 @@ class Experiment:
         spec = self.spec if spec is None else spec
         axes = {**self.axes, **(axes or {})}
         cells: List[Cell] = []
-        for cell_axes, plan in self.plans(spec, axes):
-            report = run_cell(plan)
-            metrics = report.as_dict() if not self.metrics else canonical_payload(
-                {name: getattr(report, name) for name in self.metrics}
+        for cell_axes, runner in self.plans(spec, axes):
+            cells.append(
+                {"axes": cell_axes, "metrics": canonical_payload(runner())}
             )
-            cells.append({"axes": cell_axes, "metrics": metrics})
             on_cell(cells[-1])
         for cell in self.derive(spec, cells):
             cells.append(cell)

@@ -41,6 +41,7 @@ from repro.serve.experiment import (
     Experiment,
     knee_cells,
     serve_config,
+    serve_runner,
 )
 from repro.serve.registry import POINT, SCAN, tenant_class
 from repro.serve.request import RequestClass
@@ -180,8 +181,8 @@ SERVE_SWEEP = Experiment(
             10_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0, 320_000.0,
         ),
     },
-    choices={"placement": PLACEMENTS, "system": SYSTEMS},
-    build=standard_cell,
+    choices={"placement": PLACEMENTS},
+    build=lambda spec, cell: serve_runner(standard_cell(spec, cell)),
     derive=lambda spec, cells: knee_cells(cells),
     quick=("target_rps=20000,80000",),
 )
@@ -199,11 +200,11 @@ PLACEMENT_SMOKE = Experiment(
         "target_rps": (80_000.0,),
     },
     pinned=("ssds", "system", "target_rps"),
-    choices={"policy": PLACEMENTS, "system": SYSTEMS},
-    build=lambda spec, cell: standard_cell(
-        spec, {**cell, "placement": cell["policy"]}
+    choices={"system": SYSTEMS},
+    build=lambda spec, cell: serve_runner(
+        standard_cell(spec, {**cell, "placement": cell["policy"]}),
+        keep=("goodput_rps", "p99_ns", "completed", "skew_ratio", "device_reads"),
     ),
-    metrics=("goodput_rps", "p99_ns", "completed", "skew_ratio", "device_reads"),
     checks=_striped_beats_shard,
 )
 
@@ -222,10 +223,12 @@ EXPLORE = Experiment(
     },
     pinned=("system", "placement", "target_rps"),
     choices={"arrival": ARRIVALS, "system": SYSTEMS, "placement": PLACEMENTS},
-    build=standard_cell,
-    metrics=(
-        "goodput_rps", "p99_ns", "offered", "completed", "shed", "aborted",
-        "mean_batch_size", "skew_ratio", "sim_events",
+    build=lambda spec, cell: serve_runner(
+        standard_cell(spec, cell),
+        keep=(
+            "goodput_rps", "p99_ns", "offered", "completed", "shed", "aborted",
+            "mean_batch_size", "skew_ratio", "sim_events",
+        ),
     ),
 )
 

@@ -22,7 +22,7 @@ arm, a ``section=headline`` row per cell pair and one ``section=summary``.
 
 Everything is seed-deterministic: arrival rng streams are named per
 class, storm plans derive from the seed, and the workload traces are
-pure functions of their specs — two runs of ``python -m repro.serve run
+pure functions of their specs — two runs of ``python -m repro.bench run
 tenancy`` produce byte-identical artifacts.
 """
 
@@ -49,6 +49,7 @@ from repro.serve.experiment import (
     pivot,
     run_cell,
     serve_config,
+    serve_runner,
 )
 from repro.serve.registry import (
     CKPT,
@@ -451,13 +452,8 @@ TENANCY = Experiment(
         "placement": ("striped", "tenant_affine"),
         "arm": ARMS,
     },
-    choices={
-        "mix": tuple(MIXES),
-        "storm": STORMS,
-        "placement": TENANCY_PLACEMENTS,
-        "arm": ARMS,
-    },
-    build=tenancy_cell,
+    choices={"storm": STORMS, "placement": TENANCY_PLACEMENTS},
+    build=lambda spec, cell: serve_runner(tenancy_cell(spec, cell)),
     derive=tenancy_rows,
     checks=_headline_checks,
     # The CI-sized matrix: one mix, calm + classic storm, one placement.

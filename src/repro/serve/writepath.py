@@ -41,6 +41,7 @@ from repro.serve.experiment import (
     pivot,
     run_cell,
     serve_config,
+    serve_runner,
 )
 from repro.serve.registry import CKPT, HOT, POINT, tenant_class
 from repro.serve.request import RequestClass
@@ -251,8 +252,7 @@ WRITE_PATH = Experiment(
     spec=WritePathSpec(),
     # Three loads straddling the write knee.
     axes={"system": GC_ARMS, "target_rps": (10_000.0, 30_000.0, 60_000.0)},
-    choices={"system": GC_ARMS},
-    build=write_path_cell,
+    build=lambda spec, cell: serve_runner(write_path_cell(spec, cell)),
     derive=write_path_rows,
     checks=_no_writeback_lost,
 )

@@ -30,7 +30,6 @@ from repro.sim.resources import (
 )
 from repro.sim.sync import Barrier, Gate, SimLock
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -48,5 +47,4 @@ __all__ = [
     "Gate",
     "Barrier",
     "RngStreams",
-    "TraceRecorder",
 ]

@@ -1,11 +1,6 @@
-"""The structured protocol event log, and the host's metric registry.
+"""The structured protocol event log.
 
-Counters, gauges, and the registry itself live in the telemetry spine
-(:mod:`repro.telemetry`); :class:`TraceRecorder` is that registry
-restricted to the counters-only ``snapshot()`` shape that ``host.stats()``
-guarantees.
-
-The :class:`EventLog` remains the substrate of the :mod:`repro.analysis`
+The :class:`EventLog` is the substrate of the :mod:`repro.analysis`
 layer: models emit protocol-level events (queue slot transitions, doorbell
 rings, lock operations, cache-line state changes) into an attached log,
 where runtime invariant checkers subscribe and offline analyzers replay
@@ -18,10 +13,8 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.sim.engine import Simulator
-from repro.telemetry.metrics import Counter
-from repro.telemetry.registry import MetricRegistry
 
-__all__ = ["EventLog", "TraceEvent", "TraceRecorder"]
+__all__ = ["EventLog", "TraceEvent"]
 
 
 class TraceEvent:
@@ -85,24 +78,3 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-class TraceRecorder(MetricRegistry):
-    """The host's metric registry, with the historical counters-only API.
-
-    ``group(name)`` is ``counter(name)`` with an open label set, and
-    ``snapshot()`` keeps the pre-telemetry ``{group: {key: value}}`` shape
-    that ``host.stats()`` and the workloads/benchmarks rely on.  The full
-    typed surface (gauges, histograms, pull collectors,
-    ``full_snapshot()``) is inherited from
-    :class:`repro.telemetry.MetricRegistry`.
-    """
-
-    def group(self, name: str) -> Counter:
-        return self.counter(name)
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        return self.counters_snapshot()
-
-    def full_snapshot(self) -> Dict[str, Any]:
-        return MetricRegistry.snapshot(self)

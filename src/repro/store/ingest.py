@@ -9,7 +9,8 @@ exactly one point per numeric leaf of every cell's ``metrics``, keyed by
 the cell's ``axes``.
 
 A document without a known ``schema`` tag raises
-:class:`UnknownSchemaError`; nothing is inferred from its shape.
+:class:`UnknownSchemaError`, as does one whose cells yield the same
+``(axes, metric)`` point twice; nothing is inferred from its shape.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ def _experiment_points(doc: Mapping[str, object]) -> List[Point]:
             Point(axes=dict(axes), metric=metric, value=value)
             for metric, value in _flatten_metrics(metrics)
         )
+    seen = set()
+    for point in out:
+        if point.key in seen:
+            raise UnknownSchemaError(
+                f"two cells yield the point {point.metric!r} at axes "
+                f"{point.key[0]} (a repeated axis value?)"
+            )
+        seen.add(point.key)
     return out
 
 

@@ -1,7 +1,7 @@
 """The one artifact shape: ``agile-experiment/1`` and its provenance stamp.
 
-Every JSON artifact the repo emits — each ``python -m repro.serve run``
-experiment and the bench export — is assembled by
+Every JSON artifact the repo emits — each ``python -m repro.bench run``
+experiment — is assembled by
 :func:`experiment_document`, so the fields the experiment store keys on
 are always present and always spelled the same way:
 

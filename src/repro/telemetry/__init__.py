@@ -1,8 +1,7 @@
 """The unified telemetry spine.
 
 One :class:`MetricRegistry` per simulated host owns every counter, gauge,
-histogram, and pull collector (``host.trace`` is this registry, as
-:class:`repro.sim.trace.TraceRecorder`).  A :class:`Telemetry` session
+histogram, and pull collector (``host.trace`` is this registry).  A :class:`Telemetry` session
 adds the *timeline* layer — span/instant/counter recording keyed to
 simulated nanoseconds — plus the Chrome-trace and snapshot exporters.
 
@@ -92,16 +91,10 @@ class Telemetry:
     # -- export ----------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Flat JSON document (embedded per sweep point in BENCH.json).
-
-        Uses the full typed registry shape even when the registry is a
-        back-compat :class:`TraceRecorder` (whose plain ``snapshot()`` is
-        restricted to the historical counters-only form).
-        """
-        reg = self.registry
-        full = getattr(reg, "full_snapshot", None) or reg.snapshot
+        """Flat JSON document: the registry's full typed snapshot plus the
+        span-recorder totals."""
         return {
-            "metrics": full(),
+            "metrics": self.registry.snapshot(),
             "spans": {"recorded": len(self.spans), "dropped": self.spans.dropped},
         }
 

@@ -27,8 +27,8 @@ class Counter:
     Keys act as label values.  Passing ``labels`` fixes the legal set up
     front (typed declaration: a typo'd label raises instead of silently
     creating a new series); an empty ``labels`` leaves the family open,
-    which the back-compat ``TraceRecorder.group`` path relies on for
-    dynamic keys like ``opcode_read``.
+    which the hosts' stat groups rely on for dynamic keys like
+    ``opcode_read``.
     """
 
     __slots__ = ("name", "description", "_allowed", "_values")

@@ -3,7 +3,7 @@
 Three kinds of sources feed it:
 
 - **push counters** — model code calls ``registry.counter(group).add(key)``
-  (the historical ``stats=trace.group(...)`` plumbing, now registry-owned);
+  (the hosts' ``stats=trace.counter(...)`` plumbing);
 - **typed instruments** — gauges and histograms created by name, updated
   inline at instrumentation sites;
 - **pull collectors** — zero-overhead accounting that already lives on

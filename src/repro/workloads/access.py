@@ -14,9 +14,24 @@ from typing import Any, Generator
 
 import numpy as np
 
+from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileLockChain
 from repro.gpu.thread import ThreadContext
 from repro.placement import interleaved
+
+
+def workload_config(
+    num_ssds: int, cache_lines: int, queue_pairs: int = 8, queue_depth: int = 64
+) -> SystemConfig:
+    """The application workloads' machine: ``num_ssds`` 1 GiB devices
+    behind an 8-way software cache of ``cache_lines`` lines."""
+    base = SystemConfig(
+        cache=CacheConfig(num_lines=cache_lines, ways=8),
+        ssds=(SsdConfig(name="ssd0", capacity_bytes=1 << 30),),
+        queue_pairs=queue_pairs,
+        queue_depth=queue_depth,
+    )
+    return base.with_ssds(num_ssds)
 
 
 @dataclass(frozen=True)
@@ -114,3 +129,14 @@ def region_page_coords(
         ssd, row = policy.place(p)
         coords.append((ssd, reg.base_lba + row))
     return coords
+
+
+def preload_regions(host, *extents: tuple[StripedRegion, int]) -> None:
+    """Preload every page of each ``(region, num_items)`` extent into the
+    host's software cache, one ``preload_cache`` call per SSD."""
+    by_ssd: dict[int, list[int]] = {}
+    for reg, num_items in extents:
+        for ssd, lba in region_page_coords(reg, num_items):
+            by_ssd.setdefault(ssd, []).append(lba)
+    for ssd, lbas in by_ssd.items():
+        host.preload_cache(ssd, lbas)

@@ -23,14 +23,14 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from repro.baselines import BamHost
-from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import Gpu, KernelSpec, LaunchConfig
 from repro.sim import Simulator
 from repro.workloads.access import (
+    preload_regions,
     read_range,
     region,
-    region_page_coords,
+    workload_config,
 )
 from repro.workloads.graphs import CsrGraph, layout_graph, load_graph
 
@@ -53,16 +53,6 @@ def bfs_reference(graph: CsrGraph, src: int = 0) -> np.ndarray:
     )
     out = np.where(np.isinf(dist), -1, dist).astype(np.int64)
     return out
-
-
-def _graph_config(num_ssds: int, cache_lines: int) -> SystemConfig:
-    base = SystemConfig(
-        cache=CacheConfig(num_lines=cache_lines, ways=8),
-        ssds=(SsdConfig(name="ssd0", capacity_bytes=1 << 30),),
-        queue_pairs=8,
-        queue_depth=64,
-    )
-    return base.with_ssds(num_ssds)
 
 
 def _expand_kernel(system: str, row_reg, col_reg, graph: CsrGraph):
@@ -121,23 +111,18 @@ def run_bfs(
 
     if system == "native":
         sim = Simulator()
-        gpu = Gpu(sim, _graph_config(num_ssds, cache_lines).gpu,
+        gpu = Gpu(sim, workload_config(num_ssds, cache_lines).gpu,
                   hbm_capacity=1 << 22)
         host = None
     else:
-        cfg = _graph_config(num_ssds, cache_lines)
+        cfg = workload_config(num_ssds, cache_lines)
         host = AgileHost(cfg) if system == "agile" else BamHost(cfg)
         sim = host.sim
         load_graph(host, graph)
         if preload:
-            coords = region_page_coords(row_reg, n + 1) + region_page_coords(
-                col_reg, graph.num_edges
+            preload_regions(
+                host, (row_reg, n + 1), (col_reg, graph.num_edges)
             )
-            by_ssd: dict[int, list[int]] = {}
-            for ssd, lba in coords:
-                by_ssd.setdefault(ssd, []).append(lba)
-            for ssd, lbas in by_ssd.items():
-                host.preload_cache(ssd, lbas)
         host.start()
 
     dist = np.full(n, -1, dtype=np.int64)

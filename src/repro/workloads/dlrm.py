@@ -28,10 +28,10 @@ from typing import Dict, Literal, Optional, Sequence
 import numpy as np
 
 from repro.baselines import BamHost
-from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.placement import interleaved
+from repro.workloads.access import workload_config
 from repro.workloads.criteo import CriteoTrace, make_criteo_trace
 
 SystemName = Literal["bam", "agile_sync", "agile_async"]
@@ -144,18 +144,6 @@ def _unique_pages(layout: EmbeddingLayout, lookups: np.ndarray) -> np.ndarray:
     return np.unique(lookups // layout.vecs_per_page)
 
 
-def _system_config(
-    num_ssds: int, cache_lines: int, queue_pairs: int, queue_depth: int
-) -> SystemConfig:
-    base = SystemConfig(
-        cache=CacheConfig(num_lines=cache_lines, ways=8),
-        ssds=(SsdConfig(name="ssd0", capacity_bytes=1 << 30),),
-        queue_pairs=queue_pairs,
-        queue_depth=queue_depth,
-    )
-    return base.with_ssds(num_ssds)
-
-
 def _agile_gather_kernel(layout: EmbeddingLayout, out: dict,
                          coalesce: bool = True):
     def body(tc, ctrl, lookups, n_threads):
@@ -261,7 +249,7 @@ def run_dlrm(
     layout = EmbeddingLayout(
         trace.vocab_sizes[:features], config.embedding_dim, num_ssds
     )
-    cfg = _system_config(num_ssds, cache_lines, queue_pairs, queue_depth)
+    cfg = workload_config(num_ssds, cache_lines, queue_pairs, queue_depth)
     host = BamHost(cfg) if system == "bam" else AgileHost(cfg)
     host.load_data_striped(0, layout.make_table())
 

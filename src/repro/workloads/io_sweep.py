@@ -37,7 +37,7 @@ class SweepPoint:
     #: error-path regressions show up in CI history.
     device_errors: int = 0
     #: Telemetry snapshot (:meth:`repro.telemetry.Telemetry.snapshot`) when
-    #: the point ran with telemetry enabled; the bench export embeds it.
+    #: the point ran with telemetry enabled.
     telemetry: Optional[dict] = None
 
     @property

@@ -15,15 +15,15 @@ from typing import Dict, Literal
 import numpy as np
 
 from repro.baselines import BamHost
-from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import Gpu, KernelSpec, LaunchConfig
 from repro.sim import Simulator
 from repro.workloads.access import (
     read_element,
+    preload_regions,
     read_range,
     region,
-    region_page_coords,
+    workload_config,
 )
 from repro.workloads.graphs import CsrGraph, layout_graph, load_graph
 
@@ -40,16 +40,6 @@ class SpmvResult:
 
 def spmv_reference(graph: CsrGraph, x: np.ndarray) -> np.ndarray:
     return graph.to_scipy().dot(x.astype(np.float64)).astype(np.float64)
-
-
-def _graph_config(num_ssds: int, cache_lines: int) -> SystemConfig:
-    base = SystemConfig(
-        cache=CacheConfig(num_lines=cache_lines, ways=8),
-        ssds=(SsdConfig(name="ssd0", capacity_bytes=1 << 30),),
-        queue_pairs=8,
-        queue_depth=64,
-    )
-    return base.with_ssds(num_ssds)
 
 
 def _spmv_kernel(system, row_reg, col_reg, val_reg, x_reg, graph, x):
@@ -118,26 +108,22 @@ def run_spmv(
 
     if system == "native":
         sim = Simulator()
-        gpu = Gpu(sim, _graph_config(num_ssds, cache_lines).gpu,
+        gpu = Gpu(sim, workload_config(num_ssds, cache_lines).gpu,
                   hbm_capacity=1 << 22)
         host = None
     else:
-        cfg = _graph_config(num_ssds, cache_lines)
+        cfg = workload_config(num_ssds, cache_lines)
         host = AgileHost(cfg) if system == "agile" else BamHost(cfg)
         sim = host.sim
         load_graph(host, graph, x=x)
         if preload:
-            coords = (
-                region_page_coords(row_reg, n + 1)
-                + region_page_coords(col_reg, graph.num_edges)
-                + region_page_coords(val_reg, graph.num_edges)
-                + region_page_coords(x_reg, n)
+            preload_regions(
+                host,
+                (row_reg, n + 1),
+                (col_reg, graph.num_edges),
+                (val_reg, graph.num_edges),
+                (x_reg, n),
             )
-            by_ssd: dict[int, list[int]] = {}
-            for ssd, lba in coords:
-                by_ssd.setdefault(ssd, []).append(lba)
-            for ssd, lbas in by_ssd.items():
-                host.preload_cache(ssd, lbas)
         host.start()
 
     y = np.zeros(n, dtype=np.float64)

@@ -9,11 +9,10 @@ from typing import Dict, Literal
 import numpy as np
 
 from repro.baselines import BamHost
-from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import Gpu, KernelSpec, LaunchConfig
 from repro.sim import Simulator
-from repro.workloads.access import read_range, region
+from repro.workloads.access import read_range, region, workload_config
 
 SystemName = Literal["native", "agile", "bam"]
 
@@ -24,16 +23,6 @@ class VecMeanResult:
     mean: float
     total_ns: float
     stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-def _config(num_ssds: int, cache_lines: int) -> SystemConfig:
-    base = SystemConfig(
-        cache=CacheConfig(num_lines=cache_lines, ways=8),
-        ssds=(SsdConfig(name="ssd0", capacity_bytes=1 << 30),),
-        queue_pairs=8,
-        queue_depth=64,
-    )
-    return base.with_ssds(num_ssds)
 
 
 def run_vector_mean(
@@ -53,10 +42,10 @@ def run_vector_mean(
 
     if system == "native":
         sim = Simulator()
-        gpu = Gpu(sim, _config(num_ssds, cache_lines).gpu, hbm_capacity=1 << 22)
+        gpu = Gpu(sim, workload_config(num_ssds, cache_lines).gpu, hbm_capacity=1 << 22)
         host = None
     else:
-        cfg = _config(num_ssds, cache_lines)
+        cfg = workload_config(num_ssds, cache_lines)
         host = AgileHost(cfg) if system == "agile" else BamHost(cfg)
         sim = host.sim
         host.load_data_striped(0, data)

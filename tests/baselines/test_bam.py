@@ -38,7 +38,7 @@ class TestBamCorrectness:
 
         run_bam(host, body, block=1, args=(got,))
         assert got["v"] == 8
-        assert host.trace.group("bam")["commands_submitted"] == 1
+        assert host.trace.counter("bam")["commands_submitted"] == 1
 
     def test_element_reads_match_data(self):
         host = make_bam_host()
@@ -65,8 +65,8 @@ class TestBamCorrectness:
             ctrl.cache.unpin(line)
 
         run_bam(host, body, block=32)
-        assert host.trace.group("bam")["commands_submitted"] == 1
-        assert host.trace.group("bam")["busy_hits"] == 31
+        assert host.trace.counter("bam")["commands_submitted"] == 1
+        assert host.trace.counter("bam")["busy_hits"] == 31
 
     def test_cache_hit_avoids_io(self):
         host = make_bam_host()
@@ -80,8 +80,8 @@ class TestBamCorrectness:
             ctrl.cache.unpin(line)
 
         run_bam(host, body, block=4)
-        assert host.trace.group("bam").get("commands_submitted", 0) == 0
-        assert host.trace.group("bam")["hits"] == 4
+        assert host.trace.counter("bam").get("commands_submitted", 0) == 0
+        assert host.trace.counter("bam")["hits"] == 4
 
     def test_eviction_writeback_persists(self):
         host = make_bam_host()
@@ -103,7 +103,7 @@ class TestBamCorrectness:
                 ctrl.cache.unpin(line)
 
         run_bam(host, body, block=1)
-        if host.trace.group("bam").get("writebacks", 0):
+        if host.trace.counter("bam").get("writebacks", 0):
             assert host.ssds[0].flash.read_page_data(0)[0] == 99
 
 
@@ -133,8 +133,8 @@ class TestBamTiming:
             ctrl.cache.unpin(line)
 
         run_bam(host, body, block=1)
-        assert host.trace.group("bam")["poll_iterations"] > 0
-        assert host.trace.group("bam")["cqes_drained"] == 1
+        assert host.trace.counter("bam")["poll_iterations"] > 0
+        assert host.trace.counter("bam")["cqes_drained"] == 1
 
     def test_bam_cache_api_costs_exceed_agile(self):
         """Preloaded-cache access (no I/O at all): BaM's heavier critical

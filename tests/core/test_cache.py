@@ -49,7 +49,7 @@ class TestBasicPaths:
             ctrl.cache.unpin(line)
 
         run_kernel(host, body, block=32)
-        assert host.trace.group("io")["opcode_read"] == 1
+        assert host.trace.counter("io")["opcode_read"] == 1
         assert host.cache.stats["misses"] == 1
 
     def test_prefetch_does_not_block(self):
@@ -120,7 +120,7 @@ class TestEviction:
 
         run_kernel(host, body, block=1)
         assert host.cache.stats["writebacks"] >= 1
-        assert host.trace.group("io")["opcode_write"] >= 1
+        assert host.trace.counter("io")["opcode_write"] >= 1
         # At least one dirtied page must have reached flash.
         landed = [
             int(host.read_flash(0, lba, 8, np.int64)[0]) == 1000 + lba
@@ -203,7 +203,7 @@ class TestDramTier:
         assert host.cache.dram_tier.hits == 1
         assert host.cache.stats["dram_tier_hits"] == 1
         # The re-read produced no second flash access for LBA 1.
-        assert host.trace.group("io")["opcode_read"] == 5
+        assert host.trace.counter("io")["opcode_read"] == 5
 
     def test_dram_tier_capacity_bounded(self):
         from repro.core.cache import DramTier
@@ -229,7 +229,7 @@ class TestPreloadAndHelpers:
             ctrl.cache.unpin(line)
 
         run_kernel(host, body, block=1)
-        assert host.trace.group("io").get("opcode_read", 0) == 0
+        assert host.trace.counter("io").get("opcode_read", 0) == 0
         assert host.cache.stats["hits"] == 1
 
     def test_preload_overflow_raises(self):

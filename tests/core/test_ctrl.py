@@ -28,7 +28,7 @@ class TestPrefetch:
 
         run_kernel(host, body, block=1)
         assert host.cache.stats["hits"] == 1
-        assert host.trace.group("io")["opcode_read"] == 1
+        assert host.trace.counter("io")["opcode_read"] == 1
 
     def test_warp_duplicate_prefetches_coalesce(self):
         host = make_host()
@@ -38,11 +38,11 @@ class TestPrefetch:
             yield from ctrl.prefetch(tc, chain, 0, 7)  # same page, all lanes
 
         run_kernel(host, body, block=32)
-        ctrl_stats = host.trace.group("ctrl")
+        ctrl_stats = host.trace.counter("ctrl")
         assert ctrl_stats["prefetch_calls"] == 32
         assert ctrl_stats["prefetch_issued"] == 1
         assert ctrl_stats["prefetch_coalesced"] == 31
-        assert host.trace.group("io")["opcode_read"] == 1
+        assert host.trace.counter("io")["opcode_read"] == 1
 
     def test_distinct_pages_not_coalesced(self):
         host = make_host()
@@ -52,7 +52,7 @@ class TestPrefetch:
             yield from ctrl.prefetch(tc, chain, 0, tc.lane)
 
         run_kernel(host, body, block=8)
-        assert host.trace.group("io")["opcode_read"] == 8
+        assert host.trace.counter("io")["opcode_read"] == 8
 
 
 class TestArrayApi:
@@ -128,7 +128,7 @@ class TestArrayApi:
             out[tc.tid] = int((yield from arr.get(tc, chain, 0, tc.lane)))
 
         run_kernel(host, body, block=32, args=(out,))
-        assert host.trace.group("io")["opcode_read"] == 1
+        assert host.trace.counter("io")["opcode_read"] == 1
         assert out == {t: t for t in range(32)}
 
 
@@ -165,9 +165,9 @@ class TestAsyncBuffers:
         # interleaving they join via a lookup hit or by losing the
         # registration race — both are sharing.
         assert len(set(results.values())) == 1
-        share = host.trace.group("share")
+        share = host.trace.counter("share")
         assert share["share_hits"] + share["share_races"] == 7
-        assert host.trace.group("io")["opcode_read"] == 1
+        assert host.trace.counter("io")["opcode_read"] == 1
 
     def test_async_read_cache_hit_copies_without_io(self):
         host = make_host()
@@ -183,8 +183,8 @@ class TestAsyncBuffers:
             yield from ctrl.release_buffer(tc, chain, got)
 
         run_kernel(host, body, block=1, args=(buf,))
-        assert host.trace.group("io").get("opcode_read", 0) == 0
-        assert host.trace.group("ctrl")["async_read_cache_hits"] == 1
+        assert host.trace.counter("io").get("opcode_read", 0) == 0
+        assert host.trace.counter("ctrl")["async_read_cache_hits"] == 1
 
     def test_async_write_through(self):
         host = make_host()
@@ -224,7 +224,7 @@ class TestAsyncBuffers:
         line = host.cache.lookup(0, 5)
         assert line.buffer[0] == 123
         assert line.state is LineState.MODIFIED
-        assert host.trace.group("share")["share_propagated"] == 1
+        assert host.trace.counter("share")["share_propagated"] == 1
 
     def test_share_state_transitions(self):
         host = make_host()
@@ -261,7 +261,7 @@ class TestAsyncBuffers:
         assert len(set(ids.values())) == 4
         # ... and duplicates were only filtered by the cache (first fill
         # makes the line; the rest should hit it) or issued separately.
-        assert host.trace.group("ctrl")["async_reads"] == 4
+        assert host.trace.counter("ctrl")["async_reads"] == 4
 
 
 class TestShareTableErrors:

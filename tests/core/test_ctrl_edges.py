@@ -71,7 +71,7 @@ class TestBufferEdges:
 
         run_kernel(host, body, block=1, args=(buf,))
         assert host.ssds[0].flash.read_page_data(12)[0] == 77
-        assert host.trace.group("ctrl").get("async_write_cache_updates", 0) == 0
+        assert host.trace.counter("ctrl").get("async_write_cache_updates", 0) == 0
 
     def test_transaction_latency_requires_completion(self):
         host = make_host()

@@ -97,7 +97,7 @@ class TestFigure1Deadlock:
         duration = run_kernel(host, body, block=2, args=(dests,))
         assert duration > 0
         assert host.debugger.deadlocks_found == 0
-        assert host.trace.group("io")["commands_submitted"] == 6
+        assert host.trace.counter("io")["commands_submitted"] == 6
 
     def test_agile_extreme_oversubscription(self):
         """32 threads x 8 requests on one 4-entry SQ — 64x oversubscribed —
@@ -117,5 +117,5 @@ class TestFigure1Deadlock:
                 yield from txn.wait()
 
         run_kernel(host, body, block=32)
-        assert host.trace.group("io")["commands_submitted"] == 256
+        assert host.trace.counter("io")["commands_submitted"] == 256
         assert host.debugger.deadlocks_found == 0

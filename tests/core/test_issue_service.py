@@ -67,8 +67,8 @@ class TestSubmit:
                 yield from txn.wait()
 
         run_kernel(host, body, block=1)
-        assert host.trace.group("io")["commands_submitted"] == 16
-        assert host.trace.group("io")["sq_full_backoffs"] > 0
+        assert host.trace.counter("io")["commands_submitted"] == 16
+        assert host.trace.counter("io")["sq_full_backoffs"] > 0
 
     def test_doorbell_batching(self):
         """Concurrent submitters produce fewer doorbell rings than commands
@@ -82,7 +82,7 @@ class TestSubmit:
             yield from txn.wait()
 
         run_kernel(host, body, block=32, args=(dests,))
-        io = host.trace.group("io")
+        io = host.trace.counter("io")
         assert io["commands_submitted"] == 32
         assert io["doorbell_rings"] < 32
 
@@ -146,8 +146,8 @@ class TestService:
                 yield from txn.wait()
 
         run_kernel(host, body, block=1)
-        assert host.trace.group("service")["completions_processed"] == n
-        assert host.trace.group("service")["cq_doorbell_rings"] >= n // 16 - 1
+        assert host.trace.counter("service")["completions_processed"] == n
+        assert host.trace.counter("service")["cq_doorbell_rings"] >= n // 16 - 1
 
     def test_service_start_stop_idempotent(self):
         host = make_host()

@@ -100,7 +100,7 @@ class TestIntrospection:
             "now": host.sim.now, "event_count": host.sim.event_count,
         }
         assert list(collected["devices"]) == ["ssd0"]
-        assert host.stats() == host.trace.snapshot()
+        assert host.stats() == host.trace.counters_snapshot()
 
     def test_registry_is_clocked_by_the_simulator(self, host):
         """A gauge set at two different sim times has a time-weighted mean

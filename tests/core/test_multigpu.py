@@ -90,8 +90,8 @@ class TestExecution:
             host.run_kernels(kernel, LaunchConfig(1, 32),
                              per_gpu_args=[(0, 32), (1, 32)])
         # Each GPU missed in its own cache; no cross-GPU sharing.
-        assert host.trace.group("gpu0.cache")["misses"] > 0
-        assert host.trace.group("gpu1.cache")["misses"] > 0
+        assert host.trace.counter("gpu0.cache")["misses"] > 0
+        assert host.trace.counter("gpu1.cache")["misses"] > 0
 
     def test_shared_ssd_sees_traffic_from_all_gpus(self):
         host = MultiGpuAgileHost(_cfg(), num_gpus=2)
@@ -103,8 +103,8 @@ class TestExecution:
         with host:
             host.run_kernels(kernel, LaunchConfig(1, 32),
                              per_gpu_args=[(0, 32), (1, 32)])
-        io0 = host.trace.group("gpu0.io")["commands_submitted"]
-        io1 = host.trace.group("gpu1.io")["commands_submitted"]
+        io0 = host.trace.counter("gpu0.io")["commands_submitted"]
+        io1 = host.trace.counter("gpu1.io")["commands_submitted"]
         assert io0 > 0 and io1 > 0
         assert host.ssds[0].completed_reads == io0 + io1
 

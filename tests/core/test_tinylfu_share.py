@@ -104,6 +104,6 @@ class TestSharePolicyCustomization:
             yield from ctrl.release_buffer(tc, chain, got)
 
         run_kernel(host, body, block=4, args=(bufs, ids))
-        share = host.trace.group("share")
+        share = host.trace.counter("share")
         assert share.get("share_hits", 0) == 0
         assert share["share_declined"] >= 1

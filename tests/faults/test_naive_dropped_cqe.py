@@ -96,5 +96,5 @@ def test_agile_recovery_completes_the_same_workload():
     run_kernel(host, body, block=1, args=(dests,))
     assert outcomes == [True, True]
     assert host.ssds[0].dropped_cqes == 1
-    assert host.trace.group("recovery")["resubmissions"] >= 1
+    assert host.trace.counter("recovery")["resubmissions"] >= 1
     assert host.issue.inflight() == 0

@@ -46,7 +46,7 @@ class TestDroppedCqe:
         run_kernel(host, body, block=1)
         assert outcome["completion"].ok
         assert int(dest[0]) == 0x7C
-        rec = host.trace.group("recovery")
+        rec = host.trace.counter("recovery")
         assert rec["timeouts"] >= 1
         assert rec["resubmissions"] >= 1
         assert host.ssds[0].dropped_cqes == 1
@@ -77,7 +77,7 @@ class TestDroppedCqe:
         assert outcome["completion"].ok
         assert int(dest[0]) == 0x2B
         assert host.ssds[0].duplicated_cqes == 2
-        assert host.trace.group("io")["stale_completions"] >= 1
+        assert host.trace.counter("io")["stale_completions"] >= 1
         assert host.issue.inflight() == 0
 
 
@@ -98,7 +98,7 @@ class TestFlashErrors:
 
         run_kernel(host, body, block=1)
         assert got["byte"] == 0x4D
-        cache = host.trace.group("cache")
+        cache = host.trace.counter("cache")
         assert cache["fill_errors"] == 1
         assert host.ssds[0].errors == 1
         assert host.ssds[0].flash.read_errors == 1
@@ -119,7 +119,7 @@ class TestFlashErrors:
 
         run_kernel(host, body, block=1)
         assert "failed" in raised["error"]
-        assert host.trace.group("cache")["fill_failures_observed"] >= 1
+        assert host.trace.counter("cache")["fill_failures_observed"] >= 1
         assert host.issue.inflight() == 0
 
     def test_share_table_entry_retired_on_failed_fill(self):
@@ -150,8 +150,8 @@ class TestFlashErrors:
         assert got["second_ok"] is True
         assert got["byte"] == 0x66
         assert got["reregistered"] is True
-        assert host.trace.group("ctrl")["async_read_failures"] == 1
-        assert host.trace.group("share")["share_fill_failures"] == 1
+        assert host.trace.counter("ctrl")["async_read_failures"] == 1
+        assert host.trace.counter("share")["share_fill_failures"] == 1
         assert host.share_table.entry((0, 4)) is None  # released -> retired
 
 
@@ -187,10 +187,10 @@ class TestCircuitBreaker:
         assert outcome["completion"].status is Status.ABORTED
         assert not outcome["completion"].ok
         assert "circuit breaker open" in outcome["dead"]
-        rec = host.trace.group("recovery")
+        rec = host.trace.counter("recovery")
         assert rec["breakers_opened"] == 1
         assert rec["commands_failed"] >= 1
-        io = host.trace.group("io")
+        io = host.trace.counter("io")
         assert io["failed_fast"] == 1
         health = host.device_health()[0]
         assert health["breaker_open"] is True

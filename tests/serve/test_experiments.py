@@ -1,22 +1,26 @@
 """Every registered experiment, at a mini spec, through the one runner.
 
-What each experiment used to assert per runner is asserted once here:
-bit-deterministic documents, a config hash that tracks every override,
-one store point per numeric leaf, schema-valid output, checks that flip
-(with the CLI exit code) when a metric is tampered with, and axes
-rejected before the first cell is simulated.
+What each experiment used to assert per runner (and each paper figure per
+``benchmarks/`` file) is asserted once here: bit-deterministic documents,
+a config hash that tracks every override, one store point per numeric
+leaf, schema-valid output, checks that all pass on honest metrics and all
+flip (with the CLI exit code) when the metrics are falsified, axes
+rejected before the first cell is simulated, and a ``replay:`` line that
+reproduces the document.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import replace
+import shlex
+from dataclasses import fields, is_dataclass
 
 import jsonschema
 import pytest
 
-from repro.serve import experiment
-from repro.serve.__main__ import EXPERIMENTS, main
+from repro.bench.__main__ import EXPERIMENTS, main
+from repro.serve.experiment import Experiment
 from repro.serve.registry import INFER
 from repro.store import ingest_document
 
@@ -51,29 +55,89 @@ MINI = {
         "vsearch.num_queries=8", "mix=inference_heavy", "placement=striped",
         "storm=none",
     ],
+    # The paper figures: the cheapest sizes at which every ported claim
+    # still holds on honest metrics (so TAMPER can show each one flip).
+    "fig4": ["ctc=0.25,0.9", "requests=4"],
+    "fig5": ["total_requests=1792"],
+    "fig6": ["total_requests=1024"],
+    "fig7": ["features=4"],
+    "fig8": ["batch=4,128", "features=4"],
+    "fig9": ["queue_pairs=1,4", "epochs=2", "features=4"],
+    "fig10": ["cache_lines=96,2048", "epochs=2", "features=4"],
+    "fig11": ["n_vertices=128", "degree=4"],
+    "fig12": ["kernel=service,spmv,bfs,vector_mean"],
+    "abl-coalescing": ["epochs=2", "features=4"],
+    "abl-policies": ["data_pages=256"],
+    "abl-dram-tier": ["data_pages=256"],
+    "abl-polling-warps": ["total_requests=512", "polling_warps=1,4"],
+    "storm": ["seed=2", "threads=8", "requests=3", "ssds=3"],
+    "pe-storm": ["seed=2", "threads=8", "requests=4"],
 }
 
-#: One report-level tamper per experiment that makes a claim; the value is
-#: (the check it must flip, the tamper).
+def _set(**forced):
+    """A tamper that overwrites the named metrics of every cell (``a__b``
+    reaches ``metrics["a"]["b"]``)."""
+
+    def tamper(axes, metrics):
+        for path, value in forced.items():
+            *nest, leaf = path.split("__")
+            target = metrics
+            for key in nest:
+                target = target[key]
+            target[leaf] = value
+        return metrics
+
+    return tamper
+
+
+def _total_ns(total):
+    """A tamper that replaces each cell's ``total_ns`` by ``total(axes)``."""
+    return lambda axes, metrics: {**metrics, "total_ns": float(total(axes))}
+
+
+def _slow_async(axes):
+    return 2.0 if axes["system"] == "agile_async" else 1.0
+
+
+#: One falsification per experiment that claims something, applied to every
+#: cell's metrics; it must flip every check the honest run passes.
 TAMPER = {
-    "placement-smoke": (
-        "striped_spreads_the_hotspot",
-        lambda report: replace(report, device_reads=(1, 1, 1, 1)),
+    "placement-smoke": _set(skew_ratio=1.0),
+    "write-path": _set(write_path__writebacks_lost=1),
+    "tenancy": _set(**{f"classes__{INFER}__p99_ns": 1e12}),
+    # An impossible peak, at the low end of the sweep.
+    "fig4": lambda axes, m: {**m, "speedup": 9.0 if axes["ctc"] < 0.5 else 1.0},
+    # Past the ceiling, and flat across array sizes.
+    "fig5": _set(bandwidth_gbps=9.0),
+    "fig6": _set(bandwidth_gbps=9.0),
+    # Sync level with BaM, async at half its speed — except on Config-3.
+    "fig7": _total_ns(
+        lambda axes: 1.0 if axes["config"] == "config3" else _slow_async(axes)
     ),
-    "write-path": (
-        "no_writeback_lost",
-        lambda report: replace(report, writebacks_lost=1),
+    "fig8": _total_ns(_slow_async),
+    "fig10": _total_ns(_slow_async),
+    # Async falls further behind sync as queue pairs are added.
+    "fig9": _total_ns(
+        lambda axes: _slow_async(axes) ** axes["queue_pairs"]
     ),
-    "tenancy": (
-        "headline:mix=inference_heavy,storm=none,placement=striped",
-        lambda report: replace(
-            report,
-            classes={
-                **report.classes,
-                INFER: replace(report.classes[INFER], p99_ns=1e12),
-            },
-        ),
+    "fig11": _total_ns(lambda axes: 1.0),
+    "fig12": lambda axes, m: {system: 40 for system in m},
+    "abl-coalescing": _total_ns(
+        lambda axes: 2.0 if axes["coalescing"] == "warp+cache" else 1.0
     ),
+    "abl-policies": lambda axes, m: {
+        **m, "hit_rate": 1.5 if axes["policy"] == "random" else 0.5
+    },
+    "abl-dram-tier": _total_ns(lambda axes: 1.0),
+    "abl-polling-warps": _total_ns(lambda axes: axes["polling_warps"]),
+    **{
+        name: _set(
+            terminal_ops=0, inflight=1, stuck_sq_slots=1, writebacks__taken=-1,
+            writebacks__lost=1, ftl_unbalanced=["ssd0: books"],
+            analysis__clean=False,
+        )
+        for name in ("storm", "pe-storm")
+    },
 }
 
 
@@ -127,41 +191,101 @@ class TestEveryExperiment:
             )
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def with_runners(monkeypatch, wrap):
+    """Route every cell through ``wrap(axes, runner) -> runner`` — the one
+    seam the runner exposes: ``Experiment.plans`` hands back ``(axes,
+    runner)`` pairs once every axis is validated."""
+    honest = Experiment.plans
+    monkeypatch.setattr(
+        Experiment,
+        "plans",
+        lambda self, spec, axes: [
+            (shown, wrap(shown, runner)) for shown, runner in honest(self, spec, axes)
+        ],
+    )
+
+
 class TestClaims:
     def test_tampered_metric_flips_the_check_and_the_exit_code(
-        self, name, monkeypatch, tmp_path
+        self, run, monkeypatch, tmp_path
     ):
-        exp = EXPERIMENTS[name]
-        if name not in TAMPER:
-            # Nothing claimed, nothing to flip — and no claim may go untested.
-            assert exp.checks(exp.spec, []) == []
+        name, _, text = run
+        honest = json.loads(text)["checks"]
+        assert all(check["ok"] for check in honest)
+        # Nothing claimed, nothing to flip — and no claim may go untested.
+        assert bool(honest) == (name in TAMPER)
+        if not honest:
             return
-        check_name, tamper = TAMPER[name]
-        honest = experiment.run_cell
-        monkeypatch.setattr(
-            experiment, "run_cell", lambda plan: tamper(honest(plan))
+        with_runners(
+            monkeypatch,
+            lambda axes, runner: lambda: TAMPER[name](
+                axes, copy.deepcopy(dict(runner()))
+            ),
         )
         out = tmp_path / "tampered.json"
         assert main([*cli_args(name), "--out", str(out)]) == 1
-        checks = {c["name"]: c["ok"] for c in json.loads(out.read_text())["checks"]}
-        assert checks[check_name] is False
+        tampered = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in tampered] == [c["name"] for c in honest]
+        assert not any(check["ok"] for check in tampered), tampered
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_bad_axes_are_rejected_before_the_first_cell(
         self, name, monkeypatch, capsys
     ):
-        def no_simulation(plan):
+        def no_simulation():
             raise AssertionError("a cell ran before validation finished")
 
-        monkeypatch.setattr(experiment, "run_cell", no_simulation)
+        with_runners(monkeypatch, lambda axes, runner: no_simulation)
         exp = EXPERIMENTS[name]
-        axis = next(iter(exp.choices))
-        for bad, named in (
+        axis = next(iter(exp.choices), next(iter(exp.axes)))
+        value = exp.axes[axis][0]
+        bad = [
             (f"{axis}=no-such-value", repr(axis)),
             (f"{axis}=", repr(axis)),
+            (f"{axis}={value},{value}", repr(axis)),
             ("no_such_knob=1", "'no_such_knob'"),
-            ("duration_ns=-1", "duration_ns"),
-        ):
-            assert main(["run", name, "--quick", "--set", bad]) == 2
+        ]
+        if is_dataclass(exp.spec):
+            names = [f.name for f in fields(exp.spec)]
+            field = "duration_ns" if "duration_ns" in names else names[0]
+            bad.append((f"{field}=-1", field))
+        for item, named in bad:
+            assert main(["run", name, "--quick", "--set", item]) == 2
             err = capsys.readouterr().err
             assert name in err and named in err, err
+
+
+def test_list_shows_every_experiment_with_its_axes(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert len(EXPERIMENTS) == 20
+    for exp in EXPERIMENTS.values():
+        assert f"{exp.name}: {exp.help}" in out
+        assert all(f"    {axis} = " in out for axis in exp.axes)
+
+
+def test_perf_canary_exits_nonzero_below_the_floor(capsys):
+    size = ["--requests", "64", "--threads", "16"]
+    assert main(["perf", *size]) == 0
+    assert main(["perf", *size, "--min-eps", "1e12"]) == 1
+    assert "below floor" in capsys.readouterr().err
+
+
+def test_replay_line_reproduces_the_document(tmp_path, capsys):
+    """The printed ``replay:`` line is the ``run`` arguments, so it rebuilds
+    the same machine — ``--ssds`` included, which the old storm CLI's line
+    dropped."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    args = [
+        "run", "storm", "--seed", "3",
+        "--set", "ssds=3", "--set", "threads=8", "--set", "requests=3",
+    ]
+    assert main([*args, "--out", str(first)]) == 0
+    (line,) = [
+        ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("replay: ")
+    ]
+    prefix = "replay: python -m repro.bench "
+    assert line.startswith(prefix)
+    assert main([*shlex.split(line[len(prefix):]), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert json.loads(first.read_text())["spec"]["ssds"] == 3

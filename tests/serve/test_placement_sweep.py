@@ -4,7 +4,7 @@ CLI's typed rejection of unknown axis values."""
 
 from __future__ import annotations
 
-from repro.serve.__main__ import main
+from repro.bench.__main__ import main
 from repro.serve.sweep import PLACEMENT_SMOKE, PLACEMENTS, SERVE_SWEEP, SweepSpec
 
 from tests.serve.helpers import serve_point

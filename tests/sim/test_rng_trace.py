@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import RngStreams, Simulator, Timeout
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import Counter, Gauge
 
 
@@ -92,19 +91,3 @@ class TestTimeWeightedStat:
         sim = Simulator()
         stat = Gauge(clock=lambda: sim.now, initial=7.0)
         assert stat.mean() == 7.0
-
-
-class TestTraceRecorder:
-    def test_groups_are_stable(self):
-        rec = TraceRecorder()
-        rec.group("cache").add("hit")
-        assert rec.group("cache") is rec.group("cache")
-        assert rec.snapshot() == {"cache": {"hit": 1}}
-
-    def test_reset_clears_all_groups(self):
-        rec = TraceRecorder()
-        rec.group("a").add("x")
-        rec.group("b").add("y", 3)
-        rec.reset()
-        assert rec.group("a")["x"] == 0
-        assert rec.group("b")["y"] == 0

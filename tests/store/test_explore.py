@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.__main__ import main as serve_main
+from repro.bench.__main__ import main as serve_main
 from repro.serve.experiment import ExperimentError
 from repro.serve.sweep import EXPLORE
 from repro.store import ResultStore, ingest_document

@@ -1,5 +1,7 @@
 """The ingest adapter: every document round-trips losslessly into the store."""
 
+import copy
+
 import pytest
 
 from repro.store import (
@@ -52,6 +54,15 @@ class TestSchemaDetection:
         del broken["cells"]
         with pytest.raises(UnknownSchemaError):
             ingest_document(broken)
+
+    def test_repeated_point_is_a_typed_error(self):
+        # A document from outside may repeat a cell (the runner itself
+        # rejects a repeated axis value): the store's UNIQUE(run, axes,
+        # metric) must surface as the typed error, not a sqlite traceback.
+        repeated = experiment_doc()
+        repeated["cells"].append(copy.deepcopy(repeated["cells"][0]))
+        with pytest.raises(UnknownSchemaError, match="two cells yield the point"):
+            ingest_document(repeated)
 
 
 class TestConfigFingerprint:

@@ -1,5 +1,5 @@
 """Chrome-trace export: document structure, multi-run capture merging,
-and the bench CLI ``--trace`` / ``export`` integration paths.
+and the bench CLI's ``run --trace`` integration path.
 
 The acceptance bar for the trace file is that Perfetto can load it and
 shows spans/counters from at least four modelled layers; these tests pin
@@ -11,6 +11,8 @@ as a silently-blank timeline.
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro import telemetry
 from repro.bench.__main__ import main as bench_main
@@ -109,8 +111,8 @@ class TestBenchIntegration:
     def test_cli_trace_flag_writes_perfetto_loadable_json(self, tmp_path, capsys):
         out = tmp_path / "chrome_trace.json"
         rc = bench_main(
-            ["--trace", str(out), "perf", "--requests", "64",
-             "--threads", "16"]
+            ["run", "fig5", "--set", "num_ssds=2", "--set", "total_requests=64",
+             "--set", "num_threads=16", "--trace", str(out)]
         )
         assert rc == 0
         assert "trace: wrote" in capsys.readouterr().out
@@ -122,8 +124,10 @@ class TestBenchIntegration:
         assert {"gpu", "nvme", "mem", "core"} <= cats
 
     def test_cli_trace_requires_a_path(self, capsys):
-        assert bench_main(["--trace"]) == 2
-        assert bench_main(["--trace", "--oops"]) == 2
+        for argv in (["run", "fig5", "--trace"], ["run", "fig5", "--trace", "--oops"]):
+            with pytest.raises(SystemExit) as exit_info:
+                bench_main(argv)
+            assert exit_info.value.code == 2
 
     def test_sweep_point_embeds_snapshot_when_forced(self):
         point = _run_point(telemetry=True)

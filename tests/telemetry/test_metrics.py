@@ -158,6 +158,14 @@ class TestRegistry:
             "cache": {"hits": 1},
         }
 
+    def test_reset_clears_every_counter_family(self):
+        reg = MetricRegistry()
+        reg.counter("a").add("x")
+        reg.counter("b").add("y", 3)
+        reg.reset()
+        assert reg.counter("a")["x"] == 0
+        assert reg.counter("b")["y"] == 0
+
     def test_collectors_run_only_at_snapshot_time(self):
         reg = MetricRegistry()
         calls = []
