@@ -115,10 +115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.with_lint:
         from repro.analysis.lint import lint_files
 
-        findings.extend(
-            Finding(v.path, v.line, v.col, v.code, v.message)
-            for v in lint_files(session.files(args.paths))
-        )
+        findings.extend(lint_files(session.files(args.paths)))
         findings = sort_findings(findings)
 
     baseline_path = Path(args.baseline)

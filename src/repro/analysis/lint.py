@@ -68,13 +68,19 @@ from __future__ import annotations
 
 import argparse
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.analysis.source import SourceFile, SourceSession, iter_python_files
+from repro.analysis.source import (
+    Finding,
+    SourceFile,
+    SourceSession,
+    dotted_name,
+    iter_python_files,
+    sort_findings,
+)
 
-__all__ = ["Violation", "iter_python_files", "lint_files", "lint_paths", "main"]
+__all__ = ["iter_python_files", "lint_files", "lint_paths", "main"]
 
 WALLCLOCK_CALLS = {
     "time.time",
@@ -142,18 +148,6 @@ TENANT_CLASS_CTOR = "RequestClass"
 TENANT_CLASS_FACTORY = "tenant_class"
 
 
-@dataclass(frozen=True)
-class Violation:
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-
 def _config_attr_names() -> Set[str]:
     """Every legal attribute name on the repro.config namespace: module
     members plus fields/properties/methods of each config dataclass."""
@@ -170,18 +164,6 @@ def _config_attr_names() -> Set[str]:
                 if not attr.startswith("_"):
                     names.add(attr)
     return names
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """Reconstruct a dotted name from a Name/Attribute chain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _is_generator(fn: ast.AST) -> bool:
@@ -215,7 +197,7 @@ class _FileLinter:
         self.display = display_path
         self.tree = tree
         self.config_attrs = config_attrs
-        self.violations: List[Violation] = []
+        self.violations: List[Finding] = []
         parts = path.as_posix().split("/")
         #: ``bench`` measures host wall time legitimately; ``rng.py`` is
         #: the seeded-stream factory itself.  Seeded calls like
@@ -245,13 +227,13 @@ class _FileLinter:
 
     def add(self, node: ast.AST, code: str, message: str) -> None:
         self.violations.append(
-            Violation(
+            Finding(
                 self.display, getattr(node, "lineno", 0),
                 getattr(node, "col_offset", 0), code, message,
             )
         )
 
-    def run(self) -> List[Violation]:
+    def run(self) -> List[Finding]:
         imports_random = any(
             isinstance(n, ast.Import)
             and any(a.name == "random" for a in n.names)
@@ -303,7 +285,7 @@ class _FileLinter:
                 f"through the FTL's program/invalidate/erase paths",
             )
         self._check_tenant_class(node)
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return
         if not self.wallclock_ok and dotted in WALLCLOCK_CALLS:
@@ -366,7 +348,7 @@ class _FileLinter:
     def _check_generator(self, fn: ast.AST) -> None:
         for node in _own_nodes(fn):
             if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
+                dotted = dotted_name(node.func)
                 if dotted is None:
                     continue
                 if dotted in BLOCKING_CALLS or dotted.startswith(
@@ -483,10 +465,10 @@ class _FileLinter:
             offender = name
         elif (
             isinstance(divisor, ast.Call)
-            and _dotted(divisor.func) == "len"
+            and dotted_name(divisor.func) == "len"
             and len(divisor.args) == 1
         ):
-            arg = _dotted(divisor.args[0])
+            arg = dotted_name(divisor.args[0])
             if arg is not None and arg.split(".")[-1] == "ssds":
                 offender = f"len({arg})"
         if offender is not None:
@@ -510,7 +492,7 @@ class _FileLinter:
         if isinstance(node, (ast.Dict, ast.DictComp)):
             return True
         if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             return dotted in DICT_CONSTRUCTORS
         return False
 
@@ -564,13 +546,13 @@ def _harvest_config_classes(trees: Iterable[ast.Module]) -> Set[str]:
 
 
 def lint_files(
-    files: Sequence[SourceFile], extra: Iterable[Violation] = ()
-) -> List[Violation]:
+    files: Sequence[SourceFile], extra: Iterable[Finding] = ()
+) -> List[Finding]:
     """Lint already-parsed files (the shared
     :class:`~repro.analysis.source.SourceSession` path: parse once, share
     the ASTs with the flow engine).  Output is sorted by
-    (path, line, col, code) so reports diff cleanly."""
-    violations: List[Violation] = list(extra)
+    (path, line, col, rule) so reports diff cleanly."""
+    violations: List[Finding] = list(extra)
     config_attrs = _config_attr_names() | _harvest_config_classes(
         f.tree for f in files
     )
@@ -578,23 +560,18 @@ def lint_files(
         violations.extend(
             _FileLinter(f.path, f.tree, config_attrs, f.display).run()
         )
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code, v.message))
-    return violations
+    return sort_findings(violations)
 
 
 def lint_paths(
     paths: Sequence[str], session: Optional[SourceSession] = None
-) -> List[Violation]:
+) -> List[Finding]:
     """Lint files/directories, parsing through ``session`` (a fresh cache
     when not given)."""
     session = session or SourceSession()
     before = len(session.errors)
     files = session.files(paths)
-    syntax = [
-        Violation(e.path, e.line, e.col, e.rule, e.message)
-        for e in session.errors[before:]
-    ]
-    return lint_files(files, extra=syntax)
+    return lint_files(files, extra=session.errors[before:])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

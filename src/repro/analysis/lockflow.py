@@ -46,6 +46,7 @@ from repro.analysis.cfg import (
     iter_functions,
 )
 from repro.analysis.dataflow import Env, ForwardSolver
+from repro.analysis.races import simple_cycles
 from repro.analysis.source import Finding, SourceFile, dotted_name
 
 ACQUIRE_METHODS = {"acquire", "acquire_spin"}
@@ -135,40 +136,9 @@ class StaticLockGraph:
         return {(e.held, e.acquired) for e in self.edges}
 
     def cycles(self) -> List[List[str]]:
-        """Canonicalized simple cycles (smallest node first, deduplicated,
-        sorted) — same contract as the dynamic analyzer's."""
-        graph: Dict[str, Set[str]] = {}
-        for held, acquired in self.edge_pairs():
-            graph.setdefault(held, set()).add(acquired)
-        out: List[List[str]] = []
-        seen: Set[Tuple[str, ...]] = set()
-        visiting: List[str] = []
-        state: Dict[str, int] = {}
-
-        def canon(nodes: List[str]) -> List[str]:
-            pivot = nodes.index(min(nodes))
-            return nodes[pivot:] + nodes[:pivot]
-
-        def dfs(node: str) -> None:
-            state[node] = 1
-            visiting.append(node)
-            for nxt in sorted(graph.get(node, ())):
-                if state.get(nxt, 0) == 1:
-                    nodes = canon(visiting[visiting.index(nxt):])
-                    key = tuple(nodes)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(nodes + [nodes[0]])
-                elif state.get(nxt, 0) == 0:
-                    dfs(nxt)
-            visiting.pop()
-            state[node] = 2
-
-        for node in sorted(graph):
-            if state.get(node, 0) == 0:
-                dfs(node)
-        out.sort()
-        return out
+        """Canonicalized simple cycles — same contract as the dynamic
+        analyzer's."""
+        return simple_cycles(self.edge_pairs())
 
     def to_dict(self) -> Dict[str, object]:
         return {

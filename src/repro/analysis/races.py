@@ -27,6 +27,48 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.sim.trace import EventLog, TraceEvent
 
 
+def simple_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
+    """Simple cycles of the directed graph with these ``(held, acquired)``
+    edges — shared by the dynamic analyzer here and the static
+    :class:`repro.analysis.lockflow.StaticLockGraph`.
+
+    Output is canonical — each cycle rotated so its smallest node comes
+    first, deduplicated, and the list sorted — so reports and committed
+    baselines diff cleanly between runs regardless of edge insertion
+    order.
+    """
+    graph: Dict[str, Set[str]] = {}
+    for a, b in edges:
+        graph.setdefault(a, set()).add(b)
+    out: List[List[str]] = []
+    seen: Set[Tuple[str, ...]] = set()
+    visiting: List[str] = []
+    state: Dict[str, int] = {}  # 0 unvisited / 1 on stack / 2 done
+
+    def dfs(node: str) -> None:
+        state[node] = 1
+        visiting.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt, 0) == 1:
+                nodes = visiting[visiting.index(nxt):]
+                pivot = nodes.index(min(nodes))
+                nodes = nodes[pivot:] + nodes[:pivot]
+                key = tuple(nodes)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(nodes + [nodes[0]])
+            elif state.get(nxt, 0) == 0:
+                dfs(nxt)
+        visiting.pop()
+        state[node] = 2
+
+    for node in sorted(graph):
+        if state.get(node, 0) == 0:
+            dfs(node)
+    out.sort()
+    return out
+
+
 @dataclass(frozen=True)
 class LockOrderInversion:
     """Two locks acquired in opposite orders by different chains."""
@@ -123,43 +165,8 @@ class LockOrderAnalyzer:
 
     def cycles(self) -> List[List[str]]:
         """Simple cycles in the acquisition-order graph (covers chains of
-        length > 2 that pairwise inspection misses: A->B->C->A).
-
-        Output is canonical — each cycle rotated so its smallest node
-        comes first, deduplicated, and the list sorted — so reports and
-        committed baselines diff cleanly between runs regardless of event
-        insertion order.
-        """
-        graph: Dict[str, Set[str]] = {}
-        for a, b in self._edges:
-            graph.setdefault(a, set()).add(b)
-        out: List[List[str]] = []
-        seen: Set[Tuple[str, ...]] = set()
-        visiting: List[str] = []
-        state: Dict[str, int] = {}  # 0 unvisited / 1 on stack / 2 done
-
-        def dfs(node: str) -> None:
-            state[node] = 1
-            visiting.append(node)
-            for nxt in sorted(graph.get(node, ())):
-                if state.get(nxt, 0) == 1:
-                    nodes = visiting[visiting.index(nxt):]
-                    pivot = nodes.index(min(nodes))
-                    nodes = nodes[pivot:] + nodes[:pivot]
-                    key = tuple(nodes)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(nodes + [nodes[0]])
-                elif state.get(nxt, 0) == 0:
-                    dfs(nxt)
-            visiting.pop()
-            state[node] = 2
-
-        for node in sorted(graph):
-            if state.get(node, 0) == 0:
-                dfs(node)
-        out.sort()
-        return out
+        length > 2 that pairwise inspection misses: A->B->C->A)."""
+        return simple_cycles(self._edges)
 
 
 class DataRaceAnalyzer:

@@ -74,20 +74,6 @@ class SourceFile:
     text: str
     tree: ast.Module
 
-    @property
-    def module_name(self) -> str:
-        """Dotted module name when the file lives under ``src/``
-        (``repro.sim.engine``), else the stem."""
-        parts = self.path.resolve().parts
-        for i in range(len(parts) - 1):
-            if parts[i] == "src" and parts[i + 1] == "repro":
-                mod = list(parts[i + 1:])
-                mod[-1] = Path(mod[-1]).stem
-                if mod[-1] == "__init__":
-                    mod.pop()
-                return ".".join(mod)
-        return self.path.stem
-
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
     """Expand files/directories into a sorted stream of ``*.py`` paths."""

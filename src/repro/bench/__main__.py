@@ -7,10 +7,10 @@ fails (2 on a bad ``--set``).  ``--set key=v1,v2`` reaches any axis (comma
 list) or spec field (one value; ``a.b`` for a nested spec) by name;
 ``--quick`` is the CI-sized variant and ``--seed N`` is short for ``--set
 seed=N``.  ``--out`` writes the ``agile-experiment/1`` document, which
-``python -m repro.store ingest/gate`` reads.  ``--trace FILE`` records
-telemetry (spans, counters, occupancy series) on every host built during
-the run and writes the merged Chrome-trace document — load it at
-https://ui.perfetto.dev or chrome://tracing.
+``python -m repro.store gate`` compares with its committed golden.
+``--trace FILE`` records telemetry (spans, counters, occupancy series) on
+every host built during the run and writes the merged Chrome-trace
+document — load it at https://ui.perfetto.dev or chrome://tracing.
 
 ``perf`` is the one wall-clock canary: a timed Fig. 5 read point reported
 as simulator events per second (``--min-eps`` makes it a floor).

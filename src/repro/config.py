@@ -35,13 +35,14 @@ def gbps_to_bytes_per_ns(gb_per_s: float) -> float:
 
 # -- canonical hashing --------------------------------------------------------
 #
-# The experiment store (`repro.store`) keys every run by a configuration
-# fingerprint so results are comparable across commits.  The fingerprint
-# must be *canonical*: independent of dict insertion order, of tuple vs
-# list spelling, and of which dataclass layer produced the values.  Both
-# `SystemConfig.config_hash()` and the artifact ingest adapters hash
-# through the same two functions below, so "same machine, same knobs"
-# always lands on the same hex digest.
+# Every experiment document carries a configuration fingerprint so results
+# are comparable across commits (`repro.store` refuses to compare a fresh
+# document with a golden whose fingerprint differs).  The fingerprint must
+# be *canonical*: independent of dict insertion order, of tuple vs list
+# spelling, and of which dataclass layer produced the values.  Both
+# `SystemConfig.config_hash()` and `Experiment.config_hash()` hash through
+# the two functions below, so "same machine, same knobs" always lands on
+# the same hex digest.
 
 
 def canonical_payload(obj: object) -> object:
@@ -274,8 +275,6 @@ class ServiceConfig:
     poll_iteration_cycles: float = 24.0
     #: Idle back-off between polling sweeps when nothing is pending (ns).
     idle_poll_ns: float = 200.0
-    #: Per-thread registers consumed by the service kernel (paper: 37).
-    service_registers: int = 37
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,6 @@ class ApiCostConfig:
     cache_lookup_cycles: float = 40.0
     cache_insert_cycles: float = 60.0
     issue_setup_cycles: float = 50.0
-    barrier_wait_poll_cycles: float = 8.0
     warp_coalesce_cycles: float = 12.0
     share_table_cycles: float = 30.0
 
@@ -592,22 +590,3 @@ def default_config(**overrides: object) -> SystemConfig:
     cfg = SystemConfig(**overrides)  # type: ignore[arg-type]
     cfg.validate()
     return cfg
-
-
-def describe(cfg: SystemConfig) -> Mapping[str, str]:
-    """Human-readable summary used by the benchmark harness headers."""
-    gpu = cfg.gpu
-    return {
-        "gpu": f"{gpu.num_sms} SMs @ {gpu.clock_ghz} GHz, "
-        f"{gpu.hbm_bandwidth_gbps} GB/s HBM",
-        "ssds": ", ".join(
-            f"{s.name} ({s.peak_read_bw * NS_PER_S / 1e9:.2f} GB/s rd, "
-            f"{s.peak_write_bw * NS_PER_S / 1e9:.2f} GB/s wr)"
-            for s in cfg.ssds
-        ),
-        "queues": f"{cfg.queue_pairs} QPs x depth {cfg.queue_depth} per SSD",
-        "cache": f"{cfg.cache.num_lines} x {cfg.cache.line_size} B "
-        f"({cfg.cache.policy})",
-        "placement": f"{cfg.placement.policy} over {len(cfg.ssds)} SSD(s), "
-        f"stripe {cfg.placement.stripe_pages} page(s)",
-    }

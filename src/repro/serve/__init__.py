@@ -22,7 +22,6 @@ from repro.serve.arrival import (
     Mmpp,
     Poisson,
     TraceReplay,
-    trace_from_access_stream,
 )
 from repro.serve.backends import (
     AgileServeBackend,
@@ -78,5 +77,4 @@ __all__ = [
     "WeightedFairAdmission",
     "run_cell",
     "tenant_class",
-    "trace_from_access_stream",
 ]

@@ -15,19 +15,17 @@ Three processes cover the workloads the serving literature cares about:
   calm/burst phases produce the bursty traffic that exposes admission
   and batching policy (open-loop bursts cannot be flow-controlled away);
 - :class:`TraceReplay` — replays a recorded gap sequence, optionally
-  scaled; :func:`trace_from_access_stream` builds one (gaps + page
-  targets) from a ``repro.workloads`` access stream so real workload
-  locality flows into the serving layer.
+  scaled, in lock-step with the page targets recorded beside it so real
+  workload locality flows into the serving layer.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import NS_PER_S
-from repro.workloads.access import StripedRegion
 
 
 class ArrivalProcess:
@@ -226,40 +224,3 @@ class TraceReplay(ArrivalProcess):
         while True:
             for group in self.logical:
                 yield group
-
-
-def trace_from_access_stream(
-    region: StripedRegion,
-    element_indices: Sequence[int],
-    rate_rps: float,
-    elements_per_request: int = 1,
-) -> TraceReplay:
-    """Build a replayable trace from a ``repro.workloads`` access stream.
-
-    ``element_indices`` is any recorded element-access sequence (DLRM
-    embedding lookups, BFS frontier expansions, ...); consecutive runs of
-    ``elements_per_request`` indices become one request whose pages are
-    the distinct (ssd, lba) coordinates those elements map to under
-    ``region``'s striping.  Arrivals are evenly spaced at ``rate_rps`` —
-    the trace preserves *where* the workload reads, the rate knob sets how
-    hard it is offered.
-    """
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be > 0")
-    if elements_per_request < 1:
-        raise ValueError("elements_per_request must be >= 1")
-    gap = NS_PER_S / rate_rps
-    gaps: List[float] = []
-    pages: List[Tuple[Tuple[int, int], ...]] = []
-    for start in range(0, len(element_indices), elements_per_request):
-        group = element_indices[start : start + elements_per_request]
-        coords: List[Tuple[int, int]] = []
-        for elem in group:
-            ssd, lba, _off = region.locate(int(elem))
-            if (ssd, lba) not in coords:
-                coords.append((ssd, lba))
-        gaps.append(gap)
-        pages.append(tuple(coords))
-    if not gaps:
-        raise ValueError("access stream is empty")
-    return TraceReplay(gaps, pages=pages)

@@ -28,7 +28,7 @@ from repro.sim.resources import (
     FifoServer,
     Semaphore,
 )
-from repro.sim.sync import Barrier, Gate, SimLock
+from repro.sim.sync import Gate, SimLock
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "FairShareServer",
     "SimLock",
     "Gate",
-    "Barrier",
     "RngStreams",
 ]

@@ -1,4 +1,4 @@
-"""Synchronization primitives layered on the engine: mutex, gate, barrier."""
+"""Synchronization primitives layered on the engine: mutex and gate."""
 
 from __future__ import annotations
 
@@ -102,39 +102,3 @@ class Gate:
         ev = Event(self.sim, name=self._ev_name)
         self._waiters.append(ev)
         yield ev
-
-
-class Barrier:
-    """Classic n-party barrier: the n-th arrival releases everyone.
-
-    Reusable across generations, mirroring ``__syncwarp``/``__syncthreads``
-    semantics for the simulated warp lockstep points.
-    """
-
-    __slots__ = ("sim", "name", "parties", "_count", "_generation", "_event")
-
-    def __init__(self, sim: Simulator, parties: int, name: str = "barrier"):
-        if parties < 1:
-            raise ValueError("barrier needs at least one party")
-        self.sim = sim
-        self.name = name
-        self.parties = parties
-        self._count = 0
-        self._generation = 0
-        self._event = sim.event(name=f"{name}.gen0")
-
-    def wait(self) -> Generator[Any, Any, int]:
-        """Block until all parties arrive; returns the generation index."""
-        gen = self._generation
-        self._count += 1
-        if self._count == self.parties:
-            self._count = 0
-            self._generation += 1
-            ev, self._event = self._event, self.sim.event(
-                name=f"{self.name}.gen{self._generation}"
-            )
-            ev.trigger(gen)
-            return gen
-        ev = self._event
-        yield ev
-        return gen

@@ -1,56 +1,25 @@
-"""repro.store — the SQLite experiment store and regression gate.
+"""repro.store — the experiment document and its regression gate.
 
-Every bench / serve / chaos artifact the repo emits is a one-shot JSON
-document; this package turns the pile into a queryable perf trajectory.
-Runs are keyed by a canonical config hash (:func:`repro.config.stable_hash`)
-so "the same experiment on a different commit" is a database join, and
-``python -m repro.store`` grows the store (``ingest``), inspects it
-(``ls``, ``show``), and gates on it (``diff``, ``gate``).
+Every experiment the repo runs emits one bit-deterministic
+``agile-experiment/1`` document (:mod:`repro.store.meta`); CI's copy of
+each is committed as a text golden under ``baselines/``.
+:func:`~repro.store.diff.compare` names every point on which two
+documents differ, and ``python -m repro.store gate`` fails a run whose
+document does not reproduce its golden — so a behaviour change is a
+reviewable diff of ``baselines/*.json`` in the PR that caused it.
 
-See DESIGN.md §10 for the schema and EXPERIMENTS.md for the tolerance
-conventions.
+See DESIGN.md §10 and ``baselines/README.md``.
 """
 
-from repro.store.db import (
-    AmbiguousRunError,
-    Point,
-    ResultStore,
-    RunRecord,
-    axes_key,
-)
-from repro.store.diff import (
-    Delta,
-    DiffResult,
-    best_baseline,
-    diff_metrics,
-    diff_runs,
-    metric_direction,
-    run_score,
-)
-from repro.store.ingest import (
-    UnknownSchemaError,
-    detect_schema,
-    ingest_document,
-)
+from repro.store.diff import UnknownSchemaError, axes_key, compare, points
 from repro.store.meta import EXPERIMENT_SCHEMA, experiment_document, git_sha
 
 __all__ = [
-    "AmbiguousRunError",
-    "Delta",
-    "DiffResult",
     "EXPERIMENT_SCHEMA",
-    "Point",
-    "ResultStore",
-    "RunRecord",
     "UnknownSchemaError",
     "axes_key",
-    "best_baseline",
-    "detect_schema",
-    "diff_metrics",
-    "diff_runs",
+    "compare",
     "experiment_document",
     "git_sha",
-    "ingest_document",
-    "metric_direction",
-    "run_score",
+    "points",
 ]

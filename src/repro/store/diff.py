@@ -1,219 +1,139 @@
-"""Run comparison: per-metric relative deltas and the regression gate.
+"""Document comparison: one ``agile-experiment/1`` document against another.
 
-Two runs join on ``(axes, metric)``.  Each joined metric gets a relative
-delta and a *direction* — whether bigger is better (goodput, bandwidth,
-knee), worse (latency quantiles, skew, sheds, device errors), or neither
-(counters and wall-clock measurements that describe the run without
-judging it).  A **regression** is a directional metric moving the wrong
-way by more than the tolerance; ``diff`` and ``gate`` exit non-zero when
-any survive.
+Every experiment document is a pure function of its spec and axes (no
+wall-clock metric is in any of them), so between a committed golden and a
+fresh run of the same experiment *any* delta is a behaviour change.  The
+comparison is therefore two-sided and has no notion of a metric's
+direction: an improvement that is not committed as the new golden is a
+bar that did not move, and a metric added tomorrow gates the day it
+appears in a document.
 
-Wall-clock-derived metrics (``events_per_sec``, ``wall_s``) are
-deliberately *informational*: they vary with the host machine, and the
-CI ``perf-smoke`` floor already gates scheduler throughput on controlled
-terms.  Simulated metrics are seed-deterministic, so between two runs of
-the same config any delta at all is a real behaviour change — the
-tolerance exists for cross-config and cross-version comparisons.  That
-includes ``sim_events``, the simulator's own cost in machine-independent
-units: an event-count blow-up on any cell is a regression.
-
-``fifo_*`` scalars are a *control arm's* numbers (the tenancy headline):
-a worse FIFO strengthens the claim and a better one weakens it, and the
-claim itself is gated through ``headline_ok``, so they never gate.
+:func:`points` flattens a document into ``{(axes, metric): leaf}`` —
+every leaf of every cell's ``metrics`` plus each check's verdict — and
+rejects anything that is not a well-formed ``agile-experiment/1``
+document with the typed :class:`UnknownSchemaError`; nothing is inferred
+from a document's shape.  :func:`compare` joins two point maps and names
+every point that differs.  ``git_sha`` is the only field ignored: the
+header's ``experiment``, ``spec`` and ``axes`` are what ``config_hash``
+fingerprints.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import json
+import numbers
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.store.db import ResultStore, RunRecord
+from repro.store.meta import EXPERIMENT_SCHEMA
 
-#: Substring rules, first match wins.  Checked against the *leaf* metric
-#: name (the part after the last dot), so ``classes.point.p99_ns`` and
-#: ``p99_ns`` classify identically.
-_LOWER_IS_BETTER = (
-    "p50_ns", "p95_ns", "p99_ns", "mean_latency_ns", "latency_ns",
-    "skew_ratio", "shed", "aborted", "queue_timeout", "slo_miss",
-    "device_errors", "waf", "gc_busy_ns", "gc_stall_ns",
-    "writebacks_lost", "bad_blocks", "read_p99_inflation", "sim_events",
-)
-_HIGHER_IS_BETTER = (
-    "goodput_rps", "bandwidth_gbps", "knee_rps", "slo_ok",
-    "slo_attainment", "completed", "headline_ok",
-)
-_INFORMATIONAL = (
-    "events_per_sec", "wall_s", "batches", "offered",
-    "admitted", "duration_ns", "target_rps", "offered_rps", "num_ssds",
-    "device_pages", "device_reads", "mean_batch_size", "seed",
-    "generated_unix", "gc_runs", "erases", "invalidations", "gc_reads",
-    "seeded_pages", "free_blocks", "live_pages", "host_programs",
-    "gc_programs", "writebacks_acked", "host_gc_stalls",
-)
+#: ``(canonical-JSON axes, dotted metric)``, or ``("checks", name)`` for a
+#: check's verdict (no cell collides: axes keys are JSON objects).
+PointKey = Tuple[str, str]
 
 
-def metric_direction(metric: str) -> int:
-    """+1 when higher is better, -1 when lower is, 0 when informational."""
-    leaf = metric.rsplit(".", 1)[-1]
-    if leaf.startswith("fifo_"):
-        return 0
-    for token in _INFORMATIONAL:
-        if token in leaf:
-            return 0
-    for token in _LOWER_IS_BETTER:
-        if token in leaf:
-            return -1
-    for token in _HIGHER_IS_BETTER:
-        if token in leaf:
-            return +1
-    return 0
+class UnknownSchemaError(ValueError):
+    """The document is not a well-formed ``agile-experiment/1`` document."""
 
 
-@dataclass(frozen=True)
-class Delta:
-    """One metric's movement between run A (old) and run B (new)."""
-
-    axes: str
-    metric: str
-    a: float
-    b: float
-    direction: int
-
-    @property
-    def rel(self) -> float:
-        """Relative delta (B - A) / |A|; ±inf for a move off zero."""
-        if self.a == self.b:
-            return 0.0
-        if self.a == 0.0:
-            return math.copysign(math.inf, self.b)
-        return (self.b - self.a) / abs(self.a)
-
-    def regressed(self, tolerance: float) -> bool:
-        if self.direction == 0:
-            return False
-        signed = self.rel * self.direction
-        return signed < -tolerance
-
-    def improved(self, tolerance: float) -> bool:
-        if self.direction == 0:
-            return False
-        return self.rel * self.direction > tolerance
-
-    def describe(self) -> str:
-        arrow = {+1: "higher=better", -1: "lower=better", 0: "info"}
-        rel = self.rel
-        pct = f"{rel:+.1%}" if math.isfinite(rel) else f"{rel:+}"
-        return (
-            f"{self.metric} @ {self.axes}: "
-            f"{self.a:g} -> {self.b:g} ({pct}, {arrow[self.direction]})"
-        )
+def axes_key(axes: Mapping[str, object]) -> str:
+    """Canonical JSON text for an axes dict."""
+    return json.dumps(axes, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class DiffResult:
-    """The joined comparison of two runs."""
-
-    run_a: str
-    run_b: str
-    tolerance: float
-    deltas: List[Delta]
-    only_a: List[Tuple[str, str]]
-    only_b: List[Tuple[str, str]]
-
-    @property
-    def regressions(self) -> List[Delta]:
-        return [d for d in self.deltas if d.regressed(self.tolerance)]
-
-    @property
-    def improvements(self) -> List[Delta]:
-        return [d for d in self.deltas if d.improved(self.tolerance)]
-
-    @property
-    def changed(self) -> List[Delta]:
-        return [d for d in self.deltas if d.rel != 0.0]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
+def _leaves(prefix: str, node: Any) -> Iterator[Tuple[str, Any]]:
+    """Every leaf under ``node`` as ``(dotted name, value)``: nested
+    objects gain a dotted prefix (``classes.point.p99_ns``), arrays index
+    element-wise (``device_reads.2``)."""
+    if isinstance(node, Mapping):
+        for key, value in node.items():
+            yield from _leaves(f"{prefix}.{key}" if prefix else str(key), value)
+    elif isinstance(node, Sequence) and not isinstance(node, str):
+        for i, item in enumerate(node):
+            yield from _leaves(f"{prefix}.{i}", item)
+    else:
+        yield prefix, node
 
 
-def diff_metrics(
-    run_a: str,
-    run_b: str,
-    metrics_a: Dict[Tuple[str, str], float],
-    metrics_b: Dict[Tuple[str, str], float],
-    tolerance: float,
-) -> DiffResult:
-    """Join two metric maps on ``(axes, metric)`` and classify deltas."""
-    shared = sorted(set(metrics_a) & set(metrics_b))
-    deltas = [
-        Delta(
-            axes=axes,
-            metric=metric,
-            a=metrics_a[(axes, metric)],
-            b=metrics_b[(axes, metric)],
-            direction=metric_direction(metric),
-        )
-        for axes, metric in shared
-    ]
-    return DiffResult(
-        run_a=run_a,
-        run_b=run_b,
-        tolerance=tolerance,
-        deltas=deltas,
-        only_a=sorted(set(metrics_a) - set(metrics_b)),
-        only_b=sorted(set(metrics_b) - set(metrics_a)),
-    )
+def _describe(point: PointKey) -> str:
+    return f"{point[1]} @ {point[0]}"
 
 
-def diff_runs(
-    store: ResultStore, run_a: str, run_b: str, tolerance: float = 0.05
-) -> DiffResult:
-    """Compare two stored runs (A = baseline/old, B = candidate/new)."""
-    id_a = store.resolve(run_a)
-    id_b = store.resolve(run_b)
-    return diff_metrics(
-        id_a, id_b, store.metrics(id_a), store.metrics(id_b), tolerance
-    )
+def _rows(doc: Mapping[str, Any], name: str) -> Sequence[Any]:
+    rows = doc.get(name)
+    if not isinstance(rows, Sequence) or isinstance(rows, str):
+        raise UnknownSchemaError(f"document has no {name!r} list")
+    return rows
 
 
-# -- baseline selection -------------------------------------------------------
+def points(doc: Mapping[str, Any]) -> Dict[PointKey, Any]:
+    """The document's comparable content, one entry per leaf.
 
-
-def run_score(metrics: Dict[Tuple[str, str], float]) -> float:
-    """A run's one-number quality for "best baseline" selection.
-
-    Total strict goodput when the run has any; else total read bandwidth
-    (bench tables); else negative total p99 (lower tails score higher).
-    Deterministic and schema-agnostic — good enough to pick which stored
-    run a fresh one must beat.
+    Raises :class:`UnknownSchemaError` for a missing or unknown ``schema``
+    tag, a missing ``config_hash``, a cell that is not ``{axes, metrics}``,
+    a check without a name and verdict, and the same point twice.
     """
-    goodput = [
-        v for (_, m), v in metrics.items()
-        if m.rsplit(".", 1)[-1] == "goodput_rps"
-    ]
-    if goodput:
-        return sum(goodput)
-    bandwidth = [
-        v for (_, m), v in metrics.items()
-        if m.rsplit(".", 1)[-1] == "bandwidth_gbps"
-    ]
-    if bandwidth:
-        return sum(bandwidth)
-    return -sum(
-        v for (_, m), v in metrics.items() if m.rsplit(".", 1)[-1] == "p99_ns"
-    )
+    if doc.get("schema") != EXPERIMENT_SCHEMA:
+        raise UnknownSchemaError(
+            f"schema is {doc.get('schema')!r}, not {EXPERIMENT_SCHEMA!r}"
+        )
+    if not isinstance(doc.get("config_hash"), str) or not doc["config_hash"]:
+        raise UnknownSchemaError("document has no 'config_hash'")
+    found: List[Tuple[PointKey, Any]] = []
+    for i, cell in enumerate(_rows(doc, "cells")):
+        axes = cell.get("axes") if isinstance(cell, Mapping) else None
+        metrics = cell.get("metrics") if isinstance(cell, Mapping) else None
+        if not isinstance(axes, Mapping) or not isinstance(metrics, Mapping):
+            raise UnknownSchemaError(f"cells[{i}] is not {{axes, metrics}}")
+        key = axes_key(axes)
+        found.extend(((key, metric), leaf) for metric, leaf in _leaves("", metrics))
+    for i, check in enumerate(_rows(doc, "checks")):
+        if not isinstance(check, Mapping) or not {"name", "ok"} <= set(check):
+            raise UnknownSchemaError(f"checks[{i}] is not {{name, ok, detail}}")
+        found.append((("checks", str(check["name"])), check["ok"]))
+    out: Dict[PointKey, Any] = {}
+    for point, leaf in found:
+        if point in out:
+            raise UnknownSchemaError(
+                f"the point {_describe(point)} appears twice "
+                f"(a repeated axis value?)"
+            )
+        out[point] = leaf
+    return out
 
 
-def best_baseline(
-    store: ResultStore, schema: str, config_hash: str
-) -> Optional[RunRecord]:
-    """The highest-scoring stored run with this schema and config."""
-    candidates = store.runs(schema=schema, config_hash=config_hash)
-    if not candidates:
-        return None
-    return max(
-        candidates, key=lambda rec: (run_score(store.metrics(rec.run_id)),
-                                     rec.created_at, rec.run_id)
-    )
+def _numeric(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def compare(
+    golden: Mapping[str, Any], fresh: Mapping[str, Any], tolerance: float = 0.0
+) -> List[str]:
+    """Every difference between two documents, one line each; empty when
+    ``fresh`` reproduces ``golden``.
+
+    Numeric leaves differ when they move by more than ``tolerance``
+    relative to the golden value, in either direction (a move off zero
+    always differs); every other leaf and every check verdict differs
+    when it is not equal.
+    """
+    a, b = points(golden), points(fresh)
+    out: List[str] = []
+    if golden["config_hash"] != fresh["config_hash"]:
+        out.append(
+            f"config_hash: {golden['config_hash']} -> {fresh['config_hash']} "
+            f"(spec or axes changed: regenerate the golden in this PR)"
+        )
+    out.extend(f"only in golden: {_describe(p)}" for p in sorted(a.keys() - b.keys()))
+    out.extend(f"only in fresh: {_describe(p)}" for p in sorted(b.keys() - a.keys()))
+    for point in sorted(a.keys() & b.keys()):
+        old, new = a[point], b[point]
+        if old == new:
+            continue
+        rel = ""
+        if _numeric(old) and _numeric(new):
+            if abs(new - old) <= tolerance * abs(old):
+                continue
+            if old:
+                rel = f" ({(new - old) / abs(old):+.1%})"
+        out.append(f"{_describe(point)}: {old!r} -> {new!r}{rel}")
+    return out

@@ -2,8 +2,8 @@
 
 Every JSON artifact the repo emits — each ``python -m repro.bench run``
 experiment — is assembled by
-:func:`experiment_document`, so the fields the experiment store keys on
-are always present and always spelled the same way:
+:func:`experiment_document`, so the fields the golden gate reads are
+always present and always spelled the same way:
 
 - ``schema``   — :data:`EXPERIMENT_SCHEMA` (the machine-readable contract
   is ``schemas/agile-experiment-1.schema.json``);
@@ -11,7 +11,7 @@ are always present and always spelled the same way:
 - ``git_sha``  — the commit that produced the run (CI's ``GITHUB_SHA``
   when set, else ``git rev-parse HEAD``, else ``""`` outside a repo);
 - ``config_hash`` — the :func:`~repro.config.stable_hash` fingerprint of
-  the knobs that make two runs comparable (baseline lookup key);
+  the knobs that make two runs comparable;
 - ``cells`` — ``[{axes, metrics}]``, one row per measured or derived
   coordinate; ``checks`` — ``[{name, ok, detail}]``, the run's claims.
 """
@@ -30,7 +30,7 @@ def git_sha() -> str:
 
     Prefers CI's ``GITHUB_SHA`` (checkouts may be detached or shallow),
     falls back to asking git, and degrades to empty rather than raising —
-    an artifact without provenance is still worth storing.
+    an artifact without provenance is still worth comparing.
     """
     sha = os.environ.get("GITHUB_SHA", "")
     if sha:
@@ -56,8 +56,8 @@ def experiment_document(
     **header: object,
 ) -> Dict[str, object]:
     """Assemble one ``agile-experiment/1`` document.  ``header`` carries
-    whatever else describes the run (spec, axes, wall-clock provenance);
-    the store keeps it verbatim in ``run.raw``."""
+    whatever else describes the run (spec, axes); ``config_hash`` is its
+    fingerprint."""
     return {
         "schema": EXPERIMENT_SCHEMA,
         "experiment": experiment,

@@ -15,11 +15,9 @@ surrogate (|node_id - target_id| on a ring) — the *geometry* of real
 vectors is irrelevant to I/O; what matters is that walks are directed,
 converge, and revisit the entry region, which the surrogate preserves.
 
-Two exports: :func:`vsearch_trace` packages the walks as a physical
-serve trace via the shared :func:`~repro.serve.arrival.
-trace_from_access_stream` helper (one node = one 1024-float page), and
-:func:`vsearch_logical_trace` as a logical trace for placement-policy
-experiments (the tenancy matrix uses this one).
+:func:`vsearch_logical_trace` packages the walks as a logical serve
+trace (one node = one page) that replays under any placement policy; the
+tenancy matrix runs it.
 """
 
 from __future__ import annotations
@@ -30,13 +28,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.config import NS_PER_S
-from repro.serve.arrival import TraceReplay, trace_from_access_stream
-from repro.workloads.access import StripedRegion
-
-#: float32 elements per 4 KiB page — one node's vector exactly fills a
-#: page, so element index ``node * VECTOR_DIM`` lands node *n* on page *n*.
-VECTOR_DIM = 1024
-
+from repro.serve.arrival import TraceReplay
 
 @dataclass(frozen=True)
 class VsearchSpec:
@@ -107,31 +99,6 @@ def vsearch_walks(spec: VsearchSpec) -> List[Tuple[int, ...]]:
             beam = candidates[: spec.beam_width]
             visited.update(beam)
     return walks
-
-
-def vsearch_trace(
-    spec: VsearchSpec,
-    region: StripedRegion,
-    rate_rps: float,
-) -> TraceReplay:
-    """The walks as a physical serve trace over ``region`` (a float32
-    region of at least ``num_nodes * VECTOR_DIM`` elements), built through
-    the shared access-stream helper: each hop's beam becomes one request
-    whose pages are the beam nodes' vector pages."""
-    if np.dtype(region.dtype).itemsize != 4:
-        raise ValueError("vsearch regions are float32 (4-byte) typed")
-    walks = vsearch_walks(spec)
-    elements: List[int] = []
-    per_request = max(len(w) for w in walks)
-    for beam in walks:
-        # Pad short beams by repeating the first node: the helper dedups
-        # coordinates, so padding adds no pages — it only keeps the
-        # fixed-size grouping aligned one request per hop.
-        padded = list(beam) + [beam[0]] * (per_request - len(beam))
-        elements.extend(node * VECTOR_DIM for node in padded)
-    return trace_from_access_stream(
-        region, elements, rate_rps, elements_per_request=per_request
-    )
 
 
 def vsearch_logical_trace(

@@ -15,7 +15,7 @@ def run_lint(tmp_path, source, name="mod.py"):
 
 
 def codes(violations):
-    return [v.code for v in violations]
+    return [v.rule for v in violations]
 
 
 class TestWallClock:

@@ -4,17 +4,10 @@ from __future__ import annotations
 
 from itertools import islice
 
-import numpy as np
 import pytest
 
-from repro.serve.arrival import (
-    Mmpp,
-    Poisson,
-    TraceReplay,
-    trace_from_access_stream,
-)
+from repro.serve.arrival import Mmpp, Poisson, TraceReplay
 from repro.sim.rng import RngStreams
-from repro.workloads.access import StripedRegion
 
 
 def _take(process, n, seed=7, stream="serve.arrival.point"):
@@ -108,31 +101,3 @@ class TestTraceReplay:
             TraceReplay([10.0, -1.0])
         with pytest.raises(ValueError):
             TraceReplay([10.0], pages=[((0, 1),), ((0, 2),)])
-
-
-class TestTraceFromAccessStream:
-    def test_groups_elements_and_dedups_pages(self):
-        # 8-byte elements, 64-byte pages -> 8 elements per page, so
-        # elements 0 and 1 share a page while element 8 starts the next.
-        region = StripedRegion(
-            base_lba=0, num_ssds=2, dtype=np.dtype("f8"), page_size=64
-        )
-        trace = trace_from_access_stream(
-            region, [0, 1, 8], rate_rps=1_000_000.0, elements_per_request=2
-        )
-        assert len(trace.gaps_ns) == 2
-        assert trace.gaps_ns == (1000.0, 1000.0)
-        assert trace.pages is not None
-        assert len(trace.pages[0]) == 1  # deduped shared page
-        assert len(trace.pages[1]) == 1
-
-    def test_round_trips_through_replay(self):
-        # One element per page: consecutive elements alternate SSDs.
-        region = StripedRegion(
-            base_lba=0, num_ssds=2, dtype=np.dtype("f8"), page_size=8
-        )
-        trace = trace_from_access_stream(region, list(range(6)), 500_000.0)
-        assert trace.mean_rate_rps == pytest.approx(500_000.0)
-        coords = list(islice(trace.page_sequence(), 6))
-        ssds = {ssd for group in coords for ssd, _lba in group}
-        assert ssds == {0, 1}  # striping reaches both devices

@@ -22,9 +22,8 @@ import pytest
 from repro.bench.__main__ import EXPERIMENTS, main
 from repro.serve.experiment import Experiment
 from repro.serve.registry import INFER
-from repro.store import ingest_document
 
-from tests.store.helpers import SCHEMA, reference_points
+from tests.store.helpers import SCHEMA, point_set, reference_points
 
 #: Seconds-not-minutes variants, in ``--set`` syntax; every item moves the
 #: experiment off its default so the config hash must track it.
@@ -171,9 +170,7 @@ class TestEveryExperiment:
 
     def test_ingest_yields_one_point_per_numeric_leaf(self, run):
         doc = json.loads(run[2])
-        _, points = ingest_document(doc)
-        assert len({p.key for p in points}) == len(points)
-        assert {(*p.key, p.value) for p in points} == reference_points(doc)
+        assert point_set(doc) == reference_points(doc)
 
     def test_config_hash_tracks_the_spec_and_every_override(self, run):
         name, _, text = run

@@ -1,10 +1,10 @@
-"""Tests for SimLock, Gate, and Barrier."""
+"""Tests for SimLock and Gate."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Barrier, Gate, SimError, SimLock, Timeout
+from repro.sim import Gate, SimError, SimLock, Timeout
 
 
 class TestSimLock:
@@ -123,51 +123,3 @@ class TestGate:
         sim.spawn(reopener())
         sim.run()
         assert log == [("early", 0), ("late", 50)]
-
-
-class TestBarrier:
-    def test_parties_validation(self, sim):
-        with pytest.raises(ValueError):
-            Barrier(sim, 0)
-
-    def test_all_release_together(self, sim):
-        barrier = Barrier(sim, 3)
-        log = []
-
-        def worker(tag, delay):
-            yield Timeout(delay)
-            gen = yield from barrier.wait()
-            log.append((tag, sim.now, gen))
-
-        sim.spawn(worker("a", 5))
-        sim.spawn(worker("b", 15))
-        sim.spawn(worker("c", 10))
-        sim.run()
-        assert sorted(log) == [("a", 15, 0), ("b", 15, 0), ("c", 15, 0)]
-
-    def test_reusable_across_generations(self, sim):
-        barrier = Barrier(sim, 2)
-        gens = []
-
-        def worker(tag):
-            for _ in range(3):
-                yield Timeout(1)
-                gen = yield from barrier.wait()
-                gens.append(gen)
-
-        sim.spawn(worker("a"))
-        sim.spawn(worker("b"))
-        sim.run()
-        assert sorted(gens) == [0, 0, 1, 1, 2, 2]
-
-    def test_single_party_barrier_never_blocks(self, sim):
-        barrier = Barrier(sim, 1)
-
-        def worker():
-            gen = yield from barrier.wait()
-            return gen
-
-        p = sim.spawn(worker())
-        sim.run()
-        assert p.value == 0
-        assert sim.now == 0

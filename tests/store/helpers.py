@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.store import axes_key
+from repro.store import axes_key, points
 
 SCHEMA = json.loads(
     (Path(__file__).parents[2] / "schemas" / "agile-experiment-1.schema.json")
@@ -168,28 +168,31 @@ ALL_DOCS = {
 
 
 def reference_points(doc: Dict) -> set:
-    """``{(axes key, dotted metric, value)}`` by the schema's prose rule —
-    an independent flattener the ingest adapter is checked against."""
-
-    def number(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """``{(axes key, dotted metric, leaf)}`` by the schema's prose rule,
+    plus ``("checks", name, ok)`` — an independent flattener
+    :func:`repro.store.points` is checked against."""
 
     def walk(prefix, node):
-        if number(node):
-            yield prefix, float(node)
-        elif isinstance(node, dict):
+        if isinstance(node, dict):
             for key, value in node.items():
                 yield from walk(f"{prefix}.{key}" if prefix else key, value)
         elif isinstance(node, list):
             for i, item in enumerate(node):
-                if number(item):
-                    yield f"{prefix}.{i}", float(item)
+                yield from walk(f"{prefix}.{i}", item)
+        else:
+            yield prefix, node
 
-    return {
+    cells = {
         (axes_key(cell["axes"]), metric, value)
         for cell in doc["cells"]
         for metric, value in walk("", cell["metrics"])
     }
+    return cells | {("checks", c["name"], c["ok"]) for c in doc["checks"]}
+
+
+def point_set(doc: Dict) -> set:
+    """:func:`repro.store.points` in :func:`reference_points`' shape."""
+    return {(*key, leaf) for key, leaf in points(doc).items()}
 
 
 def scale_metric(doc: Dict, metric: str, factor: float) -> Dict:

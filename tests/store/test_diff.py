@@ -1,243 +1,168 @@
-"""Diff and gate: the regression semantics the CI job relies on."""
+"""compare and gate: the regression semantics the CI steps rely on."""
 
+import copy
 import json
 
 import pytest
 
-from repro.store import (
-    ResultStore,
-    best_baseline,
-    diff_runs,
-    ingest_document,
-    metric_direction,
-    run_score,
-)
+from repro.store import compare
 from repro.store.__main__ import main
 
 from tests.store.helpers import ALL_DOCS, experiment_doc, scale_metric
 
+#: A figure-shaped miniature: Fig. 12's register table, whose ``agile`` /
+#: ``bam`` leaves no direction rule ever matched, one directional leaf, one
+#: string leaf and one check.
+GOLDEN = experiment_doc(
+    "fig12",
+    [
+        {"axes": {"kernel": "bfs"},
+         "metrics": {"agile": 37, "bam": 45, "p99_ns": 300_000.0, "tier": "hbm"}},
+        {"axes": {"kernel": "spmv"}, "metrics": {"agile": 42, "bam": 56}},
+    ],
+)
+GOLDEN["checks"] = [{"name": "bfs_reduction", "ok": True, "detail": "45 -> 37"}]
+
+
+#: tamper -> the text the gate must name it by.  ``None`` as the tamper
+#: leaves the document honest and removes the golden instead.
+TAMPERS = {
+    "config_hash": (
+        lambda doc: doc.update(config_hash="f" * 16),
+        "config_hash: feedbeeffeedbeef -> ffffffffffffffff",
+    ),
+    "missing_golden": (None, "no golden"),
+    "dropped_cell": (
+        lambda doc: doc["cells"].pop(1),
+        'only in golden: agile @ {"kernel":"spmv"}',
+    ),
+    "extra_metric": (
+        lambda doc: doc["cells"][0]["metrics"].update(events_per_request=12.5),
+        'only in fresh: events_per_request @ {"kernel":"bfs"}',
+    ),
+    "undirected_moved": (
+        lambda doc: doc["cells"][0]["metrics"].update(agile=370),
+        'agile @ {"kernel":"bfs"}: 37 -> 370',
+    ),
+    "improved": (
+        lambda doc: doc["cells"][0]["metrics"].update(p99_ns=150_000.0),
+        'p99_ns @ {"kernel":"bfs"}: 300000.0 -> 150000.0',
+    ),
+    "check_flipped": (
+        lambda doc: doc["checks"][0].update(ok=False),
+        "bfs_reduction @ checks: True -> False",
+    ),
+    "string_changed": (
+        lambda doc: doc["cells"][0]["metrics"].update(tier="dram"),
+        "tier @ {\"kernel\":\"bfs\"}: 'hbm' -> 'dram'",
+    ),
+}
+
 
 def _write(path, doc):
+    path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(doc))
     return str(path)
 
 
-@pytest.fixture()
-def store_path(tmp_path):
-    return tmp_path / "store.db"
+def gate(tmp_path, golden, fresh, *flags):
+    """Run the CLI gate on ``fresh`` against a golden directory holding
+    ``golden`` (none when ``None``)."""
+    if golden is not None:
+        _write(tmp_path / "goldens" / "doc.json", golden)
+    return main([
+        "gate", _write(tmp_path / "doc.json", fresh),
+        "--baseline", str(tmp_path / "goldens"), *flags,
+    ])
 
 
-@pytest.fixture()
-def diff_docs(store_path):
-    """Store two documents and diff them (A = old, B = new)."""
-
-    def run(doc_a, doc_b, tolerance=0.05):
-        with ResultStore(store_path) as store:
-            ids = []
-            for doc in (doc_a, doc_b):
-                record, points = ingest_document(doc)
-                store.put_run(record, points)
-                ids.append(record.run_id)
-            return diff_runs(store, *ids, tolerance=tolerance)
-
-    return run
-
-
-class TestDirections:
-    def test_conventions(self):
-        assert metric_direction("goodput_rps") == +1
-        assert metric_direction("classes.point.goodput_rps") == +1
-        assert metric_direction("bandwidth_gbps") == +1
-        assert metric_direction("knee_rps") == +1
-        assert metric_direction("p99_ns") == -1
-        assert metric_direction("classes.scan.mean_latency_ns") == -1
-        assert metric_direction("placement.skew_ratio") == -1
-        assert metric_direction("shed") == -1
-        assert metric_direction("device_errors") == -1
-        # Write-path health: amplification, stalls, and losses are all
-        # lower-is-better; ack counts are volume, not quality.
-        assert metric_direction("mean_waf") == -1
-        assert metric_direction("write_path.mean_waf") == -1
-        assert metric_direction("gc_stall_ns") == -1
-        assert metric_direction("read_p99_inflation") == -1
-        assert metric_direction("writebacks_lost") == -1
-        assert metric_direction("writebacks_acked") == 0
-        # Wall-clock and volume metrics never gate.
-        assert metric_direction("events_per_sec") == 0
-        assert metric_direction("wall_s") == 0
-        assert metric_direction("offered") == 0
-
-    def test_event_count_gates_lower_is_better(self, diff_docs):
-        # Seed-deterministic simulator cost: a blow-up on any cell is a
-        # regression; its wall-clock cousins stay informational.
-        assert metric_direction("sim_events") == -1
-        assert metric_direction("events_per_sec") == 0
-        good = experiment_doc()
-        assert not diff_docs(good, scale_metric(good, "sim_events", 1.5)).ok
-
-    def test_control_arm_scalars_never_gate(self, diff_docs):
-        # A worse FIFO control arm strengthens the tenancy headline; the
-        # claim itself is gated through headline_ok.
-        for leaf in ("fifo_infer_p99_ns", "fifo_train_shed_frac",
-                     "fifo_infer_slo_attainment"):
-            assert metric_direction(leaf) == 0
-        assert metric_direction("wfq_infer_p99_ns") == -1
-        assert metric_direction("headline_ok") == +1
-        headline = {"fifo_infer_p99_ns": 9e6, "wfq_infer_p99_ns": 1e6}
-        doc = experiment_doc(
-            "tenancy", [{"axes": {"section": "summary"}, "metrics": headline}]
+class TestGate:
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_every_tamper_fails_and_is_named(self, name, tmp_path, capsys):
+        tamper, named = TAMPERS[name]
+        fresh = copy.deepcopy(GOLDEN)
+        if tamper is not None:
+            tamper(fresh)
+        rc = gate(
+            tmp_path, GOLDEN if tamper else None, fresh, "--tolerance", "0.05"
         )
-        assert diff_docs(doc, scale_metric(doc, "fifo_infer_p99_ns", 2.0)).ok
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert named in captured.out + captured.err
+        assert "FAIL" in captured.err
+
+    def test_honest_rerun_is_identical_whatever_the_commit(self, tmp_path, capsys):
+        fresh = {**copy.deepcopy(GOLDEN), "git_sha": "0" * 40}
+        assert gate(tmp_path, GOLDEN, fresh) == 0
+        assert "identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"mystery": 1}),
+            json.dumps({**GOLDEN, "schema": "agile-serve-sweep/3"}),
+            "{not json",
+        ],
+        ids=["no-tag", "retired-tag", "not-json"],
+    )
+    def test_unreadable_or_unknown_document_exits_two(self, text, tmp_path, capsys):
+        _write(tmp_path / "goldens" / "doc.json", GOLDEN)
+        (tmp_path / "doc.json").write_text(text)
+        assert main([
+            "gate", str(tmp_path / "doc.json"),
+            "--baseline", str(tmp_path / "goldens"),
+        ]) == 2
+        assert "doc.json" in capsys.readouterr().err
+
+    def test_worst_file_decides_the_exit_status(self, tmp_path):
+        goldens = tmp_path / "goldens"
+        good = _write(tmp_path / "good.json", GOLDEN)
+        _write(goldens / "good.json", GOLDEN)
+        bad = _write(tmp_path / "bad.json", scale_metric(GOLDEN, "agile", 2.0))
+        _write(goldens / "bad.json", GOLDEN)
+        assert main(["gate", good, bad, "--baseline", str(goldens)]) == 1
+        assert main(["gate", good, "--baseline", str(goldens)]) == 0
 
 
 class TestDiff:
-    def test_ten_percent_goodput_regression_exits_nonzero(
-        self, store_path, tmp_path, capsys
-    ):
+    def test_ten_percent_goodput_regression_exits_nonzero(self, tmp_path, capsys):
         good = experiment_doc()
-        bad = scale_metric(good, "goodput_rps", 0.9)
-        assert main([
-            "--db", str(store_path), "ingest",
-            _write(tmp_path / "a.json", good),
-            _write(tmp_path / "b.json", bad),
-        ]) == 0
-        with ResultStore(store_path) as store:
-            id_a, id_b = [r.run_id for r in store.runs()]
-        capsys.readouterr()
         rc = main([
-            "--db", str(store_path), "diff", id_a, id_b,
+            "diff", _write(tmp_path / "a.json", good),
+            _write(tmp_path / "b.json", scale_metric(good, "goodput_rps", 0.9)),
             "--tolerance", "0.05",
         ])
         captured = capsys.readouterr()
         assert rc == 1
         assert "goodput_rps" in captured.out  # names the offending metric
-        assert "REGRESSED" in captured.out
+        assert "-10.0%" in captured.out
         assert "FAIL" in captured.err
 
-    def test_regression_within_tolerance_passes(self, store_path, tmp_path):
+    def test_regression_within_tolerance_passes(self, tmp_path, capsys):
         good = experiment_doc()
-        bad = scale_metric(good, "goodput_rps", 0.97)
-        main([
-            "--db", str(store_path), "ingest",
+        paths = [
             _write(tmp_path / "a.json", good),
-            _write(tmp_path / "b.json", bad),
-        ])
-        with ResultStore(store_path) as store:
-            id_a, id_b = [r.run_id for r in store.runs()]
-            rc = main([
-                "--db", str(store_path), "diff", id_a, id_b,
-                "--tolerance", "0.05",
-            ])
-        assert rc == 0
+            _write(tmp_path / "b.json", scale_metric(good, "goodput_rps", 0.97)),
+        ]
+        assert main(["diff", *paths, "--tolerance", "0.05"]) == 0
+        # Passing drift is still named, and never called identical.
+        out = capsys.readouterr().out
+        assert "goodput_rps" in out and "identical" not in out
+        assert main(["diff", *paths]) == 1  # the default tolerance is 0
 
-    def test_p99_increase_is_a_regression(self, diff_docs):
+    def test_p99_increase_is_a_regression(self):
         good = experiment_doc()
-        result = diff_docs(good, scale_metric(good, "p99_ns", 1.5))
-        assert not result.ok
-        assert all("p99_ns" in d.metric for d in result.regressions)
+        differences = compare(good, scale_metric(good, "p99_ns", 1.5), 0.05)
+        assert differences and all("p99_ns" in line for line in differences)
 
-    def test_improvement_is_not_a_regression(self, diff_docs):
-        good = experiment_doc()
-        result = diff_docs(good, scale_metric(good, "goodput_rps", 1.2))
-        assert result.ok
-        assert result.improvements
-
-    def test_wall_clock_noise_never_gates(self, diff_docs):
-        # events_per_sec halving is runner noise, not a regression.
-        doc = ALL_DOCS["bench"]
-        assert diff_docs(doc, scale_metric(doc, "events_per_sec", 0.5)).ok
-
-    def test_waf_increase_is_a_regression(self, diff_docs):
+    def test_waf_increase_is_a_regression(self):
         good = ALL_DOCS["write-path"]
-        result = diff_docs(good, scale_metric(good, "mean_waf", 1.25))
-        assert not result.ok
-        assert any("mean_waf" in d.metric for d in result.regressions)
+        differences = compare(good, scale_metric(good, "mean_waf", 1.25), 0.05)
+        assert differences and all("mean_waf" in line for line in differences)
 
-    def test_prefix_resolution(self, store_path):
-        with ResultStore(store_path) as store:
-            rec, pts = ingest_document(experiment_doc())
-            store.put_run(rec, pts)
-            assert store.resolve(rec.run_id[:8]) == rec.run_id
-            with pytest.raises(KeyError):
-                store.resolve("zzzz")
-
-
-class TestGate:
-    def test_seed_then_pass_then_fail(self, tmp_path, capsys):
-        baseline = tmp_path / "base.db"
-        good = _write(tmp_path / "good.json", experiment_doc())
-        bad = _write(
-            tmp_path / "bad.json",
-            scale_metric(experiment_doc(), "goodput_rps", 0.9),
-        )
-        # First run seeds the baseline and passes.
-        assert main(["gate", good, "--baseline", str(baseline)]) == 0
-        assert "seeded" in capsys.readouterr().out
-        # Re-gating the identical artifact passes trivially.
-        assert main(["gate", good, "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # A 10% goodput drop against the stored baseline fails the gate.
-        rc = main([
-            "gate", bad, "--baseline", str(baseline), "--tolerance", "0.05",
-        ])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "goodput_rps" in captured.out
-
-    def test_gate_compares_against_best_stored_run(self, tmp_path):
-        baseline = tmp_path / "base.db"
-        ok = experiment_doc()
-        better = scale_metric(ok, "goodput_rps", 1.2)
-        main([
-            "gate",
-            _write(tmp_path / "ok.json", ok),
-            _write(tmp_path / "better.json", better),
-            "--baseline", str(baseline),
-        ])
-        with ResultStore(baseline) as store:
-            rec_better, _ = ingest_document(better)
-            best = best_baseline(
-                store, "agile-experiment/1", rec_better.config_hash
-            )
-            assert best is not None
-            assert best.run_id == rec_better.run_id
-            # And re-presenting the merely-ok run now fails the gate.
-        rc = main([
-            "gate", _write(tmp_path / "ok2.json", ok),
-            "--baseline", str(baseline), "--tolerance", "0.05",
-        ])
-        assert rc == 1
-
-    def test_run_score_prefers_goodput_then_bandwidth(self):
-        _, serve_pts = ingest_document(experiment_doc())
-        serve_metrics = {p.key: p.value for p in serve_pts}
-        assert run_score(serve_metrics) > 0
-        _, bench_pts = ingest_document(ALL_DOCS["bench"])
-        bench_metrics = {p.key: p.value for p in bench_pts}
-        assert run_score(bench_metrics) == pytest.approx(3.64 + 6.9 + 2.39)
-
-
-class TestCliSmoke:
-    def test_ls_and_show(self, store_path, tmp_path, capsys):
-        main([
-            "--db", str(store_path), "ingest",
-            _write(tmp_path / "a.json", experiment_doc()),
-        ])
-        assert main(["--db", str(store_path), "ls"]) == 0
-        out = capsys.readouterr().out
-        assert "serve-sweep" in out
-        with ResultStore(store_path) as store:
-            run_id = store.runs()[0].run_id
-        assert main(["--db", str(store_path), "show", run_id[:10]]) == 0
-        out = capsys.readouterr().out
-        assert "goodput_rps" in out
-        # --raw prints the stored artifact itself, byte-losslessly.
-        assert main([
-            "--db", str(store_path), "show", run_id[:10], "--raw",
-        ]) == 0
-        assert json.loads(capsys.readouterr().out) == experiment_doc()
-
-    def test_ingest_rejects_unknown_schema(self, store_path, tmp_path, capsys):
-        bogus = _write(tmp_path / "x.json", {"mystery": 1})
-        assert main(["--db", str(store_path), "ingest", bogus]) == 2
-        assert "x.json" in capsys.readouterr().err
+    def test_a_move_off_zero_differs_at_any_tolerance(self):
+        good = ALL_DOCS["write-path"]
+        lossy = copy.deepcopy(good)
+        lossy["cells"][-1]["metrics"]["writebacks_lost"] = 1
+        (line,) = compare(good, lossy, tolerance=1e9)
+        assert "writebacks_lost" in line and "0 -> 1" in line

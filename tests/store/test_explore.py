@@ -1,11 +1,13 @@
-"""Explore: the design-space grid experiment, end to end into the store."""
+"""Explore: the design-space grid experiment, end to end through the gate."""
+
+import json
 
 import pytest
 
 from repro.bench.__main__ import main as serve_main
 from repro.serve.experiment import ExperimentError
 from repro.serve.sweep import EXPLORE
-from repro.store import ResultStore, ingest_document
+from repro.store import points
 from repro.store.__main__ import main
 
 #: One tiny grid: 2 cells, sub-second total, still crossing two axes.
@@ -44,8 +46,8 @@ class TestSpec:
 
 class TestDeterminism:
     def test_same_spec_same_document_bit_for_bit(self):
-        # The property the store's trend analysis rests on: explore output
-        # has no wall-clock or ordering noise.
+        # The property the golden gate rests on: explore output has no
+        # wall-clock or ordering noise.
         assert run_tiny() == run_tiny()
 
     def test_mmpp_cells_differ_from_poisson_cells(self):
@@ -57,29 +59,23 @@ class TestDeterminism:
 
 
 class TestStorePopulation:
-    def test_explore_document_ingests(self, tmp_path):
+    def test_explore_document_ingests(self):
         doc = run_tiny()
-        record, points = ingest_document(doc)
-        assert record.config_hash == doc["config_hash"]
         # Every cell contributes its metric set, keyed by grid axes.
-        goodput = [p for p in points if p.metric == "goodput_rps"]
+        goodput = [json.loads(axes) for axes, m in points(doc) if m == "goodput_rps"]
         assert len(goodput) == len(doc["cells"])
-        assert {p.axes["ssds"] for p in goodput} == {1, 2}
-        with ResultStore(tmp_path / "s.db") as store:
-            store.put_run(record, points)
-            assert store.raw(record.run_id) == doc
+        assert {axes["ssds"] for axes in goodput} == {1, 2}
 
-    def test_cli_explore_populates_the_store(self, tmp_path, capsys):
-        db = tmp_path / "explore.db"
-        out = tmp_path / "grid.json"
+    def test_cli_explore_document_gates_against_its_golden(self, tmp_path, capsys):
         sets = [arg for item in [*TINY, "ssds=1"] for arg in ("--set", item)]
-        assert serve_main(["run", "explore", *sets, "--out", str(out)]) == 0
-        assert main(["--db", str(db), "ingest", str(out)]) == 0
-        assert "ingested grid.json" in capsys.readouterr().out
-        with ResultStore(db) as store:
-            (run,) = store.runs()
-            assert run.raw["experiment"] == "explore"
-            assert store.points(run.run_id)
+        for out in (tmp_path / "golden" / "grid.json", tmp_path / "grid.json"):
+            out.parent.mkdir(exist_ok=True)
+            assert serve_main(["run", "explore", *sets, "--out", str(out)]) == 0
+        assert main([
+            "gate", str(tmp_path / "grid.json"),
+            "--baseline", str(tmp_path / "golden"),
+        ]) == 0
+        assert "grid.json: identical" in capsys.readouterr().out
 
     def test_cli_rejects_bad_arrival(self, capsys):
         assert serve_main(["run", "explore", "--set", "arrival=pareto"]) == 2

@@ -1,151 +1,94 @@
-"""The ingest adapter: every document round-trips losslessly into the store."""
+"""``points()``: the one place a document from outside enters the gate."""
 
 import copy
 
 import pytest
 
-from repro.store import (
-    ResultStore,
-    UnknownSchemaError,
-    detect_schema,
-    ingest_document,
-)
+from repro.store import UnknownSchemaError, axes_key, points
 
 from tests.store.helpers import ALL_DOCS, experiment_doc
 
 
-@pytest.fixture()
-def store(tmp_path):
-    with ResultStore(tmp_path / "store.db") as s:
-        yield s
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", sorted(ALL_DOCS))
-    def test_raw_document_survives_byte_for_byte(self, store, name):
-        doc = ALL_DOCS[name]
-        record, points = ingest_document(doc, source=f"{name}.json")
-        store.put_run(record, points)
-        assert store.raw(record.run_id) == doc  # lossless: nothing dropped
-        assert points, "every document must project at least one point"
-
-    @pytest.mark.parametrize("name", sorted(ALL_DOCS))
-    def test_reingest_is_idempotent(self, store, name):
-        doc = ALL_DOCS[name]
-        record, points = ingest_document(doc)
-        store.put_run(record, points)
-        store.put_run(*ingest_document(doc))
-        assert len(store.runs()) == 1
-        assert len(store.points(record.run_id)) == len(points)
+def at(doc, **axes):
+    """``{metric: leaf}`` of the cell at exactly ``axes``."""
+    key = axes_key(axes)
+    return {m: leaf for (a, m), leaf in points(doc).items() if a == key}
 
 
 class TestSchemaDetection:
-    def test_explicit_tags_win(self):
-        for doc in ALL_DOCS.values():
-            assert detect_schema(doc) == "agile-experiment/1"
-
     def test_unknown_shape_raises(self):
-        # No tag, a retired tag, a cell-less body: nothing is inferred.
+        # No tag, a retired tag, a cell-less body, a cell or check of the
+        # wrong shape: nothing is inferred.
+        good = experiment_doc()
+        for breakage in (
+            {"schema": None},
+            {"schema": "agile-serve-sweep/3"},
+            {"cells": None},
+            {"cells": "abc"},
+            {"cells": [{"axes": {}}]},
+            {"checks": None},
+            {"checks": [{"name": "x"}]},
+        ):
+            with pytest.raises(UnknownSchemaError):
+                points({**good, **breakage})
         with pytest.raises(UnknownSchemaError):
-            detect_schema({"mystery": 1})
-        with pytest.raises(UnknownSchemaError):
-            detect_schema({"schema": "agile-serve-sweep/3", "grid": {}})
-        broken = experiment_doc()
-        del broken["cells"]
-        with pytest.raises(UnknownSchemaError):
-            ingest_document(broken)
+            points({"mystery": 1})
 
     def test_repeated_point_is_a_typed_error(self):
         # A document from outside may repeat a cell (the runner itself
-        # rejects a repeated axis value): the store's UNIQUE(run, axes,
-        # metric) must surface as the typed error, not a sqlite traceback.
+        # rejects a repeated axis value).
         repeated = experiment_doc()
         repeated["cells"].append(copy.deepcopy(repeated["cells"][0]))
-        with pytest.raises(UnknownSchemaError, match="two cells yield the point"):
-            ingest_document(repeated)
+        with pytest.raises(UnknownSchemaError, match="appears twice"):
+            points(repeated)
 
 
 class TestConfigFingerprint:
     def test_producer_stamp_is_authoritative(self):
-        record, _ = ingest_document(experiment_doc())
-        assert record.config_hash == "feedbeeffeedbeef"
         unstamped = experiment_doc()
         del unstamped["config_hash"]
-        with pytest.raises(UnknownSchemaError):
-            ingest_document(unstamped)
+        with pytest.raises(UnknownSchemaError, match="config_hash"):
+            points(unstamped)
 
 
 class TestProjection:
-    def test_serve_points_carry_grid_axes(self, store):
-        record, points = ingest_document(experiment_doc())
-        goodput = [
-            p for p in points
-            if p.metric == "goodput_rps" and "target_rps" in p.axes
-        ]
-        assert len(goodput) == 1
-        assert goodput[0].axes == {
-            "ssds": 2,
-            "placement": "striped",
-            "system": "agile",
-            "target_rps": 20_000.0,
-        }
-        knees = [p for p in points if p.metric == "knee_rps"]
-        assert len(knees) == 1
-        # Nested sections flatten with dotted names.
-        assert any(p.metric == "classes.point.p99_ns" for p in points)
-        waf = [p for p in points if p.metric == "write_path.mean_waf"]
-        assert [p.value for p in waf] == [1.2]
-        # Device lists index element-wise.
-        assert any(p.metric == "placement.device_reads.1" for p in points)
-        assert any(p.metric == "write_path.device_waf.1" for p in points)
-        # Strings are coordinates or payload, never points.
-        assert not any(p.metric.endswith((".name", "system")) for p in points)
+    def test_serve_points_carry_grid_axes(self):
+        doc = experiment_doc()
+        curve = {"ssds": 2, "placement": "striped", "system": "agile"}
+        cell = at(doc, **curve, target_rps=20_000.0)
+        assert cell["goodput_rps"] == 20_000.0
+        assert at(doc, **curve) == {"knee_rps": 20_000.0}
+        # Nested sections flatten with dotted names, lists element-wise.
+        assert cell["classes.point.p99_ns"] == 300_000.0
+        assert cell["write_path.mean_waf"] == 1.2
+        assert cell["placement.device_reads.1"] == 19
+        assert cell["write_path.device_waf.1"] == 1.2
+        # Every leaf is a point, strings included.
+        assert cell["system"] == "agile"
+        assert cell["classes.point.name"] == "point"
 
     def test_bench_points_cover_every_section(self):
-        _, points = ingest_document(ALL_DOCS["bench"])
-        sections = {p.axes.get("section") for p in points}
-        assert sections == {"fig5", "perf"}
-        fig5 = [
-            p for p in points
-            if p.axes.get("section") == "fig5"
-            and p.metric == "bandwidth_gbps"
-        ]
-        assert {p.axes["num_ssds"] for p in fig5} == {1, 2}
+        doc = ALL_DOCS["bench"]
+        assert at(doc, section="perf")["wall_s"] == 0.61
+        for n, gbps in ((1, 3.64), (2, 6.9)):
+            cell = at(doc, section="fig5", op="read", num_ssds=n, total_requests=512)
+            assert cell["bandwidth_gbps"] == gbps
 
     def test_telemetry_blobs_stay_in_raw_not_points(self):
-        _, points = ingest_document(ALL_DOCS["bench"])
-        assert not any("telemetry" in p.metric for p in points)
+        # A cell's ``detail`` payload is not comparable content.
+        assert not any("telemetry" in m for _, m in points(ALL_DOCS["bench"]))
 
     def test_placement_points_keyed_by_policy(self):
-        _, points = ingest_document(ALL_DOCS["placement-smoke"])
-        skews = {
-            p.axes["policy"]: p.value
-            for p in points
-            if p.metric == "skew_ratio"
-        }
-        assert skews == {"shard": 1.9, "striped": 1.1}
+        doc = ALL_DOCS["placement-smoke"]
+        assert at(doc, policy="shard")["skew_ratio"] == 1.9
+        assert at(doc, policy="striped")["skew_ratio"] == 1.1
 
     def test_write_path_curves_and_summary_project(self):
-        _, points = ingest_document(ALL_DOCS["write-path"])
+        doc = ALL_DOCS["write-path"]
         # The GC toggle plays the system-axis role for the two curves.
-        knees = {
-            p.axes["system"]: p.value for p in points if p.metric == "knee_rps"
-        }
-        assert knees == {"gc_on": 10_000.0, "gc_off": 30_000.0}
-        summary = {
-            p.metric: p.value
-            for p in points
-            if p.axes.get("section") == "summary"
-        }
+        assert at(doc, system="gc_on") == {"knee_rps": 10_000.0}
+        assert at(doc, system="gc_off") == {"knee_rps": 30_000.0}
+        summary = at(doc, section="summary")
         assert summary["mean_waf"] == 1.3
         assert summary["read_p99_inflation"] == 4.0
         assert summary["writebacks_lost"] == 0
-
-    def test_metadata_lands_on_the_run_row(self):
-        record, _ = ingest_document(
-            experiment_doc(), source="serve-sweep.json", created_at=123.0
-        )
-        assert record.git_sha.startswith("c0ffee")
-        assert record.source == "serve-sweep.json"
-        assert record.created_at == 123.0
-        assert record.schema == "agile-experiment/1"

@@ -12,7 +12,6 @@ from repro.config import (
     SsdConfig,
     SystemConfig,
     default_config,
-    describe,
     gbps_to_bytes_per_ns,
 )
 
@@ -138,17 +137,7 @@ class TestHelpers:
         striped = SystemConfig().with_ssds(2, stripe_pages=4)
         assert striped.placement.stripe_pages == 4
 
-    def test_describe_mentions_placement(self):
-        info = describe(SystemConfig().with_ssds(2))
-        assert "striped" in info["placement"]
-
     def test_cache_geometry(self):
         cache = CacheConfig(num_lines=128, ways=8)
         assert cache.num_sets == 16
         assert cache.capacity_bytes == 128 * 4096
-
-    def test_describe_mentions_components(self):
-        info = describe(SystemConfig())
-        assert "SMs" in info["gpu"]
-        assert "GB/s rd" in info["ssds"]
-        assert "QPs" in info["queues"]

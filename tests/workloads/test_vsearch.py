@@ -6,14 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro.workloads.vsearch import (
-    VECTOR_DIM,
     VsearchSpec,
     vsearch_lba_space,
     vsearch_logical_trace,
-    vsearch_trace,
     vsearch_walks,
 )
-from repro.workloads.access import StripedRegion
 
 SPEC = VsearchSpec(num_nodes=128, num_queries=8, seed=3)
 
@@ -47,19 +44,6 @@ def test_logical_trace_offsets_and_pacing():
     assert len(trace.gaps_ns) == len(walks)
     assert len(set(trace.gaps_ns)) == 1  # evenly paced
     assert trace.logical[0] == tuple(base + node for node in walks[0])
-
-
-def test_physical_trace_reads_one_page_per_node():
-    import numpy as np
-
-    region = StripedRegion(base_lba=0, num_ssds=2, dtype=np.dtype("float32"))
-    trace = vsearch_trace(SPEC, region, rate_rps=50_000.0)
-    walks = vsearch_walks(SPEC)
-    assert len(trace.gaps_ns) == len(walks)
-    # Padding repeats the beam's first node, and dedup collapses it: each
-    # request reads exactly the beam's distinct pages.
-    for pages, beam in zip(trace.pages, walks):
-        assert len(pages) == len(set(beam))
 
 
 def test_spec_validation():
