@@ -4,8 +4,7 @@
 ablations as :class:`~repro.serve.experiment.Experiment` definitions;
 ``python -m repro.bench list|run`` fronts those together with the serving
 matrices (:mod:`repro.serve`) and the chaos storms
-(:mod:`repro.faults.storm`), and ``python -m repro.bench perf`` is the one
-wall-clock canary.
+(:mod:`repro.faults.storm`).
 """
 
 from repro.bench import figures

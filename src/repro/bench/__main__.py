@@ -12,9 +12,6 @@ seed=N``.  ``--out`` writes the ``agile-experiment/1`` document, which
 every host built during the run and writes the merged Chrome-trace
 document — load it at https://ui.perfetto.dev or chrome://tracing.
 
-``perf`` is the one wall-clock canary: a timed Fig. 5 read point reported
-as simulator events per second (``--min-eps`` makes it a floor).
-
 Examples::
 
     python -m repro.bench list
@@ -23,7 +20,6 @@ Examples::
     python -m repro.bench run serve-sweep --quick --out serve-sweep.json
     python -m repro.bench run tenancy --quick --set storm=none,pe-storm
     python -m repro.bench run storm --seed 3 --set intensity=2.0
-    python -m repro.bench perf --min-eps 60000
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from contextlib import nullcontext
 from typing import Any, Dict, List, Optional
 
@@ -40,7 +35,6 @@ from repro.bench import figures
 from repro.faults import storm
 from repro.serve import sweep, tenancy, writepath
 from repro.serve.experiment import Cell, Experiment, ExperimentError
-from repro.workloads.io_sweep import run_bandwidth_sweep
 
 EXPERIMENTS: Dict[str, Experiment] = {
     exp.name: exp
@@ -71,10 +65,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     run.add_argument("--out", default="", help="write the document here")
     run.add_argument("--trace", default="", help="write a Chrome trace here")
-    perf = sub.add_parser("perf", help="scheduler-throughput smoke (events/s)")
-    perf.add_argument("--min-eps", type=float, default=0.0, help="fail below this")
-    perf.add_argument("--requests", type=int, default=4096)
-    perf.add_argument("--threads", type=int, default=64)
     return parser.parse_args(argv)
 
 
@@ -140,34 +130,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """One timed Fig. 5 read point.  Wall-clock reads live in the bench
-    layer only (AGL001): workloads report simulated-event counts."""
-    start = time.perf_counter()
-    point = run_bandwidth_sweep(
-        "read", num_ssds=1, total_requests=args.requests, num_threads=args.threads
-    )
-    wall = time.perf_counter() - start
-    eps = point.sim_events / wall if wall > 0 else 0.0
-    print(
-        f"perf: {point.sim_events:,} events in {wall:.2f} s "
-        f"-> {eps:,.0f} events/s "
-        f"({point.total_requests} requests, {point.bandwidth_gbps:.2f} GB/s)"
-    )
-    if eps < args.min_eps:
-        print(
-            f"perf: FAIL - {eps:,.0f} events/s below floor {args.min_eps:,.0f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    return _cmd_run(args) if args.command == "run" else _cmd_perf(args)
+    return _cmd_list() if args.command == "list" else _cmd_run(args)
 
 
 if __name__ == "__main__":

@@ -215,6 +215,7 @@ def _bandwidth_cell(op: str):
                 "duration_ns": point.duration_ns,
                 "bandwidth_gbps": point.bandwidth_gbps,
                 "sim_events": point.sim_events,
+                "events_per_request": point.sim_events / cell["total_requests"],
                 "device_errors": point.device_errors,
             }
 

@@ -557,6 +557,15 @@ class SystemConfig:
             raise ValueError("recovery.max_retries must be non-negative")
         if self.recovery.breaker_threshold < 1:
             raise ValueError("recovery.breaker_threshold must be >= 1")
+        issue_slots = self.gpu.issue_width * self.gpu.warp_size
+        if not 1 <= self.service.polling_warps <= issue_slots:
+            raise ValueError(
+                f"service.polling_warps must be in [1, {issue_slots}] (issue slots)"
+            )
+        if self.service.poll_iteration_cycles <= 0:
+            raise ValueError("service.poll_iteration_cycles must be positive")
+        if self.service.idle_poll_ns < 0:
+            raise ValueError("service.idle_poll_ns must be non-negative")
         if self.placement.policy not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"unknown placement policy {self.placement.policy!r}; "

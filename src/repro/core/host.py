@@ -310,7 +310,9 @@ class AgileHost(AgileMachine):
             "sm_thread_cycles",
             lambda: {
                 f"sm{sm.index}": sm.issued_thread_cycles() for sm in gpu.sms
-            },
+            }
+            # The polling warps charge their reserved SM in closed form.
+            | {f"sm{gpu.sms[-1].index}": self.service.thread_cycles()},
         )
         reg.register_collector("inflight", lambda: {"cids": self.inflight()})
 

@@ -34,7 +34,7 @@ from repro.config import ServiceConfig
 from repro.core.issue import IssueEngine
 from repro.gpu.device import Gpu
 from repro.nvme.queue import CompletionQueue
-from repro.sim.engine import Process, Simulator, Timeout
+from repro.sim.engine import Event, Process, Simulator, Timeout
 from repro.telemetry import Counter
 
 #: Lanes in a polling warp == CQEs examined per visit (Algorithm 1).
@@ -66,9 +66,12 @@ class AgileService:
         #: Monotonic position up to which each CQ's head doorbell was rung.
         self._doorbelled = {id(cq): 0 for _, cq in self.cqs}
         self._procs: list[Process] = []
-        #: The service runs on the last SM (reserved by the host when
-        #: launching application kernels).
-        self.service_sm = gpu.sms[-1]
+        #: One visit.  The service has the last SM to itself (the host
+        #: reserves it) and never more warps than issue slots there
+        #: (``SystemConfig.validate``), so its work is a plain delay.
+        self._poll_ns = cfg.poll_iteration_cycles * gpu.cfg.cycle_ns
+        #: CQ visits made by all polling warps, skipped idle ones included.
+        self.visits = 0
         #: Optional :class:`repro.telemetry.Telemetry` session (per-command
         #: I/O spans); None — the default — costs one check per completion.
         self.tel = None
@@ -103,47 +106,94 @@ class AgileService:
         if self.issue.recovery is not None:
             self.issue.recovery.stop()
 
+    def thread_cycles(self) -> float:
+        """Cycles the polling warps have charged to the service SM."""
+        done = self.stats.get("completions_processed")
+        return self.visits * self.cfg.poll_iteration_cycles + 2.0 * done
+
     # -- Algorithm 1 -----------------------------------------------------------------
 
     def _partition(self, warp_idx: int) -> List[tuple[int, CompletionQueue]]:
         """CQs assigned to one polling warp (round-robin split)."""
         return self.cqs[warp_idx :: self.cfg.polling_warps]
 
+    def visit_end(self, anchor: float, k: int, n_cqs: int) -> float:
+        """The poll grid: after a sweep that found all ``n_cqs`` queues empty
+        at ``anchor``, a warp repeats ``[idle_poll_ns, n_cqs visits]`` until a
+        CQE lands; visit ``k`` (0-based) ends, and probes its queue, then."""
+        backoff = (k // n_cqs + 1) * self.cfg.idle_poll_ns
+        return anchor + backoff + (k + 1) * self._poll_ns
+
+    def _park(
+        self, my_cqs: List[tuple[int, CompletionQueue]]
+    ) -> Generator[Any, Any, int]:
+        """Sit out an empty partition for two events: block until a CQE is
+        posted to one of ``my_cqs``, then resume exactly as the first idle
+        visit to see it ends.  Returns that visit's index on the grid."""
+        sim = self.sim
+        anchor = sim.now
+        n_cqs = len(my_cqs)
+        if all(cq.peek(cq.host_head) is None for _, cq in my_cqs):
+            posted = Event(sim, name="agile.service.cqe_posted")
+            for _, cq in my_cqs:
+                cq.on_post = posted
+            try:
+                yield posted
+            finally:  # also runs when stop() kills a parked warp
+                for _, cq in my_cqs:
+                    cq.on_post = None
+        # The first idle visit to end at or after now (a tie sees the CQE):
+        # estimated by division, settled on the float grid itself.
+        period = self.cfg.idle_poll_ns + n_cqs * self._poll_ns
+        sweeps = int((sim.now - anchor) / period)
+        into = sim.now - anchor - sweeps * period - self.cfg.idle_poll_ns
+        k = sweeps * n_cqs + min(max(int(into / self._poll_ns), 0), n_cqs - 1)
+        while k > 0 and self.visit_end(anchor, k - 1, n_cqs) >= sim.now:
+            k -= 1
+        while self.visit_end(anchor, k, n_cqs) < sim.now:
+            k += 1
+        when = self.visit_end(anchor, k, n_cqs)
+        # now + (when - now) is exactly ``when`` once when <= 2 * now
+        # (Sterbenz); earlier than that, close in first.
+        while when > 2.0 * sim.now:
+            yield Timeout(0.75 * (when - sim.now))
+        yield Timeout(when - sim.now)
+        return k
+
     def _polling_warp(self, warp_idx: int) -> Generator[Any, Any, None]:
         my_cqs = self._partition(warp_idx)
         if not my_cqs:
             return
-        # The poll loop runs once per visit for the whole simulation; hoist
-        # the per-visit attribute chain out of the hot loop.
-        compute = self.service_sm.compute
-        poll_cycles = self.cfg.poll_iteration_cycles
-        idle_ns = self.cfg.idle_poll_ns
+        visit = Timeout(self._poll_ns)
         n_cqs = len(my_cqs)
-        idx = 0
+        idx = 0  # round-robin cursor
+        pos = 0  # empty visits so far in the current sweep
         while True:
-            found_any = False
-            for _ in range(n_cqs):
-                ssd_idx, cq = my_cqs[idx]
-                idx = (idx + 1) % n_cqs
-                yield from compute(poll_cycles)
-                # Empty-window fast path: with no visible completion the
-                # window walk would do zero simulated work and never ring
-                # the doorbell (host_head is unchanged since the last
-                # visit), so skip the generator entirely.
-                if cq.peek(cq.host_head) is None:
-                    continue
-                processed = yield from self._poll_cq(ssd_idx, cq)
-                if processed:
-                    found_any = True
-                    break  # revisit queues promptly while traffic flows
-            if not found_any:
-                yield Timeout(idle_ns)
+            if pos < n_cqs:
+                yield visit
+            else:
+                # The sweep found nothing: rejoin the grid at idle visit k,
+                # cursor and sweep position where spinning would have them.
+                k = yield from self._park(my_cqs)
+                self.visits += k
+                idx = (idx + k) % n_cqs
+                pos = k % n_cqs
+            ssd_idx, cq = my_cqs[idx]
+            idx = (idx + 1) % n_cqs
+            pos += 1
+            self.visits += 1
+            # Empty-window fast path: with no visible completion the window
+            # walk would do zero simulated work and never ring the doorbell
+            # (host_head is unchanged since the last visit).
+            if cq.peek(cq.host_head) is None:
+                continue
+            yield from self._poll_cq(ssd_idx, cq)
+            pos = 0  # revisit queues promptly while traffic flows
 
     def _poll_cq(
         self, ssd_idx: int, cq: CompletionQueue
-    ) -> Generator[Any, Any, int]:
-        """Process the current 32-entry window of one CQ; returns the number
-        of completions handled."""
+    ) -> Generator[Any, Any, None]:
+        """Process the current 32-entry window of one CQ."""
         window_start = cq.host_head - (cq.host_head % WINDOW)
         window_end = window_start + WINDOW
         processed = 0
@@ -190,7 +240,7 @@ class AgileService:
         if processed:
             cq.consume_to(pos)
             self.stats.add("completions_processed", processed)
-            yield from self.service_sm.compute(2.0 * processed)
+            yield Timeout(2.0 * processed * self.gpu.cfg.cycle_ns)
         if pos == window_end or (
             cq.host_head - self._doorbelled[id(cq)] > cq.depth // 2
         ):
@@ -200,4 +250,3 @@ class AgileService:
                 self._doorbelled[id(cq)] = cq.host_head
                 yield from cq.doorbell.ring(cq.host_head)
                 self.stats.add("cq_doorbell_rings")
-        return processed

@@ -322,10 +322,12 @@ def _storm_cell(
             except SimError as exc:
                 unbalanced.append(f"ssd{idx}: {exc}")
         wb, stats, report = host.cache.stats, host.stats(), session.report()
+        total_ops = spec.threads * spec.requests
         return {
             "duration_ns": duration,
             "sim_events": host.sim.event_count,
-            "total_ops": spec.threads * spec.requests,
+            "events_per_request": host.sim.event_count / total_ops,
+            "total_ops": total_ops,
             "terminal_ops": sum(outcomes.values()),
             "inflight": host.issue.inflight(),
             "stuck_sq_slots": stuck,

@@ -29,7 +29,7 @@ from repro.config import PcieConfig
 from repro.mem.hbm import HbmBuffer
 from repro.mem.pcie import Doorbell
 from repro.nvme.command import CQE_SIZE, SQE_SIZE, NvmeCommand, NvmeCompletion
-from repro.sim.engine import SimError, Simulator
+from repro.sim.engine import Event, SimError, Simulator
 
 
 class SlotState(enum.IntEnum):
@@ -229,6 +229,9 @@ class CompletionQueue:
         self.log = None
         #: Optional :class:`repro.telemetry.Gauge` (occupancy timeline).
         self.occupancy = None
+        #: Triggered, once, by the next :meth:`device_post`: how a parked
+        #: polling warp learns its partition is no longer empty.
+        self.on_post: Optional[Event] = None
 
     # -- device side -------------------------------------------------------------
 
@@ -269,6 +272,10 @@ class CompletionQueue:
         self.posted += 1
         if self.occupancy is not None:
             self.occupancy.set(self.device_tail - self.host_head)
+        if self.on_post is not None:
+            event, self.on_post = self.on_post, None
+            if not event.triggered:  # one event arms a whole partition
+                event.trigger()
 
     def add_space_waiter(self, callback: Callable[[], None]) -> None:
         """Device-side callback invoked when the host frees CQ space."""

@@ -129,6 +129,11 @@ class ServeReport:
         return sum(c.goodput_rps for c in self.classes.values())
 
     @property
+    def events_per_request(self) -> float:
+        """What the run cost to simulate, in machine-independent units."""
+        return self.sim_events / self.offered if self.offered else 0.0
+
+    @property
     def p99_ns(self) -> float:
         """Worst per-class p99 — the number a tenant-facing SLO quotes."""
         return max((c.p99_ns for c in self.classes.values()), default=0.0)
@@ -176,6 +181,7 @@ class ServeReport:
             "goodput_rps": self.goodput_rps,
             "p99_ns": self.p99_ns,
             "sim_events": self.sim_events,
+            "events_per_request": self.events_per_request,
             "batches": self.batches,
             "mean_batch_size": self.mean_batch_size,
             "placement": {

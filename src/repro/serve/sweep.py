@@ -227,7 +227,7 @@ EXPLORE = Experiment(
         standard_cell(spec, cell),
         keep=(
             "goodput_rps", "p99_ns", "offered", "completed", "shed", "aborted",
-            "mean_batch_size", "skew_ratio", "sim_events",
+            "mean_batch_size", "skew_ratio", "sim_events", "events_per_request",
         ),
     ),
 )

@@ -261,13 +261,6 @@ def test_list_shows_every_experiment_with_its_axes(capsys):
         assert all(f"    {axis} = " in out for axis in exp.axes)
 
 
-def test_perf_canary_exits_nonzero_below_the_floor(capsys):
-    size = ["--requests", "64", "--threads", "16"]
-    assert main(["perf", *size]) == 0
-    assert main(["perf", *size, "--min-eps", "1e12"]) == 1
-    assert "below floor" in capsys.readouterr().err
-
-
 def test_replay_line_reproduces_the_document(tmp_path, capsys):
     """The printed ``replay:`` line is the ``run`` arguments, so it rebuilds
     the same machine — ``--ssds`` included, which the old storm CLI's line

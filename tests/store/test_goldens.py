@@ -31,9 +31,11 @@ def ci_documents():
     }
 
 
-#: The four cheapest CI documents (~7 s together).
+#: The four cheapest CI documents (~7 s together), and ``write-path``
+#: (~2 s): serving, FTL GC and ``sim_events`` gated before CI runs.
 @pytest.mark.parametrize(
-    "name", ["fig12", "abl-coalescing", "abl-dram-tier", "abl-policies"]
+    "name",
+    ["fig12", "abl-coalescing", "abl-dram-tier", "abl-policies", "write-path"],
 )
 def test_fresh_run_reproduces_the_golden_exactly(name, tmp_path, capsys):
     out = tmp_path / f"{name}.json"

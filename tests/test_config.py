@@ -9,6 +9,7 @@ from repro.config import (
     GpuConfig,
     PcieConfig,
     PlacementConfig,
+    ServiceConfig,
     SsdConfig,
     SystemConfig,
     default_config,
@@ -104,6 +105,27 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="divide the device capacity"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "service, field",
+        [
+            # No warp would ever retire a CQE.
+            (ServiceConfig(polling_warps=0), "polling_warps"),
+            # One more warp than the service SM has issue slots (4 x 32).
+            (ServiceConfig(polling_warps=129), "polling_warps"),
+            # With idle_poll_ns=0 the poll loop never advances time.
+            (ServiceConfig(poll_iteration_cycles=0.0), "poll_iteration_cycles"),
+            (ServiceConfig(idle_poll_ns=-1.0), "idle_poll_ns"),
+        ],
+    )
+    def test_service_config_is_validated(self, service, field):
+        with pytest.raises(ValueError, match=f"service.{field}"):
+            SystemConfig(service=service).validate()
+
+    def test_service_config_limits_are_inclusive(self):
+        SystemConfig(
+            service=ServiceConfig(polling_warps=128, idle_poll_ns=0.0)
+        ).validate()
 
 
 class TestHelpers:
