@@ -14,6 +14,8 @@ from typing import Any, Generator, Optional
 
 from repro.sim.engine import Event, SimError, Simulator, Timeout
 
+_INF = float("inf")
+
 
 class Semaphore:
     """Counting semaphore with FIFO wakeup order."""
@@ -173,11 +175,12 @@ class FairShareServer:
     by ``w`` since its arrival.
 
     Jobs live on a heap of plain ``(vfinish, seq, event)`` tuples so heap
-    sifting compares in C, and the arrival and departure paths each spell
-    out the virtual-time advance and the departure rescheduling in place
-    (the same expressions, so results stay bit-exact between the two):
-    every GPU instruction issue passes through here, making this the
-    hottest model code in the simulator.
+    sifting compares in C.  One departure callback is live at a time, armed
+    for the head job, and it is armed lazily: an arrival re-arms it only when
+    the new job became the head.  Any other arrival can only delay the head
+    (by pushing ``n`` past ``total_rate / per_job_cap``), which the callback
+    finds out when it fires; under the cap, the common case on an SM, it
+    fires on time and nothing was rescheduled.
     """
 
     _EPS = 1e-9
@@ -200,6 +203,8 @@ class FairShareServer:
         self._jobs: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._version = 0
+        #: Fire time of the live departure callback; inf while there is none.
+        self._armed = _INF
         self.work_done = 0.0
         self._job_name = f"{name}.job"
 
@@ -207,16 +212,12 @@ class FairShareServer:
     def active_jobs(self) -> int:
         return len(self._jobs)
 
-    def _on_departure(self, version: int) -> None:
-        if version != self._version:
-            return  # superseded by a later arrival/departure
-        jobs = self._jobs
-        now = self.sim.now
-        # Advance virtual time to now at r(n) = min(per_job_cap,
-        # total_rate / n), the rate the n jobs active since _last_t shared.
+    def _advance(self, now: float) -> None:
+        """Bring virtual time to ``now`` at r(n) = min(per_job_cap,
+        total_rate / n), the rate the n jobs active since _last_t shared."""
         dt = now - self._last_t
         if dt > 0:
-            n = len(jobs)
+            n = len(self._jobs)
             if n:
                 rate = self.total_rate / n
                 cap = self.per_job_cap
@@ -225,33 +226,54 @@ class FairShareServer:
                 self._V += dt * rate
                 self.work_done += dt * rate * n
         self._last_t = now
-        # This callback fires exactly at the head job's scheduled departure
-        # (any arrival in between would have bumped the version), so if the
-        # head still appears un-finished it is pure floating-point residue:
-        # the real-time delay rounded down and the advance under-shot vfinish.
-        # Snap virtual time forward to guarantee progress (otherwise the
-        # same zero-delay callback re-fires forever).
+
+    def _head_departure(self) -> float:
+        """When the head job departs if nothing arrives first: from _last_t
+        on, each of the n active jobs runs at r(n)."""
+        jobs = self._jobs
+        rate = self.total_rate / len(jobs)
+        cap = self.per_job_cap
+        if cap < rate:
+            rate = cap
+        dt = (jobs[0][0] - self._V) / rate
+        return self._last_t + dt if dt > 0.0 else self._last_t
+
+    def _arm(self, when: float) -> None:
+        """Supersede the pending departure callback with one at ``when``
+        (narrow scheduler API: no per-departure closure)."""
+        self._version += 1
+        self._armed = when
+        self.sim.schedule_at(when, self._on_departure, self._version)
+
+    def _on_departure(self, version: int) -> None:
+        if version != self._version:
+            return  # superseded: a later arrival became the head
+        self._armed = _INF
+        now = self.sim.now
+        # Armed before later arrivals lowered the share?  Nothing has touched
+        # _V, _last_t or the heap since the last of them, so this is the very
+        # time that arrival computed, and it is never earlier than the armed
+        # one: either it is now, or the re-arm lands strictly later — the
+        # callback can never re-fire in place.
+        when = self._head_departure()
+        if when > now:
+            self._arm(when)
+            return
+        self._advance(now)
+        # The head is due now, so if it still appears un-finished it is pure
+        # floating-point residue: the real-time delay rounded down and the
+        # advance under-shot vfinish.  Snap virtual time forward.
+        jobs = self._jobs
         V = self._V
-        if jobs and V < jobs[0][0]:
+        if V < jobs[0][0]:
             V = self._V = jobs[0][0]
         lim = V + self._EPS
         ready: list[tuple[float, int, Event]] = []
         heappop = heapq.heappop
         while jobs and jobs[0][0] <= lim:
             ready.append(heappop(jobs))
-        # Supersede the pending departure callback and schedule the new
-        # head job's (narrow scheduler API: no per-departure closure).
-        self._version += 1
         if jobs:
-            n = len(jobs)
-            rate = self.total_rate / n
-            cap = self.per_job_cap
-            if cap < rate:
-                rate = cap
-            dt = (jobs[0][0] - V) / rate
-            if dt < 0.0:
-                dt = 0.0
-            self.sim.schedule_at(now + dt, self._on_departure, self._version)
+            self._arm(self._head_departure())
         for job in ready:
             job[2].trigger()
 
@@ -261,35 +283,11 @@ class FairShareServer:
             raise ValueError("work must be non-negative")
         if work == 0:
             return
-        sim = self.sim
-        now = sim.now
-        jobs = self._jobs
-        # Advance virtual time to now at r(n) = min(per_job_cap,
-        # total_rate / n), the rate the n jobs active since _last_t shared.
-        dt = now - self._last_t
-        if dt > 0:
-            n = len(jobs)
-            if n:
-                rate = self.total_rate / n
-                cap = self.per_job_cap
-                if cap < rate:
-                    rate = cap
-                self._V += dt * rate
-                self.work_done += dt * rate * n
-        self._last_t = now
+        self._advance(self.sim.now)
         self._seq += 1
-        ev = Event(sim, name=self._job_name)
-        heapq.heappush(jobs, (self._V + work, self._seq, ev))
-        # Supersede the pending departure callback and schedule the new
-        # head job's (narrow scheduler API: no per-departure closure).
-        self._version += 1
-        n = len(jobs)
-        rate = self.total_rate / n
-        cap = self.per_job_cap
-        if cap < rate:
-            rate = cap
-        dt = (jobs[0][0] - self._V) / rate
-        if dt < 0.0:
-            dt = 0.0
-        sim.schedule_at(now + dt, self._on_departure, self._version)
+        ev = Event(self.sim, name=self._job_name)
+        heapq.heappush(self._jobs, (self._V + work, self._seq, ev))
+        when = self._head_departure()
+        if when < self._armed:  # the new job is the head
+            self._arm(when)
         yield ev
