@@ -371,7 +371,7 @@ class _FileLinter:
                     self.add(
                         node, "AGL004",
                         f"process {fn.name!r} yields {bad}; processes may "
-                        f"only yield Timeout/Event/Process/None awaitables",
+                        f"only yield Timeout/At/Event/Process/None awaitables",
                     )
 
     def _check_stats_mutation(self, node: ast.Assign | ast.AugAssign) -> None:

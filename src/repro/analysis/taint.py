@@ -13,7 +13,7 @@ can differ between two runs of the same seed:
 
 **AGL009** fires when a tainted value reaches a determinism-critical sink:
 scheduler delays and callback arguments (``schedule_at`` /
-``schedule_immediate`` / ``timeout`` / ``Timeout``), event
+``schedule_immediate`` / ``timeout`` / ``Timeout`` / ``At``), event
 payloads (``.trigger`` / ``.succeed``), or :class:`~repro.sim.rng.RngStreams`
 seeds and stream names.  Scheduling *from inside* unordered iteration also
 fires: same-time events are FIFO by sequence number, so insertion order is
@@ -83,6 +83,7 @@ SINKS: Dict[str, str] = {
     "schedule_immediate": "schedule_immediate() argument",
     "timeout": "timeout() delay",
     "Timeout": "Timeout() delay",
+    "At": "At() wake time",
     "trigger": "event payload (.trigger)",
     "succeed": "event payload (.succeed)",
     "RngStreams": "RngStreams seed",
@@ -94,7 +95,7 @@ SINKS: Dict[str, str] = {
 #: events dispatch FIFO by insertion sequence, so *calling* them in an
 #: unordered-iteration order is observable.
 ORDER_SENSITIVE_SINKS = {
-    "schedule_at", "schedule_immediate", "timeout", "Timeout",
+    "schedule_at", "schedule_immediate", "timeout", "Timeout", "At",
     "trigger", "succeed",
 }
 

@@ -69,6 +69,7 @@ _DELAY_SINKS: Dict[str, Tuple[int, ...]] = {
     "schedule_at": (0,),
     "timeout": (0,),
     "Timeout": (0,),
+    "At": (0,),
 }
 
 

@@ -34,7 +34,7 @@ from repro.config import ServiceConfig
 from repro.core.issue import IssueEngine
 from repro.gpu.device import Gpu
 from repro.nvme.queue import CompletionQueue
-from repro.sim.engine import Event, Process, Simulator, Timeout
+from repro.sim.engine import At, Event, Process, Simulator, Timeout
 from repro.telemetry import Counter
 
 #: Lanes in a polling warp == CQEs examined per visit (Algorithm 1).
@@ -152,12 +152,7 @@ class AgileService:
             k -= 1
         while self.visit_end(anchor, k, n_cqs) < sim.now:
             k += 1
-        when = self.visit_end(anchor, k, n_cqs)
-        # now + (when - now) is exactly ``when`` once when <= 2 * now
-        # (Sterbenz); earlier than that, close in first.
-        while when > 2.0 * sim.now:
-            yield Timeout(0.75 * (when - sim.now))
-        yield Timeout(when - sim.now)
+        yield At(self.visit_end(anchor, k, n_cqs))
         return k
 
     def _polling_warp(self, warp_idx: int) -> Generator[Any, Any, None]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.config import GpuConfig
 from repro.mem.address import Allocation, BumpAllocator
-from repro.sim.engine import Simulator, Timeout
+from repro.sim.engine import At, Simulator
 from repro.sim.resources import FifoServer
 
 
@@ -96,8 +96,10 @@ class Hbm:
         self.loads += 1
         if self.traffic is not None:
             self.traffic.add("load_bytes", nbytes)
-        yield from self._port.process(self._occupancy_ns(nbytes))
-        yield Timeout(self.cfg.hbm_latency_ns)
+        yield At(
+            self._port.reserve(self._occupancy_ns(nbytes))
+            + self.cfg.hbm_latency_ns
+        )
 
     def store(self, nbytes: int) -> Generator[Any, Any, None]:
         """A write of ``nbytes`` to HBM.  Writes are posted: the writer only
@@ -116,8 +118,10 @@ class Hbm:
         bucket locking, for instance — therefore contends at scale.
         """
         self.atomics += 1
-        yield from self._port.process(self.cfg.atomic_service_ns)
-        yield Timeout(self.cfg.atomic_latency_ns)
+        yield At(
+            self._port.reserve(self.cfg.atomic_service_ns)
+            + self.cfg.atomic_latency_ns
+        )
 
     def utilization(self) -> float:
         return self._port.utilization()

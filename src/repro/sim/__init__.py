@@ -5,6 +5,7 @@ scratch for this reproduction (see DESIGN.md inventory item 1).  Processes
 are Python generators that ``yield`` awaitables:
 
 - :class:`Timeout` — resume after a simulated delay,
+- :class:`At` — resume at an absolute simulated time,
 - :class:`Event` — resume when another process triggers it,
 - :class:`Process` — join another process.
 
@@ -14,6 +15,7 @@ program and seed.
 """
 
 from repro.sim.engine import (
+    At,
     Event,
     Process,
     SimDeadlockError,
@@ -36,6 +38,7 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
+    "At",
     "SimError",
     "SimDeadlockError",
     "SimStallError",

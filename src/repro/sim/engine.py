@@ -76,6 +76,20 @@ class Timeout:
         return f"Timeout({self.delay})"
 
 
+class At:
+    """Awaitable wake-up.  ``yield At(when)`` resumes at absolute time
+    ``when`` exactly: no ``now + delay`` rounding between the caller's
+    arithmetic and the heap key.  ``when`` must not be in the past."""
+
+    __slots__ = ("when",)
+
+    def __init__(self, when: float):
+        self.when = when
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"At({self.when})"
+
+
 class Event:
     """One-shot event.  Processes yielding an untriggered event block until
     :meth:`trigger` (resumed with the trigger value) or :meth:`fail` (the
@@ -167,7 +181,7 @@ class Event:
 class Process:
     """A running simulation process wrapping a generator.
 
-    Yield targets: :class:`Timeout`, :class:`Event`, another
+    Yield targets: :class:`Timeout`, :class:`At`, :class:`Event`, another
     :class:`Process` (join), or ``None`` (yield the engine, resume at the
     same timestamp after other pending events — a cooperative re-schedule).
     """
@@ -208,8 +222,11 @@ class Process:
 
     # -- engine plumbing ---------------------------------------------------
 
-    def _enqueue(self, kind: int, payload: Any, delay: float = 0.0) -> None:
-        """Queue this process's next step (record reuse fast path)."""
+    def _enqueue(
+        self, kind: int, payload: Any, when: Optional[float] = None
+    ) -> None:
+        """Queue this process's next step, now or at absolute time ``when``
+        (record reuse fast path)."""
         sim = self.sim
         sim._seq += 1
         if self._rec_queued:
@@ -220,10 +237,10 @@ class Process:
             rec[1] = kind
             rec[3] = payload
             self._rec_queued = True
-        if delay == 0.0:
+        if when is None or when == sim.now:
             sim._immediate.append(rec)
         else:
-            heapq.heappush(sim._heap, (sim.now + delay, rec[0], rec))
+            heapq.heappush(sim._heap, (when, rec[0], rec))
 
     def _schedule_resume(self, value: Any) -> None:
         self._waiting_on = None
@@ -246,12 +263,15 @@ class Process:
         except BaseException as exc:
             self._finish_error(exc)
             return
-        # The two overwhelmingly common yields — Timeout and a pending
+        # The overwhelmingly common yields — Timeout, At and a pending
         # Event — are handled inline; everything else falls through to
         # _dispatch.  Same behaviour, one less call per step.
         if type(item) is Timeout:
             self._waiting_on = item
-            self._enqueue(_K_SEND, item.value, item.delay)
+            self._enqueue(_K_SEND, item.value, self.sim.now + item.delay)
+        elif type(item) is At and item.when >= self.sim.now:
+            self._waiting_on = item
+            self._enqueue(_K_SEND, None, item.when)
         elif isinstance(item, Event) and not item._triggered:
             item._waiters.append(self)
             self._waiting_on = item
@@ -273,7 +293,10 @@ class Process:
             return
         if type(item) is Timeout:
             self._waiting_on = item
-            self._enqueue(_K_SEND, item.value, item.delay)
+            self._enqueue(_K_SEND, item.value, self.sim.now + item.delay)
+        elif type(item) is At and item.when >= self.sim.now:
+            self._waiting_on = item
+            self._enqueue(_K_SEND, None, item.when)
         elif isinstance(item, Event) and not item._triggered:
             item._waiters.append(self)
             self._waiting_on = item
@@ -285,7 +308,10 @@ class Process:
             self._enqueue(_K_SEND, None)
         elif type(item) is Timeout:
             self._waiting_on = item
-            self._enqueue(_K_SEND, item.value, item.delay)
+            self._enqueue(_K_SEND, item.value, self.sim.now + item.delay)
+        elif type(item) is At and item.when >= self.sim.now:
+            self._waiting_on = item
+            self._enqueue(_K_SEND, None, item.when)
         elif isinstance(item, Event):
             item._add_waiter(self)
         elif isinstance(item, Process):
@@ -293,6 +319,11 @@ class Process:
             if self._waiting_on is not None:
                 # Still blocked: report the join target, not its done-event.
                 self._waiting_on = item
+        elif type(item) is At:  # same rule as schedule_at
+            self._finish_error(SimError(
+                f"process {self.name!r} yielded {item!r} in the past "
+                f"(now {self.sim.now})"
+            ))
         else:
             exc = SimError(
                 f"process {self.name!r} yielded unsupported object {item!r}"
@@ -340,6 +371,8 @@ class Process:
             return f"event {target.name!r}"
         if isinstance(target, Timeout):
             return f"timeout {target.delay} ns"
+        if isinstance(target, At):
+            return f"wake at {target.when} ns"
         if isinstance(target, Process):
             return f"joining process '{target.name}'"
         return repr(target)

@@ -4,7 +4,8 @@ capped processor-sharing server.
 All ``acquire``/``process``/``transfer`` methods are generators intended to
 be driven with ``yield from`` inside a simulation process.  A call that can
 be satisfied immediately completes without yielding, so the uncontended fast
-path costs zero simulated time and zero events.
+path costs zero simulated time and zero events; a strictly serialized
+resource computes its completion time instead of simulating its queue.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import Event, SimError, Simulator, Timeout
+from repro.sim.engine import At, Event, SimError, Simulator
 
 _INF = float("inf")
 
@@ -52,20 +53,6 @@ class Semaphore:
         self._waiters.append(ev)
         yield ev
 
-    def acquire_or_event(self) -> Optional[Event]:
-        """Non-generator acquire: take a token now (returns ``None``) or
-        register and return the :class:`Event` the caller must yield.
-
-        Lets hot callers avoid a generator frame per uncontended acquire
-        while producing the exact same event sequence as :meth:`acquire`.
-        """
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return None
-        ev = Event(self.sim, name=self._ev_name)
-        self._waiters.append(ev)
-        return ev
-
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimError(f"semaphore {self.name!r} released too many times")
@@ -80,29 +67,46 @@ class FifoServer:
     """Single server processing jobs one at a time in arrival order.
 
     ``process(service_ns)`` holds the server for exactly ``service_ns``.
-    Used for strictly serialized hardware such as an SSD's command fetch
-    engine or a DMA engine.
+    Used for strictly serialized hardware such as an SSD's flash channel or
+    the HBM port.  Closed-form: an arriving job's completion time is known
+    at once — ``max(now, free_at) + service_ns`` — so the whole visit costs
+    one wake-up, and a caller that owes more time afterwards (a load's
+    latency) adds it to :meth:`reserve`'s result and sleeps once.  A
+    reservation stands even if the process that made it is killed.
     """
 
-    __slots__ = ("sim", "name", "_sem", "busy_time")
+    __slots__ = ("sim", "name", "free_at", "_booked")
 
     def __init__(self, sim: Simulator, name: str = "server"):
         self.sim = sim
         self.name = name
-        self._sem = Semaphore(sim, 1, name=f"{name}.sem")
-        #: Total simulated time the server has been busy (for utilization).
-        self.busy_time = 0.0
+        #: When the last job accepted so far completes.
+        self.free_at = 0.0
+        self._booked = 0.0
+
+    def reserve(self, service_ns: float) -> float:
+        """Queue a job behind everything accepted so far; returns the
+        absolute time it completes."""
+        now = self.sim.now
+        start = self.free_at if self.free_at > now else now
+        self.free_at = end = start + service_ns
+        self._booked += service_ns
+        return end
 
     def process(self, service_ns: float) -> Generator[Any, Any, None]:
-        ev = self._sem.acquire_or_event()
-        if ev is not None:
-            yield ev
-        try:
-            if service_ns > 0:
-                yield Timeout(service_ns)
-            self.busy_time += service_ns
-        finally:
-            self._sem.release()
+        end = self.reserve(service_ns)
+        if end > self.sim.now:
+            yield At(end)
+
+    @property
+    def busy_time(self) -> float:
+        """Simulated time the server has been busy so far (for utilization):
+        the service booked, less the backlog still ahead of ``now`` — never
+        more than ``now``, whatever the subtraction's last digit says."""
+        now = self.sim.now
+        if self.free_at <= now:
+            return self._booked
+        return min(self._booked - (self.free_at - now), now)
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time the server was busy."""
@@ -141,22 +145,10 @@ class BandwidthPipe:
     def transfer(self, nbytes: int) -> Generator[Any, Any, None]:
         if nbytes < 0:
             raise ValueError("cannot transfer a negative byte count")
-        # Inlined FifoServer.process: transfers happen once per DMA burst,
-        # so the delegating generator frame is measurable overhead.
-        server = self._server
-        service_ns = nbytes / self.bytes_per_ns
-        ev = server._sem.acquire_or_event()
-        if ev is not None:
-            yield ev
-        try:
-            if service_ns > 0:
-                yield Timeout(service_ns)
-            server.busy_time += service_ns
-        finally:
-            server._sem.release()
+        arrives = self._server.reserve(nbytes / self.bytes_per_ns) + self.latency_ns
+        if arrives > self.sim.now:
+            yield At(arrives)
         self.bytes_moved += nbytes
-        if self.latency_ns > 0:
-            yield Timeout(self.latency_ns)
 
     def utilization(self) -> float:
         return self._server.utilization()

@@ -302,3 +302,17 @@ def test_dropped_cqes_with_recovery_still_reach_exactly_one_terminal():
     assert sorted(terminal) == [(tid, True) for tid in range(8)]
     assert host.ssds[0].dropped_cqes == 3
     assert host.issue.inflight() == 0
+
+
+def test_an_early_wake_costs_two_events():
+    """Woken at t = 27 for a visit that ends at t = 173, more than twice as
+    far away: the warp sleeps once (``At``), it does not close in by
+    halves to make ``now + delay`` land on the grid."""
+    rig = _Rig(1, 10.0)
+    _, anchor, _, _ = reference(rig.service, 1, 10.0, [])
+    rig.run([(anchor + 0.5, 0)])
+    assert rig.pickups == [(rig.service.visit_end(anchor, 0, 1), 0)]
+    assert rig.pickups[0][0] > 2.0 * (anchor + 0.5)
+    # start, first step, first visit | post, wake, rejoin | the pickup's
+    # charge, one more empty visit | the sentinel's two.
+    assert rig.sim.event_count == 10

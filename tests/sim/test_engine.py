@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import (
+    At,
     Event,
     SimDeadlockError,
     SimError,
@@ -384,3 +385,91 @@ def test_schedule_api_rejects_past(sim):
 
     sim.spawn(proc())
     sim.run()
+
+
+# -- At: wake at an absolute time ---------------------------------------------
+
+
+def test_at_lands_on_the_exact_float(sim):
+    """No ``now + delay`` in between: 1.1 + (7.7 - 1.1) is not 7.7, and a
+    wake-up for 7.7 computed by the caller must land on 7.7."""
+    seen = []
+
+    def proc():
+        yield Timeout(1.1)
+        assert sim.now + (7.7 - sim.now) != 7.7  # what a Timeout would do
+        yield At(7.7)
+        seen.append(sim.now)
+        assert (yield At(1e9 / 3)) is None
+        seen.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run()
+    assert seen == [7.7, 1e9 / 3]
+
+
+def test_at_now_resumes_through_the_immediate_fifo(sim):
+    """``At(now)`` is ``Timeout(0)``: same instant, behind what is queued."""
+    order = []
+
+    def proc(tag, make):
+        yield Timeout(5)
+        yield make()
+        order.append((tag, sim.now))
+
+    sim.spawn(proc("at", lambda: At(sim.now)))
+    sim.spawn(proc("t0", lambda: Timeout(0)))
+    sim.spawn(proc("at2", lambda: At(5.0)))
+    sim.run()
+    assert order == [("at", 5), ("t0", 5), ("at2", 5)]
+    assert not sim._heap  # nothing went through the timeout heap at t=5
+
+
+def test_at_in_the_past_fails_the_process(sim):
+    def proc():
+        yield Timeout(10)
+        yield At(9.5)
+
+    sim.spawn(proc(), name="late")
+    with pytest.raises(SimError) as info:
+        sim.run()
+    assert sim.now == 10  # no silent immediate resume either
+    message = str(info.value.__cause__)
+    assert "'late'" in message and "At(9.5)" in message and "now 10" in message
+
+
+def test_at_in_the_past_reaches_a_joiner_and_a_thrown_step(sim):
+    def late():
+        try:
+            yield sim.event("fails")
+        except ValueError:
+            yield At(float("nan"))  # not a time at all: same error
+
+    def joiner(proc):
+        with pytest.raises(SimError, match="in the past"):
+            yield proc
+        return "seen"
+
+    ev_proc = sim.spawn(late(), name="late")
+    j = sim.spawn(joiner(ev_proc))
+    sim.run(max_events=2)
+    ev_proc._waiting_on.fail(ValueError("boom"))
+    sim.run()
+    assert j.value == "seen"
+
+
+def test_stall_report_names_the_wake_time():
+    sim = Simulator(watchdog_ns=100)
+
+    def daemon():
+        while True:
+            yield Timeout(10)
+
+    def sleeper():
+        yield At(1e6)
+
+    sim.spawn(daemon(), name="d", daemon=True)
+    proc = sim.spawn(sleeper(), name="sleeper")
+    with pytest.raises(SimStallError, match="sleeper: waiting on wake at 1000000.0 ns"):
+        sim.run()
+    assert proc.waiting_description() == "wake at 1000000.0 ns"

@@ -6,7 +6,8 @@ bit-identical ordering with the classic formulation: one heap keyed by
 ``(time, seq)`` where ``seq`` is a global schedule counter.  Hypothesis
 generates adversarial interleavings — nested callback trees and processes
 mixing zero and non-zero delays — and compares the engine's dispatch order
-against a direct single-heap reference model.
+against a direct single-heap reference model.  ``At`` wake-ups take the
+same two tiers (``At(now)`` the deque, a later time the heap).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator, Timeout
+from repro.sim.engine import At, Simulator, Timeout
 
 #: Delay pool: zero-delay biased (it is the common case in the real models),
 #: with repeated values so same-timestamp ties actually happen.
@@ -86,9 +87,15 @@ def test_callback_order_matches_single_heap_reference(program):
     assert run_engine_callbacks(program) == run_reference_callbacks(program)
 
 
-#: Per-process delay scripts for the generator-process property.
+#: Per-process scripts for the generator-process property.  A step is a
+#: relative delay (zero: a bare yield) or an absolute wake-up time, clamped
+#: to now; the pool repeats so ``At`` ties with timeouts and with ``At(now)``.
+STEPS = st.one_of(
+    st.tuples(st.just("delay"), DELAYS),
+    st.tuples(st.just("at"), st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 3.0])),
+)
 SCRIPTS = st.lists(
-    st.lists(DELAYS, min_size=1, max_size=6), min_size=1, max_size=6
+    st.lists(STEPS, min_size=1, max_size=6), min_size=1, max_size=6
 )
 
 
@@ -96,16 +103,18 @@ def run_engine_processes(scripts):
     sim = Simulator()
     order = []
 
-    def worker(i, delays):
-        for step, d in enumerate(delays):
-            if d == 0.0:
+    def worker(i, steps):
+        for step, (kind, x) in enumerate(steps):
+            if kind == "at":
+                yield At(max(x, sim.now))
+            elif x == 0.0:
                 yield None  # cooperative re-schedule at the same timestamp
             else:
-                yield Timeout(d)
+                yield Timeout(x)
             order.append((sim.now, i, step))
 
-    for i, delays in enumerate(scripts):
-        sim.spawn(worker(i, delays), name=f"w{i}")
+    for i, steps in enumerate(scripts):
+        sim.spawn(worker(i, steps), name=f"w{i}")
     sim.run()
     return order
 
@@ -117,7 +126,7 @@ def run_reference_processes(scripts):
     seq = itertools.count()
     order = []
     # Spawn order defines the initial seq numbers, exactly like spawn().
-    for i, delays in enumerate(scripts):
+    for i, steps in enumerate(scripts):
         heapq.heappush(heap, (0.0, next(seq), i, -1))
     while heap:
         now, _, i, step = heapq.heappop(heap)
@@ -125,11 +134,13 @@ def run_reference_processes(scripts):
             order.append((now, i, step))
         nxt = step + 1
         if nxt < len(scripts[i]):
-            heapq.heappush(heap, (now + scripts[i][nxt], next(seq), i, nxt))
+            kind, x = scripts[i][nxt]
+            when = max(x, now) if kind == "at" else now + x
+            heapq.heappush(heap, (when, next(seq), i, nxt))
     return order
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(SCRIPTS)
 def test_process_wakeup_order_matches_single_heap_reference(scripts):
     assert run_engine_processes(scripts) == run_reference_processes(scripts)

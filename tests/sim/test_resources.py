@@ -411,3 +411,188 @@ class TestLazyArming:
         assert len(done) == len(jobs) and ps.active_jobs == 0
         _, want, _ = run_fair_share(EagerFairShareServer, jobs)
         assert done == want
+
+
+# -- closed-form FIFO against the semaphore formulation it replaces ----------
+
+
+class SemaphoreFifoServer:
+    """Reference: a one-token semaphore held for a ``Timeout(service)``."""
+
+    def __init__(self, sim):
+        self.sim, self._sem, self.busy_time = sim, Semaphore(sim, 1), 0.0
+
+    def process(self, service_ns):
+        yield from self._sem.acquire()
+        try:
+            if service_ns > 0:
+                yield Timeout(service_ns)
+            self.busy_time += service_ns
+        finally:
+            self._sem.release()
+
+
+class SemaphorePipe:
+    """Reference: the wire is a :class:`SemaphoreFifoServer`, propagation a
+    second timeout."""
+
+    def __init__(self, sim, bytes_per_ns, latency_ns):
+        self.bytes_per_ns, self.latency_ns = bytes_per_ns, latency_ns
+        self._server, self.bytes_moved = SemaphoreFifoServer(sim), 0
+
+    def transfer(self, nbytes):
+        yield from self._server.process(nbytes / self.bytes_per_ns)
+        self.bytes_moved += nbytes
+        if self.latency_ns > 0:
+            yield Timeout(self.latency_ns)
+
+
+def run_fifo(closed_form, jobs):
+    """Two servers and two pipes; each job makes one visit to one of them.
+    Returns per-job completion times, per-resource arrival order, and the
+    books at quiescence."""
+    sim = Simulator()
+    if closed_form:
+        servers = [FifoServer(sim), FifoServer(sim)]
+        pipes = [BandwidthPipe(sim, 3.0, 0.0), BandwidthPipe(sim, 0.7, 12.3)]
+    else:
+        servers = [SemaphoreFifoServer(sim), SemaphoreFifoServer(sim)]
+        pipes = [SemaphorePipe(sim, 3.0, 0.0), SemaphorePipe(sim, 0.7, 12.3)]
+    done, arrivals = {}, {r: [] for r in range(4)}
+
+    def job(i, start, resource, amount):
+        yield Timeout(start)
+        arrivals[resource].append(i)
+        if resource < 2:
+            yield from servers[resource].process(amount)
+        else:
+            yield from pipes[resource - 2].transfer(int(amount * 10))
+        done[i] = sim.now
+
+    for i, spec in enumerate(jobs):
+        sim.spawn(job(i, *spec))
+    sim.run()
+    books = [s.busy_time for s in servers] + [
+        (p._server.busy_time, p.bytes_moved) for p in pipes
+    ]
+    return done, arrivals, books, sim
+
+
+FIFO_JOBS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.1, 0.1, 1 / 3, 2.0, 2.0, 7.7, 50.0]),
+        st.integers(min_value=0, max_value=3),
+        st.one_of(
+            st.sampled_from([0.0, 0.0, 0.1, 1 / 3, 1.9, 2.0]),
+            st.floats(min_value=0.0, max_value=40.0),
+        ),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+class TestClosedFormFifo:
+    @settings(max_examples=300, deadline=None)
+    @given(FIFO_JOBS)
+    def test_bit_equal_to_the_semaphore_formulation(self, jobs):
+        want, order, want_books, _ = run_fifo(False, jobs)
+        got, got_order, got_books, _ = run_fifo(True, jobs)
+        assert got == want  # every completion time, exactly
+        assert got_order == order and got_books == want_books
+        for resource, ids in order.items():  # FIFO: nobody overtakes
+            ends = [got[i] for i in ids]
+            assert ends == sorted(ends), resource
+
+    def test_one_event_per_job_under_backlog(self, sim):
+        """10^5 back-to-back jobs: each costs its one wake-up, nothing for
+        queueing, however deep the backlog."""
+        server = FifoServer(sim)
+        workers, visits = 100, 1000
+
+        def worker():
+            for _ in range(visits):
+                yield from server.process(0.3)
+
+        for _ in range(workers):
+            sim.spawn(worker())
+        sim.run()
+        assert sim.event_count == workers + workers * visits
+        assert server.busy_time == pytest.approx(0.3 * workers * visits)
+        assert sim.now == server.free_at
+
+    def test_busy_time_never_runs_ahead_of_the_clock(self, sim):
+        """Service is booked at reservation, so a backlogged server's books
+        are ahead of time; what it reports is not."""
+        server = FifoServer(sim)
+        reference = SemaphoreFifoServer(sim)
+        samples = []
+
+        def job(target, start, service):
+            yield Timeout(start)
+            yield from target.process(service)
+
+        def sampler():
+            for _ in range(60):
+                yield Timeout(1.7)
+                samples.append((server.utilization(), reference.busy_time))
+                assert server.busy_time <= reference.busy_time + 1.9 + 1e-9
+
+        for target in (server, reference):
+            for k in range(40):  # 76 ns of work offered in the first 10 ns
+                sim.spawn(job(target, 0.25 * k, 1.9))
+        sim.spawn(sampler())
+        sim.run()
+        assert all(u <= 1.0 for u, _ in samples)
+        assert samples[20][0] == 1.0  # saturated while the backlog lasts
+        assert server.busy_time == reference.busy_time  # at quiescence, exactly
+
+    def test_uncontended_zero_service_costs_no_event(self, sim):
+        server = FifoServer(sim)
+
+        def job():
+            yield from server.process(0.0)
+            yield from server.process(0.0)
+
+        sim.spawn(job())
+        sim.run()
+        assert sim.event_count == 1 and sim.now == 0.0
+
+    def test_a_killed_process_keeps_its_reservation(self):
+        """Mid-atomic and mid-transfer kills: the waiters behind finish when
+        they would have anyway (the slot is not handed on early), and the
+        machine stops and drains with nobody stranded."""
+        from tests.helpers import make_host
+
+        def run(kill):
+            host = make_host()
+            sim, hbm, pipe = host.sim, host.gpu.hbm, host.gpu.pcie_pipe
+            done = {}
+
+            def atomic(tag):
+                yield from hbm.atomic()
+                done[tag] = sim.now
+
+            def dma(tag):
+                yield from pipe.transfer(1 << 16)
+                done[tag] = sim.now
+
+            host.start()
+            procs = {
+                tag: sim.spawn(body(tag), name=tag)
+                for tag, body in [("a0", atomic), ("a1", atomic),
+                                  ("d0", dma), ("d1", dma)]
+            }
+            sim.run(until=1.0)  # a0 and d0 in service, a1 and d1 behind them
+            assert not done
+            for tag in kill:
+                procs[tag].kill()
+            sim.run()
+            host.stop()
+            host.drain()
+            sim.run()
+            assert not any(p.alive for p in procs.values())
+            return done
+
+        everyone = run(kill=())
+        survivors = run(kill=("a0", "d0"))
+        assert survivors == {t: everyone[t] for t in ("a1", "d1")}

@@ -31,11 +31,13 @@ def ci_documents():
     }
 
 
-#: The four cheapest CI documents (~7 s together), and ``write-path``
-#: (~2 s): serving, FTL GC and ``sim_events`` gated before CI runs.
+#: The four cheapest CI documents (~5 s together), ``write-path`` (~2.5 s:
+#: serving, FTL GC and ``sim_events``) and ``fig7`` (~6 s: the DLRM headline,
+#: all cache hits and HBM atomics), gated before CI runs.
 @pytest.mark.parametrize(
     "name",
-    ["fig12", "abl-coalescing", "abl-dram-tier", "abl-policies", "write-path"],
+    ["fig12", "abl-coalescing", "abl-dram-tier", "abl-policies", "write-path",
+     "fig7"],
 )
 def test_fresh_run_reproduces_the_golden_exactly(name, tmp_path, capsys):
     out = tmp_path / f"{name}.json"
