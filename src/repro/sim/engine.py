@@ -9,8 +9,8 @@ Scheduling is two-tiered (the dispatch fast path):
   overwhelmingly common case (process resumes, event wakeups, cooperative
   re-schedules).  Appending to and popping from a deque is O(1) with no
   comparison work.
-- a **timeout heap** keyed by ``(time, seq)`` holds only true timeouts and
-  absolute-time callbacks.
+- a **timeout heap** keyed by ``(time, seq)`` holds only true timeouts,
+  :class:`At` wake-ups and absolute-time callbacks.
 
 Both tiers share one global sequence counter, and the dispatcher always
 pops whichever front has the smaller ``(time, seq)``, so the merged order
@@ -309,9 +309,6 @@ class Process:
         elif type(item) is Timeout:
             self._waiting_on = item
             self._enqueue(_K_SEND, item.value, self.sim.now + item.delay)
-        elif type(item) is At and item.when >= self.sim.now:
-            self._waiting_on = item
-            self._enqueue(_K_SEND, None, item.when)
         elif isinstance(item, Event):
             item._add_waiter(self)
         elif isinstance(item, Process):
@@ -319,7 +316,7 @@ class Process:
             if self._waiting_on is not None:
                 # Still blocked: report the join target, not its done-event.
                 self._waiting_on = item
-        elif type(item) is At:  # same rule as schedule_at
+        elif type(item) is At:  # refused inline: schedule_at's rule
             self._finish_error(SimError(
                 f"process {self.name!r} yielded {item!r} in the past "
                 f"(now {self.sim.now})"

@@ -243,10 +243,9 @@ class FairShareServer:
         self._armed = _INF
         now = self.sim.now
         # Armed before later arrivals lowered the share?  Nothing has touched
-        # _V, _last_t or the heap since the last of them, so this is the very
-        # time that arrival computed, and it is never earlier than the armed
-        # one: either it is now, or the re-arm lands strictly later — the
-        # callback can never re-fire in place.
+        # _V, _last_t or the heap since the last of them, so this is the time
+        # that arrival computed, never earlier than the armed one.  A re-arm
+        # lands strictly later, so the callback cannot re-fire in place.
         when = self._head_departure()
         if when > now:
             self._arm(when)

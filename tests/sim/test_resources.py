@@ -300,11 +300,17 @@ class EagerFairShareServer:
 class CountedFairShareServer(FairShareServer):
     """The real server, counting what its callbacks did."""
 
-    fired = rearms = cohorts = arms = 0
+    fired = rearms = cohorts = arms = preempts = 0
 
     def _arm(self, when):
         self.arms += 1
         super()._arm(when)
+
+    def process(self, work):
+        arms = self.arms
+        (ev,) = super().process(work)  # the arrival runs here
+        self.preempts += self.arms - arms  # 1 iff it became the head
+        yield ev
 
     def _on_departure(self, version):
         self.fired += 1
@@ -322,20 +328,17 @@ def run_fair_share(cls, jobs, max_events=None):
     with it in both formulations: what is compared is the arming alone."""
     sim = Simulator()
     ps = cls(sim, 4.0, 1.0)  # shares below the cap from the fifth job on
-    done, preempts = {}, [0]
+    done = {}
 
     def job(i, start, work):
         yield Timeout(start)
-        arms = getattr(ps, "arms", 0)
-        (ev,) = ps.process(work)  # the arrival runs here
-        preempts[0] += getattr(ps, "arms", 0) - arms
-        yield ev
+        yield from ps.process(work)
         done[i] = sim.now
 
     for i, (start, work) in enumerate(jobs):
         sim.spawn(job(i, start, work))
     sim.run(max_events=max_events)
-    return ps, done, preempts[0]
+    return ps, done
 
 
 #: Arrival times repeat (ties, bursts that cross the cap and drain back
@@ -356,13 +359,13 @@ class TestLazyArming:
     @settings(max_examples=300, deadline=None)
     @given(FAIR_JOBS)
     def test_bit_equal_to_eager_rearming(self, jobs):
-        eager, want, _ = run_fair_share(EagerFairShareServer, jobs)
-        lazy, got, preempts = run_fair_share(CountedFairShareServer, jobs)
+        eager, want = run_fair_share(EagerFairShareServer, jobs)
+        lazy, got = run_fair_share(CountedFairShareServer, jobs)
         assert got == want  # every departure time, exactly
         assert (lazy.work_done, lazy._V) == (eager.work_done, eager._V)
         assert lazy.active_jobs == 0 and lazy._armed == float("inf")
         # One callback per arm, and an arm only where the head changed.
-        assert lazy.fired == lazy.arms <= lazy.cohorts + preempts + lazy.rearms
+        assert lazy.fired == lazy.arms <= lazy.cohorts + lazy.preempts + lazy.rearms
         assert lazy.fired <= eager.fired
 
     def test_arrivals_under_the_cap_cost_no_callback(self, sim):
@@ -405,11 +408,11 @@ class TestLazyArming:
         zero (and V residues that leave the head a hair unfinished): the
         callback must snap and retire, not re-arm at the same instant."""
         jobs = [(start, w) for w in works]
-        ps, done, _ = run_fair_share(
+        ps, done = run_fair_share(
             CountedFairShareServer, jobs, max_events=20 * len(jobs) + 20
         )
         assert len(done) == len(jobs) and ps.active_jobs == 0
-        _, want, _ = run_fair_share(EagerFairShareServer, jobs)
+        _, want = run_fair_share(EagerFairShareServer, jobs)
         assert done == want
 
 
@@ -475,7 +478,7 @@ def run_fifo(closed_form, jobs):
     books = [s.busy_time for s in servers] + [
         (p._server.busy_time, p.bytes_moved) for p in pipes
     ]
-    return done, arrivals, books, sim
+    return done, arrivals, books
 
 
 FIFO_JOBS = st.lists(
@@ -495,8 +498,8 @@ class TestClosedFormFifo:
     @settings(max_examples=300, deadline=None)
     @given(FIFO_JOBS)
     def test_bit_equal_to_the_semaphore_formulation(self, jobs):
-        want, order, want_books, _ = run_fifo(False, jobs)
-        got, got_order, got_books, _ = run_fifo(True, jobs)
+        want, order, want_books = run_fifo(False, jobs)
+        got, got_order, got_books = run_fifo(True, jobs)
         assert got == want  # every completion time, exactly
         assert got_order == order and got_books == want_books
         for resource, ids in order.items():  # FIFO: nobody overtakes
