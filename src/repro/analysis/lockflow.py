@@ -1,7 +1,7 @@
 """Lock/slot-release path checking and the static lock-order graph (AGL012).
 
 For every function, a forward may-analysis over the CFG tracks the set of
-*held resources*: receivers of ``.acquire(...)`` / ``.acquire_spin(...)``
+*held resources*: receivers of ``.acquire(...)``
 (including the ``yield from`` forms) and the true branch of
 ``if <recv>.try_acquire(...)`` / loop exit of
 ``while not <recv>.try_acquire(...)``.  A resource is released by
@@ -49,7 +49,7 @@ from repro.analysis.dataflow import Env, ForwardSolver
 from repro.analysis.races import simple_cycles
 from repro.analysis.source import Finding, SourceFile, dotted_name
 
-ACQUIRE_METHODS = {"acquire", "acquire_spin"}
+ACQUIRE_METHODS = {"acquire"}
 TRY_ACQUIRE_METHODS = {"try_acquire"}
 RELEASE_METHODS = {"release", "unpin"}
 

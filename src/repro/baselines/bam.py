@@ -32,13 +32,14 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.cache import CacheLine, LineState
+from repro.core.issue import ring_until_issued
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.core.policies import ClockPolicy
 from repro.gpu.thread import ThreadContext
 from repro.mem.hbm import Hbm
 from repro.nvme.command import SQE_SIZE, NvmeCommand, NvmeCompletion, Opcode
 from repro.nvme.device import SsdController
-from repro.nvme.queue import QueuePair, SlotState
+from repro.nvme.queue import QueuePair
 from repro.sim.engine import SimError, Simulator, Timeout
 from repro.sim.sync import Gate
 from repro.telemetry import Counter
@@ -73,7 +74,6 @@ class BamIoEngine:
 
     FULL_BACKOFF_NS = 400.0
     MAX_BACKOFF_NS = 12_000.0
-    DOORBELL_BACKOFF_NS = 60.0
 
     def __init__(
         self,
@@ -150,17 +150,7 @@ class BamIoEngine:
 
         # -- doorbell (same serialization constraint as AGILE, §2.3.3) -------
         db_lock = self.doorbell_locks[(ssd_idx, qp.qid)]
-        while True:
-            if db_lock.try_acquire(chain):
-                try:
-                    tail = qp.sq.advance_tail()
-                    if tail is not None:
-                        yield from qp.sq.doorbell.ring(tail)
-                finally:
-                    db_lock.release(chain)
-            if qp.sq.state[slot] is SlotState.ISSUED:
-                break
-            yield Timeout(self.DOORBELL_BACKOFF_NS)
+        yield from ring_until_issued(qp.sq, slot, db_lock, chain)
 
         # -- inline polling: the thread drains the CQ until its CID shows ----
         completion = yield from self._poll_for(tc, chain, ssd_idx, qp, cid)

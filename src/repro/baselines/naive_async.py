@@ -21,10 +21,11 @@ from typing import Any, Dict, Generator, List, Optional
 
 import numpy as np
 
+from repro.core.issue import ring_until_issued
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.gpu.thread import ThreadContext
 from repro.nvme.command import SQE_SIZE, NvmeCommand, Opcode
-from repro.nvme.queue import QueuePair, SlotState
+from repro.nvme.queue import QueuePair
 from repro.sim.engine import SimError, SimStallError, Simulator, Timeout
 
 
@@ -42,7 +43,6 @@ class NaiveToken:
 class NaiveAsyncEngine:
     """Asynchronous issuing with thread-held SQE locks (Figure 1 lines 1-5)."""
 
-    DOORBELL_BACKOFF_NS = 60.0
     STALL_POLL_NS = 200.0
 
     def __init__(
@@ -106,17 +106,8 @@ class NaiveAsyncEngine:
         yield from tc.hbm_store(SQE_SIZE)
         qp.sq.publish(token.slot, cmd)
         db_lock = self.doorbell_locks[qp.qid]
-        while True:
-            if db_lock.try_acquire(chain):
-                try:
-                    tail = qp.sq.advance_tail()
-                    if tail is not None:
-                        yield from qp.sq.doorbell.ring(tail)
-                finally:
-                    db_lock.release(chain)
-            if qp.sq.state[token.slot] is SlotState.ISSUED:
-                return token
-            yield Timeout(self.DOORBELL_BACKOFF_NS)
+        yield from ring_until_issued(qp.sq, token.slot, db_lock, chain)
+        return token
 
     def wait_all(
         self,

@@ -31,7 +31,7 @@ from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.gpu.thread import ThreadContext
 from repro.nvme.command import SQE_SIZE, NvmeCommand, Opcode
 from repro.nvme.device import SsdController
-from repro.nvme.queue import QueuePair, SlotState
+from repro.nvme.queue import QueuePair, SlotState, SubmissionQueue
 from repro.sim.engine import SimError, Simulator, Timeout
 from repro.telemetry import Counter
 
@@ -76,6 +76,50 @@ class PendingCommand:
     retries: int = 0
 
 
+#: Back-off between doorbell-lock attempts (ns).
+DOORBELL_BACKOFF_NS = 60.0
+
+
+def ring_until_issued(
+    sq: SubmissionQueue,
+    slot: int,
+    db_lock: AgileLock,
+    chain: AgileLockChain,
+    stats: Optional[Counter] = None,
+    tel: Any = None,
+) -> Generator[Any, Any, None]:
+    """``attempt_SQDB``: serialize the doorbell update (§2.3.3).  Every
+    ``DOORBELL_BACKOFF_NS`` the thread tries the SQ's doorbell lock; whoever
+    wins batches every contiguous UPDATED entry into one tail move and one
+    MMIO write, then all threads re-check whether their own SQE became
+    ISSUED.  A thread that found the lock held sits its visits out until
+    the release: each of them would have found the same holder."""
+    while True:
+        visits = 1
+        if db_lock.try_acquire(chain):
+            try:
+                tail = sq.advance_tail()
+                if tail is not None:
+                    yield from sq.doorbell.ring(tail)
+                    if stats is not None:
+                        stats.add("doorbell_rings")
+            finally:
+                db_lock.release(chain)
+            if sq.state[slot] is SlotState.ISSUED:
+                return
+            yield Timeout(DOORBELL_BACKOFF_NS)
+        else:
+            if stats is not None:
+                stats.add("doorbell_contended")
+            if sq.state[slot] is SlotState.ISSUED:
+                return
+            visits = yield from db_lock.released.park(DOORBELL_BACKOFF_NS)
+            if stats is not None:
+                stats.add("doorbell_contended", visits - 1)
+        if tel is not None:
+            tel.stall_ns.add("doorbell", visits * DOORBELL_BACKOFF_NS)
+
+
 class IssueEngine:
     """Shared issuing state: queue pairs, doorbell locks, transaction table."""
 
@@ -83,8 +127,6 @@ class IssueEngine:
     FULL_BACKOFF_NS = 400.0
     #: Cap for the exponential full-queue back-off (ns).
     MAX_BACKOFF_NS = 12_000.0
-    #: Back-off between doorbell-lock attempts (ns).
-    DOORBELL_BACKOFF_NS = 60.0
 
     def __init__(
         self,
@@ -197,24 +239,11 @@ class IssueEngine:
         self.stats.add("commands_submitted")
         self.stats.add(f"opcode_{opcode.name.lower()}")
 
-        # -- attempt_SQDB: serialize the doorbell update ---------------------
         db_lock = self.doorbell_locks[(ssd_idx, qp.qid)]
-        while True:
-            if db_lock.try_acquire(chain):
-                try:
-                    tail = qp.sq.advance_tail()
-                    if tail is not None:
-                        yield from qp.sq.doorbell.ring(tail)
-                        self.stats.add("doorbell_rings")
-                finally:
-                    db_lock.release(chain)
-            else:
-                self.stats.add("doorbell_contended")
-            if qp.sq.state[slot] is SlotState.ISSUED:
-                return txn
-            if self.tel is not None:
-                self.tel.stall_ns.add("doorbell", self.DOORBELL_BACKOFF_NS)
-            yield Timeout(self.DOORBELL_BACKOFF_NS)
+        yield from ring_until_issued(
+            qp.sq, slot, db_lock, chain, self.stats, self.tel
+        )
+        return txn
 
     # -- service-side hooks --------------------------------------------------------
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Set
 
-from repro.sim.engine import SimError, Simulator, Timeout
-from repro.sim.sync import SimLock
+from repro.sim.engine import SimError, Simulator
+from repro.sim.sync import Signal, SimLock
 
 
 class DeadlockError(SimError):
@@ -140,7 +140,7 @@ class AgileLockChain:
 class AgileLock:
     """A named lock participating in chain tracking and deadlock detection."""
 
-    __slots__ = ("sim", "name", "debugger", "_lock")
+    __slots__ = ("sim", "name", "debugger", "_lock", "released")
 
     def __init__(
         self,
@@ -152,6 +152,9 @@ class AgileLock:
         self.name = name
         self.debugger = debugger
         self._lock = SimLock(sim, name)
+        #: Fired by every :meth:`release`: where a thread that backs off
+        #: between ``try_acquire`` attempts parks until there is a point.
+        self.released = Signal(sim, f"{name}.released")
 
     @property
     def locked(self) -> bool:
@@ -182,22 +185,12 @@ class AgileLock:
         if self.debugger is not None:
             self.debugger.on_acquired(chain, self)
 
-    def acquire_spin(
-        self, chain: AgileLockChain, backoff_ns: float = 50.0
-    ) -> Generator[Any, Any, None]:
-        """Spin-style acquire: retry ``try_acquire`` with a back-off, the
-        idiom GPU code uses for short critical sections.  Unlike
-        :meth:`acquire`, the failure path re-runs the deadlock check every
-        iteration, so a cycle formed *after* this thread started spinning is
-        still caught."""
-        while not self.try_acquire(chain):
-            yield Timeout(backoff_ns)
-
     def release(self, chain: AgileLockChain) -> None:
         self._lock.release(chain)
         chain._pop(self)
         if self.debugger is not None:
             self.debugger.on_release(self, chain)
+        self.released.fire()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AgileLock({self.name!r}, locked={self.locked})"

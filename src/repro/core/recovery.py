@@ -39,10 +39,9 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.config import RecoveryConfig
-from repro.core.issue import IssueEngine, PendingCommand
+from repro.core.issue import IssueEngine, PendingCommand, ring_until_issued
 from repro.core.locks import AgileLockChain
 from repro.nvme.command import NvmeCommand, NvmeCompletion, Opcode, Status
-from repro.nvme.queue import SlotState
 from repro.sim.engine import Process, Simulator, Timeout
 from repro.telemetry import Counter
 
@@ -261,16 +260,6 @@ class RecoveryManager:
             self.stats.add("resubmissions")
             chain = AgileLockChain(f"recovery.{rec.token}")
             db_lock = self.issue.doorbell_locks[(rec.ssd_idx, qp.qid)]
-            while True:
-                if db_lock.try_acquire(chain):
-                    try:
-                        tail = qp.sq.advance_tail()
-                        if tail is not None:
-                            yield from qp.sq.doorbell.ring(tail)
-                    finally:
-                        db_lock.release(chain)
-                if qp.sq.state[slot] is SlotState.ISSUED:
-                    return
-                yield Timeout(IssueEngine.DOORBELL_BACKOFF_NS)
+            yield from ring_until_issued(qp.sq, slot, db_lock, chain)
         finally:
             self.resubmitting -= 1

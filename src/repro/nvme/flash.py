@@ -135,8 +135,14 @@ class FlashArray:
                 if spins >= self.GC_WAIT_LIMIT:
                     self.write_errors += 1
                     return False
-                spins += 1
-                yield Timeout(self.GC_WAIT_POLL_NS)
+                if ftl.collecting:
+                    # No poll can succeed before GC frees a block or ends.
+                    spins += yield from ftl.gc_progress.park(
+                        self.GC_WAIT_POLL_NS, self.GC_WAIT_LIMIT - spins
+                    )
+                else:
+                    spins += 1
+                    yield Timeout(self.GC_WAIT_POLL_NS)
                 pp = ftl.alloc_page()
             if spins:
                 ftl.host_gc_stalls += 1

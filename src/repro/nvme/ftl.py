@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 import numpy as np
 
 from repro.sim.engine import Process, SimError
+from repro.sim.sync import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flash owns us)
     from repro.nvme.flash import FlashArray
@@ -105,6 +106,11 @@ class Ftl:
         self.host_gc_stall_ns = 0.0
         self.host_gc_stalls = 0
         self._gc_proc: Optional[Process] = None
+        #: True while a GC run has a victim in hand: it will free a block
+        #: or end, and fires ``gc_progress`` either way — what a host
+        #: program stalled on a full device parks on.
+        self.collecting = False
+        self.gc_progress = Signal(self.sim, f"{cfg.name}.ftl.gc_progress")
         self._gc_name = f"{cfg.name}.ftl.gc"
         self._gc_track = f"{cfg.name}.gc"
         self._zero_page = np.zeros(cfg.page_size, dtype=np.uint8)
@@ -321,21 +327,26 @@ class Ftl:
         moved = 0
         collected = 0
         self.gc_runs += 1
-        while self.free_blocks < cfg.gc_high_water_blocks:
-            victim = self._pick_victim()
-            if victim is None:
-                break
-            mark = self.sim.now
-            res = yield from self._collect(victim)
-            # Accrue per victim, not per run: a daemon still collecting
-            # when the experiment window closes has already spent this.
-            self.gc_busy_ns += self.sim.now - mark
-            if res is None:
-                # Out of relocation targets (bad-block attrition or fault
-                # burn): no forward progress is possible this run.
-                break
-            moved += res
-            collected += 1
+        try:
+            while self.free_blocks < cfg.gc_high_water_blocks:
+                victim = self._pick_victim()
+                if victim is None:
+                    break
+                self.collecting = True
+                mark = self.sim.now
+                res = yield from self._collect(victim)
+                # Accrue per victim, not per run: a daemon still collecting
+                # when the experiment window closes has already spent this.
+                self.gc_busy_ns += self.sim.now - mark
+                if res is None:
+                    # Out of relocation targets (bad-block attrition or
+                    # fault burn): no forward progress is possible this run.
+                    break
+                moved += res
+                collected += 1
+        finally:
+            self.collecting = False
+            self.gc_progress.fire()
         if self.tel is not None:
             self.tel.spans.complete(
                 "gc.run", "nvme", self._gc_track, t0,
@@ -422,6 +433,7 @@ class Ftl:
             self._free_list.append(victim)
             self.free_blocks += 1
             self.erases += 1
+            self.gc_progress.fire()
         self._valid[victim] = 0
         for pp in range(base, base + ppb):
             self._pages.pop(pp, None)  # stale data of burned pages

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, List, Optiona
 
 from repro.serve.request import Request, RequestState
 from repro.sim.engine import Event, Process, Simulator
+from repro.sim.sync import Signal
 from repro.telemetry.metrics import Counter, Gauge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batcher -> here)
@@ -54,6 +55,8 @@ class Dispatcher:
         self._batch_waiters: List[Event] = []
         self._space_waiters: List[Event] = []
         self._procs: List[Process] = []
+        #: Fired when the last running batch ends with nothing pending.
+        self.went_idle = Signal(sim, "serve.dispatch.idle")
 
     # -- producer side (the batcher) ---------------------------------------
 
@@ -103,6 +106,8 @@ class Dispatcher:
                 yield from self.run_batch(worker_idx, batch)
             finally:
                 self._busy -= 1
+                if self.idle:
+                    self.went_idle.fire()
             self.events.add("batches_dispatched")
             self.events.add(f"worker{worker_idx}_batches")
 

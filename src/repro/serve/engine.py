@@ -291,6 +291,8 @@ class ServeEngine:
     def _terminal(self, req: Request) -> None:
         self._outstanding -= 1
         self.slo.record_terminal(req)
+        if self._outstanding == 0:
+            self.dispatcher.went_idle.fire()
 
     # -- the run -------------------------------------------------------------
 
@@ -316,7 +318,9 @@ class ServeEngine:
                 yield proc.done_event
             self.admission.close()
             while self._outstanding > 0 or not self.dispatcher.idle:
-                yield Timeout(self.cfg.drain_poll_ns)
+                yield from self.dispatcher.went_idle.park(
+                    self.cfg.drain_poll_ns
+                )
 
         main_proc = self.sim.spawn(main(), name="serve.main")
         self.sim.run(until_procs=[main_proc])

@@ -30,7 +30,7 @@ from repro.sim.resources import (
     FifoServer,
     Semaphore,
 )
-from repro.sim.sync import Gate, SimLock
+from repro.sim.sync import Gate, Signal, SimLock
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -48,5 +48,6 @@ __all__ = [
     "FairShareServer",
     "SimLock",
     "Gate",
+    "Signal",
     "RngStreams",
 ]

@@ -1,10 +1,10 @@
-"""Synchronization primitives layered on the engine: mutex and gate."""
+"""Synchronization primitives layered on the engine: mutex, gate, signal."""
 
 from __future__ import annotations
 
 from typing import Any, Generator, Hashable, Optional
 
-from repro.sim.engine import Event, SimError, Simulator
+from repro.sim.engine import At, Event, SimError, Simulator
 
 
 class SimLock:
@@ -102,3 +102,62 @@ class Gate:
         ev = Event(self.sim, name=self._ev_name)
         self._waiters.append(ev)
         yield ev
+
+
+class Signal:
+    """One-shot hook on a state change: the owner of the state calls
+    :meth:`fire`, and a process that would otherwise re-check the state on
+    a fixed back-off period parks on it with :meth:`park` for two events,
+    however many periods the change takes."""
+
+    __slots__ = ("sim", "name", "_waiters")
+
+    def __init__(self, sim: Simulator, name: str = "signal"):
+        self.sim = sim
+        self.name = name
+        self._waiters: list[Event] = []
+
+    def fire(self) -> None:
+        """Wake every process parked since the last fire."""
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for ev in waiters:
+                ev.trigger()
+
+    def _alarm(self, ev: Event, when: float) -> Generator[Any, Any, None]:
+        yield At(when)
+        if ev in self._waiters:
+            self._waiters.remove(ev)
+            ev.trigger()
+
+    def park(
+        self, period: float, limit: Optional[int] = None
+    ) -> Generator[Any, Any, int]:
+        """Sit out the visits of ``while ...: yield Timeout(period)`` that
+        cannot observe anything: block until the next :meth:`fire` (or, with
+        ``limit``, until that visit of the grid at the latest), then land on
+        the first visit at or after now with one ``At``.  The grid is
+        replayed addition by addition, so the landing time is bit-equal to
+        the spinning waiter's.  Returns the visits made, the landing one
+        included; the caller books the skipped ones."""
+        sim = self.sim
+        t = sim.now
+        ev = Event(sim, name=self.name)
+        self._waiters.append(ev)
+        if limit is not None:
+            deadline = t
+            for _ in range(limit):
+                deadline += period
+            sim.spawn(self._alarm(ev, deadline), name=self.name, daemon=True)
+        try:
+            yield ev
+        finally:  # also runs when a parked process is killed
+            if not ev.triggered:
+                self._waiters.remove(ev)
+        t += period
+        visits = 1
+        while t < sim.now:
+            t += period
+            visits += 1
+        yield At(t)
+        return visits

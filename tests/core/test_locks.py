@@ -51,28 +51,6 @@ def test_blocking_acquire_hands_over(sim, debugger):
     assert order == [("a", 0), ("b", 10)]
 
 
-def test_acquire_spin_retries(sim, debugger):
-    lock = AgileLock(sim, "l", debugger)
-    holder = AgileLockChain("holder")
-    assert lock.try_acquire(holder)
-    got = []
-
-    def spinner():
-        chain = AgileLockChain("spinner")
-        yield from lock.acquire_spin(chain, backoff_ns=25)
-        got.append(sim.now)
-        lock.release(chain)
-
-    def releaser():
-        yield Timeout(100)
-        lock.release(holder)
-
-    sim.spawn(spinner())
-    sim.spawn(releaser())
-    sim.run()
-    assert got and got[0] >= 100
-
-
 def test_release_without_ownership_is_error(sim, debugger):
     lock = AgileLock(sim, "l", debugger)
     chain = AgileLockChain("c")
