@@ -133,8 +133,7 @@ class FlashArray:
             while pp is None:
                 ftl.maybe_start_gc(force=True)
                 if spins >= self.GC_WAIT_LIMIT:
-                    self.write_errors += 1
-                    return False
+                    break
                 if ftl.collecting:
                     # No poll can succeed before GC frees a block or ends.
                     spins += yield from ftl.gc_progress.park(
@@ -147,6 +146,9 @@ class FlashArray:
             if spins:
                 ftl.host_gc_stalls += 1
                 ftl.host_gc_stall_ns += spins * self.GC_WAIT_POLL_NS
+            if pp is None:  # GC could not help: fault, do not hang
+                self.write_errors += 1
+                return False
         else:
             pp = ftl.phys(lba)
         ok = yield from self.timed_program(pp)
