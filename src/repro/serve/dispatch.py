@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, List, Optiona
 
 from repro.serve.request import Request, RequestState
 from repro.sim.engine import Event, Process, Simulator
-from repro.sim.sync import Signal
 from repro.telemetry.metrics import Counter, Gauge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batcher -> here)
@@ -50,13 +49,10 @@ class Dispatcher:
             pending_limit if pending_limit > 0 else 2 * num_workers
         )
         self._pending: Deque["Batch"] = deque()
-        self._busy = 0
         self._closed = False
         self._batch_waiters: List[Event] = []
         self._space_waiters: List[Event] = []
         self._procs: List[Process] = []
-        #: Fired when the last running batch ends with nothing pending.
-        self.went_idle = Signal(sim, "serve.dispatch.idle")
 
     # -- producer side (the batcher) ---------------------------------------
 
@@ -98,16 +94,10 @@ class Dispatcher:
             if self.pending_gauge is not None:
                 self.pending_gauge.set(len(self._pending))
             self._wake(self._space_waiters)
-            self._busy += 1
             now = self.sim.now
             for req in batch.requests:
                 req.transition(RequestState.DISPATCHED, now)
-            try:
-                yield from self.run_batch(worker_idx, batch)
-            finally:
-                self._busy -= 1
-                if self.idle:
-                    self.went_idle.fire()
+            yield from self.run_batch(worker_idx, batch)
             self.events.add("batches_dispatched")
             self.events.add(f"worker{worker_idx}_batches")
 
@@ -116,10 +106,6 @@ class Dispatcher:
             ev = waiters.pop()
             if not ev.triggered:
                 ev.trigger()
-
-    @property
-    def idle(self) -> bool:
-        return self._busy == 0 and not self._pending
 
     def __len__(self) -> int:
         return len(self._pending)

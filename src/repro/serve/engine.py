@@ -11,9 +11,9 @@ comparison and the determinism tests rest on.
 The engine owns the single terminal-accounting hook: every request's
 terminal transition (shed at admission, timeout at pull, abort or complete
 in a kernel) funnels through :meth:`ServeEngine._terminal`, which feeds the
-SLO accountant and the liveness bookkeeping.  ``run()`` asserts the
-contract the property tests check: when the window closes and the pipeline
-drains, *every* offered request is in exactly one terminal state.
+SLO accountant.  ``run()`` asserts the contract the property tests check:
+when the window closes and the pipeline drains, *every* offered request is
+in exactly one terminal state.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ class ServeConfig:
     #: Dispatch-window depth per worker (batches waiting beyond the ones
     #: running); small keeps queueing in the shed-visible admission queue.
     pending_per_worker: int = 2
-    #: Drain poll period after the window closes (ns).
-    drain_poll_ns: float = 5_000.0
     #: Multi-tenant scheduling policy.  None (the default) keeps the FIFO
     #: :class:`~repro.serve.admission.AdmissionQueue` and its bit-exact
     #: timelines; a :class:`~repro.serve.wfq.TenancyConfig` swaps in
@@ -176,7 +174,6 @@ class ServeEngine:
         #: shed requests too; the placement report pairs it with the
         #: driver's completed-read counters).
         self.device_pages: List[int] = [0] * len(backend.cfg.ssds)
-        self._outstanding = 0
         self._rid = 0
         self._ran = False
 
@@ -202,7 +199,6 @@ class ServeEngine:
         for ssd, _lba in req.pages:
             self.device_pages[ssd] += 1
         self.requests.append(req)
-        self._outstanding += 1
         self.slo.offered(cls)
         return req
 
@@ -289,10 +285,7 @@ class ServeEngine:
         self._terminal(req)
 
     def _terminal(self, req: Request) -> None:
-        self._outstanding -= 1
         self.slo.record_terminal(req)
-        if self._outstanding == 0:
-            self.dispatcher.went_idle.fire()
 
     # -- the run -------------------------------------------------------------
 
@@ -311,16 +304,17 @@ class ServeEngine:
             for cls in self.classes
         ]
         self.sim.spawn(self.batcher.run(), name="serve.batcher")
-        self.dispatcher.spawn_workers()
+        workers = self.dispatcher.spawn_workers()
 
         def main() -> Generator[Any, Any, None]:
             for proc in arrival_procs:
                 yield proc.done_event
             self.admission.close()
-            while self._outstanding > 0 or not self.dispatcher.idle:
-                yield from self.dispatcher.went_idle.park(
-                    self.cfg.drain_poll_ns
-                )
+            # The batcher closes the dispatcher once admission drains, and
+            # a worker returns when it is closed with nothing left to run:
+            # by then every dispatched request is terminal.
+            for proc in workers:
+                yield proc.done_event
 
         main_proc = self.sim.spawn(main(), name="serve.main")
         self.sim.run(until_procs=[main_proc])
