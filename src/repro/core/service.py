@@ -125,13 +125,16 @@ class AgileService:
         return anchor + backoff + (k + 1) * self._poll_ns
 
     def _park(
-        self, my_cqs: List[tuple[int, CompletionQueue]]
+        self, my_cqs: List[tuple[int, CompletionQueue]], pos: int
     ) -> Generator[Any, Any, int]:
-        """Sit out an empty partition for two events: block until a CQE is
-        posted to one of ``my_cqs``, then resume exactly as the first idle
-        visit to see it ends.  Returns that visit's index on the grid."""
+        """Make the next visit that can find something, for two events: with
+        every queue of the partition empty, block until a CQE is posted to
+        one of ``my_cqs``, then resume exactly as the first visit to end at
+        or after now.  The visits ahead are the rest of the current sweep
+        (``n_cqs - pos`` of them, a poll apart), then the idle grid anchored
+        where the sweep ends.  Returns how many visits were skipped."""
         sim = self.sim
-        anchor = sim.now
+        t = sim.now
         n_cqs = len(my_cqs)
         if all(cq.peek(cq.host_head) is None for _, cq in my_cqs):
             posted = Event(sim, name="agile.service.cqe_posted")
@@ -142,8 +145,16 @@ class AgileService:
             finally:  # also runs when stop() kills a parked warp
                 for _, cq in my_cqs:
                     cq.on_post = None
+        skipped = 0
+        while pos + skipped < n_cqs:
+            t += self._poll_ns
+            if t >= sim.now:
+                yield At(t)
+                return skipped
+            skipped += 1
         # The first idle visit to end at or after now (a tie sees the CQE):
         # estimated by division, settled on the float grid itself.
+        anchor = t
         period = self.cfg.idle_poll_ns + n_cqs * self._poll_ns
         sweeps = int((sim.now - anchor) / period)
         into = sim.now - anchor - sweeps * period - self.cfg.idle_poll_ns
@@ -153,26 +164,24 @@ class AgileService:
         while self.visit_end(anchor, k, n_cqs) < sim.now:
             k += 1
         yield At(self.visit_end(anchor, k, n_cqs))
-        return k
+        return skipped + k
 
     def _polling_warp(self, warp_idx: int) -> Generator[Any, Any, None]:
         my_cqs = self._partition(warp_idx)
         if not my_cqs:
             return
-        visit = Timeout(self._poll_ns)
         n_cqs = len(my_cqs)
         idx = 0  # round-robin cursor
         pos = 0  # empty visits so far in the current sweep
         while True:
-            if pos < n_cqs:
-                yield visit
-            else:
-                # The sweep found nothing: rejoin the grid at idle visit k,
-                # cursor and sweep position where spinning would have them.
-                k = yield from self._park(my_cqs)
-                self.visits += k
-                idx = (idx + k) % n_cqs
-                pos = k % n_cqs
+            # Rejoin the visits where one can find something, cursor and
+            # sweep position where making each of them would have them.
+            skipped = yield from self._park(my_cqs, pos)
+            self.visits += skipped
+            idx = (idx + skipped) % n_cqs
+            pos += skipped
+            if pos >= n_cqs:  # landed on the idle grid
+                pos = (pos - n_cqs) % n_cqs
             ssd_idx, cq = my_cqs[idx]
             idx = (idx + 1) % n_cqs
             pos += 1

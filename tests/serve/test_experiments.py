@@ -24,6 +24,7 @@ from repro.serve.experiment import Experiment
 from repro.serve.registry import INFER
 
 from tests.store.helpers import SCHEMA, point_set, reference_points
+from tests.support.census import census
 
 #: Seconds-not-minutes variants, in ``--set`` syntax; every item moves the
 #: experiment off its default so the config hash must track it.
@@ -279,3 +280,17 @@ def test_replay_line_reproduces_the_document(tmp_path, capsys):
     assert main([*shlex.split(line[len(prefix):]), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert json.loads(first.read_text())["spec"]["ssds"] == 3
+
+
+@pytest.mark.parametrize("name", ["fig5", "tenancy", "write-path"])
+def test_no_back_off_loop_holds_a_tenth_of_the_events(name):
+    """A fixed-period ``Timeout`` site with a large share of all resumes is
+    a process waiting, visit by visit, for something another process will
+    do: it should park on that and rejoin its grid (DESIGN §2.6).  The
+    doorbell back-off was 30% of ``tenancy`` and the GC-full stall 37% of
+    ``write-path`` before they did."""
+    exp = EXPERIMENTS[name]
+    with census() as book:
+        exp.run(*exp.configure(MINI[name]))
+    (_, count), = book.top(1, kind="Timeout")
+    assert count <= 0.10 * book.resumes, "\n" + book.table(book.resumes)

@@ -15,6 +15,8 @@ from repro.sim import (
     FairShareServer,
     FifoServer,
     Semaphore,
+    Signal,
+    SimDeadlockError,
     SimError,
     Simulator,
     Timeout,
@@ -599,3 +601,145 @@ class TestClosedFormFifo:
         everyone = run(kill=())
         survivors = run(kill=("a0", "d0"))
         assert survivors == {t: everyone[t] for t in ("a1", "d1")}
+
+
+# -- parked back-off against the spin it replaces -----------------------------
+
+
+class SpinningSignal:
+    """Reference: the wait ``Signal.park`` replaced.  The waiter makes every
+    visit of its back-off grid and looks, each time, whether the state it
+    waits for changed since it started waiting."""
+
+    def __init__(self, sim):
+        self.sim, self.fires = sim, 0
+
+    def fire(self):
+        self.fires += 1
+
+    def park(self, period, limit=None):
+        seen, visits = self.fires, 0
+        while True:
+            yield Timeout(period)
+            visits += 1
+            if self.fires != seen or visits == limit:
+                return visits
+
+
+def run_parks(cls, waiters, fires, max_events=None):
+    """Each waiter sleeps to its start and parks once; the fires are
+    scheduled before anything runs, so a fire at the instant of a visit is
+    dispatched before the visit in both formulations (a tie sees it)."""
+    sim = Simulator()
+    signal = cls(sim)
+    landed = {}
+
+    def waiter(i, start, period, limit):
+        yield Timeout(start)
+        visits = yield from signal.park(period, limit)
+        landed[i] = (sim.now, visits)
+
+    for when in fires:
+        sim.schedule_at(when, signal.fire)
+    for i, spec in enumerate(waiters):
+        sim.spawn(waiter(i, *spec), name=f"waiter{i}")
+    sim.run(max_events=max_events)
+    return sim, landed
+
+
+#: Periods are mostly not dyadic rationals, so grid times are rounded sums;
+#: fire times include exact grid points of the (0.0, 60.0) waiter and
+#: instants before every waiter started.
+PARKS = st.tuples(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.1, 7.3, 1e3 / 3]),
+            st.sampled_from([60.0, 0.1, 130.1, 1e3 / 7]),
+            st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 60.0, 120.0, 600.0]),
+            st.floats(min_value=0.0, max_value=5e3),
+        ),
+        min_size=1, max_size=5,
+    ),
+)
+
+
+class TestParkedBackoff:
+    @settings(max_examples=300, deadline=None)
+    @given(PARKS)
+    def test_bit_equal_to_the_spinning_wait(self, parks):
+        waiters, fires = parks
+        # Every unbounded waiter needs a fire after it started.
+        fires = fires + [max(fires) + 2e3]
+        _, want = run_parks(SpinningSignal, waiters, fires)
+        sim, got = run_parks(Signal, waiters, fires)
+        assert got == want  # landing time and visits made, exactly
+        bounded = sum(limit is not None for _, _, limit in waiters)
+        # spawn, start, wake and landing per waiter; a bounded one also pays
+        # its alarm's spawn and expiry.  The fires themselves are events.
+        assert sim.event_count <= 4 * len(waiters) + 2 * bounded + len(fires)
+
+    def test_a_long_silence_costs_two_events(self, sim):
+        signal = Signal(sim)
+        out = []
+
+        def waiter():
+            out.append((yield from signal.park(60.0)))
+
+        sim.spawn(waiter())
+        sim.schedule_at(60.0 * 10**4 + 1.0, signal.fire)
+        sim.run(max_events=10)
+        assert out == [10**4 + 1] and sim.now == 60.0 * (10**4 + 1)
+        assert sim.event_count == 4  # start, fire, wake, landing
+
+    def test_the_limit_is_a_deadline_on_the_grid(self, sim):
+        """Nobody fires: the waiter lands on visit ``limit`` of its own
+        grid, reached by the same additions the spin makes."""
+        signal = Signal(sim)
+        out = []
+
+        def waiter():
+            yield Timeout(0.3)
+            out.append((yield from signal.park(0.1, 1000)))
+
+        sim.spawn(waiter())
+        sim.run()
+        t = 0.3
+        for _ in range(1000):
+            t += 0.1
+        assert out == [1000] and sim.now == t != 0.3 + 1000 * 0.1
+        assert sim.event_count <= 6
+
+    def test_nobody_fires_is_a_named_deadlock(self, sim):
+        signal = Signal(sim, "door.released")
+
+        def waiter():
+            yield from signal.park(60.0)
+
+        sim.spawn(waiter(), name="thread7")
+        with pytest.raises(SimDeadlockError, match=r"thread7.*'door.released'"):
+            sim.run()
+
+    @pytest.mark.parametrize("limit", [None, 50])
+    def test_a_killed_waiter_leaves_the_signal(self, sim, limit):
+        signal = Signal(sim)
+
+        def waiter():
+            yield from signal.park(60.0, limit)
+
+        def sleeper():  # lets the alarm of the bounded park expire
+            yield Timeout(60.0 * 60)
+
+        proc = sim.spawn(waiter())
+        sim.spawn(sleeper())
+        sim.run(max_events=3)
+        assert len(signal._waiters) == 1
+        proc.kill()
+        assert signal._waiters == []
+        signal.fire()  # nothing to wake, nothing to trip over
+        sim.run()

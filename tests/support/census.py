@@ -18,7 +18,7 @@ from typing import Iterator, List, Tuple
 
 from repro.sim.engine import At, Process, Timeout
 
-Site = Tuple[str, int, str]  # (file, line, awaited kind)
+Site = Tuple[str, int, str, str]  # (file, line, function, awaited kind)
 
 
 class Census:
@@ -42,22 +42,24 @@ class Census:
             else "event"
         )
         self.resumes += 1
-        self.sites[(frame.f_code.co_filename, frame.f_lineno, kind)] += 1
+        code = frame.f_code
+        self.sites[(code.co_filename, frame.f_lineno, code.co_name, kind)] += 1
 
     def top(self, n: int = 10, kind: str = "") -> List[Tuple[Site, int]]:
         rows = [
             (site, count) for site, count in self.sites.most_common()
-            if not kind or site[2] == kind
+            if not kind or site[3] == kind
         ]
         return rows[:n]
 
     def table(self, total: int, n: int = 10) -> str:
         """Top-``n`` sites as text, shares taken of ``total`` events."""
-        lines = [f"{'events':>9} {'share':>6}  kind     site"]
-        for (path, line, kind), count in self.top(n):
+        lines = [f"{'resumes':>9} {'share':>6}  kind     site"]
+        for (path, line, func, kind), count in self.top(n):
             where = os.sep.join(path.split(os.sep)[-3:])
             lines.append(
-                f"{count:>9} {count / total:>6.1%}  {kind:<8} {where}:{line}"
+                f"{count:>9} {count / total:>6.1%}  {kind:<8} "
+                f"{where}:{line} {func}"
             )
         return "\n".join(lines)
 
