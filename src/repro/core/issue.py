@@ -10,9 +10,7 @@ protocol:
    the thread waits on completions it does **not** own, which is exactly
    what makes the scheme deadlock-free (contrast Figure 1);
 3. write the command, mark the SQE UPDATED;
-4. loop ``attempt_SQDB``: whoever wins the doorbell lock batches every
-   contiguous UPDATED entry into one tail move and one MMIO write, then all
-   threads re-check whether their own SQE became ISSUED.
+4. ring the doorbell until the SQE is ISSUED (:func:`ring_until_issued`).
 
 The returned :class:`~repro.core.buffers.Transaction` is the barrier the
 AGILE service clears at completion time.
@@ -88,12 +86,11 @@ def ring_until_issued(
     stats: Optional[Counter] = None,
     tel: Any = None,
 ) -> Generator[Any, Any, None]:
-    """``attempt_SQDB``: serialize the doorbell update (§2.3.3).  Every
-    ``DOORBELL_BACKOFF_NS`` the thread tries the SQ's doorbell lock; whoever
-    wins batches every contiguous UPDATED entry into one tail move and one
-    MMIO write, then all threads re-check whether their own SQE became
-    ISSUED.  A thread that found the lock held sits its visits out until
-    the release: each of them would have found the same holder."""
+    """``attempt_SQDB`` (§2.3.3): every ``DOORBELL_BACKOFF_NS`` the thread
+    tries the SQ's doorbell lock; whoever wins batches every contiguous
+    UPDATED entry into one tail move and one MMIO write, then all threads
+    re-check whether their own SQE became ISSUED.  Visits that would find
+    the same holder are sat out until the lock's release."""
     while True:
         visits = 1
         if db_lock.try_acquire(chain):
@@ -105,17 +102,16 @@ def ring_until_issued(
                         stats.add("doorbell_rings")
             finally:
                 db_lock.release(chain)
-            if sq.state[slot] is SlotState.ISSUED:
-                return
-            yield Timeout(DOORBELL_BACKOFF_NS)
-        else:
-            if stats is not None:
-                stats.add("doorbell_contended")
-            if sq.state[slot] is SlotState.ISSUED:
-                return
+        elif stats is not None:
+            stats.add("doorbell_contended")
+        if sq.state[slot] is SlotState.ISSUED:
+            return
+        if db_lock.locked:
             visits = yield from db_lock.released.park(DOORBELL_BACKOFF_NS)
             if stats is not None:
                 stats.add("doorbell_contended", visits - 1)
+        else:
+            yield Timeout(DOORBELL_BACKOFF_NS)
         if tel is not None:
             tel.stall_ns.add("doorbell", visits * DOORBELL_BACKOFF_NS)
 

@@ -34,7 +34,8 @@ from repro.config import ServiceConfig
 from repro.core.issue import IssueEngine
 from repro.gpu.device import Gpu
 from repro.nvme.queue import CompletionQueue
-from repro.sim.engine import At, Event, Process, Simulator, Timeout
+from repro.sim.engine import At, Process, Simulator, Timeout
+from repro.sim.sync import Signal
 from repro.telemetry import Counter
 
 #: Lanes in a polling warp == CQEs examined per visit (Algorithm 1).
@@ -129,22 +130,15 @@ class AgileService:
     ) -> Generator[Any, Any, int]:
         """Make the next visit that can find something, for two events: with
         every queue of the partition empty, block until a CQE is posted to
-        one of ``my_cqs``, then resume exactly as the first visit to end at
-        or after now.  The visits ahead are the rest of the current sweep
+        one of ``my_cqs`` (their ``on_post``), then resume exactly as the
+        first visit to end at or after now.  The visits ahead are the rest of the current sweep
         (``n_cqs - pos`` of them, a poll apart), then the idle grid anchored
         where the sweep ends.  Returns how many visits were skipped."""
         sim = self.sim
         t = sim.now
         n_cqs = len(my_cqs)
         if all(cq.peek(cq.host_head) is None for _, cq in my_cqs):
-            posted = Event(sim, name="agile.service.cqe_posted")
-            for _, cq in my_cqs:
-                cq.on_post = posted
-            try:
-                yield posted
-            finally:  # also runs when stop() kills a parked warp
-                for _, cq in my_cqs:
-                    cq.on_post = None
+            yield from my_cqs[0][1].on_post.wait()
         skipped = 0
         while pos + skipped < n_cqs:
             t += self._poll_ns
@@ -171,6 +165,9 @@ class AgileService:
         if not my_cqs:
             return
         n_cqs = len(my_cqs)
+        posted = Signal(self.sim, "agile.service.cqe_posted")
+        for _, cq in my_cqs:
+            cq.on_post = posted
         idx = 0  # round-robin cursor
         pos = 0  # empty visits so far in the current sweep
         while True:

@@ -62,7 +62,6 @@ class SsdController:
         #: one process per fetched command, so name formatting is hot.
         self._fetch_names: dict[int, str] = {}
         self._exec_prefixes: dict[int, str] = {}
-        self._cq_space_names: dict[int, str] = {}
         self.completed_reads = 0
         self.completed_writes = 0
         self.bytes_read = 0
@@ -99,9 +98,8 @@ class SsdController:
         self._fetcher_active[qp.qid] = False
         self._fetch_names[qp.qid] = f"{self.cfg.name}.fetch.q{qp.qid}"
         self._exec_prefixes[qp.qid] = f"{self.cfg.name}.exec.q{qp.qid}.c"
-        self._cq_space_names[qp.qid] = f"cq{qp.qid}.space"
         qp.sq.doorbell.observer = lambda _v, qp=qp: self._on_sq_doorbell(qp)
-        qp.cq.doorbell.observer = lambda _v, cq=qp.cq: cq.notify_space()
+        qp.cq.doorbell.observer = lambda _v, cq=qp.cq: cq.space.fire()
 
     # -- SQ fetch path -------------------------------------------------------------
 
@@ -240,9 +238,7 @@ class SsdController:
         self, qp: QueuePair, cmd: NvmeCommand, status: Status
     ) -> Generator[Any, Any, None]:
         while not qp.cq.device_try_reserve():
-            ev = self.sim.event(name=self._cq_space_names[qp.qid])
-            qp.cq.add_space_waiter(ev.trigger)
-            yield ev
+            yield from qp.cq.space.wait()
         yield Timeout(self.cfg.cqe_post_ns)
         yield from self.link.dma_write(CQE_SIZE)
         completion = NvmeCompletion(

@@ -327,26 +327,24 @@ class Ftl:
         moved = 0
         collected = 0
         self.gc_runs += 1
-        try:
-            while self.free_blocks < cfg.gc_high_water_blocks:
-                victim = self._pick_victim()
-                if victim is None:
-                    break
-                self.collecting = True
-                mark = self.sim.now
-                res = yield from self._collect(victim)
-                # Accrue per victim, not per run: a daemon still collecting
-                # when the experiment window closes has already spent this.
-                self.gc_busy_ns += self.sim.now - mark
-                if res is None:
-                    # Out of relocation targets (bad-block attrition or
-                    # fault burn): no forward progress is possible this run.
-                    break
-                moved += res
-                collected += 1
-        finally:
-            self.collecting = False
-            self.gc_progress.fire()
+        while self.free_blocks < cfg.gc_high_water_blocks:
+            victim = self._pick_victim()
+            if victim is None:
+                break
+            self.collecting = True
+            mark = self.sim.now
+            res = yield from self._collect(victim)
+            # Accrue per victim, not per run: a daemon still collecting
+            # when the experiment window closes has already spent this.
+            self.gc_busy_ns += self.sim.now - mark
+            if res is None:
+                # Out of relocation targets (bad-block attrition or fault
+                # burn): no forward progress is possible this run.
+                break
+            moved += res
+            collected += 1
+        self.collecting = False
+        self.gc_progress.fire()
         if self.tel is not None:
             self.tel.spans.complete(
                 "gc.run", "nvme", self._gc_track, t0,

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.config import PcieConfig
 from repro.mem.hbm import HbmBuffer
 from repro.mem.pcie import Doorbell
 from repro.nvme.command import CQE_SIZE, SQE_SIZE, NvmeCommand, NvmeCompletion
-from repro.sim.engine import Event, SimError, Simulator
+from repro.sim.engine import SimError, Simulator
+from repro.sim.sync import Signal
 
 
 class SlotState(enum.IntEnum):
@@ -223,15 +224,17 @@ class CompletionQueue:
         self._reserved = 0
         #: Monotonic host-side consumption pointer (local, pre-doorbell).
         self.host_head = 0
-        self._space_waiters: list[Callable[[], None]] = []
+        #: Fired when the host's head doorbell frees entries: a device post
+        #: that found the queue full waits here.
+        self.space = Signal(sim, f"cq{qid}.space")
         self.posted = 0
         #: Optional :class:`~repro.sim.trace.EventLog` for protocol events.
         self.log = None
         #: Optional :class:`repro.telemetry.Gauge` (occupancy timeline).
         self.occupancy = None
-        #: Triggered, once, by the next :meth:`device_post`: how a parked
-        #: polling warp learns its partition is no longer empty.
-        self.on_post: Optional[Event] = None
+        #: Fired by every :meth:`device_post`: how a parked polling warp
+        #: learns its partition is no longer empty (its service sets it).
+        self.on_post: Optional[Signal] = None
 
     # -- device side -------------------------------------------------------------
 
@@ -273,18 +276,7 @@ class CompletionQueue:
         if self.occupancy is not None:
             self.occupancy.set(self.device_tail - self.host_head)
         if self.on_post is not None:
-            event, self.on_post = self.on_post, None
-            if not event.triggered:  # one event arms a whole partition
-                event.trigger()
-
-    def add_space_waiter(self, callback: Callable[[], None]) -> None:
-        """Device-side callback invoked when the host frees CQ space."""
-        self._space_waiters.append(callback)
-
-    def notify_space(self) -> None:
-        waiters, self._space_waiters = self._space_waiters, []
-        for cb in waiters:
-            cb()
+            self.on_post.fire()
 
     # -- host side ------------------------------------------------------------------
 

@@ -8,12 +8,11 @@ targets), so a (seed, config) pair reproduces the identical request
 timeline bit-for-bit on every backend — the property the saturation-curve
 comparison and the determinism tests rest on.
 
-The engine owns the single terminal-accounting hook: every request's
-terminal transition (shed at admission, timeout at pull, abort or complete
-in a kernel) funnels through :meth:`ServeEngine._terminal`, which feeds the
-SLO accountant.  ``run()`` asserts the contract the property tests check:
-when the window closes and the pipeline drains, *every* offered request is
-in exactly one terminal state.
+Every request's terminal transition (shed at admission, timeout at pull,
+abort or complete in a kernel) is reported once to
+:meth:`SloAccountant.record_terminal`.  ``run()`` asserts the contract the
+property tests check: when the window closes and the pipeline drains,
+*every* offered request is in exactly one terminal state.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class ServeEngine:
                 self.cfg.tenancy,
                 events=admission_events,
                 depth_gauge=admission_depth,
-                on_terminal=self._terminal,
+                on_terminal=self.slo.record_terminal,
                 class_events=registry.counter(
                     "serve.tenancy",
                     description="per-class scheduler outcomes",
@@ -134,7 +133,7 @@ class ServeEngine:
                 self.cfg.admission_capacity,
                 events=admission_events,
                 depth_gauge=admission_depth,
-                on_terminal=self._terminal,
+                on_terminal=self.slo.record_terminal,
             )
         max_batch = self.cfg.batch.max_batch
         if backend.max_batch:
@@ -282,9 +281,6 @@ class ServeEngine:
             RequestState.COMPLETED if ok else RequestState.ABORTED,
             self.sim.now,
         )
-        self._terminal(req)
-
-    def _terminal(self, req: Request) -> None:
         self.slo.record_terminal(req)
 
     # -- the run -------------------------------------------------------------

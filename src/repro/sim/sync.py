@@ -106,9 +106,9 @@ class Gate:
 
 class Signal:
     """One-shot hook on a state change: the owner of the state calls
-    :meth:`fire`, and a process that would otherwise re-check the state on
-    a fixed back-off period parks on it with :meth:`park` for two events,
-    however many periods the change takes."""
+    :meth:`fire`; a process blocks on the next one with :meth:`wait`, and
+    one that would otherwise re-check the state on a fixed back-off period
+    with :meth:`park` — two events, however many periods the change takes."""
 
     __slots__ = ("sim", "name", "_waiters")
 
@@ -130,30 +130,36 @@ class Signal:
             self._waiters.remove(ev)
             ev.trigger()
 
+    def wait(self, deadline: Optional[float] = None) -> Generator[Any, Any, None]:
+        """Block until the next :meth:`fire`, or ``deadline`` if that is first."""
+        ev = Event(self.sim, name=self.name)
+        self._waiters.append(ev)
+        if deadline is not None:
+            self.sim.spawn(self._alarm(ev, deadline), name=self.name, daemon=True)
+        try:
+            yield ev
+        finally:  # also runs when a waiting process is killed
+            if not ev.triggered:
+                self._waiters.remove(ev)
+
     def park(
         self, period: float, limit: Optional[int] = None
     ) -> Generator[Any, Any, int]:
         """Sit out the visits of ``while ...: yield Timeout(period)`` that
-        cannot observe anything: block until the next :meth:`fire` (or, with
-        ``limit``, until that visit of the grid at the latest), then land on
-        the first visit at or after now with one ``At``.  The grid is
-        replayed addition by addition, so the landing time is bit-equal to
-        the spinning waiter's.  Returns the visits made, the landing one
-        included; the caller books the skipped ones."""
+        cannot observe anything: :meth:`wait` (with ``limit``, until that
+        visit of the grid at the latest), then land on the first visit at or
+        after now with one ``At``.  The grid is replayed addition by
+        addition, so the landing time is bit-equal to the spinning waiter's.
+        Returns the visits made, the landing one included; the caller books
+        the skipped ones."""
         sim = self.sim
         t = sim.now
-        ev = Event(sim, name=self.name)
-        self._waiters.append(ev)
+        deadline = None
         if limit is not None:
             deadline = t
             for _ in range(limit):
                 deadline += period
-            sim.spawn(self._alarm(ev, deadline), name=self.name, daemon=True)
-        try:
-            yield ev
-        finally:  # also runs when a parked process is killed
-            if not ev.triggered:
-                self._waiters.remove(ev)
+        yield from self.wait(deadline)
         t += period
         visits = 1
         while t < sim.now:

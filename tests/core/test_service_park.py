@@ -277,9 +277,9 @@ def test_stop_while_parked_disarms_every_hook_and_start_serves_again():
     host.start()
     _idle(host, 1e4)
     cqs = [cq for _, cq in host.service.cqs]
-    assert all(cq.on_post is not None for cq in cqs)  # every warp parked
+    assert all(cq.on_post._waiters for cq in cqs)  # every warp parked
     host.stop()
-    assert all(cq.on_post is None for cq in cqs)
+    assert not any(cq.on_post._waiters for cq in cqs)
     host.start()
     _read(host, 2, dest)
     assert dest[0] == 4
