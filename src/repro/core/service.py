@@ -42,6 +42,24 @@ from repro.telemetry import Counter
 WINDOW = 32
 
 
+class _Posted(Signal):
+    """The ``on_post`` hook of one polling warp's CQs, which also counts
+    their CQEs posted and not yet consumed: "every queue of the partition
+    is empty" is one look, not a scan."""
+
+    __slots__ = ("pending",)
+
+    def __init__(self, sim: Simulator, cqs: List[CompletionQueue]):
+        super().__init__(sim, "agile.service.cqe_posted")
+        self.pending = sum(cq.device_tail - cq.host_head for cq in cqs)
+        for cq in cqs:
+            cq.on_post = self
+
+    def fire(self) -> None:
+        self.pending += 1
+        super().fire()
+
+
 class AgileService:
     """Manager for the polling-warp daemons."""
 
@@ -126,19 +144,18 @@ class AgileService:
         return anchor + backoff + (k + 1) * self._poll_ns
 
     def _park(
-        self, my_cqs: List[tuple[int, CompletionQueue]], pos: int
+        self, n_cqs: int, posted: _Posted, pos: int
     ) -> Generator[Any, Any, int]:
         """Make the next visit that can find something, for two events: with
-        every queue of the partition empty, block until a CQE is posted to
-        one of ``my_cqs`` (their ``on_post``), then resume exactly as the
-        first visit to end at or after now.  The visits ahead are the rest of the current sweep
+        every queue of the partition empty, block until a CQE is ``posted``
+        to one of them, then resume exactly as the first visit to end at or
+        after now.  The visits ahead are the rest of the current sweep
         (``n_cqs - pos`` of them, a poll apart), then the idle grid anchored
         where the sweep ends.  Returns how many visits were skipped."""
         sim = self.sim
         t = sim.now
-        n_cqs = len(my_cqs)
-        if all(cq.peek(cq.host_head) is None for _, cq in my_cqs):
-            yield from my_cqs[0][1].on_post.wait()
+        if not posted.pending:
+            yield from posted.wait()
         skipped = 0
         while pos + skipped < n_cqs:
             t += self._poll_ns
@@ -165,20 +182,23 @@ class AgileService:
         if not my_cqs:
             return
         n_cqs = len(my_cqs)
-        posted = Signal(self.sim, "agile.service.cqe_posted")
-        for _, cq in my_cqs:
-            cq.on_post = posted
+        posted = _Posted(self.sim, [cq for _, cq in my_cqs])
+        visit = Timeout(self._poll_ns)
         idx = 0  # round-robin cursor
         pos = 0  # empty visits so far in the current sweep
         while True:
-            # Rejoin the visits where one can find something, cursor and
-            # sweep position where making each of them would have them.
-            skipped = yield from self._park(my_cqs, pos)
-            self.visits += skipped
-            idx = (idx + skipped) % n_cqs
-            pos += skipped
-            if pos >= n_cqs:  # landed on the idle grid
-                pos = (pos - n_cqs) % n_cqs
+            if posted.pending and pos < n_cqs:
+                yield visit
+            else:
+                # Nothing to find, or an idle back-off is due: rejoin the
+                # visits, cursor and sweep position where making each of
+                # them would have them.
+                skipped = yield from self._park(n_cqs, posted, pos)
+                self.visits += skipped
+                idx = (idx + skipped) % n_cqs
+                pos += skipped
+                if pos >= n_cqs:  # landed on the idle grid
+                    pos = (pos - n_cqs) % n_cqs
             ssd_idx, cq = my_cqs[idx]
             idx = (idx + 1) % n_cqs
             pos += 1
@@ -240,6 +260,7 @@ class AgileService:
             pos += 1
         if processed:
             cq.consume_to(pos)
+            cq.on_post.pending -= processed
             self.stats.add("completions_processed", processed)
             yield Timeout(2.0 * processed * self.gpu.cfg.cycle_ns)
         if pos == window_end or (

@@ -282,15 +282,42 @@ def test_replay_line_reproduces_the_document(tmp_path, capsys):
     assert json.loads(first.read_text())["spec"]["ssds"] == 3
 
 
-@pytest.mark.parametrize("name", ["fig5", "tenancy", "write-path"])
-def test_no_back_off_loop_holds_a_tenth_of_the_events(name):
+#: Probes that charge modelled cycles while there is something to find are
+#: work, not waiting: a polling warp's visit with a CQE somewhere in its
+#: partition (an empty partition parks), BaM's inline CQ poll.
+MODELLED_PROBES = {"_polling_warp", "_poll_for"}
+
+
+def _mini(name):
+    exp = EXPERIMENTS[name]
+    return lambda: exp.run(*exp.configure(MINI[name]))
+
+
+def _write_path_under_gc():
+    """The one cell where host programs stall on a full device (the mini
+    spec never fills it): perfbench's ``serve-write-gc`` point."""
+    from repro.serve import writepath
+
+    writepath.run_write_path_point(
+        30_000.0, writepath.quick_spec(seed=7), gc_enabled=True
+    )
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [_mini("fig5"), _mini("tenancy"), _mini("write-path"), _write_path_under_gc],
+    ids=["fig5", "tenancy", "write-path", "write-path-under-gc"],
+)
+def test_no_back_off_loop_holds_a_tenth_of_the_events(cell):
     """A fixed-period ``Timeout`` site with a large share of all resumes is
     a process waiting, visit by visit, for something another process will
-    do: it should park on that and rejoin its grid (DESIGN §2.6).  The
-    doorbell back-off was 30% of ``tenancy`` and the GC-full stall 37% of
-    ``write-path`` before they did."""
-    exp = EXPERIMENTS[name]
+    do: it should park on that and rejoin its grid (DESIGN §2 item 6).  The
+    doorbell back-off was 40% of ``fig5`` and 33% of ``tenancy`` at these
+    sizes before it did, the GC-full stall 37% of the cell under GC."""
     with census() as book:
-        exp.run(*exp.configure(MINI[name]))
-    (_, count), = book.top(1, kind="Timeout")
-    assert count <= 0.10 * book.resumes, "\n" + book.table(book.resumes)
+        cell()
+    waits = [
+        count for site, count in book.top(len(book.sites), kind="Timeout")
+        if site[2] not in MODELLED_PROBES
+    ]
+    assert waits[0] <= 0.10 * book.resumes, "\n" + book.table(book.resumes)
