@@ -6,7 +6,8 @@ the innermost suspended generator frame (file:line of the ``yield`` being
 resumed) and to what that yield waited on (``Timeout``, ``At`` or an
 event).  A fixed-period ``Timeout`` site holding a large share of all
 dispatched events is a wait-by-spinning loop: the waiter should park on
-the state change it waits for and rejoin its back-off grid (DESIGN §2.6).
+the state change it waits for and rejoin its back-off grid (DESIGN §2
+item 6, "the general rule").
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.engine import At, Process, Timeout
 
@@ -45,20 +46,23 @@ class Census:
         code = frame.f_code
         self.sites[(code.co_filename, frame.f_lineno, code.co_name, kind)] += 1
 
-    def top(self, n: int = 10, kind: str = "") -> List[Tuple[Site, int]]:
+    def top(
+        self, n: Optional[int] = None, kind: str = ""
+    ) -> List[Tuple[Site, int]]:
+        """The ``n`` busiest sites (all by default), optionally of one kind."""
         rows = [
             (site, count) for site, count in self.sites.most_common()
             if not kind or site[3] == kind
         ]
         return rows[:n]
 
-    def table(self, total: int, n: int = 10) -> str:
-        """Top-``n`` sites as text, shares taken of ``total`` events."""
+    def table(self, n: int = 10) -> str:
+        """Top-``n`` sites as text, with their share of all resumes."""
         lines = [f"{'resumes':>9} {'share':>6}  kind     site"]
         for (path, line, func, kind), count in self.top(n):
             where = os.sep.join(path.split(os.sep)[-3:])
             lines.append(
-                f"{count:>9} {count / total:>6.1%}  {kind:<8} "
+                f"{count:>9} {count / self.resumes:>6.1%}  {kind:<8} "
                 f"{where}:{line} {func}"
             )
         return "\n".join(lines)
