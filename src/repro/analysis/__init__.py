@@ -1,7 +1,7 @@
 """``repro.analysis`` — protocol invariant checkers, sim-time race and
-lock-order analysis, the simulation-safety lint, and the dataflow engine.
+lock-order analysis, and the simulation-safety lint.
 
-Four layers (see DESIGN.md "Invariants & analysis"):
+Three layers (see DESIGN.md "Invariants & analysis"):
 
 1. *Runtime invariant checkers* (:mod:`repro.analysis.invariants`) attach
    to a live :class:`~repro.core.host.AgileHost` and fail the simulation
@@ -10,15 +10,8 @@ Four layers (see DESIGN.md "Invariants & analysis"):
    event stream after a run and report latent lock-order inversions and
    unsynchronized cache-line accesses even when this seed got lucky.
 3. *Static lint* (:mod:`repro.analysis.lint`) enforces syntactic
-   simulation-safety rules (AGL001-AGL008) on the source tree without
+   simulation-safety rules (AGL001-AGL015) on the source tree without
    running anything.
-4. *Dataflow static analysis* (:mod:`repro.analysis.flow`) builds
-   per-function CFGs and runs fixed-point rule packs — determinism taint
-   (AGL009/AGL010), unit consistency (AGL011), lock-release path checking
-   with a static lock-order graph (AGL012) — reporting as text or SARIF
-   against a committed baseline (``python -m repro.analysis flow``).
-   All static passes share one parsed AST per file via
-   :class:`~repro.analysis.source.SourceSession`.
 
 Typical use::
 
@@ -53,7 +46,6 @@ from repro.analysis.races import (
     RaceReport,
     analyze,
 )
-from repro.analysis.source import Finding, SourceSession
 from repro.sim.trace import EventLog
 
 __all__ = [
@@ -63,28 +55,17 @@ __all__ = [
     "CqPhaseChecker",
     "DataRaceAnalyzer",
     "EventLog",
-    "Finding",
     "InvariantChecker",
     "InvariantViolation",
     "LockOrderAnalyzer",
     "LockOrderInversion",
     "RaceReport",
     "ShareTableChecker",
-    "SourceSession",
     "SqConformanceChecker",
     "analyze",
     "attach",
-    "run_flow",
     "standard_checkers",
 ]
-
-
-def run_flow(paths, session=None, packs=None):
-    """Convenience re-export of :func:`repro.analysis.flow.run_flow`
-    (imported lazily to keep ``repro.analysis`` import time flat)."""
-    from repro.analysis.flow import run_flow as _run_flow
-
-    return _run_flow(paths, session=session, packs=packs)
 
 
 @dataclass

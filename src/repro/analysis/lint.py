@@ -40,6 +40,12 @@ know about; this one enforces the repository's:
   ``serve/request.py``): ad-hoc terminal mutations would bypass the
   legal-transition check and the exactly-one-terminal accounting the SLO
   reports and property tests rely on.
+- **AGL009** — no iteration (``for``, comprehension, ``sum()``) over a
+  ``set``/``frozenset``/set display and no ``.popitem()``: that order is a
+  hash-seed or allocator accident and becomes the order of same-instant
+  events.  Iterate ``sorted(...)`` or ``dict.fromkeys(...)``.
+- **AGL011** — no bare non-zero literal as the whole delay of ``Timeout``/
+  ``At``/``timeout``/``schedule_at``: name it (``*_ns``, config field).
 - **AGL013** — no hand-rolled device-index arithmetic (``x % num_ssds``,
   ``x % len(cfg.ssds)``, ...) outside ``repro/placement/``: physical
   ``(ssd_idx, device_lba)`` coordinates come from a
@@ -71,16 +77,7 @@ import ast
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.analysis.source import (
-    Finding,
-    SourceFile,
-    SourceSession,
-    dotted_name,
-    iter_python_files,
-    sort_findings,
-)
-
-__all__ = ["iter_python_files", "lint_files", "lint_paths", "main"]
+from repro.analysis.source import Finding, dotted_name, parse_files
 
 WALLCLOCK_CALLS = {
     "time.time",
@@ -147,6 +144,9 @@ PAGE_STORE_MUTATORS = {"pop", "popitem", "update", "setdefault", "clear"}
 TENANT_CLASS_CTOR = "RequestClass"
 TENANT_CLASS_FACTORY = "tenant_class"
 
+#: Callables whose first argument is a simulated delay or instant (AGL011).
+DELAY_CALLS = {"Timeout", "At", "timeout", "schedule_at"}
+
 
 def _config_attr_names() -> Set[str]:
     """Every legal attribute name on the repro.config namespace: module
@@ -186,15 +186,9 @@ def _own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
 
 
 class _FileLinter:
-    def __init__(
-        self,
-        path: Path,
-        tree: ast.Module,
-        config_attrs: Set[str],
-        display_path: str,
-    ):
+    def __init__(self, path: Path, tree: ast.Module, config_attrs: Set[str]):
         self.path = path
-        self.display = display_path
+        self.display = path.as_posix()
         self.tree = tree
         self.config_attrs = config_attrs
         self.violations: List[Finding] = []
@@ -253,6 +247,8 @@ class _FileLinter:
                 self._check_page_store_mutation(node)
             elif isinstance(node, ast.BinOp):
                 self._check_device_index_arith(node)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                self._check_unordered(node.iter, "iteration")
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _is_generator(node):
                     self._check_generator(node)
@@ -285,6 +281,20 @@ class _FileLinter:
                 f"through the FTL's program/invalidate/erase paths",
             )
         self._check_tenant_class(node)
+        name = self._bare_name(node.func)
+        first = node.args[0] if node.args else None
+        if name == "popitem":
+            self.add(node, "AGL009", "popitem() picks by insertion accident")
+        elif name == "sum":
+            self._check_unordered(first, "sum()")
+        elif name in DELAY_CALLS and isinstance(first, ast.Constant) and (
+            type(first.value) in (int, float) and first.value
+        ):
+            self.add(
+                first, "AGL011",
+                f"unit-less constant {first.value!r} as {name}() delay; bind "
+                f"it to a *_ns name or config field",
+            )
         dotted = dotted_name(node.func)
         if dotted is None:
             return
@@ -319,6 +329,18 @@ class _FileLinter:
                         "np.random.default_rng() without a seed is "
                         "non-reproducible",
                     )
+
+    def _check_unordered(self, node: Optional[ast.AST], what: str) -> None:
+        """AGL009: ``node`` is about to be walked in order."""
+        if isinstance(node, (ast.Set, ast.SetComp)) or (
+            isinstance(node, ast.Call)
+            and self._bare_name(node.func) in ("set", "frozenset")
+        ):
+            self.add(
+                node, "AGL009",
+                f"{what} over a set: the order is a hash-seed or allocator "
+                f"accident; use sorted(...) or dict.fromkeys(...)",
+            )
 
     def _check_tenant_class(self, node: ast.Call) -> None:
         """AGL015: tenant classes are minted only in serve/registry.py,
@@ -545,33 +567,16 @@ def _harvest_config_classes(trees: Iterable[ast.Module]) -> Set[str]:
     return names
 
 
-def lint_files(
-    files: Sequence[SourceFile], extra: Iterable[Finding] = ()
-) -> List[Finding]:
-    """Lint already-parsed files (the shared
-    :class:`~repro.analysis.source.SourceSession` path: parse once, share
-    the ASTs with the flow engine).  Output is sorted by
-    (path, line, col, rule) so reports diff cleanly."""
-    violations: List[Finding] = list(extra)
+def lint_paths(paths: Sequence[str]) -> List[Finding]:
+    """Lint files/directories (a syntax error is an ``AGL000`` finding).
+    Output is sorted by (path, line, col, rule) so reports diff cleanly."""
+    files, violations = parse_files(paths)
     config_attrs = _config_attr_names() | _harvest_config_classes(
-        f.tree for f in files
+        tree for _, tree in files
     )
-    for f in files:
-        violations.extend(
-            _FileLinter(f.path, f.tree, config_attrs, f.display).run()
-        )
-    return sort_findings(violations)
-
-
-def lint_paths(
-    paths: Sequence[str], session: Optional[SourceSession] = None
-) -> List[Finding]:
-    """Lint files/directories, parsing through ``session`` (a fresh cache
-    when not given)."""
-    session = session or SourceSession()
-    before = len(session.errors)
-    files = session.files(paths)
-    return lint_files(files, extra=session.errors[before:])
+    for path, tree in files:
+        violations.extend(_FileLinter(path, tree, config_attrs).run())
+    return sorted(violations)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

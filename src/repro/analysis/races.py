@@ -29,13 +29,11 @@ from repro.sim.trace import EventLog, TraceEvent
 
 def simple_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
     """Simple cycles of the directed graph with these ``(held, acquired)``
-    edges — shared by the dynamic analyzer here and the static
-    :class:`repro.analysis.lockflow.StaticLockGraph`.
+    edges.
 
     Output is canonical — each cycle rotated so its smallest node comes
-    first, deduplicated, and the list sorted — so reports and committed
-    baselines diff cleanly between runs regardless of edge insertion
-    order.
+    first, deduplicated, and the list sorted — so reports diff cleanly
+    between runs regardless of edge insertion order.
     """
     graph: Dict[str, Set[str]] = {}
     for a, b in edges:
@@ -114,20 +112,25 @@ class RaceReport:
 
 
 class LockOrderAnalyzer:
-    """Builds the acquisition-order graph and reports inversions."""
+    """Builds the acquisition-order graph; reports inversions and leaks."""
 
     def __init__(self) -> None:
         #: (held, acquired) -> witnesses {(chain, t)}.
         self._edges: Dict[Tuple[str, str], Set[Tuple[str, float]]] = {}
+        #: lock -> (chain, t) of its acquire, until a release answers it.
+        self._held: Dict[str, Tuple[str, float]] = {}
         self.acquisitions = 0
 
     def feed(self, events: Iterable[TraceEvent]) -> "LockOrderAnalyzer":
         for event in events:
+            if event.kind == "lock.release":
+                self._held.pop(event["lock"], None)
             if event.kind != "lock.acquire":
                 continue
             self.acquisitions += 1
             target = event["lock"]
             chain = event["chain"]
+            self._held[target] = (chain, event.t)
             for held in event.get("held_before", ()):
                 if held == target:
                     continue
@@ -157,11 +160,12 @@ class LockOrderAnalyzer:
             )
         return found
 
-    def edge_pairs(self) -> Set[Tuple[str, str]]:
-        """The dynamic acquisition-order edges (held, acquired) — the
-        graph the static :mod:`repro.analysis.lockflow` pass
-        cross-validates against."""
-        return set(self._edges)
+    def leaks(self) -> List[str]:
+        """Locks still held at the end of the log."""
+        return [
+            f"lock {lock!r} acquired by {chain} at t={t:.0f} was never released"
+            for lock, (chain, t) in sorted(self._held.items())
+        ]
 
     def cycles(self) -> List[List[str]]:
         """Simple cycles in the acquisition-order graph (covers chains of
@@ -232,11 +236,12 @@ class AnalysisReport:
     inversions: List[LockOrderInversion] = field(default_factory=list)
     cycles: List[List[str]] = field(default_factory=list)
     races: List[RaceReport] = field(default_factory=list)
+    leaks: List[str] = field(default_factory=list)
     events_seen: int = 0
 
     @property
     def clean(self) -> bool:
-        return not (self.inversions or self.cycles or self.races)
+        return not (self.inversions or self.cycles or self.races or self.leaks)
 
     def summary(self) -> str:
         lines = [
@@ -251,6 +256,7 @@ class AnalysisReport:
             lines.append(f"  - acquisition cycle: {' -> '.join(cyc)}")
         for race in self.races:
             lines.append(f"  - {race.describe()}")
+        lines.extend(f"  - {leak}" for leak in self.leaks)
         return "\n".join(lines)
 
 
@@ -263,5 +269,6 @@ def analyze(log: EventLog) -> AnalysisReport:
         inversions=lock.inversions(),
         cycles=lock.cycles(),
         races=data.races(),
+        leaks=lock.leaks(),
         events_seen=len(events),
     )

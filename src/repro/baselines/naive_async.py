@@ -129,7 +129,7 @@ class NaiveAsyncEngine:
         stalled_ns = 0.0
         while pending:
             progressed = False
-            for qp in {t.qp for t in tokens}:
+            for qp in dict.fromkeys(t.qp for t in tokens):
                 completion = qp.cq.peek(qp.cq.host_head)
                 if completion is None:
                     continue

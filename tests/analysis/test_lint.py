@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.lint import lint_paths, main
 
 
@@ -71,9 +73,9 @@ class TestBlockingCalls:
     def test_sleep_inside_generator_fires(self, tmp_path):
         src = (
             "import time\n"
-            "def proc(sim):\n"
+            "def proc(sim, poll_ns):\n"
             "    time.sleep(1)\n"
-            "    yield sim.timeout(5)\n"
+            "    yield sim.timeout(poll_ns)\n"
         )
         v = run_lint(tmp_path, src)
         assert "AGL003" in codes(v)
@@ -88,10 +90,10 @@ class TestBlockingCalls:
     def test_nested_helper_not_blamed_on_outer_generator(self, tmp_path):
         src = (
             "import time\n"
-            "def proc(sim):\n"
+            "def proc(sim, poll_ns):\n"
             "    def host_side():\n"
             "        time.sleep(1)\n"
-            "    yield sim.timeout(5)\n"
+            "    yield sim.timeout(poll_ns)\n"
         )
         assert run_lint(tmp_path, src) == []
 
@@ -107,10 +109,10 @@ class TestYieldDiscipline:
 
     def test_yield_none_and_calls_are_fine(self, tmp_path):
         src = (
-            "def proc(sim):\n"
+            "def proc(sim, poll_ns):\n"
             "    yield\n"
             "    yield None\n"
-            "    yield sim.timeout(3)\n"
+            "    yield sim.timeout(poll_ns)\n"
         )
         assert run_lint(tmp_path, src) == []
 
@@ -154,9 +156,9 @@ class TestSchedulerInternals:
 
     def test_narrow_api_is_fine(self, tmp_path):
         src = (
-            "def f(sim, fn):\n"
+            "def f(sim, fn, when_ns):\n"
             "    sim.schedule_immediate(fn)\n"
-            "    sim.schedule_at(5.0, fn, 1)\n"
+            "    sim.schedule_at(when_ns, fn, 1)\n"
         )
         assert run_lint(tmp_path, src) == []
 
@@ -398,6 +400,101 @@ class TestTenantRegistry:
         assert lint_paths([str(f)]) == []
 
 
+#: AGL009 offenders: a doorbell-ringing loop over a set of queue pairs that
+#: hash by address (the one in-tree positive, ``NaiveAsyncEngine.wait_all``,
+#: now walks them in first-token order), waking waiters from a set (planted
+#: in ``Gate.open`` it moves the goldens), float accumulation in three
+#: spellings, and ``popitem``.
+UNORDERED = {
+    "naive_wait_all": (
+        "def wait_all(tokens):\n"
+        "    for qp in {t.qp for t in tokens}:\n"
+        "        yield from qp.cq.doorbell.ring(qp.cq.host_head)\n"
+    ),
+    "gate_open": (
+        "def open(self):\n"
+        "    for ev in set(self._waiters):\n"
+        "        ev.trigger()\n"
+    ),
+    "comprehension": "def f(sim, procs):\n    return [sim.spawn(p) for p in set(procs)]\n",
+    "set_display": "def f(a, b):\n    for ev in {a, b}:\n        ev.trigger()\n",
+    "sum_over_set": "def f(latencies):\n    return sum(set(latencies))\n",
+    "augmented_accumulation": (
+        "def f(samples):\n"
+        "    total = 0.0\n"
+        "    for value in set(samples):\n"
+        "        total += value * 2.0\n"
+        "    return total\n"
+    ),
+    "plain_binop_accumulation": (
+        "def f(samples):\n"
+        "    acc = 0.0\n"
+        "    for value in frozenset(samples):\n"
+        "        acc = acc + value\n"
+        "    return acc\n"
+    ),
+    "popitem": "def f(pending):\n    return pending.popitem()\n",
+}
+
+ORDERED = {
+    "first_seen_order": (
+        "def wait_all(tokens):\n"
+        "    for qp in dict.fromkeys(t.qp for t in tokens):\n"
+        "        yield from qp.cq.doorbell.ring(qp.cq.host_head)\n"
+    ),
+    "sorted_set": "def f(sim, pages):\n    for p in sorted(set(pages)):\n        sim.spawn(p)\n",
+    "sum_over_sorted": "def f(latencies):\n    return sum(sorted(set(latencies)))\n",
+    "list_and_dict": "def f(xs, d):\n    return sum(xs) + sum(v for v in d.values())\n",
+    "order_free_reduction": "def f(deadlines_ns):\n    return min(set(deadlines_ns))\n",
+    "membership": "def f(x, seen):\n    return x in set(seen)\n",
+}
+
+
+class TestUnorderedIteration:
+    @pytest.mark.parametrize("name", sorted(UNORDERED))
+    def test_unordered_walk_fires(self, tmp_path, name):
+        v = run_lint(tmp_path, UNORDERED[name])
+        assert codes(v) == ["AGL009"]
+
+    @pytest.mark.parametrize("name", sorted(ORDERED))
+    def test_ordered_walk_is_fine(self, tmp_path, name):
+        assert run_lint(tmp_path, ORDERED[name]) == []
+
+    def test_message_names_the_fix(self, tmp_path):
+        (v,) = run_lint(tmp_path, UNORDERED["gate_open"])
+        assert "sorted" in v.message and "dict.fromkeys" in v.message
+
+
+class TestLiteralDelay:
+    @pytest.mark.parametrize(
+        "call",
+        ["sim.schedule_at(500, print)", "Timeout(200.0)", "At(1e6)", "sim.timeout(5)"],
+        ids=["schedule_at", "Timeout", "At", "timeout"],
+    )
+    def test_bare_literal_delay_fires(self, tmp_path, call):
+        v = run_lint(tmp_path, f"def proc(sim):\n    yield {call}\n")
+        assert codes(v) == ["AGL011"]
+        assert "_ns" in v[0].message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "Timeout(POLL_NS)",
+            "Timeout(2 * cycle_ns)",
+            "sim.schedule_at(sim.now + 100.0, print)",
+            "sim.schedule_at(0, print)",
+            "Timeout(0.0)",
+            "sim.timeout(delay=poll_ns)",
+            "retry(500)",
+        ],
+        ids=["constant", "product", "offset", "zero_int", "zero_float", "keyword",
+             "other_call"],
+    )
+    def test_named_or_zero_delay_is_fine(self, tmp_path, call):
+        src = f"def proc(sim, cycle_ns, poll_ns, POLL_NS, retry):\n    yield {call}\n"
+        assert run_lint(tmp_path, src) == []
+
+
 class TestCli:
     def test_main_exit_codes(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
@@ -412,6 +509,29 @@ class TestCli:
     def test_syntax_error_is_reported_not_crashed(self, tmp_path):
         v = run_lint(tmp_path, "def broken(:\n")
         assert codes(v) == ["AGL000"]
+
+    def test_syntax_error_becomes_agl000(self, tmp_path):
+        """One broken file costs one finding, not the other files' lint."""
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        (tmp_path / "dirty.py").write_text("import time\nt = time.time()\n")
+        v = lint_paths([str(tmp_path)])
+        assert codes(v) == ["AGL000", "AGL001"]
+        assert v[0].line == 1 and "syntax error" in v[0].message
+
+    def test_findings_sorted_and_stable(self, tmp_path):
+        (tmp_path / "b.py").write_text("import time\nt = time.time()\n")
+        (tmp_path / "a.py").write_text(
+            "def f(sim, xs):\n"
+            "    yield sim.timeout(5)\n"
+            "    for x in set(xs):\n"
+            "        sim._enqueue(x); sim.stats['n'] = x\n"
+        )
+        first = lint_paths([str(tmp_path)])
+        # the report order does not depend on the order of the arguments
+        assert first == lint_paths([str(tmp_path / "b.py"), str(tmp_path / "a.py")])
+        keys = [(f.path, f.line, f.col, f.rule) for f in first]
+        assert keys == sorted(keys)
+        assert codes(first) == ["AGL011", "AGL009", "AGL006", "AGL007", "AGL001"]
 
 
 def test_repo_source_tree_is_clean():

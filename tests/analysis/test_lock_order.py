@@ -123,6 +123,112 @@ class TestInversionDetection:
         assert "lock-order inversion" in report.summary()
 
 
+class TestCycleReportOrder:
+    def test_dynamic_cycles_canonical(self):
+        an = LockOrderAnalyzer()
+        an._edges = {
+            ("y", "z"): {("c1", 1.0)},
+            ("z", "x"): {("c1", 2.0)},
+            ("x", "y"): {("c1", 3.0)},
+        }
+        assert an.cycles() == [["x", "y", "z", "x"]]
+
+
+def _early_return(lock, chain, bail):
+    """A kernel in which one path to the exit skips the release."""
+
+    def proc():
+        yield from lock.acquire(chain)
+        yield Timeout(10.0)
+        if bail:
+            return
+        lock.release(chain)
+
+    return proc()
+
+
+class TestLeakedLock:
+    """A lock nobody contends for trips neither the LockDebugger nor the
+    watchdog; the offline replay reports it held at the end of the log."""
+
+    def test_kernel_that_returns_with_a_lock_held(self, sim, traced):
+        lock = AgileLock(sim, "sqdb.s1.q0", traced)
+        sim.spawn(_early_return(lock, AgileLockChain("t0"), bail=False))
+        sim.run()
+        assert analyze(traced.log).clean
+
+        sim.spawn(_early_return(lock, AgileLockChain("t1"), bail=True))
+        sim.run()  # completes: nobody else wants the lock
+        report = analyze(traced.log)
+        assert not report.clean
+        assert report.leaks == [
+            "lock 'sqdb.s1.q0' acquired by t1 at t=10 was never released"
+        ]
+        assert report.leaks[0] in report.summary()
+        assert not (report.inversions or report.cycles or report.races)
+
+    def test_release_whose_acquire_fell_off_the_log_is_ignored(self, sim):
+        debugger = LockDebugger()
+        debugger.log = EventLog(sim, maxlen=1)  # keeps only the release
+        lock = AgileLock(sim, "cacheset0", debugger)
+        sim.spawn(_early_return(lock, AgileLockChain("t0"), bail=False))
+        sim.run()
+        assert [e.kind for e in debugger.log.events()] == ["lock.release"]
+        assert analyze(debugger.log).clean
+
+    def test_deadlocked_run_ends_with_its_locks_held(self, sim, traced):
+        """Figure 1's naive engine deadlocks *by design*, so a log of it
+        ends with locks held and its tests (tests/core/test_deadlock.py,
+        tests/faults/test_naive_dropped_cqe.py) judge the DeadlockError /
+        stall report, never ``report.clean``.  The leak list is then the
+        set of locks the deadlocked chains held."""
+        from repro.core import DeadlockError
+        from repro.sim import SimError
+
+        lock_a = AgileLock(sim, "lockA", traced)
+        lock_b = AgileLock(sim, "lockB", traced)
+        sim.spawn(_locker(lock_a, lock_b, AgileLockChain("fwd")), name="f")
+        sim.spawn(_locker(lock_b, lock_a, AgileLockChain("rev")), name="r")
+        with pytest.raises(SimError) as excinfo:
+            sim.run()
+        assert isinstance(excinfo.value.__cause__, DeadlockError)
+        leaks = analyze(traced.log).leaks
+        assert len(leaks) == 2 and "'lockA'" in leaks[0] and "'lockB'" in leaks[1]
+
+    def test_leak_in_a_storm_kernel_flips_analysis_clean(
+        self, monkeypatch, tmp_path
+    ):
+        """End to end: one storm thread leaves an uncontended lock held.
+        Every other liveness check still holds; ``analysis_clean`` and the
+        exit code flip."""
+        import json
+
+        from repro.bench.__main__ import main
+        from repro.faults import storm
+
+        from tests.serve.test_experiments import cli_args
+
+        out = tmp_path / "storm.json"
+        assert main([*cli_args("storm"), "--out", str(out)]) == 0
+
+        def leaky_stage(host, spec, outcomes, honest=storm._stage_storm):
+            body = honest(host, spec, outcomes)
+            lock = AgileLock(host.sim, "leaked", host.debugger)
+
+            def leaky_body(tc, ctrl):
+                yield from body(tc, ctrl)
+                if tc.tid == 0:
+                    yield from lock.acquire(AgileLockChain("storm.t0"))
+
+            return leaky_body
+
+        monkeypatch.setattr(storm, "_stage_storm", leaky_stage)
+        assert main([*cli_args("storm"), "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert [n for n, c in checks.items() if not c["ok"]] == ["analysis_clean"]
+        assert "lock 'leaked' acquired by storm.t0" in checks["analysis_clean"]["detail"]
+
+
 class TestRealProtocolLockOrder:
     def test_issue_path_lock_order_is_consistent(self):
         """The real AGILE issue path (SQ slot -> doorbell lock) must show a

@@ -2,7 +2,10 @@
 formed, and complete (one per document CI writes)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -46,6 +49,26 @@ def test_fresh_run_reproduces_the_golden_exactly(name, tmp_path, capsys):
         ["gate", str(out), "--baseline", str(ROOT / "baselines"), "--tolerance", "0"]
     ) == 0
     assert f"{name}.json: identical" in capsys.readouterr().out
+
+
+def test_document_is_the_same_bytes_under_two_hash_seeds(tmp_path):
+    """Determinism across processes, stated once: nothing on a simulated
+    path may walk a set or key on ``hash()``/``id()``.  The tests above run
+    under whatever hash seed pytest got; this one pins two.  ``for ev in
+    set(waiters): ev.trigger()`` planted in ``Gate.open`` fails it (and the
+    ``abl-coalescing`` and ``write-path`` gates above)."""
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.json"
+        cmd = [sys.executable, "-m", "repro.bench", "run", "abl-coalescing",
+               "--quick", "--out", str(out)]
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        runs.append(
+            (out, subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL))
+        )
+    assert [proc.wait() for _, proc in runs] == [0, 0]
+    first, second = (out.read_bytes() for out, _ in runs)
+    assert first == second
 
 
 def test_every_golden_validates_against_the_schema():
