@@ -77,7 +77,7 @@ def run_with(policy, lbas):
     with host:
         total_ns = host.run_kernel(spec, LaunchConfig(1, 32))
         host.drain()
-    stats = host.cache.flush_stats()
+    stats = host.cache.stats.snapshot()
     hit_rate = stats["hits"] / (stats["hits"] + stats["misses"])
     return total_ns, hit_rate
 

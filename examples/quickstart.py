@@ -62,6 +62,6 @@ expected = {t: float(t * 1000) for t in range(128)}
 assert results == expected, "data read through AGILE must match the source"
 
 print(f"kernel time: {duration_ns / 1e3:.1f} us (simulated)")
-print(f"cache stats: {host.cache.flush_stats()}")
+print(f"cache stats: {host.cache.stats.snapshot()}")
 print(f"io stats:    {host.trace.counter('io').snapshot()}")
 print("quickstart OK — all 128 threads read the right values")

@@ -25,10 +25,6 @@ def disable() -> None:
     _enabled = False
 
 
-def enabled() -> bool:
-    return _enabled
-
-
 def maybe_attach(host: Any) -> Optional[Any]:
     """Attach the full analysis session to ``host`` iff checks are enabled.
 

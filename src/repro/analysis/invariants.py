@@ -149,10 +149,6 @@ class SqConformanceChecker(InvariantChecker):
                     f"visible doorbell value {event['doorbell']}",
                 )
 
-    def inflight(self, sq) -> Set[int]:
-        """In-flight CIDs currently tracked for one SQ (introspection)."""
-        return set(self._inflight.get(id(sq), set()))
-
 
 class CqPhaseChecker(InvariantChecker):
     """NVMe completion-queue conformance (paper Algorithm 1).

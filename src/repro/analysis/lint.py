@@ -15,13 +15,6 @@ know about; this one enforces the repository's:
   ``socket``, ``input``, ...) inside generator processes: a real block
   inside a simulated process freezes the event loop instead of advancing
   simulated time.
-- **AGL004** — generator processes must yield awaitables; yielding a bare
-  number/string/container is always a bug (the engine raises ``SimError``
-  at runtime; the lint catches it before a run does).
-- **AGL005** — attribute accesses on config objects (``cfg.*``, ``*_cfg.*``,
-  ``api.*``) must name fields that actually exist on some
-  :mod:`repro.config` dataclass — typos otherwise surface only on the
-  first simulated access, possibly hours into a sweep.
 - **AGL006** — no calls to scheduler internals (``._schedule``,
   ``._enqueue``, ``._schedule_resume``, ``._schedule_throw``, ``._step_send``,
   ``._step_throw``) outside ``sim/engine.py``: model code must go through
@@ -75,7 +68,7 @@ from __future__ import annotations
 import argparse
 import ast
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis.source import Finding, dotted_name, parse_files
 
@@ -99,8 +92,6 @@ UNSEEDED_NP_FUNCS = {
     "rand", "randn", "random", "randint", "random_sample", "choice",
     "shuffle", "permutation", "seed", "bytes", "normal", "uniform",
 }
-
-CONFIG_BASE_NAMES = {"cfg", "config", "api"}
 
 #: Engine-private scheduling entry points (AGL006).  Only sim/engine.py may
 #: touch these; everything else uses the narrow scheduler-facing API.
@@ -148,24 +139,6 @@ TENANT_CLASS_FACTORY = "tenant_class"
 DELAY_CALLS = {"Timeout", "At", "timeout", "schedule_at"}
 
 
-def _config_attr_names() -> Set[str]:
-    """Every legal attribute name on the repro.config namespace: module
-    members plus fields/properties/methods of each config dataclass."""
-    import dataclasses
-
-    from repro import config as config_mod
-
-    names: Set[str] = {n for n in dir(config_mod) if not n.startswith("_")}
-    for obj in vars(config_mod).values():
-        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
-            for f in dataclasses.fields(obj):
-                names.add(f.name)
-            for attr in dir(obj):
-                if not attr.startswith("_"):
-                    names.add(attr)
-    return names
-
-
 def _is_generator(fn: ast.AST) -> bool:
     """True if the function's own body (not nested defs) yields."""
     return any(
@@ -186,11 +159,10 @@ def _own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
 
 
 class _FileLinter:
-    def __init__(self, path: Path, tree: ast.Module, config_attrs: Set[str]):
+    def __init__(self, path: Path, tree: ast.Module):
         self.path = path
         self.display = path.as_posix()
         self.tree = tree
-        self.config_attrs = config_attrs
         self.violations: List[Finding] = []
         parts = path.as_posix().split("/")
         #: ``bench`` measures host wall time legitimately; ``rng.py`` is
@@ -237,8 +209,6 @@ class _FileLinter:
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Call):
                 self._check_call(node, imports_random)
-            elif isinstance(node, ast.Attribute):
-                self._check_config_attr(node)
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 self._check_stats_mutation(node)
                 self._check_terminal_state_mutation(node)
@@ -382,19 +352,6 @@ class _FileLinter:
                         f"{fn.name!r} freezes the event loop; yield a "
                         f"Timeout instead",
                     )
-            elif isinstance(node, ast.Yield) and node.value is not None:
-                value = node.value
-                bad = None
-                if isinstance(value, ast.Constant) and value.value is not None:
-                    bad = f"constant {value.value!r}"
-                elif isinstance(value, (ast.List, ast.Dict, ast.Set)):
-                    bad = "container literal"
-                if bad is not None:
-                    self.add(
-                        node, "AGL004",
-                        f"process {fn.name!r} yields {bad}; processes may "
-                        f"only yield Timeout/At/Event/Process/None awaitables",
-                    )
 
     def _check_stats_mutation(self, node: ast.Assign | ast.AugAssign) -> None:
         if self.stats_dict_ok:
@@ -518,64 +475,13 @@ class _FileLinter:
             return dotted in DICT_CONSTRUCTORS
         return False
 
-    def _check_config_attr(self, node: ast.Attribute) -> None:
-        base = node.value
-        base_name: Optional[str] = None
-        if isinstance(base, ast.Name):
-            base_name = base.id
-        elif isinstance(base, ast.Attribute):
-            base_name = base.attr
-        if base_name is None:
-            return
-        if base_name not in CONFIG_BASE_NAMES and not base_name.endswith(
-            "_cfg"
-        ):
-            return
-        if node.attr.startswith("_"):
-            return
-        if node.attr not in self.config_attrs:
-            self.add(
-                node, "AGL005",
-                f"config attribute {base_name}.{node.attr} does not exist "
-                f"on any repro.config dataclass (typo?)",
-            )
-
-
-def _harvest_config_classes(trees: Iterable[ast.Module]) -> Set[str]:
-    """Attribute names of every ``*Config``/``*Spec`` class defined in the
-    linted files — variables named ``cfg``/``config`` often hold local
-    config dataclasses (``LaunchConfig``, workload configs), not just
-    :mod:`repro.config` ones."""
-    names: Set[str] = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not (node.name.endswith("Config") or node.name.endswith("Spec")):
-                continue
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    names.add(stmt.target.id)
-                elif isinstance(stmt, ast.Assign):
-                    for tgt in stmt.targets:
-                        if isinstance(tgt, ast.Name):
-                            names.add(tgt.id)
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(stmt.name)
-    return names
-
 
 def lint_paths(paths: Sequence[str]) -> List[Finding]:
     """Lint files/directories (a syntax error is an ``AGL000`` finding).
     Output is sorted by (path, line, col, rule) so reports diff cleanly."""
     files, violations = parse_files(paths)
-    config_attrs = _config_attr_names() | _harvest_config_classes(
-        tree for _, tree in files
-    )
     for path, tree in files:
-        violations.extend(_FileLinter(path, tree, config_attrs).run())
+        violations.extend(_FileLinter(path, tree).run())
     return sorted(violations)
 
 

@@ -30,7 +30,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 import numpy as np
 
-from repro.config import SystemConfig
+from repro.config import CacheConfig, SystemConfig
 from repro.core.cache import CacheLine, LineState
 from repro.core.issue import ring_until_issued
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
@@ -40,8 +40,7 @@ from repro.mem.hbm import Hbm
 from repro.nvme.command import SQE_SIZE, NvmeCommand, NvmeCompletion, Opcode
 from repro.nvme.device import SsdController
 from repro.nvme.queue import QueuePair
-from repro.sim.engine import SimError, Simulator, Timeout
-from repro.sim.sync import Gate
+from repro.sim.engine import Event, SimError, Simulator, Timeout
 from repro.telemetry import Counter
 
 
@@ -215,9 +214,7 @@ class BamCache:
     def __init__(
         self,
         sim: Simulator,
-        num_lines: int,
-        line_size: int,
-        ways: int,
+        cfg: CacheConfig,
         hbm: Hbm,
         io: BamIoEngine,
         costs: BamCostConfig,
@@ -227,10 +224,9 @@ class BamCache:
         self.sim = sim
         self.io = io
         self.costs = costs
-        self.line_size = line_size
+        self.line_size = line_size = cfg.line_size
         self.stats = stats if stats is not None else Counter()
-        self.ways = min(ways, num_lines)
-        self.num_sets = max(1, num_lines // self.ways)
+        self.num_sets, self.ways = cfg.num_sets, cfg.set_ways
         self.policy = ClockPolicy()
         self.policy.attach(self.num_sets, self.ways)
         backing = hbm.alloc(
@@ -243,7 +239,6 @@ class BamCache:
                 index=idx, set_idx=idx // self.ways, way=idx % self.ways,
                 buffer=view,
             )
-            line.ready_gate = Gate(sim, name=f"bamline{idx}.ready")
             self.lines.append(line)
         self._tags: dict[tuple[int, int], CacheLine] = {}
         self._set_locks = [
@@ -257,9 +252,6 @@ class BamCache:
         base = set_idx * self.ways
         return self.lines[base : base + self.ways]
 
-    def lookup(self, ssd_idx: int, lba: int) -> Optional[CacheLine]:
-        return self._tags.get((ssd_idx, lba))
-
     def preload(self, ssd_idx: int, lba: int, data: np.ndarray) -> None:
         tag = (ssd_idx, lba)
         set_idx = self.set_of(ssd_idx, lba)
@@ -269,7 +261,6 @@ class BamCache:
                 line.buffer[: raw.size] = raw
                 line.tag = tag
                 line.state = LineState.READY
-                line.ready_gate.open()
                 self._tags[tag] = line
                 self.policy.on_fill(set_idx, line.way)
                 return
@@ -333,7 +324,7 @@ class BamCache:
                 )
                 line.state = LineState.READY
                 self.policy.on_fill(line.set_idx, line.way)
-                line.ready_gate.open()
+                line.ready_gate.trigger()
             elif not line.valid:
                 yield from line.ready_gate.wait()
             return line
@@ -370,7 +361,7 @@ class BamCache:
                     self.stats.add("writebacks")
         victim.tag = tag
         victim.state = LineState.BUSY
-        victim.ready_gate = Gate(self.sim, name=f"bamline{victim.index}.ready")
+        victim.ready_gate = Event(self.sim, name=f"bamline{victim.index}.ready")
         victim.pins = 0
         self._tags[tag] = victim
         self.stats.add("misses")
@@ -395,7 +386,6 @@ class BamCtrl:
         ssds: List[SsdController],
         queue_pairs: List[List[QueuePair]],
         costs: Optional[BamCostConfig] = None,
-        num_lines: Optional[int] = None,
         debugger: Optional[LockDebugger] = None,
         stats: Optional[Counter] = None,
     ):
@@ -406,17 +396,8 @@ class BamCtrl:
         self.io = BamIoEngine(
             sim, ssds, queue_pairs, self.costs, debugger, self.stats
         )
-        lines = num_lines if num_lines is not None else cfg.cache.num_lines
         self.cache = BamCache(
-            sim,
-            lines,
-            cfg.cache.line_size,
-            cfg.cache.ways,
-            hbm,
-            self.io,
-            self.costs,
-            debugger,
-            self.stats,
+            sim, cfg.cache, hbm, self.io, self.costs, debugger, self.stats
         )
 
     @property

@@ -27,7 +27,6 @@ class BamHost(Machine):
         cfg: Optional[SystemConfig] = None,
         *,
         costs: Optional[BamCostConfig] = None,
-        num_cache_lines: Optional[int] = None,
         debug_locks: bool = True,
         hbm_capacity: Optional[int] = None,
         telemetry: Optional[bool] = None,
@@ -43,7 +42,6 @@ class BamHost(Machine):
             self.ssds,
             self.queue_pairs,
             costs=costs,
-            num_lines=num_cache_lines,
             debugger=self.debugger,
             stats=self.trace.counter("bam"),
         )

@@ -180,10 +180,6 @@ class SsdConfig:
         return self.num_blocks + self.op_blocks
 
     @property
-    def physical_pages(self) -> int:
-        return self.physical_blocks * self.pages_per_block
-
-    @property
     def peak_read_bw(self) -> float:
         """Aggregate flash read bandwidth in bytes/ns."""
         return self.channels * self.page_size / self.read_latency_ns
@@ -261,8 +257,12 @@ class CacheConfig:
         return self.num_lines * self.line_size
 
     @property
+    def set_ways(self) -> int:
+        return min(self.ways, self.num_lines)
+
+    @property
     def num_sets(self) -> int:
-        return max(1, self.num_lines // self.ways)
+        return self.num_lines // self.set_ways
 
 
 @dataclass(frozen=True)
@@ -536,6 +536,9 @@ class SystemConfig:
                 )
         if self.cache.num_lines < 1:
             raise ValueError("cache must have at least one line")
+        if self.cache.ways < 1 or self.cache.num_lines % self.cache.set_ways:
+            raise ValueError(f"cache.ways={self.cache.ways} must be >= 1 and "
+                             f"divide cache.num_lines={self.cache.num_lines}")
         for name in (
             "flash_read_error_rate", "flash_write_error_rate",
             "flash_latency_outlier_rate", "cqe_drop_rate",

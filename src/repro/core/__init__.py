@@ -22,7 +22,6 @@ from repro.core.policies import (
     FifoPolicy,
     LruPolicy,
     RandomPolicy,
-    TinyLfuPolicy,
     make_policy,
 )
 from repro.core.cache import CacheLine, LineState, SoftwareCache
@@ -45,7 +44,6 @@ __all__ = [
     "LruPolicy",
     "FifoPolicy",
     "RandomPolicy",
-    "TinyLfuPolicy",
     "make_policy",
     "LineState",
     "CacheLine",

@@ -17,8 +17,7 @@ from typing import Any, Callable, Generator, Optional
 import numpy as np
 
 from repro.nvme.command import NvmeCompletion
-from repro.sim.engine import Simulator
-from repro.sim.sync import Gate
+from repro.sim.engine import Event, Simulator
 
 
 class Transaction:
@@ -30,7 +29,7 @@ class Transaction:
     def __init__(self, sim: Simulator, label: str = "txn"):
         self.sim = sim
         self.label = label
-        self.gate = Gate(sim, name=f"{label}.barrier")
+        self.gate = Event(sim, name=f"{label}.barrier")
         self.completion: Optional[NvmeCompletion] = None
         #: Optional service-side callback run at completion (cache fill,
         #: buffer ready, eviction finalization ...), before waiters wake.
@@ -38,17 +37,13 @@ class Transaction:
         self.issued_at = sim.now
         self.completed_at: Optional[float] = None
 
-    @property
-    def done(self) -> bool:
-        return self.gate.is_open
-
     def finish(self, completion: NvmeCompletion) -> None:
         """Called by the AGILE service when the completion is processed."""
         self.completion = completion
         self.completed_at = self.sim.now
         if self.on_complete is not None:
             self.on_complete(completion)
-        self.gate.open()
+        self.gate.trigger()  # once: service and recovery pop the record first
 
     def wait(self) -> Generator[Any, Any, Optional[NvmeCompletion]]:
         """Block until the transaction completes (``buf.wait()`` in the
@@ -77,7 +72,8 @@ class AgileBuf:
         self.sim = sim
         self.view = view
         self.label = label
-        self.ready = Gate(sim, is_open=True, name=f"{label}.ready")
+        self.ready = Event(sim, name=f"{label}.ready")
+        self.ready.trigger()
         #: (ssd_index, lba) the buffer currently mirrors, if any.
         self.source: Optional[tuple[int, int]] = None
         #: True when the most recent fill ended in an I/O error; ``wait``
@@ -94,19 +90,21 @@ class AgileBuf:
         return not self.failed
 
     def begin_fill(self, source: tuple[int, int]) -> None:
-        self.ready.close()
+        if self.ready.triggered:  # an unfinished fill keeps its waiters
+            self.ready = Event(self.sim, name=self.ready.name)
         self.source = source
         self.failed = False
 
     def finish_fill(self) -> None:
-        self.ready.open()
+        if not self.ready.triggered:  # a cache-hit copy has no fill pending
+            self.ready.trigger()
 
     def fail_fill(self) -> None:
         """The fill's NVMe command completed with an error status: mark the
         buffer failed, then open the gate so waiters (owner and every Share
         Table sharer — they hold this same object) observe the failure."""
         self.failed = True
-        self.ready.open()
+        self.finish_fill()
 
     def wait(self) -> Generator[Any, Any, None]:
         """Block until the most recent ``async_read`` into this buffer has

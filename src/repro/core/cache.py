@@ -38,8 +38,7 @@ from repro.core.policies import CachePolicy
 from repro.gpu.thread import ThreadContext
 from repro.mem.hbm import Hbm
 from repro.nvme.command import NvmeCompletion, Opcode
-from repro.sim.engine import SimError, Simulator, Timeout
-from repro.sim.sync import Gate
+from repro.sim.engine import Event, SimError, Simulator, Timeout
 from repro.telemetry import Counter
 
 
@@ -74,8 +73,8 @@ class CacheLine:
     #: tags it carries the placement policy's resolution.
     route: Optional[tuple[int, int]] = None
     pins: int = 0
-    ready_gate: Gate = None  # type: ignore[assignment]
-    #: Precomputed gate name: a fresh Gate is built on every claim (stale
+    ready_gate: Optional[Event] = None
+    #: Precomputed gate name: a fresh Event is built on every claim (stale
     #: waiters must keep seeing the old, opened gate), so the name string
     #: is hoisted out of the per-miss path.
     gate_name: str = field(default="", repr=False)
@@ -153,8 +152,7 @@ class SoftwareCache:
         self.api = api
         self.stats = stats if stats is not None else Counter()
         self.dram_tier = dram_tier
-        self.num_sets = cfg.num_sets
-        self.ways = min(cfg.ways, cfg.num_lines)
+        self.num_sets, self.ways = cfg.num_sets, cfg.set_ways
         policy.attach(self.num_sets, self.ways)
         backing = hbm.alloc(
             self.num_sets * self.ways * cfg.line_size, align=4096, label="swcache"
@@ -169,7 +167,6 @@ class SoftwareCache:
                 buffer=view,
                 gate_name=f"line{idx}.ready",
             )
-            line.ready_gate = Gate(sim, name=line.gate_name)
             self.lines.append(line)
         self._tags: dict[tuple[int, int], CacheLine] = {}
         self._set_locks = [
@@ -431,7 +428,7 @@ class SoftwareCache:
         victim.tag = tag
         victim.route = route
         self.set_line_state(victim, LineState.BUSY, reason="claim")
-        victim.ready_gate = Gate(self.sim, name=victim.gate_name)
+        victim.ready_gate = Event(self.sim, name=victim.gate_name)
         victim.pins = 0
         self._tags[tag] = victim
         self.stats.add("misses")
@@ -517,7 +514,7 @@ class SoftwareCache:
             return
         self.set_line_state(line, LineState.READY, reason="fill")
         self.policy.on_fill(line.set_idx, line.way)
-        line.ready_gate.open()
+        line.ready_gate.trigger()
 
     def _finish_writeback(
         self, completion: Optional[NvmeCompletion] = None
@@ -549,7 +546,7 @@ class SoftwareCache:
         line.route = None
         line.pins = 0
         self.set_line_state(line, LineState.INVALID, reason="fill_error")
-        line.ready_gate.open()
+        line.ready_gate.trigger()
 
     # -- pin management and direct data paths -----------------------------------
 
@@ -601,13 +598,9 @@ class SoftwareCache:
                 line.tag = tag
                 line.route = tag
                 self.set_line_state(line, LineState.READY, reason="preload")
-                line.ready_gate.open()
                 self._tags[tag] = line
                 self.policy.on_fill(set_idx, line.way)
                 return
         raise SimError(
             f"preload: set {set_idx} full; enlarge the cache for preloading"
         )
-
-    def flush_stats(self) -> dict[str, float]:
-        return self.stats.snapshot()

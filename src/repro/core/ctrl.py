@@ -75,10 +75,6 @@ class AgileCtrl:
     def line_size(self) -> int:
         return self.cache.cfg.line_size
 
-    @property
-    def num_ssds(self) -> int:
-        return self.issue.num_ssds()
-
     # ------------------------------------------------------------------
     # Method 1: prefetch
     # ------------------------------------------------------------------

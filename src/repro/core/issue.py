@@ -159,9 +159,6 @@ class IssueEngine:
 
     # -- public API ----------------------------------------------------------
 
-    def num_ssds(self) -> int:
-        return len(self.ssds)
-
     def submit(
         self,
         tc: ThreadContext,

@@ -158,61 +158,11 @@ class RandomPolicy(CachePolicy):
         return candidates[int(self._rng.integers(len(candidates)))]
 
 
-class TinyLfuPolicy(CachePolicy):
-    """Frequency-informed replacement in the spirit of TinyLFU
-    (Einziger et al. [17], one of the "new caching policies" the paper
-    cites as motivation for AGILE's policy flexibility).
-
-    A compact counter sketch tracks access frequency; the victim is the
-    *least frequent* evictable way, breaking ties by recency.  Counters
-    are periodically halved (the aging mechanism), so stale popularity
-    decays.
-    """
-
-    #: Accesses between aging passes.
-    AGE_PERIOD = 256
-
-    def __init__(self) -> None:
-        self._ops = 0
-
-    def attach(self, num_sets: int, ways: int) -> None:
-        super().attach(num_sets, ways)
-        self._freq = np.zeros((num_sets, ways), dtype=np.int64)
-        self._stamp = np.zeros((num_sets, ways), dtype=np.int64)
-
-    def _tick(self, set_idx: int, way: int) -> None:
-        self._ops += 1
-        self._freq[set_idx, way] += 1
-        self._stamp[set_idx, way] = self._ops
-        if self._ops % self.AGE_PERIOD == 0:
-            self._freq //= 2  # aging: halve every counter
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        self._tick(set_idx, way)
-
-    def on_fill(self, set_idx: int, way: int) -> None:
-        # A fresh line starts with one (its miss) rather than inheriting
-        # the previous occupant's popularity.
-        self._freq[set_idx, way] = 0
-        self._tick(set_idx, way)
-
-    def select_victim(
-        self, set_idx: int, candidates: Sequence[int]
-    ) -> Optional[int]:
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda w: (self._freq[set_idx, w], self._stamp[set_idx, w]),
-        )
-
-
 _BUILTINS = {
     "clock": ClockPolicy,
     "lru": LruPolicy,
     "fifo": FifoPolicy,
     "random": RandomPolicy,
-    "tinylfu": TinyLfuPolicy,
 }
 
 

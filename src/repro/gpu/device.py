@@ -18,7 +18,7 @@ from repro.gpu.thread import ThreadContext
 from repro.gpu.warp import Warp
 from repro.mem.hbm import Hbm
 from repro.sim.engine import Event, Process, Simulator
-from repro.sim.resources import BandwidthPipe, Semaphore
+from repro.sim.resources import BandwidthPipe
 
 
 class KernelLaunch:
@@ -94,13 +94,16 @@ class Gpu:
         occ = occupancy(self.cfg, kernel, cfg.block_dim)
         launch = KernelLaunch(self.sim, kernel, cfg)
         launch.tel = self.tel
-        slots = Semaphore(
-            self.sim, occ.blocks_per_sm * len(sms), name=f"{kernel.name}.slots"
-        )
+        # Free residency slots; a freed one passes to the oldest waiter.
+        slots = {"free": occ.blocks_per_sm * len(sms), "waiting": []}
         remaining = {"blocks": cfg.grid_dim}
 
         def block_runner(block_id: int) -> Generator[Any, Any, None]:
-            yield from slots.acquire()
+            if slots["free"] and not slots["waiting"]:
+                slots["free"] -= 1
+            else:
+                slots["waiting"].append(Event(self.sim, name=f"{kernel.name}.slot"))
+                yield slots["waiting"][-1]
             sm = min(sms, key=lambda s: (s.resident_blocks, s.index))
             sm.resident_blocks += 1
             sm.resident_warps += occ.warps_per_block
@@ -111,7 +114,10 @@ class Gpu:
             finally:
                 sm.resident_blocks -= 1
                 sm.resident_warps -= occ.warps_per_block
-                slots.release()
+                if slots["waiting"]:
+                    slots["waiting"].pop(0).trigger()
+                else:
+                    slots["free"] += 1
                 remaining["blocks"] -= 1
                 if remaining["blocks"] == 0:
                     launch._finish()

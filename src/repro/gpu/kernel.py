@@ -65,10 +65,6 @@ class Occupancy:
     warps_per_block: int
     limiting_factor: str
 
-    @property
-    def warps_per_sm(self) -> int:
-        return self.blocks_per_sm * self.warps_per_block
-
 
 def occupancy(cfg: GpuConfig, kernel: KernelSpec, block_dim: int) -> Occupancy:
     """Maximum resident blocks per SM (``host.queryOccupancy`` equivalent)."""

@@ -47,9 +47,5 @@ class StreamingMultiprocessor:
             raise ValueError("cycles must be non-negative")
         return self._issue.process(cycles)
 
-    @property
-    def active_threads(self) -> int:
-        return self._issue.active_jobs
-
     def issued_thread_cycles(self) -> float:
         return self._issue.work_done

@@ -12,17 +12,12 @@ state machine into the application kernel, so its queue-tracking values
 program points* as the application's accumulators; AGILE offloads polling
 to the service kernel, so the application's peak pressure only includes
 the lean issue/barrier state (paper §4.6).
-
-``repro.kir.overlap`` implements the paper's §5 compiler direction: a
-dependency-aware pass that hoists asynchronous loads as early as their
-operands allow, widening the issue-to-use distance that AGILE can overlap.
 """
 
 from repro.kir.ops import Instr, Trace, VReg
 from repro.kir.builder import TraceBuilder
 from repro.kir.liveness import live_intervals, pressure_profile
 from repro.kir.regalloc import estimate_registers, max_pressure
-from repro.kir.overlap import overlap_distance, reorder_for_overlap
 
 __all__ = [
     "VReg",
@@ -33,6 +28,4 @@ __all__ = [
     "pressure_profile",
     "max_pressure",
     "estimate_registers",
-    "reorder_for_overlap",
-    "overlap_distance",
 ]

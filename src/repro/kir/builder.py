@@ -5,8 +5,6 @@ fast path.  They are not instruction-exact transcriptions of the CUDA
 sources (which we do not have); they encode the *state each path keeps
 live*, which is what determines register pressure:
 
-- AGILE issue: command staging + a 64-bit transaction-barrier pointer that
-  survives until the wait;
 - AGILE cache access: tag/set math and a line pointer;
 - BaM cache access: the same plus reference-count bookkeeping;
 - BaM synchronous read: cache access + issue + the *inline CQ-polling state
@@ -51,18 +49,15 @@ class TraceBuilder:
         *,
         width: int = 1,
         name: str = "",
-        kind: str = "",
     ) -> VReg:
         """Emit an instruction producing one new value."""
         dst = self._fresh(name or opname, width)
-        self._instrs.append(
-            Instr(op=opname, dst=(dst,), src=tuple(srcs), kind=kind)
-        )
+        self._instrs.append(Instr(op=opname, dst=(dst,), src=tuple(srcs)))
         return dst
 
-    def effect(self, opname: str, srcs: Sequence[VReg] = (), kind: str = "") -> None:
+    def effect(self, opname: str, srcs: Sequence[VReg] = ()) -> None:
         """Emit a side-effecting instruction with no result (store, atomic)."""
-        self._instrs.append(Instr(op=opname, src=tuple(srcs), kind=kind))
+        self._instrs.append(Instr(op=opname, src=tuple(srcs)))
 
     def sink(self, *regs: VReg) -> None:
         """Mark values as consumed here (extends their live range)."""
@@ -109,19 +104,6 @@ def lower_agile_cache_access(b: TraceBuilder, key: VReg) -> VReg:
     return line
 
 
-def lower_agile_issue(b: TraceBuilder, addr: VReg) -> VReg:
-    """Algorithm 2 issue path; returns the 64-bit transaction barrier."""
-    sq = b.op("sq.pick", [addr])
-    slot = b.op("reserve", [sq])
-    b.effect("atom.cas", [slot])
-    cmd_lo = b.op("cmd.build", [addr, slot])
-    b.effect("st.sqe", [sq, slot, cmd_lo])
-    db = b.op("tail.scan", [sq])
-    b.effect("st.mmio", [db], kind="issue")
-    txn = b.op("txn.ptr", [slot], width=2, name="txn")
-    return txn
-
-
 def lower_agile_array_get(b: TraceBuilder, idx: VReg) -> VReg:
     """Array-like synchronous get: coalesce, cache access, barrier wait,
     element load."""
@@ -133,11 +115,6 @@ def lower_agile_array_get(b: TraceBuilder, idx: VReg) -> VReg:
     off = b.op("off.calc", [idx])
     value = b.op("ld.global", [line, off], name="elem")
     return value
-
-
-def lower_agile_wait(b: TraceBuilder, txn: VReg) -> None:
-    state = b.op("gate.ld", [txn])
-    b.effect("wait", [state])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +174,7 @@ def lower_bam_sync_read(
         cmd = b.op("cmd.build", [key, slot])
         b.effect("st.sqe", [slot, cmd])
         db = b.op("tail.scan", [slot])
-        b.effect("st.mmio", [db], kind="issue")
+        b.effect("st.mmio", [db])
         poll_state = begin_bam_poll(b, slot)
         accesses.append((line, poll_state))
     values = []

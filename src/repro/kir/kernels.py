@@ -12,8 +12,6 @@ from typing import Callable, Dict
 from repro.kir.builder import (
     TraceBuilder,
     lower_agile_array_get,
-    lower_agile_issue,
-    lower_agile_wait,
     lower_bam_sync_read,
 )
 from repro.kir.ops import Trace
@@ -116,22 +114,6 @@ def spmv_trace(variant: str) -> Trace:
         b.sink(acc2, end, col)
     b.effect("st.global", [y_base, acc])
     b.sink(val_base, x_base)
-    return b.build()
-
-
-def agile_async_pipeline_trace() -> Trace:
-    """A thread using prefetch + async wait (the overlap pattern); included
-    to show asynchrony itself does not bloat AGILE's register budget."""
-    b = TraceBuilder("agile.pipeline")
-    data = b.param("data_base", width=2)
-    idx = b.op("idx.calc", [data])
-    txn = lower_agile_issue(b, idx)
-    with b.loop():
-        t = b.op("fma.f32", [idx], name="t")
-        b.sink(t)
-    lower_agile_wait(b, txn)
-    value = b.op("ld.global", [txn], name="value")
-    b.sink(value)
     return b.build()
 
 

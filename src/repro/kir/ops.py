@@ -35,9 +35,6 @@ class Instr:
     op: str
     dst: Tuple[VReg, ...] = ()
     src: Tuple[VReg, ...] = ()
-    #: Tag for the overlap pass: 'issue' (asynchronous load start),
-    #: 'use' (first consumption of loaded data), or '' (plain compute).
-    kind: str = ""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         dsts = ", ".join(map(repr, self.dst))
@@ -54,6 +51,3 @@ class Trace:
     #: Values the builder pinned live for the whole trace (kernel
     #: parameters, loop-carried state).
     pinned: List[VReg] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.instrs)

@@ -37,10 +37,6 @@ class HbmBuffer:
     def addr(self) -> int:
         return self.allocation.addr
 
-    @property
-    def size(self) -> int:
-        return self.allocation.size
-
     def as_array(self, dtype: np.dtype | str, count: Optional[int] = None):
         """Reinterpret the buffer as a typed NumPy array view."""
         arr = self.view.view(dtype)
@@ -58,7 +54,7 @@ class HbmBuffer:
         return self.view[offset : offset + size].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"HbmBuffer({self.label!r}, addr={self.addr:#x}, size={self.size})"
+        return f"HbmBuffer({self.label!r}, addr={self.addr:#x}, size={self.allocation.size})"
 
 
 class Hbm:

@@ -252,9 +252,6 @@ class SsdController:
 
     # -- stats ----------------------------------------------------------------------
 
-    def completed(self) -> int:
-        return self.completed_reads + self.completed_writes
-
     def stats(self) -> dict[str, float]:
         """Health/throughput counters for bench reports and diagnostics
         (FTL write-path accounting — WAF, GC, free blocks — rides along)."""

@@ -28,7 +28,7 @@ from typing import List, Optional
 from repro.config import PcieConfig
 from repro.mem.hbm import HbmBuffer
 from repro.mem.pcie import Doorbell
-from repro.nvme.command import CQE_SIZE, SQE_SIZE, NvmeCommand, NvmeCompletion
+from repro.nvme.command import NvmeCommand, NvmeCompletion
 from repro.sim.engine import SimError, Simulator
 from repro.sim.sync import Signal
 
@@ -181,10 +181,6 @@ class SubmissionQueue:
     def outstanding(self) -> int:
         return sum(1 for s in self.state if s is not SlotState.EMPTY)
 
-    @property
-    def sqe_bytes(self) -> int:
-        return SQE_SIZE
-
 
 @dataclass
 class _CqSlot:
@@ -307,10 +303,6 @@ class CompletionQueue:
             self.occupancy.set(self.device_tail - self.host_head)
         if self.log is not None:
             self.log.emit("cq.consume", src=self, qid=self.qid, pos=pos)
-
-    @property
-    def cqe_bytes(self) -> int:
-        return CQE_SIZE
 
 
 class QueuePair:

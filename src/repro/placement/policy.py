@@ -237,11 +237,6 @@ class StaticShardPlacement(PlacementPolicy):
             )
         return lane, device_lba
 
-    def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info["shard_pages"] = self._block
-        return info
-
 
 class _StickyPlacement(PlacementPolicy):
     """Shared machinery for allocation-time policies: a memo table keyed

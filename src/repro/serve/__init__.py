@@ -1,6 +1,6 @@
 """repro.serve — online request serving on top of the AGILE/BaM hosts.
 
-Open-loop load generation (Poisson / MMPP / trace replay), bounded
+Open-loop load generation (Poisson / trace replay), bounded
 admission with explicit load shedding — FIFO or weighted-fair with
 per-class shed guards (:mod:`repro.serve.wfq`) — dynamic batching into
 kernel launches, fair-share dispatch across one or more simulated GPUs,
@@ -19,7 +19,6 @@ constructed, so closed-loop benchmarks and golden traces are untouched.
 from repro.serve.admission import AdmissionQueue
 from repro.serve.arrival import (
     ArrivalProcess,
-    Mmpp,
     Poisson,
     TraceReplay,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Experiment",
     "KNOWN_TENANTS",
     "LEGAL_TRANSITIONS",
-    "Mmpp",
     "NaiveServeBackend",
     "Poisson",
     "Request",

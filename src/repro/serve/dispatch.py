@@ -106,6 +106,3 @@ class Dispatcher:
             ev = waiters.pop()
             if not ev.triggered:
                 ev.trigger()
-
-    def __len__(self) -> int:
-        return len(self._pending)

@@ -1,4 +1,4 @@
-"""The standard two-tenant mix and the three experiments that serve it.
+"""The standard two-tenant mix and the two experiments that serve it.
 
 The serving-layer headline experiment: fix the machine, sweep the offered
 request rate across a range that straddles capacity, and plot goodput and
@@ -14,25 +14,23 @@ SLO, 20 %).  Identical seeds produce identical arrival timelines on every
 system, so curves are directly comparable point by point and
 bit-identical across runs.
 
-Three :class:`~repro.serve.experiment.Experiment` definitions share the
+Two :class:`~repro.serve.experiment.Experiment` definitions share the
 mix and one cell builder:
 
 - ``serve-sweep`` — array size x placement x system x offered load, one
   ``knee_rps`` row per curve;
 - ``placement-smoke`` — every placement policy head to head on a 4-SSD
   hotspot trace; claims striping spreads the hot head better than static
-  sharding (lower ``skew_ratio``);
-- ``explore`` — cache size x SQ depth x array size x arrival process at
-  one offered load (the design-space grid the store was built to hold).
+  sharding (lower ``skew_ratio``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, List, Mapping, Sequence
 
-from repro.config import CacheConfig, PlacementConfig, SystemConfig
-from repro.serve.arrival import ArrivalProcess, Mmpp, Poisson
+from repro.config import PlacementConfig, SystemConfig
+from repro.serve.arrival import Poisson
 from repro.serve.experiment import (
     SYSTEMS,
     Cell,
@@ -49,9 +47,6 @@ from repro.serve.request import RequestClass
 #: Placement policies the ``placement`` / ``policy`` axes accept (1-SSD
 #: cells run ``identity`` so single-device traces stay bit-exact).
 PLACEMENTS = ("shard", "striped", "load_aware", "tenant_affine")
-
-#: Arrival-process kinds the ``arrival`` axis accepts.
-ARRIVALS = ("poisson", "mmpp")
 
 #: Tenant mix used by the standard sweep (fractions sum to 1).
 POINT_FRACTION = 0.8
@@ -107,18 +102,6 @@ def standard_classes(spec: SweepSpec) -> List[RequestClass]:
     ]
 
 
-def _arrival(kind: str, rate_rps: float) -> ArrivalProcess:
-    """A per-class arrival process offering ``rate_rps`` on average.
-
-    The MMPP variant keeps the same mean rate as the Poisson one (calm at
-    half rate, bursting at 3x over the default 2 ms / 0.5 ms dwells), so
-    cells differ in burstiness, never in offered volume.
-    """
-    if kind == "poisson":
-        return Poisson(rate_rps)
-    return Mmpp(calm_rps=0.5 * rate_rps, burst_rps=3.0 * rate_rps)
-
-
 def standard_cell(spec: SweepSpec, cell: Mapping[str, Any]) -> CellPlan:
     """One standard-mix cell.  ``ssds`` devices sit behind the cell's
     placement policy; a shard policy spans exactly the two class regions
@@ -133,17 +116,9 @@ def standard_cell(spec: SweepSpec, cell: Mapping[str, Any]) -> CellPlan:
             shard_span=2 * spec.lba_space,
         ),
     )
-    if "cache_lines" in cell:
-        cfg = replace(
-            cfg,
-            cache=CacheConfig(num_lines=cell["cache_lines"]),
-            queue_depth=cell["queue_depth"],
-        )
     classes = standard_classes(spec)
-    kind = cell.get("arrival", "poisson")
     arrivals = {
-        cls.name: _arrival(kind, cell["target_rps"] * cls.weight)
-        for cls in classes
+        cls.name: Poisson(cell["target_rps"] * cls.weight) for cls in classes
     }
     return CellPlan(
         system=cell["system"],
@@ -208,28 +183,4 @@ PLACEMENT_SMOKE = Experiment(
     checks=_striped_beats_shard,
 )
 
-EXPLORE = Experiment(
-    name="explore",
-    help="design-space grid: cache size x SQ depth x SSD count x arrivals",
-    spec=SweepSpec(duration_ns=1_000_000.0),
-    axes={
-        "cache_lines": (256, 1024),
-        "queue_depth": (32, 64),
-        "ssds": (1, 2),
-        "arrival": ("poisson",),
-        "system": ("agile",),
-        "placement": ("striped",),
-        "target_rps": (40_000.0,),
-    },
-    pinned=("system", "placement", "target_rps"),
-    choices={"arrival": ARRIVALS, "system": SYSTEMS, "placement": PLACEMENTS},
-    build=lambda spec, cell: serve_runner(
-        standard_cell(spec, cell),
-        keep=(
-            "goodput_rps", "p99_ns", "offered", "completed", "shed", "aborted",
-            "mean_batch_size", "skew_ratio", "sim_events", "events_per_request",
-        ),
-    ),
-)
-
-EXPERIMENTS = (SERVE_SWEEP, PLACEMENT_SMOKE, EXPLORE)
+EXPERIMENTS = (SERVE_SWEEP, PLACEMENT_SMOKE)

@@ -84,12 +84,6 @@ class TenancyConfig:
             raise ValueError(f"duplicate tenant shares: {names}")
         self.shares = tuple(shares)
 
-    def share(self, name: str) -> TenantShare:
-        for s in self.shares:
-            if s.name == name:
-                return s
-        raise KeyError(f"no tenant share declared for class {name!r}")
-
 
 class WeightedFairAdmission:
     """Bounded multi-class admission: weighted-fair pulls, SLO-aware sheds.
@@ -284,12 +278,5 @@ class WeightedFairAdmission:
             ev.trigger()
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def drained(self) -> bool:
         return self._closed and not self._size
-
-    def __len__(self) -> int:
-        return self._size

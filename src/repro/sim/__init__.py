@@ -28,9 +28,8 @@ from repro.sim.resources import (
     BandwidthPipe,
     FairShareServer,
     FifoServer,
-    Semaphore,
 )
-from repro.sim.sync import Gate, Signal, SimLock
+from repro.sim.sync import Signal, SimLock
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -42,12 +41,10 @@ __all__ = [
     "SimError",
     "SimDeadlockError",
     "SimStallError",
-    "Semaphore",
     "FifoServer",
     "BandwidthPipe",
     "FairShareServer",
     "SimLock",
-    "Gate",
     "Signal",
     "RngStreams",
 ]

@@ -126,6 +126,12 @@ class Event:
             raise self._exc
         return self._value
 
+    def wait(self) -> Generator[Any, Any, None]:
+        """``yield from ev.wait()``: block until triggered; a triggered event
+        passes at once, without the resume event ``yield ev`` would cost."""
+        if not self._triggered:
+            yield self
+
     def trigger(self, value: Any = None) -> None:
         if self._triggered:
             raise SimError(f"event {self.name!r} triggered twice")

@@ -1,4 +1,4 @@
-"""Shared-resource models: semaphores, FIFO servers, bandwidth pipes, and a
+"""Shared-resource models: FIFO servers, bandwidth pipes, and a
 capped processor-sharing server.
 
 All ``acquire``/``process``/``transfer`` methods are generators intended to
@@ -13,54 +13,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import At, Event, SimError, Simulator
+from repro.sim.engine import At, Event, Simulator
 
 _INF = float("inf")
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeup order."""
-
-    __slots__ = ("sim", "name", "capacity", "_in_use", "_waiters", "_ev_name")
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "sem"):
-        if capacity < 1:
-            raise ValueError("semaphore capacity must be >= 1")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: list[Event] = []
-        # Precomputed once: blocked acquires are hot and the name is debug-only.
-        self._ev_name = f"{name}.acquire"
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; returns whether a token was taken."""
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return True
-        return False
-
-    def acquire(self) -> Generator[Any, Any, None]:
-        """Blocking acquire (``yield from sem.acquire()``)."""
-        if self.try_acquire():
-            return
-        ev = Event(self.sim, name=self._ev_name)
-        self._waiters.append(ev)
-        yield ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimError(f"semaphore {self.name!r} released too many times")
-        if self._waiters:
-            # Hand the token straight to the oldest waiter; _in_use unchanged.
-            self._waiters.pop(0).trigger()
-        else:
-            self._in_use -= 1
 
 
 class FifoServer:
@@ -149,9 +104,6 @@ class BandwidthPipe:
         if arrives > self.sim.now:
             yield At(arrives)
         self.bytes_moved += nbytes
-
-    def utilization(self) -> float:
-        return self._server.utilization()
 
 
 class FairShareServer:

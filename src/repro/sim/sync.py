@@ -1,4 +1,4 @@
-"""Synchronization primitives layered on the engine: mutex, gate, signal."""
+"""Synchronization primitives layered on the engine: mutex and signal."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.sim.engine import At, Event, SimError, Simulator
 class SimLock:
     """FIFO mutex with owner tracking.
 
-    Unlike :class:`~repro.sim.resources.Semaphore`, a lock remembers *who*
+    Unlike a counting semaphore, a lock remembers *who*
     holds it, which the AGILE lock-chain deadlock detector (paper §3.5)
     needs in order to build the waits-for graph.
     """
@@ -62,46 +62,6 @@ class SimLock:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimLock({self.name!r}, owner={self.owner!r})"
-
-
-class Gate:
-    """Level-triggered event: processes wait until the gate is open.
-
-    Re-usable, unlike :class:`~repro.sim.engine.Event`: the gate can be
-    closed again, and waiters arriving while it is open pass through without
-    blocking.  Used for cache-line READY notifications and transaction
-    barriers that are polled repeatedly.
-    """
-
-    __slots__ = ("sim", "name", "_open", "_waiters", "_ev_name")
-
-    def __init__(self, sim: Simulator, is_open: bool = False, name: str = "gate"):
-        self.sim = sim
-        self.name = name
-        self._open = is_open
-        self._waiters: list[Event] = []
-        self._ev_name = f"{name}.wait"
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        """Open the gate and release every waiter."""
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.trigger()
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait(self) -> Generator[Any, Any, None]:
-        if self._open:
-            return
-        ev = Event(self.sim, name=self._ev_name)
-        self._waiters.append(ev)
-        yield ev
 
 
 class Signal:

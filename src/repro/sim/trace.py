@@ -72,9 +72,3 @@ class EventLog:
         for event in self._records:
             if kind is None or event.kind.startswith(kind):
                 yield event
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)

@@ -30,7 +30,7 @@ from repro.store.diff import UnknownSchemaError, compare
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="Gate experiment documents against committed goldens.",
+        description="Check experiment documents against committed goldens.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     gate = sub.add_parser(

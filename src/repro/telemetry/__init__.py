@@ -17,7 +17,7 @@ Enable per host::
 
     host = AgileHost(cfg, telemetry=True)
     ... run ...
-    host.telemetry.write_chrome_trace("out.json")
+    telemetry.export.write_chrome_trace("out.json", host.telemetry.chrome_trace())
 
 or globally for code that builds hosts internally (the bench CLI's
 ``--trace`` flag)::
@@ -100,9 +100,6 @@ class Telemetry:
 
     def chrome_trace(self) -> dict:
         return _export.chrome_trace([("", self.spans)])
-
-    def write_chrome_trace(self, path: str) -> None:
-        _export.write_chrome_trace(path, self.chrome_trace())
 
 
 # -- global capture switch (mirrors repro.analysis.hooks) ----------------------

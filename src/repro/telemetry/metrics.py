@@ -83,14 +83,14 @@ class Gauge:
 
     def __init__(
         self,
-        clock: Optional[Clock] = None,
+        clock: Clock,
         name: str = "",
         description: str = "",
         initial: float = 0.0,
     ) -> None:
         self.name = name
         self.description = description
-        self._clock: Clock = clock if clock is not None else (lambda: 0.0)
+        self._clock = clock
         self._value = initial
         self._last_t = self._clock()
         self._area = 0.0

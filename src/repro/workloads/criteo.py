@@ -40,10 +40,6 @@ class CriteoTrace:
     def num_features(self) -> int:
         return int(self.indices.shape[1])
 
-    @property
-    def total_vocab(self) -> int:
-        return int(sum(self.vocab_sizes))
-
     def batch(self, epoch: int, batch_size: int) -> np.ndarray:
         """The samples of one inference epoch (wraps around the trace)."""
         start = (epoch * batch_size) % self.num_samples

@@ -102,9 +102,6 @@ class EmbeddingLayout:
         ssd, lba = interleaved(self.num_ssds).place(page)
         return ssd, lba, offset
 
-    def table_bytes(self) -> int:
-        return self.total_vecs * self.vec_bytes
-
     def make_table(self) -> np.ndarray:
         """Deterministic embedding values: vector v is filled with
         ``v + lane/dim`` so fetched data is value-checkable."""

@@ -38,9 +38,6 @@ class CsrGraph:
     def num_edges(self) -> int:
         return int(self.col_idx.shape[0])
 
-    def degree(self, v: int) -> int:
-        return int(self.row_ptr[v + 1] - self.row_ptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.col_idx[self.row_ptr[v] : self.row_ptr[v + 1]]
 

@@ -98,48 +98,6 @@ class TestBlockingCalls:
         assert run_lint(tmp_path, src) == []
 
 
-class TestYieldDiscipline:
-    def test_yield_bare_number_fires(self, tmp_path):
-        v = run_lint(tmp_path, "def proc():\n    yield 5\n")
-        assert codes(v) == ["AGL004"]
-
-    def test_yield_container_literal_fires(self, tmp_path):
-        v = run_lint(tmp_path, "def proc():\n    yield [1, 2]\n")
-        assert codes(v) == ["AGL004"]
-
-    def test_yield_none_and_calls_are_fine(self, tmp_path):
-        src = (
-            "def proc(sim, poll_ns):\n"
-            "    yield\n"
-            "    yield None\n"
-            "    yield sim.timeout(poll_ns)\n"
-        )
-        assert run_lint(tmp_path, src) == []
-
-
-class TestConfigAttrs:
-    def test_typoed_config_attribute_fires(self, tmp_path):
-        v = run_lint(
-            tmp_path, "def f(cfg):\n    return cfg.queue_depht_xyz\n"
-        )
-        assert codes(v) == ["AGL005"]
-        assert "typo" in v[0].message
-
-    def test_real_config_attribute_is_fine(self, tmp_path):
-        assert run_lint(
-            tmp_path, "def f(cfg):\n    return cfg.queue_depth\n"
-        ) == []
-
-    def test_locally_defined_config_class_attrs_are_known(self, tmp_path):
-        src = (
-            "class SweepConfig:\n"
-            "    warp_fanout: int = 4\n"
-            "def f(cfg):\n"
-            "    return cfg.warp_fanout\n"
-        )
-        assert run_lint(tmp_path, src) == []
-
-
 class TestSchedulerInternals:
     def test_direct_schedule_call_fires(self, tmp_path):
         v = run_lint(tmp_path, "def f(sim, fn):\n    sim._schedule(0.0, fn)\n")
@@ -403,7 +361,7 @@ class TestTenantRegistry:
 #: AGL009 offenders: a doorbell-ringing loop over a set of queue pairs that
 #: hash by address (the one in-tree positive, ``NaiveAsyncEngine.wait_all``,
 #: now walks them in first-token order), waking waiters from a set (planted
-#: in ``Gate.open`` it moves the goldens), float accumulation in three
+#: in ``Signal.fire`` it moves the goldens), float accumulation in three
 #: spellings, and ``popitem``.
 UNORDERED = {
     "naive_wait_all": (

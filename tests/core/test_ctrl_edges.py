@@ -76,10 +76,18 @@ class TestBufferEdges:
     def test_transaction_latency_requires_completion(self):
         host = make_host()
         from repro.core.buffers import Transaction
+        from repro.nvme.command import NvmeCompletion
 
         txn = Transaction(host.sim)
         with pytest.raises(RuntimeError, match="in flight"):
             _ = txn.latency
+        assert next(txn.wait()) is txn.gate  # in flight: the wait blocks
+        done = NvmeCompletion(cid=0, sq_id=1, sq_head=0)
+        txn.finish(done)
+        # Finished: the wait passes without yielding, so it costs no event.
+        with pytest.raises(StopIteration) as stop:
+            next(txn.wait())
+        assert stop.value.value is done and txn.latency == 0.0
 
 
 class TestArrayEdges:

@@ -81,11 +81,14 @@ def test_under_subscribed_sm_runs_at_full_speed(sim):
 
 
 def test_blocks_dispatch_in_waves(sim):
-    """More blocks than residency slots -> sequential waves."""
+    """More blocks than residency slots -> sequential waves, and a freed
+    slot goes to the oldest waiting block."""
     gpu_cfg = GpuConfig(num_sms=1, max_blocks_per_sm=2, max_warps_per_sm=4,
                         issue_width=4)
+    starts = {}
 
     def body(tc):
+        starts.setdefault(tc.block_id, tc.sim.now)
         yield Timeout(100)
 
     s = Simulator()
@@ -94,6 +97,7 @@ def test_blocks_dispatch_in_waves(sim):
     # 6 blocks, 2 resident at a time -> 3 waves of 100 ns.
     t = g.run_to_completion(kernel, LaunchConfig(6, 32))
     assert t == pytest.approx(300.0, rel=1e-6)
+    assert starts == {0: 0, 1: 0, 2: 100, 3: 100, 4: 200, 5: 200}
 
 
 def test_stalled_warps_free_issue_slots_for_ready_warps(sim):

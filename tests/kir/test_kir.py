@@ -1,5 +1,5 @@
-"""Tests for the kernel IR: liveness, register pressure, the Fig. 12
-estimates, and the overlap-reordering pass."""
+"""Tests for the kernel IR: liveness, register pressure and the Fig. 12
+estimates."""
 
 from __future__ import annotations
 
@@ -10,12 +10,9 @@ from repro.kir import (
     estimate_registers,
     live_intervals,
     max_pressure,
-    overlap_distance,
     pressure_profile,
-    reorder_for_overlap,
 )
 from repro.kir.kernels import (
-    agile_async_pipeline_trace,
     bfs_trace,
     figure12_registers,
     service_kernel_trace,
@@ -102,68 +99,3 @@ class TestFigure12:
         for kernel, variants in figure12_registers().items():
             for variant, regs in variants.items():
                 assert 16 <= regs <= 255, (kernel, variant, regs)
-
-    def test_agile_async_pipeline_stays_lean(self):
-        """Asynchrony via transaction barriers costs few registers — the
-        design point that distinguishes AGILE from inlined polling."""
-        pipeline = estimate_registers(agile_async_pipeline_trace())
-        bam_vecmean = figure12_registers()["vector_mean"]["bam"]
-        assert pipeline < bam_vecmean
-
-
-class TestOverlapPass:
-    def _mk_trace(self):
-        b = TraceBuilder("t")
-        addr = b.op("addr")                       # 0
-        t1 = b.op("fma", [addr], name="t1")       # 1 (independent compute)
-        t2 = b.op("fma", [t1], name="t2")         # 2
-        b.effect("st.mmio", [addr], kind="issue")  # 3 (can hoist to 1)
-        b.effect("sink", [t2], kind="use")        # 4
-        return b.build()
-
-    def test_issue_hoisted_before_independent_compute(self):
-        trace = self._mk_trace()
-        new = reorder_for_overlap(trace)
-        kinds = [i.kind for i in new.instrs]
-        assert kinds.index("issue") == 1  # right after its addr dependency
-        assert overlap_distance(new) > overlap_distance(trace)
-
-    def test_dependencies_never_violated(self):
-        trace = self._mk_trace()
-        new = reorder_for_overlap(trace)
-        # addr must still be defined before the issue that reads it.
-        pos = {id(i): k for k, i in enumerate(new.instrs)}
-        issue = next(i for i in new.instrs if i.kind == "issue")
-        addr_def = next(i for i in new.instrs if i.op == "addr")
-        assert pos[id(addr_def)] < pos[id(issue)]
-
-    def test_mmio_order_preserved(self):
-        """Two doorbell writes must not be reordered past each other."""
-        b = TraceBuilder("t")
-        a = b.op("addr")
-        b.effect("st.mmio", [a], kind="issue")
-        b.effect("st.mmio", [a], kind="issue")
-        trace = b.build()
-        new = reorder_for_overlap(trace)
-        mmio_positions = [
-            k for k, i in enumerate(new.instrs) if i.op == "st.mmio"
-        ]
-        assert mmio_positions == sorted(mmio_positions)
-        assert len(mmio_positions) == 2
-
-    def test_already_optimal_unchanged(self):
-        b = TraceBuilder("t")
-        a = b.op("addr")
-        b.effect("st.mmio", [a], kind="issue")
-        t = b.op("fma", [a])
-        b.effect("sink", [t], kind="use")
-        trace = b.build()
-        new = reorder_for_overlap(trace)
-        assert [i.op for i in new.instrs] == [i.op for i in trace.instrs]
-
-    def test_distance_counts_tail_issues(self):
-        b = TraceBuilder("t")
-        a = b.op("addr")
-        b.effect("st.mmio", [a], kind="issue")  # no use afterwards
-        trace = b.build()
-        assert overlap_distance(trace) == 1

@@ -36,10 +36,6 @@ MINI = {
         "duration_ns=1e6", "lba_space=256", "target_rps=400000",
         "policy=shard,striped",
     ],
-    "explore": [
-        "duration_ns=3e5", "cache_lines=256", "queue_depth=32",
-        "target_rps=20000", "seed=11",
-    ],
     "write-path": [
         "duration_ns=4e6", "table_pages=64", "modify_space=48",
         "read_space=64", "device_pages=128", "cache_lines=8",
@@ -256,7 +252,7 @@ class TestClaims:
 def test_list_shows_every_experiment_with_its_axes(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert len(EXPERIMENTS) == 20
+    assert len(EXPERIMENTS) == 19
     for exp in EXPERIMENTS.values():
         assert f"{exp.name}: {exp.help}" in out
         assert all(f"    {axis} = " in out for axis in exp.axes)

@@ -79,6 +79,16 @@ def test_already_triggered_event_resumes_immediately(sim):
     sim.run()
     assert results == [(0.0, 42)]
 
+    def passer(ev):
+        yield from ev.wait()
+        results.append("passed")
+
+    # ``wait()`` passes a triggered event without the resume event.
+    before = sim.event_count
+    sim.spawn(passer(ev))
+    sim.run()
+    assert results[-1] == "passed" and sim.event_count == before + 1
+
 
 def test_event_double_trigger_is_error(sim):
     ev = sim.event("dup")

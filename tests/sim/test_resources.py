@@ -1,9 +1,10 @@
-"""Tests for semaphores, FIFO servers, bandwidth pipes, and the capped
+"""Tests for FIFO servers, bandwidth pipes, and the capped
 processor-sharing server."""
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -14,73 +15,12 @@ from repro.sim import (
     Event,
     FairShareServer,
     FifoServer,
-    Semaphore,
     Signal,
     SimDeadlockError,
     SimError,
     Simulator,
     Timeout,
 )
-
-
-class TestSemaphore:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Semaphore(sim, 0)
-
-    def test_try_acquire_respects_capacity(self, sim):
-        sem = Semaphore(sim, 2)
-        assert sem.try_acquire()
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-        sem.release()
-        assert sem.try_acquire()
-
-    def test_blocking_acquire_fifo(self, sim):
-        sem = Semaphore(sim, 1)
-        order = []
-
-        def worker(tag, hold):
-            yield from sem.acquire()
-            order.append((tag, sim.now))
-            yield Timeout(hold)
-            sem.release()
-
-        sim.spawn(worker("a", 10))
-        sim.spawn(worker("b", 10))
-        sim.spawn(worker("c", 10))
-        sim.run()
-        assert order == [("a", 0), ("b", 10), ("c", 20)]
-
-    def test_over_release_is_error(self, sim):
-        sem = Semaphore(sim, 1)
-        with pytest.raises(SimError):
-            sem.release()
-
-    def test_try_acquire_defers_to_waiters(self, sim):
-        """A non-blocking acquire must not jump the FIFO queue."""
-        sem = Semaphore(sim, 1)
-        got = []
-
-        def holder():
-            yield from sem.acquire()
-            yield Timeout(10)
-            sem.release()
-
-        def waiter():
-            yield from sem.acquire()
-            got.append("waiter")
-            sem.release()
-
-        def sniper():
-            yield Timeout(10)  # release instant: waiter is queued
-            got.append(("sniper", sem.try_acquire()))
-
-        sim.spawn(holder())
-        sim.spawn(waiter())
-        sim.spawn(sniper())
-        sim.run()
-        assert ("sniper", False) in got or got[0] == "waiter"
 
 
 class TestFifoServer:
@@ -421,29 +361,36 @@ class TestLazyArming:
 # -- closed-form FIFO against the semaphore formulation it replaces ----------
 
 
-class SemaphoreFifoServer:
-    """Reference: a one-token semaphore held for a ``Timeout(service)``."""
+class TokenFifoServer:
+    """Reference: a one-token semaphore held for a ``Timeout(service)``.
+    The queue holds the token's holder, then its waiters in arrival order;
+    a release hands the token to the oldest."""
 
     def __init__(self, sim):
-        self.sim, self._sem, self.busy_time = sim, Semaphore(sim, 1), 0.0
+        self.sim, self._queue, self.busy_time = sim, deque(), 0.0
 
     def process(self, service_ns):
-        yield from self._sem.acquire()
+        turn = Event(self.sim)
+        self._queue.append(turn)
+        if len(self._queue) > 1:
+            yield turn
         try:
             if service_ns > 0:
                 yield Timeout(service_ns)
             self.busy_time += service_ns
         finally:
-            self._sem.release()
+            self._queue.popleft()
+            if self._queue:
+                self._queue[0].trigger()
 
 
-class SemaphorePipe:
-    """Reference: the wire is a :class:`SemaphoreFifoServer`, propagation a
+class TokenPipe:
+    """Reference: the wire is a :class:`TokenFifoServer`, propagation a
     second timeout."""
 
     def __init__(self, sim, bytes_per_ns, latency_ns):
         self.bytes_per_ns, self.latency_ns = bytes_per_ns, latency_ns
-        self._server, self.bytes_moved = SemaphoreFifoServer(sim), 0
+        self._server, self.bytes_moved = TokenFifoServer(sim), 0
 
     def transfer(self, nbytes):
         yield from self._server.process(nbytes / self.bytes_per_ns)
@@ -461,8 +408,8 @@ def run_fifo(closed_form, jobs):
         servers = [FifoServer(sim), FifoServer(sim)]
         pipes = [BandwidthPipe(sim, 3.0, 0.0), BandwidthPipe(sim, 0.7, 12.3)]
     else:
-        servers = [SemaphoreFifoServer(sim), SemaphoreFifoServer(sim)]
-        pipes = [SemaphorePipe(sim, 3.0, 0.0), SemaphorePipe(sim, 0.7, 12.3)]
+        servers = [TokenFifoServer(sim), TokenFifoServer(sim)]
+        pipes = [TokenPipe(sim, 3.0, 0.0), TokenPipe(sim, 0.7, 12.3)]
     done, arrivals = {}, {r: [] for r in range(4)}
 
     def job(i, start, resource, amount):
@@ -529,7 +476,7 @@ class TestClosedFormFifo:
         """Service is booked at reservation, so a backlogged server's books
         are ahead of time; what it reports is not."""
         server = FifoServer(sim)
-        reference = SemaphoreFifoServer(sim)
+        reference = TokenFifoServer(sim)
         samples = []
 
         def job(target, start, service):

@@ -1,10 +1,10 @@
-"""Tests for SimLock and Gate."""
+"""Tests for SimLock."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Gate, SimError, SimLock, Timeout
+from repro.sim import SimError, SimLock, Timeout
 
 
 class TestSimLock:
@@ -67,59 +67,3 @@ class TestSimLock:
         sim.spawn(inspector())
         sim.run()
         assert seen == [["w1", "w2"]]
-
-
-class TestGate:
-    def test_open_gate_does_not_block(self, sim):
-        gate = Gate(sim, is_open=True)
-        log = []
-
-        def proc():
-            yield from gate.wait()
-            log.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run()
-        assert log == [0.0]
-
-    def test_closed_gate_blocks_until_open(self, sim):
-        gate = Gate(sim)
-        log = []
-
-        def waiter(tag):
-            yield from gate.wait()
-            log.append((tag, sim.now))
-
-        def opener():
-            yield Timeout(20)
-            gate.open()
-
-        sim.spawn(waiter("a"))
-        sim.spawn(waiter("b"))
-        sim.spawn(opener())
-        sim.run()
-        assert log == [("a", 20), ("b", 20)]
-
-    def test_reclose_blocks_new_waiters(self, sim):
-        gate = Gate(sim, is_open=True)
-        log = []
-
-        def early():
-            yield from gate.wait()
-            log.append(("early", sim.now))
-            gate.close()
-
-        def late():
-            yield Timeout(5)
-            yield from gate.wait()
-            log.append(("late", sim.now))
-
-        def reopener():
-            yield Timeout(50)
-            gate.open()
-
-        sim.spawn(early())
-        sim.spawn(late())
-        sim.spawn(reopener())
-        sim.run()
-        assert log == [("early", 0), ("late", 50)]

@@ -55,8 +55,8 @@ def test_document_is_the_same_bytes_under_two_hash_seeds(tmp_path):
     """Determinism across processes, stated once: nothing on a simulated
     path may walk a set or key on ``hash()``/``id()``.  The tests above run
     under whatever hash seed pytest got; this one pins two.  ``for ev in
-    set(waiters): ev.trigger()`` planted in ``Gate.open`` fails it (and the
-    ``abl-coalescing`` and ``write-path`` gates above)."""
+    set(waiters): ev.trigger()`` planted in ``Signal.fire`` fails the
+    ``write-path`` and ``fig7`` gates above."""
     runs = []
     for seed in ("1", "2"):
         out = tmp_path / f"seed{seed}.json"

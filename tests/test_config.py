@@ -107,20 +107,27 @@ class TestValidation:
             cfg.validate()
 
     @pytest.mark.parametrize(
-        "service, field",
+        "section, field",
         [
             # No warp would ever retire a CQE.
-            (ServiceConfig(polling_warps=0), "polling_warps"),
+            (ServiceConfig(polling_warps=0), "service.polling_warps"),
             # One more warp than the service SM has issue slots (4 x 32).
-            (ServiceConfig(polling_warps=129), "polling_warps"),
+            (ServiceConfig(polling_warps=129), "service.polling_warps"),
             # With idle_poll_ns=0 the poll loop never advances time.
-            (ServiceConfig(poll_iteration_cycles=0.0), "poll_iteration_cycles"),
-            (ServiceConfig(idle_poll_ns=-1.0), "idle_poll_ns"),
+            (ServiceConfig(poll_iteration_cycles=0.0),
+             "service.poll_iteration_cycles"),
+            (ServiceConfig(idle_poll_ns=-1.0), "service.idle_poll_ns"),
+            # Ways that do not divide the lines built fewer lines than
+            # capacity_bytes reports (8 of 12, 96 of 100); 0 divided by 0.
+            (CacheConfig(num_lines=12, ways=8), "cache.ways"),
+            (CacheConfig(num_lines=100, ways=8), "cache.ways"),
+            (CacheConfig(ways=0), "cache.ways"),
         ],
     )
-    def test_service_config_is_validated(self, service, field):
-        with pytest.raises(ValueError, match=f"service.{field}"):
-            SystemConfig(service=service).validate()
+    def test_config_section_is_validated(self, section, field):
+        prefix = field.split(".")[0]
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{prefix: section}).validate()
 
     def test_service_config_limits_are_inclusive(self):
         SystemConfig(
