@@ -42,6 +42,8 @@ class FifoServer:
     def reserve(self, service_ns: float) -> float:
         """Queue a job behind everything accepted so far; returns the
         absolute time it completes."""
+        if service_ns < 0:
+            raise ValueError("service time must be non-negative")
         now = self.sim.now
         start = self.free_at if self.free_at > now else now
         self.free_at = end = start + service_ns

@@ -26,8 +26,8 @@ from repro.workloads.io_sweep import SweepPoint, run_bandwidth_sweep
 from repro.workloads.criteo import CriteoTrace, make_criteo_trace
 from repro.workloads.dlrm import DlrmConfig, DlrmResult, run_dlrm
 from repro.workloads.graphs import CsrGraph, kronecker_graph, uniform_random_graph
-from repro.workloads.bfs import bfs_reference, run_bfs
-from repro.workloads.spmv import run_spmv, spmv_reference
+from repro.workloads.bfs import run_bfs
+from repro.workloads.spmv import run_spmv
 
 # repro.workloads.checkpoint / .kvcache / .vsearch are import-by-module
 # (not re-exported here): they build serve traces, so importing them from
@@ -48,7 +48,5 @@ __all__ = [
     "uniform_random_graph",
     "kronecker_graph",
     "run_bfs",
-    "bfs_reference",
     "run_spmv",
-    "spmv_reference",
 ]

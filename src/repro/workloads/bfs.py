@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Literal, Optional
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from repro.baselines import BamHost
 from repro.core import AgileHost, AgileLockChain
@@ -44,15 +43,6 @@ class BfsResult:
     total_ns: float
     levels: int
     stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-def bfs_reference(graph: CsrGraph, src: int = 0) -> np.ndarray:
-    """Ground-truth BFS levels via scipy (−1 for unreachable)."""
-    dist = csgraph.shortest_path(
-        graph.to_scipy(), method="D", unweighted=True, indices=src
-    )
-    out = np.where(np.isinf(dist), -1, dist).astype(np.int64)
-    return out
 
 
 def _expand_kernel(system: str, row_reg, col_reg, graph: CsrGraph):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -41,17 +40,6 @@ class CsrGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.col_idx[self.row_ptr[v] : self.row_ptr[v + 1]]
 
-    def to_scipy(self) -> sp.csr_matrix:
-        n = self.num_vertices
-        data = (
-            self.values
-            if self.values is not None
-            else np.ones(self.num_edges, dtype=np.float32)
-        )
-        return sp.csr_matrix(
-            (data, self.col_idx.astype(np.int64), self.row_ptr), shape=(n, n)
-        )
-
 
 def _edges_to_csr(
     src: np.ndarray,
@@ -60,22 +48,17 @@ def _edges_to_csr(
     with_values: bool,
     rng: np.random.Generator,
 ) -> CsrGraph:
-    # Deduplicate and drop self-loops, as GAP's builder does.
+    # Deduplicate and drop self-loops, as GAP's builder does.  Sorting the
+    # unique edge keys row-major gives the canonical CSR: rows ascending,
+    # column indices sorted within each row.
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    mat = sp.coo_matrix(
-        (np.ones(src.shape[0], dtype=np.float32), (src, dst)), shape=(n, n)
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.data[:] = 1.0
+    key = np.unique(src[keep] * n + dst[keep])
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=row_ptr[1:])
     values = None
     if with_values:
-        values = rng.uniform(0.5, 1.5, size=mat.nnz).astype(np.float32)
-    return CsrGraph(
-        row_ptr=mat.indptr.astype(np.int64),
-        col_idx=mat.indices.astype(np.int64),
-        values=values,
-    )
+        values = rng.uniform(0.5, 1.5, size=key.shape[0]).astype(np.float32)
+    return CsrGraph(row_ptr=row_ptr, col_idx=key % n, values=values)
 
 
 def uniform_random_graph(

@@ -38,10 +38,6 @@ class SpmvResult:
     stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
 
-def spmv_reference(graph: CsrGraph, x: np.ndarray) -> np.ndarray:
-    return graph.to_scipy().dot(x.astype(np.float64)).astype(np.float64)
-
-
 def _spmv_kernel(system, row_reg, col_reg, val_reg, x_reg, graph, x):
     def body(tc, ctrl, y, n_threads):
         chain = AgileLockChain(f"spmv.t{tc.tid}")

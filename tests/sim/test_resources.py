@@ -49,6 +49,15 @@ class TestFifoServer:
         sim.run()
         assert server.utilization() == pytest.approx(0.5)
 
+    def test_invalid_args(self, sim):
+        """A negative service time would move ``free_at`` backwards and
+        let a later job start before an earlier one ends."""
+        server = FifoServer(sim)
+        server.reserve(10)
+        with pytest.raises(ValueError):
+            server.reserve(-5)
+        assert server.free_at == 10
+
 
 class TestBandwidthPipe:
     def test_rate_and_latency(self, sim):

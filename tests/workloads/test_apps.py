@@ -6,10 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.workloads.bfs import bfs_reference, run_bfs
+from repro.workloads.bfs import run_bfs
 from repro.workloads.graphs import kronecker_graph, uniform_random_graph
-from repro.workloads.spmv import run_spmv, spmv_reference
+from repro.workloads.spmv import run_spmv
 from repro.workloads.vecmean import run_vector_mean
+
+from tests.support.graph_reference import bfs_reference, spmv_reference
 
 
 @pytest.fixture(scope="module")

@@ -7,12 +7,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.workloads import graphs
 from repro.workloads.graphs import (
     CsrGraph,
     kronecker_graph,
     layout_graph,
     uniform_random_graph,
 )
+
+from tests.support.graph_reference import scipy_edges_to_csr, to_scipy
 
 
 class TestUniformRandom:
@@ -86,10 +89,49 @@ class TestKronecker:
 class TestScipyInterop:
     def test_csr_matches_networkx_connectivity(self):
         g = uniform_random_graph(40, degree=5, seed=7)
-        mat = g.to_scipy()
-        nxg = nx.from_scipy_sparse_array(mat, create_using=nx.DiGraph)
+        nxg = nx.from_scipy_sparse_array(to_scipy(g), create_using=nx.DiGraph)
         for v in range(40):
             assert set(nxg.successors(v)) == set(g.neighbors(v).tolist())
+
+    @pytest.mark.parametrize("with_values", [False, True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda values: uniform_random_graph(16, 4, seed=0, with_values=values),
+            lambda values: uniform_random_graph(200, 8, seed=1, with_values=values),
+            lambda values: uniform_random_graph(1000, 16, seed=2, with_values=values),
+            lambda values: kronecker_graph(4, 4, seed=3, with_values=values),
+            lambda values: kronecker_graph(8, 8, seed=4, with_values=values),
+            lambda values: kronecker_graph(11, 16, seed=5, with_values=values),
+        ],
+        ids=["U16", "U200", "U1000", "K4", "K8", "K11"],
+    )
+    def test_csr_builder_matches_scipy_bit_for_bit(
+        self, make, with_values, monkeypatch
+    ):
+        """The numpy builder gives scipy's canonical (sorted, deduplicated)
+        CSR, and equal values show the RNG still draws ``size=nnz``."""
+        ours = make(with_values)
+        inputs = []
+
+        def reference(src, dst, n, values, rng):
+            inputs.append((src, dst, n))
+            return scipy_edges_to_csr(src, dst, n, values, rng)
+
+        monkeypatch.setattr(graphs, "_edges_to_csr", reference)
+        theirs = make(with_values)
+        (src, dst, n), = inputs
+        assert (src == dst).any(), "no self-loop to drop"
+        assert np.unique(src * n + dst).size < src.size, "no duplicate to merge"
+        for name in ("row_ptr", "col_idx"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b), name
+        if with_values:
+            assert ours.values.dtype == np.float32
+            assert np.array_equal(ours.values, theirs.values)
+        else:
+            assert ours.values is None and theirs.values is None
 
 
 class TestLayout:
