@@ -20,7 +20,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CacheConfig, ServiceConfig, SsdConfig, SystemConfig
+from repro.config import (
+    CacheConfig, Checked, ServiceConfig, SsdConfig, SystemConfig, legal,
+)
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.kir.kernels import figure12_registers
@@ -124,9 +126,9 @@ def _speedups(axis: str, baseline: str) -> Rows:
 
 
 @dataclass(frozen=True)
-class CtcSpec:
-    num_threads: int = 128
-    requests: int = 8
+class CtcSpec(Checked):
+    num_threads: int = legal(128, ge=1)
+    requests: int = legal(8, ge=1)
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +138,6 @@ def _comm_cycles(num_threads: int, requests: int) -> float:
 
 def _ctc_cell(spec: CtcSpec, cell: Mapping[str, Any]) -> Runner:
     ctc, ideal = cell["ctc"], ideal_speedup(cell["ctc"])
-    _need_positive(**asdict(spec))
 
     def run() -> Mapping[str, Any]:
         (point,) = run_ctc_experiment(
@@ -199,13 +200,13 @@ FIG4 = Experiment(
 
 
 @dataclass(frozen=True)
-class BandwidthSpec:
-    num_threads: int = 256
+class BandwidthSpec(Checked):
+    num_threads: int = legal(256, ge=1)
 
 
 def _bandwidth_cell(op: str):
     def build(spec: BandwidthSpec, cell: Mapping[str, Any]) -> Runner:
-        _need_positive(num_threads=spec.num_threads, **cell)
+        _need_positive(**cell)
 
         def run() -> Mapping[str, Any]:
             point = run_bandwidth_sweep(
@@ -278,18 +279,18 @@ COALESCING = ("warp+cache", "cache-only")
 
 
 @dataclass(frozen=True)
-class DlrmSpec:
+class DlrmSpec(Checked):
     """The DLRM machine and trace; an axis named like a field overrides it."""
 
-    samples: int = 8192
-    trace_seed: int = 1
-    batch: int = 128
-    epochs: int = 5
-    features: int = 13
-    cache_lines: int = 2048
-    num_threads: int = 256
-    queue_pairs: int = 4
-    queue_depth: int = 16
+    samples: int = legal(8192, ge=1)
+    trace_seed: int = legal(1, ge=0)
+    batch: int = legal(128, ge=1)
+    epochs: int = legal(5, ge=1)
+    features: int = legal(13, ge=1)
+    cache_lines: int = legal(2048, ge=1)
+    num_threads: int = legal(256, ge=1)
+    queue_pairs: int = legal(4, ge=1)
+    queue_depth: int = legal(16, ge=2)
 
 
 @lru_cache(maxsize=2)
@@ -305,7 +306,8 @@ def _dlrm_cell(spec: DlrmSpec, cell: Mapping[str, Any]) -> Runner:
     config = DLRM_CONFIGS[knobs.pop("config", "config1")]()
     system = knobs.pop("system", "agile_sync")
     coalesce = knobs.pop("coalescing", COALESCING[0]) == COALESCING[0]
-    _need_positive(samples=samples, **knobs)
+    # The axes that override spec fields, held to the fields' ranges.
+    DlrmSpec(samples=samples, trace_seed=seed, **knobs)
 
     def run() -> Mapping[str, Any]:
         result = run_dlrm(
@@ -488,11 +490,11 @@ STAGES = ("kernel", "preloaded", "full")
 
 
 @dataclass(frozen=True)
-class GraphSpec:
-    n_vertices: int = 1024
-    degree: int = 8
-    cache_lines: int = 2048
-    num_threads: int = 128
+class GraphSpec(Checked):
+    n_vertices: int = legal(1024, ge=2)
+    degree: int = legal(8, ge=1)
+    cache_lines: int = legal(2048, ge=1)
+    num_threads: int = legal(128, ge=1)
 
 
 @lru_cache(maxsize=2)
@@ -515,7 +517,6 @@ def _graph_inputs(n_vertices: int, degree: int) -> Dict[str, Tuple]:
 
 
 def _graph_cell(spec: GraphSpec, cell: Mapping[str, Any]) -> Runner:
-    _need_positive(**asdict(spec))
     system = "native" if cell["stage"] == "kernel" else cell["system"]
     knobs = dict(
         preload=cell["stage"] == "preloaded",
@@ -646,13 +647,13 @@ FIG12 = Experiment(
 
 
 @dataclass(frozen=True)
-class PageStreamSpec:
-    data_pages: int
+class PageStreamSpec(Checked):
+    data_pages: int = legal(ge=1)
 
 
 @dataclass(frozen=True)
-class PollingSpec:
-    total_requests: int = 2048
+class PollingSpec(Checked):
+    total_requests: int = legal(2048, ge=1)
 
 
 def _kernel_ns(
@@ -690,7 +691,6 @@ def _page_stream_ns(cache: CacheConfig, lbas: np.ndarray):
 
 
 def _policy_cell(spec: PageStreamSpec, cell: Mapping[str, Any]) -> Runner:
-    _need_positive(data_pages=spec.data_pages)
     cache = CacheConfig(num_lines=128, ways=8, policy=cell["policy"])
 
     def run() -> Mapping[str, Any]:
@@ -726,7 +726,6 @@ ABL_POLICIES = Experiment(
 
 
 def _dram_tier_cell(spec: PageStreamSpec, cell: Mapping[str, Any]) -> Runner:
-    _need_positive(data_pages=spec.data_pages)
     tier_lines = spec.data_pages if cell["hierarchy"] == "hbm+dram" else 0
     cache = CacheConfig(num_lines=128, ways=8, dram_tier_lines=tier_lines)
 
@@ -759,7 +758,7 @@ ABL_DRAM_TIER = Experiment(
 
 
 def _polling_cell(spec: PollingSpec, cell: Mapping[str, Any]) -> Runner:
-    _need_positive(total_requests=spec.total_requests, **cell)
+    _need_positive(**cell)
     threads = 128
 
     def make_body(host: AgileHost) -> Callable:

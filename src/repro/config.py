@@ -18,8 +18,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Mapping, Optional, Tuple
 
 #: Bytes per flash page / NVMe logical block used throughout (paper §2.3.3).
 PAGE_SIZE = 4096
@@ -81,8 +82,86 @@ def stable_hash(obj: object) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+# -- legal values -------------------------------------------------------------
+#
+# Every numeric field of a configuration or experiment-spec dataclass states
+# its legal interval where it is declared (`legal(default, ge=1)`), and a
+# categorical one its choices.  `Checked.__post_init__` holds each field to
+# its declaration at construction (so `dataclasses.replace` and every
+# `--set` re-check too); a class's own `__post_init__` adds only the rules
+# that relate two fields.  The metadata never enters `canonical_payload`,
+# so declaring a range moves no config hash.
+
+
+class ConfigError(ValueError):
+    """A configuration value outside its declared legal values, or two
+    values that break a cross-field rule; the message names the field."""
+
+
+class Interval:
+    """A numeric field's legal values: ``lo`` to ``hi``, each end closed or
+    open.  An unstated end is open at infinity, so NaN is never legal and
+    an infinity only where ``le=math.inf`` admits it."""
+
+    __slots__ = ("lo", "lo_closed", "hi", "hi_closed")
+
+    def __init__(
+        self,
+        ge: Optional[float] = None,
+        gt: Optional[float] = None,
+        le: Optional[float] = None,
+        lt: Optional[float] = None,
+    ):
+        self.lo_closed = ge is not None
+        self.lo = ge if ge is not None else gt if gt is not None else -math.inf
+        self.hi_closed = le is not None
+        self.hi = le if le is not None else lt if lt is not None else math.inf
+
+    def __contains__(self, value: Any) -> bool:
+        above = value >= self.lo if self.lo_closed else value > self.lo
+        below = value <= self.hi if self.hi_closed else value < self.hi
+        return above and below
+
+    def __repr__(self) -> str:
+        return (
+            f"{'[' if self.lo_closed else '('}{self.lo!r}, "
+            f"{self.hi!r}{']' if self.hi_closed else ')'}"
+        )
+
+
+def legal(
+    default: Any = MISSING,
+    *,
+    ge: Optional[float] = None,
+    gt: Optional[float] = None,
+    le: Optional[float] = None,
+    lt: Optional[float] = None,
+    choices: Optional[Tuple[str, ...]] = None,
+) -> Any:
+    """A dataclass field declared with its legal values: the interval
+    bounded by ``ge``/``gt`` below and ``le``/``lt`` above, or one of
+    ``choices``."""
+    rule = choices if choices is not None else Interval(ge, gt, le, lt)
+    return field(default=default, metadata={"legal": rule})
+
+
+class Checked:
+    """Base of every configuration and experiment-spec dataclass: each
+    field is held to its :func:`legal` declaration at construction."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):  # type: ignore[arg-type]
+            rule = f.metadata.get("legal")
+            value = getattr(self, f.name)
+            if rule is not None and value not in rule:
+                raise ConfigError(
+                    f"{type(self).__name__}.{f.name} must be in {rule!r}, "
+                    f"got {value!r}"
+                )
+
+
 @dataclass(frozen=True)
-class PcieConfig:
+class PcieConfig(Checked):
     """A PCIe link between two devices.
 
     ``lanes`` scales bandwidth linearly; ``efficiency`` folds TLP header and
@@ -90,16 +169,15 @@ class PcieConfig:
     first-order model for PCIe payload throughput.
     """
 
-    generation: int = 4
-    lanes: int = 4
+    lanes: int = legal(4, ge=1)
     #: Raw per-lane bandwidth for Gen4 in GB/s (16 GT/s, 128b/130b).
-    per_lane_gbps: float = 1.969
+    per_lane_gbps: float = legal(1.969, gt=0)
     #: Fraction of raw bandwidth usable for payload after TLP overhead.
-    efficiency: float = 0.88
+    efficiency: float = legal(0.88, gt=0, le=1)
     #: One-way propagation + root-complex forwarding latency (ns).
-    latency_ns: float = 450.0
+    latency_ns: float = legal(450.0, ge=0)
     #: Latency of a posted MMIO write (doorbell ring) as seen by the GPU (ns).
-    mmio_write_ns: float = 800.0
+    mmio_write_ns: float = legal(800.0, ge=0)
 
     @property
     def bytes_per_ns(self) -> float:
@@ -110,7 +188,7 @@ class PcieConfig:
 
 
 @dataclass(frozen=True)
-class SsdConfig:
+class SsdConfig(Checked):
     """An NVMe SSD: flash geometry, protocol timing, queue limits.
 
     Flash service times are calibrated so that ``channels`` concurrent 4 KiB
@@ -120,41 +198,42 @@ class SsdConfig:
     """
 
     name: str = "ssd"
-    capacity_bytes: int = 1 << 34  # 16 GiB simulated flash is ample for repro
-    page_size: int = PAGE_SIZE
+    #: 16 GiB simulated flash is ample for repro.
+    capacity_bytes: int = legal(1 << 34, ge=1)
+    page_size: int = legal(PAGE_SIZE, ge=1)
     #: Independent flash channels (NAND-level parallelism).
-    channels: int = 45
+    channels: int = legal(45, ge=1)
     #: 4 KiB flash read service time per page (ns).
-    read_latency_ns: float = 49_800.0
+    read_latency_ns: float = legal(49_800.0, gt=0)
     #: 4 KiB flash program service time per page (ns).
-    write_latency_ns: float = 83_800.0
+    write_latency_ns: float = legal(83_800.0, gt=0)
     #: Controller time to fetch one SQE after a doorbell (DMA read, ns).
-    sqe_fetch_ns: float = 1_200.0
+    sqe_fetch_ns: float = legal(1_200.0, ge=0)
     #: Controller time to post one CQE (DMA write, ns).
-    cqe_post_ns: float = 600.0
+    cqe_post_ns: float = legal(600.0, ge=0)
     #: Fixed controller command-processing overhead per command (ns).
-    cmd_overhead_ns: float = 1_000.0
+    cmd_overhead_ns: float = legal(1_000.0, ge=0)
     #: Hardware limit on I/O queue pairs (Samsung 980 PRO supports 128).
-    max_queue_pairs: int = 128
+    max_queue_pairs: int = legal(128, ge=1)
     #: Maximum entries per submission/completion queue.
-    max_queue_depth: int = 1024
+    max_queue_depth: int = legal(1024, ge=2)
     pcie: PcieConfig = field(default_factory=PcieConfig)
     # -- FTL geometry and garbage collection (repro.nvme.ftl) -----------------
     #: Pages per erase block (NAND erase granularity).
-    pages_per_block: int = 256
+    pages_per_block: int = legal(256, ge=1)
     #: Over-provisioned spare blocks as a fraction of the logical block
     #: count (enterprise drives ship ~7%; GC headroom lives here).
-    op_ratio: float = 0.07
+    op_ratio: float = legal(0.07, ge=0, lt=1)
     #: Block erase service time (ns).  Erase is ~25-50x a page program on
     #: real NAND; this is the program/erase asymmetry GC pauses come from.
-    erase_latency_ns: float = 2_000_000.0
+    erase_latency_ns: float = legal(2_000_000.0, gt=0)
     #: GC victim selection: ``greedy`` (min valid pages) or
     #: ``cost_benefit`` (age-weighted utilization, Rosenblum-style).
-    gc_policy: str = "greedy"
+    gc_policy: str = legal("greedy", choices=("greedy", "cost_benefit"))
     #: Background GC starts when the free-block pool drops below this.
-    gc_low_water_blocks: int = 4
+    gc_low_water_blocks: int = legal(4, ge=1)
     #: ...and runs until the pool is back above this.
-    gc_high_water_blocks: int = 8
+    gc_high_water_blocks: int = legal(8, ge=1)
     #: Out-of-place programs with invalidation + GC.  ``False`` degrades to
     #: in-place updates (WAF = 1.0, no erases) — the pre-FTL timing model
     #: and the GC-off baseline for tail-latency comparisons.
@@ -191,36 +270,36 @@ class SsdConfig:
 
 
 @dataclass(frozen=True)
-class GpuConfig:
+class GpuConfig(Checked):
     """The GPU: SM array, clock, HBM, register file, warp geometry."""
 
     name: str = "gpu"
-    num_sms: int = 16
-    warp_size: int = 32
+    num_sms: int = legal(16, ge=1)
+    warp_size: int = legal(32, ge=1)
     #: Core clock in GHz; 1 cycle = 1/clock_ghz ns.
-    clock_ghz: float = 1.5
+    clock_ghz: float = legal(1.5, gt=0)
     #: Warp-instructions issued per SM per cycle (fair-shared among warps).
-    issue_width: int = 4
+    issue_width: int = legal(4, ge=1)
     #: Maximum resident warps per SM (occupancy ceiling).
-    max_warps_per_sm: int = 48
+    max_warps_per_sm: int = legal(48, ge=1)
     #: Maximum thread blocks resident per SM.
-    max_blocks_per_sm: int = 24
+    max_blocks_per_sm: int = legal(24, ge=1)
     #: 32-bit registers per SM (RTX 5000 Ada class).
-    registers_per_sm: int = 65_536
+    registers_per_sm: int = legal(65_536, ge=1)
     #: Maximum registers addressable per thread.
-    max_registers_per_thread: int = 255
+    max_registers_per_thread: int = legal(255, ge=1)
     #: Shared memory per SM in bytes.
-    shared_mem_per_sm: int = 100 * 1024
+    shared_mem_per_sm: int = legal(100 * 1024, ge=0)
     #: HBM/GDDR load-to-use latency (ns).
-    hbm_latency_ns: float = 450.0
+    hbm_latency_ns: float = legal(450.0, ge=0)
     #: HBM bandwidth in GB/s.
-    hbm_bandwidth_gbps: float = 576.0
+    hbm_bandwidth_gbps: float = legal(576.0, gt=0)
     #: Latency of one global-memory atomic operation (ns).
-    atomic_latency_ns: float = 120.0
+    atomic_latency_ns: float = legal(120.0, ge=0)
     #: Serialized service time per atomic at the L2 atomic units (ns);
     #: bounds GPU-wide atomic throughput (~4 ns -> ~250M atomics/s, the
     #: right order for contended same-line atomics).
-    atomic_service_ns: float = 4.0
+    atomic_service_ns: float = legal(4.0, ge=0)
     #: PCIe link to the host / switch complex (Gen4 x16).
     pcie: PcieConfig = field(default_factory=lambda: PcieConfig(lanes=16))
 
@@ -238,19 +317,19 @@ class GpuConfig:
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(Checked):
     """AGILE software cache geometry (lives in simulated HBM)."""
 
-    num_lines: int = 1024
-    line_size: int = PAGE_SIZE
+    num_lines: int = legal(1024, ge=1)
+    line_size: int = legal(PAGE_SIZE, ge=1)
     #: Set associativity; lines are grouped into sets of this many ways.
-    ways: int = 8
+    ways: int = legal(8, ge=1)
     policy: str = "clock"
     #: Enable the Share Table (paper §3.4.1 compile-time option).
     share_table: bool = True
     #: Optional host-DRAM victim tier capacity in lines (0 = disabled);
     #: implements the paper's §5 first extension.
-    dram_tier_lines: int = 0
+    dram_tier_lines: int = legal(0, ge=0)
 
     @property
     def capacity_bytes(self) -> int:
@@ -266,19 +345,19 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(Checked):
     """AGILE service daemon configuration (paper §3.2)."""
 
     #: Number of warps dedicated to CQ polling.
-    polling_warps: int = 2
+    polling_warps: int = legal(2, ge=1)
     #: Cycles of work per polling iteration per CQE window (Algorithm 1 body).
-    poll_iteration_cycles: float = 24.0
+    poll_iteration_cycles: float = legal(24.0, gt=0)
     #: Idle back-off between polling sweeps when nothing is pending (ns).
-    idle_poll_ns: float = 200.0
+    idle_poll_ns: float = legal(200.0, ge=0)
 
 
 @dataclass(frozen=True)
-class ApiCostConfig:
+class ApiCostConfig(Checked):
     """Instruction-cost model for the AGILE / BaM API fast paths (cycles).
 
     These model the *software* overhead of each API on the critical path:
@@ -288,15 +367,15 @@ class ApiCostConfig:
     and heavier cache critical sections.
     """
 
-    cache_lookup_cycles: float = 40.0
-    cache_insert_cycles: float = 60.0
-    issue_setup_cycles: float = 50.0
-    warp_coalesce_cycles: float = 12.0
-    share_table_cycles: float = 30.0
+    cache_lookup_cycles: float = legal(40.0, ge=0)
+    cache_insert_cycles: float = legal(60.0, ge=0)
+    issue_setup_cycles: float = legal(50.0, ge=0)
+    warp_coalesce_cycles: float = legal(12.0, ge=0)
+    share_table_cycles: float = legal(30.0, ge=0)
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(Checked):
     """Deterministic fault-injection plan (``repro.faults``).
 
     All rates are per-decision probabilities drawn from named
@@ -308,54 +387,47 @@ class FaultConfig:
     """
 
     #: Probability a flash page read returns an unrecovered media error.
-    flash_read_error_rate: float = 0.0
+    flash_read_error_rate: float = legal(0.0, ge=0, le=1)
     #: Probability a flash page program reports a write fault.
-    flash_write_error_rate: float = 0.0
+    flash_write_error_rate: float = legal(0.0, ge=0, le=1)
     #: Probability a flash operation is a latency outlier.
-    flash_latency_outlier_rate: float = 0.0
+    flash_latency_outlier_rate: float = legal(0.0, ge=0, le=1)
     #: Service-time multiplier for latency outliers (tail events).
-    flash_latency_outlier_mult: float = 25.0
+    flash_latency_outlier_mult: float = legal(25.0, ge=1)
     #: Probability a completion is silently lost (never posted).
-    cqe_drop_rate: float = 0.0
+    cqe_drop_rate: float = legal(0.0, ge=0, le=1)
     #: Probability a completion is posted twice.
-    cqe_duplicate_rate: float = 0.0
+    cqe_duplicate_rate: float = legal(0.0, ge=0, le=1)
     #: Probability one DMA transfer hits a transient link stall.
-    pcie_stall_rate: float = 0.0
+    pcie_stall_rate: float = legal(0.0, ge=0, le=1)
     #: Duration of one transient PCIe stall (ns).
-    pcie_stall_ns: float = 120_000.0
+    pcie_stall_ns: float = legal(120_000.0, ge=0)
     #: Probability a block erase fails; the FTL retires the block as bad.
-    flash_erase_error_rate: float = 0.0
+    flash_erase_error_rate: float = legal(0.0, ge=0, le=1)
     #: Fault window start (simulated ns).
-    window_start_ns: float = 0.0
+    window_start_ns: float = legal(0.0, ge=0)
     #: Fault window end (simulated ns; ``inf`` = whole run).
-    window_end_ns: float = float("inf")
+    window_end_ns: float = legal(math.inf, ge=0, le=math.inf)
     #: Deterministic: the first N flash page reads fail (then rates apply).
-    flash_read_fail_first: int = 0
+    flash_read_fail_first: int = legal(0, ge=0)
     #: Deterministic: the first N flash page programs fail (then rates
     #: apply).  GC relocation programs draw from the same budget.
-    flash_program_fail_first: int = 0
+    flash_program_fail_first: int = legal(0, ge=0)
     #: Deterministic: the first N completions are dropped (then rates apply).
-    cqe_drop_first: int = 0
+    cqe_drop_first: int = legal(0, ge=0)
 
     @property
     def active(self) -> bool:
         """Whether any fault source is armed (hooks are skipped if not)."""
-        return (
-            self.flash_read_error_rate > 0.0
-            or self.flash_write_error_rate > 0.0
-            or self.flash_latency_outlier_rate > 0.0
-            or self.cqe_drop_rate > 0.0
-            or self.cqe_duplicate_rate > 0.0
-            or self.pcie_stall_rate > 0.0
-            or self.flash_erase_error_rate > 0.0
-            or self.flash_read_fail_first > 0
-            or self.flash_program_fail_first > 0
-            or self.cqe_drop_first > 0
+        return any(
+            getattr(self, f.name) > 0
+            for f in fields(self)
+            if f.name.endswith(("_rate", "_first"))
         )
 
 
 @dataclass(frozen=True)
-class RecoveryConfig:
+class RecoveryConfig(Checked):
     """Driver/service recovery policy: timeout, retry, circuit breaker.
 
     Armed automatically whenever the fault plan is active; ``enabled``
@@ -365,18 +437,20 @@ class RecoveryConfig:
 
     enabled: bool = False
     #: Per-command completion deadline before abort-and-resubmit (ns).
-    command_timeout_ns: float = 2_000_000.0
+    command_timeout_ns: float = legal(2_000_000.0, gt=0)
     #: Recovery daemon scan period (ns).
-    scan_interval_ns: float = 250_000.0
-    #: Resubmissions per command before it is failed with ABORTED status.
-    max_retries: int = 4
+    scan_interval_ns: float = legal(250_000.0, gt=0)
+    #: Resubmissions per command before it is failed with ABORTED status
+    #: (at most a byte's worth, as Linux's ``nvme_core.max_retries``).
+    max_retries: int = legal(4, ge=0, le=255)
     #: Initial retry back-off (ns); doubles per attempt.
-    retry_backoff_ns: float = 20_000.0
-    #: Multiplier applied to the back-off per retry (exponential).
-    retry_backoff_mult: float = 2.0
+    retry_backoff_ns: float = legal(20_000.0, ge=0)
+    #: Multiplier applied to the back-off per retry (exponential); at most
+    #: 16, so the last retry's factor (16 ** 254 = 2 ** 1016) is a float.
+    retry_backoff_mult: float = legal(2.0, ge=1, le=16)
     #: Consecutive failures (timeouts or error CQEs) that open a device's
     #: circuit breaker; pending and future I/O then fails fast.
-    breaker_threshold: int = 12
+    breaker_threshold: int = legal(12, ge=1)
 
 
 #: Placement policies `repro.placement.make_placement` knows how to build
@@ -391,7 +465,7 @@ PLACEMENT_POLICIES = (
 
 
 @dataclass(frozen=True)
-class PlacementConfig:
+class PlacementConfig(Checked):
     """Logical-to-physical placement over the SSD array.
 
     ``striped`` with a one-page stripe is the paper's page-interleaved
@@ -399,19 +473,18 @@ class PlacementConfig:
     (logical LBA == device LBA), so the default preserves the goldens.
     """
 
-    #: One of :data:`PLACEMENT_POLICIES`.
-    policy: str = "striped"
+    policy: str = legal("striped", choices=PLACEMENT_POLICIES)
     #: Stripe chunk in pages (``striped`` only).
-    stripe_pages: int = 1
+    stripe_pages: int = legal(1, ge=1)
     #: Logical span carved into contiguous shards (``shard`` only);
     #: 0 means "the whole array".
-    shard_span: int = 0
+    shard_span: int = legal(0, ge=0)
     #: Cap on mappings migrated per ``rebalance`` call (sticky policies).
-    rebalance_max_moves: int = 64
+    rebalance_max_moves: int = legal(64, ge=0)
 
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Checked):
     """Top-level bundle describing one simulated machine."""
 
     gpu: GpuConfig = field(default_factory=GpuConfig)
@@ -425,10 +498,11 @@ class SystemConfig:
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     #: I/O queue pairs per SSD.
-    queue_pairs: int = 8
+    queue_pairs: int = legal(8, ge=1)
     #: Entries per submission queue.
-    queue_depth: int = 64
-    seed: int = 0xA617E
+    queue_depth: int = legal(64, ge=2)
+    #: Root of every named random stream (numpy takes no negative seed).
+    seed: int = legal(0xA617E, ge=0)
 
     def config_hash(self) -> str:
         """Canonical fingerprint of this machine (see :func:`stable_hash`).
@@ -446,12 +520,11 @@ class SystemConfig:
         policy: str | None = None,
         stripe_pages: int | None = None,
     ) -> "SystemConfig":
-        """Return a validated copy with ``count`` identical SSDs.
+        """Return a copy with ``count`` identical SSDs.
 
-        Growing the array re-validates per-device queue limits and grows
-        the stripe parameters: ``policy``/``stripe_pages`` override the
-        placement config, and an ``identity`` placement that no longer
-        fits a multi-device array is promoted to ``striped``.
+        ``policy``/``stripe_pages`` override the placement config, and an
+        ``identity`` placement that no longer fits a multi-device array is
+        promoted to ``striped``; the copy checks itself like any config.
         """
         base = self.ssds[0]
         place = self.placement
@@ -467,138 +540,72 @@ class SystemConfig:
             )
         if count > 1 and place.policy == "identity":
             place = replace(place, policy="striped")
-        cfg = replace(
+        return replace(
             self,
             ssds=tuple(replace(base, name=f"ssd{i}") for i in range(count)),
             placement=place,
         )
-        cfg.validate()
-        return cfg
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent configuration."""
+    def __post_init__(self) -> None:
+        """The rules that relate two fields; each field's own range is
+        declared on it."""
+        super().__post_init__()
         if not self.ssds:
-            raise ValueError("at least one SSD is required")
+            raise ConfigError("at least one SSD is required")
         for ssd in self.ssds:
             if self.queue_pairs > ssd.max_queue_pairs:
-                raise ValueError(
+                raise ConfigError(
                     f"{ssd.name}: {self.queue_pairs} queue pairs exceed the "
                     f"device limit of {ssd.max_queue_pairs}"
                 )
             if self.queue_depth > ssd.max_queue_depth:
-                raise ValueError(
+                raise ConfigError(
                     f"{ssd.name}: queue depth {self.queue_depth} exceeds the "
                     f"device limit of {ssd.max_queue_depth}"
                 )
-            if self.queue_depth < 2:
-                raise ValueError("queue depth must be at least 2")
-        for ssd in self.ssds:
-            if ssd.pages_per_block < 1:
-                raise ValueError(f"{ssd.name}: pages_per_block must be >= 1")
-            if ssd.num_pages % ssd.pages_per_block:
-                raise ValueError(
+            if not ssd.num_pages or ssd.num_pages % ssd.pages_per_block:
+                raise ConfigError(
                     f"{ssd.name}: pages_per_block={ssd.pages_per_block} must "
                     f"divide the device capacity of {ssd.num_pages} pages"
                 )
-            if not 0.0 <= ssd.op_ratio < 1.0:
-                raise ValueError(
-                    f"{ssd.name}: op_ratio must be in [0, 1), got {ssd.op_ratio}"
-                )
-            if ssd.erase_latency_ns <= 0:
-                raise ValueError(f"{ssd.name}: erase_latency_ns must be positive")
-            if ssd.gc_policy not in ("greedy", "cost_benefit"):
-                raise ValueError(
-                    f"{ssd.name}: gc_policy must be 'greedy' or "
-                    f"'cost_benefit', got {ssd.gc_policy!r}"
-                )
-            if ssd.gc_low_water_blocks < 1:
-                raise ValueError(f"{ssd.name}: gc_low_water_blocks must be >= 1")
             if ssd.gc_high_water_blocks < ssd.gc_low_water_blocks:
-                raise ValueError(
+                raise ConfigError(
                     f"{ssd.name}: gc_high_water_blocks must be >= "
                     "gc_low_water_blocks"
                 )
-        page_sizes = {ssd.page_size for ssd in self.ssds}
-        if len(page_sizes) > 1:
-            raise ValueError(
+        if len({ssd.page_size for ssd in self.ssds}) > 1:
+            raise ConfigError(
                 "heterogeneous SSD page sizes are not supported: "
-                + ", ".join(
-                    f"{s.name}={s.page_size}" for s in self.ssds
-                )
+                + ", ".join(f"{s.name}={s.page_size}" for s in self.ssds)
                 + " (placement assumes one logical page granularity)"
             )
-        for ssd in self.ssds:
-            if self.cache.line_size != ssd.page_size:
-                raise ValueError(
-                    f"cache line size {self.cache.line_size} must match "
-                    f"{ssd.name}'s page size {ssd.page_size} "
-                    "(paper section 2.3.3: lines align with SSD granularity)"
-                )
-        if self.cache.num_lines < 1:
-            raise ValueError("cache must have at least one line")
-        if self.cache.ways < 1 or self.cache.num_lines % self.cache.set_ways:
-            raise ValueError(f"cache.ways={self.cache.ways} must be >= 1 and "
-                             f"divide cache.num_lines={self.cache.num_lines}")
-        for name in (
-            "flash_read_error_rate", "flash_write_error_rate",
-            "flash_latency_outlier_rate", "cqe_drop_rate",
-            "cqe_duplicate_rate", "pcie_stall_rate",
-            "flash_erase_error_rate",
-        ):
-            rate = getattr(self.faults, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"faults.{name} must be in [0, 1], got {rate}")
-        if self.faults.flash_latency_outlier_mult < 1.0:
-            raise ValueError("faults.flash_latency_outlier_mult must be >= 1")
-        if self.faults.window_end_ns < self.faults.window_start_ns:
-            raise ValueError("faults window ends before it starts")
-        if self.recovery.command_timeout_ns <= 0:
-            raise ValueError("recovery.command_timeout_ns must be positive")
-        if self.recovery.scan_interval_ns <= 0:
-            raise ValueError("recovery.scan_interval_ns must be positive")
-        if self.recovery.max_retries < 0:
-            raise ValueError("recovery.max_retries must be non-negative")
-        if self.recovery.breaker_threshold < 1:
-            raise ValueError("recovery.breaker_threshold must be >= 1")
+        if self.cache.line_size != self.ssds[0].page_size:
+            raise ConfigError(
+                f"cache line size {self.cache.line_size} must match the SSD "
+                f"page size {self.ssds[0].page_size} "
+                "(paper section 2.3.3: lines align with SSD granularity)"
+            )
+        if self.cache.num_lines % self.cache.set_ways:
+            raise ConfigError(
+                f"cache.ways={self.cache.ways} must divide "
+                f"cache.num_lines={self.cache.num_lines}"
+            )
         issue_slots = self.gpu.issue_width * self.gpu.warp_size
-        if not 1 <= self.service.polling_warps <= issue_slots:
-            raise ValueError(
-                f"service.polling_warps must be in [1, {issue_slots}] (issue slots)"
+        if self.service.polling_warps > issue_slots:
+            raise ConfigError(
+                f"service.polling_warps={self.service.polling_warps} exceeds "
+                f"the service SM's {issue_slots} issue slots"
             )
-        if self.service.poll_iteration_cycles <= 0:
-            raise ValueError("service.poll_iteration_cycles must be positive")
-        if self.service.idle_poll_ns < 0:
-            raise ValueError("service.idle_poll_ns must be non-negative")
-        if self.placement.policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {self.placement.policy!r}; "
-                f"expected one of {', '.join(PLACEMENT_POLICIES)}"
-            )
+        if self.faults.window_end_ns < self.faults.window_start_ns:
+            raise ConfigError("faults window ends before it starts")
         if self.placement.policy == "identity" and len(self.ssds) > 1:
-            raise ValueError(
+            raise ConfigError(
                 "identity placement requires exactly one SSD; pick "
                 "striped/shard/load_aware/tenant_affine for arrays"
             )
-        if self.placement.stripe_pages < 1:
-            raise ValueError("placement.stripe_pages must be >= 1")
-        if (
-            self.placement.policy == "striped"
-            and min(s.num_pages for s in self.ssds)
-            % self.placement.stripe_pages
-        ):
-            raise ValueError(
+        pages = min(s.num_pages for s in self.ssds)
+        if self.placement.policy == "striped" and pages % self.placement.stripe_pages:
+            raise ConfigError(
                 f"placement.stripe_pages={self.placement.stripe_pages} must "
-                f"divide the device capacity of "
-                f"{min(s.num_pages for s in self.ssds)} pages"
+                f"divide the device capacity of {pages} pages"
             )
-        if self.placement.shard_span < 0:
-            raise ValueError("placement.shard_span must be >= 0")
-        if self.placement.rebalance_max_moves < 0:
-            raise ValueError("placement.rebalance_max_moves must be >= 0")
-
-
-def default_config(**overrides: object) -> SystemConfig:
-    """Build a :class:`SystemConfig`, applying keyword overrides."""
-    cfg = SystemConfig(**overrides)  # type: ignore[arg-type]
-    cfg.validate()
-    return cfg

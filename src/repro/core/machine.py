@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro import telemetry as telemetry_mod
-from repro.config import SystemConfig
+from repro.config import ConfigError, SystemConfig
 from repro.core.locks import LockDebugger
 from repro.gpu.device import Gpu, KernelLaunch
 from repro.gpu.kernel import KernelSpec, LaunchConfig
@@ -48,16 +48,20 @@ class Machine:
         if num_gpus < 1:
             raise ValueError("need at least one GPU")
         self.cfg = cfg if cfg is not None else SystemConfig()
-        self.cfg.validate()
         # ``cfg.queue_pairs`` is the per-SSD *per-GPU* count (paper §5: each
         # GPU gets a disjoint queue-pair range of every shared SSD).
         for ssd in self.cfg.ssds:
             if num_gpus * self.cfg.queue_pairs > ssd.max_queue_pairs:
-                raise ValueError(
+                raise ConfigError(
                     f"{ssd.name}: {num_gpus} GPUs x {self.cfg.queue_pairs} "
                     f"queue pairs exceed the device limit of "
                     f"{ssd.max_queue_pairs}"
                 )
+        if self.cfg.gpu.num_sms <= self.reserved_sms:
+            raise ConfigError(
+                f"gpu.num_sms={self.cfg.gpu.num_sms} leaves no SM for kernels "
+                f"beside the {self.reserved_sms} this host reserves"
+            )
         self.sim = Simulator(watchdog_ns=watchdog_ns)
         self.trace = MetricRegistry()
         self.trace.set_clock(lambda: self.sim.now)

@@ -86,8 +86,8 @@ class AgileService:
         self._doorbelled = {id(cq): 0 for _, cq in self.cqs}
         self._procs: list[Process] = []
         #: One visit.  The service has the last SM to itself (the host
-        #: reserves it) and never more warps than issue slots there
-        #: (``SystemConfig.validate``), so its work is a plain delay.
+        #: reserves it) and never more warps than issue slots there (a
+        #: cross-field rule of ``SystemConfig``), so its work is a plain delay.
         self._poll_ns = cfg.poll_iteration_cycles * gpu.cfg.cycle_ns
         #: CQ visits made by all polling warps, skipped idle ones included.
         self.visits = 0

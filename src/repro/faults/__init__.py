@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.config import FaultConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -53,62 +55,57 @@ class FaultInjector:
         self._cqe_drop = rng.stream("faults.cqe_drop")
         self._cqe_dup = rng.stream("faults.cqe_dup")
         self._pcie = rng.stream("faults.pcie")
-        #: Remaining count-based deterministic failures (targeted tests).
-        self._read_fail_budget = cfg.flash_read_fail_first
-        self._program_fail_budget = cfg.flash_program_fail_first
-        self._drop_budget = cfg.cqe_drop_first
+        #: Remaining count-based deterministic failures per outcome
+        #: (targeted tests): they fire before any rate is rolled.
+        self._budget = {
+            "flash_read_errors": cfg.flash_read_fail_first,
+            "flash_write_errors": cfg.flash_program_fail_first,
+            "cqe_drops": cfg.cqe_drop_first,
+        }
 
-    def _window_open(self) -> bool:
-        return self.cfg.window_start_ns <= self.sim.now < self.cfg.window_end_ns
+    def _roll(self, stream: np.random.Generator, rate: float, stat: str) -> bool:
+        """One fault decision, counted under ``stat`` when it fires: the
+        outcome's count budget first, then — with ``rate`` armed and the
+        window open — one draw of ``stream``."""
+        if self._budget.get(stat, 0) > 0:
+            self._budget[stat] -= 1
+        elif not (
+            rate > 0.0
+            and self.cfg.window_start_ns <= self.sim.now < self.cfg.window_end_ns
+            and stream.random() < rate
+        ):
+            return False
+        self.stats.add(stat)
+        return True
 
     # -- flash media ---------------------------------------------------------
 
     def flash_read_fails(self, lba: int) -> bool:
         """Decide one page read's fate (called at flash service completion)."""
-        if self._read_fail_budget > 0:
-            self._read_fail_budget -= 1
-            self.stats.add("flash_read_errors")
-            return True
-        rate = self.cfg.flash_read_error_rate
-        if rate <= 0.0 or not self._window_open():
-            return False
-        if self._flash_read.random() < rate:
-            self.stats.add("flash_read_errors")
-            return True
-        return False
+        return self._roll(
+            self._flash_read, self.cfg.flash_read_error_rate, "flash_read_errors"
+        )
 
     def flash_write_fails(self, lba: int) -> bool:
         """Decide one page program's fate (host and GC programs alike)."""
-        if self._program_fail_budget > 0:
-            self._program_fail_budget -= 1
-            self.stats.add("flash_write_errors")
-            return True
-        rate = self.cfg.flash_write_error_rate
-        if rate <= 0.0 or not self._window_open():
-            return False
-        if self._flash_write.random() < rate:
-            self.stats.add("flash_write_errors")
-            return True
-        return False
+        return self._roll(
+            self._flash_write, self.cfg.flash_write_error_rate, "flash_write_errors"
+        )
 
     def flash_erase_fails(self, block: int) -> bool:
         """Decide one block erase's fate; a failed erase retires the block
         as bad (the FTL drops it from the free pool permanently)."""
-        rate = self.cfg.flash_erase_error_rate
-        if rate <= 0.0 or not self._window_open():
-            return False
-        if self._flash_erase.random() < rate:
-            self.stats.add("flash_erase_errors")
-            return True
-        return False
+        return self._roll(
+            self._flash_erase, self.cfg.flash_erase_error_rate, "flash_erase_errors"
+        )
 
     def flash_latency_mult(self, lba: int) -> float:
         """Service-time multiplier for one flash operation (1.0 = nominal)."""
-        rate = self.cfg.flash_latency_outlier_rate
-        if rate <= 0.0 or not self._window_open():
-            return 1.0
-        if self._flash_latency.random() < rate:
-            self.stats.add("flash_latency_outliers")
+        if self._roll(
+            self._flash_latency,
+            self.cfg.flash_latency_outlier_rate,
+            "flash_latency_outliers",
+        ):
             return self.cfg.flash_latency_outlier_mult
         return 1.0
 
@@ -116,37 +113,19 @@ class FaultInjector:
 
     def drop_cqe(self, qid: int) -> bool:
         """Decide whether a completion is silently lost."""
-        if self._drop_budget > 0:
-            self._drop_budget -= 1
-            self.stats.add("cqe_drops")
-            return True
-        rate = self.cfg.cqe_drop_rate
-        if rate <= 0.0 or not self._window_open():
-            return False
-        if self._cqe_drop.random() < rate:
-            self.stats.add("cqe_drops")
-            return True
-        return False
+        return self._roll(self._cqe_drop, self.cfg.cqe_drop_rate, "cqe_drops")
 
     def duplicate_cqe(self, qid: int) -> bool:
         """Decide whether a completion is posted twice."""
-        rate = self.cfg.cqe_duplicate_rate
-        if rate <= 0.0 or not self._window_open():
-            return False
-        if self._cqe_dup.random() < rate:
-            self.stats.add("cqe_duplicates")
-            return True
-        return False
+        return self._roll(
+            self._cqe_dup, self.cfg.cqe_duplicate_rate, "cqe_duplicates"
+        )
 
     # -- interconnect --------------------------------------------------------
 
     def pcie_stall_ns(self, link_name: str) -> float:
         """Extra stall (ns) to charge one DMA transfer; 0.0 = no fault."""
-        rate = self.cfg.pcie_stall_rate
-        if rate <= 0.0 or not self._window_open():
-            return 0.0
-        if self._pcie.random() < rate:
-            self.stats.add("pcie_stalls")
+        if self._roll(self._pcie, self.cfg.pcie_stall_rate, "pcie_stalls"):
             return self.cfg.pcie_stall_ns
         return 0.0
 

@@ -33,10 +33,12 @@ import numpy as np
 from repro.analysis import attach
 from repro.config import (
     CacheConfig,
+    Checked,
     PlacementConfig,
     RecoveryConfig,
     SsdConfig,
     SystemConfig,
+    legal,
 )
 from repro.core import AgileHost, AgileLockChain
 from repro.core.issue import AgileIoError
@@ -48,12 +50,12 @@ from repro.sim.engine import SimError
 
 
 @dataclass(frozen=True)
-class StormSpec:
+class StormSpec(Checked):
     """The storm's size: GPU threads, operations per thread, SSDs."""
 
-    threads: int
-    requests: int
-    ssds: int = 2
+    threads: int = legal(ge=1)
+    requests: int = legal(ge=1)
+    ssds: int = legal(2, ge=1)
 
 
 #: Stages a storm's data on a fresh host and returns the kernel body, which
@@ -291,8 +293,6 @@ def _storm_cell(
     """One storm on a fresh machine: build the host under the watchdog,
     attach the analysis session, stage the data, run the kernel, drain and
     settle, then report everything the liveness contract is judged on."""
-    if min(spec.threads, spec.requests) < 1:
-        raise ValueError("threads and requests must be at least 1")
 
     def run() -> Mapping[str, Any]:
         # Watchdog: any sim-time stall (lost wakeup, leaked lock, unhandled

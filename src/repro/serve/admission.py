@@ -34,8 +34,6 @@ class AdmissionQueue:
         depth_gauge: Optional[Gauge] = None,
         on_terminal: Optional[Callable[[Request], None]] = None,
     ):
-        if capacity < 1:
-            raise ValueError("admission capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
         #: Shared serve event counter (shed / queue_timeout labels).

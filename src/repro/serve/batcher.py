@@ -14,9 +14,10 @@ fills, and arrivals shed — overload never hides in an unbounded buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, List
 
+from repro.config import Checked, legal
 from repro.serve.admission import AdmissionQueue
 from repro.serve.dispatch import Dispatcher
 from repro.serve.request import Request, RequestState
@@ -25,19 +26,13 @@ from repro.telemetry.metrics import Histogram
 
 
 @dataclass(frozen=True)
-class BatchPolicy:
+class BatchPolicy(Checked):
     """Dynamic batching knobs."""
 
-    max_batch: int = 64
-    max_wait_ns: float = 50_000.0
+    max_batch: int = legal(64, ge=1)
+    max_wait_ns: float = legal(50_000.0, ge=0)
     #: Poll granularity while a partial batch waits for stragglers.
-    poll_ns: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ns < 0:
-            raise ValueError("max_wait_ns must be >= 0")
+    poll_ns: float = legal(0.0, ge=0)
 
     @property
     def effective_poll_ns(self) -> float:

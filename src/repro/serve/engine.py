@@ -22,7 +22,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import NS_PER_S
+from repro.config import NS_PER_S, Checked, legal
 from repro.serve.admission import AdmissionQueue
 from repro.serve.arrival import ArrivalProcess, TraceReplay
 from repro.serve.backends import ServeBackend
@@ -36,30 +36,22 @@ from repro.sim.rng import RngStreams
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(Checked):
     """Engine knobs independent of the simulated machine."""
 
     #: Offered-traffic window (simulated ns); arrivals stop after this.
-    duration_ns: float = 10_000_000.0
+    duration_ns: float = legal(10_000_000.0, gt=0)
     #: Admission queue bound (requests; beyond it arrivals are SHED).
-    admission_capacity: int = 256
+    admission_capacity: int = legal(256, ge=1)
     batch: BatchPolicy = field(default_factory=BatchPolicy)
     #: Dispatch-window depth per worker (batches waiting beyond the ones
     #: running); small keeps queueing in the shed-visible admission queue.
-    pending_per_worker: int = 2
+    pending_per_worker: int = legal(2, ge=1)
     #: Multi-tenant scheduling policy.  None (the default) keeps the FIFO
     #: :class:`~repro.serve.admission.AdmissionQueue` and its bit-exact
     #: timelines; a :class:`~repro.serve.wfq.TenancyConfig` swaps in
     #: weighted-fair admission with SLO-aware shedding.
     tenancy: Optional[TenancyConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be > 0")
-        if self.admission_capacity < 1:
-            raise ValueError("admission_capacity must be >= 1")
-        if self.pending_per_worker < 1:
-            raise ValueError("pending_per_worker must be >= 1")
 
 
 class ServeEngine:

@@ -15,7 +15,7 @@ The registry entry fixes the *identity* of a tenant (its label, its op,
 its default request shape); experiment specs still own the *quantities*
 (SLO budgets, weights, region sizes) and pass them as overrides —
 ``tenant_class`` is ``dataclasses.replace`` over the canonical template,
-so ``RequestClass.__post_init__`` re-validates every override.
+so every override is held to ``RequestClass``'s declared ranges.
 """
 
 from __future__ import annotations

@@ -18,9 +18,12 @@ batching, or service.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
+
+from repro.config import Checked, legal
 
 
 class RequestState(Enum):
@@ -66,7 +69,7 @@ class ServeStateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RequestClass:
+class RequestClass(Checked):
     """One tenant / request shape with its own SLO budget.
 
     ``pages`` is the number of 4 KiB pages one request reads; ``weight``
@@ -78,21 +81,21 @@ class RequestClass:
     """
 
     name: str
-    pages: int = 1
-    slo_ns: float = 2_000_000.0
-    weight: float = 1.0
-    queue_timeout_ns: float = float("inf")
+    pages: int = legal(1, ge=1)
+    slo_ns: float = legal(2_000_000.0, gt=0)
+    weight: float = legal(1.0, gt=0)
+    queue_timeout_ns: float = legal(math.inf, ge=0, le=math.inf)
     #: Logical LBA span the class's reads target (pages sampled uniformly
     #: unless the arrival process replays an explicit access trace).
-    lba_space: int = 4096
+    lba_space: int = legal(4096, ge=1)
     #: First logical LBA of the class's region.  Classes get disjoint
     #: regions so tenant-affine placement can give each its own devices.
-    lba_base: int = 0
+    lba_base: int = legal(0, ge=0)
     #: Fraction of page draws redirected into the hot head of the region
     #: (``hot_fraction`` of the span).  0.0 keeps the uniform draw — and
     #: the identical rng stream the pre-skew engine consumed.
-    skew: float = 0.0
-    hot_fraction: float = 0.125
+    skew: float = legal(0.0, ge=0, le=1)
+    hot_fraction: float = legal(0.125, gt=0, le=1)
     #: What one request does with its pages: ``"read"`` (the default),
     #: ``"write"`` (cache-bypassing streaming stores — checkpoint shards),
     #: ``"modify"`` (read-modify-write through the cache, creating
@@ -100,28 +103,7 @@ class RequestClass:
     #: ``"paged"`` (reads routed through the four-state cache + Share
     #: Table — KV-cache paging, where residency and eviction of cold
     #: pages under HBM pressure are the point of the experiment).
-    op: str = "read"
-
-    def __post_init__(self) -> None:
-        if self.op not in ("read", "write", "modify", "paged"):
-            raise ValueError(
-                f"class {self.name!r}: op must be 'read', 'write', "
-                f"'modify', or 'paged', got {self.op!r}"
-            )
-        if self.pages < 1:
-            raise ValueError(f"class {self.name!r}: pages must be >= 1")
-        if self.weight <= 0:
-            raise ValueError(f"class {self.name!r}: weight must be > 0")
-        if self.slo_ns <= 0:
-            raise ValueError(f"class {self.name!r}: slo_ns must be > 0")
-        if self.lba_base < 0:
-            raise ValueError(f"class {self.name!r}: lba_base must be >= 0")
-        if not 0.0 <= self.skew <= 1.0:
-            raise ValueError(f"class {self.name!r}: skew must be in [0, 1]")
-        if not 0.0 < self.hot_fraction <= 1.0:
-            raise ValueError(
-                f"class {self.name!r}: hot_fraction must be in (0, 1]"
-            )
+    op: str = legal("read", choices=("read", "write", "modify", "paged"))
 
 
 class Request:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Mapping, Sequence
 
-from repro.config import PlacementConfig, SystemConfig
+from repro.config import Checked, PlacementConfig, SystemConfig, legal
 from repro.serve.arrival import Poisson
 from repro.serve.experiment import (
     SYSTEMS,
@@ -54,22 +54,22 @@ SCAN_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Checked):
     """What the standard-mix experiments hold fixed across their cells."""
 
-    duration_ns: float = 10_000_000.0
-    seed: int = 7
-    lba_space: int = 2048
-    admission_capacity: int = 256
-    max_batch: int = 64
-    max_wait_ns: float = 50_000.0
-    point_slo_ns: float = 2_000_000.0
-    scan_slo_ns: float = 5_000_000.0
-    stripe_pages: int = 1
+    duration_ns: float = legal(10_000_000.0, gt=0)
+    seed: int = legal(7, ge=0)
+    lba_space: int = legal(2048, ge=1)
+    admission_capacity: int = legal(256, ge=1)
+    max_batch: int = legal(64, ge=1)
+    max_wait_ns: float = legal(50_000.0, ge=0)
+    point_slo_ns: float = legal(2_000_000.0, gt=0)
+    scan_slo_ns: float = legal(5_000_000.0, gt=0)
+    stripe_pages: int = legal(1, ge=1)
     #: Hotspot skew applied to both tenant classes (0.0 = uniform draws,
     #: which also keeps the pre-placement rng streams unchanged).
-    skew: float = 0.0
-    hot_fraction: float = 0.125
+    skew: float = legal(0.0, ge=0, le=1)
+    hot_fraction: float = legal(0.125, gt=0, le=1)
 
 
 def standard_classes(spec: SweepSpec) -> List[RequestClass]:

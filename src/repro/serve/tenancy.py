@@ -33,10 +33,12 @@ from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.config import (
     CacheConfig,
+    Checked,
     PlacementConfig,
     RecoveryConfig,
     SsdConfig,
     SystemConfig,
+    legal,
 )
 from repro.faults import plan_from_seed, program_erase_plan_from_seed
 from repro.serve.arrival import ArrivalProcess, Poisson
@@ -89,45 +91,39 @@ MIXES: Dict[str, Dict[str, float]] = {
 
 
 @dataclass(frozen=True)
-class TenancySpec:
+class TenancySpec(Checked):
     """What the tenancy matrix holds fixed across its cells."""
 
-    rate_rps: float = 250_000.0
-    duration_ns: float = 8_000_000.0
-    seed: int = 7
-    num_ssds: int = 2
+    rate_rps: float = legal(250_000.0, gt=0)
+    duration_ns: float = legal(8_000_000.0, gt=0)
+    seed: int = legal(7, ge=0)
+    num_ssds: int = legal(2, ge=1)
     #: Software-cache lines — deliberately far below the KV region, so
     #: paging pressure (faults + evictions of cold sequences) is real.
-    cache_lines: int = 64
+    cache_lines: int = legal(64, ge=1)
     #: Deep admission buffer: the fifo arm's p99 damage *is* this queue.
-    admission_capacity: int = 768
-    max_batch: int = 32
-    max_wait_ns: float = 50_000.0
-    storm_intensity: float = 1.0
+    admission_capacity: int = legal(768, ge=1)
+    max_batch: int = legal(32, ge=1)
+    max_wait_ns: float = legal(50_000.0, ge=0)
+    storm_intensity: float = legal(1.0, ge=0)
     #: Per-class SLO budgets (ns).
-    infer_slo_ns: float = 3_000_000.0
+    infer_slo_ns: float = legal(3_000_000.0, gt=0)
     #: Degraded-mode multiplier on the inference p99 budget in storm
     #: cells: fault-recovery tails (command timeouts + retries) inflate
     #: *everyone's* p99 by mechanics no admission scheduler can remove,
     #: so the storm-cell claim is "within the degraded budget" — the
     #: strict budget still governs calm cells and attainment accounting.
-    storm_slo_factor: float = 3.0
-    kv_append_slo_ns: float = 8_000_000.0
-    train_slo_ns: float = 20_000_000.0
-    ckpt_slo_ns: float = 50_000_000.0
-    vsearch_slo_ns: float = 4_000_000.0
+    storm_slo_factor: float = legal(3.0, ge=1)
+    kv_append_slo_ns: float = legal(8_000_000.0, gt=0)
+    train_slo_ns: float = legal(20_000_000.0, gt=0)
+    ckpt_slo_ns: float = legal(50_000_000.0, gt=0)
+    vsearch_slo_ns: float = legal(4_000_000.0, gt=0)
     #: Batch-training request shape and region.
-    train_pages: int = 8
-    train_space: int = 1024
+    train_pages: int = legal(8, ge=1)
+    train_space: int = legal(1024, ge=1)
     kv: KvCacheSpec = KvCacheSpec()
     ckpt: CheckpointSpec = CheckpointSpec(table_pages=128, shard_pages=4)
     vsearch: VsearchSpec = VsearchSpec(num_nodes=512)
-
-    def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError("rate_rps must be > 0")
-        if self.storm_slo_factor < 1.0:
-            raise ValueError("storm_slo_factor must be >= 1")
 
 
 def tenancy_shares() -> TenancyConfig:

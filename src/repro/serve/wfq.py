@@ -103,8 +103,6 @@ class WeightedFairAdmission:
         on_terminal: Optional[Callable[[Request], None]] = None,
         class_events: Optional[Counter] = None,
     ):
-        if capacity < 1:
-            raise ValueError("admission capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
         self.tenancy = tenancy

@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, List, Mapping, Sequence
 
-from repro.config import CacheConfig, PlacementConfig, SsdConfig, SystemConfig
+from repro.config import (
+    CacheConfig, Checked, ConfigError, PlacementConfig, SsdConfig, SystemConfig, legal,
+)
 from repro.serve.arrival import Poisson
 from repro.serve.experiment import (
     Cell,
@@ -59,7 +61,7 @@ GC_ARMS = ("gc_on", "gc_off")
 
 
 @dataclass(frozen=True)
-class WritePathSpec:
+class WritePathSpec(Checked):
     """One write-path experiment's fixed parameters.
 
     The device geometry is the experiment: small enough that the offered
@@ -67,37 +69,38 @@ class WritePathSpec:
     (block erase >> page program) that GC pauses are visible.
     """
 
-    duration_ns: float = 20_000_000.0
-    seed: int = 7
-    num_ssds: int = 2
+    duration_ns: float = legal(20_000_000.0, gt=0)
+    seed: int = legal(7, ge=0)
+    num_ssds: int = legal(2, ge=1)
     #: Logical pages per device (the shrunk geometry).
-    device_pages: int = 256
-    pages_per_block: int = 8
-    op_ratio: float = 0.25
-    gc_policy: str = "greedy"
-    gc_low_water_blocks: int = 6
-    gc_high_water_blocks: int = 10
+    device_pages: int = legal(256, ge=1)
+    pages_per_block: int = legal(8, ge=1)
+    op_ratio: float = legal(0.25, ge=0, lt=1)
+    gc_policy: str = legal("greedy", choices=("greedy", "cost_benefit"))
+    gc_low_water_blocks: int = legal(6, ge=1)
+    gc_high_water_blocks: int = legal(10, ge=1)
     #: Software-cache lines — far below ``modify_space``, so nearly every
     #: read-modify-write misses, evicts a dirty line, and the write-back
     #: lands a live hot page amid the checkpoint churn (mixed-validity
     #: blocks are what make GC relocate instead of just erasing).
-    cache_lines: int = 16
+    cache_lines: int = legal(16, ge=1)
     #: Logical regions (disjoint; must fit ``num_ssds * device_pages``).
-    table_pages: int = 128
-    modify_space: int = 96
-    read_space: int = 128
-    shard_pages: int = 4
-    admission_capacity: int = 256
-    max_batch: int = 32
-    max_wait_ns: float = 50_000.0
-    read_slo_ns: float = 2_000_000.0
-    modify_slo_ns: float = 5_000_000.0
-    ckpt_slo_ns: float = 20_000_000.0
+    table_pages: int = legal(128, ge=1)
+    modify_space: int = legal(96, ge=1)
+    read_space: int = legal(128, ge=1)
+    shard_pages: int = legal(4, ge=1)
+    admission_capacity: int = legal(256, ge=1)
+    max_batch: int = legal(32, ge=1)
+    max_wait_ns: float = legal(50_000.0, ge=0)
+    read_slo_ns: float = legal(2_000_000.0, gt=0)
+    modify_slo_ns: float = legal(5_000_000.0, gt=0)
+    ckpt_slo_ns: float = legal(20_000_000.0, gt=0)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         span = self.table_pages + self.modify_space + self.read_space
         if span > self.num_ssds * self.device_pages:
-            raise ValueError(
+            raise ConfigError(
                 f"logical regions ({span} pages) exceed the array "
                 f"({self.num_ssds} x {self.device_pages} pages)"
             )

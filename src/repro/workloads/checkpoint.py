@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.config import NS_PER_S
+from repro.config import NS_PER_S, Checked, ConfigError, legal
 from repro.serve.arrival import TraceReplay
 
 
 @dataclass(frozen=True)
-class CheckpointSpec:
+class CheckpointSpec(Checked):
     """Shape of one embedding-table checkpoint stream.
 
     ``table_pages`` is the logical span of the table; each request writes
@@ -35,23 +35,16 @@ class CheckpointSpec:
     the serve engine cycles the trace if the window outlasts it.
     """
 
-    table_pages: int = 512
-    shard_pages: int = 4
-    hot_fraction: float = 0.125
-    hot_rewrite_period: int = 4
-    passes: int = 4
+    table_pages: int = legal(512, ge=1)
+    shard_pages: int = legal(4, ge=1)
+    hot_fraction: float = legal(0.125, gt=0, le=1)
+    hot_rewrite_period: int = legal(4, ge=0)
+    passes: int = legal(4, ge=1)
 
     def __post_init__(self) -> None:
-        if self.table_pages < 1:
-            raise ValueError("table_pages must be >= 1")
-        if not 1 <= self.shard_pages <= self.table_pages:
-            raise ValueError("shard_pages must be in [1, table_pages]")
-        if not 0.0 < self.hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be in (0, 1]")
-        if self.hot_rewrite_period < 0:
-            raise ValueError("hot_rewrite_period must be >= 0")
-        if self.passes < 1:
-            raise ValueError("passes must be >= 1")
+        super().__post_init__()
+        if self.shard_pages > self.table_pages:
+            raise ConfigError("shard_pages must not exceed table_pages")
 
     @property
     def hot_pages(self) -> int:

@@ -35,12 +35,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.config import NS_PER_S
+from repro.config import NS_PER_S, Checked, ConfigError, legal
 from repro.serve.arrival import TraceReplay
 
 
 @dataclass(frozen=True)
-class KvCacheSpec:
+class KvCacheSpec(Checked):
     """Shape of one KV-cache paging schedule.
 
     ``num_slots * blocks_per_seq`` logical pages is the workload's whole
@@ -50,37 +50,26 @@ class KvCacheSpec:
     """
 
     #: Concurrent sequence slots (the continuous-batching width).
-    num_slots: int = 12
+    num_slots: int = legal(12, ge=1)
     #: Max KV blocks (= 4 KiB pages) one sequence may materialise.
-    blocks_per_seq: int = 24
-    #: Zipf exponent for sequence target lengths (> 1; larger = shorter
+    blocks_per_seq: int = legal(24, ge=2)
+    #: Zipf exponent for sequence target lengths (larger = shorter
     #: typical sequences, heavier contrast with the tail).
-    zipf_alpha: float = 1.4
+    zipf_alpha: float = legal(1.4, gt=1)
     #: Fraction of a sequence's target length written in its prefill burst.
-    prefill_fraction: float = 0.25
+    prefill_fraction: float = legal(0.25, gt=0, le=1)
     #: Decode reads touch block 0 plus this many trailing blocks.
-    attention_window: int = 4
+    attention_window: int = legal(4, ge=1)
     #: Decode steps per KV block (how often the tail block is extended).
-    tokens_per_block: int = 8
+    tokens_per_block: int = legal(8, ge=1)
     #: Scheduler events recorded (admissions + decode steps).
-    events: int = 2048
-    seed: int = 7
+    events: int = legal(2048, ge=2)
+    seed: int = legal(7, ge=0)
 
     def __post_init__(self) -> None:
-        if self.num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
-        if self.blocks_per_seq < 2:
-            raise ValueError("blocks_per_seq must be >= 2")
-        if self.zipf_alpha <= 1.0:
-            raise ValueError("zipf_alpha must be > 1")
-        if not 0.0 < self.prefill_fraction <= 1.0:
-            raise ValueError("prefill_fraction must be in (0, 1]")
-        if self.attention_window < 1:
-            raise ValueError("attention_window must be >= 1")
-        if self.tokens_per_block < 1:
-            raise ValueError("tokens_per_block must be >= 1")
+        super().__post_init__()
         if self.events < 2 * self.num_slots:
-            raise ValueError(
+            raise ConfigError(
                 "events must be >= 2 * num_slots (enough to admit and "
                 "decode at least once per slot)"
             )

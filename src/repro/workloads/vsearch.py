@@ -27,38 +27,29 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.config import NS_PER_S
+from repro.config import NS_PER_S, Checked, ConfigError, legal
 from repro.serve.arrival import TraceReplay
 
 @dataclass(frozen=True)
-class VsearchSpec:
+class VsearchSpec(Checked):
     """Shape of one beam-search trace: the index graph and the query load."""
 
-    num_nodes: int = 2048
+    num_nodes: int = legal(2048, ge=2)
     #: Out-neighbours per node (the graph's degree).
-    out_degree: int = 6
+    out_degree: int = legal(6, ge=1)
     #: Beam width (pages read per hop, before dedup).
-    beam_width: int = 4
+    beam_width: int = legal(4, ge=1)
     #: Hops per query walk.
-    hops: int = 5
-    num_queries: int = 64
+    hops: int = legal(5, ge=1)
+    num_queries: int = legal(64, ge=1)
     #: Entry node every walk starts from (the medoid — the hot page).
-    medoid: int = 0
-    seed: int = 7
+    medoid: int = legal(0, ge=0)
+    seed: int = legal(7, ge=0)
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError("num_nodes must be >= 2")
-        if self.out_degree < 1:
-            raise ValueError("out_degree must be >= 1")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
-        if self.num_queries < 1:
-            raise ValueError("num_queries must be >= 1")
-        if not 0 <= self.medoid < self.num_nodes:
-            raise ValueError("medoid must be a valid node id")
+        super().__post_init__()
+        if self.medoid >= self.num_nodes:
+            raise ConfigError("medoid must be a valid node id")
 
 
 def vsearch_lba_space(spec: VsearchSpec) -> int:

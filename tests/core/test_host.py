@@ -16,9 +16,8 @@ from tests.helpers import make_host, run_kernel, small_config
 
 class TestConstruction:
     def test_validates_config(self):
-        bad = SystemConfig(queue_pairs=500)  # over the device limit
-        with pytest.raises(ValueError):
-            AgileHost(bad)
+        with pytest.raises(ValueError):  # the config refuses itself
+            AgileHost(SystemConfig(queue_pairs=500))  # over the device limit
 
     def test_queue_geometry_matches_config(self):
         host = make_host(queue_pairs=3, queue_depth=32)

@@ -145,7 +145,9 @@ def _place(service, n, anchor, idx, step):
         return [(base + step[2] * period, first),
                 (base + (step[2] + step[3]) * period, (first + 1) % n)]
     if kind == "sweep":
-        return [(anchor - step[1] * n * service._poll_ns, (idx + step[2]) % n)]
+        # At start 0 a whole sweep back can round to just below time 0.
+        back = max(0.0, anchor - step[1] * n * service._poll_ns)
+        return [(back, (idx + step[2]) % n)]
     # "present": the queue the sweep visited first, any time after that
     # visit (for n == 1 that is the anchor itself, a tie the post wins).
     return [(anchor - step[1] * (n - 1) * service._poll_ns, idx)]

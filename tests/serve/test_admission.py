@@ -115,11 +115,6 @@ class TestAdmission:
         q.poll()
         assert gauge.snapshot()["value"] == 4
 
-    def test_rejects_bad_capacity(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            AdmissionQueue(sim, 0, Counter("c"))
-
 
 class TestOccupancyBound:
     @given(

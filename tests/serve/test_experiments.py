@@ -25,6 +25,7 @@ from repro.serve.registry import INFER
 
 from tests.store.helpers import SCHEMA, point_set, reference_points
 from tests.support.census import census
+from tests.support.legal import ends, past
 
 #: Seconds-not-minutes variants, in ``--set`` syntax; every item moves the
 #: experiment off its default so the config hash must track it.
@@ -185,6 +186,25 @@ class TestEveryExperiment:
             )
 
 
+def past_every_bound(spec, prefix=""):
+    """``(--set item, key it names)`` putting each declared field of
+    ``spec``, nested specs' too, one step past each bound (NaN for a float,
+    an unknown name for a choice)."""
+    for f in fields(spec):
+        key, rule = prefix + f.name, f.metadata.get("legal")
+        if is_dataclass(getattr(spec, f.name)):
+            yield from past_every_bound(getattr(spec, f.name), key + ".")
+        elif isinstance(rule, tuple):
+            yield f"{key}=no-such-choice", key
+        elif rule is not None:
+            for end in ends(rule):
+                beyond = past(f, *end)
+                if beyond is not None:
+                    yield f"{key}={beyond!r}", key
+            if f.type == "float":
+                yield f"{key}=nan", key
+
+
 def with_runners(monkeypatch, wrap):
     """Route every cell through ``wrap(axes, runner) -> runner`` — the one
     seam the runner exposes: ``Experiment.plans`` hands back ``(axes,
@@ -240,9 +260,7 @@ class TestClaims:
             ("no_such_knob=1", "'no_such_knob'"),
         ]
         if is_dataclass(exp.spec):
-            names = [f.name for f in fields(exp.spec)]
-            field = "duration_ns" if "duration_ns" in names else names[0]
-            bad.append((f"{field}=-1", field))
+            bad += past_every_bound(exp.spec)
         for item, named in bad:
             assert main(["run", name, "--quick", "--set", item]) == 2
             err = capsys.readouterr().err

@@ -93,12 +93,3 @@ class TestStateMachine:
         req.transition(RequestState.COMPLETED, 100.0 + CLS.slo_ns + 1.0)
         assert not req.within_slo
 
-
-class TestRequestClass:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RequestClass(name="bad", pages=0)
-        with pytest.raises(ValueError):
-            RequestClass(name="bad", weight=0.0)
-        with pytest.raises(ValueError):
-            RequestClass(name="bad", slo_ns=0.0)

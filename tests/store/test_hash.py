@@ -4,12 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import (
-    SystemConfig,
-    canonical_payload,
-    default_config,
-    stable_hash,
-)
+from repro.config import SsdConfig, SystemConfig, canonical_payload, stable_hash
 
 
 class TestStableHash:
@@ -44,14 +39,15 @@ class TestStableHash:
 
 class TestSystemConfigHash:
     def test_equal_configs_hash_equal(self):
-        assert SystemConfig().config_hash() == default_config().config_hash()
+        spelled_out = SystemConfig(ssds=(SsdConfig(name="ssd0"),), seed=0xA617E)
+        assert SystemConfig().config_hash() == spelled_out.config_hash()
 
     def test_rebuilt_config_hashes_equal(self):
-        cfg = default_config()
+        cfg = SystemConfig()
         assert replace(cfg).config_hash() == cfg.config_hash()
 
     def test_any_field_change_changes_the_hash(self):
-        cfg = default_config()
+        cfg = SystemConfig()
         assert (
             replace(cfg, queue_depth=32).config_hash() != cfg.config_hash()
         )
@@ -60,6 +56,6 @@ class TestSystemConfigHash:
         assert grown.config_hash() != cfg.config_hash()
 
     def test_hash_is_16_hex_chars(self):
-        digest = default_config().config_hash()
+        digest = SystemConfig().config_hash()
         assert len(digest) == 16
         int(digest, 16)  # parses as hex

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import math
+import re
+import sys
+from dataclasses import fields, is_dataclass, replace
+
 import pytest
 
 from repro.config import (
     CacheConfig,
+    ConfigError,
     GpuConfig,
-    PcieConfig,
     PlacementConfig,
     ServiceConfig,
     SsdConfig,
     SystemConfig,
-    default_config,
     gbps_to_bytes_per_ns,
 )
+
+from tests.support.legal import checked_classes, declared, ends, past
 
 
 class TestCalibration:
@@ -46,93 +52,153 @@ class TestCalibration:
         assert gpu.cycles(10) == 5.0
 
 
+# -- each field's declared range ----------------------------------------------
+
+#: Where a class's boundary cases start: the required fields of a class
+#: without defaults, and room for a cross-field rule that would refuse one
+#: field alone at its bound (shard_pages <= table_pages, events >= 2 x
+#: num_slots, the logical regions fit the array).
+BASES = {
+    "RequestClass": dict(name="t"),
+    "StormSpec": dict(threads=1, requests=1),
+    "PageStreamSpec": dict(data_pages=1),
+    "CheckpointSpec": dict(shard_pages=1),
+    "KvCacheSpec": dict(num_slots=1),
+    "WritePathSpec": dict(
+        num_ssds=3, table_pages=1, modify_space=1, read_space=1
+    ),
+}
+
+#: Dataclasses named like configuration that are not checked: per-operation
+#: records keep their own checks, and fixed model constants are set by name.
+NOT_CHECKED = {
+    "KernelSpec": "one kernel's body and footprint; checks its registers",
+    "LaunchConfig": "one launch's grid and block; checks its dims",
+    "DlrmConfig": "the paper's three MLP shapes, built only by name",
+    "BamCostConfig": "BaM's fixed cost model; no caller sets it",
+}
+
+CASES = [
+    pytest.param(cls, field, rule, id=f"{cls.__name__}.{field.name}")
+    for cls in checked_classes()
+    for field, rule in declared(cls)
+]
+
+
+@pytest.mark.parametrize("cls, field, rule", CASES)
+def test_declared_bounds_are_enforced(cls, field, rule):
+    """Each closed bound (and each choice) constructs; one step past each
+    bound, NaN, and a value that is no choice raise a ``ConfigError``
+    naming the field."""
+    base = cls(**BASES.get(cls.__name__, {}))
+    if isinstance(rule, tuple):
+        for choice in rule:
+            replace(base, **{field.name: choice})
+        illegal = ["no-such-choice"]
+    else:
+        illegal = [math.nan] if field.type == "float" else []
+        for end, closed, outward in ends(rule):
+            if closed:
+                replace(base, **{field.name: end})
+            beyond = past(field, end, closed, outward)
+            if beyond is not None:
+                illegal.append(beyond)
+    named = re.escape(f"{cls.__name__}.{field.name} ")
+    for value in illegal:
+        with pytest.raises(ConfigError, match=named):
+            replace(base, **{field.name: value})
+
+
+def test_every_numeric_field_declares_its_legal_range():
+    classes = checked_classes()
+    undeclared = [
+        f"{cls.__name__}.{f.name}"
+        for cls in classes
+        for f in fields(cls)
+        if f.type in ("int", "float") and "legal" not in f.metadata
+    ]
+    assert not undeclared
+    unchecked = {
+        name
+        for module, mod in list(sys.modules.items())
+        if module.startswith("repro.")
+        for name, obj in vars(mod).items()
+        if isinstance(obj, type) and is_dataclass(obj)
+        and obj.__module__ == module
+        and name.endswith(("Config", "Spec")) and obj not in classes
+    }
+    assert unchecked == set(NOT_CHECKED)
+
+
 class TestValidation:
+    """The cross-field rules: each relates fields a declaration cannot."""
+
     def test_default_config_valid(self):
-        default_config().validate()
+        SystemConfig()
 
     def test_queue_pairs_over_device_limit(self):
-        cfg = SystemConfig(queue_pairs=200)
-        with pytest.raises(ValueError, match="queue pairs"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="queue pairs"):
+            SystemConfig(queue_pairs=200)
 
     def test_queue_depth_over_device_limit(self):
-        cfg = SystemConfig(queue_depth=4096)
-        with pytest.raises(ValueError, match="queue depth"):
-            cfg.validate()
-
-    def test_queue_depth_minimum(self):
-        cfg = SystemConfig(queue_depth=1)
-        with pytest.raises(ValueError, match="at least 2"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="queue depth"):
+            SystemConfig(queue_depth=4096)
 
     def test_line_size_must_match_page_size(self):
-        cfg = SystemConfig(cache=CacheConfig(line_size=8192))
-        with pytest.raises(ValueError, match="line size"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="line size"):
+            SystemConfig(cache=CacheConfig(line_size=8192))
 
     def test_no_ssds_rejected(self):
-        cfg = SystemConfig(ssds=())
-        with pytest.raises(ValueError, match="at least one SSD"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="at least one SSD"):
+            SystemConfig(ssds=())
 
     def test_heterogeneous_page_sizes_rejected(self):
-        cfg = SystemConfig(
-            ssds=(
-                SsdConfig(name="ssd0"),
-                SsdConfig(name="ssd1", page_size=8192),
-            ),
-            cache=CacheConfig(line_size=8192),
-        )
-        with pytest.raises(ValueError, match="heterogeneous"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="heterogeneous"):
+            SystemConfig(
+                ssds=(
+                    SsdConfig(name="ssd0"),
+                    SsdConfig(name="ssd1", page_size=8192),
+                ),
+                cache=CacheConfig(line_size=8192),
+            )
 
     def test_identity_placement_rejected_on_arrays(self):
-        cfg = SystemConfig(
-            ssds=(SsdConfig(name="ssd0"), SsdConfig(name="ssd1")),
-            placement=PlacementConfig(policy="identity"),
-        )
-        with pytest.raises(ValueError, match="identity placement"):
-            cfg.validate()
-
-    def test_unknown_placement_policy_rejected(self):
-        cfg = SystemConfig(placement=PlacementConfig(policy="raid6"))
-        with pytest.raises(ValueError, match="unknown placement"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="identity placement"):
+            SystemConfig(
+                ssds=(SsdConfig(name="ssd0"), SsdConfig(name="ssd1")),
+                placement=PlacementConfig(policy="identity"),
+            )
 
     def test_stripe_must_divide_device_pages(self):
-        cfg = SystemConfig(
-            placement=PlacementConfig(policy="striped", stripe_pages=3)
-        )
-        with pytest.raises(ValueError, match="divide the device capacity"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="divide the device capacity"):
+            SystemConfig(
+                placement=PlacementConfig(policy="striped", stripe_pages=3)
+            )
 
     @pytest.mark.parametrize(
         "section, field",
         [
-            # No warp would ever retire a CQE.
-            (ServiceConfig(polling_warps=0), "service.polling_warps"),
             # One more warp than the service SM has issue slots (4 x 32).
-            (ServiceConfig(polling_warps=129), "service.polling_warps"),
-            # With idle_poll_ns=0 the poll loop never advances time.
-            (ServiceConfig(poll_iteration_cycles=0.0),
-             "service.poll_iteration_cycles"),
-            (ServiceConfig(idle_poll_ns=-1.0), "service.idle_poll_ns"),
+            (dict(service=ServiceConfig(polling_warps=129)),
+             "service.polling_warps"),
             # Ways that do not divide the lines built fewer lines than
-            # capacity_bytes reports (8 of 12, 96 of 100); 0 divided by 0.
-            (CacheConfig(num_lines=12, ways=8), "cache.ways"),
-            (CacheConfig(num_lines=100, ways=8), "cache.ways"),
-            (CacheConfig(ways=0), "cache.ways"),
+            # capacity_bytes reports (8 of 12, 96 of 100).
+            (dict(cache=CacheConfig(num_lines=12, ways=8)), "cache.ways"),
+            (dict(cache=CacheConfig(num_lines=100, ways=8)), "cache.ways"),
+            # A device smaller than one page has no block to erase.
+            (dict(ssds=(SsdConfig(capacity_bytes=4095),)), "pages_per_block"),
+            (dict(ssds=(SsdConfig(gc_low_water_blocks=9),)),
+             "gc_high_water_blocks"),
         ],
+        ids=["polling-warps-over-slots", "ways-8-of-12", "ways-8-of-100",
+             "capacity-under-one-page", "gc-water-marks-crossed"],
     )
-    def test_config_section_is_validated(self, section, field):
-        prefix = field.split(".")[0]
-        with pytest.raises(ValueError, match=field):
-            SystemConfig(**{prefix: section}).validate()
+    def test_cross_field_rule_names_the_fields(self, section, field):
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(**section)
 
     def test_service_config_limits_are_inclusive(self):
-        SystemConfig(
-            service=ServiceConfig(polling_warps=128, idle_poll_ns=0.0)
-        ).validate()
+        SystemConfig(service=ServiceConfig(polling_warps=128, idle_poll_ns=0.0))
 
 
 class TestHelpers:
@@ -148,11 +214,9 @@ class TestHelpers:
         assert len(set(names)) == 5
 
     def test_with_ssds_revalidates_queue_limits_per_device(self):
-        """Growing the array re-runs validation against every device's
-        queue limits, not just the template's."""
-        base = SystemConfig(queue_pairs=200)
-        with pytest.raises(ValueError, match="queue pairs"):
-            base.with_ssds(4)
+        """Every copy checks every device's queue limits, grown ones too."""
+        with pytest.raises(ConfigError, match="queue pairs"):
+            SystemConfig(queue_pairs=200).with_ssds(4)
 
     def test_with_ssds_promotes_identity_to_striped(self):
         cfg = SystemConfig(

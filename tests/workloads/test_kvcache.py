@@ -80,10 +80,6 @@ def test_traces_are_lockstep_and_offset():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        KvCacheSpec(zipf_alpha=1.0)
-    with pytest.raises(ValueError):
-        KvCacheSpec(num_slots=0)
-    with pytest.raises(ValueError):
         KvCacheSpec(events=2)  # < 2 * num_slots
     with pytest.raises(ValueError):
         kvcache_traces(SPEC, read_rate_rps=0.0)

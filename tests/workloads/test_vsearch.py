@@ -48,8 +48,6 @@ def test_logical_trace_offsets_and_pacing():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        VsearchSpec(num_nodes=1)
-    with pytest.raises(ValueError):
         VsearchSpec(num_nodes=128, medoid=999)
     with pytest.raises(ValueError):
         vsearch_logical_trace(SPEC, rate_rps=0.0)
