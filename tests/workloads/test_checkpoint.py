@@ -17,6 +17,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CheckpointSpec(table_pages=4, shard_pages=8)
 
+    @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
+    def test_hot_fraction_bounds(self, frac):
+        with pytest.raises(ValueError):
+            CheckpointSpec(hot_fraction=frac)
+
+    def test_zero_passes_rejected(self):
+        with pytest.raises(ValueError):
+            CheckpointSpec(passes=0)
+
     def test_hot_pages_never_below_one(self):
         spec = CheckpointSpec(table_pages=4, shard_pages=2, hot_fraction=0.01)
         assert spec.hot_pages == 1
