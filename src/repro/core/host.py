@@ -20,6 +20,7 @@ adds the AGILE runtime on top of it: :class:`AgileMachine` builds one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro import telemetry as telemetry_mod
@@ -38,7 +39,7 @@ from repro.faults import FaultInjector
 from repro.gpu.device import Gpu, KernelLaunch
 from repro.gpu.kernel import KernelSpec, LaunchConfig
 from repro.nvme.queue import QueuePair
-from repro.placement import Move
+from repro.placement import LoadAwarePlacement, Move
 from repro.sim.rng import RngStreams
 
 
@@ -239,9 +240,6 @@ class AgileHost(AgileMachine):
             debug_locks=debug_locks,
             hbm_capacity=hbm_capacity,
             watchdog_ns=watchdog_ns,
-            placement_feeds={
-                "load": self._device_loads, "healthy": self._device_healthy,
-            },
         )
         self.rng = RngStreams(self.cfg.seed)
         self.queue_pairs = self._create_queue_pairs()  # initNvme
@@ -266,6 +264,11 @@ class AgileHost(AgileMachine):
         self.share_table = node.share_table
         self.service = node.service
         self.ctrl = node.ctrl
+        if isinstance(self.placement, LoadAwarePlacement):
+            # Live feeds over the issue engine, never bound methods: the
+            # host owns the policy, so a feed holding the host is a cycle.
+            self.placement.load = partial(self._device_loads, self.issue)
+            self.placement.healthy = partial(self._device_healthy, self.issue)
         #: Populated by ``repro.analysis.attach`` (directly, or via the
         #: ``--agile-checks`` pytest flag / ``analysis_hooks.enable()``).
         self.analysis = analysis_hooks.maybe_attach(self)
@@ -274,12 +277,12 @@ class AgileHost(AgileMachine):
     def _register_collectors(self) -> None:
         super()._register_collectors()
         reg = self.trace
-        gpu = self.gpu
+        gpu, ssds, issue, service = self.gpu, self.ssds, self.issue, self.service
         reg.register_collector(
             "flash_channel_busy_ns",
             lambda: {
                 f"ssd{ssd.index}.ch{ci}": ch.busy_time
-                for ssd in self.ssds
+                for ssd in ssds
                 for ci, ch in enumerate(ssd.flash._channels)
             },
         )
@@ -288,7 +291,7 @@ class AgileHost(AgileMachine):
             lambda: {
                 **{
                     f"ssd{ssd.index}.pcie.{direction}": pipe.bytes_moved
-                    for ssd in self.ssds
+                    for ssd in ssds
                     for direction, pipe in (
                         ("up", ssd.link.upstream),
                         ("down", ssd.link.downstream),
@@ -312,9 +315,9 @@ class AgileHost(AgileMachine):
                 f"sm{sm.index}": sm.issued_thread_cycles() for sm in gpu.sms
             }
             # The polling warps charge their reserved SM in closed form.
-            | {f"sm{gpu.sms[-1].index}": self.service.thread_cycles()},
+            | {f"sm{gpu.sms[-1].index}": service.thread_cycles()},
         )
-        reg.register_collector("inflight", lambda: {"cids": self.inflight()})
+        reg.register_collector("inflight", lambda: {"cids": issue.inflight()})
 
     # -- placement feeds (pull-based; no simulated time) ---------------------
 
@@ -326,33 +329,35 @@ class AgileHost(AgileMachine):
     WAF_LOAD_WEIGHT = 8.0
     SCARCITY_LOAD_WEIGHT = 16.0
 
-    def _device_loads(self) -> list[float]:
+    @staticmethod
+    def _device_loads(issue: IssueEngine) -> list[float]:
         """Per-device load signal for the load-aware policy: in-flight
         commands plus FTL write pressure (WAF excess and free-block
         scarcity).  The pressure term is gated on the device having seen
         any program at all — untouched FTLs contribute exactly 0.0, so
         read-only runs score identically to the pre-FTL feed and stay
         bit-exact."""
-        loads = [0.0] * len(self.ssds)
-        for ssd_idx, _qid, _cid in self.issue.pending:
+        loads = [0.0] * len(issue.ssds)
+        for ssd_idx, _qid, _cid in issue.pending:
             loads[ssd_idx] += 1.0
-        for i, ssd in enumerate(self.ssds):
+        for i, ssd in enumerate(issue.ssds):
             ftl = ssd.flash.ftl
             if not (ftl.host_programs or ftl.gc_programs):
                 continue
             scarcity = 1.0 - ftl.free_blocks / ftl.cfg.physical_blocks
             loads[i] += (
-                self.WAF_LOAD_WEIGHT * (ftl.waf - 1.0)
-                + self.SCARCITY_LOAD_WEIGHT * scarcity
+                AgileHost.WAF_LOAD_WEIGHT * (ftl.waf - 1.0)
+                + AgileHost.SCARCITY_LOAD_WEIGHT * scarcity
             )
         return loads
 
-    def _device_healthy(self) -> list[bool]:
+    @staticmethod
+    def _device_healthy(issue: IssueEngine) -> list[bool]:
         """Circuit-breaker health per device (all-healthy without
         recovery)."""
-        if self.recovery is None:
-            return [True] * len(self.ssds)
-        return [not br.open for br in self.recovery.breakers]
+        if issue.recovery is None:
+            return [True] * len(issue.ssds)
+        return [not br.open for br in issue.recovery.breakers]
 
     def rebalance_placement(
         self, device_loads: Optional[Sequence[float]] = None
@@ -364,7 +369,7 @@ class AgileHost(AgileMachine):
         loads = (
             list(device_loads)
             if device_loads is not None
-            else self._device_loads()
+            else self._device_loads(self.issue)
         )
         moves = self.placement.rebalance(loads)
         for mv in moves:

@@ -21,8 +21,8 @@ from repro.config import ConfigError, SystemConfig
 from repro.core.locks import LockDebugger
 from repro.gpu.device import Gpu, KernelLaunch
 from repro.gpu.kernel import KernelSpec, LaunchConfig
+from repro.nvme.command import CQE_SIZE, SQE_SIZE
 from repro.nvme.driver import NvmeDriver
-from repro.nvme.flash import load_array, read_array
 from repro.nvme.queue import QueuePair
 from repro.placement import PlacementPolicy, interleaved, placement_for_config
 from repro.sim.engine import Simulator
@@ -43,7 +43,6 @@ class Machine:
         debug_locks: bool = True,
         hbm_capacity: Optional[int] = None,
         watchdog_ns: float = 0.0,
-        placement_feeds: Optional[dict[str, Callable[[], Any]]] = None,
     ):
         if num_gpus < 1:
             raise ValueError("need at least one GPU")
@@ -62,12 +61,22 @@ class Machine:
                 f"gpu.num_sms={self.cfg.gpu.num_sms} leaves no SM for kernels "
                 f"beside the {self.reserved_sms} this host reserves"
             )
-        self.sim = Simulator(watchdog_ns=watchdog_ns)
+        self.sim = sim = Simulator(watchdog_ns=watchdog_ns)
         self.trace = MetricRegistry()
-        self.trace.set_clock(lambda: self.sim.now)
+        self.trace.set_clock(lambda: sim.now)
         capacity = hbm_capacity
         if capacity is None:
-            capacity = self.cfg.cache.capacity_bytes + (64 << 20)
+            # Cache, this GPU's SQ/CQ rings (each 4 KiB-aligned, one pair
+            # per SSD and queue pair) and headroom for user buffers.
+            ring = sum(
+                -(-self.cfg.queue_depth * entry // 4096) * 4096
+                for entry in (SQE_SIZE, CQE_SIZE)
+            )
+            capacity = (
+                self.cfg.cache.capacity_bytes
+                + len(self.cfg.ssds) * self.cfg.queue_pairs * ring
+                + (64 << 20)
+            )
         self.gpus = [
             Gpu(self.sim, self.cfg.gpu, hbm_capacity=capacity)
             for _ in range(num_gpus)
@@ -86,12 +95,10 @@ class Machine:
         #: One placement policy for the whole array (logical LBA -> (ssd,
         #: device LBA)): the SSDs, and hence the logical address space, are
         #: shared, so every controller must resolve identically.  Built
-        #: host-side with no simulated events; ``placement_feeds`` are live
-        #: ``load``/``healthy`` callables (none by default: symmetric
-        #: mapping keeps the systems' data layouts comparable).
-        self.placement: PlacementPolicy = placement_for_config(
-            self.cfg, **(placement_feeds or {})
-        )
+        #: host-side with no simulated events and no live load/health feeds
+        #: (the AGILE host wires its own; symmetric mapping keeps the
+        #: systems' data layouts comparable).
+        self.placement: PlacementPolicy = placement_for_config(self.cfg)
         #: One kernel-side controller per GPU (the first argument every
         #: kernel body receives); filled by the subclass.
         self.ctrls: list[Any] = []
@@ -156,16 +163,17 @@ class Machine:
     def _register_collectors(self) -> None:
         """Pull collectors for accounting that already lives on model
         objects.  Always on: they run only at snapshot time, so they cost
-        nothing during the simulation."""
-        sim = self.sim
+        nothing during the simulation.  Each closes over the parts it
+        reads, never the machine: the machine owns the registry, and a
+        cycle through it would keep HBM and flash alive until a GC pass."""
+        sim, driver = self.sim, self.driver
         self.trace.register_collector(
             "sim", lambda: {"now": sim.now, "event_count": sim.event_count}
         )
         self.trace.register_collector(
             "devices",
             lambda: {
-                f"ssd{i}": st
-                for i, st in enumerate(self.driver.device_stats())
+                f"ssd{i}": st for i, st in enumerate(driver.device_stats())
             },
         )
 
@@ -175,7 +183,7 @@ class Machine:
         self, ssd_idx: int, start_lba: int, data: np.ndarray
     ) -> int:
         """Place a dataset on one SSD's flash; returns pages written."""
-        return load_array(self.ssds[ssd_idx].flash, start_lba, data)
+        return self._write_pages(data, lambda p: (ssd_idx, start_lba + p))
 
     def load_data_striped(self, start_lba: int, data: np.ndarray) -> int:
         """Stripe a dataset page-interleaved across all SSDs (the paper's
@@ -189,28 +197,10 @@ class Machine:
         the region is logical LBA ``start_lba * n + p``).
         """
         n = len(self.ssds)
-        return self._write_pages(interleaved(n), start_lba * n, data)
-
-    def _write_pages(
-        self,
-        policy: PlacementPolicy,
-        logical_start: int,
-        data: np.ndarray,
-        tenant: Optional[str] = None,
-    ) -> int:
-        """Pad ``data`` to whole pages and write each through ``policy``."""
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        page = self.cfg.ssds[0].page_size
-        n_pages = (raw.size + page - 1) // page
-        for p in range(n_pages):
-            chunk = raw[p * page : (p + 1) * page]
-            buf = np.zeros(page, dtype=np.uint8)
-            buf[: chunk.size] = chunk
-            ssd_idx, device_lba = policy.place(
-                logical_start + p, tenant=tenant
-            )
-            self.ssds[ssd_idx].flash.write_page_data(device_lba, buf)
-        return n_pages
+        policy = interleaved(n)
+        return self._write_pages(
+            data, lambda p: policy.place(start_lba * n + p)
+        )
 
     def load_logical(
         self,
@@ -220,7 +210,9 @@ class Machine:
     ) -> int:
         """Place a dataset at a *logical* LBA range, routed through the
         machine's placement policy.  Returns pages written."""
-        return self._write_pages(self.placement, start_lba, data, tenant)
+        return self._write_pages(
+            data, lambda p: self.placement.place(start_lba + p, tenant=tenant)
+        )
 
     def read_logical(
         self,
@@ -231,17 +223,11 @@ class Machine:
     ) -> np.ndarray:
         """Read a logically-addressed dataset back (verification helper,
         the placement-aware sibling of :meth:`read_flash`)."""
-        page = self.cfg.ssds[0].page_size
-        n_pages = (nbytes + page - 1) // page
-        out = np.empty(n_pages * page, dtype=np.uint8)
-        for p in range(n_pages):
-            ssd_idx, device_lba = self.placement.place(
-                start_lba + p, tenant=tenant
-            )
-            out[p * page : (p + 1) * page] = self.ssds[
-                ssd_idx
-            ].flash.read_page_data(device_lba)
-        return out[:nbytes].view(np.dtype(dtype))
+        return self._read_pages(
+            nbytes,
+            dtype,
+            lambda p: self.placement.place(start_lba + p, tenant=tenant),
+        )
 
     def resolve(
         self, lba: int, tenant: Optional[str] = None
@@ -257,7 +243,45 @@ class Machine:
         dtype: np.dtype | str = np.uint8,
     ) -> np.ndarray:
         """Read a dataset back from flash (verification helper)."""
-        return read_array(self.ssds[ssd_idx].flash, start_lba, nbytes, dtype)
+        return self._read_pages(
+            nbytes, dtype, lambda p: (ssd_idx, start_lba + p)
+        )
+
+    def _write_pages(
+        self, data: np.ndarray, place: Callable[[int], tuple[int, int]]
+    ) -> int:
+        """Write ``data`` page by page, page ``p`` to ``place(p)`` =
+        ``(ssd, device LBA)``.  The FTL copies what it stores, so full
+        pages go in as views; only a short last page is zero-padded."""
+        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        page = self.cfg.ssds[0].page_size
+        n_pages = -(-raw.size // page)
+        for p in range(n_pages):
+            chunk = raw[p * page : (p + 1) * page]
+            if chunk.size < page:
+                chunk = np.concatenate(
+                    (chunk, np.zeros(page - chunk.size, dtype=np.uint8))
+                )
+            ssd_idx, device_lba = place(p)
+            self.ssds[ssd_idx].flash.write_page_data(device_lba, chunk)
+        return n_pages
+
+    def _read_pages(
+        self,
+        nbytes: int,
+        dtype: np.dtype | str,
+        place: Callable[[int], tuple[int, int]],
+    ) -> np.ndarray:
+        """Gather ``nbytes`` from the pages ``place(0), place(1), ...``."""
+        page = self.cfg.ssds[0].page_size
+        n_pages = -(-nbytes // page)
+        out = np.empty(n_pages * page, dtype=np.uint8)
+        for p in range(n_pages):
+            ssd_idx, device_lba = place(p)
+            out[p * page : (p + 1) * page] = self.ssds[
+                ssd_idx
+            ].flash.read_page_data(device_lba)
+        return out[:nbytes].view(np.dtype(dtype))
 
     def preload_cache(self, ssd_idx: int, lbas: Sequence[int]) -> None:
         """Install pages into every GPU's software cache without NVMe

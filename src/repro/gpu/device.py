@@ -50,7 +50,7 @@ class KernelLaunch:
                 grid_dim=self.launch_cfg.grid_dim,
                 block_dim=self.launch_cfg.block_dim,
             )
-        self.done.trigger(self)
+        self.done.trigger()  # no value: the launch as its own value is a cycle
 
 
 class Gpu:

@@ -16,7 +16,8 @@ Pipeline per command (paper §2.1):
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+import weakref
+from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
@@ -35,6 +36,22 @@ from repro.nvme.flash import FlashArray
 from repro.nvme.queue import QueuePair
 from repro.sim.engine import SimError, Simulator, Timeout
 from repro.sim.resources import BandwidthPipe
+
+
+def _weak_observer(
+    handler: Callable[[int], None], qid: int
+) -> Callable[[int], None]:
+    """A doorbell observer that calls ``handler(qid)`` without owning the
+    controller behind it: the controller owns its queue pairs, so a strong
+    observer would close a reference cycle through the doorbell."""
+    ref = weakref.WeakMethod(handler)
+
+    def observe(_value: int) -> None:
+        fn = ref()
+        if fn is not None:
+            fn(qid)
+
+    return observe
 
 
 class SsdController:
@@ -57,6 +74,7 @@ class SsdController:
         self.link = PcieLink(sim, cfg.pcie, name=f"{cfg.name}.pcie")
         self.flash = FlashArray(sim, cfg)
         self.queue_pairs: list[QueuePair] = []
+        self._pair_of: dict[int, QueuePair] = {}
         self._fetcher_active: dict[int, bool] = {}
         #: Precomputed per-queue process/event names: the controller spawns
         #: one process per fetched command, so name formatting is hot.
@@ -95,21 +113,25 @@ class SsdController:
                 f"{self.cfg.name}: exceeded {self.cfg.max_queue_pairs} queue pairs"
             )
         self.queue_pairs.append(qp)
+        self._pair_of[qp.qid] = qp
         self._fetcher_active[qp.qid] = False
         self._fetch_names[qp.qid] = f"{self.cfg.name}.fetch.q{qp.qid}"
         self._exec_prefixes[qp.qid] = f"{self.cfg.name}.exec.q{qp.qid}.c"
-        qp.sq.doorbell.observer = lambda _v, qp=qp: self._on_sq_doorbell(qp)
-        qp.cq.doorbell.observer = lambda _v, cq=qp.cq: cq.space.fire()
+        qp.sq.doorbell.observer = _weak_observer(self._on_sq_doorbell, qp.qid)
+        qp.cq.doorbell.observer = _weak_observer(self._on_cq_doorbell, qp.qid)
+
+    def _on_cq_doorbell(self, qid: int) -> None:
+        self._pair_of[qid].cq.space.fire()
 
     # -- SQ fetch path -------------------------------------------------------------
 
-    def _on_sq_doorbell(self, qp: QueuePair) -> None:
-        if self._fetcher_active[qp.qid]:
+    def _on_sq_doorbell(self, qid: int) -> None:
+        if self._fetcher_active[qid]:
             return
-        self._fetcher_active[qp.qid] = True
+        self._fetcher_active[qid] = True
         self.sim.spawn(
-            self._fetch_loop(qp),
-            name=self._fetch_names[qp.qid],
+            self._fetch_loop(self._pair_of[qid]),
+            name=self._fetch_names[qid],
             daemon=True,
         )
 
@@ -134,7 +156,7 @@ class SsdController:
         self._fetcher_active[qp.qid] = False
         # Re-check: a doorbell may have landed while we were finishing.
         if qp.sq.device_pending() > 0:
-            self._on_sq_doorbell(qp)
+            self._on_sq_doorbell(qp.qid)
 
     # -- command execution ------------------------------------------------------------
 

@@ -50,7 +50,7 @@ class FlashArray:
         self.injector = None
         #: Logical->physical mapping, page store, and GC (AGL014: the page
         #: store is mutated only inside ``repro/nvme/ftl.py``).
-        self.ftl = Ftl(self)
+        self.ftl = Ftl(sim, cfg)
 
     # -- data plane ------------------------------------------------------------
 
@@ -131,7 +131,7 @@ class FlashArray:
             pp = ftl.alloc_page()
             spins = 0
             while pp is None:
-                ftl.maybe_start_gc(force=True)
+                ftl.maybe_start_gc(self, force=True)
                 if spins >= self.GC_WAIT_LIMIT:
                     break
                 if ftl.collecting:
@@ -157,7 +157,7 @@ class FlashArray:
                 ftl.burn_page(pp)
             return False
         ftl.commit_program(lba, pp, data)
-        ftl.maybe_start_gc()
+        ftl.maybe_start_gc(self)
         return True
 
     #: Back-compat alias: callers that only need timing semantics (no
@@ -169,37 +169,3 @@ class FlashArray:
             return 0.0
         return sum(c.utilization() for c in self._channels) / len(self._channels)
 
-
-def load_array(
-    flash: FlashArray, start_lba: int, data: np.ndarray
-) -> int:
-    """Host-side helper: place ``data`` onto flash starting at ``start_lba``
-    (no simulated time — this models pre-loading the dataset before the
-    experiment starts, as the paper does with Criteo/GAP data).
-
-    Returns the number of pages written.
-    """
-    raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    page = flash.cfg.page_size
-    n_pages = (raw.size + page - 1) // page
-    for i in range(n_pages):
-        chunk = raw[i * page : (i + 1) * page]
-        buf = np.zeros(page, dtype=np.uint8)
-        buf[: chunk.size] = chunk
-        flash.write_page_data(start_lba + i, buf)
-    return n_pages
-
-
-def read_array(
-    flash: FlashArray,
-    start_lba: int,
-    nbytes: int,
-    dtype: np.dtype | str = np.uint8,
-) -> np.ndarray:
-    """Host-side helper: gather ``nbytes`` from flash (no simulated time)."""
-    page = flash.cfg.page_size
-    n_pages = (nbytes + page - 1) // page
-    raw = np.concatenate(
-        [flash.read_page_data(start_lba + i) for i in range(n_pages)]
-    )[:nbytes]
-    return raw.view(dtype)

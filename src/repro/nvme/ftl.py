@@ -39,7 +39,8 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
 
-from repro.sim.engine import Process, SimError
+from repro.config import SsdConfig
+from repro.sim.engine import Process, SimError, Simulator
 from repro.sim.sync import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flash owns us)
@@ -60,11 +61,9 @@ class Ftl:
     #: relocation target (the classic reserved-block rule).
     GC_RESERVE = 1
 
-    def __init__(self, flash: "FlashArray"):
-        self.flash = flash
-        self.sim = flash.sim
-        self.cfg = flash.cfg
-        cfg = self.cfg
+    def __init__(self, sim: Simulator, cfg: SsdConfig):
+        self.sim = sim
+        self.cfg = cfg
         #: Logical LBA -> physical page (absent = identity, never written).
         self._l2p: dict[int, int] = {}
         #: Physical page -> owning logical LBA (live pages only).
@@ -307,9 +306,13 @@ class Ftl:
 
     # -- garbage collection --------------------------------------------------
 
-    def maybe_start_gc(self, *, force: bool = False) -> None:
+    def maybe_start_gc(
+        self, flash: "FlashArray", *, force: bool = False
+    ) -> None:
         """Spawn the GC daemon when the free pool is low (lazy: a run that
-        never programs never creates the process)."""
+        never programs never creates the process).  ``flash`` is the array
+        this FTL serves, whose channels the run occupies: handed in, not
+        stored, because the array owns the FTL."""
         cfg = self.cfg
         if not cfg.gc_enabled:
             return
@@ -318,10 +321,10 @@ class Ftl:
         if not force and self.free_blocks >= cfg.gc_low_water_blocks:
             return
         self._gc_proc = self.sim.spawn(
-            self._gc_run(), name=self._gc_name, daemon=True
+            self._gc_run(flash), name=self._gc_name, daemon=True
         )
 
-    def _gc_run(self) -> Generator[Any, Any, None]:
+    def _gc_run(self, flash: "FlashArray") -> Generator[Any, Any, None]:
         cfg = self.cfg
         t0 = self.sim.now
         moved = 0
@@ -333,7 +336,7 @@ class Ftl:
                 break
             self.collecting = True
             mark = self.sim.now
-            res = yield from self._collect(victim)
+            res = yield from self._collect(victim, flash)
             # Accrue per victim, not per run: a daemon still collecting
             # when the experiment window closes has already spent this.
             self.gc_busy_ns += self.sim.now - mark
@@ -383,13 +386,14 @@ class Ftl:
                     best, best_score = blk, score
         return best
 
-    def _collect(self, victim: int) -> Generator[Any, Any, Optional[int]]:
+    def _collect(
+        self, victim: int, flash: "FlashArray"
+    ) -> Generator[Any, Any, Optional[int]]:
         """Relocate the victim's live pages, then erase it.  Returns the
         number of pages moved, or None when the collection had to abort
         for lack of relocation targets (the victim keeps its remaining
         live pages and returns to the occupied pool)."""
         cfg = self.cfg
-        flash = self.flash
         ppb = cfg.pages_per_block
         base = victim * ppb
         self._state[victim] = _COLLECTING

@@ -417,11 +417,9 @@ def make_placement(
     *,
     stripe_pages: int = 1,
     shard_span: int = 0,
-    load: Optional[Callable[[], Sequence[float]]] = None,
-    healthy: Optional[Callable[[], Sequence[bool]]] = None,
     max_moves: int = 64,
 ) -> PlacementPolicy:
-    """Instantiate a policy by name (un-attached)."""
+    """Instantiate a policy by name (un-attached, no load/health feeds)."""
     if policy == "identity":
         return IdentityPlacement()
     if policy == "striped":
@@ -429,9 +427,7 @@ def make_placement(
     if policy == "shard":
         return StaticShardPlacement(shard_span)
     if policy == "load_aware":
-        return LoadAwarePlacement(
-            load=load, healthy=healthy, max_moves=max_moves
-        )
+        return LoadAwarePlacement(max_moves=max_moves)
     if policy == "tenant_affine":
         return TenantAffinePlacement(max_moves=max_moves)
     raise ValueError(
@@ -440,12 +436,7 @@ def make_placement(
     )
 
 
-def placement_for_config(
-    cfg,
-    *,
-    load: Optional[Callable[[], Sequence[float]]] = None,
-    healthy: Optional[Callable[[], Sequence[bool]]] = None,
-) -> PlacementPolicy:
+def placement_for_config(cfg) -> PlacementPolicy:
     """Build and attach the policy a :class:`repro.config.SystemConfig`
     asks for.  ``cfg`` is duck-typed (``ssds`` + ``placement`` fields) so
     this module stays import-cycle-free."""
@@ -454,8 +445,6 @@ def placement_for_config(
         p.policy,
         stripe_pages=p.stripe_pages,
         shard_span=p.shard_span,
-        load=load,
-        healthy=healthy,
         max_moves=p.rebalance_max_moves,
     )
     geometry = ArrayGeometry(

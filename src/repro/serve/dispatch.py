@@ -30,7 +30,6 @@ class Dispatcher:
     def __init__(
         self,
         sim: Simulator,
-        run_batch: Callable[[int, "Batch"], Generator[Any, Any, None]],
         num_workers: int,
         events: Counter,
         pending_gauge: Optional[Gauge] = None,
@@ -39,8 +38,6 @@ class Dispatcher:
         if num_workers < 1:
             raise ValueError("need at least one dispatch worker")
         self.sim = sim
-        #: Backend hook: a generator that serves one batch on one worker.
-        self.run_batch = run_batch
         self.num_workers = num_workers
         self.events = events
         self.pending_gauge = pending_gauge
@@ -75,14 +72,24 @@ class Dispatcher:
 
     # -- worker side --------------------------------------------------------
 
-    def spawn_workers(self) -> List[Process]:
+    def spawn_workers(
+        self, run_batch: Callable[[int, "Batch"], Generator[Any, Any, None]]
+    ) -> List[Process]:
+        """Start one worker per GPU; ``run_batch(worker, batch)`` serves
+        one batch.  Only the workers hold it, so the hook (the engine's
+        bound method) is dropped when they return, not kept in a cycle
+        with the engine that owns this dispatcher."""
         self._procs = [
-            self.sim.spawn(self._worker(w), name=f"serve.worker{w}")
+            self.sim.spawn(self._worker(w, run_batch), name=f"serve.worker{w}")
             for w in range(self.num_workers)
         ]
         return self._procs
 
-    def _worker(self, worker_idx: int) -> Generator[Any, Any, None]:
+    def _worker(
+        self,
+        worker_idx: int,
+        run_batch: Callable[[int, "Batch"], Generator[Any, Any, None]],
+    ) -> Generator[Any, Any, None]:
         while True:
             while not self._pending and not self._closed:
                 ev = self.sim.event(f"serve.worker{worker_idx}.wait")
@@ -97,7 +104,7 @@ class Dispatcher:
             now = self.sim.now
             for req in batch.requests:
                 req.transition(RequestState.DISPATCHED, now)
-            yield from self.run_batch(worker_idx, batch)
+            yield from run_batch(worker_idx, batch)
             self.events.add("batches_dispatched")
             self.events.add(f"worker{worker_idx}_batches")
 

@@ -137,7 +137,6 @@ class ServeEngine:
         )
         self.dispatcher = Dispatcher(
             self.sim,
-            self._run_batch,
             num_workers=backend.num_workers,
             events=registry.counter(
                 "serve.dispatch", description="batch dispatch counters"
@@ -292,7 +291,7 @@ class ServeEngine:
             for cls in self.classes
         ]
         self.sim.spawn(self.batcher.run(), name="serve.batcher")
-        workers = self.dispatcher.spawn_workers()
+        workers = self.dispatcher.spawn_workers(self._run_batch)
 
         def main() -> Generator[Any, Any, None]:
             for proc in arrival_procs:

@@ -102,13 +102,17 @@ def run_cell(plan: CellPlan) -> ServeReport:
     function of the plan, so equal plans give bit-equal reports)."""
     backend = build_backend(plan.system, plan.config)
     backend.load_pattern(plan.classes)
-    return ServeEngine(
+    report = ServeEngine(
         backend,
         plan.classes,
         plan.arrivals(backend),
         plan.serve,
         seed=plan.config.seed,
     ).run()
+    # The cell is over: what is still scheduled (a background GC pass)
+    # goes now, so the machine is freed on return, not at a GC pass.
+    backend.sim.close()
+    return report
 
 
 def serve_runner(plan: CellPlan, keep: Tuple[str, ...] = ()) -> Runner:

@@ -453,6 +453,19 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (when, self._seq, [self._seq, _K_CALL, fn, args]))
 
+    def close(self) -> None:
+        """End the simulation for good: drop every pending event and kill
+        every live process.  A suspended process's frame holds model
+        objects and they hold the simulator, so a run that ends with a
+        daemon still scheduled (a background GC pass, say) would otherwise
+        keep its whole machine in a reference cycle.  Nothing is simulated
+        after this, so the kill order is moot."""
+        self._heap.clear()
+        self._raw_pending = 0
+        for proc in list(self._alive):
+            proc.kill()
+        self._immediate.clear()
+
     def _crash(self, exc: BaseException, proc: Process) -> None:
         if self._crashed is None:
             self._crashed = (exc, proc)

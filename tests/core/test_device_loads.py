@@ -13,7 +13,7 @@ def test_untouched_ftls_contribute_exactly_zero():
     # pure in-flight count (all zeros at rest) — no float residue from
     # the pressure term.
     host = make_host()
-    assert host._device_loads() == [0.0] * len(host.ssds)
+    assert host._device_loads(host.issue) == [0.0] * len(host.ssds)
 
 
 def test_write_pressure_raises_the_score():
@@ -24,7 +24,7 @@ def test_write_pressure_raises_the_score():
     ftl.host_programs = 100
     ftl.gc_programs = 50  # waf = 1.5
     ftl.free_blocks = ftl.cfg.physical_blocks // 2
-    loads = host._device_loads()
+    loads = host._device_loads(host.issue)
     assert loads[0] == pytest.approx(
         host.WAF_LOAD_WEIGHT * 0.5 + host.SCARCITY_LOAD_WEIGHT * 0.5
     )
@@ -36,7 +36,7 @@ def test_waf_one_and_full_pool_add_nothing():
     host = make_host()
     ftl = host.ssds[0].flash.ftl
     ftl.host_programs = 10  # waf == 1.0, free pool untouched
-    assert host._device_loads()[0] == 0.0
+    assert host._device_loads(host.issue)[0] == 0.0
 
 
 def test_feed_reaches_the_load_aware_policy():

@@ -10,8 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from repro.baselines import BamHost
-from repro.config import PlacementConfig
-from repro.core import AgileHost, MultiGpuAgileHost
+from repro.config import PlacementConfig, SsdConfig
+from repro.core import AgileHost, AgileLockChain, MultiGpuAgileHost
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.sim import Timeout
 
@@ -76,6 +76,33 @@ class TestExecution:
         with host as entered:
             assert entered is host
         host.drain()  # nothing in flight: legal on every machine, any time
+
+    def test_a_deep_queue_config_fits_in_hbm(self, make):
+        """Each GPU's SQ/CQ rings live in its HBM beside the cache: ~92 MiB
+        of them here, more than the 64 MiB of headroom HBM was sized with
+        before it counted them."""
+        host = make(small_config(
+            ssds=(SsdConfig(name="ssd0", max_queue_depth=1 << 18),),
+            queue_pairs=8,
+            queue_depth=150_000,
+        ))
+        host.load_data(0, 3, np.full(PAGE, 7, dtype=np.uint8))
+        buf = host.alloc_view(PAGE)
+        chain = AgileLockChain("deep")
+
+        def body(tc, ctrl):
+            if hasattr(ctrl, "raw_read"):  # AGILE
+                txn = yield from ctrl.raw_read(tc, chain, 0, 3, buf)
+                yield from txn.wait()
+            else:  # BaM reads through its cache
+                line = yield from ctrl.read_page(tc, chain, 0, 3)
+                buf[:] = line.buffer
+                ctrl.cache.unpin(line)
+
+        with host:
+            host.run_kernel(KernelSpec(name="deep", body=body), LaunchConfig(1, 1))
+        assert (buf == 7).all()
+        assert host.driver.device_stats()[0]["completed_reads"] == 1
 
     def test_run_kernel_returns_launch_duration(self, host):
         seen = []

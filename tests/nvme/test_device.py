@@ -6,10 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import GpuConfig, SsdConfig
+from repro.config import GpuConfig, SsdConfig, SystemConfig
+from repro.core.machine import Machine
 from repro.mem import Hbm
 from repro.nvme import NvmeCommand, NvmeDriver, Opcode, Status
-from repro.nvme.flash import load_array, read_array
 from repro.sim import Simulator, Timeout
 
 
@@ -174,15 +174,19 @@ class TestConcurrency:
 
 
 class TestFlashHelpers:
-    def test_load_and_read_array_roundtrip(self, sim):
-        hbm = Hbm(sim, GpuConfig(), capacity=1 << 20)
-        driver = NvmeDriver(sim, hbm)
-        ssd = driver.add_device(SsdConfig(name="s", capacity_bytes=1 << 24))
+    def test_load_and_read_array_roundtrip(self):
+        machine = Machine(
+            SystemConfig(ssds=(SsdConfig(name="s", capacity_bytes=1 << 24),))
+        )
         data = np.arange(3000, dtype=np.float32)
-        pages = load_array(ssd.flash, 10, data)
+        pages = machine.load_data(0, 10, data)
         assert pages == (3000 * 4 + 4095) // 4096
-        out = read_array(ssd.flash, 10, 3000 * 4, np.float32)
-        assert np.array_equal(out, data)
+        data[:] = -1  # flash holds copies, not views of the caller's array
+        out = machine.read_flash(0, 10, 3000 * 4, np.float32)
+        assert np.array_equal(out, np.arange(3000, dtype=np.float32))
+        # Only the short last page is padded, with zeros.
+        last = machine.ssds[0].flash.read_page_data(12)
+        assert not last[3000 * 4 - 2 * 4096 :].any()
 
     def test_write_page_size_checked(self, sim):
         hbm = Hbm(sim, GpuConfig(), capacity=1 << 20)

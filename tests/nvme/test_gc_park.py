@@ -29,7 +29,7 @@ class SpinningFlashArray(FlashArray):
         pp = ftl.alloc_page()
         spins = 0
         while pp is None:
-            ftl.maybe_start_gc(force=True)
+            ftl.maybe_start_gc(self, force=True)
             if spins >= LIMIT:
                 break
             spins += 1
@@ -46,7 +46,7 @@ class SpinningFlashArray(FlashArray):
             ftl.burn_page(pp)
             return False
         ftl.commit_program(lba, pp, data)
-        ftl.maybe_start_gc()
+        ftl.maybe_start_gc(self)
         return True
 
 
