@@ -3,11 +3,11 @@ lock-order analysis, and the simulation-safety lint.
 
 Three layers (see DESIGN.md "Invariants & analysis"):
 
-1. *Runtime invariant checkers* (:mod:`repro.analysis.invariants`) attach
-   to a live :class:`~repro.core.host.AgileHost` and fail the simulation
-   loudly the instant a protocol rule from the paper is broken.
-2. *Offline analyzers* (:mod:`repro.analysis.races`) replay the recorded
-   event stream after a run and report latent lock-order inversions and
+1. *Runtime invariant checkers* (:mod:`repro.analysis.invariants`)
+   subscribe to a live machine's probe and fail the simulation loudly the
+   instant a protocol rule from the paper is broken.
+2. *Offline analyzers* (:mod:`repro.analysis.races`) replay the retained
+   protocol records after a run and report latent lock-order inversions and
    unsynchronized cache-line accesses even when this seed got lucky.
 3. *Static lint* (:mod:`repro.analysis.lint`) enforces syntactic
    simulation-safety rules (AGL001-AGL015) on the source tree without
@@ -17,8 +17,8 @@ Typical use::
 
     from repro.analysis import attach
 
-    host = AgileHost(cfg)
-    session = attach(host)          # or run pytest --agile-checks
+    host = AgileHost(cfg)           # or BamHost, MultiGpuAgileHost
+    session = attach(host)
     ... run kernels ...
     report = session.report()       # offline race/lock-order findings
     assert report.clean, report.summary()
@@ -36,7 +36,6 @@ from repro.analysis.invariants import (
     InvariantViolation,
     ShareTableChecker,
     SqConformanceChecker,
-    standard_checkers,
 )
 from repro.analysis.races import (
     AnalysisReport,
@@ -64,13 +63,12 @@ __all__ = [
     "SqConformanceChecker",
     "analyze",
     "attach",
-    "standard_checkers",
 ]
 
 
 @dataclass
 class AnalysisSession:
-    """A host's attached event log plus its live checkers."""
+    """A machine's retained protocol log plus its live checkers."""
 
     log: EventLog
     checkers: List[InvariantChecker] = field(default_factory=list)
@@ -84,24 +82,18 @@ class AnalysisSession:
 
 
 def attach(host: Any, maxlen: Optional[int] = 1_000_000) -> AnalysisSession:
-    """Wire an :class:`EventLog` into every instrumented component of an
-    :class:`~repro.core.host.AgileHost` and subscribe one of each runtime
-    invariant checker.  Idempotent per host (re-attaching replaces the
-    previous session's log)."""
-    log = EventLog(host.sim, maxlen=maxlen)
-    for qps in host.queue_pairs:
-        for qp in qps:
-            qp.sq.log = log
-            qp.cq.log = log
-            qp.sq.doorbell.log = log
-            qp.cq.doorbell.log = log
-    host.debugger.log = log
-    host.cache.log = log
-    if host.share_table is not None:
-        host.share_table.log = log
-    checkers = standard_checkers(host.queue_pairs)
+    """Subscribe an :class:`EventLog` and one of each runtime invariant
+    checker to the probe of any :class:`~repro.core.machine.Machine`.  A
+    machine has one session: attaching again returns it."""
+    if host.analysis is not None:
+        return host.analysis
+    probe = host.instrument()
+    checkers = [
+        SqConformanceChecker(), CqPhaseChecker(), CacheStateChecker(),
+        ShareTableChecker(),
+    ]
+    session = AnalysisSession(EventLog(maxlen).attach(probe), checkers)
     for checker in checkers:
-        checker.attach(log)
-    session = AnalysisSession(log=log, checkers=checkers)
+        checker.attach(probe)
     host.analysis = session
     return session

@@ -1,14 +1,15 @@
 """Runtime protocol-invariant checkers (paper Algs. 1-2, §3.4, §3.4.1).
 
-Each checker subscribes to an :class:`~repro.sim.trace.EventLog` and
-validates the protocol-level claims the paper makes but the models do not
-mechanically enforce.  Checkers raise :class:`InvariantViolation` *inside*
-the emitting model call, so a protocol bug fails the simulation at the
-exact simulated instant it happens instead of surfacing later as a
-plausible-looking but wrong bandwidth number.
+Each checker subscribes to the record kinds it judges on a machine's
+:class:`~repro.sim.probe.Probe` and validates the protocol-level claims
+the paper makes but the models do not mechanically enforce.  Checkers
+raise :class:`InvariantViolation` *inside* the emitting model call, so a
+protocol bug fails the simulation at the exact simulated instant it
+happens instead of surfacing later as a plausible-looking but wrong
+bandwidth number.
 
-Because checkers consume events rather than patching model internals, a
-seeded violation can be demonstrated by feeding a synthetic event stream —
+Because checkers consume records rather than patching model internals, a
+seeded violation can be demonstrated by emitting synthetic records —
 which is exactly how ``tests/analysis`` proves each checker class fires.
 """
 
@@ -19,7 +20,7 @@ from typing import Dict, Set, Tuple
 from repro.core.cache import LineState
 from repro.core.sharetable import BufState
 from repro.sim.engine import SimError
-from repro.sim.trace import EventLog, TraceEvent
+from repro.sim.probe import Probe, Record
 
 
 class InvariantViolation(SimError):
@@ -27,28 +28,27 @@ class InvariantViolation(SimError):
 
 
 class InvariantChecker:
-    """Base class: subscribes to a log, dispatches by event kind."""
+    """Base class: subscribes to the record kinds it judges."""
 
-    #: Event-kind prefix this checker wants (e.g. ``"sq."``).
-    PREFIX = ""
+    #: Record kinds this checker subscribes to.
+    KINDS: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.events_checked = 0
 
-    def attach(self, log: EventLog) -> "InvariantChecker":
-        log.subscribe(self._on_event)
+    def attach(self, probe: Probe) -> "InvariantChecker":
+        for kind in self.KINDS:
+            probe.subscribe(kind, self._on_event)
         return self
 
-    def _on_event(self, event: TraceEvent) -> None:
-        if self.PREFIX and not event.kind.startswith(self.PREFIX):
-            return
+    def _on_event(self, event: Record) -> None:
         self.events_checked += 1
         self.check(event)
 
-    def check(self, event: TraceEvent) -> None:  # pragma: no cover - abstract
+    def check(self, event: Record) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def fail(self, event: TraceEvent, message: str) -> None:
+    def fail(self, event: Record, message: str) -> None:
         raise InvariantViolation(
             f"[{type(self).__name__}] t={event.t:.0f} ns: {message} "
             f"(event: {event.kind} {event.data.get('qid', '')})"
@@ -72,7 +72,10 @@ class SqConformanceChecker(InvariantChecker):
       doorbell lock exists to prevent.  Ring values must also be monotonic.
     """
 
-    PREFIX = ""  # consumes sq.* and mmio.* (doorbell) events
+    KINDS = (
+        "sq.reserve", "sq.publish", "sq.advance", "sq.release", "sq.fetch",
+        "mmio.ring",
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -80,25 +83,19 @@ class SqConformanceChecker(InvariantChecker):
         self._inflight: Dict[int, Set[int]] = {}
         self._issued_tail: Dict[int, int] = {}
         self._rung: Dict[int, int] = {}
-        #: Maps a doorbell object id to its SQ object id (set by attach_sq).
+        #: Maps a doorbell object id to its SQ object id, learnt from the
+        #: SQ's first reservation (every ring follows one).
         self._db_to_sq: Dict[int, int] = {}
 
-    def attach_sq(self, sq) -> None:
-        """Associate an SQ's doorbell with it for ring-ordering checks."""
-        self._db_to_sq[id(sq.doorbell)] = id(sq)
-
-    def _on_event(self, event: TraceEvent) -> None:
-        if event.kind.startswith("sq.") or (
-            event.kind == "mmio.ring" and id(event.get("src")) in (
-                self._db_to_sq
-            )
-        ):
+    def _on_event(self, event: Record) -> None:
+        # CQ head doorbells ring too; only SQ tail rings are judged here.
+        if event.kind != "mmio.ring" or id(event["src"]) in self._db_to_sq:
             self.events_checked += 1
             self.check(event)
 
-    def check(self, event: TraceEvent) -> None:
+    def check(self, event: Record) -> None:
         if event.kind == "mmio.ring":
-            sq_key = self._db_to_sq[id(event.get("src"))]
+            sq_key = self._db_to_sq[id(event["src"])]
             value = event["value"]
             if value < self._rung.get(sq_key, 0):
                 self.fail(
@@ -115,8 +112,10 @@ class SqConformanceChecker(InvariantChecker):
                 )
             self._rung[sq_key] = value
             return
-        key = id(event.get("src"))
-        if event.kind == "sq.publish":
+        key = id(event["src"])
+        if event.kind == "sq.reserve":
+            self._db_to_sq[id(event["src"].doorbell)] = key
+        elif event.kind == "sq.publish":
             cids = self._inflight.setdefault(key, set())
             cid = event["cid"]
             if cid in cids:
@@ -165,18 +164,15 @@ class CqPhaseChecker(InvariantChecker):
     - **Host head bounds**: ``consume_to`` positions are monotonic.
     """
 
-    PREFIX = "cq."
+    KINDS = ("cq.post", "cq.consume")
 
-    def __init__(self, depth_of=None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._next_pos: Dict[int, int] = {}
         self._consumed: Dict[int, int] = {}
-        #: Optional callable mapping a CQ src object to its depth; when
-        #: None the src object's ``depth`` attribute is used.
-        self._depth_of = depth_of
 
-    def check(self, event: TraceEvent) -> None:
-        key = id(event.get("src"))
+    def check(self, event: Record) -> None:
+        key = id(event["src"])
         if event.kind == "cq.post":
             pos = event["pos"]
             expected = self._next_pos.get(key)
@@ -186,11 +182,7 @@ class CqPhaseChecker(InvariantChecker):
                     f"CQE posted at position {pos}, expected {expected} "
                     f"(posts must be consecutive)",
                 )
-            src = event.get("src")
-            depth = (
-                self._depth_of(src) if self._depth_of is not None
-                else getattr(src, "depth", None)
-            )
+            depth = getattr(event["src"], "depth", None)
             if depth:
                 expected_phase = (pos // depth) % 2 == 0
                 if event["phase"] != expected_phase:
@@ -200,7 +192,7 @@ class CqPhaseChecker(InvariantChecker):
                         f"breaks per-wrap discipline (expected "
                         f"{expected_phase} on pass {pos // depth})",
                     )
-                head = event.get("head_doorbell", 0)
+                head = event["head_doorbell"]
                 if pos - head >= depth:
                     self.fail(
                         event,
@@ -245,25 +237,25 @@ class CacheStateChecker(InvariantChecker):
     (dirtying a line that holds no data).
     """
 
-    PREFIX = "cache.state"
+    KINDS = ("cache.state",)
 
     def __init__(self) -> None:
         super().__init__()
         self.transitions = 0
 
-    def check(self, event: TraceEvent) -> None:
+    def check(self, event: Record) -> None:
         old, new = event["old"], event["new"]
         self.transitions += 1
         if (old, new) in LEGAL_LINE_TRANSITIONS:
             return
         allowed_reasons = FAILURE_LINE_TRANSITIONS.get((old, new))
-        if allowed_reasons and event.get("reason") in allowed_reasons:
+        if allowed_reasons and event["reason"] in allowed_reasons:
             return
         self.fail(
             event,
             f"illegal cache-line transition {old.name} -> {new.name} "
             f"on line {event['line']} (tag {event['tag']}, "
-            f"reason {event.get('reason', '')!r})",
+            f"reason {event['reason']!r})",
         )
 
 
@@ -291,12 +283,9 @@ class ShareTableChecker(InvariantChecker):
       (``-> INVALID``) requires refcount zero.
     """
 
-    PREFIX = "share."
+    KINDS = ("share.state", "share.register")
 
-    def __init__(self) -> None:
-        super().__init__()
-
-    def check(self, event: TraceEvent) -> None:
+    def check(self, event: Record) -> None:
         if event.kind == "share.state":
             old, new = event["old"], event["new"]
             if (old, new) not in LEGAL_BUF_TRANSITIONS:
@@ -323,17 +312,3 @@ class ShareTableChecker(InvariantChecker):
                     f"buffer while {event['replaced_refcount']} references "
                     f"to the first are live (two owners)",
                 )
-
-
-def standard_checkers(
-    queue_pairs=None,
-) -> list[InvariantChecker]:
-    """Build one of each checker; ``queue_pairs`` (nested iterables of
-    :class:`~repro.nvme.queue.QueuePair`) wires SQ doorbells for the
-    ring-ordering check."""
-    sq = SqConformanceChecker()
-    if queue_pairs is not None:
-        for qps in queue_pairs:
-            for qp in qps:
-                sq.attach_sq(qp.sq)
-    return [sq, CqPhaseChecker(), CacheStateChecker(), ShareTableChecker()]

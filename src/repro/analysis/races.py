@@ -1,7 +1,7 @@
 """Offline happens-before race and lock-order analysis (paper §3.5).
 
-Both analyzers replay the recorded :class:`~repro.sim.trace.EventLog`
-stream after a run, so they report *potential* bugs even when the
+Both analyzers replay the records an :class:`~repro.sim.trace.EventLog`
+retained during a run, so they report *potential* bugs even when the
 particular seed's interleaving happened to be benign:
 
 - :class:`LockOrderAnalyzer` builds the lock-acquisition-order graph over
@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.trace import EventLog, TraceEvent
+from repro.sim.probe import Record
+from repro.sim.trace import EventLog
 
 
 def simple_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
@@ -121,7 +122,7 @@ class LockOrderAnalyzer:
         self._held: Dict[str, Tuple[str, float]] = {}
         self.acquisitions = 0
 
-    def feed(self, events: Iterable[TraceEvent]) -> "LockOrderAnalyzer":
+    def feed(self, events: Iterable[Record]) -> "LockOrderAnalyzer":
         for event in events:
             if event.kind == "lock.release":
                 self._held.pop(event["lock"], None)
@@ -131,7 +132,7 @@ class LockOrderAnalyzer:
             target = event["lock"]
             chain = event["chain"]
             self._held[target] = (chain, event.t)
-            for held in event.get("held_before", ()):
+            for held in event["held_before"]:
                 if held == target:
                     continue
                 self._edges.setdefault((held, target), set()).add(
@@ -185,7 +186,7 @@ class DataRaceAnalyzer:
         ] = {}
         self._tags: Dict[Tuple[int, int], Optional[tuple]] = {}
 
-    def feed(self, events: Iterable[TraceEvent]) -> "DataRaceAnalyzer":
+    def feed(self, events: Iterable[Record]) -> "DataRaceAnalyzer":
         for event in events:
             if event.kind == "cache.state":
                 # A transition to BUSY re-purposes the line for a new tag:
@@ -200,7 +201,7 @@ class DataRaceAnalyzer:
                 self._accesses.setdefault(key, []).append(
                     (event["tid"], event["rw"], event["pinned"], event.t)
                 )
-                self._tags[key] = event.get("tag")
+                self._tags[key] = event["tag"]
         return self
 
     def races(self) -> List[RaceReport]:
@@ -238,14 +239,18 @@ class AnalysisReport:
     races: List[RaceReport] = field(default_factory=list)
     leaks: List[str] = field(default_factory=list)
     events_seen: int = 0
+    #: Older records the bounded log dropped (findings cover the rest).
+    events_dropped: int = 0
 
     @property
     def clean(self) -> bool:
         return not (self.inversions or self.cycles or self.races or self.leaks)
 
     def summary(self) -> str:
+        dropped = self.events_dropped
         lines = [
-            f"analyzed {self.events_seen} events: "
+            f"analyzed {self.events_seen} events"
+            f"{f' ({dropped} older ones dropped)' if dropped else ''}: "
             f"{len(self.inversions)} lock-order inversion(s), "
             f"{len(self.cycles)} acquisition cycle(s), "
             f"{len(self.races)} potential data race(s)"
@@ -271,4 +276,5 @@ def analyze(log: EventLog) -> AnalysisReport:
         races=data.races(),
         leaks=lock.leaks(),
         events_seen=len(events),
+        events_dropped=log.dropped,
     )

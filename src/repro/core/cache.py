@@ -172,11 +172,8 @@ class SoftwareCache:
         self._set_locks = [
             AgileLock(sim, f"cacheset{i}", debugger) for i in range(self.num_sets)
         ]
-        #: Optional :class:`~repro.sim.trace.EventLog` for protocol events.
-        self.log = None
-        #: Optional :class:`repro.telemetry.Telemetry` session (fill spans
-        #: and stall attribution); None costs one check per slow path.
-        self.tel = None
+        #: Optional :class:`repro.sim.probe.Probe` (lines, fills, stalls).
+        self.probe = None
 
     # -- state transitions ---------------------------------------------------------
 
@@ -188,8 +185,8 @@ class SoftwareCache:
         them against the paper-legal set)."""
         old = line.state
         line.state = new
-        if self.log is not None and old is not new:
-            self.log.emit(
+        if self.probe is not None and old is not new:
+            self.probe.emit(
                 "cache.state", src=self, line=line.index, set=line.set_idx,
                 way=line.way, old=old, new=new, tag=line.tag, reason=reason,
             )
@@ -321,8 +318,10 @@ class SoftwareCache:
                         # small-cache regime) retries would otherwise storm.
                         self.stats.add("victim_stalls")
                         lock.release(chain)
-                        if self.tel is not None:
-                            self.tel.stall_ns.add("victim_wait", backoff)
+                        if self.probe is not None:
+                            self.probe.emit(
+                                "gpu.stall", reason="victim_wait", ns=backoff,
+                            )
                         yield Timeout(backoff)
                         backoff = min(backoff * 2, self.MAX_BACKOFF_NS)
                         continue
@@ -344,10 +343,12 @@ class SoftwareCache:
                 if not wait:
                     return line
                 gate = line.ready_gate
-                if self.tel is not None:
+                if self.probe is not None:
                     wait_t0 = self.sim.now
                     yield from gate.wait()
-                    self.tel.stall_ns.add("fill_wait", self.sim.now - wait_t0)
+                    self.probe.emit(
+                        "gpu.stall", reason="fill_wait", ns=self.sim.now - wait_t0,
+                    )
                 else:
                     yield from gate.wait()
                 if not (line.valid and line.ready_gate is gate):
@@ -444,8 +445,8 @@ class SoftwareCache:
     ) -> Generator[Any, Any, None]:
         """Issue the eviction write-back (if any) and the fill for a freshly
         claimed BUSY line.  Runs outside the set lock."""
-        tel = self.tel
-        fill_t0 = self.sim.now if tel is not None else 0.0
+        probe = self.probe
+        fill_t0 = self.sim.now if probe is not None else 0.0
         route = line.route if line.route is not None else tag
         logical = tag[1] if tag[0] == LOGICAL_NS else None
         if self.policy.decision_cycles:
@@ -467,10 +468,9 @@ class SoftwareCache:
                 yield from tc.hbm_store(cached.size)
                 line.buffer[:] = cached
                 self._finish_fill(line, tag)
-                if tel is not None:
-                    tel.spans.complete(
-                        "fill.dram_tier", "core", "cache", fill_t0,
-                        ssd=route[0], lba=route[1],
+                if probe is not None:
+                    probe.emit(
+                        "cache.dram_fill", t0=fill_t0, ssd=route[0], lba=route[1],
                     )
                 return
 
@@ -480,17 +480,14 @@ class SoftwareCache:
         )
         # The service invokes on_complete(completion); the line/tag context
         # rides in the partial instead of a per-fill closure.
-        if tel is None:
+        if probe is None:
             txn.on_complete = partial(self._finish_fill, line, tag)
         else:
-            spans = tel.spans
 
-            def _traced_fill(completion=None, _line=line, _tag=tag,
-                             _route=route):
-                self._finish_fill(_line, _tag, completion)
-                spans.complete(
-                    "fill", "core", "cache", fill_t0, ssd=_route[0],
-                    lba=_route[1],
+            def _traced_fill(completion=None):
+                self._finish_fill(line, tag, completion)
+                probe.emit(
+                    "cache.fill", t0=fill_t0, ssd=route[0], lba=route[1],
                     ok=completion is None or completion.ok,
                 )
 
@@ -562,10 +559,10 @@ class SoftwareCache:
         if not line.valid:
             raise SimError(f"reading line {line.index} in state {line.state}")
         n = line.buffer.size if nbytes is None else nbytes
-        if self.log is not None:
-            self.log.emit(
-                "cache.access", src=self, line=line.index, tag=line.tag,
-                tid=tc.tid, rw="r", pinned=line.pins > 0,
+        if self.probe is not None:
+            self.probe.emit(
+                "cache.access", src=self, line=line.index, tag=line.tag, tid=tc.tid,
+                rw="r", pinned=line.pins > 0,
             )
         yield from tc.hbm_load(n)
         return line.buffer[:n]
@@ -575,10 +572,10 @@ class SoftwareCache:
     ) -> Generator[Any, Any, None]:
         """Copy data into a pinned line and mark it MODIFIED."""
         raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        if self.log is not None:
-            self.log.emit(
-                "cache.access", src=self, line=line.index, tag=line.tag,
-                tid=tc.tid, rw="w", pinned=line.pins > 0,
+        if self.probe is not None:
+            self.probe.emit(
+                "cache.access", src=self, line=line.index, tag=line.tag, tid=tc.tid,
+                rw="w", pinned=line.pins > 0,
             )
         yield from tc.hbm_store(raw.size)
         line.buffer[offset : offset + raw.size] = raw

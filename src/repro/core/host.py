@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Optional, Sequence
 
-from repro import telemetry as telemetry_mod
-from repro.analysis import hooks as analysis_hooks
 from repro.config import SystemConfig
 from repro.core.buffers import AgileBuf
 from repro.core.cache import DramTier, SoftwareCache
@@ -143,35 +141,6 @@ class AgileMachine(Machine):
             index, gpu, issue, cache, service, ctrl, recovery, share_table
         )
 
-    def _wire_telemetry(self, tel: telemetry_mod.Telemetry) -> None:
-        """On top of the shared wiring: the AGILE stack's spans and the
-        typed per-component instruments (fetch-batch histograms, DMA/HBM
-        byte counters)."""
-        super()._wire_telemetry(tel)
-        reg = tel.registry
-        traffic = reg.counter(
-            "mem.hbm.traffic",
-            description="HBM bytes moved by direction",
-            labels=("load_bytes", "store_bytes"),
-        )
-        for node in self.nodes:
-            node.issue.tel = tel
-            node.cache.tel = tel
-            node.service.tel = tel
-            node.gpu.hbm.traffic = traffic
-        for ssd in self.ssds:
-            ssd.flash.ftl.tel = tel
-            ssd.fetch_batch = reg.histogram(
-                f"nvme.ssd{ssd.index}.fetch_batch",
-                description="SQEs fetched per doorbell-triggered DMA burst",
-                buckets=(1, 2, 4, 8, 16),
-            )
-            ssd.link.dma_bytes = reg.counter(
-                f"mem.ssd{ssd.index}.pcie.dma_bytes",
-                description="SSD-link DMA payload bytes by direction",
-                labels=("read", "write"),
-            )
-
     # -- service lifecycle ----------------------------------------------------
 
     def start(self) -> None:
@@ -269,9 +238,6 @@ class AgileHost(AgileMachine):
             # host owns the policy, so a feed holding the host is a cycle.
             self.placement.load = partial(self._device_loads, self.issue)
             self.placement.healthy = partial(self._device_healthy, self.issue)
-        #: Populated by ``repro.analysis.attach`` (directly, or via the
-        #: ``--agile-checks`` pytest flag / ``analysis_hooks.enable()``).
-        self.analysis = analysis_hooks.maybe_attach(self)
         self._finish(telemetry)
 
     def _register_collectors(self) -> None:

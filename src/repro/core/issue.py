@@ -84,13 +84,14 @@ def ring_until_issued(
     db_lock: AgileLock,
     chain: AgileLockChain,
     stats: Optional[Counter] = None,
-    tel: Any = None,
-) -> Generator[Any, Any, None]:
+) -> Generator[Any, Any, float]:
     """``attempt_SQDB`` (§2.3.3): every ``DOORBELL_BACKOFF_NS`` the thread
     tries the SQ's doorbell lock; whoever wins batches every contiguous
     UPDATED entry into one tail move and one MMIO write, then all threads
     re-check whether their own SQE became ISSUED.  Visits that would find
-    the same holder are sat out until the lock's release."""
+    the same holder are sat out until the lock's release.  Returns the
+    simulated ns spent backing off."""
+    waited = 0.0
     while True:
         visits = 1
         if db_lock.try_acquire(chain):
@@ -105,15 +106,14 @@ def ring_until_issued(
         elif stats is not None:
             stats.add("doorbell_contended")
         if sq.state[slot] is SlotState.ISSUED:
-            return
+            return waited
         if db_lock.locked:
             visits = yield from db_lock.released.park(DOORBELL_BACKOFF_NS)
             if stats is not None:
                 stats.add("doorbell_contended", visits - 1)
         else:
             yield Timeout(DOORBELL_BACKOFF_NS)
-        if tel is not None:
-            tel.stall_ns.add("doorbell", visits * DOORBELL_BACKOFF_NS)
+        waited += visits * DOORBELL_BACKOFF_NS
 
 
 class IssueEngine:
@@ -153,9 +153,8 @@ class IssueEngine:
         #: None, completion handling stays strict (unknown CID = protocol
         #: bug) and submissions carry no deadline.
         self.recovery = None
-        #: Optional :class:`repro.telemetry.Telemetry` session (stall
-        #: attribution); None — the default — costs one check per backoff.
-        self.tel = None
+        #: Optional :class:`repro.sim.probe.Probe` (stall attribution).
+        self.probe = None
 
     # -- public API ----------------------------------------------------------
 
@@ -202,8 +201,8 @@ class IssueEngine:
                 # All SQs full: wait (with exponential back-off) for the
                 # service to recycle entries — the Fig. 9 single-QP stall.
                 self.stats.add("sq_full_backoffs")
-                if self.tel is not None:
-                    self.tel.stall_ns.add("sq_full", backoff)
+                if self.probe is not None:
+                    self.probe.emit("gpu.stall", reason="sq_full", ns=backoff)
                 yield Timeout(backoff)
                 backoff = min(backoff * 2, self.MAX_BACKOFF_NS)
         slot, cid = reservation
@@ -233,9 +232,9 @@ class IssueEngine:
         self.stats.add(f"opcode_{opcode.name.lower()}")
 
         db_lock = self.doorbell_locks[(ssd_idx, qp.qid)]
-        yield from ring_until_issued(
-            qp.sq, slot, db_lock, chain, self.stats, self.tel
-        )
+        waited = yield from ring_until_issued(qp.sq, slot, db_lock, chain, self.stats)
+        if waited and self.probe is not None:
+            self.probe.emit("gpu.stall", reason="doorbell", ns=waited)
         return txn
 
     # -- service-side hooks --------------------------------------------------------

@@ -40,16 +40,16 @@ class LockDebugger:
         self._edges: Dict["AgileLock", Set["AgileLock"]] = {}
         self.checks = 0
         self.deadlocks_found = 0
-        #: Optional :class:`~repro.sim.trace.EventLog`; every lock operation
+        #: Optional :class:`~repro.sim.probe.Probe`; every lock operation
         #: of every :class:`AgileLock` built with this debugger is emitted
         #: here, which is what the offline lock-order analyzer replays.
-        self.log = None
+        self.probe = None
 
     def on_failed_acquire(
         self, chain: "AgileLockChain", target: "AgileLock"
     ) -> None:
-        if self.log is not None:
-            self.log.emit(
+        if self.probe is not None:
+            self.probe.emit(
                 "lock.blocked", src=target, lock=target.name, chain=chain.name,
                 held=[l.name for l in chain.held],
             )
@@ -71,9 +71,9 @@ class LockDebugger:
             )
 
     def on_acquired(self, chain: "AgileLockChain", target: "AgileLock") -> None:
-        if self.log is not None:
+        if self.probe is not None:
             # ``chain.held`` already contains ``target`` at this point.
-            self.log.emit(
+            self.probe.emit(
                 "lock.acquire", src=target, lock=target.name, chain=chain.name,
                 held_before=[l.name for l in chain.held if l is not target],
             )
@@ -87,8 +87,8 @@ class LockDebugger:
     def on_release(
         self, lock: "AgileLock", chain: Optional["AgileLockChain"] = None
     ) -> None:
-        if self.log is not None:
-            self.log.emit(
+        if self.probe is not None:
+            self.probe.emit(
                 "lock.release", src=lock, lock=lock.name,
                 chain=chain.name if chain is not None else None,
             )

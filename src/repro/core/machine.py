@@ -4,7 +4,7 @@ The paper compares AGILE and BaM on the *same* GPU, SSDs and queue
 geometry, and its §5 multi-GPU extension "only requires some modifications
 to the Host APIs".  :class:`Machine` is that common substrate: simulator,
 metric registry, GPU(s), NVMe driver, SSD array, placement policy,
-telemetry session, data staging and kernel launch.  A host subclass adds
+instrumentation probe, data staging and kernel launch.  A host subclass adds
 only what its system runs on top (the per-GPU AGILE stack, or the BaM
 controller), fills :attr:`Machine.ctrls` with one kernel-side controller
 per GPU, and ends its constructor with :meth:`Machine._finish`.
@@ -25,6 +25,7 @@ from repro.nvme.command import CQE_SIZE, SQE_SIZE
 from repro.nvme.driver import NvmeDriver
 from repro.nvme.queue import QueuePair
 from repro.placement import PlacementPolicy, interleaved, placement_for_config
+from repro.sim import probe as probe_mod
 from repro.sim.engine import Simulator
 from repro.telemetry.registry import MetricRegistry
 
@@ -34,6 +35,8 @@ class Machine:
 
     #: SMs kept out of user kernels (AGILE dedicates one to its service).
     reserved_sms = 0
+    #: One runtime stack per GPU (AGILE's ``GpuNode``); none on BaM.
+    nodes: Sequence[Any] = ()
 
     def __init__(
         self,
@@ -102,7 +105,11 @@ class Machine:
         #: One kernel-side controller per GPU (the first argument every
         #: kernel body receives); filled by the subclass.
         self.ctrls: list[Any] = []
+        #: None until something listens (:meth:`instrument`), then its
+        #: subscribers: the telemetry and analysis sessions.
+        self.probe: Optional[probe_mod.Probe] = None
         self.telemetry: Optional[telemetry_mod.Telemetry] = None
+        self.analysis: Optional[Any] = None
 
     def _create_queue_pairs(self, gpu_idx: int = 0) -> list[list[QueuePair]]:
         """``initNvme`` for one GPU: its disjoint queue-pair range on every
@@ -119,46 +126,36 @@ class Machine:
         ]
 
     def _finish(self, telemetry: Optional[bool]) -> None:
-        """Last constructor step, once the subclass has built its stack.
-
-        ``telemetry=True`` forces a session on, ``False`` forces it off,
-        and ``None`` defers to a global :func:`repro.telemetry.capture`
-        block.  Recording is passive, so enabled runs stay bit-identical
-        to disabled ones.
-        """
-        if telemetry is not False:
-            self.telemetry = telemetry_mod.maybe_create(
-                self.sim, registry=self.trace
-            )
-            if self.telemetry is None and telemetry:
-                self.telemetry = telemetry_mod.Telemetry(
-                    self.sim, registry=self.trace
-                )
-        if self.telemetry is not None:
-            self._wire_telemetry(self.telemetry)
+        """Last constructor step, once the subclass has built its stack:
+        build the subscribers armed by :func:`repro.sim.probe.listening`.
+        ``telemetry=True`` forces a session on, ``False`` keeps a
+        :func:`repro.telemetry.capture` block's off, ``None`` defers."""
+        for role, build in probe_mod.armed():
+            if role != "telemetry" or telemetry is not False:
+                build(self)
+        if telemetry and self.telemetry is None:
+            telemetry_mod.Telemetry(self)
         self._register_collectors()
 
-    def _wire_telemetry(self, tel: telemetry_mod.Telemetry) -> None:
-        """Hand the session to the shared GPU/NVMe model objects (host
-        side, no simulated time)."""
-        self.sim.telemetry = tel
-        for gpu in self.gpus:
-            gpu.tel = tel
-        for si, ssd in enumerate(self.ssds):
-            ssd.tel = tel
-            for qp in ssd.queue_pairs:
-                qp.sq.occupancy = tel.sampled_gauge(
-                    f"nvme.s{si}.sq{qp.qid}.occupancy",
-                    "nvme", f"s{si}.sq{qp.qid}",
-                    description="outstanding SQEs",
-                )
-                qp.cq.occupancy = tel.sampled_gauge(
-                    f"nvme.s{si}.cq{qp.qid}.occupancy",
-                    "nvme", f"s{si}.cq{qp.qid}",
-                    description="posted, unconsumed CQEs",
-                )
-                qp.sq.doorbell.tel = tel
-                qp.cq.doorbell.tel = tel
+    def instrument(self) -> probe_mod.Probe:
+        """The machine's probe, handed to every instrumented part of every
+        host kind on first use (host side, no simulated time)."""
+        if self.probe is None:
+            probe = self.probe = probe_mod.Probe(self.sim)
+            parts: list[Any] = [self.sim, self.debugger]
+            for gpu in self.gpus:
+                parts += (gpu, gpu.hbm)
+            for ssd in self.ssds:
+                parts += (ssd, ssd.link, ssd.flash.ftl)
+                for qp in ssd.queue_pairs:
+                    parts += (qp.sq, qp.cq, qp.sq.doorbell, qp.cq.doorbell)
+            for node in self.nodes:
+                parts += (node.issue, node.cache, node.service)
+                if node.share_table is not None:
+                    parts.append(node.share_table)
+            for part in parts:
+                part.probe = probe
+        return self.probe
 
     def _register_collectors(self) -> None:
         """Pull collectors for accounting that already lives on model

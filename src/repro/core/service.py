@@ -91,9 +91,8 @@ class AgileService:
         self._poll_ns = cfg.poll_iteration_cycles * gpu.cfg.cycle_ns
         #: CQ visits made by all polling warps, skipped idle ones included.
         self.visits = 0
-        #: Optional :class:`repro.telemetry.Telemetry` session (per-command
-        #: I/O spans); None — the default — costs one check per completion.
-        self.tel = None
+        #: Optional :class:`repro.sim.probe.Probe` (per-command I/O).
+        self.probe = None
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -245,12 +244,11 @@ class AgileService:
                 if not completion.ok:
                     self.stats.add("error_completions")
                 record.txn.finish(completion)
-                if self.tel is not None:
-                    self.tel.spans.complete(
-                        f"io.{record.opcode.name.lower()}", "core",
-                        record.label, record.issued_at, ssd=record.ssd_idx,
-                        lba=record.lba, cid=completion.cid,
-                        ok=completion.ok, retries=record.retries,
+                if self.probe is not None:
+                    self.probe.emit(
+                        "io.done", op=record.opcode.name.lower(), label=record.label,
+                        t0=record.issued_at, ssd=record.ssd_idx, lba=record.lba,
+                        cid=completion.cid, ok=completion.ok, retries=record.retries,
                     )
             else:
                 # Stale: the late/duplicate CQE of an aborted or already

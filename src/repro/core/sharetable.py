@@ -87,18 +87,17 @@ class ShareTable:
         self.policy = policy if policy is not None else SharePolicy()
         self.stats = stats if stats is not None else Counter()
         self._entries: Dict[tuple[int, int], ShareEntry] = {}
-        #: Optional :class:`~repro.sim.trace.EventLog` for protocol events.
-        self.log = None
+        #: Optional :class:`~repro.sim.probe.Probe` for protocol records.
+        self.probe = None
 
     def _set_state(self, entry: ShareEntry, new: BufState, reason: str) -> None:
         """Single funnel for entry-state changes (checked by analysis)."""
         old = entry.state
         entry.state = new
-        if self.log is not None and old is not new:
-            self.log.emit(
+        if self.probe is not None and old is not new:
+            self.probe.emit(
                 "share.state", src=self, tag=entry.tag, old=old, new=new,
-                refcount=entry.refcount, owner_tid=entry.owner_tid,
-                reason=reason,
+                refcount=entry.refcount, owner_tid=entry.owner_tid, reason=reason,
             )
 
     def __len__(self) -> int:
@@ -160,8 +159,8 @@ class ShareTable:
         entry = ShareEntry(tag=tag, buf=buf, owner_tid=tc.tid)
         self._entries[tag] = entry
         self.stats.add("share_registers")
-        if self.log is not None:
-            self.log.emit(
+        if self.probe is not None:
+            self.probe.emit(
                 "share.register", src=self, tag=tag, owner_tid=tc.tid,
                 replaced_refcount=old.refcount if old is not None else 0,
                 replaced_same_buf=old is not None and old.buf is buf,

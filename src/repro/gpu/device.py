@@ -32,8 +32,8 @@ class KernelLaunch:
         self.end_time: Optional[float] = None
         self.done = Event(sim, name=f"launch.{kernel.name}.done")
         self.thread_procs: list[Process] = []
-        #: Optional :class:`repro.telemetry.Telemetry` session (kernel span).
-        self.tel = None
+        #: Optional :class:`repro.sim.probe.Probe` (the kernel's span).
+        self.probe = None
 
     @property
     def duration(self) -> float:
@@ -43,12 +43,10 @@ class KernelLaunch:
 
     def _finish(self) -> None:
         self.end_time = self.sim.now
-        if self.tel is not None:
-            self.tel.spans.complete(
-                f"kernel.{self.kernel.name}", "gpu", "kernels",
-                self.start_time, self.end_time,
-                grid_dim=self.launch_cfg.grid_dim,
-                block_dim=self.launch_cfg.block_dim,
+        if self.probe is not None:
+            self.probe.emit(
+                "gpu.kernel", name=self.kernel.name, t0=self.start_time,
+                grid_dim=self.launch_cfg.grid_dim, block_dim=self.launch_cfg.block_dim,
             )
         self.done.trigger()  # no value: the launch as its own value is a cycle
 
@@ -69,9 +67,8 @@ class Gpu:
         )
         self._next_tid = 0
         self._next_warp = 0
-        #: Optional :class:`repro.telemetry.Telemetry` session; propagated
-        #: to launches and warps when set (None by default).
-        self.tel = None
+        #: Optional :class:`repro.sim.probe.Probe`, passed to launches, warps.
+        self.probe = None
 
     # -- kernel dispatch ---------------------------------------------------------
 
@@ -93,7 +90,7 @@ class Gpu:
             raise ValueError("no SMs left for the kernel after reservation")
         occ = occupancy(self.cfg, kernel, cfg.block_dim)
         launch = KernelLaunch(self.sim, kernel, cfg)
-        launch.tel = self.tel
+        launch.probe = self.probe
         # Free residency slots; a freed one passes to the oldest waiter.
         slots = {"free": occ.blocks_per_sm * len(sms), "waiting": []}
         remaining = {"blocks": cfg.grid_dim}
@@ -146,8 +143,7 @@ class Gpu:
             if lane == 0:
                 self._next_warp += 1
                 warp = Warp(self.sim, self._next_warp)
-                if self.tel is not None:
-                    warp.stall_ns = self.tel.stall_ns
+                warp.probe = self.probe
             tid = self._next_tid
             self._next_tid += 1
             tc = ThreadContext(self, sm, warp, tid, block_id, lane)

@@ -61,9 +61,8 @@ class Warp:
         self._round_idx = 0
         self.coalesce_rounds = 0
         self.coalesced_away = 0
-        #: Optional :class:`repro.telemetry.Counter` charging convergence
-        #: waits to the ``warp_converge`` stall reason (None by default).
-        self.stall_ns = None
+        #: Optional :class:`repro.sim.probe.Probe` (convergence stalls).
+        self.probe = None
 
     # -- membership (threads register at kernel start, retire at exit) -------
 
@@ -105,10 +104,12 @@ class Warp:
         rnd.keys[tid] = key
         if len(rnd.keys) >= len(self._members):
             self._complete_round()
-        elif self.stall_ns is not None:
+        elif self.probe is not None:
             wait_t0 = self.sim.now
             yield rnd.arrived_event
-            self.stall_ns.add("warp_converge", self.sim.now - wait_t0)
+            self.probe.emit(
+                "gpu.stall", reason="warp_converge", ns=self.sim.now - wait_t0,
+            )
         else:
             yield rnd.arrived_event
         slot = rnd.slots.get(tid)

@@ -75,9 +75,8 @@ class Hbm:
         self.loads = 0
         self.stores = 0
         self.atomics = 0
-        #: Optional :class:`repro.telemetry.Counter` of HBM traffic bytes;
-        #: None — the default — costs one attribute check per access.
-        self.traffic = None
+        #: Optional :class:`repro.sim.probe.Probe` (traffic bytes).
+        self.probe = None
 
     def alloc(self, size: int, align: int = 64, label: str = "") -> HbmBuffer:
         return HbmBuffer(self, self.allocator.alloc(size, align), label=label)
@@ -90,8 +89,8 @@ class Hbm:
     def load(self, nbytes: int) -> Generator[Any, Any, None]:
         """A read of ``nbytes`` from HBM by a GPU thread or DMA engine."""
         self.loads += 1
-        if self.traffic is not None:
-            self.traffic.add("load_bytes", nbytes)
+        if self.probe is not None:
+            self.probe.emit("hbm.traffic", direction="load_bytes", nbytes=nbytes)
         yield At(
             self._port.reserve(self._occupancy_ns(nbytes))
             + self.cfg.hbm_latency_ns
@@ -101,8 +100,8 @@ class Hbm:
         """A write of ``nbytes`` to HBM.  Writes are posted: the writer only
         pays the bandwidth occupancy, not the full round-trip latency."""
         self.stores += 1
-        if self.traffic is not None:
-            self.traffic.add("store_bytes", nbytes)
+        if self.probe is not None:
+            self.probe.emit("hbm.traffic", direction="store_bytes", nbytes=nbytes)
         yield from self._port.process(self._occupancy_ns(nbytes))
 
     def atomic(self) -> Generator[Any, Any, None]:

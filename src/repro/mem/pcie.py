@@ -33,9 +33,8 @@ class PcieLink:
         #: Armed by the host when the fault plan is active
         #: (:class:`repro.faults.FaultInjector`); None costs nothing.
         self.injector = None
-        #: Optional :class:`repro.telemetry.Counter` of DMA payload bytes
-        #: by direction; None — the default — costs one check per DMA.
-        self.dma_bytes = None
+        #: Optional :class:`repro.sim.probe.Probe` (DMA payload bytes).
+        self.probe = None
 
     def dma_read(self, nbytes: int) -> Generator[Any, Any, None]:
         """Device reads ``nbytes`` from the far side (request + data).
@@ -46,8 +45,8 @@ class PcieLink:
             stall = self.injector.pcie_stall_ns(self.name)
             if stall > 0.0:
                 yield Timeout(stall)
-        if self.dma_bytes is not None:
-            self.dma_bytes.add("read", nbytes)
+        if self.probe is not None:
+            self.probe.emit("pcie.dma", src=self, direction="read", nbytes=nbytes)
         yield Timeout(self.cfg.latency_ns)
         yield from self.upstream.transfer(nbytes)
 
@@ -57,8 +56,8 @@ class PcieLink:
             stall = self.injector.pcie_stall_ns(self.name)
             if stall > 0.0:
                 yield Timeout(stall)
-        if self.dma_bytes is not None:
-            self.dma_bytes.add("write", nbytes)
+        if self.probe is not None:
+            self.probe.emit("pcie.dma", src=self, direction="write", nbytes=nbytes)
         yield from self.downstream.transfer(nbytes)
 
 
@@ -87,19 +86,15 @@ class Doorbell:
         #: Last value written by the GPU (in flight until visible).
         self.written_value = 0
         self.rings = 0
-        #: Optional :class:`~repro.sim.trace.EventLog` for protocol events.
-        self.log = None
-        #: Optional :class:`repro.telemetry.Telemetry` session (ring instants).
-        self.tel = None
+        #: Optional :class:`repro.sim.probe.Probe`.
+        self.probe = None
 
     def ring(self, value: int) -> Generator[Any, Any, None]:
         """GPU-side posted MMIO write of ``value``."""
         self.rings += 1
         self.written_value = value
-        if self.tel is not None:
-            self.tel.spans.instant("ring", "mem", self.name, value=value)
-        if self.log is not None:
-            self.log.emit("mmio.ring", src=self, name=self.name, value=value)
+        if self.probe is not None:
+            self.probe.emit("mmio.ring", src=self, name=self.name, value=value)
         yield Timeout(self.cfg.mmio_write_ns)
         arrival = self.sim.now + self.cfg.latency_ns
         # Narrow scheduler API: the in-flight value rides in the dispatch
@@ -108,7 +103,7 @@ class Doorbell:
 
     def _deliver(self, value: int) -> None:
         self.device_value = value
-        if self.log is not None:
-            self.log.emit("mmio.deliver", src=self, name=self.name, value=value)
+        if self.probe is not None:
+            self.probe.emit("mmio.deliver", src=self, name=self.name, value=value)
         if self.observer is not None:
             self.observer(value)

@@ -90,12 +90,8 @@ class SsdController:
         #: Armed by the host when the fault plan is active
         #: (:class:`repro.faults.FaultInjector`); None costs nothing.
         self.injector = None
-        #: Optional :class:`repro.telemetry.Telemetry` session (exec spans);
-        #: None — the default — costs one attribute check per command.
-        self.tel = None
-        #: Optional :class:`repro.telemetry.Histogram` of SQE fetch burst sizes.
-        self.fetch_batch = None
-        self._tel_track = f"{cfg.name}[{index}].exec"
+        #: Optional :class:`repro.sim.probe.Probe` (fetches, executions).
+        self.probe = None
 
     def arm_faults(self, injector) -> None:
         """Wire one fault injector into the controller, its flash array and
@@ -142,8 +138,8 @@ class SsdController:
         exec_prefix = self._exec_prefixes[qp.qid]
         while qp.sq.device_pending() > 0:
             batch = min(qp.sq.device_pending(), self.FETCH_BATCH)
-            if self.fetch_batch is not None:
-                self.fetch_batch.observe(batch)
+            if self.probe is not None:
+                self.probe.emit("nvme.fetch", src=self, batch=batch)
             yield from self.link.dma_read(SQE_SIZE * batch)
             yield Timeout(self.cfg.sqe_fetch_ns)
             for _ in range(batch):
@@ -161,8 +157,8 @@ class SsdController:
     # -- command execution ------------------------------------------------------------
 
     def _execute(self, qp: QueuePair, cmd: NvmeCommand) -> Generator[Any, Any, None]:
-        tel = self.tel
-        exec_t0 = self.sim.now if tel is not None else 0.0
+        probe = self.probe
+        exec_t0 = self.sim.now if probe is not None else 0.0
         yield Timeout(self.cfg.cmd_overhead_ns)
         status = Status.SUCCESS
         nbytes = cmd.num_pages * self.cfg.page_size
@@ -223,11 +219,11 @@ class SsdController:
         if status is not Status.SUCCESS:
             self.errors += 1
         yield from self._post_completion(qp, cmd, status)
-        if tel is not None:
-            tel.spans.complete(
-                f"exec.{cmd.opcode.name.lower()}", "nvme", self._tel_track,
-                exec_t0, qid=qp.qid, cid=cmd.cid, lba=cmd.lba,
-                pages=cmd.num_pages, status=status.name,
+        if probe is not None:
+            probe.emit(
+                "nvme.exec", src=self, op=cmd.opcode.name.lower(), t0=exec_t0,
+                qid=qp.qid, cid=cmd.cid, lba=cmd.lba, pages=cmd.num_pages,
+                status=status.name,
             )
 
     def _copy_flash_to_target(self, cmd: NvmeCommand) -> None:
@@ -243,10 +239,9 @@ class SsdController:
             # Completion silently lost: the host's recovery daemon must
             # time the command out and abort-and-resubmit.
             self.dropped_cqes += 1
-            if qp.cq.log is not None:
-                qp.cq.log.emit(
-                    "fault.cqe_drop", src=qp.cq, qid=qp.qid, cid=cmd.cid,
-                    status=status,
+            if self.probe is not None:
+                self.probe.emit(
+                    "fault.cqe_drop", src=qp.cq, qid=qp.qid, cid=cmd.cid, status=status,
                 )
             return
         copies = 1

@@ -111,12 +111,10 @@ class Ftl:
         self.collecting = False
         self.gc_progress = Signal(self.sim, f"{cfg.name}.ftl.gc_progress")
         self._gc_name = f"{cfg.name}.ftl.gc"
-        self._gc_track = f"{cfg.name}.gc"
         self._zero_page = np.zeros(cfg.page_size, dtype=np.uint8)
         self._zero_page.flags.writeable = False
-        #: Optional :class:`repro.telemetry.Telemetry` session (GC spans);
-        #: None — the default — costs one check per GC run.
-        self.tel = None
+        #: Optional :class:`repro.sim.probe.Probe` (GC runs).
+        self.probe = None
 
     # -- translation ---------------------------------------------------------
 
@@ -348,10 +346,9 @@ class Ftl:
             collected += 1
         self.collecting = False
         self.gc_progress.fire()
-        if self.tel is not None:
-            self.tel.spans.complete(
-                "gc.run", "nvme", self._gc_track, t0,
-                moved_pages=moved, blocks=collected,
+        if self.probe is not None:
+            self.probe.emit(
+                "ftl.gc", src=self, t0=t0, moved_pages=moved, blocks=collected,
                 free_blocks=self.free_blocks,
             )
 

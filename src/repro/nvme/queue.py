@@ -60,8 +60,8 @@ class SubmissionQueue:
         self.doorbell = doorbell
         self.entries: List[Optional[NvmeCommand]] = [None] * depth
         self.state: List[SlotState] = [SlotState.EMPTY] * depth
-        #: Optional :class:`~repro.sim.trace.EventLog` for protocol events.
-        self.log = None
+        #: Optional :class:`~repro.sim.probe.Probe` (slot transitions).
+        self.probe = None
         #: Monotonic count of slots ever reserved (next slot = alloc_tail % depth).
         self.alloc_tail = 0
         #: Monotonic publish pointer: slots below it have been doorbell-visible.
@@ -72,9 +72,6 @@ class SubmissionQueue:
         #: Monotonic count of slots returned to EMPTY (occupancy is
         #: ``alloc_tail - released`` without scanning the ring).
         self.released = 0
-        #: Optional :class:`repro.telemetry.Gauge` (occupancy timeline);
-        #: None — the default — costs one attribute check per transition.
-        self.occupancy = None
 
     # -- producer (GPU) side --------------------------------------------------
 
@@ -92,12 +89,10 @@ class SubmissionQueue:
             return None
         self.state[slot] = SlotState.RESERVED
         self.alloc_tail += 1
-        if self.occupancy is not None:
-            self.occupancy.set(self.alloc_tail - self.released)
-        if self.log is not None:
-            self.log.emit(
+        if self.probe is not None:
+            self.probe.emit(
                 "sq.reserve", src=self, qid=self.qid, slot=slot, cid=slot,
-                alloc_tail=self.alloc_tail,
+                alloc_tail=self.alloc_tail, occupancy=self.alloc_tail - self.released,
             )
         return slot, slot
 
@@ -111,9 +106,9 @@ class SubmissionQueue:
         cmd.slot = slot
         self.entries[slot] = cmd
         self.state[slot] = SlotState.UPDATED
-        if self.log is not None:
-            self.log.emit(
-                "sq.publish", src=self, qid=self.qid, slot=slot, cid=cmd.cid
+        if self.probe is not None:
+            self.probe.emit(
+                "sq.publish", src=self, qid=self.qid, slot=slot, cid=cmd.cid,
             )
 
     def advance_tail(self) -> Optional[int]:
@@ -129,8 +124,8 @@ class SubmissionQueue:
             self.issued_tail += 1
             self.submitted += 1
             moved = True
-        if moved and self.log is not None:
-            self.log.emit(
+        if moved and self.probe is not None:
+            self.probe.emit(
                 "sq.advance", src=self, qid=self.qid, tail=self.issued_tail,
                 alloc_tail=self.alloc_tail,
             )
@@ -145,10 +140,11 @@ class SubmissionQueue:
         self.entries[slot] = None
         self.state[slot] = SlotState.EMPTY
         self.released += 1
-        if self.occupancy is not None:
-            self.occupancy.set(self.alloc_tail - self.released)
-        if self.log is not None:
-            self.log.emit("sq.release", src=self, qid=self.qid, slot=slot)
+        if self.probe is not None:
+            self.probe.emit(
+                "sq.release", src=self, qid=self.qid, slot=slot,
+                occupancy=self.alloc_tail - self.released,
+            )
 
     # -- consumer (SSD) side ---------------------------------------------------
 
@@ -168,11 +164,10 @@ class SubmissionQueue:
                 f"{self.state[slot].name} (doorbell raced ahead of memory?)"
             )
         self.fetch_head += 1
-        if self.log is not None:
-            self.log.emit(
+        if self.probe is not None:
+            self.probe.emit(
                 "sq.fetch", src=self, qid=self.qid, slot=slot, cid=cmd.cid,
-                fetch_head=self.fetch_head,
-                doorbell=self.doorbell.device_value,
+                fetch_head=self.fetch_head, doorbell=self.doorbell.device_value,
             )
         return cmd
 
@@ -224,10 +219,8 @@ class CompletionQueue:
         #: that found the queue full waits here.
         self.space = Signal(sim, f"cq{qid}.space")
         self.posted = 0
-        #: Optional :class:`~repro.sim.trace.EventLog` for protocol events.
-        self.log = None
-        #: Optional :class:`repro.telemetry.Gauge` (occupancy timeline).
-        self.occupancy = None
+        #: Optional :class:`~repro.sim.probe.Probe`.
+        self.probe = None
         #: Fired by every :meth:`device_post`: how a parked polling warp
         #: learns its partition is no longer empty (its service sets it).
         self.on_post: Optional[Signal] = None
@@ -261,16 +254,15 @@ class CompletionQueue:
         slot = self.device_tail % self.depth
         phase = self._phase_at(self.device_tail)
         self.slots[slot] = _CqSlot(completion, phase)
-        if self.log is not None:
-            self.log.emit(
-                "cq.post", src=self, qid=self.qid, pos=self.device_tail,
-                slot=slot, phase=phase, cid=completion.cid,
-                sq_id=completion.sq_id, head_doorbell=self.doorbell.device_value,
-            )
         self.device_tail += 1
         self.posted += 1
-        if self.occupancy is not None:
-            self.occupancy.set(self.device_tail - self.host_head)
+        if self.probe is not None:
+            self.probe.emit(
+                "cq.post", src=self, qid=self.qid, pos=self.device_tail - 1,
+                slot=slot, phase=phase, cid=completion.cid, sq_id=completion.sq_id,
+                head_doorbell=self.doorbell.device_value,
+                occupancy=self.device_tail - self.host_head,
+            )
         if self.on_post is not None:
             self.on_post.fire()
 
@@ -299,10 +291,11 @@ class CompletionQueue:
                 f"[{self.host_head}, {self.device_tail}]"
             )
         self.host_head = pos
-        if self.occupancy is not None:
-            self.occupancy.set(self.device_tail - self.host_head)
-        if self.log is not None:
-            self.log.emit("cq.consume", src=self, qid=self.qid, pos=pos)
+        if self.probe is not None:
+            self.probe.emit(
+                "cq.consume", src=self, qid=self.qid, pos=pos,
+                occupancy=self.device_tail - pos,
+            )
 
 
 class QueuePair:

@@ -72,7 +72,6 @@ class ServeBackend:
         self.sim = host.sim
         #: The host's metric registry (serve instruments register here).
         self.trace = host.trace
-        self.telemetry = host.telemetry
         self.cfg = host.cfg
         #: The host's :class:`~repro.placement.PlacementPolicy`.
         self.placement = host.placement

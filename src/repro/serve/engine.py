@@ -18,6 +18,7 @@ property tests check: when the window closes and the pipeline drains,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,6 +90,9 @@ class ServeEngine:
         self.seed = seed
         self.rng = RngStreams(seed)
         self.sim = backend.sim
+        #: The host's probe (None unless something listens): batch spans
+        #: and queue-depth samples are recorded through it.
+        self.probe = backend.host.probe
         registry = backend.trace
 
         self.slo = SloAccountant(registry, self.classes)
@@ -168,10 +172,13 @@ class ServeEngine:
         self._ran = False
 
     def _gauge(self, registry, name: str, layer: str, track: str):
-        tel = self.backend.telemetry
-        if tel is not None:
-            return tel.sampled_gauge(name, layer, track)
-        return registry.gauge(name)
+        gauge = registry.gauge(name)
+        if self.probe is not None:
+            gauge.sampler = partial(
+                self.probe.emit, "gauge", name=name.rsplit(".", 1)[-1],
+                layer=layer, track=track,
+            )
+        return gauge
 
     # -- request construction ----------------------------------------------
 
@@ -251,17 +258,13 @@ class ServeEngine:
                 self.slo.admitted(cls)
 
     def _run_batch(self, worker_idx: int, batch) -> Generator[Any, Any, None]:
-        tel = self.backend.telemetry
+        probe = self.probe
         start = self.sim.now
         yield from self.backend.run_batch(worker_idx, batch, self._finish)
-        if tel is not None:
-            tel.spans.complete(
-                f"serve.batch{batch.bid}",
-                "serve",
-                f"worker{worker_idx}",
-                start,
-                requests=len(batch),
-                pages=batch.total_pages,
+        if probe is not None:
+            probe.emit(
+                "serve.batch", worker=worker_idx, bid=batch.bid, t0=start,
+                requests=len(batch), pages=batch.total_pages,
             )
 
     # -- terminal accounting -------------------------------------------------

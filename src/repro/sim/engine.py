@@ -416,10 +416,8 @@ class Simulator:
         #: Alive targets of the current bounded run() call, maintained by
         #: _proc_finished so the hot loop never rescans the target list.
         self._run_targets: Optional[set[Process]] = None
-        #: Optional :class:`repro.telemetry.Telemetry` session (duck-typed;
-        #: the engine never imports the telemetry package).  While None —
-        #: the default — run() records nothing.
-        self.telemetry = None
+        #: Optional :class:`repro.sim.probe.Probe` (``sim.run`` windows).
+        self.probe = None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -517,21 +515,18 @@ class Simulator:
         if until_procs is not None:
             targets = {p for p in until_procs if p.alive}
         self._run_targets = targets
-        tel = self.telemetry
-        if tel is not None:
+        probe = self.probe
+        if probe is not None:
             span_t0 = self.now
             span_e0 = self.event_count
         try:
             self._run(until, targets, max_events)
         finally:
             self._run_targets = None
-            if tel is not None:
-                # Passive span append — never a scheduled event, so the
-                # dispatched stream is identical with telemetry off.
-                tel.spans.complete(
-                    "sim.run", "sim", "scheduler", span_t0, self.now,
-                    events=self.event_count - span_e0,
-                )
+            if probe is not None:
+                # Passive record — never a scheduled event, so the
+                # dispatched stream is identical with the probe off.
+                probe.emit("sim.run", t0=span_t0, events=self.event_count - span_e0)
 
     def _run(
         self,

@@ -71,7 +71,7 @@ class Gauge:
 
     ``mean()`` is the time-average (queue occupancy, cache residency);
     ``maximum()`` the high-water mark.  An optional ``sampler`` callback
-    fires on every :meth:`set` with ``(t, value)`` — the span recorder uses
+    fires on every :meth:`set` as ``sampler(value=value)`` — telemetry uses
     it to emit Chrome-trace counter series without the gauge knowing about
     export formats.
     """
@@ -95,7 +95,7 @@ class Gauge:
         self._last_t = self._clock()
         self._area = 0.0
         self._max = initial
-        self.sampler: Optional[Callable[[float, float], None]] = None
+        self.sampler: Optional[Callable[..., None]] = None
 
     @property
     def value(self) -> float:
@@ -109,7 +109,7 @@ class Gauge:
         if value > self._max:
             self._max = value
         if self.sampler is not None:
-            self.sampler(now, value)
+            self.sampler(value=value)
 
     def add(self, delta: float) -> None:
         self.set(self._value + delta)

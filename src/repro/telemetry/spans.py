@@ -56,17 +56,10 @@ class SpanRecorder:
     # -- recording API ---------------------------------------------------------
 
     def complete(
-        self,
-        name: str,
-        layer: str,
-        track: str,
-        t0: float,
-        t1: Optional[float] = None,
-        **args: object,
+        self, name: str, layer: str, track: str, t0: float, **args: object
     ) -> None:
-        """A duration span from ``t0`` to ``t1`` (default: now)."""
-        end = self._clock() if t1 is None else t1
-        self._append(("X", t0, end, name, layer, track, args or None))
+        """A duration span from ``t0`` to now."""
+        self._append(("X", t0, self._clock(), name, layer, track, args or None))
 
     def instant(self, name: str, layer: str, track: str, **args: object) -> None:
         self._append(("i", self._clock(), None, name, layer, track, args or None))
@@ -76,12 +69,6 @@ class SpanRecorder:
     ) -> None:
         """One sample of a (possibly multi-series) counter timeline."""
         self._append(("C", self._clock(), None, name, layer, track, dict(series)))
-
-    def counter_at(
-        self, t: float, name: str, layer: str, track: str, value: float
-    ) -> None:
-        """Counter sample with an explicit timestamp (gauge sampler hook)."""
-        self._append(("C", t, None, name, layer, track, {"value": value}))
 
     # -- introspection ---------------------------------------------------------
 

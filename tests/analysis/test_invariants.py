@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import InvariantViolation, attach
+from repro.baselines import BamHost
 from repro.analysis.invariants import (
     CacheStateChecker,
     CqPhaseChecker,
@@ -18,14 +19,17 @@ from repro.analysis.invariants import (
     SqConformanceChecker,
 )
 from repro.config import GpuConfig, PcieConfig
+from repro.core import AgileHost, AgileLockChain
 from repro.core.cache import LineState
+from repro.core.multigpu import MultiGpuAgileHost
+from repro.gpu import KernelSpec, LaunchConfig
 from repro.core.sharetable import BufState
 from repro.mem import Hbm
 from repro.nvme.command import NvmeCompletion
 from repro.nvme.queue import make_queue_pair
-from repro.sim.trace import EventLog
+from repro.sim.probe import Probe
 
-from tests.helpers import make_host, run_kernel
+from tests.helpers import make_host, run_kernel, small_config
 
 
 class _FakeQueue:
@@ -36,45 +40,45 @@ class _FakeQueue:
 
 
 @pytest.fixture
-def log(sim):
-    return EventLog(sim)
+def probe(sim):
+    return Probe(sim)
 
 
 class TestSqConformance:
-    def test_cid_reuse_while_in_flight_fires(self, log):
-        checker = SqConformanceChecker().attach(log)
+    def test_cid_reuse_while_in_flight_fires(self, probe):
+        checker = SqConformanceChecker().attach(probe)
         src = _FakeQueue()
-        log.emit("sq.publish", src=src, qid=0, slot=1, cid=1)
+        probe.emit("sq.publish", src=src, qid=0, slot=1, cid=1)
         with pytest.raises(InvariantViolation, match="CID 1 reused"):
-            log.emit("sq.publish", src=src, qid=0, slot=1, cid=1)
+            probe.emit("sq.publish", src=src, qid=0, slot=1, cid=1)
         assert checker.events_checked == 2
 
-    def test_cid_may_be_reused_after_release(self, log):
-        SqConformanceChecker().attach(log)
+    def test_cid_may_be_reused_after_release(self, probe):
+        SqConformanceChecker().attach(probe)
         src = _FakeQueue()
-        log.emit("sq.publish", src=src, qid=0, slot=1, cid=1)
-        log.emit("sq.release", src=src, qid=0, slot=1)
-        log.emit("sq.publish", src=src, qid=0, slot=1, cid=1)  # fine
+        probe.emit("sq.publish", src=src, qid=0, slot=1, cid=1)
+        probe.emit("sq.release", src=src, qid=0, slot=1, occupancy=0)
+        probe.emit("sq.publish", src=src, qid=0, slot=1, cid=1)  # fine
 
-    def test_issued_tail_regression_fires(self, log):
-        SqConformanceChecker().attach(log)
+    def test_issued_tail_regression_fires(self, probe):
+        SqConformanceChecker().attach(probe)
         src = _FakeQueue()
-        log.emit("sq.advance", src=src, qid=0, tail=4, alloc_tail=4)
+        probe.emit("sq.advance", src=src, qid=0, tail=4, alloc_tail=4)
         with pytest.raises(InvariantViolation, match="regressed"):
-            log.emit("sq.advance", src=src, qid=0, tail=2, alloc_tail=4)
+            probe.emit("sq.advance", src=src, qid=0, tail=2, alloc_tail=4)
 
-    def test_doorbell_ahead_of_visible_sqes_fires(self, sim, log):
+    def test_doorbell_ahead_of_visible_sqes_fires(self, sim, probe):
         """The §2.3.3 hazard: ringing a tail beyond the ISSUED entries."""
         hbm = Hbm(sim, GpuConfig(), capacity=1 << 20)
         qp = make_queue_pair(
             sim, 0, 4, hbm.alloc(4 * 64), hbm.alloc(4 * 16), PcieConfig()
         )
-        qp.sq.log = log
-        qp.sq.doorbell.log = log
-        checker = SqConformanceChecker()
-        checker.attach_sq(qp.sq)
-        checker.attach(log)
-        log.emit("sq.advance", src=qp.sq, qid=0, tail=1, alloc_tail=2)
+        qp.sq.probe = probe
+        qp.sq.doorbell.probe = probe
+        SqConformanceChecker().attach(probe)
+        qp.sq.try_reserve()
+        qp.sq.try_reserve()
+        probe.emit("sq.advance", src=qp.sq, qid=0, tail=1, alloc_tail=2)
 
         def ring():
             yield from qp.sq.doorbell.ring(2)  # tail 2 but only 1 ISSUED
@@ -88,42 +92,42 @@ class TestSqConformance:
 
 
 class TestCqPhase:
-    def test_wrong_phase_bit_fires(self, log):
-        CqPhaseChecker().attach(log)
+    def test_wrong_phase_bit_fires(self, probe):
+        CqPhaseChecker().attach(probe)
         src = _FakeQueue(depth=4)
         for pos in range(4):  # pass 0: phase True
-            log.emit(
+            probe.emit(
                 "cq.post", src=src, qid=0, pos=pos, slot=pos, phase=True,
-                cid=pos, sq_id=0, head_doorbell=pos,
+                cid=pos, sq_id=0, head_doorbell=pos, occupancy=0,
             )
         # Pass 1 must flip the phase to False; a stale True is a violation.
         with pytest.raises(InvariantViolation, match="phase bit"):
-            log.emit(
+            probe.emit(
                 "cq.post", src=src, qid=0, pos=4, slot=0, phase=True,
-                cid=0, sq_id=0, head_doorbell=4,
+                cid=0, sq_id=0, head_doorbell=4, occupancy=0,
             )
 
-    def test_non_consecutive_post_fires(self, log):
-        CqPhaseChecker().attach(log)
+    def test_non_consecutive_post_fires(self, probe):
+        CqPhaseChecker().attach(probe)
         src = _FakeQueue(depth=4)
-        log.emit("cq.post", src=src, qid=0, pos=0, slot=0, phase=True,
-                 cid=0, sq_id=0, head_doorbell=0)
+        probe.emit("cq.post", src=src, qid=0, pos=0, slot=0, phase=True,
+                 cid=0, sq_id=0, head_doorbell=0, occupancy=0)
         with pytest.raises(InvariantViolation, match="expected 1"):
-            log.emit("cq.post", src=src, qid=0, pos=2, slot=2, phase=True,
-                     cid=2, sq_id=0, head_doorbell=0)
+            probe.emit("cq.post", src=src, qid=0, pos=2, slot=2, phase=True,
+                     cid=2, sq_id=0, head_doorbell=0, occupancy=0)
 
-    def test_overwrite_of_unconsumed_entry_fires(self, log):
-        CqPhaseChecker().attach(log)
+    def test_overwrite_of_unconsumed_entry_fires(self, probe):
+        CqPhaseChecker().attach(probe)
         src = _FakeQueue(depth=2)
-        log.emit("cq.post", src=src, qid=0, pos=0, slot=0, phase=True,
-                 cid=0, sq_id=0, head_doorbell=0)
-        log.emit("cq.post", src=src, qid=0, pos=1, slot=1, phase=True,
-                 cid=1, sq_id=0, head_doorbell=0)
+        probe.emit("cq.post", src=src, qid=0, pos=0, slot=0, phase=True,
+                 cid=0, sq_id=0, head_doorbell=0, occupancy=0)
+        probe.emit("cq.post", src=src, qid=0, pos=1, slot=1, phase=True,
+                 cid=1, sq_id=0, head_doorbell=0, occupancy=0)
         with pytest.raises(InvariantViolation, match="overwrites"):
-            log.emit("cq.post", src=src, qid=0, pos=2, slot=0, phase=False,
-                     cid=0, sq_id=0, head_doorbell=0)
+            probe.emit("cq.post", src=src, qid=0, pos=2, slot=0, phase=False,
+                     cid=0, sq_id=0, head_doorbell=0, occupancy=0)
 
-    def test_buggy_model_phase_caught_end_to_end(self, sim, log):
+    def test_buggy_model_phase_caught_end_to_end(self, sim, probe):
         """Break the real CompletionQueue's phase computation and drive the
         real post path: the checker must fail the device_post call."""
         hbm = Hbm(sim, GpuConfig(), capacity=1 << 20)
@@ -131,8 +135,8 @@ class TestCqPhase:
             sim, 0, 2, hbm.alloc(2 * 64), hbm.alloc(2 * 16), PcieConfig()
         )
         cq = qp.cq
-        cq.log = log
-        CqPhaseChecker().attach(log)
+        cq.probe = probe
+        CqPhaseChecker().attach(probe)
         cq._phase_at = lambda pos: True  # the seeded bug: phase never flips
         for pos in range(2):
             cq.device_post(NvmeCompletion(cid=0, sq_id=0, sq_head=0))
@@ -143,10 +147,10 @@ class TestCqPhase:
 
 
 class TestCacheState:
-    def test_illegal_transition_fires(self, log):
-        CacheStateChecker().attach(log)
+    def test_illegal_transition_fires(self, probe):
+        CacheStateChecker().attach(probe)
         with pytest.raises(InvariantViolation, match="BUSY -> MODIFIED"):
-            log.emit(
+            probe.emit(
                 "cache.state", src=None, line=3, set=0, way=3,
                 old=LineState.BUSY, new=LineState.MODIFIED, tag=(0, 7),
                 reason="seeded",
@@ -164,8 +168,8 @@ class TestCacheState:
             host.cache.set_line_state(line, LineState.MODIFIED, reason="bug")
         assert session.log.emitted >= 2
 
-    def test_legal_lifecycle_is_silent(self, log):
-        checker = CacheStateChecker().attach(log)
+    def test_legal_lifecycle_is_silent(self, probe):
+        checker = CacheStateChecker().attach(probe)
         legal = [
             (LineState.INVALID, LineState.BUSY),
             (LineState.BUSY, LineState.READY),
@@ -173,32 +177,32 @@ class TestCacheState:
             (LineState.MODIFIED, LineState.BUSY),
         ]
         for old, new in legal:
-            log.emit("cache.state", src=None, line=0, set=0, way=0,
+            probe.emit("cache.state", src=None, line=0, set=0, way=0,
                      old=old, new=new, tag=(0, 0), reason="t")
         assert checker.transitions == len(legal)
 
 
 class TestShareTable:
-    def test_illegal_transition_fires(self, log):
-        ShareTableChecker().attach(log)
+    def test_illegal_transition_fires(self, probe):
+        ShareTableChecker().attach(probe)
         with pytest.raises(InvariantViolation, match="OWNED -> EXCLUSIVE"):
-            log.emit(
+            probe.emit(
                 "share.state", src=None, tag=(0, 1), old=BufState.OWNED,
                 new=BufState.EXCLUSIVE, refcount=1, owner_tid=0, reason="s",
             )
 
-    def test_invalidate_with_live_references_fires(self, log):
-        ShareTableChecker().attach(log)
+    def test_invalidate_with_live_references_fires(self, probe):
+        ShareTableChecker().attach(probe)
         with pytest.raises(InvariantViolation, match="refcount 2"):
-            log.emit(
+            probe.emit(
                 "share.state", src=None, tag=(0, 1), old=BufState.SHARED,
                 new=BufState.INVALID, refcount=2, owner_tid=0, reason="s",
             )
 
-    def test_two_live_owners_fires(self, log):
-        ShareTableChecker().attach(log)
+    def test_two_live_owners_fires(self, probe):
+        ShareTableChecker().attach(probe)
         with pytest.raises(InvariantViolation, match="two owners"):
-            log.emit(
+            probe.emit(
                 "share.register", src=None, tag=(0, 1), owner_tid=5,
                 replaced_refcount=1, replaced_same_buf=False,
             )
@@ -214,8 +218,6 @@ class TestEndToEndClean:
         host.load_data(0, 0, np.arange(pages * 1024, dtype=np.uint32))
 
         def body(tc, ctrl):
-            from repro.core import AgileLockChain
-
             chain = AgileLockChain(f"clean.t{tc.tid}")
             for i in range(3):
                 line = yield from ctrl.read_page(
@@ -227,5 +229,34 @@ class TestEndToEndClean:
         run_kernel(host, body, grid=1, block=32)
         assert session.log.emitted > 100
         assert session.events_checked() > 0
+        report = session.report()
+        assert report.clean, report.summary()
+
+    @pytest.mark.parametrize(
+        "host_cls", [AgileHost, BamHost, MultiGpuAgileHost],
+        ids=["agile", "bam", "agile-2gpu"],
+    )
+    def test_every_host_kind_is_checked(self, host_cls):
+        """The machine's one walk reaches every host kind's rings,
+        doorbells and locks, so the checkers judge BaM and multi-GPU runs
+        too."""
+        host = host_cls(small_config())
+        session = attach(host)
+        host.load_data(0, 0, np.arange(16 * 1024, dtype=np.uint32))
+
+        def body(tc, ctrl):
+            chain = AgileLockChain(f"kinds.t{tc.tid}")
+            line = yield from ctrl.read_page(tc, chain, 0, tc.tid % 16)
+            ctrl.cache.unpin(line)
+
+        kernel = KernelSpec(name="kinds", body=body, registers_per_thread=48)
+        with host:
+            if isinstance(host, MultiGpuAgileHost):
+                host.run_kernels(kernel, LaunchConfig(1, 32), [(), ()])
+            else:
+                host.run_kernel(kernel, LaunchConfig(1, 32))
+            host.drain()
+        sq, cq = session.checkers[:2]
+        assert sq.events_checked > 0 and cq.events_checked > 0
         report = session.report()
         assert report.clean, report.summary()

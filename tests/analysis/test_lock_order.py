@@ -13,14 +13,18 @@ import pytest
 from repro.analysis import LockOrderAnalyzer, analyze
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.sim.engine import Timeout
-from repro.sim.trace import EventLog
+
+from tests.helpers import record
 
 
 @pytest.fixture
-def traced(sim):
-    debugger = LockDebugger()
-    debugger.log = EventLog(sim)
-    return debugger
+def traced():
+    return LockDebugger()
+
+
+@pytest.fixture
+def log(sim, traced):
+    return record(sim, traced)
 
 
 def _locker(lock_x, lock_y, chain, hold_ns=10.0):
@@ -38,7 +42,7 @@ def _locker(lock_x, lock_y, chain, hold_ns=10.0):
 
 
 class TestInversionDetection:
-    def test_ab_ba_inversion_names_both_processes_and_locks(self, sim, traced):
+    def test_ab_ba_inversion_names_both_processes_and_locks(self, sim, traced, log):
         """proc_fwd takes A->B at t=0; proc_rev takes B->A starting t=1000.
         They never contend, the run completes cleanly, and the analyzer
         still reports the latent deadlock with full attribution."""
@@ -56,7 +60,7 @@ class TestInversionDetection:
         sim.run()  # completes: no deadlock in THIS interleaving
 
         inversions = LockOrderAnalyzer().feed(
-            traced.log.events()
+            log.events()
         ).inversions()
         assert len(inversions) == 1
         inv = inversions[0]
@@ -69,7 +73,7 @@ class TestInversionDetection:
         assert "proc_fwd" in text and "proc_rev" in text
         assert "lockA" in text and "lockB" in text
 
-    def test_consistent_order_is_clean(self, sim, traced):
+    def test_consistent_order_is_clean(self, sim, traced, log):
         lock_a = AgileLock(sim, "lockA", traced)
         lock_b = AgileLock(sim, "lockB", traced)
         for i in range(4):
@@ -77,12 +81,12 @@ class TestInversionDetection:
                 _locker(lock_a, lock_b, AgileLockChain(f"w{i}")), name=f"w{i}"
             )
         sim.run()
-        analyzer = LockOrderAnalyzer().feed(traced.log.events())
+        analyzer = LockOrderAnalyzer().feed(log.events())
         assert analyzer.acquisitions == 8
         assert analyzer.inversions() == []
         assert analyzer.cycles() == []
 
-    def test_three_lock_cycle_caught_by_cycle_search(self, sim, traced):
+    def test_three_lock_cycle_caught_by_cycle_search(self, sim, traced, log):
         """A->B, B->C, C->A: no pairwise inversion exists, only the DFS
         cycle search sees the length-3 latent deadlock."""
         locks = {n: AgileLock(sim, n, traced) for n in ("A", "B", "C")}
@@ -101,13 +105,13 @@ class TestInversionDetection:
         sim.spawn(staggered("C", "A", "p2", 1000.0), name="p2")
         sim.run()
 
-        analyzer = LockOrderAnalyzer().feed(traced.log.events())
+        analyzer = LockOrderAnalyzer().feed(log.events())
         assert analyzer.inversions() == []  # pairwise is blind here
         cycles = analyzer.cycles()
         assert len(cycles) == 1
         assert set(cycles[0]) == {"A", "B", "C"}
 
-    def test_full_report_flags_inversion_as_not_clean(self, sim, traced):
+    def test_full_report_flags_inversion_as_not_clean(self, sim, traced, log):
         lock_a = AgileLock(sim, "lockA", traced)
         lock_b = AgileLock(sim, "lockB", traced)
 
@@ -118,7 +122,7 @@ class TestInversionDetection:
         sim.spawn(_locker(lock_a, lock_b, AgileLockChain("fwd")), name="f")
         sim.spawn(rev_later(), name="r")
         sim.run()
-        report = analyze(traced.log)
+        report = analyze(log)
         assert not report.clean
         assert "lock-order inversion" in report.summary()
 
@@ -151,15 +155,15 @@ class TestLeakedLock:
     """A lock nobody contends for trips neither the LockDebugger nor the
     watchdog; the offline replay reports it held at the end of the log."""
 
-    def test_kernel_that_returns_with_a_lock_held(self, sim, traced):
+    def test_kernel_that_returns_with_a_lock_held(self, sim, traced, log):
         lock = AgileLock(sim, "sqdb.s1.q0", traced)
         sim.spawn(_early_return(lock, AgileLockChain("t0"), bail=False))
         sim.run()
-        assert analyze(traced.log).clean
+        assert analyze(log).clean
 
         sim.spawn(_early_return(lock, AgileLockChain("t1"), bail=True))
         sim.run()  # completes: nobody else wants the lock
-        report = analyze(traced.log)
+        report = analyze(log)
         assert not report.clean
         assert report.leaks == [
             "lock 'sqdb.s1.q0' acquired by t1 at t=10 was never released"
@@ -169,14 +173,17 @@ class TestLeakedLock:
 
     def test_release_whose_acquire_fell_off_the_log_is_ignored(self, sim):
         debugger = LockDebugger()
-        debugger.log = EventLog(sim, maxlen=1)  # keeps only the release
+        log = record(sim, debugger, maxlen=1)  # keeps only the release
         lock = AgileLock(sim, "cacheset0", debugger)
         sim.spawn(_early_return(lock, AgileLockChain("t0"), bail=False))
         sim.run()
-        assert [e.kind for e in debugger.log.events()] == ["lock.release"]
-        assert analyze(debugger.log).clean
+        assert [e.kind for e in log.events()] == ["lock.release"]
+        report = analyze(log)
+        assert report.clean
+        assert report.events_dropped == 1
+        assert "analyzed 1 events (1 older ones dropped)" in report.summary()
 
-    def test_deadlocked_run_ends_with_its_locks_held(self, sim, traced):
+    def test_deadlocked_run_ends_with_its_locks_held(self, sim, traced, log):
         """Figure 1's naive engine deadlocks *by design*, so a log of it
         ends with locks held and its tests (tests/core/test_deadlock.py,
         tests/faults/test_naive_dropped_cqe.py) judge the DeadlockError /
@@ -192,7 +199,7 @@ class TestLeakedLock:
         with pytest.raises(SimError) as excinfo:
             sim.run()
         assert isinstance(excinfo.value.__cause__, DeadlockError)
-        leaks = analyze(traced.log).leaks
+        leaks = analyze(log).leaks
         assert len(leaks) == 2 and "'lockA'" in leaks[0] and "'lockB'" in leaks[1]
 
     def test_leak_in_a_storm_kernel_flips_analysis_clean(

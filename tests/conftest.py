@@ -2,8 +2,8 @@
 
 ``pytest --agile-checks`` attaches the full :mod:`repro.analysis` runtime
 invariant-checker stack (NVMe queue conformance, cache state-machine
-legality, Share Table coherence, lock/event tracing) to every
-:class:`~repro.core.host.AgileHost` the suite constructs, so a protocol
+legality, Share Table coherence, lock/event tracing) to every machine
+(AGILE, BaM, multi-GPU) the suite constructs, so a protocol
 violation anywhere in the models fails the offending test loudly.
 """
 
@@ -19,22 +19,20 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--agile-checks",
         action="store_true",
         default=False,
-        help="attach repro.analysis invariant checkers to every AgileHost",
+        help="attach repro.analysis invariant checkers to every machine",
     )
 
 
-def pytest_configure(config: pytest.Config) -> None:
-    if config.getoption("--agile-checks"):
-        from repro.analysis import hooks
+@pytest.fixture(autouse=True, scope="session")
+def _agile_checks(pytestconfig: pytest.Config):
+    if not pytestconfig.getoption("--agile-checks"):
+        yield
+        return
+    from repro.analysis import attach
+    from repro.sim.probe import listening
 
-        hooks.enable()
-
-
-def pytest_unconfigure(config: pytest.Config) -> None:
-    if config.getoption("--agile-checks"):
-        from repro.analysis import hooks
-
-        hooks.disable()
+    with listening("analysis", attach):
+        yield
 
 
 @pytest.fixture

@@ -5,8 +5,6 @@ a named deadlock, a clean kill, the lock debugger's cycle report."""
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,14 +16,16 @@ from repro.mem.pcie import Doorbell
 from repro.nvme.command import NvmeCommand, Opcode
 from repro.nvme.queue import SlotState, SubmissionQueue
 from repro.sim import SimDeadlockError, SimError, Simulator, Timeout
-from repro.sim.trace import EventLog
 from repro.telemetry import Counter
 
+from tests.helpers import record
 
-def spin_until_issued(sq, slot, db_lock, chain, stats=None, tel=None):
+
+def spin_until_issued(sq, slot, db_lock, chain, stats=None):
     """Reference: ``attempt_SQDB`` as the four call sites spelled it before
     they shared ``ring_until_issued`` — one visit every 60 ns, held lock or
-    not."""
+    not.  Returns the ns spent backing off."""
+    waited = 0.0
     while True:
         if db_lock.try_acquire(chain):
             try:
@@ -39,9 +39,8 @@ def spin_until_issued(sq, slot, db_lock, chain, stats=None, tel=None):
         elif stats is not None:
             stats.add("doorbell_contended")
         if sq.state[slot] is SlotState.ISSUED:
-            return
-        if tel is not None:
-            tel.stall_ns.add("doorbell", DOORBELL_BACKOFF_NS)
+            return waited
+        waited += DOORBELL_BACKOFF_NS
         yield Timeout(DOORBELL_BACKOFF_NS)
 
 
@@ -60,7 +59,6 @@ class Rig:
         """Reserve at ``start``, publish ``store_ns`` later, ring.  Books
         ``(return time, counters, stall ns)`` under ``tid``."""
         stats = Counter()
-        tel = SimpleNamespace(stall_ns=Counter())
         chain = AgileLockChain(f"t{tid}")
 
         def body():
@@ -70,10 +68,8 @@ class Rig:
                 assert lock.try_acquire(chain)
             yield Timeout(store_ns)
             self.sq.publish(slot, NvmeCommand(Opcode.READ, cid, lba=tid))
-            yield from algo(self.sq, slot, self.lock, chain, stats, tel)
-            self.done[tid] = (
-                self.sim.now, stats.snapshot(), tel.stall_ns.snapshot()
-            )
+            waited = yield from algo(self.sq, slot, self.lock, chain, stats)
+            self.done[tid] = (self.sim.now, stats.snapshot(), waited)
 
         return self.sim.spawn(body(), name=f"t{tid}")
 
@@ -155,7 +151,7 @@ class TestAgainstTheSpin:
             when, stats, stall = rig.done[0]
             # 25 visits from 0.637 to 1500.637 found a holder; 1560.637 rang.
             assert stats == {"doorbell_contended": 26, "doorbell_rings": 1}
-            assert stall == {"doorbell": 26 * 60.0}
+            assert stall == 26 * 60.0
             t = 0.137 + 0.5
             for _ in range(26):
                 t += 60.0
@@ -171,7 +167,7 @@ class TestAgainstTheSpin:
         rig.sim.run()
         when, stats, stall = rig.done[0]
         assert stats == {"doorbell_contended": 3}  # at 2, 62 (parked), 122
-        assert when == 122.0 and stall == {"doorbell": 120.0}
+        assert when == 122.0 and stall == 120.0
 
     def test_a_long_hold_costs_two_events(self):
         rig = Rig()
@@ -180,7 +176,7 @@ class TestAgainstTheSpin:
         rig.sim.run(max_events=40)
         _, stats, stall = rig.done[0]
         assert stats["doorbell_contended"] == 10**4
-        assert stall == {"doorbell": 60.0 * 10**4}
+        assert stall == 60.0 * 10**4
         # holder 3, submitter: spawn, start, store, wake, landing, ring.
         assert rig.sim.event_count <= 10
 
@@ -214,7 +210,7 @@ class TestLiveness:
         parked thread cost one ``lock.blocked`` record, not one per period."""
         debugger = LockDebugger(enabled=True)
         rig = Rig(debugger)
-        debugger.log = log = EventLog(rig.sim)
+        log = record(rig.sim, debugger)
         line = AgileLock(rig.sim, "line", debugger)
         ringer = AgileLockChain("ringer")
 
@@ -231,4 +227,4 @@ class TestLiveness:
         assert "line -> sqdb.s0.q0" in str(excinfo.value.__cause__)
         assert parked.alive
         assert parked.waiting_description() == "event 'sqdb.s0.q0.released'"
-        assert len(list(log.events("lock.blocked"))) == 2
+        assert [e.kind for e in log.events()].count("lock.blocked") == 2

@@ -10,10 +10,11 @@ failure the path runs again under :func:`tests.support.cycles.cyclic_garbage`
 and the message names the ``Class.attr -> Class`` edges of each cycle that
 pinned them.
 
-The hosts are built with the ``--agile-checks`` hook off: an attached
-analysis session's event log keeps the model object that emitted each
-event, and those objects hold the log, so an analysed host is a cycle by
-design (a diagnostic, one host at a time).
+The hosts are built with the ``"analysis"`` role of
+:func:`repro.sim.probe.listening` silenced: an attached analysis session's
+log keeps the model object that emitted each record, and those objects
+hold the probe, so an analysed host is a cycle by design (a diagnostic,
+one host at a time).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Callable, List
 import numpy as np
 import pytest
 
-from repro.analysis import hooks
 from repro.baselines.harness import BamHost
 from repro.core import AgileHost, AgileLockChain
 from repro.core.machine import Machine
@@ -36,6 +36,7 @@ from repro.mem.hbm import Hbm
 from repro.nvme.flash import FlashArray
 from repro.nvme.ftl import Ftl
 from repro.serve.experiment import run_cell
+from repro.sim.probe import listening
 from repro.serve.tenancy import TENANCY, tenancy_cell
 from repro.serve.writepath import WRITE_PATH, write_path_cell
 from repro.workloads.dlrm import config1, run_dlrm
@@ -51,7 +52,6 @@ STORAGE = (Machine, Hbm, Ftl, FlashArray)
 def survivors(monkeypatch) -> Callable[[Callable[[], object]], List[str]]:
     """``survivors(run)``: run ``run()`` with the cyclic GC off and return
     the class names of the storage objects it built that outlive it."""
-    monkeypatch.setattr(hooks, "_enabled", False)
     born: List[weakref.ref] = []
     for cls in STORAGE:
         def recording(self, *args, _init=cls.__init__, **kwargs):
@@ -72,7 +72,8 @@ def survivors(monkeypatch) -> Callable[[Callable[[], object]], List[str]]:
             if enabled:
                 gc.enable()
 
-    return check
+    with listening("analysis", None):
+        yield check
 
 
 def assert_freed(survivors, run: Callable[[], object]) -> None:

@@ -7,6 +7,8 @@ from typing import Any, Callable, Sequence
 from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost
 from repro.gpu import KernelSpec, LaunchConfig
+from repro.sim.probe import Probe
+from repro.sim.trace import EventLog
 
 
 def small_config(**overrides: Any) -> SystemConfig:
@@ -19,6 +21,15 @@ def small_config(**overrides: Any) -> SystemConfig:
     )
     defaults.update(overrides)
     return SystemConfig(**defaults)
+
+
+def record(sim: Any, *parts: Any, maxlen: int = 1_000_000) -> EventLog:
+    """Hand ``parts`` one probe with a retaining log subscribed (a rig
+    without a machine); returns the log."""
+    probe = Probe(sim)
+    for part in parts:
+        part.probe = probe
+    return EventLog(maxlen).attach(probe)
 
 
 def make_host(**overrides: Any) -> AgileHost:

@@ -61,7 +61,6 @@ def test_backend_exposes_the_hosts_own_objects(backend):
     assert backend.trace is host.trace
     assert backend.cfg is host.cfg
     assert backend.placement is host.placement
-    assert backend.telemetry is host.telemetry
     assert backend.num_workers == len(host.gpus)
 
 

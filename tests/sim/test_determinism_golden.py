@@ -17,7 +17,6 @@ from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.sim.engine import Simulator, Timeout
 from repro.sim.rng import RngStreams
-from repro.sim.trace import EventLog
 
 
 def _trace_signature(log):
@@ -103,11 +102,14 @@ def _run_engine_torture(seed: int):
     """Pure-engine run: seeded random interleaving of zero-delay resumes,
     timeouts, raw callbacks, and event triggers, logged step by step."""
     sim = Simulator()
-    log = EventLog(sim)
+    steps = []
     rng = RngStreams(seed).stream("torture")
 
+    def emit(kind, **data):
+        steps.append((sim.now, kind, sorted(data.items())))
+
     def emit_cb(who, step):
-        log.emit("cb", who=who, step=step)
+        emit("cb", who=who, step=step)
 
     def worker(i):
         for k in range(20):
@@ -122,15 +124,15 @@ def _run_engine_torture(seed: int):
                     sim.now + float(rng.integers(0, 3)), ev.trigger, k
                 )
                 got = yield ev
-                log.emit("woke", who=i, step=k, value=got)
+                emit("woke", who=i, step=k, value=got)
             else:
                 sim.schedule_immediate(emit_cb, i, k)
-            log.emit("step", who=i, step=k, now=sim.now)
+            emit("step", who=i, step=k, now=sim.now)
 
     for i in range(6):
         sim.spawn(worker(i), name=f"w{i}")
     sim.run()
-    return _trace_signature(log), sim.now, sim.event_count
+    return steps, sim.now, sim.event_count
 
 
 def test_engine_torture_trace_is_bit_identical():

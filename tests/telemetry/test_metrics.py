@@ -63,7 +63,7 @@ class TestGauge:
         clock = FakeClock()
         g = Gauge(clock=clock)
         seen = []
-        g.sampler = lambda t, v: seen.append((t, v))
+        g.sampler = lambda value: seen.append((clock(), value))
         clock.t = 5.0
         g.set(2.0)
         g.add(1.0)

@@ -1,11 +1,15 @@
 """numpy is the runtime's only third-party dependency: every module under
-``repro`` imports, and the graph generators run, with scipy unimportable."""
+``repro`` imports, and the graph generators run, with scipy unimportable.
+And the runtime does not load ``repro.analysis``: checkers and the lint
+are tools, armed from outside."""
 
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -49,3 +53,29 @@ def test_runtime_imports_and_builds_graphs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+#: Modules that build hosts and run experiments.
+RUNTIME = (
+    "repro.core",
+    "repro.serve.tenancy",
+    "repro.serve.writepath",
+    "repro.workloads.dlrm",
+    "repro.bench.figures",
+)
+
+
+@pytest.mark.parametrize("module", RUNTIME)
+def test_runtime_does_not_load_analysis(module):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    )}
+    probe = (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
