@@ -2,8 +2,8 @@
 """Multi-GPU SSD sharing — the paper's §5 second extension, implemented.
 
 Two simulated GPUs share one SSD: each receives a disjoint range of the
-SSD's I/O queue pairs (ring memory pinned in its own HBM) and runs its own
-unchanged AGILE stack.  Their kernels execute concurrently and genuinely
+SSD's I/O queue pairs (ring memory pinned in its own HBM) and runs the
+same, unchanged AGILE stack.  Their kernels execute concurrently and genuinely
 contend for the shared flash channels.
 
 Run:  python examples/multi_gpu.py
@@ -12,16 +12,16 @@ Run:  python examples/multi_gpu.py
 import numpy as np
 
 from repro.config import CacheConfig, SsdConfig, SystemConfig
-from repro.core import AgileLockChain, MultiGpuAgileHost
+from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 
 cfg = SystemConfig(
-    cache=CacheConfig(num_lines=128, ways=8, share_table=False),
+    cache=CacheConfig(num_lines=128, ways=8),
     ssds=(SsdConfig(name="shared-ssd", capacity_bytes=1 << 28),),
     queue_pairs=4,  # per GPU; the SSD serves 8 in total
     queue_depth=32,
 )
-host = MultiGpuAgileHost(cfg, num_gpus=2)
+host = AgileHost(cfg, num_gpus=2)
 data = np.arange(200_000, dtype=np.int64)
 host.load_data(0, 0, data)
 

@@ -17,7 +17,7 @@ Typical use::
 
     from repro.analysis import attach
 
-    host = AgileHost(cfg)           # or BamHost, MultiGpuAgileHost
+    host = AgileHost(cfg)           # or BamHost, AgileHost(cfg, num_gpus=2)
     session = attach(host)
     ... run kernels ...
     report = session.report()       # offline race/lock-order findings

@@ -27,13 +27,9 @@ class BamHost(Machine):
         cfg: Optional[SystemConfig] = None,
         *,
         costs: Optional[BamCostConfig] = None,
-        debug_locks: bool = True,
-        hbm_capacity: Optional[int] = None,
         telemetry: Optional[bool] = None,
     ):
-        super().__init__(
-            cfg, debug_locks=debug_locks, hbm_capacity=hbm_capacity
-        )
+        super().__init__(cfg)
         self.queue_pairs = self._create_queue_pairs()
         self.ctrl = BamCtrl(
             self.sim,

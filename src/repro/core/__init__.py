@@ -11,7 +11,8 @@
   specified buffers (§3.4.1).
 - :mod:`repro.core.ctrl` — the user-facing ``AgileCtrl`` API: ``prefetch``,
   ``async_read``/``async_write``, and the array-like synchronous API (§3.5).
-- :mod:`repro.core.host` — host-side orchestration (Listing 1).
+- :mod:`repro.core.node` / :mod:`repro.core.host` — one GPU's stack and
+  the host that builds one per GPU (Listing 1, §5).
 """
 
 from repro.core.locks import AgileLock, AgileLockChain, DeadlockError, LockDebugger
@@ -29,8 +30,8 @@ from repro.core.sharetable import BufState, ShareTable
 from repro.core.issue import IssueEngine
 from repro.core.service import AgileService
 from repro.core.ctrl import AgileCtrl
-from repro.core.host import AgileHost, GpuNode
-from repro.core.multigpu import MultiGpuAgileHost
+from repro.core.node import GpuNode
+from repro.core.host import AgileHost
 
 __all__ = [
     "AgileLock",
@@ -54,6 +55,5 @@ __all__ = [
     "AgileService",
     "AgileCtrl",
     "AgileHost",
-    "MultiGpuAgileHost",
     "GpuNode",
 ]

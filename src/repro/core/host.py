@@ -12,134 +12,102 @@ Kernel bodies receive ``(tc, ctrl, *args)``; each thread builds its own
 ``AgileLockChain`` (Listing 1 line 6).
 
 The machine itself is :class:`~repro.core.machine.Machine`; this module
-adds the AGILE runtime on top of it: :class:`AgileMachine` builds one
-:class:`GpuNode` stack per GPU and runs their services, and the single-GPU
-:class:`AgileHost` adds the fault plan and the placement feeds.
+adds the AGILE runtime on top of it: one :class:`~repro.core.node.GpuNode`
+stack per GPU, their services, the fault plan and the placement feeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.core.buffers import AgileBuf
-from repro.core.cache import DramTier, SoftwareCache
-from repro.core.ctrl import AgileCtrl
 from repro.core.issue import IssueEngine
 from repro.core.machine import Machine
-from repro.core.policies import CachePolicy, make_policy
-from repro.core.recovery import RecoveryManager
-from repro.core.service import AgileService
-from repro.core.sharetable import SharePolicy, ShareTable
+from repro.core.node import GpuNode, build_node
+from repro.core.policies import CachePolicy
+from repro.core.sharetable import SharePolicy
 from repro.faults import FaultInjector
-from repro.gpu.device import Gpu, KernelLaunch
+from repro.gpu.device import KernelLaunch
 from repro.gpu.kernel import KernelSpec, LaunchConfig
-from repro.nvme.queue import QueuePair
 from repro.placement import LoadAwarePlacement, Move
 from repro.sim.rng import RngStreams
 
 
-@dataclass
-class GpuNode:
-    """One GPU's complete AGILE stack."""
+class AgileHost(Machine):
+    """Owns the simulated machine and the AGILE runtime on top of it: one
+    GPU, or several sharing the SSDs through disjoint queue pairs (paper
+    §5), each running the same stack (:func:`~repro.core.node.build_node`)
+    with one SM reserved for its service.
 
-    index: int
-    gpu: Gpu
-    issue: IssueEngine
-    cache: SoftwareCache
-    service: AgileService
-    ctrl: AgileCtrl
-    recovery: Optional[RecoveryManager] = None
-    share_table: Optional[ShareTable] = None
-
-
-class AgileMachine(Machine):
-    """A machine whose every GPU runs the (unchanged) AGILE stack, one SM
-    of each reserved for the service kernel."""
+    ``cfg.queue_pairs`` is the per-SSD *per-GPU* count, so an SSD serves
+    ``num_gpus * cfg.queue_pairs`` queue pairs (bounded by its
+    ``max_queue_pairs``).  With several GPUs the stat groups are prefixed
+    ``gpuN.``, and the single-stack attributes (``issue``, ``cache``,
+    ``ctrl``, ``recovery``, ...) name GPU 0's stack.
+    """
 
     reserved_sms = 1
-    #: One AGILE stack per GPU, in GPU order (set by the subclass).
+    #: One AGILE stack per GPU, in GPU order.
     nodes: list[GpuNode]
 
-    def _build_node(
+    def __init__(
         self,
-        index: int,
-        queue_pairs: list[list[QueuePair]],
+        cfg: Optional[SystemConfig] = None,
         *,
-        prefix: str = "",
+        num_gpus: int = 1,
         policy: Optional[CachePolicy] = None,
         share_policy: Optional[SharePolicy] = None,
-        full: bool = True,
-    ) -> GpuNode:
-        """``initializeAgile`` for GPU ``index``: IssueEngine -> SoftwareCache
-        -> ShareTable -> AgileService -> AgileCtrl over its queue pairs,
-        stat groups named ``prefix + {io,cache,...}``.  ``full=False``
-        leaves out the recovery daemon, DRAM tier and Share Table (their
-        per-GPU forms are future work for the multi-GPU host)."""
-        cfg = self.cfg
-        gpu = self.gpus[index]
-
-        def group(name: str):
-            return self.trace.counter(prefix + name)
-
-        issue = IssueEngine(
-            self.sim,
-            self.ssds,
-            queue_pairs,
-            cfg.api,
-            debugger=self.debugger,
-            stats=group("io"),
-        )
-        # Built only when configured, so fault-free runs keep the exact
-        # pre-fault event stream (bit-identical golden traces).
-        recovery = None
-        if full and (cfg.faults.active or cfg.recovery.enabled):
-            recovery = RecoveryManager(
-                self.sim, issue, cfg.recovery, stats=group("recovery")
+        watchdog_ns: float = 0.0,
+        telemetry: Optional[bool] = None,
+    ):
+        if num_gpus > 1 and policy is not None:
+            raise ValueError(
+                "a CachePolicy instance attaches to one cache; with several "
+                "GPUs name it in cfg.cache.policy instead"
             )
-        dram_tier = (
-            DramTier(cfg.cache.dram_tier_lines)
-            if full and cfg.cache.dram_tier_lines > 0
-            else None
-        )
-        cache = SoftwareCache(
-            self.sim,
-            cfg.cache,
-            gpu.hbm,
-            policy if policy is not None else make_policy(cfg.cache.policy),
-            issue,
-            cfg.api,
-            dram_tier=dram_tier,
-            debugger=self.debugger,
-            stats=group("cache"),
-        )
-        share_table = None
-        if full and cfg.cache.share_table:
-            share_table = ShareTable(
+        super().__init__(cfg, num_gpus=num_gpus, watchdog_ns=watchdog_ns)
+        self.rng = RngStreams(self.cfg.seed)
+        # initNvme: each GPU's queue-pair range, rings in its own HBM.
+        queue_pairs = [self._create_queue_pairs(g) for g in range(num_gpus)]
+        self.queue_pairs = queue_pairs[0]
+        # Built only when configured (see ``build_node``'s recovery note).
+        self.fault_injector: Optional[FaultInjector] = None
+        if self.cfg.faults.active:
+            self.fault_injector = FaultInjector(
                 self.sim,
-                cache,
-                cfg.api,
-                policy=share_policy,
-                stats=group("share"),
+                self.cfg.faults,
+                self.rng,
+                stats=self.trace.counter("faults"),
             )
-        service = AgileService(
-            self.sim, gpu, issue, cfg.service, stats=group("service")
-        )
-        ctrl = AgileCtrl(
-            self.sim,
-            cfg,
-            cache,
-            issue,
-            share_table,
-            stats=group("ctrl"),
-            placement=self.placement,
-        )
-        self.ctrls.append(ctrl)
-        return GpuNode(
-            index, gpu, issue, cache, service, ctrl, recovery, share_table
-        )
+            for ssd in self.ssds:
+                ssd.arm_faults(self.fault_injector)
+        self.nodes = [
+            build_node(
+                self,
+                g,
+                qps,
+                prefix=f"gpu{g}." if num_gpus > 1 else "",
+                policy=policy,
+                share_policy=share_policy,
+            )
+            for g, qps in enumerate(queue_pairs)
+        ]
+        node = self.nodes[0]
+        self.issue = node.issue
+        self.recovery = node.recovery
+        self.cache = node.cache
+        self.share_table = node.share_table
+        self.service = node.service
+        self.ctrl = node.ctrl
+        if isinstance(self.placement, LoadAwarePlacement):
+            # Live feeds over the issue engines, never bound methods: the
+            # host owns the policy, so a feed holding the host is a cycle.
+            issues = [node.issue for node in self.nodes]
+            self.placement.load = partial(self._device_loads, *issues)
+            self.placement.healthy = partial(self._device_healthy, *issues)
+        self._finish(telemetry)
 
     # -- service lifecycle ----------------------------------------------------
 
@@ -173,6 +141,24 @@ class AgileMachine(Machine):
             )
         return super().launch_kernel(kernel, launch_cfg, args, gpu_idx)
 
+    def run_kernels(
+        self,
+        kernel: KernelSpec,
+        launch_cfg: LaunchConfig,
+        per_gpu_args: Sequence[Sequence[Any]],
+    ) -> float:
+        """Launch the kernel on every GPU concurrently; returns the
+        makespan (the GPUs share the SSDs, so they contend)."""
+        if len(per_gpu_args) != len(self.nodes):
+            raise ValueError("one argument tuple per GPU required")
+        start = self.sim.now
+        launches = [
+            self.launch_kernel(kernel, launch_cfg, args, gpu_idx=g)
+            for g, args in enumerate(per_gpu_args)
+        ]
+        self._run_until_done(launches, "multigpu.wait")
+        return self.sim.now - start
+
     def drain(self, poll_ns: float = 2_000.0) -> None:
         """Run the simulation until no NVMe commands are in flight (the
         service must be running).  Use after kernels that end with
@@ -189,61 +175,11 @@ class AgileMachine(Machine):
         proc = self.sim.spawn(waiter(), name="host.drain")
         self.sim.run(until_procs=[proc])
 
-
-class AgileHost(AgileMachine):
-    """Owns the simulated machine and the AGILE runtime on top of it."""
-
-    def __init__(
-        self,
-        cfg: Optional[SystemConfig] = None,
-        *,
-        policy: Optional[CachePolicy] = None,
-        share_policy: Optional[SharePolicy] = None,
-        debug_locks: bool = True,
-        hbm_capacity: Optional[int] = None,
-        watchdog_ns: float = 0.0,
-        telemetry: Optional[bool] = None,
-    ):
-        super().__init__(
-            cfg,
-            debug_locks=debug_locks,
-            hbm_capacity=hbm_capacity,
-            watchdog_ns=watchdog_ns,
-        )
-        self.rng = RngStreams(self.cfg.seed)
-        self.queue_pairs = self._create_queue_pairs()  # initNvme
-        # Built only when configured (see ``_build_node``'s recovery note).
-        self.fault_injector: Optional[FaultInjector] = None
-        if self.cfg.faults.active:
-            self.fault_injector = FaultInjector(
-                self.sim,
-                self.cfg.faults,
-                self.rng,
-                stats=self.trace.counter("faults"),
-            )
-            for ssd in self.ssds:
-                ssd.arm_faults(self.fault_injector)
-        node = self._build_node(
-            0, self.queue_pairs, policy=policy, share_policy=share_policy
-        )
-        self.nodes = [node]
-        self.issue = node.issue
-        self.recovery = node.recovery
-        self.cache = node.cache
-        self.share_table = node.share_table
-        self.service = node.service
-        self.ctrl = node.ctrl
-        if isinstance(self.placement, LoadAwarePlacement):
-            # Live feeds over the issue engine, never bound methods: the
-            # host owns the policy, so a feed holding the host is a cycle.
-            self.placement.load = partial(self._device_loads, self.issue)
-            self.placement.healthy = partial(self._device_healthy, self.issue)
-        self._finish(telemetry)
-
     def _register_collectors(self) -> None:
         super()._register_collectors()
         reg = self.trace
-        gpu, ssds, issue, service = self.gpu, self.ssds, self.issue, self.service
+        gpu, ssds, service = self.gpu, self.ssds, self.service
+        issues = [node.issue for node in self.nodes]
         reg.register_collector(
             "flash_channel_busy_ns",
             lambda: {
@@ -283,7 +219,9 @@ class AgileHost(AgileMachine):
             # The polling warps charge their reserved SM in closed form.
             | {f"sm{gpu.sms[-1].index}": service.thread_cycles()},
         )
-        reg.register_collector("inflight", lambda: {"cids": issue.inflight()})
+        reg.register_collector(
+            "inflight", lambda: {"cids": sum(i.inflight() for i in issues)}
+        )
 
     # -- placement feeds (pull-based; no simulated time) ---------------------
 
@@ -296,17 +234,19 @@ class AgileHost(AgileMachine):
     SCARCITY_LOAD_WEIGHT = 16.0
 
     @staticmethod
-    def _device_loads(issue: IssueEngine) -> list[float]:
-        """Per-device load signal for the load-aware policy: in-flight
-        commands plus FTL write pressure (WAF excess and free-block
-        scarcity).  The pressure term is gated on the device having seen
+    def _device_loads(*issues: IssueEngine) -> list[float]:
+        """Per-device load signal for the load-aware policy: every GPU's
+        in-flight commands plus FTL write pressure (WAF excess and
+        free-block scarcity).  The pressure term is gated on the device having seen
         any program at all — untouched FTLs contribute exactly 0.0, so
         read-only runs score identically to the pre-FTL feed and stay
         bit-exact."""
-        loads = [0.0] * len(issue.ssds)
-        for ssd_idx, _qid, _cid in issue.pending:
-            loads[ssd_idx] += 1.0
-        for i, ssd in enumerate(issue.ssds):
+        ssds = issues[0].ssds
+        loads = [0.0] * len(ssds)
+        for issue in issues:
+            for ssd_idx, _qid, _cid in issue.pending:
+                loads[ssd_idx] += 1.0
+        for i, ssd in enumerate(ssds):
             ftl = ssd.flash.ftl
             if not (ftl.host_programs or ftl.gc_programs):
                 continue
@@ -318,25 +258,21 @@ class AgileHost(AgileMachine):
         return loads
 
     @staticmethod
-    def _device_healthy(issue: IssueEngine) -> list[bool]:
-        """Circuit-breaker health per device (all-healthy without
-        recovery)."""
-        if issue.recovery is None:
-            return [True] * len(issue.ssds)
-        return [not br.open for br in issue.recovery.breakers]
+    def _device_healthy(*issues: IssueEngine) -> list[bool]:
+        """Circuit-breaker health per device: healthy while no GPU's
+        breaker for it is open (all-healthy without recovery)."""
+        if issues[0].recovery is None:
+            return [True] * len(issues[0].ssds)
+        opens = [[br.open for br in i.recovery.breakers] for i in issues]
+        return [not any(per_device) for per_device in zip(*opens)]
 
-    def rebalance_placement(
-        self, device_loads: Optional[Sequence[float]] = None
-    ) -> list[Move]:
-        """Ask the placement policy to migrate mappings toward balance and
-        copy the affected flash pages; returns the moves performed.
-        Host-side (no simulated time) — the modelled cost is the policy's
-        business to keep small via ``rebalance_max_moves``."""
-        loads = (
-            list(device_loads)
-            if device_loads is not None
-            else self._device_loads(self.issue)
-        )
+    def rebalance_placement(self) -> list[Move]:
+        """Ask the placement policy to migrate mappings toward balance
+        under the live device loads and copy the affected flash pages;
+        returns the moves performed.  Host-side (no simulated time) — the
+        modelled cost is the policy's business to keep small via
+        ``rebalance_max_moves``."""
+        loads = self._device_loads(*(node.issue for node in self.nodes))
         moves = self.placement.rebalance(loads)
         for mv in moves:
             (src_ssd, src_lba), (dst_ssd, dst_lba) = mv.src, mv.dst

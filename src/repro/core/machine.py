@@ -43,8 +43,6 @@ class Machine:
         cfg: Optional[SystemConfig] = None,
         *,
         num_gpus: int = 1,
-        debug_locks: bool = True,
-        hbm_capacity: Optional[int] = None,
         watchdog_ns: float = 0.0,
     ):
         if num_gpus < 1:
@@ -67,25 +65,23 @@ class Machine:
         self.sim = sim = Simulator(watchdog_ns=watchdog_ns)
         self.trace = MetricRegistry()
         self.trace.set_clock(lambda: sim.now)
-        capacity = hbm_capacity
-        if capacity is None:
-            # Cache, this GPU's SQ/CQ rings (each 4 KiB-aligned, one pair
-            # per SSD and queue pair) and headroom for user buffers.
-            ring = sum(
-                -(-self.cfg.queue_depth * entry // 4096) * 4096
-                for entry in (SQE_SIZE, CQE_SIZE)
-            )
-            capacity = (
-                self.cfg.cache.capacity_bytes
-                + len(self.cfg.ssds) * self.cfg.queue_pairs * ring
-                + (64 << 20)
-            )
+        # Cache, this GPU's SQ/CQ rings (each 4 KiB-aligned, one pair per
+        # SSD and queue pair) and headroom for user buffers.
+        ring = sum(
+            -(-self.cfg.queue_depth * entry // 4096) * 4096
+            for entry in (SQE_SIZE, CQE_SIZE)
+        )
+        capacity = (
+            self.cfg.cache.capacity_bytes
+            + len(self.cfg.ssds) * self.cfg.queue_pairs * ring
+            + (64 << 20)
+        )
         self.gpus = [
             Gpu(self.sim, self.cfg.gpu, hbm_capacity=capacity)
             for _ in range(num_gpus)
         ]
         self.gpu = self.gpus[0]
-        self.debugger = LockDebugger(enabled=debug_locks)
+        self.debugger = LockDebugger()
         # -- addNvmeDev ---------------------------------------------------
         # The SSDs are shared; controller-side DMA timing is charged to the
         # first GPU's HBM port (with several GPUs traffic actually splits,
@@ -225,12 +221,6 @@ class Machine:
             dtype,
             lambda p: self.placement.place(start_lba + p, tenant=tenant),
         )
-
-    def resolve(
-        self, lba: int, tenant: Optional[str] = None
-    ) -> tuple[int, int]:
-        """Placement resolution for one logical LBA."""
-        return self.placement.place(lba, tenant=tenant)
 
     def read_flash(
         self,

@@ -10,8 +10,8 @@ mirroring the paper's "identical kernel implementations" methodology:
 
 - **agile** — ``ctrl.raw_read`` issues every page asynchronously, then the
   thread waits on the transactions; completions are retired by the AGILE
-  service SM (paper §3.2).  Multi-GPU hosts reuse ``core.multigpu``: one
-  dispatch worker per GPU node, SSDs genuinely shared.
+  service SM (paper §3.2).  With ``num_gpus > 1`` the host runs one stack
+  per GPU and the serve engine one dispatch worker per GPU, SSDs shared.
 - **bam** — ``ctrl.read_page`` (``acquire_sync``): every thread polls the
   CQ inline and pays BaM's heavier cache critical sections.
 - **naive** — the Figure 1 strawman via
@@ -34,7 +34,6 @@ from repro.core import AgileHost, AgileLockChain
 from repro.core.issue import AgileIoError
 from repro.core.locks import DeadlockError
 from repro.core.machine import Machine
-from repro.core.multigpu import MultiGpuAgileHost
 from repro.gpu.kernel import KernelSpec, LaunchConfig
 from repro.nvme.command import Opcode
 from repro.serve.batcher import Batch
@@ -62,10 +61,10 @@ class ServeBackend:
     #: Whether ``op="write"``/``"modify"`` request classes can be served
     #: (the AGILE write path; BaM and naive are read-only baselines here).
     supports_writes = False
-    #: Whether ``op="paged"`` classes can be served — reads routed through
-    #: the four-state cache + Share Table so residency and eviction are
-    #: simulated (KV-cache paging needs this).
-    supports_paged = False
+    #: Whether cache-routed classes can be served: ``op="paged"`` reads
+    #: (KV-cache paging residency) and ``"modify"`` read-modify-writes.
+    #: Both need one software cache, or per-GPU copies of a page diverge.
+    supports_cached = False
 
     def __init__(self, host: Machine) -> None:
         self.host = host
@@ -194,7 +193,7 @@ class ServeBackend:
 
 
 class AgileServeBackend(ServeBackend):
-    """AGILE host(s); ``num_gpus > 1`` builds a ``MultiGpuAgileHost``."""
+    """The AGILE host, on one GPU or ``num_gpus`` sharing the SSDs."""
 
     system = "agile"
     supports_writes = True
@@ -205,15 +204,8 @@ class AgileServeBackend(ServeBackend):
         num_gpus: int = 1,
         telemetry: Optional[bool] = None,
     ):
-        super().__init__(
-            AgileHost(cfg, telemetry=telemetry)
-            if num_gpus == 1
-            else MultiGpuAgileHost(cfg, num_gpus=num_gpus)
-        )
-        # Cache-routed reads need one cache for the whole machine; the
-        # multi-GPU host shards its caches per node and the serve engine
-        # does not yet route paged classes node-affinely.
-        self.supports_paged = num_gpus == 1
+        super().__init__(AgileHost(cfg, num_gpus=num_gpus, telemetry=telemetry))
+        self.supports_cached = num_gpus == 1
 
     def _access(self, tc, ctrl, chain, req, dest):
         op = req.cls.op

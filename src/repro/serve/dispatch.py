@@ -1,14 +1,14 @@
 """Batch dispatch: fair-share kernel launches across serving workers.
 
-One worker process per simulated GPU (``core.multigpu`` nodes map 1:1 to
-workers) pulls batches from a shared bounded window and runs them through
-the backend — work-conserving fair sharing: an idle GPU always takes the
-oldest waiting batch, so multi-GPU hosts genuinely split the load while
-still contending for the shared SSDs.
+One worker process per simulated GPU pulls batches from a shared bounded
+window and runs them through the backend — work-conserving fair sharing:
+an idle GPU always takes the oldest waiting batch, so the GPUs of a
+multi-GPU host split the load while contending for the shared SSDs.
 
-The window is deliberately small (``pending_limit``): queueing belongs in
-the admission queue where it is bounded and shed-visible, not in front of
-the GPUs where it would hide overload from the admission policy.
+The window is deliberately small (``PENDING_PER_WORKER``): queueing
+belongs in the admission queue where it is bounded and shed-visible, not
+in front of the GPUs where it would hide overload from the admission
+policy.
 """
 
 from __future__ import annotations
@@ -16,12 +16,15 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, List, Optional
 
-from repro.serve.request import Request, RequestState
+from repro.serve.request import RequestState
 from repro.sim.engine import Event, Process, Simulator
 from repro.telemetry.metrics import Counter, Gauge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batcher -> here)
     from repro.serve.batcher import Batch
+
+#: Batches allowed to wait per worker beyond the ones running.
+PENDING_PER_WORKER = 2
 
 
 class Dispatcher:
@@ -33,7 +36,6 @@ class Dispatcher:
         num_workers: int,
         events: Counter,
         pending_gauge: Optional[Gauge] = None,
-        pending_limit: int = 0,
     ):
         if num_workers < 1:
             raise ValueError("need at least one dispatch worker")
@@ -41,10 +43,6 @@ class Dispatcher:
         self.num_workers = num_workers
         self.events = events
         self.pending_gauge = pending_gauge
-        #: Batches allowed to wait for a worker (beyond the ones running).
-        self.pending_limit = (
-            pending_limit if pending_limit > 0 else 2 * num_workers
-        )
         self._pending: Deque["Batch"] = deque()
         self._closed = False
         self._batch_waiters: List[Event] = []
@@ -55,7 +53,7 @@ class Dispatcher:
 
     def submit(self, batch: "Batch") -> Generator[Any, Any, None]:
         """Blocking hand-off; waits while the dispatch window is full."""
-        while len(self._pending) >= self.pending_limit:
+        while len(self._pending) >= PENDING_PER_WORKER * self.num_workers:
             ev = self.sim.event("serve.dispatch.space")
             self._space_waiters.append(ev)
             yield ev

@@ -45,9 +45,6 @@ class ServeConfig(Checked):
     #: Admission queue bound (requests; beyond it arrivals are SHED).
     admission_capacity: int = legal(256, ge=1)
     batch: BatchPolicy = field(default_factory=BatchPolicy)
-    #: Dispatch-window depth per worker (batches waiting beyond the ones
-    #: running); small keeps queueing in the shed-visible admission queue.
-    pending_per_worker: int = legal(2, ge=1)
     #: Multi-tenant scheduling policy.  None (the default) keeps the FIFO
     #: :class:`~repro.serve.admission.AdmissionQueue` and its bit-exact
     #: timelines; a :class:`~repro.serve.wfq.TenancyConfig` swaps in
@@ -77,11 +74,11 @@ class ServeEngine:
                 f"backend {backend.system!r} is read-only; write/modify "
                 f"class(es) not servable: {writers}"
             )
-        paged = [c.name for c in classes if c.op == "paged"]
-        if paged and not backend.supports_paged:
+        cached = [c.name for c in classes if c.op in ("paged", "modify")]
+        if cached and not backend.supports_cached:
             raise ValueError(
-                f"backend {backend.system!r} has no cache-routed read "
-                f"path; paged class(es) not servable: {paged}"
+                f"backend {backend.system!r} has no cache-routed path over "
+                f"one cache; paged/modify class(es) not servable: {cached}"
             )
         self.backend = backend
         self.classes = list(classes)
@@ -148,7 +145,6 @@ class ServeEngine:
             pending_gauge=self._gauge(
                 registry, "serve.dispatch.pending", "queue", "dispatch"
             ),
-            pending_limit=self.cfg.pending_per_worker * backend.num_workers,
         )
         self.batcher = DynamicBatcher(
             self.sim,

@@ -7,6 +7,8 @@ the real protocol until the checker fires inside the model call.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from repro.analysis.invariants import (
 from repro.config import GpuConfig, PcieConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.core.cache import LineState
-from repro.core.multigpu import MultiGpuAgileHost
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.core.sharetable import BufState
 from repro.mem import Hbm
@@ -233,7 +234,7 @@ class TestEndToEndClean:
         assert report.clean, report.summary()
 
     @pytest.mark.parametrize(
-        "host_cls", [AgileHost, BamHost, MultiGpuAgileHost],
+        "host_cls", [AgileHost, BamHost, partial(AgileHost, num_gpus=2)],
         ids=["agile", "bam", "agile-2gpu"],
     )
     def test_every_host_kind_is_checked(self, host_cls):
@@ -251,7 +252,7 @@ class TestEndToEndClean:
 
         kernel = KernelSpec(name="kinds", body=body, registers_per_thread=48)
         with host:
-            if isinstance(host, MultiGpuAgileHost):
+            if len(host.gpus) > 1:
                 host.run_kernels(kernel, LaunchConfig(1, 32), [(), ()])
             else:
                 host.run_kernel(kernel, LaunchConfig(1, 32))

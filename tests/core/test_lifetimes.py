@@ -30,7 +30,6 @@ import pytest
 from repro.baselines.harness import BamHost
 from repro.core import AgileHost, AgileLockChain
 from repro.core.machine import Machine
-from repro.core.multigpu import MultiGpuAgileHost
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.mem.hbm import Hbm
 from repro.nvme.flash import FlashArray
@@ -115,7 +114,7 @@ def _bam_read() -> None:
 
 
 def _multi_gpu() -> None:
-    host = MultiGpuAgileHost(small_config(), num_gpus=2)
+    host = AgileHost(small_config(), num_gpus=2)
     host.load_data(0, 3, np.full(4096, 7, dtype=np.uint8))
     bufs = [host.alloc_view(4096, gpu_idx=g) for g in range(2)]
 

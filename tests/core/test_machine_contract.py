@@ -1,6 +1,6 @@
 """One contract, three hosts: everything ``repro.core.machine.Machine``
-promises must hold on :class:`AgileHost`, :class:`BamHost` and
-:class:`MultiGpuAgileHost` alike — workloads and serve backends rely on it
+promises must hold on :class:`AgileHost` with one GPU or two and on
+:class:`BamHost` alike — workloads and serve backends rely on it
 instead of branching on the host type."""
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines import BamHost
 from repro.config import PlacementConfig, SsdConfig
-from repro.core import AgileHost, AgileLockChain, MultiGpuAgileHost
+from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.sim import Timeout
 
@@ -22,7 +22,7 @@ PAGE = 4096
 HOSTS = {
     "agile": AgileHost,
     "bam": BamHost,
-    "multigpu": lambda cfg: MultiGpuAgileHost(cfg, num_gpus=2),
+    "multigpu": lambda cfg: AgileHost(cfg, num_gpus=2),
 }
 
 
@@ -50,8 +50,7 @@ class TestStaging:
         assert host.load_logical(1, data) == 4
         npt.assert_array_equal(host.read_logical(1, data.size), data)
         for lba in range(1, 5):
-            assert host.resolve(lba) == host.placement.place(lba)
-            ssd, dev = host.resolve(lba)
+            ssd, dev = host.placement.place(lba)
             npt.assert_array_equal(
                 host.read_flash(ssd, dev, PAGE),
                 data[(lba - 1) * PAGE : lba * PAGE],

@@ -9,7 +9,6 @@ import pytest
 
 from repro.config import PlacementConfig
 from repro.core import AgileHost, AgileLockChain
-from repro.core.multigpu import MultiGpuAgileHost
 
 from tests.helpers import run_kernel, small_config
 
@@ -48,7 +47,7 @@ class TestLogicalRoundtrip:
         data = pattern(2)
         host.load_logical(5, data)
         npt.assert_array_equal(host.read_flash(0, 5, data.size), data)
-        assert host.resolve(17) == (0, 17)
+        assert host.placement.place(17) == (0, 17)
 
     def test_striped_logical_layout_on_flash(self):
         """Stripe-of-one: logical page p lands at row p//n of device p%n."""
@@ -115,7 +114,7 @@ class TestKernelLogicalReads:
         def body(tc, ctrl, _args):
             chain = AgileLockChain(f"t{tc.tid}")
             line_l = yield from ctrl.read_page_logical(tc, chain, 0)
-            ssd, dev = host.resolve(0)
+            ssd, dev = host.placement.place(0)
             line_p = yield from ctrl.read_page(tc, chain, ssd, dev)
             assert line_l is not line_p
             npt.assert_array_equal(line_l.buffer, line_p.buffer)
@@ -146,13 +145,12 @@ class TestRebalance:
 
 class TestOtherHosts:
     def test_multigpu_host_shares_one_placement(self):
-        host = MultiGpuAgileHost(array_config(2), num_gpus=2)
+        host = AgileHost(array_config(2), num_gpus=2)
         data = pattern(2)
         host.load_logical(0, data)
         assert all(
             node.ctrl.placement is host.placement for node in host.nodes
         )
-        assert host.resolve(1) == host.placement.place(1)
 
 
 class TestDeviceStats:

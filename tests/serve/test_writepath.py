@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.arrival import Poisson
-from repro.serve.backends import BamServeBackend
+from repro.serve.backends import AgileServeBackend, BamServeBackend
 from repro.serve.engine import ServeEngine
 from repro.serve.request import RequestClass
 from repro.serve.writepath import (
@@ -70,6 +70,21 @@ class TestReadOnlyBackendGuard:
         arrivals = {c.name: Poisson(1000.0) for c in classes}
         with pytest.raises(ValueError, match="read-only"):
             ServeEngine(backend, classes, arrivals, seed=7)
+
+
+class TestCacheRoutedGuard:
+    @pytest.mark.parametrize("op", ["paged", "modify"])
+    def test_cache_routed_classes_need_one_gpu(self, op):
+        """Each GPU has its own cache: on two GPUs a modified page would
+        end MODIFIED in both caches (flash keeping whichever copy is
+        evicted last), and paged residency would split per GPU."""
+        classes = [RequestClass(name="hot", op=op, pages=1, slo_ns=1e6, lba_space=4)]
+        arrivals = {"hot": Poisson(200_000.0)}
+        with pytest.raises(ValueError, match="not servable"):
+            ServeEngine(
+                AgileServeBackend(small_config(), num_gpus=2), classes, arrivals
+            )
+        ServeEngine(AgileServeBackend(small_config()), classes, arrivals)
 
 
 class TestWritePathPoint:
