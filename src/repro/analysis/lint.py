@@ -40,11 +40,11 @@ know about; this one enforces the repository's:
 - **AGL011** — no bare non-zero literal as the whole delay of ``Timeout``/
   ``At``/``timeout``/``schedule_at``: name it (``*_ns``, config field).
 - **AGL013** — no hand-rolled device-index arithmetic (``x % num_ssds``,
-  ``x % len(cfg.ssds)``, ...) outside ``repro/placement/``: physical
-  ``(ssd_idx, device_lba)`` coordinates come from a
-  :class:`~repro.placement.PlacementPolicy` (or its documented compat
-  shims ``interleaved``/``round_robin``), so an array-layout change is a
-  policy swap, not a grep across every workload.
+  ``x % len(cfg.ssds)``, ...) outside ``repro/placement/``: the host's
+  :class:`~repro.placement.PlacementPolicy` is the one logical-to-physical
+  address map, and every ``(ssd_idx, device_lba)`` coordinate comes from
+  it (``host.placement.place``), so an array-layout change is a policy
+  swap, not a grep across every workload.
 - **AGL014** — no direct mutation of the flash page store (``._pages``
   assignment, ``del``, or mutator calls like ``.pop()``/``.update()``)
   outside ``repro/nvme/ftl.py``: the FTL owns physical page contents, and
@@ -454,8 +454,8 @@ class _FileLinter:
             self.add(
                 node, "AGL013",
                 f"hand-rolled device index (modulo by {offender}) outside "
-                f"repro/placement/; resolve coordinates through a "
-                f"PlacementPolicy (or the interleaved/round_robin shims)",
+                f"repro/placement/; resolve coordinates through the "
+                f"host's PlacementPolicy (host.placement.place)",
             )
 
     @staticmethod

@@ -40,10 +40,10 @@ def gbps_to_bytes_per_ns(gb_per_s: float) -> float:
 # are comparable across commits (`repro.store` refuses to compare a fresh
 # document with a golden whose fingerprint differs).  The fingerprint must
 # be *canonical*: independent of dict insertion order, of tuple vs list
-# spelling, and of which dataclass layer produced the values.  Both
-# `SystemConfig.config_hash()` and `Experiment.config_hash()` hash through
-# the two functions below, so "same machine, same knobs" always lands on
-# the same hex digest.
+# spelling, and of which dataclass layer produced the values.
+# `Experiment.config_hash()` hashes its spec and axes through the two
+# functions below, so "same experiment, same knobs" always lands on the
+# same hex digest.
 
 
 def canonical_payload(obj: object) -> object:
@@ -456,7 +456,6 @@ class RecoveryConfig(Checked):
 #: Placement policies `repro.placement.make_placement` knows how to build
 #: (kept here so config validation has no import cycle with the package).
 PLACEMENT_POLICIES = (
-    "identity",
     "shard",
     "striped",
     "load_aware",
@@ -469,8 +468,8 @@ class PlacementConfig(Checked):
     """Logical-to-physical placement over the SSD array.
 
     ``striped`` with a one-page stripe is the paper's page-interleaved
-    layout; on a single-SSD array it is bit-identical to ``identity``
-    (logical LBA == device LBA), so the default preserves the goldens.
+    layout; on a single-SSD array it is the identity map (logical LBA ==
+    device LBA).
     """
 
     policy: str = legal("striped", choices=PLACEMENT_POLICIES)
@@ -479,8 +478,6 @@ class PlacementConfig(Checked):
     #: Logical span carved into contiguous shards (``shard`` only);
     #: 0 means "the whole array".
     shard_span: int = legal(0, ge=0)
-    #: Cap on mappings migrated per ``rebalance`` call (sticky policies).
-    rebalance_max_moves: int = legal(64, ge=0)
 
 
 @dataclass(frozen=True)
@@ -504,46 +501,13 @@ class SystemConfig(Checked):
     #: Root of every named random stream (numpy takes no negative seed).
     seed: int = legal(0xA617E, ge=0)
 
-    def config_hash(self) -> str:
-        """Canonical fingerprint of this machine (see :func:`stable_hash`).
-
-        Two configs built through different code paths but describing the
-        same machine hash identically; any field change — even nested —
-        produces a new digest.  The experiment store keys baselines by it.
-        """
-        return stable_hash(self)
-
-    def with_ssds(
-        self,
-        count: int,
-        *,
-        policy: str | None = None,
-        stripe_pages: int | None = None,
-    ) -> "SystemConfig":
-        """Return a copy with ``count`` identical SSDs.
-
-        ``policy``/``stripe_pages`` override the placement config, and an
-        ``identity`` placement that no longer fits a multi-device array is
-        promoted to ``striped``; the copy checks itself like any config.
-        """
+    def with_ssds(self, count: int) -> "SystemConfig":
+        """Return a copy with ``count`` identical SSDs; the copy checks
+        itself like any config."""
         base = self.ssds[0]
-        place = self.placement
-        if policy is not None or stripe_pages is not None:
-            place = replace(
-                place,
-                policy=policy if policy is not None else place.policy,
-                stripe_pages=(
-                    stripe_pages
-                    if stripe_pages is not None
-                    else place.stripe_pages
-                ),
-            )
-        if count > 1 and place.policy == "identity":
-            place = replace(place, policy="striped")
         return replace(
             self,
             ssds=tuple(replace(base, name=f"ssd{i}") for i in range(count)),
-            placement=place,
         )
 
     def __post_init__(self) -> None:
@@ -598,14 +562,18 @@ class SystemConfig(Checked):
             )
         if self.faults.window_end_ns < self.faults.window_start_ns:
             raise ConfigError("faults window ends before it starts")
-        if self.placement.policy == "identity" and len(self.ssds) > 1:
-            raise ConfigError(
-                "identity placement requires exactly one SSD; pick "
-                "striped/shard/load_aware/tenant_affine for arrays"
-            )
         pages = min(s.num_pages for s in self.ssds)
-        if self.placement.policy == "striped" and pages % self.placement.stripe_pages:
+        place = self.placement
+        if place.policy == "striped" and pages % place.stripe_pages:
             raise ConfigError(
-                f"placement.stripe_pages={self.placement.stripe_pages} must "
+                f"placement.stripe_pages={place.stripe_pages} must "
                 f"divide the device capacity of {pages} pages"
             )
+        if place.policy == "shard" and place.shard_span:
+            shard = -(-place.shard_span // len(self.ssds))
+            if pages % shard:
+                raise ConfigError(
+                    f"PlacementConfig.shard_span={place.shard_span} gives "
+                    f"{len(self.ssds)} shards of {shard} pages, which must "
+                    f"divide the device capacity of {pages} pages"
+                )

@@ -31,7 +31,7 @@ from repro.core.sharetable import SharePolicy
 from repro.faults import FaultInjector
 from repro.gpu.device import KernelLaunch
 from repro.gpu.kernel import KernelSpec, LaunchConfig
-from repro.placement import LoadAwarePlacement, Move
+from repro.placement import LoadAwarePlacement
 from repro.sim.rng import RngStreams
 
 
@@ -266,36 +266,7 @@ class AgileHost(Machine):
         opens = [[br.open for br in i.recovery.breakers] for i in issues]
         return [not any(per_device) for per_device in zip(*opens)]
 
-    def rebalance_placement(self) -> list[Move]:
-        """Ask the placement policy to migrate mappings toward balance
-        under the live device loads and copy the affected flash pages;
-        returns the moves performed.  Host-side (no simulated time) — the
-        modelled cost is the policy's business to keep small via
-        ``rebalance_max_moves``."""
-        loads = self._device_loads(*(node.issue for node in self.nodes))
-        moves = self.placement.rebalance(loads)
-        for mv in moves:
-            (src_ssd, src_lba), (dst_ssd, dst_lba) = mv.src, mv.dst
-            self.ssds[dst_ssd].flash.write_page_data(
-                dst_lba, self.ssds[src_ssd].flash.read_page_data(src_lba)
-            )
-        return moves
-
     def make_buffer(self, nbytes: Optional[int] = None, label: str = "") -> AgileBuf:
         """Allocate and register a user buffer (one cache line by default)."""
         size = nbytes if nbytes is not None else self.cfg.cache.line_size
         return self.ctrl.make_buffer(self.alloc_view(size), label=label)
-
-    def device_health(self) -> list[dict[str, object]]:
-        """Per-device counters plus circuit-breaker state (diagnostics for
-        chaos runs and the bench trend report)."""
-        report = self.driver.device_stats()
-        for idx, entry in enumerate(report):
-            if self.recovery is not None:
-                br = self.recovery.breakers[idx]
-                entry["breaker_open"] = br.open
-                if br.open:
-                    entry["breaker_reason"] = self.recovery.dead_reason(idx)
-            else:
-                entry["breaker_open"] = False
-        return report

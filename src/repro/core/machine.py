@@ -24,7 +24,7 @@ from repro.gpu.kernel import KernelSpec, LaunchConfig
 from repro.nvme.command import CQE_SIZE, SQE_SIZE
 from repro.nvme.driver import NvmeDriver
 from repro.nvme.queue import QueuePair
-from repro.placement import PlacementPolicy, interleaved, placement_for_config
+from repro.placement import PlacementPolicy, placement_for_config
 from repro.sim import probe as probe_mod
 from repro.sim.engine import Simulator
 from repro.telemetry.registry import MetricRegistry
@@ -177,23 +177,6 @@ class Machine:
     ) -> int:
         """Place a dataset on one SSD's flash; returns pages written."""
         return self._write_pages(data, lambda p: (ssd_idx, start_lba + p))
-
-    def load_data_striped(self, start_lba: int, data: np.ndarray) -> int:
-        """Stripe a dataset page-interleaved across all SSDs (the paper's
-        multi-SSD layout: request i goes to SSD ``i mod n``).  Page ``p`` of
-        the logical array lands at LBA ``start_lba + p // n`` of SSD
-        ``p mod n``.  Returns the number of logical pages.
-
-        Compatibility shim: the layout is fixed page-interleaved striping
-        regardless of the configured policy, expressed through the shared
-        :func:`~repro.placement.interleaved` policy (logical page ``p`` of
-        the region is logical LBA ``start_lba * n + p``).
-        """
-        n = len(self.ssds)
-        policy = interleaved(n)
-        return self._write_pages(
-            data, lambda p: policy.place(start_lba * n + p)
-        )
 
     def load_logical(
         self,

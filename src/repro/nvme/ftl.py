@@ -148,7 +148,7 @@ class Ftl:
         return page if page is not None else self._zero_page
 
     def host_write(self, lba: int, data: np.ndarray) -> None:
-        """Untimed host-side page install (dataset preload, rebalance).
+        """Untimed host-side page install (dataset preload).
 
         A never-written LBA is placed at its identity physical page so the
         read path's channel assignment — and therefore every read-only

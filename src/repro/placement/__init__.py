@@ -2,12 +2,13 @@
 
 Every layer above the NVMe driver addresses flash through a *logical*
 block address space; a :class:`PlacementPolicy` owns the mapping onto
-physical ``(ssd_idx, device_lba)`` coordinates.  Direct construction of
-physical pairs outside this package (and the documented compatibility
-shims) is banned by lint rule AGL013 — the point of the layer is that an
-array-layout question ("striped or sharded? load-aware or
-tenant-affine?") is answered by swapping a policy, not by editing every
-workload.
+physical ``(ssd_idx, device_lba)`` coordinates.  The host's policy is the
+only such map: workloads that use the paper's physical kernel API take
+their coordinates from ``host.placement``, and hand-rolled device-index
+arithmetic outside this package is banned by lint rule AGL013 — the point
+of the layer is that an array-layout question ("striped or sharded?
+load-aware or tenant-affine?") is answered by swapping a policy, not by
+editing every workload.
 
 Policies are deterministic: the same sequence of ``place`` calls on a
 fresh policy yields the same mapping, regardless of wall clock or hash
@@ -16,30 +17,22 @@ seeds (tenant keys hash via CRC-32, never the salted builtin ``hash``).
 
 from repro.placement.policy import (
     ArrayGeometry,
-    IdentityPlacement,
     LoadAwarePlacement,
-    Move,
     PlacementPolicy,
     StaticShardPlacement,
     StripedPlacement,
     TenantAffinePlacement,
-    interleaved,
     make_placement,
     placement_for_config,
-    round_robin,
 )
 
 __all__ = [
     "ArrayGeometry",
-    "IdentityPlacement",
     "LoadAwarePlacement",
-    "Move",
     "PlacementPolicy",
     "StaticShardPlacement",
     "StripedPlacement",
     "TenantAffinePlacement",
-    "interleaved",
     "make_placement",
     "placement_for_config",
-    "round_robin",
 ]

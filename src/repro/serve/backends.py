@@ -99,8 +99,7 @@ class ServeBackend:
         return self.placement.place(lba, tenant=tenant)
 
     def device_read_counts(self) -> List[int]:
-        """Completed reads per device index (joins on ``index``, not list
-        position, so reports survive array regrowth)."""
+        """Completed reads per device, by device index."""
         stats = self.host.driver.device_stats()
         counts = [0] * len(stats)
         for entry in stats:

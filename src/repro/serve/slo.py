@@ -1,8 +1,8 @@
 """SLO accounting: per-class latency distributions, goodput, shed rates.
 
 Everything lands on the host's telemetry spine so serve metrics appear in
-``host.stats()`` snapshots, BENCH.json embeds, and Chrome traces exactly
-like every other layer's:
+``host.stats()`` snapshots and Chrome traces exactly like every other
+layer's:
 
 - ``serve.<class>`` counter family — offered / completed / shed /
   queue_timeout / aborted / slo_ok / slo_miss;

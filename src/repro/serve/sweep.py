@@ -45,7 +45,8 @@ from repro.serve.registry import POINT, SCAN, tenant_class
 from repro.serve.request import RequestClass
 
 #: Placement policies the ``placement`` / ``policy`` axes accept (1-SSD
-#: cells run ``identity`` so single-device traces stay bit-exact).
+#: cells run ``striped``, the identity map on one device, so a sticky
+#: policy's allocation order never reorders a single-device trace).
 PLACEMENTS = ("shard", "striped", "load_aware", "tenant_affine")
 
 #: Tenant mix used by the standard sweep (fractions sum to 1).
@@ -111,7 +112,7 @@ def standard_cell(spec: SweepSpec, cell: Mapping[str, Any]) -> CellPlan:
     cfg = SystemConfig(
         seed=spec.seed,
         placement=PlacementConfig(
-            policy=cell["placement"] if ssds > 1 else "identity",
+            policy=cell["placement"] if ssds > 1 else "striped",
             stripe_pages=spec.stripe_pages,
             shard_span=2 * spec.lba_space,
         ),

@@ -234,7 +234,7 @@ def _system_config(
         if faults is not None
         else RecoveryConfig()
     )
-    policy = placement if spec.num_ssds > 1 else "identity"
+    policy = placement if spec.num_ssds > 1 else "striped"
     cfg = SystemConfig(
         seed=spec.seed,
         cache=CacheConfig(num_lines=spec.cache_lines, ways=4),

@@ -1,8 +1,9 @@
 """Shared SSD-access helpers for the application workloads.
 
-``StripedRegion`` maps a typed array laid out page-interleaved across the
-SSDs (the paper's multi-SSD layout) to (ssd, lba, offset) coordinates, and
-the reader functions fetch elements/ranges through either the AGILE or the
+``StripedRegion`` maps a typed array staged at a logical LBA range to
+(ssd, lba, offset) coordinates through the host's placement policy (by
+default the paper's page-interleaved multi-SSD layout), and the reader
+functions fetch elements/ranges through either the AGILE or the
 BaM controller with identical application-side logic — the paper's
 "identical kernel implementations" methodology (§4.5, §4.6).
 """
@@ -17,7 +18,7 @@ import numpy as np
 from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileLockChain
 from repro.gpu.thread import ThreadContext
-from repro.placement import interleaved
+from repro.placement import PlacementPolicy
 
 
 def workload_config(
@@ -36,10 +37,10 @@ def workload_config(
 
 @dataclass(frozen=True)
 class StripedRegion:
-    """A typed array region striped across ``num_ssds`` at ``base_lba``."""
+    """A typed array region at logical LBA ``base`` of ``placement``."""
 
-    base_lba: int
-    num_ssds: int
+    base: int
+    placement: PlacementPolicy
     dtype: np.dtype
     page_size: int = 4096
 
@@ -52,16 +53,25 @@ class StripedRegion:
         return self.page_size // self.itemsize
 
     def locate(self, elem_idx: int) -> tuple[int, int, int]:
-        """-> (ssd, lba, byte offset) of one element, via the shared
-        page-interleaved placement mapping."""
+        """-> (ssd, lba, byte offset) of one element, via the placement."""
         page = elem_idx // self.items_per_page
         offset = (elem_idx % self.items_per_page) * self.itemsize
-        ssd, row = interleaved(self.num_ssds).place(page)
-        return ssd, self.base_lba + row, offset
+        ssd, lba = self.placement.place(self.base + page)
+        return ssd, lba, offset
 
 
-def region(base_lba: int, num_ssds: int, dtype: np.dtype | str) -> StripedRegion:
-    return StripedRegion(base_lba, num_ssds, np.dtype(dtype))
+def row_base(placement: PlacementPolicy, row: int) -> int:
+    """Logical base of a region starting at device row ``row``: under the
+    default stripe-of-one map its page ``p`` sits at row ``row + p // n``
+    of SSD ``p % n``."""
+    return row * placement.geometry.num_ssds
+
+
+def region(
+    placement: PlacementPolicy, row: int, dtype: np.dtype | str
+) -> StripedRegion:
+    """The typed region that starts at device row ``row``."""
+    return StripedRegion(row_base(placement, row), placement, np.dtype(dtype))
 
 
 def _acquire(system: str, ctrl, tc, chain, ssd, lba):
@@ -123,12 +133,7 @@ def region_page_coords(
     used to preload the software cache for the Fig. 11 methodology."""
     nbytes = num_items * reg.itemsize
     n_pages = (nbytes + reg.page_size - 1) // reg.page_size
-    policy = interleaved(reg.num_ssds)
-    coords = []
-    for p in range(n_pages):
-        ssd, row = policy.place(p)
-        coords.append((ssd, reg.base_lba + row))
-    return coords
+    return [reg.placement.place(reg.base + p) for p in range(n_pages)]
 
 
 def preload_regions(host, *extents: tuple[StripedRegion, int]) -> None:

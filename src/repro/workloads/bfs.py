@@ -31,7 +31,7 @@ from repro.workloads.access import (
     region,
     workload_config,
 )
-from repro.workloads.graphs import CsrGraph, layout_graph, load_graph
+from repro.workloads.graphs import CsrGraph, load_graph
 
 SystemName = Literal["native", "agile", "bam"]
 
@@ -95,20 +95,20 @@ def run_bfs(
 ) -> BfsResult:
     """Run BFS on the chosen system; returns distances + simulated time."""
     n = graph.num_vertices
-    layout = layout_graph(graph)
-    row_reg = region(layout.row_ptr_lba, num_ssds, np.int64)
-    col_reg = region(layout.col_idx_lba, num_ssds, np.int64)
 
     if system == "native":
         sim = Simulator()
         gpu = Gpu(sim, workload_config(num_ssds, cache_lines).gpu,
                   hbm_capacity=1 << 22)
         host = None
+        row_reg = col_reg = None
     else:
         cfg = workload_config(num_ssds, cache_lines)
         host = AgileHost(cfg) if system == "agile" else BamHost(cfg)
         sim = host.sim
-        load_graph(host, graph)
+        layout = load_graph(host, graph)
+        row_reg = region(host.placement, layout.row_ptr_lba, np.int64)
+        col_reg = region(host.placement, layout.col_idx_lba, np.int64)
         if preload:
             preload_regions(
                 host, (row_reg, n + 1), (col_reg, graph.num_edges)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.baselines import BamHost
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
-from repro.placement import interleaved
+from repro.placement import PlacementPolicy
 from repro.workloads.access import workload_config
 from repro.workloads.criteo import CriteoTrace, make_criteo_trace
 
@@ -73,20 +73,26 @@ def config3() -> DlrmConfig:
 DLRM_CONFIGS = {"config1": config1, "config2": config2, "config3": config3}
 
 
-class EmbeddingLayout:
-    """Maps (feature, categorical id) to a page-striped SSD location."""
+def _vocab_offsets(vocab_sizes: Sequence[int]) -> np.ndarray:
+    """First vector index of each feature's table, plus the total."""
+    offsets = np.zeros(len(vocab_sizes) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(vocab_sizes, dtype=np.int64), out=offsets[1:])
+    return offsets
 
-    def __init__(self, vocab_sizes: Sequence[int], dim: int, num_ssds: int,
-                 page_size: int = 4096):
+
+class EmbeddingLayout:
+    """Maps (feature, categorical id) to an SSD location: the tables are
+    one array from logical LBA 0 of the host's placement policy."""
+
+    def __init__(self, vocab_sizes: Sequence[int], dim: int,
+                 placement: PlacementPolicy, page_size: int = 4096):
         self.dim = dim
         self.vec_bytes = dim * 4  # float32
         if page_size % self.vec_bytes != 0:
             raise ValueError("embedding vectors must pack evenly into pages")
         self.vecs_per_page = page_size // self.vec_bytes
-        self.num_ssds = num_ssds
-        self.offsets = np.zeros(len(vocab_sizes) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(vocab_sizes, dtype=np.int64),
-                  out=self.offsets[1:])
+        self.placement = placement
+        self.offsets = _vocab_offsets(vocab_sizes)
         self.total_vecs = int(self.offsets[-1])
         self.total_pages = (
             self.total_vecs + self.vecs_per_page - 1
@@ -96,10 +102,10 @@ class EmbeddingLayout:
         return int(self.offsets[feature]) + cat_id
 
     def locate(self, vec_idx: int) -> tuple[int, int, int]:
-        """-> (ssd, lba, byte offset) under page-interleaved striping."""
+        """-> (ssd, lba, byte offset) through the placement policy."""
         page = vec_idx // self.vecs_per_page
         offset = (vec_idx % self.vecs_per_page) * self.vec_bytes
-        ssd, lba = interleaved(self.num_ssds).place(page)
+        ssd, lba = self.placement.place(page)
         return ssd, lba, offset
 
     def make_table(self) -> np.ndarray:
@@ -126,11 +132,11 @@ class DlrmResult:
 
 
 def _epoch_lookups(
-    trace: CriteoTrace, layout: EmbeddingLayout, epoch: int, batch: int,
+    trace: CriteoTrace, offsets: np.ndarray, epoch: int, batch: int,
     features: int,
 ) -> np.ndarray:
     rows = trace.batch(epoch, batch)[:, :features]
-    vecs = layout.offsets[:features][None, :] + rows
+    vecs = offsets[:features][None, :] + rows
     # Feature-major order: the standard embedding-gather layout (one table
     # processed per warp at a time), which is what makes AGILE's warp-level
     # coalescing effective on Zipf-hot ids.
@@ -209,7 +215,7 @@ def _agile_prefetch_kernel(layout: EmbeddingLayout):
             k = r * n_threads + tid
             if k < len(pages):
                 page = int(pages[k])
-                ssd, lba = interleaved(layout.num_ssds).place(page)
+                ssd, lba = layout.placement.place(page)
                 yield from ctrl.prefetch(tc, chain, ssd, lba)
             else:
                 # Keep the warp's coalescing rounds uniform.
@@ -243,12 +249,12 @@ def run_dlrm(
     if trace is None:
         trace = make_criteo_trace(max(batch * epochs, 512), seed=seed)
     features = min(features, trace.num_features)
-    layout = EmbeddingLayout(
-        trace.vocab_sizes[:features], config.embedding_dim, num_ssds
-    )
     cfg = workload_config(num_ssds, cache_lines, queue_pairs, queue_depth)
     host = BamHost(cfg) if system == "bam" else AgileHost(cfg)
-    host.load_data_striped(0, layout.make_table())
+    layout = EmbeddingLayout(
+        trace.vocab_sizes[:features], config.embedding_dim, host.placement
+    )
+    host.load_logical(0, layout.make_table())
 
     out: dict = {}
     if system == "bam":
@@ -272,7 +278,7 @@ def run_dlrm(
     mlp_ns = config.mlp_time_ns(batch)
 
     lookups = [
-        _epoch_lookups(trace, layout, e, batch, features)
+        _epoch_lookups(trace, layout.offsets, e, batch, features)
         for e in range(epochs)
     ]
     pages = [_unique_pages(layout, lk) for lk in lookups]
@@ -318,15 +324,13 @@ def expected_checksum(
     batch: int,
     epochs: int,
     features: int,
-    num_ssds: int = 1,
 ) -> float:
     """Ground-truth gather checksum (sum of each looked-up vector's first
-    lane) for validating that fetched bytes are the right bytes."""
-    layout = EmbeddingLayout(
-        trace.vocab_sizes[:features], config.embedding_dim, num_ssds
-    )
+    lane) for validating that fetched bytes are the right bytes; the same
+    for every array layout."""
+    offsets = _vocab_offsets(trace.vocab_sizes[:features])
     total = 0.0
     for e in range(epochs):
-        vecs = _epoch_lookups(trace, layout, e, batch, features)
+        vecs = _epoch_lookups(trace, offsets, e, batch, features)
         total += float(vecs.astype(np.float64).sum())
     return total

@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.workloads.access import row_base
+
 
 @dataclass(frozen=True)
 class CsrGraph:
@@ -145,13 +147,16 @@ def layout_graph(
 
 def load_graph(host, graph: CsrGraph, x: Optional[np.ndarray] = None,
                page_size: int = 4096) -> GraphSsdLayout:
-    """Place a graph's CSR regions on the host's SSDs (striped) and return
-    the layout.  Works with both AgileHost and BamHost."""
+    """Place a graph's CSR regions on the host's SSDs through its placement
+    policy and return the layout.  Works with both AgileHost and BamHost."""
     layout = layout_graph(graph, page_size, x)
-    host.load_data_striped(layout.row_ptr_lba, graph.row_ptr)
-    host.load_data_striped(layout.col_idx_lba, graph.col_idx)
-    if graph.values is not None:
-        host.load_data_striped(layout.values_lba, graph.values)
-    if x is not None:
-        host.load_data_striped(layout.x_lba, x)
+    regions = [
+        (layout.row_ptr_lba, graph.row_ptr),
+        (layout.col_idx_lba, graph.col_idx),
+        (layout.values_lba, graph.values),
+        (layout.x_lba, x),
+    ]
+    for row, data in regions:
+        if data is not None:
+            host.load_logical(row_base(host.placement, row), data)
     return layout

@@ -18,7 +18,7 @@ import numpy as np
 from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
-from repro.placement import interleaved, round_robin
+from repro.placement import PlacementPolicy
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class SweepPoint:
     #: the simulated-event count.
     sim_events: int = 0
     #: Error-status completions across all devices.  A fault-free sweep
-    #: must report zero; the bench trend artifact records it so silent
-    #: error-path regressions show up in CI history.
+    #: must report zero, so silent error-path regressions show up in the
+    #: figure document.
     device_errors: int = 0
     #: Telemetry snapshot (:meth:`repro.telemetry.Telemetry.snapshot`) when
     #: the point ran with telemetry enabled.
@@ -59,7 +59,7 @@ def _sweep_config(num_ssds: int) -> SystemConfig:
 def _make_kernel(
     op: Literal["read", "write"],
     requests_per_thread: int,
-    num_ssds: int,
+    placement: PlacementPolicy,
     lba_space: int,
     inflight_per_thread: int,
 ):
@@ -68,14 +68,12 @@ def _make_kernel(
         buf = bufs[tc.tid]
         rng = np.random.default_rng(rng_seed + tc.tid)
         lbas = rng.integers(0, lba_space, size=requests_per_thread)
-        # The paper's interleave, expressed through the placement layer's
-        # round-robin shim (request i -> SSD ``i mod n``, random device LBA).
-        policy = interleaved(num_ssds)
+        # The paper's interleave: request i goes to the SSD the host's
+        # stripe-of-one placement gives logical page i (SSD ``i mod n``),
+        # at a random device LBA.
         pending = []
-        for i in range(requests_per_thread):
-            ssd, lba = round_robin(
-                policy, tc.tid * requests_per_thread + i, int(lbas[i])
-            )
+        for i, lba in enumerate(lbas.tolist()):
+            ssd, _ = placement.place(tc.tid * requests_per_thread + i)
             if op == "read":
                 txn = yield from ctrl.raw_read(tc, chain, ssd, lba, buf)
             else:
@@ -118,7 +116,8 @@ def run_bandwidth_sweep(
     kernel = KernelSpec(
         name=f"sweep_{op}",
         body=_make_kernel(
-            op, requests_per_thread, num_ssds, lba_space, inflight_per_thread
+            op, requests_per_thread, host.placement, lba_space,
+            inflight_per_thread,
         ),
         registers_per_thread=40,
     )

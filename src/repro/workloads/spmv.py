@@ -25,7 +25,7 @@ from repro.workloads.access import (
     region,
     workload_config,
 )
-from repro.workloads.graphs import CsrGraph, layout_graph, load_graph
+from repro.workloads.graphs import CsrGraph, load_graph
 
 SystemName = Literal["native", "agile", "bam"]
 
@@ -96,22 +96,22 @@ def run_spmv(
         raise ValueError("SpMV needs a weighted graph (with_values=True)")
     n = graph.num_vertices
     x = np.ascontiguousarray(x, dtype=np.float32)
-    layout = layout_graph(graph, x=x)
-    row_reg = region(layout.row_ptr_lba, num_ssds, np.int64)
-    col_reg = region(layout.col_idx_lba, num_ssds, np.int64)
-    val_reg = region(layout.values_lba, num_ssds, np.float32)
-    x_reg = region(layout.x_lba, num_ssds, np.float32)
 
     if system == "native":
         sim = Simulator()
         gpu = Gpu(sim, workload_config(num_ssds, cache_lines).gpu,
                   hbm_capacity=1 << 22)
         host = None
+        row_reg = col_reg = val_reg = x_reg = None
     else:
         cfg = workload_config(num_ssds, cache_lines)
         host = AgileHost(cfg) if system == "agile" else BamHost(cfg)
         sim = host.sim
-        load_graph(host, graph, x=x)
+        layout = load_graph(host, graph, x=x)
+        row_reg = region(host.placement, layout.row_ptr_lba, np.int64)
+        col_reg = region(host.placement, layout.col_idx_lba, np.int64)
+        val_reg = region(host.placement, layout.values_lba, np.float32)
+        x_reg = region(host.placement, layout.x_lba, np.float32)
         if preload:
             preload_regions(
                 host,

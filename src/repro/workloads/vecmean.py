@@ -38,17 +38,17 @@ def run_vector_mean(
     reduces ``chunk``-element spans in a grid-stride loop."""
     data = np.ascontiguousarray(data, dtype=np.float32)
     n = data.size
-    reg = region(0, num_ssds, np.float32)
 
     if system == "native":
         sim = Simulator()
         gpu = Gpu(sim, workload_config(num_ssds, cache_lines).gpu, hbm_capacity=1 << 22)
-        host = None
+        host = reg = None
     else:
         cfg = workload_config(num_ssds, cache_lines)
         host = AgileHost(cfg) if system == "agile" else BamHost(cfg)
         sim = host.sim
-        host.load_data_striped(0, data)
+        host.load_logical(0, data)
+        reg = region(host.placement, 0, np.float32)
         host.start()
 
     partials: list[float] = []

@@ -49,7 +49,7 @@ class TestDataStaging:
     def test_striped_layout_across_ssds(self):
         host = AgileHost(small_config().with_ssds(2))
         data = np.arange(4096 * 4 // 4, dtype=np.int32)  # 4 pages
-        pages = host.load_data_striped(0, data)
+        pages = host.load_logical(0, data)
         assert pages == 4
         # Page p lives on SSD p%2 at LBA p//2.
         for p in range(4):

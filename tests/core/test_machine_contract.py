@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from repro.baselines import BamHost
-from repro.config import PlacementConfig, SsdConfig
+from repro.config import SsdConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.sim import Timeout
@@ -26,10 +26,6 @@ HOSTS = {
 }
 
 
-def array_config(policy: str):
-    """``identity`` is the 1-SSD legacy layout; anything else gets 2 SSDs."""
-    cfg = small_config(placement=PlacementConfig(policy=policy))
-    return cfg.with_ssds(1 if policy == "identity" else 2)
 
 
 @pytest.fixture(params=sorted(HOSTS))
@@ -43,9 +39,13 @@ def host(make):
 
 
 class TestStaging:
-    @pytest.mark.parametrize("policy", ["identity", "striped"])
-    def test_logical_roundtrip_through_placement(self, make, policy):
-        host = make(array_config(policy))
+    #: The default stripe-of-one map: the identity on one SSD, page
+    #: interleave on two.
+    @pytest.mark.parametrize(
+        "ssds", [pytest.param(1, id="identity"), pytest.param(2, id="striped")]
+    )
+    def test_logical_roundtrip_through_placement(self, make, ssds):
+        host = make(small_config().with_ssds(ssds))
         data = np.arange(4 * PAGE, dtype=np.uint8)
         assert host.load_logical(1, data) == 4
         npt.assert_array_equal(host.read_logical(1, data.size), data)

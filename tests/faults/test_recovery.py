@@ -102,7 +102,7 @@ class TestFlashErrors:
         assert cache["fill_errors"] == 1
         assert host.ssds[0].errors == 1
         assert host.ssds[0].flash.read_errors == 1
-        assert host.device_health()[0]["errors"] == 1
+        assert host.driver.device_stats()[0]["errors"] == 1
 
     def test_persistent_fill_failure_raises_clean_error(self):
         """When every retry hits a media error the reader gets a bounded
@@ -192,7 +192,6 @@ class TestCircuitBreaker:
         assert rec["commands_failed"] >= 1
         io = host.trace.counter("io")
         assert io["failed_fast"] == 1
-        health = host.device_health()[0]
-        assert health["breaker_open"] is True
-        assert "consecutive failures" in health["breaker_reason"]
+        assert host.recovery.breakers[0].open
+        assert "consecutive failures" in host.recovery.dead_reason(0)
         assert host.issue.inflight() == 0

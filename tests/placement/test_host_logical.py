@@ -1,5 +1,5 @@
 """Host-level logical addressing: load/read/kernel paths through the
-placement layer, compat shims, rebalance migration, device stats."""
+placement layer, device stats."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from repro.config import PlacementConfig
+from repro.config import PlacementConfig, RecoveryConfig
 from repro.core import AgileHost, AgileLockChain
 
 from tests.helpers import run_kernel, small_config
@@ -16,11 +16,7 @@ PAGE = 4096
 
 
 def array_config(num_ssds: int, policy: str = "striped", **place_kw):
-    cfg = small_config(
-        placement=PlacementConfig(
-            policy=policy if num_ssds > 1 else "identity", **place_kw
-        )
-    )
+    cfg = small_config(placement=PlacementConfig(policy=policy, **place_kw))
     return cfg.with_ssds(num_ssds)
 
 
@@ -41,8 +37,8 @@ class TestLogicalRoundtrip:
         )
 
     def test_single_device_logical_is_physical(self):
-        """Identity on one SSD: logical loads land at the same flash bytes
-        as physical loads — the legacy goldens' layout."""
+        """The default stripe on one SSD is the identity map: logical loads
+        land at the same flash bytes as physical loads."""
         host = AgileHost(small_config())
         data = pattern(2)
         host.load_logical(5, data)
@@ -57,18 +53,6 @@ class TestLogicalRoundtrip:
         for p in range(4):
             npt.assert_array_equal(
                 host.read_flash(p % 2, p // 2, PAGE),
-                data[p * PAGE : (p + 1) * PAGE],
-            )
-
-    def test_load_data_striped_compat_shim_matches_legacy(self):
-        """The shim keeps the paper's fixed interleave even when the
-        configured policy is something else entirely."""
-        host = AgileHost(array_config(2, "tenant_affine"))
-        data = pattern(4)
-        assert host.load_data_striped(7, data) == 4
-        for p in range(4):
-            npt.assert_array_equal(
-                host.read_flash(p % 2, 7 + p // 2, PAGE),
                 data[p * PAGE : (p + 1) * PAGE],
             )
 
@@ -124,25 +108,6 @@ class TestKernelLogicalReads:
         run_kernel(host, body, block=1, args=(None,))
 
 
-class TestRebalance:
-    def test_rebalance_migrates_flash_pages(self):
-        """After a skewed tenant fills one device, rebalance moves mappings
-        and copies the data — logical reads still return the original
-        bytes."""
-        host = AgileHost(array_config(2, "tenant_affine"))
-        data = pattern(8)
-        host.load_logical(0, data, tenant="hot")  # all on one home device
-        placed_before = list(host.placement.describe()["placed"])
-        assert max(placed_before) == 8 and min(placed_before) == 0
-        moves = host.rebalance_placement()
-        assert moves
-        placed_after = host.placement.describe()["placed"]
-        assert abs(placed_after[0] - placed_after[1]) <= 1
-        npt.assert_array_equal(
-            host.read_logical(0, data.size, tenant="hot"), data
-        )
-
-
 class TestOtherHosts:
     def test_multigpu_host_shares_one_placement(self):
         host = AgileHost(array_config(2), num_gpus=2)
@@ -162,7 +127,10 @@ class TestDeviceStats:
         assert all("completed_reads" in s for s in stats)
 
     def test_device_health_carries_index_too(self):
-        host = AgileHost(array_config(2))
-        health = host.device_health()
-        assert [h["index"] for h in health] == [0, 1]
-        assert all("breaker_open" in h for h in health)
+        """Device health is the stats row plus the breaker of the same
+        index."""
+        cfg = small_config(recovery=RecoveryConfig(enabled=True))
+        host = AgileHost(cfg.with_ssds(2))
+        stats = host.driver.device_stats()
+        assert [s["index"] for s in stats] == [0, 1]
+        assert [br.open for br in host.recovery.breakers] == [False, False]

@@ -1,10 +1,9 @@
-"""Placement-policy contract tests: bijection, determinism, shims.
+"""Placement-policy contract tests: bijection, determinism, attach rules.
 
 The contract (see ``repro/placement/policy.py``): every policy is a
 bijection onto the array's logical capacity, the mapping is a pure
-function of (constructor args, geometry, place-call order), and the
-compat shims reproduce the paper's fixed page-interleaved layout
-bit-exactly.
+function of (constructor args, geometry, place-call order), and attach
+refuses parameters that could not keep the bijection.
 """
 
 from __future__ import annotations
@@ -16,18 +15,14 @@ from hypothesis import strategies as st
 from repro.config import PlacementConfig, SystemConfig
 from repro.placement import (
     ArrayGeometry,
-    IdentityPlacement,
     LoadAwarePlacement,
-    StaticShardPlacement,
     StripedPlacement,
     TenantAffinePlacement,
-    interleaved,
     make_placement,
     placement_for_config,
-    round_robin,
 )
 
-POLICIES = ("identity", "shard", "striped", "load_aware", "tenant_affine")
+POLICIES = ("shard", "striped", "load_aware", "tenant_affine")
 
 
 def attached(policy: str, num_ssds: int, pages_per_ssd: int, **kw):
@@ -45,22 +40,28 @@ def attached(policy: str, num_ssds: int, pages_per_ssd: int, **kw):
     num_ssds=st.integers(min_value=1, max_value=5),
     stripes_per_ssd=st.integers(min_value=1, max_value=8),
     stripe_pages=st.integers(min_value=1, max_value=7),
+    shard_span=st.integers(min_value=0, max_value=90),
 )
 def test_every_policy_is_a_bijection_onto_capacity(
-    policy, num_ssds, stripes_per_ssd, stripe_pages
+    policy, num_ssds, stripes_per_ssd, stripe_pages, shard_span
 ):
     """Placing every logical LBA in [0, capacity) yields capacity distinct
     in-bounds physical coordinates — no aliasing, no overflow, for every
-    policy at every array shape."""
-    if policy == "identity" and num_ssds != 1:
-        num_ssds = 1
+    policy at every array shape that attach accepts."""
     # Striping requires the stripe to divide device capacity (attach
     # rejects anything else), so build the geometry from whole stripes.
     pages_per_ssd = stripe_pages * stripes_per_ssd
-    pol = attached(
-        policy, num_ssds, pages_per_ssd, stripe_pages=stripe_pages
-    )
     capacity = num_ssds * pages_per_ssd
+    shard = -(-(shard_span or capacity) // num_ssds)
+    if policy == "shard" and pages_per_ssd % shard:
+        # The only refusal: shards that do not tile the device.
+        with pytest.raises(ValueError, match="shard_span"):
+            attached(policy, num_ssds, pages_per_ssd, shard_span=shard_span)
+        return
+    pol = attached(
+        policy, num_ssds, pages_per_ssd, stripe_pages=stripe_pages,
+        shard_span=shard_span,
+    )
     tenants = ("alpha", "beta", None)
     seen = set()
     for lba in range(capacity):
@@ -79,14 +80,11 @@ def test_every_policy_is_a_bijection_onto_capacity(
 
 class TestIdentity:
     def test_passthrough(self):
-        pol = attached("identity", 1, 16)
-        assert [pol.place(lba) for lba in range(4)] == [
-            (0, 0), (0, 1), (0, 2), (0, 3)
+        """Striping over one device is the identity map."""
+        pol = attached("striped", 1, 16, stripe_pages=4)
+        assert [pol.place(lba) for lba in range(6)] == [
+            (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)
         ]
-
-    def test_rejects_multi_device_array(self):
-        with pytest.raises(ValueError, match="exactly one SSD"):
-            attached("identity", 2, 16)
 
 
 class TestStriped:
@@ -106,7 +104,7 @@ class TestStriped:
 
     def test_describe_reports_stripe(self):
         pol = attached("striped", 2, 8, stripe_pages=4)
-        assert pol.describe()["stripe_pages"] == 4
+        assert pol.stripe_pages == 4
 
     def test_stripe_must_divide_device_capacity(self):
         with pytest.raises(ValueError, match="divide the device capacity"):
@@ -127,9 +125,14 @@ class TestShard:
         assert pol.place(0) == (0, 0)
         assert pol.place(4) == (1, 0)
 
-    def test_unbounded_array_requires_span(self):
-        with pytest.raises(ValueError, match="shard_span"):
-            StaticShardPlacement().attach(ArrayGeometry(2, 0))
+    def test_shards_must_tile_the_device(self):
+        """A span whose per-device shard does not divide the device would
+        leave high logical LBAs nowhere to go; attach refuses it, whether
+        the span is narrower or wider than the array."""
+        for span in (5, 100):
+            with pytest.raises(ValueError, match="must divide the device"):
+                attached("shard", 2, 4, shard_span=span)
+        assert attached("shard", 2, 4, shard_span=3).place(7) == (1, 3)
 
     def test_shard_equals_block_striping(self):
         """Sharding is striping with a block of ceil(span/n) — addresses
@@ -173,19 +176,6 @@ class TestLoadAware:
         health[before[0]] = False
         assert pol.place(0) == before  # advisory, not retroactive
 
-    def test_rebalance_moves_toward_even_counts(self):
-        pol = LoadAwarePlacement(load=lambda: [0.0, 10.0]).attach(
-            ArrayGeometry(2, 16)
-        )
-        for lba in range(8):
-            pol.place(lba)  # all land on ssd0 under the skewed feed
-        moves = pol.rebalance()
-        assert moves
-        placed = pol.describe()["placed"]
-        assert abs(placed[0] - placed[1]) <= 1
-        for move in moves:
-            assert pol.place(move.logical_lba) == move.dst
-
 
 class TestTenantAffine:
     def test_affinity_is_crc_not_salted_hash(self):
@@ -212,28 +202,6 @@ class TestTenantAffine:
         assert set(lanes[2:]) == {1 - home}
 
 
-# -- compat shims -------------------------------------------------------------
-
-
-class TestShims:
-    def test_interleaved_is_cached_and_unbounded(self):
-        assert interleaved(3) is interleaved(3)
-        # Unbounded: arbitrary page numbers resolve without capacity errors.
-        assert interleaved(3).place(3_000_000) == (0, 1_000_000)
-
-    def test_round_robin_reproduces_paper_interleave(self):
-        """Request i goes to SSD i mod n at its own device LBA — the
-        Fig. 5/6 issue pattern, expressed as a logical address."""
-        pol = interleaved(4)
-        for i in range(16):
-            assert round_robin(pol, i, 77) == (i % 4, 77)
-
-    def test_round_robin_rejects_non_interleaved_policies(self):
-        pol = attached("shard", 2, 8)
-        with pytest.raises(ValueError, match="round_robin"):
-            round_robin(pol, 0, 0)
-
-
 # -- config plumbing ----------------------------------------------------------
 
 
@@ -247,11 +215,10 @@ class TestConfigPlumbing:
 
     def test_single_device_default_matches_identity(self):
         """The default policy on one device maps logical == physical, so
-        legacy single-SSD goldens stay bit-exact."""
+        single-SSD workloads address flash exactly as they stage it."""
         pol = placement_for_config(SystemConfig())
-        ident = IdentityPlacement().attach(pol.geometry)
-        for lba in range(64):
-            assert pol.place(lba) == ident.place(lba) == (0, lba)
+        for lba in (0, 1, 2, 63, pol.geometry.logical_capacity - 1):
+            assert pol.place(lba) == (0, lba)
 
     def test_unknown_policy_name_rejected(self):
         with pytest.raises(ValueError, match="unknown placement"):

@@ -43,8 +43,12 @@ class TestPlacementSection:
         assert block["skew_ratio"] >= 1.0
 
     def test_single_ssd_runs_identity(self):
-        block = quiet_point(ssds=1).as_dict()["placement"]
-        assert block["policy"] == "identity"
+        """One device runs ``striped``, the identity map there, whatever
+        the cell's policy."""
+        block = quiet_point(ssds=1, placement="tenant_affine").as_dict()[
+            "placement"
+        ]
+        assert block["policy"] == "striped"
         assert block["skew_ratio"] == 1.0
 
 

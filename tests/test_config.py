@@ -162,17 +162,30 @@ class TestValidation:
                 cache=CacheConfig(line_size=8192),
             )
 
-    def test_identity_placement_rejected_on_arrays(self):
-        with pytest.raises(ConfigError, match="identity placement"):
-            SystemConfig(
-                ssds=(SsdConfig(name="ssd0"), SsdConfig(name="ssd1")),
-                placement=PlacementConfig(policy="identity"),
-            )
-
     def test_stripe_must_divide_device_pages(self):
         with pytest.raises(ConfigError, match="divide the device capacity"):
             SystemConfig(
                 placement=PlacementConfig(policy="striped", stripe_pages=3)
+            )
+
+    def test_shard_span_shards_must_divide_device_pages(self):
+        """A span of 5 on two devices gives shards of 3 pages, which leave
+        the top logical pages of a 4-page device nowhere to go."""
+        ssds = tuple(
+            SsdConfig(name=f"ssd{i}", capacity_bytes=4 * 4096,
+                      pages_per_block=4)
+            for i in range(2)
+        )
+        for span in (5, 100):
+            with pytest.raises(ConfigError, match="PlacementConfig.shard_span"):
+                SystemConfig(
+                    ssds=ssds,
+                    placement=PlacementConfig(policy="shard", shard_span=span),
+                )
+        for span in (0, 3, 8):
+            SystemConfig(
+                ssds=ssds,
+                placement=PlacementConfig(policy="shard", shard_span=span),
             )
 
     @pytest.mark.parametrize(
@@ -217,18 +230,6 @@ class TestHelpers:
         """Every copy checks every device's queue limits, grown ones too."""
         with pytest.raises(ConfigError, match="queue pairs"):
             SystemConfig(queue_pairs=200).with_ssds(4)
-
-    def test_with_ssds_promotes_identity_to_striped(self):
-        cfg = SystemConfig(
-            placement=PlacementConfig(policy="identity")
-        ).with_ssds(2)
-        assert cfg.placement.policy == "striped"
-
-    def test_with_ssds_policy_and_stripe_overrides(self):
-        cfg = SystemConfig().with_ssds(4, policy="shard")
-        assert cfg.placement.policy == "shard"
-        striped = SystemConfig().with_ssds(2, stripe_pages=4)
-        assert striped.placement.stripe_pages == 4
 
     def test_cache_geometry(self):
         cache = CacheConfig(num_lines=128, ways=8)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.placement import placement_for_config
+from repro.workloads.access import workload_config
 from repro.workloads.criteo import DEFAULT_VOCAB_SIZES, make_criteo_trace
 from repro.workloads.dlrm import (
     DLRM_CONFIGS,
@@ -17,6 +19,10 @@ from repro.workloads.dlrm import (
 )
 
 VOCAB = (800, 500, 300, 200)
+
+
+def placement(num_ssds: int):
+    return placement_for_config(workload_config(num_ssds, 64))
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +69,7 @@ class TestCriteoTrace:
 
 class TestEmbeddingLayout:
     def test_locate_round_trip(self):
-        layout = EmbeddingLayout(VOCAB, dim=64, num_ssds=2)
+        layout = EmbeddingLayout(VOCAB, dim=64, placement=placement(2))
         seen = set()
         for vec in range(0, layout.total_vecs, 7):
             ssd, lba, off = layout.locate(vec)
@@ -74,14 +80,14 @@ class TestEmbeddingLayout:
             seen.add(key)
 
     def test_vector_index_offsets(self):
-        layout = EmbeddingLayout(VOCAB, dim=64, num_ssds=1)
+        layout = EmbeddingLayout(VOCAB, dim=64, placement=placement(1))
         assert layout.vector_index(0, 0) == 0
         assert layout.vector_index(1, 0) == VOCAB[0]
         assert layout.vector_index(3, 5) == sum(VOCAB[:3]) + 5
 
     def test_dim_must_pack(self):
         with pytest.raises(ValueError):
-            EmbeddingLayout(VOCAB, dim=100, num_ssds=1)  # 400 B per vector
+            EmbeddingLayout(VOCAB, dim=100, placement=placement(1))  # 400 B
 
 
 class TestConfigs:
@@ -119,7 +125,7 @@ class TestRunDlrm:
         kw = dict(self.KW, num_ssds=2)
         r = run_dlrm("agile_sync", config2(), trace=trace, **kw)
         exp = expected_checksum(config2(), trace, batch=16, epochs=3,
-                                features=4, num_ssds=2)
+                                features=4)
         assert r.checksum == pytest.approx(exp, rel=1e-6)
 
     def test_coalescing_ablation_runs(self, trace):
