@@ -400,10 +400,6 @@ class BamCtrl:
             sim, cfg.cache, hbm, self.io, self.costs, debugger, self.stats
         )
 
-    @property
-    def line_size(self) -> int:
-        return self.cache.line_size
-
     def read_page(
         self,
         tc: ThreadContext,
@@ -414,23 +410,3 @@ class BamCtrl:
         """Blocking page access; caller must ``ctrl.cache.unpin`` the line."""
         line = yield from self.cache.acquire_sync(tc, chain, ssd_idx, lba)
         return line
-
-    def get_element(
-        self,
-        tc: ThreadContext,
-        chain: AgileLockChain,
-        ssd_idx: int,
-        elem_idx: int,
-        dtype: np.dtype | str,
-        base_lba: int = 0,
-    ) -> Generator[Any, Any, Any]:
-        """Synchronous element read (the BaM array abstraction)."""
-        dt = np.dtype(dtype)
-        per_page = self.line_size // dt.itemsize
-        lba = base_lba + elem_idx // per_page
-        offset = (elem_idx % per_page) * dt.itemsize
-        line = yield from self.cache.acquire_sync(tc, chain, ssd_idx, lba)
-        yield from tc.hbm_load(dt.itemsize)
-        value = line.buffer[offset : offset + dt.itemsize].view(dt)[0]
-        self.cache.unpin(line)
-        return value

@@ -49,14 +49,6 @@ class LineState(enum.Enum):
     MODIFIED = "modified"
 
 
-#: Tag namespace for logically-addressed lines: ``(LOGICAL_NS, logical_lba)``.
-#: Distinct from every physical ``(ssd_idx, lba)`` tag by construction, so a
-#: placement-policy change can never alias a logical line onto a physical
-#: one (or vice versa) — the aliasing hazard the placement layer must rule
-#: out.
-LOGICAL_NS = "L"
-
-
 @dataclass
 class CacheLine:
     """Metadata for one software cache line."""
@@ -66,12 +58,9 @@ class CacheLine:
     way: int
     buffer: np.ndarray
     state: LineState = LineState.INVALID
-    #: Cache key: physical ``(ssd_idx, lba)`` or logical ``("L", lba)``.
-    tag: Optional[tuple[Any, int]] = None
-    #: Physical ``(ssd_idx, device_lba)`` the line fills from and writes
-    #: back to.  Equals ``tag`` for physically-addressed lines; for logical
-    #: tags it carries the placement policy's resolution.
-    route: Optional[tuple[int, int]] = None
+    #: Cache key: the physical ``(ssd_idx, lba)`` the line fills from and
+    #: writes back to (logical accesses resolve through placement first).
+    tag: Optional[tuple[int, int]] = None
     pins: int = 0
     ready_gate: Optional[Event] = None
     #: Precomputed gate name: a fresh Event is built on every claim (stale
@@ -202,12 +191,6 @@ class SoftwareCache:
         base = set_idx * self.ways
         return self.lines[base : base + self.ways]
 
-    def _set_of_tag(self, tag: tuple[Any, int]) -> int:
-        if tag[0] == LOGICAL_NS:
-            # Logical addresses are already array-global; no device folding.
-            return tag[1] % self.num_sets
-        return self.set_of(tag[0], tag[1])
-
     def lookup(self, ssd_idx: int, lba: int) -> Optional[CacheLine]:
         """Tag probe without timing (for tests and preloading)."""
         return self._tags.get((ssd_idx, lba))
@@ -231,49 +214,8 @@ class SoftwareCache:
         data is not yet resident, the BUSY line being filled (unpinned).
         Callers release pins with :meth:`unpin` after copying data out.
         """
-        line = yield from self._acquire(
-            tc, chain, (ssd_idx, lba), (ssd_idx, lba),
-            pin=pin, wait=wait, for_write=for_write,
-        )
-        return line
-
-    def acquire_logical(
-        self,
-        tc: ThreadContext,
-        chain: AgileLockChain,
-        lba: int,
-        route: tuple[int, int],
-        *,
-        pin: bool = True,
-        wait: bool = True,
-        for_write: bool = False,
-    ) -> Generator[Any, Any, Optional[CacheLine]]:
-        """Route a *logical* page access through the cache.
-
-        The line is keyed by the logical LBA (namespace-distinct from the
-        physical tags, so policies can change between runs without aliasing
-        lines); ``route`` is the placement policy's physical resolution and
-        is used only for fills and write-backs.
-        """
-        line = yield from self._acquire(
-            tc, chain, (LOGICAL_NS, int(lba)),
-            (int(route[0]), int(route[1])),
-            pin=pin, wait=wait, for_write=for_write,
-        )
-        return line
-
-    def _acquire(
-        self,
-        tc: ThreadContext,
-        chain: AgileLockChain,
-        tag: tuple[Any, int],
-        route: tuple[int, int],
-        *,
-        pin: bool,
-        wait: bool,
-        for_write: bool,
-    ) -> Generator[Any, Any, Optional[CacheLine]]:
-        set_idx = self._set_of_tag(tag)
+        tag = (ssd_idx, lba)
+        set_idx = self.set_of(ssd_idx, lba)
         lock = self._set_locks[set_idx]
         backoff = self.NO_VICTIM_BACKOFF_NS
         fill_failures = 0
@@ -285,9 +227,7 @@ class SoftwareCache:
             yield from tc.compute(self.api.cache_lookup_cycles)
             yield from tc.atomic()  # tag-check / line-lock atomic
             is_fill_owner = False
-            writeback: Optional[
-                tuple[int, int, np.ndarray, Optional[int]]
-            ] = None
+            writeback: Optional[tuple[int, int, np.ndarray]] = None
             try:
                 line = self._tags.get(tag)
                 if line is not None:
@@ -311,7 +251,7 @@ class SoftwareCache:
                     # case (b)/(d): miss — claim a way (metadata only; all
                     # I/O is issued after the set lock is dropped, so the
                     # critical section never spans an NVMe wait).
-                    line, writeback = self._claim_way(set_idx, tag, route)
+                    line, writeback = self._claim_way(set_idx, tag)
                     if line is None:
                         # Exponential back-off: under heavy pin pressure
                         # (many threads, tiny cache — the paper's Fig. 10
@@ -360,7 +300,7 @@ class SoftwareCache:
                     self.stats.add("fill_failures_observed")
                     if fill_failures >= self.FILL_FAILURE_LIMIT:
                         raise AgileIoError(
-                            f"cache fill of lba {route[1]} on ssd {route[0]} "
+                            f"cache fill of lba {lba} on ssd {ssd_idx} "
                             f"failed {fill_failures} times"
                         )
                     continue
@@ -369,20 +309,14 @@ class SoftwareCache:
             return line
 
     def _claim_way(
-        self, set_idx: int, tag: tuple[Any, int], route: tuple[int, int]
-    ) -> tuple[
-        Optional[CacheLine],
-        Optional[tuple[int, int, np.ndarray, Optional[int]]],
-    ]:
+        self, set_idx: int, tag: tuple[int, int]
+    ) -> tuple[Optional[CacheLine], Optional[tuple[int, int, np.ndarray]]]:
         """Metadata-only way claim (set lock held, no simulated time).
 
         Returns ``(line, writeback)`` where ``writeback`` is
-        ``(ssd, lba, snapshot, logical_lba_or_None)`` for an evicted
-        MODIFIED victim (physical coordinates come from the victim's
-        *route*, so logically-tagged lines write back where they were
-        filled from), or ``(None, None)`` when no way is currently
-        evictable — §3.4 case (d) with a BUSY/pinned set: the policy's
-        "wait" decision.
+        ``(ssd, lba, snapshot)`` for an evicted MODIFIED victim, or
+        ``(None, None)`` when no way is currently evictable — §3.4 case (d)
+        with a BUSY/pinned set: the policy's "wait" decision.
         """
         lines = self._set_lines(set_idx)
         victim: Optional[CacheLine] = None
@@ -390,9 +324,7 @@ class SoftwareCache:
             if candidate.state is LineState.INVALID:
                 victim = candidate
                 break
-        writeback: Optional[
-            tuple[int, int, np.ndarray, Optional[int]]
-        ] = None
+        writeback: Optional[tuple[int, int, np.ndarray]] = None
         if victim is None:
             evictable = [l.way for l in lines if l.evictable]
             way = (
@@ -406,20 +338,10 @@ class SoftwareCache:
             self.stats.add("evictions")
             if victim.tag is not None:
                 del self._tags[victim.tag]
-                wb_route = (
-                    victim.route if victim.route is not None else victim.tag
-                )
                 if victim.state is LineState.MODIFIED:
                     # Snapshot for write-back; the line is reused at once.
                     writeback = (
-                        wb_route[0],
-                        wb_route[1],
-                        np.array(victim.buffer, copy=True),
-                        (
-                            victim.tag[1]
-                            if victim.tag[0] == LOGICAL_NS
-                            else None
-                        ),
+                        *victim.tag, np.array(victim.buffer, copy=True)
                     )
                     self.stats.add("writebacks")
                 elif self.dram_tier is not None:
@@ -427,7 +349,6 @@ class SoftwareCache:
                         victim.tag, np.array(victim.buffer, copy=True)
                     )
         victim.tag = tag
-        victim.route = route
         self.set_line_state(victim, LineState.BUSY, reason="claim")
         victim.ready_gate = Event(self.sim, name=victim.gate_name)
         victim.pins = 0
@@ -440,23 +361,20 @@ class SoftwareCache:
         tc: ThreadContext,
         chain: AgileLockChain,
         line: CacheLine,
-        tag: tuple[Any, int],
-        writeback: Optional[tuple[int, int, np.ndarray, Optional[int]]],
+        tag: tuple[int, int],
+        writeback: Optional[tuple[int, int, np.ndarray]],
     ) -> Generator[Any, Any, None]:
         """Issue the eviction write-back (if any) and the fill for a freshly
         claimed BUSY line.  Runs outside the set lock."""
         probe = self.probe
         fill_t0 = self.sim.now if probe is not None else 0.0
-        route = line.route if line.route is not None else tag
-        logical = tag[1] if tag[0] == LOGICAL_NS else None
         if self.policy.decision_cycles:
             yield from tc.compute(self.policy.decision_cycles)
         yield from tc.compute(self.api.cache_insert_cycles)
         if writeback is not None:
-            wb_ssd, wb_lba, snapshot, wb_logical = writeback
+            wb_ssd, wb_lba, snapshot = writeback
             wb_txn = yield from self.issue.submit(
-                tc, chain, wb_ssd, Opcode.WRITE, wb_lba, snapshot,
-                label="evict", logical=wb_logical,
+                tc, chain, wb_ssd, Opcode.WRITE, wb_lba, snapshot, label="evict"
             )
             wb_txn.on_complete = self._finish_writeback
         # DRAM-tier short-circuit (§5 extension): serve the fill from host
@@ -470,13 +388,12 @@ class SoftwareCache:
                 self._finish_fill(line, tag)
                 if probe is not None:
                     probe.emit(
-                        "cache.dram_fill", t0=fill_t0, ssd=route[0], lba=route[1],
+                        "cache.dram_fill", t0=fill_t0, ssd=tag[0], lba=tag[1],
                     )
                 return
 
         txn = yield from self.issue.submit(
-            tc, chain, route[0], Opcode.READ, route[1], line.buffer,
-            label="fill", logical=logical,
+            tc, chain, tag[0], Opcode.READ, tag[1], line.buffer, label="fill"
         )
         # The service invokes on_complete(completion); the line/tag context
         # rides in the partial instead of a per-fill closure.
@@ -487,7 +404,7 @@ class SoftwareCache:
             def _traced_fill(completion=None):
                 self._finish_fill(line, tag, completion)
                 probe.emit(
-                    "cache.fill", t0=fill_t0, ssd=route[0], lba=route[1],
+                    "cache.fill", t0=fill_t0, ssd=tag[0], lba=tag[1],
                     ok=completion is None or completion.ok,
                 )
 
@@ -496,7 +413,7 @@ class SoftwareCache:
     def _finish_fill(
         self,
         line: CacheLine,
-        tag: tuple[Any, int],
+        tag: tuple[int, int],
         completion: Optional[NvmeCompletion] = None,
     ) -> None:
         if line.tag != tag:
@@ -528,7 +445,7 @@ class SoftwareCache:
         else:
             self.stats.add("writebacks_lost")
 
-    def _abort_fill(self, line: CacheLine, tag: tuple[Any, int]) -> None:
+    def _abort_fill(self, line: CacheLine, tag: tuple[int, int]) -> None:
         """Failed fill: release the claim so the line cannot stick in BUSY.
 
         The tag mapping is dropped, the pins are wiped (waiters detect the
@@ -540,7 +457,6 @@ class SoftwareCache:
             return
         self._tags.pop(tag, None)
         line.tag = None
-        line.route = None
         line.pins = 0
         self.set_line_state(line, LineState.INVALID, reason="fill_error")
         line.ready_gate.trigger()
@@ -593,7 +509,6 @@ class SoftwareCache:
                 raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
                 line.buffer[: raw.size] = raw
                 line.tag = tag
-                line.route = tag
                 self.set_line_state(line, LineState.READY, reason="preload")
                 self._tags[tag] = line
                 self.policy.on_fill(set_idx, line.way)

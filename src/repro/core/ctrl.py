@@ -56,8 +56,8 @@ class AgileCtrl:
         cache: SoftwareCache,
         issue: IssueEngine,
         share_table: Optional[ShareTable],
+        placement: PlacementPolicy,
         stats: Optional[Counter] = None,
-        placement: Optional["PlacementPolicy"] = None,
     ):
         self.sim = sim
         self.cfg = cfg
@@ -66,8 +66,7 @@ class AgileCtrl:
         self.share_table = share_table
         self.api: ApiCostConfig = cfg.api
         self.stats = stats if stats is not None else Counter()
-        #: The host's placement policy; None on controllers built without
-        #: one (the logical access methods then raise).
+        #: The host's placement policy: the one logical -> physical map.
         self.placement = placement
         self._buf_seq = 0
 
@@ -174,12 +173,7 @@ class AgileCtrl:
         self, lba: int, tenant: Optional[str] = None
     ) -> tuple[int, int]:
         """Resolve a logical LBA to its physical ``(ssd_idx, device_lba)``
-        via the attached placement policy."""
-        if self.placement is None:
-            raise SimError(
-                "no placement policy attached; build the host from a "
-                "SystemConfig (or pass placement=) to use logical LBAs"
-            )
+        via the host's placement policy."""
         return self.placement.place(lba, tenant=tenant)
 
     def read_page_logical(
@@ -189,14 +183,41 @@ class AgileCtrl:
         lba: int,
         tenant: Optional[str] = None,
     ) -> Generator[Any, Any, CacheLine]:
-        """Blocking logical page access: placement-resolved, cache-tagged by
-        the logical LBA; caller must ``cache.unpin`` the returned line."""
+        """:meth:`read_page` of the page ``lba`` resolves to; caller must
+        ``cache.unpin`` the returned line."""
         self.stats.add("logical_reads")
-        route = self.resolve(lba, tenant)
-        line = yield from self.cache.acquire_logical(
-            tc, chain, lba, route, pin=True, wait=True
-        )
+        line = yield from self.read_page(tc, chain, *self.resolve(lba, tenant))
         return line
+
+    def write_page(
+        self,
+        tc: ThreadContext,
+        chain: AgileLockChain,
+        ssd_idx: int,
+        lba: int,
+        data: np.ndarray,
+    ) -> Generator[Any, Any, None]:
+        """Cache-routed page write: acquire-for-write, copy the payload into
+        the pinned line (MODIFIED), unpin.  Durability rides on the
+        eviction write-back path — this is what builds the dirty working
+        set that makes eviction pressure produce device programs."""
+        line = yield from self.cache.acquire(
+            tc, chain, ssd_idx, lba, pin=True, wait=True, for_write=True
+        )
+        yield from self.cache.write_line(tc, line, data)
+        self.cache.unpin(line)
+
+    def write_page_logical(
+        self,
+        tc: ThreadContext,
+        chain: AgileLockChain,
+        lba: int,
+        data: np.ndarray,
+        tenant: Optional[str] = None,
+    ) -> Generator[Any, Any, None]:
+        """:meth:`write_page` to the page ``lba`` resolves to."""
+        self.stats.add("logical_cache_writes")
+        yield from self.write_page(tc, chain, *self.resolve(lba, tenant), data)
 
     # ------------------------------------------------------------------
     # Method 2: async_issue to user-specified buffers
@@ -362,7 +383,8 @@ class AgileCtrl:
         lba: int,
         src: np.ndarray,
     ) -> Generator[Any, Any, Transaction]:
-        """Bare asynchronous NVMe write, bypassing cache and Share Table."""
+        """Bare asynchronous NVMe write, bypassing cache and Share Table;
+        the caller owns ``src`` until the transaction completes."""
         txn = yield from self.issue.submit(
             tc, chain, ssd_idx, Opcode.WRITE, lba, src, label="raw"
         )
@@ -376,13 +398,8 @@ class AgileCtrl:
         dest: np.ndarray,
         tenant: Optional[str] = None,
     ) -> Generator[Any, Any, Transaction]:
-        """Bare logical NVMe read: placement-resolved, cache-bypassing; the
-        pending record carries the logical LBA for diagnostics."""
-        ssd_idx, device_lba = self.resolve(lba, tenant)
-        txn = yield from self.issue.submit(
-            tc, chain, ssd_idx, Opcode.READ, device_lba, dest,
-            label="raw", logical=int(lba),
-        )
+        """:meth:`raw_read` of the page ``lba`` resolves to."""
+        txn = yield from self.raw_read(tc, chain, *self.resolve(lba, tenant), dest)
         return txn
 
     def raw_write_logical(
@@ -393,34 +410,7 @@ class AgileCtrl:
         src: np.ndarray,
         tenant: Optional[str] = None,
     ) -> Generator[Any, Any, Transaction]:
-        """Bare logical NVMe write: placement-resolved, cache-bypassing
-        (streaming stores — checkpoint shards — that should not pollute
-        the cache).  The caller owns ``src`` until the transaction
-        completes; the device programs each page through its FTL."""
+        """:meth:`raw_write` to the page ``lba`` resolves to."""
         self.stats.add("logical_writes")
-        ssd_idx, device_lba = self.resolve(lba, tenant)
-        txn = yield from self.issue.submit(
-            tc, chain, ssd_idx, Opcode.WRITE, device_lba, src,
-            label="raw", logical=int(lba),
-        )
+        txn = yield from self.raw_write(tc, chain, *self.resolve(lba, tenant), src)
         return txn
-
-    def write_page_logical(
-        self,
-        tc: ThreadContext,
-        chain: AgileLockChain,
-        lba: int,
-        data: np.ndarray,
-        tenant: Optional[str] = None,
-    ) -> Generator[Any, Any, None]:
-        """Cache-routed logical page write: acquire-for-write, copy the
-        payload into the pinned line (MODIFIED), unpin.  Durability rides
-        on the eviction write-back path — this is what builds the dirty
-        working set that makes eviction pressure produce device programs."""
-        self.stats.add("logical_cache_writes")
-        route = self.resolve(lba, tenant)
-        line = yield from self.cache.acquire_logical(
-            tc, chain, lba, route, pin=True, wait=True, for_write=True
-        )
-        yield from self.cache.write_line(tc, line, data)
-        self.cache.unpin(line)

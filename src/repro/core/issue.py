@@ -63,9 +63,6 @@ class PendingCommand:
     lba: int = 0
     data: Optional[np.ndarray] = None
     label: str = "io"
-    #: Logical LBA this command serves, when the access was routed through
-    #: a placement policy (None for physically-addressed submissions).
-    logical_lba: Optional[int] = None
     token: int = 0
     pos: int = 0
     issued_at: float = 0.0
@@ -167,8 +164,6 @@ class IssueEngine:
         lba: int,
         data: Optional[np.ndarray],
         label: str = "io",
-        *,
-        logical: Optional[int] = None,
     ) -> Generator[Any, Any, Transaction]:
         """Issue one NVMe command asynchronously; returns its transaction.
 
@@ -216,7 +211,6 @@ class IssueEngine:
         self.pending[(ssd_idx, qp.qid, cid)] = PendingCommand(
             txn=txn, qp=qp, slot=slot, ssd_idx=ssd_idx,
             opcode=opcode, lba=lba, data=data, label=label,
-            logical_lba=logical,
             token=token, pos=pos, issued_at=self.sim.now,
             deadline=(
                 self.sim.now + self.recovery.cfg.command_timeout_ns

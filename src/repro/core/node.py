@@ -105,8 +105,8 @@ def build_node(
         cache,
         issue,
         share_table,
+        machine.placement,
         stats=group("ctrl"),
-        placement=machine.placement,
     )
     machine.ctrls.append(ctrl)
     return GpuNode(

@@ -160,10 +160,6 @@ class FlashArray:
         ftl.maybe_start_gc(self)
         return True
 
-    #: Back-compat alias: callers that only need timing semantics (no
-    #: payload) issue a program with ``data=None``.
-    write_service = program_service
-
     def channel_utilization(self) -> float:
         if not self._channels:
             return 0.0

@@ -60,9 +60,7 @@ class TraceReplay(ArrivalProcess):
     ``logical`` optionally carries per-request *logical* LBA tuples
     instead: the engine resolves them through the backend's placement
     policy at arrival (exactly like sampled pages), so a logical trace
-    replays the same workload on any array size or placement policy —
-    what the cache-routed (``op="paged"``/``"modify"``) classes need,
-    since their tags are logical.
+    replays the same workload on any array size or placement policy.
     """
 
     def __init__(

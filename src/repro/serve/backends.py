@@ -93,8 +93,7 @@ class ServeBackend:
         """Resolve one logical LBA to physical ``(ssd_idx, device_lba)``.
 
         The engine resolves every request's pages through this exactly once
-        at arrival; sticky policies memoise, so a later in-kernel logical
-        read resolves to the same coordinates.
+        at arrival; below it a page is named only by ``(ssd, lba)``.
         """
         return self.placement.place(lba, tenant=tenant)
 
@@ -207,50 +206,30 @@ class AgileServeBackend(ServeBackend):
         self.supports_cached = num_gpus == 1
 
     def _access(self, tc, ctrl, chain, req, dest):
+        # Every op serves ``req.pages``, resolved once at arrival.
         op = req.cls.op
-        tenant = req.cls.name
         ok = True
         try:
             if op == "modify":
                 # Read-modify-write through the software cache: each page
                 # becomes a MODIFIED line whose device program is deferred
                 # to eviction write-back.
-                for lba in req.logical:
-                    yield from ctrl.write_page_logical(
-                        tc, chain, lba, dest, tenant=tenant
-                    )
+                for ssd, lba in req.pages:
+                    yield from ctrl.write_page(tc, chain, ssd, lba, dest)
                 return ok
             if op == "paged":
                 # Cache-routed reads: hits ride the Share Table, misses
                 # fault the page in and may evict a cold line — the
                 # KV-cache paging residency model runs live here.
-                for lba in req.logical:
-                    line = yield from ctrl.read_page_logical(
-                        tc, chain, lba, tenant=tenant
-                    )
-                    ctrl.cache.unpin(line)
-                for ssd, lba in req.pages[len(req.logical):]:
+                for ssd, lba in req.pages:
                     line = yield from ctrl.read_page(tc, chain, ssd, lba)
                     ctrl.cache.unpin(line)
                 return ok
             txns = []
-            if req.logical:
-                # Logical issue path: the controller re-resolves each LBA
-                # through the same (memoised) placement policy the engine
-                # used at arrival, so coordinates agree.
-                issue = (
-                    ctrl.raw_write_logical if op == "write"
-                    else ctrl.raw_read_logical
-                )
-                for lba in req.logical:
-                    txn = yield from issue(tc, chain, lba, dest, tenant=tenant)
-                    txns.append(txn)
-            else:
-                # Trace replay hands us physical coordinates directly.
-                issue = ctrl.raw_write if op == "write" else ctrl.raw_read
-                for ssd, lba in req.pages:
-                    txn = yield from issue(tc, chain, ssd, lba, dest)
-                    txns.append(txn)
+            issue = ctrl.raw_write if op == "write" else ctrl.raw_read
+            for ssd, lba in req.pages:
+                txn = yield from issue(tc, chain, ssd, lba, dest)
+                txns.append(txn)
             for txn in txns:
                 completion = yield from txn.wait()
                 if completion is None or not completion.ok:

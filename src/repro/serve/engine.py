@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
@@ -178,16 +178,13 @@ class ServeEngine:
 
     # -- request construction ----------------------------------------------
 
-    def _make_request(
-        self, cls: RequestClass, pages, logical: Tuple[int, ...] = ()
-    ) -> Request:
+    def _make_request(self, cls: RequestClass, pages) -> Request:
         self._rid += 1
         req = Request(
             rid=self._rid,
             cls=cls,
             arrival_ns=self.sim.now,
             pages=tuple(pages),
-            logical=tuple(logical),
         )
         for ssd, _lba in req.pages:
             self.device_pages[ssd] += 1
@@ -195,9 +192,7 @@ class ServeEngine:
         self.slo.offered(cls)
         return req
 
-    def _sample_pages(
-        self, cls: RequestClass, rng
-    ) -> Tuple[Tuple[int, ...], List[tuple]]:
+    def _sample_pages(self, cls: RequestClass, rng) -> List[tuple]:
         """Draw one request's logical LBAs (optionally hotspot-skewed) and
         resolve them through the backend's placement policy.
 
@@ -211,9 +206,10 @@ class ServeEngine:
             hot_space = max(1, int(cls.lba_space * cls.hot_fraction))
             hot = rng.random(size=cls.pages)
             lbas = np.where(hot < cls.skew, lbas % hot_space, lbas)
-        logical = tuple(cls.lba_base + int(lba) for lba in lbas)
-        pages = [self.backend.place(lba, tenant=cls.name) for lba in logical]
-        return logical, pages
+        return [
+            self.backend.place(cls.lba_base + int(lba), tenant=cls.name)
+            for lba in lbas
+        ]
 
     # -- sim processes -------------------------------------------------------
 
@@ -238,18 +234,17 @@ class ServeEngine:
             if self.sim.now >= end:
                 return
             if page_seq is not None:
-                logical, pages = (), next(page_seq)
+                pages = next(page_seq)
             elif logical_seq is not None:
                 # Logical traces resolve through placement at arrival, like
                 # sampled pages — the trace replays on any array layout.
-                logical = next(logical_seq)
                 pages = [
                     self.backend.place(lba, tenant=cls.name)
-                    for lba in logical
+                    for lba in next(logical_seq)
                 ]
             else:
-                logical, pages = self._sample_pages(cls, page_rng)
-            req = self._make_request(cls, pages, logical)
+                pages = self._sample_pages(cls, page_rng)
+            req = self._make_request(cls, pages)
             if self.admission.offer(req):
                 self.slo.admitted(cls)
 

@@ -111,7 +111,7 @@ class Request:
     the system has capacity for it)."""
 
     __slots__ = (
-        "rid", "cls", "arrival_ns", "pages", "logical", "_state",
+        "rid", "cls", "arrival_ns", "pages", "_state",
         "admitted_ns", "batched_ns", "dispatched_ns", "finished_ns",
     )
 
@@ -121,17 +121,14 @@ class Request:
         cls: RequestClass,
         arrival_ns: float,
         pages: Tuple[Tuple[int, int], ...],
-        logical: Tuple[int, ...] = (),
     ):
         self.rid = rid
         self.cls = cls
         self.arrival_ns = arrival_ns
         #: Physical (ssd_index, device_lba) coordinates this request reads,
-        #: resolved once at arrival through the backend's placement policy.
+        #: resolved once at arrival through the backend's placement policy
+        #: (or replayed verbatim from a physical trace).
         self.pages = pages
-        #: Logical LBAs behind ``pages`` (empty when the arrival process
-        #: replayed an explicit physical trace).
-        self.logical = logical
         self._state = RequestState.CREATED
         self.admitted_ns: Optional[float] = None
         self.batched_ns: Optional[float] = None

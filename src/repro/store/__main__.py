@@ -2,10 +2,10 @@
 
 Subcommands::
 
-    gate FILES... [--baseline DIR] [--tolerance T]   # each vs DIR/<basename>
-    diff A.json B.json [--tolerance T]               # B vs A
+    gate FILES... [--baseline DIR]   # each vs DIR/<basename>
+    diff A.json B.json               # B vs A
 
-Both run :func:`repro.store.diff.compare` and default to tolerance 0.
+Both run :func:`repro.store.diff.compare`: any moved leaf is a difference.
 Exit status is 0 when every document reproduces its golden, 1 on any
 difference or a missing golden (never a silent seed), 2 when a document
 cannot be read or is not ``agile-experiment/1``.
@@ -13,7 +13,7 @@ cannot be read or is not ``agile-experiment/1``.
 Examples::
 
     python -m repro.store gate fig5.json storm-1.json
-    python -m repro.store diff baselines/fig5.json fig5.json --tolerance 0.05
+    python -m repro.store diff baselines/fig5.json fig5.json
 """
 
 from __future__ import annotations
@@ -44,12 +44,10 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     diff = sub.add_parser("diff", help="compare two documents")
     diff.add_argument("golden")
     diff.add_argument("fresh")
-    for command in (gate, diff):
-        command.add_argument("--tolerance", type=float, default=0.0)
     return parser.parse_args(argv)
 
 
-def _judge(golden: Path, fresh: Path, tolerance: float) -> int:
+def _judge(golden: Path, fresh: Path) -> int:
     """Compare one pair, print the verdict, return its exit status."""
     if not golden.exists():
         print(
@@ -62,33 +60,28 @@ def _judge(golden: Path, fresh: Path, tolerance: float) -> int:
         docs = [
             json.loads(path.read_text(encoding="utf-8")) for path in (golden, fresh)
         ]
-        exact = compare(*docs)
-        differences = compare(*docs, tolerance) if tolerance else exact
+        differences = compare(*docs)
     except (OSError, json.JSONDecodeError, UnknownSchemaError) as exc:
         print(f"{fresh.name}: {exc}", file=sys.stderr)
         return 2
-    # Drift inside the tolerance passes but is still named: "identical"
-    # is only ever said of a point-for-point equal document.
-    for line in differences or exact:
+    for line in differences:
         print(f"  {line}")
     if differences:
         print(
-            f"{fresh.name}: FAIL - {len(differences)} difference(s) vs {golden} "
-            f"(tolerance {tolerance:.1%})",
+            f"{fresh.name}: FAIL - {len(differences)} difference(s) vs {golden}",
             file=sys.stderr,
         )
         return 1
-    verdict = f"within {tolerance:.1%} of" if exact else "identical to"
-    print(f"{fresh.name}: {verdict} {golden} - OK")
+    print(f"{fresh.name}: identical to {golden} - OK")
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     if args.command == "diff":
-        return _judge(Path(args.golden), Path(args.fresh), args.tolerance)
+        return _judge(Path(args.golden), Path(args.fresh))
     return max(
-        _judge(Path(args.baseline) / Path(path).name, Path(path), args.tolerance)
+        _judge(Path(args.baseline) / Path(path).name, Path(path))
         for path in args.files
     )
 

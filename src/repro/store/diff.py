@@ -105,16 +105,12 @@ def _numeric(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def compare(
-    golden: Mapping[str, Any], fresh: Mapping[str, Any], tolerance: float = 0.0
-) -> List[str]:
+def compare(golden: Mapping[str, Any], fresh: Mapping[str, Any]) -> List[str]:
     """Every difference between two documents, one line each; empty when
     ``fresh`` reproduces ``golden``.
 
-    Numeric leaves differ when they move by more than ``tolerance``
-    relative to the golden value, in either direction (a move off zero
-    always differs); every other leaf and every check verdict differs
-    when it is not equal.
+    A leaf or check verdict differs when it is not equal; a moved numeric
+    leaf is named with its relative change (none for a move off zero).
     """
     a, b = points(golden), points(fresh)
     out: List[str] = []
@@ -130,10 +126,7 @@ def compare(
         if old == new:
             continue
         rel = ""
-        if _numeric(old) and _numeric(new):
-            if abs(new - old) <= tolerance * abs(old):
-                continue
-            if old:
-                rel = f" ({(new - old) / abs(old):+.1%})"
+        if _numeric(old) and _numeric(new) and old:
+            rel = f" ({(new - old) / abs(old):+.1%})"
         out.append(f"{_describe(point)}: {old!r} -> {new!r}{rel}")
     return out

@@ -3,9 +3,10 @@
 ``StripedRegion`` maps a typed array staged at a logical LBA range to
 (ssd, lba, offset) coordinates through the host's placement policy (by
 default the paper's page-interleaved multi-SSD layout), and the reader
-functions fetch elements/ranges through either the AGILE or the
-BaM controller with identical application-side logic — the paper's
-"identical kernel implementations" methodology (§4.5, §4.6).
+functions fetch elements/ranges through ``ctrl.read_page``, which the AGILE
+and the BaM controller both provide, with identical application-side
+logic — the paper's "identical kernel implementations" methodology (§4.5,
+§4.6).
 """
 
 from __future__ import annotations
@@ -74,19 +75,7 @@ def region(
     return StripedRegion(row_base(placement, row), placement, np.dtype(dtype))
 
 
-def _acquire(system: str, ctrl, tc, chain, ssd, lba):
-    """System-dispatched blocking page acquire; returns a pinned line."""
-    if system == "agile":
-        line = yield from ctrl.cache.acquire(tc, chain, ssd, lba)
-    elif system == "bam":
-        line = yield from ctrl.cache.acquire_sync(tc, chain, ssd, lba)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    return line
-
-
 def read_element(
-    system: str,
     ctrl,
     tc: ThreadContext,
     chain: AgileLockChain,
@@ -95,7 +84,7 @@ def read_element(
 ) -> Generator[Any, Any, Any]:
     """Read one typed element through the system's cache."""
     ssd, lba, off = reg.locate(int(elem_idx))
-    line = yield from _acquire(system, ctrl, tc, chain, ssd, lba)
+    line = yield from ctrl.read_page(tc, chain, ssd, lba)
     yield from tc.hbm_load(reg.itemsize)
     value = line.buffer[off : off + reg.itemsize].view(reg.dtype)[0]
     ctrl.cache.unpin(line)
@@ -103,7 +92,6 @@ def read_element(
 
 
 def read_range(
-    system: str,
     ctrl,
     tc: ThreadContext,
     chain: AgileLockChain,
@@ -116,7 +104,7 @@ def read_range(
     done = 0
     while done < count:
         ssd, lba, off = reg.locate(int(first + done))
-        line = yield from _acquire(system, ctrl, tc, chain, ssd, lba)
+        line = yield from ctrl.read_page(tc, chain, ssd, lba)
         take = min((reg.page_size - off) // reg.itemsize, count - done)
         nbytes = take * reg.itemsize
         yield from tc.hbm_load(nbytes)

@@ -61,12 +61,12 @@ def _expand_kernel(system: str, row_reg, col_reg, graph: CsrGraph):
                 neighbors = graph.col_idx[start:end]
             else:
                 extents = yield from read_range(
-                    system, ctrl, tc, chain, row_reg, v, 2
+                    ctrl, tc, chain, row_reg, v, 2
                 )
                 start, end = int(extents[0]), int(extents[1])
                 if end > start:
                     neighbors = yield from read_range(
-                        system, ctrl, tc, chain, col_reg, start, end - start
+                        ctrl, tc, chain, col_reg, start, end - start
                     )
                 else:
                     neighbors = ()

@@ -56,21 +56,21 @@ def _spmv_kernel(system, row_reg, col_reg, val_reg, x_reg, graph, x):
                 xs = x[cols]
             else:
                 extents = yield from read_range(
-                    system, ctrl, tc, chain, row_reg, row, 2
+                    ctrl, tc, chain, row_reg, row, 2
                 )
                 start, end = int(extents[0]), int(extents[1])
                 count = end - start
                 if count > 0:
                     cols = yield from read_range(
-                        system, ctrl, tc, chain, col_reg, start, count
+                        ctrl, tc, chain, col_reg, start, count
                     )
                     vals = yield from read_range(
-                        system, ctrl, tc, chain, val_reg, start, count
+                        ctrl, tc, chain, val_reg, start, count
                     )
                     xs = np.empty(count, dtype=np.float32)
                     for i, col in enumerate(cols):
                         xs[i] = yield from read_element(
-                            system, ctrl, tc, chain, x_reg, int(col)
+                            ctrl, tc, chain, x_reg, int(col)
                         )
                 else:
                     cols = vals = xs = np.empty(0, dtype=np.float32)

@@ -64,7 +64,7 @@ def run_vector_mean(
                 vals = data[first : first + count]
             else:
                 vals = yield from read_range(
-                    system, ctrl, tc, chain, reg, first, count
+                    ctrl, tc, chain, reg, first, count
                 )
             yield from tc.compute(count)  # one FMA per element
             acc += float(vals.astype(np.float64).sum())

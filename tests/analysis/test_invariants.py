@@ -162,8 +162,8 @@ class TestCacheState:
         (data lands, then the in-flight fill silently overwrites it)."""
         host = make_host()
         session = attach(host)
-        # INVALID -> BUSY: legal (tag and physical route coincide here)
-        line, _wb = host.cache._claim_way(0, (0, 0), (0, 0))
+        # INVALID -> BUSY: legal
+        line, _wb = host.cache._claim_way(0, (0, 0))
         assert line.state is LineState.BUSY
         with pytest.raises(InvariantViolation):
             host.cache.set_line_state(line, LineState.MODIFIED, reason="bug")

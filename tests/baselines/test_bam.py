@@ -9,6 +9,7 @@ import pytest
 from repro.baselines import BamCostConfig, BamHost
 from repro.core import AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
+from repro.workloads.access import read_element, region
 
 from tests.helpers import make_host, run_kernel, small_config
 
@@ -44,11 +45,12 @@ class TestBamCorrectness:
         host = make_bam_host()
         data = np.arange(8192, dtype=np.float32)
         host.load_data(0, 0, data)
+        reg = region(host.placement, 0, np.float32)
         out = {}
 
         def body(tc, ctrl, out):
             chain = AgileLockChain(f"b{tc.tid}")
-            v = yield from ctrl.get_element(tc, chain, 0, tc.tid * 17, np.float32)
+            v = yield from read_element(ctrl, tc, chain, reg, tc.tid * 17)
             out[tc.tid] = float(v)
 
         run_bam(host, body, block=64, args=(out,))

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.core import AgileLockChain
-from repro.core.cache import LOGICAL_NS
 
 from tests.helpers import make_host, run_kernel
 
@@ -87,13 +86,13 @@ def test_dirty_eviction_programs_exactly_once(ops, cache_lines):
     # No pins leak, and every written value survives somewhere.
     for line in cache.lines:
         assert line.pins == 0
-    flash = host.ssds[0].flash
     for page, value in shadow.items():
-        line = cache.lookup(LOGICAL_NS, page)
+        ssd, lba = host.placement.place(page)
+        line = cache.lookup(ssd, lba)
         if line is not None and line.valid:
             assert int(line.buffer[0]) == value
         else:
-            assert int(flash.read_page_data(page)[0]) == value
+            assert int(host.ssds[ssd].flash.read_page_data(lba)[0]) == value
 
 
 @settings(max_examples=15, deadline=None)

@@ -72,7 +72,7 @@ class TestTimingPlane:
         sim = flash.sim
 
         def job():
-            yield from flash.write_service(0)
+            yield from flash.program_service(0)
 
         sim.spawn(job())
         sim.run()

@@ -88,20 +88,24 @@ class TestKernelLogicalReads:
         run_kernel(host, body, block=1, args=(None,))
         npt.assert_array_equal(dest, data[2 * PAGE : 3 * PAGE])
 
-    def test_logical_and_physical_tags_do_not_alias(self):
-        """A logical acquire and a physical acquire of the same underlying
-        page are distinct cache lines — policy changes can never make a
-        stale physical tag satisfy a logical lookup."""
+    def test_logical_and_physical_share_one_line(self):
+        """A page has one cache line whatever name reaches it: a logical
+        acquire and a physical acquire of it return the same line, and a
+        logical cached write is what a physical cached read sees."""
         host = AgileHost(array_config(2))
         host.load_logical(0, pattern(4))
+        ssd, dev = host.placement.place(1)
+        assert (ssd, dev) == (1, 0)  # its logical and physical names differ
 
         def body(tc, ctrl, _args):
             chain = AgileLockChain(f"t{tc.tid}")
-            line_l = yield from ctrl.read_page_logical(tc, chain, 0)
-            ssd, dev = host.placement.place(0)
+            yield from ctrl.write_page_logical(
+                tc, chain, 1, np.full(PAGE, 0x5A, dtype=np.uint8)
+            )
             line_p = yield from ctrl.read_page(tc, chain, ssd, dev)
-            assert line_l is not line_p
-            npt.assert_array_equal(line_l.buffer, line_p.buffer)
+            assert (line_p.buffer == 0x5A).all()
+            line_l = yield from ctrl.read_page_logical(tc, chain, 1)
+            assert line_l is line_p
             ctrl.cache.unpin(line_l)
             ctrl.cache.unpin(line_p)
 

@@ -37,7 +37,7 @@ def _serve_batch(backend, n_requests, worker_idx=0):
     cls = tenant_class(POINT, pages=1, lba_space=256)
     backend.load_pattern([cls])
     requests = [
-        Request(rid, cls, 0.0, (backend.place(rid, tenant=cls.name),), (rid,))
+        Request(rid, cls, 0.0, (backend.place(rid, tenant=cls.name),))
         for rid in range(n_requests)
     ]
     finished = []

@@ -230,10 +230,16 @@ class TestClaims:
         assert bool(honest) == (name in TAMPER)
         if not honest:
             return
+        # Each cell hands back the honest run's stored metrics, tampered,
+        # instead of simulating again: the checks and the exit code still
+        # run on every cell.  Runner cells precede derived ones.
+        stored = {}
+        for cell in json.loads(text)["cells"]:
+            stored.setdefault(json.dumps(cell["axes"], sort_keys=True), cell["metrics"])
         with_runners(
             monkeypatch,
             lambda axes, runner: lambda: TAMPER[name](
-                axes, copy.deepcopy(dict(runner()))
+                axes, copy.deepcopy(stored[json.dumps(axes, sort_keys=True)])
             ),
         )
         out = tmp_path / "tampered.json"

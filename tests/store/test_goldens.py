@@ -45,9 +45,7 @@ def ci_documents():
 def test_fresh_run_reproduces_the_golden_exactly(name, tmp_path, capsys):
     out = tmp_path / f"{name}.json"
     assert bench_main(["run", name, "--quick", "--out", str(out)]) == 0
-    assert store_main(
-        ["gate", str(out), "--baseline", str(ROOT / "baselines"), "--tolerance", "0"]
-    ) == 0
+    assert store_main(["gate", str(out), "--baseline", str(ROOT / "baselines")]) == 0
     assert f"{name}.json: identical" in capsys.readouterr().out
 
 

@@ -148,7 +148,7 @@ def gated_pass(workdir: Path) -> Tuple[Set[Key], List[str]]:
         gate = workdir / "gate.txt"
         with open(gate, "w", encoding="utf-8") as fh, redirect_stdout(fh):
             store_main(["gate", *map(str, docs), "--baseline",
-                        str(ROOT / "baselines"), "--tolerance", "0"])
+                        str(ROOT / "baselines")])
     return entered, gate.read_text(encoding="utf-8").splitlines()
 
 

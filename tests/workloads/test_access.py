@@ -57,17 +57,6 @@ class TestStripedRegion:
         coords = region_page_coords(reg, 3000)  # 12000 B -> 3 pages
         assert coords == [(0, 5), (1, 5), (0, 6)]
 
-    def test_unknown_system_rejected(self):
-        host = make_host()
-        reg = region(host.placement, 0, np.int64)
-
-        def body(tc, ctrl):
-            chain = AgileLockChain("c")
-            with pytest.raises(ValueError, match="unknown system"):
-                yield from read_element("cuda", ctrl, tc, chain, reg, 0)
-
-        run_kernel(host, body, block=1)
-
 
 class TestReaders:
     def test_read_element_values(self):
@@ -80,8 +69,7 @@ class TestReaders:
         def body(tc, ctrl, got):
             chain = AgileLockChain(f"c{tc.tid}")
             got[tc.tid] = int(
-                (yield from read_element("agile", ctrl, tc, chain, reg,
-                                         tc.tid * 100))
+                (yield from read_element(ctrl, tc, chain, reg, tc.tid * 100))
             )
 
         run_kernel(host, body, block=8, args=(got,))
@@ -96,8 +84,7 @@ class TestReaders:
 
         def body(tc, ctrl, out):
             chain = AgileLockChain("c")
-            out["v"] = yield from read_range("agile", ctrl, tc, chain, reg,
-                                             500, 100)
+            out["v"] = yield from read_range(ctrl, tc, chain, reg, 500, 100)
 
         run_kernel(host, body, block=1, args=(out,))
         assert np.array_equal(out["v"], np.arange(500, 600))
