@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines.bam import BamCostConfig, BamCtrl
+from repro.baselines.bam import BamCtrl
 from repro.config import SystemConfig
 from repro.core.machine import Machine
 
@@ -26,7 +26,6 @@ class BamHost(Machine):
         self,
         cfg: Optional[SystemConfig] = None,
         *,
-        costs: Optional[BamCostConfig] = None,
         telemetry: Optional[bool] = None,
     ):
         super().__init__(cfg)
@@ -37,7 +36,6 @@ class BamHost(Machine):
             self.gpu.hbm,
             self.ssds,
             self.queue_pairs,
-            costs=costs,
             debugger=self.debugger,
             stats=self.trace.counter("bam"),
         )

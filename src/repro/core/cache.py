@@ -121,6 +121,9 @@ class SoftwareCache:
     MAX_BACKOFF_NS = 16_000.0
     #: Failed-fill re-attempts per access before raising ``AgileIoError``.
     FILL_FAILURE_LIMIT = 4
+    #: Atomics in the set's critical section: AGILE's one tag-check /
+    #: line-lock atomic (§2.3.3).
+    CRITICAL_SECTION_ATOMICS = 1
 
     def __init__(
         self,
@@ -225,7 +228,8 @@ class SoftwareCache:
             # (§2.3.3): concurrent accesses to the same set serialize here.
             # AGILE's section is short — the design point Fig. 11 measures.
             yield from tc.compute(self.api.cache_lookup_cycles)
-            yield from tc.atomic()  # tag-check / line-lock atomic
+            for _ in range(self.CRITICAL_SECTION_ATOMICS):
+                yield from tc.atomic()
             is_fill_owner = False
             writeback: Optional[tuple[int, int, np.ndarray]] = None
             try:

@@ -177,30 +177,8 @@ class IssueEngine:
         if self.recovery is not None and self.recovery.device_dead(ssd_idx):
             self.stats.add("failed_fast")
             raise DeviceDeadError(self.recovery.dead_reason(ssd_idx))
-        qps = self.queue_pairs[ssd_idx]
         yield from tc.compute(self.api.issue_setup_cycles)
-
-        # -- attempt_enqueue: select an SQ with a free entry ---------------
-        start = tc.tid % len(qps)
-        attempt = 0
-        backoff = self.FULL_BACKOFF_NS
-        while True:
-            qp = qps[(start + attempt) % len(qps)]
-            yield from tc.atomic()  # the reservation CAS
-            reservation = qp.sq.try_reserve()
-            if reservation is not None:
-                break
-            attempt += 1
-            self.stats.add("sq_full_retries")
-            if attempt % len(qps) == 0:
-                # All SQs full: wait (with exponential back-off) for the
-                # service to recycle entries — the Fig. 9 single-QP stall.
-                self.stats.add("sq_full_backoffs")
-                if self.probe is not None:
-                    self.probe.emit("gpu.stall", reason="sq_full", ns=backoff)
-                yield Timeout(backoff)
-                backoff = min(backoff * 2, self.MAX_BACKOFF_NS)
-        slot, cid = reservation
+        qp, slot, cid = yield from self.attempt_enqueue(tc, ssd_idx)
         # Monotonic allocation position of this reservation (no yields have
         # run since try_reserve, so alloc_tail still reflects it).
         pos = qp.sq.alloc_tail - 1
@@ -220,16 +198,55 @@ class IssueEngine:
         cmd = NvmeCommand(
             opcode=opcode, cid=cid, lba=lba, data=data, context=token
         )
+        yield from self.publish_and_ring(tc, chain, ssd_idx, qp, slot, cmd)
+        return txn
+
+    def attempt_enqueue(
+        self, tc: ThreadContext, ssd_idx: int
+    ) -> Generator[Any, Any, tuple[QueuePair, int, int]]:
+        """``attempt_enqueue``: reserve an SQE on one of the SSD's SQs,
+        starting at the thread's own and falling over to the next when
+        full; returns ``(qp, slot, cid)`` with no yield after the reserve."""
+        qps = self.queue_pairs[ssd_idx]
+        start = tc.tid % len(qps)
+        attempt = 0
+        backoff = self.FULL_BACKOFF_NS
+        while True:
+            qp = qps[(start + attempt) % len(qps)]
+            yield from tc.atomic()  # the reservation CAS
+            reservation = qp.sq.try_reserve()
+            if reservation is not None:
+                return (qp, *reservation)
+            attempt += 1
+            self.stats.add("sq_full_retries")
+            if attempt % len(qps) == 0:
+                # All SQs full: wait (with exponential back-off) for
+                # completions to recycle entries — the Fig. 9 single-QP stall.
+                self.stats.add("sq_full_backoffs")
+                if self.probe is not None:
+                    self.probe.emit("gpu.stall", reason="sq_full", ns=backoff)
+                yield Timeout(backoff)
+                backoff = min(backoff * 2, self.MAX_BACKOFF_NS)
+
+    def publish_and_ring(
+        self,
+        tc: ThreadContext,
+        chain: AgileLockChain,
+        ssd_idx: int,
+        qp: QueuePair,
+        slot: int,
+        cmd: NvmeCommand,
+    ) -> Generator[Any, Any, None]:
+        """Write the command into its reserved SQE (UPDATED) and ring the
+        doorbell until the entry is ISSUED."""
         yield from tc.hbm_store(SQE_SIZE)
         qp.sq.publish(slot, cmd)
         self.stats.add("commands_submitted")
-        self.stats.add(f"opcode_{opcode.name.lower()}")
-
+        self.stats.add(f"opcode_{cmd.opcode.name.lower()}")
         db_lock = self.doorbell_locks[(ssd_idx, qp.qid)]
         waited = yield from ring_until_issued(qp.sq, slot, db_lock, chain, self.stats)
         if waited and self.probe is not None:
             self.probe.emit("gpu.stall", reason="doorbell", ns=waited)
-        return txn
 
     # -- service-side hooks --------------------------------------------------------
 

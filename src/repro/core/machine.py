@@ -146,9 +146,10 @@ class Machine:
                 for qp in ssd.queue_pairs:
                     parts += (qp.sq, qp.cq, qp.sq.doorbell, qp.cq.doorbell)
             for node in self.nodes:
-                parts += (node.issue, node.cache, node.service)
+                parts += (node.issue, node.service)
                 if node.share_table is not None:
                     parts.append(node.share_table)
+            parts += (ctrl.cache for ctrl in self.ctrls)
             for part in parts:
                 part.probe = probe
         return self.probe

@@ -12,8 +12,8 @@ mirroring the paper's "identical kernel implementations" methodology:
   thread waits on the transactions; completions are retired by the AGILE
   service SM (paper §3.2).  With ``num_gpus > 1`` the host runs one stack
   per GPU and the serve engine one dispatch worker per GPU, SSDs shared.
-- **bam** — ``ctrl.read_page`` (``acquire_sync``): every thread polls the
-  CQ inline and pays BaM's heavier cache critical sections.
+- **bam** — ``ctrl.read_page`` (the AGILE cache, filled synchronously):
+  every thread polls the CQ inline and pays BaM's heavier critical sections.
 - **naive** — the Figure 1 strawman via
   :class:`~repro.baselines.naive_async.NaiveAsyncEngine`: threads hold SQE
   locks across their own issues and retire their own completions; the

@@ -196,7 +196,7 @@ def _bam_gather_kernel(layout: EmbeddingLayout, out: dict):
             k = r * n_threads + tid
             if k < len(lookups):
                 ssd, lba, off = layout.locate(int(lookups[k]))
-                line = yield from ctrl.cache.acquire_sync(tc, chain, ssd, lba)
+                line = yield from ctrl.read_page(tc, chain, ssd, lba)
                 yield from tc.hbm_load(layout.vec_bytes)
                 local += float(line.buffer[off : off + 4].view(np.float32)[0])
                 ctrl.cache.unpin(line)

@@ -239,8 +239,8 @@ class TestEndToEndClean:
     )
     def test_every_host_kind_is_checked(self, host_cls):
         """The machine's one walk reaches every host kind's rings,
-        doorbells and locks, so the checkers judge BaM and multi-GPU runs
-        too."""
+        doorbells, locks and caches, so the checkers judge BaM and
+        multi-GPU runs too."""
         host = host_cls(small_config())
         session = attach(host)
         host.load_data(0, 0, np.arange(16 * 1024, dtype=np.uint32))
@@ -257,7 +257,8 @@ class TestEndToEndClean:
             else:
                 host.run_kernel(kernel, LaunchConfig(1, 32))
             host.drain()
-        sq, cq = session.checkers[:2]
+        sq, cq, cache = session.checkers[:3]
         assert sq.events_checked > 0 and cq.events_checked > 0
+        assert cache.events_checked > 0
         report = session.report()
         assert report.clean, report.summary()

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import BamCostConfig, BamHost
+from repro.baselines import BAM_API, BamHost
+from repro.config import ApiCostConfig, CacheConfig
 from repro.core import AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.workloads.access import read_element, region
@@ -86,27 +87,21 @@ class TestBamCorrectness:
         assert host.trace.counter("bam")["hits"] == 4
 
     def test_eviction_writeback_persists(self):
-        host = make_bam_host()
-        from repro.config import CacheConfig
-
         host = BamHost(small_config(cache=CacheConfig(num_lines=4, ways=2)))
 
         def body(tc, ctrl):
             chain = AgileLockChain(f"b{tc.tid}")
             # Dirty page 0, then sweep to evict it.
             line = yield from ctrl.read_page(tc, chain, 0, 0)
-            line.buffer[0] = 99
-            from repro.core import LineState
-
-            line.state = LineState.MODIFIED
+            yield from ctrl.cache.write_line(tc, line, np.array([99], np.uint8))
             ctrl.cache.unpin(line)
             for lba in range(4, 20, 4):  # same set sweep
                 line = yield from ctrl.read_page(tc, chain, 0, lba)
                 ctrl.cache.unpin(line)
 
         run_bam(host, body, block=1)
-        if host.trace.counter("bam").get("writebacks", 0):
-            assert host.ssds[0].flash.read_page_data(0)[0] == 99
+        assert host.trace.counter("bam")["writebacks"] == 1
+        assert host.ssds[0].flash.read_page_data(0)[0] == 99
 
 
 class TestBamTiming:
@@ -170,10 +165,7 @@ class TestBamTiming:
 
 class TestBamCostConfig:
     def test_defaults_heavier_than_agile(self):
-        from repro.config import ApiCostConfig
-
         agile = ApiCostConfig()
-        bam = BamCostConfig()
-        assert bam.cache_lookup_cycles > agile.cache_lookup_cycles
-        assert bam.cache_insert_cycles > agile.cache_insert_cycles
-        assert bam.issue_setup_cycles > agile.issue_setup_cycles
+        assert BAM_API.cache_lookup_cycles > agile.cache_lookup_cycles
+        assert BAM_API.cache_insert_cycles > agile.cache_insert_cycles
+        assert BAM_API.issue_setup_cycles > agile.issue_setup_cycles

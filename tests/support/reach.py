@@ -12,10 +12,12 @@ process:
 
 1. *gated* — every document command ``ci.yml`` writes (the same workflow
    regex ``tests/store/test_goldens.py`` reads), plus ``storm --set
-   intensity=0``, the simulation-safety lint over ``src/repro``, the
-   tolerance-0 golden gate of each document, and perfbench's quick pass
-   (each workload once inside ``telemetry.capture()``).  Recording starts
-   before ``repro`` is imported, so import-time calls count;
+   intensity=0``, the simulation-safety lint over ``src/repro`` and
+   ``examples``, every ``examples/*.py`` (each run in-process with
+   ``runpy``, as CI's test job runs them), the tolerance-0 golden gate of
+   each document, and perfbench's quick pass (each workload once inside
+   ``telemetry.capture()``).  Recording starts before ``repro`` is
+   imported, so import-time calls count;
 2. *tier-1* — ``pytest -x -q`` in-process, its progress on stderr
    (skipped by ``--no-tier1``);
 3. the report: one row per function no gated run entered, ``tier-1-only``
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import runpy
 import sys
 import tempfile
 from contextlib import contextmanager, redirect_stdout
@@ -39,6 +42,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).parents[2]
 SRC = ROOT / "src" / "repro"
+EXAMPLES = ROOT / "examples"
 
 Key = Tuple[str, int, str]  # (file, first line, name)
 
@@ -143,7 +147,9 @@ def gated_pass(workdir: Path) -> Tuple[Set[Key], List[str]]:
             bench_main([*argv, "--out", str(out)])
             docs.append(out)
         bench_main(["run", "storm", "--set", "intensity=0"])
-        lint_main([str(SRC)])
+        lint_main([str(SRC), str(EXAMPLES)])
+        for example in sorted(EXAMPLES.glob("*.py")):
+            runpy.run_path(str(example), run_name="__main__")
         perfbench_quick()
         gate = workdir / "gate.txt"
         with open(gate, "w", encoding="utf-8") as fh, redirect_stdout(fh):
