@@ -6,9 +6,10 @@ Three layers (see DESIGN.md "Invariants & analysis"):
 1. *Runtime invariant checkers* (:mod:`repro.analysis.invariants`)
    subscribe to a live machine's probe and fail the simulation loudly the
    instant a protocol rule from the paper is broken.
-2. *Offline analyzers* (:mod:`repro.analysis.races`) replay the retained
-   protocol records after a run and report latent lock-order inversions and
-   unsynchronized cache-line accesses even when this seed got lucky.
+2. *Analyzers* (:mod:`repro.analysis.races`) fold the same records into a
+   lock-order graph and per-line access sets as they arrive, and report
+   latent lock-order inversions and unsynchronized cache-line accesses even
+   when this seed got lucky.
 3. *Static lint* (:mod:`repro.analysis.lint`) enforces syntactic
    simulation-safety rules (AGL001-AGL015) on the source tree without
    running anything.
@@ -20,14 +21,13 @@ Typical use::
     host = AgileHost(cfg)           # or BamHost, AgileHost(cfg, num_gpus=2)
     session = attach(host)
     ... run kernels ...
-    report = session.report()       # offline race/lock-order findings
+    report = session.report()       # race/lock-order findings so far
     assert report.clean, report.summary()
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any
 
 from repro.analysis.invariants import (
     CacheStateChecker,
@@ -43,9 +43,8 @@ from repro.analysis.races import (
     LockOrderAnalyzer,
     LockOrderInversion,
     RaceReport,
-    analyze,
 )
-from repro.sim.trace import EventLog
+from repro.sim.probe import PROTOCOL, Probe, Record
 
 __all__ = [
     "AnalysisReport",
@@ -53,7 +52,6 @@ __all__ = [
     "CacheStateChecker",
     "CqPhaseChecker",
     "DataRaceAnalyzer",
-    "EventLog",
     "InvariantChecker",
     "InvariantViolation",
     "LockOrderAnalyzer",
@@ -61,39 +59,53 @@ __all__ = [
     "RaceReport",
     "ShareTableChecker",
     "SqConformanceChecker",
-    "analyze",
     "attach",
 ]
 
 
-@dataclass
 class AnalysisSession:
-    """A machine's retained protocol log plus its live checkers."""
+    """One probe's live checkers and analyzers; it keeps no records."""
 
-    log: EventLog
-    checkers: List[InvariantChecker] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checkers = [
+            SqConformanceChecker(), CqPhaseChecker(), CacheStateChecker(),
+            ShareTableChecker(),
+        ]
+        self.lock_order = LockOrderAnalyzer()
+        self.data_race = DataRaceAnalyzer()
+        #: Every protocol record delivered.
+        self.events_seen = 0
+
+    def attach(self, probe: Probe) -> "AnalysisSession":
+        for kind in PROTOCOL:
+            probe.subscribe(kind, self._count)
+        self.lock_order.attach(probe)
+        self.data_race.attach(probe)
+        for checker in self.checkers:
+            checker.attach(probe)
+        return self
+
+    def _count(self, record: Record) -> None:
+        self.events_seen += 1
 
     def report(self) -> AnalysisReport:
-        """Run the offline analyzers over everything recorded so far."""
-        return analyze(self.log)
+        """The analyzers' findings over every record delivered so far."""
+        return AnalysisReport(
+            inversions=self.lock_order.inversions(),
+            cycles=self.lock_order.cycles(),
+            races=self.data_race.races(),
+            leaks=self.lock_order.leaks(),
+            events_seen=self.events_seen,
+        )
 
     def events_checked(self) -> int:
         return sum(c.events_checked for c in self.checkers)
 
 
-def attach(host: Any, maxlen: Optional[int] = 1_000_000) -> AnalysisSession:
-    """Subscribe an :class:`EventLog` and one of each runtime invariant
-    checker to the probe of any :class:`~repro.core.machine.Machine`.  A
-    machine has one session: attaching again returns it."""
-    if host.analysis is not None:
-        return host.analysis
-    probe = host.instrument()
-    checkers = [
-        SqConformanceChecker(), CqPhaseChecker(), CacheStateChecker(),
-        ShareTableChecker(),
-    ]
-    session = AnalysisSession(EventLog(maxlen).attach(probe), checkers)
-    for checker in checkers:
-        checker.attach(probe)
-    host.analysis = session
-    return session
+def attach(host: Any) -> AnalysisSession:
+    """Subscribe an :class:`AnalysisSession` to the probe of any
+    :class:`~repro.core.machine.Machine`.  A machine has one session:
+    attaching again returns it."""
+    if host.analysis is None:
+        host.analysis = AnalysisSession().attach(host.instrument())
+    return host.analysis

@@ -4,7 +4,7 @@
 ``python -m repro.analysis.lint``).
 
 The runtime half — a representative workload with every invariant checker
-attached and the offline race/lock-order replay — is ``python -m
+and the race/lock-order analyzers attached — is ``python -m
 repro.bench run storm --set intensity=0`` (or any storm: the analysis
 session is always attached there).
 """

@@ -1,8 +1,9 @@
-"""Offline happens-before race and lock-order analysis (paper §3.5).
+"""Happens-before race and lock-order analysis (paper §3.5).
 
-Both analyzers replay the records an :class:`~repro.sim.trace.EventLog`
-retained during a run, so they report *potential* bugs even when the
-particular seed's interleaving happened to be benign:
+Both analyzers subscribe to a machine's probe and fold each record into
+their state as it arrives, keeping no records, and they report
+*potential* bugs even when the particular seed's interleaving happened to
+be benign:
 
 - :class:`LockOrderAnalyzer` builds the lock-acquisition-order graph over
   every :class:`~repro.core.locks.AgileLockChain`/``AgileLock`` operation.
@@ -16,7 +17,8 @@ particular seed's interleaving happened to be benign:
   the *pin* (§2.3.2 — a pin is held across every bounded copy).  Two
   accesses to the same line incarnation from different threads, at least
   one a write and at least one unpinned, are an unsynchronized read/write
-  pair.
+  pair.  A line incarnation is judged, and its accesses dropped, when the
+  line goes BUSY again.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.probe import Record
-from repro.sim.trace import EventLog
+from repro.core.cache import LineState
+from repro.sim.probe import Probe, Record
+
+#: One cache-line data access: (tid, rw, pinned, t).
+Access = Tuple[int, str, bool, float]
 
 
 def simple_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
@@ -96,11 +101,11 @@ class RaceReport:
 
     line: int
     tag: Optional[tuple]
-    first: Tuple[int, str, bool, float]   # (tid, rw, pinned, t)
-    second: Tuple[int, str, bool, float]
+    first: Access
+    second: Access
 
     def describe(self) -> str:
-        def fmt(acc: Tuple[int, str, bool, float]) -> str:
+        def fmt(acc: Access) -> str:
             tid, rw, pinned, t = acc
             kind = "write" if rw == "w" else "read"
             pin = "pinned" if pinned else "UNPINNED"
@@ -122,23 +127,23 @@ class LockOrderAnalyzer:
         self._held: Dict[str, Tuple[str, float]] = {}
         self.acquisitions = 0
 
-    def feed(self, events: Iterable[Record]) -> "LockOrderAnalyzer":
-        for event in events:
-            if event.kind == "lock.release":
-                self._held.pop(event["lock"], None)
-            if event.kind != "lock.acquire":
-                continue
-            self.acquisitions += 1
-            target = event["lock"]
-            chain = event["chain"]
-            self._held[target] = (chain, event.t)
-            for held in event["held_before"]:
-                if held == target:
-                    continue
-                self._edges.setdefault((held, target), set()).add(
-                    (chain, event.t)
-                )
+    def attach(self, probe: Probe) -> "LockOrderAnalyzer":
+        probe.subscribe("lock.acquire", self.acquire)
+        probe.subscribe("lock.release", self.release)
         return self
+
+    def release(self, record: Record) -> None:
+        # A release with no acquire on record (the lock was taken before
+        # the analyzer attached) is ignored.
+        self._held.pop(record["lock"], None)
+
+    def acquire(self, record: Record) -> None:
+        self.acquisitions += 1
+        target = record["lock"]
+        witness = self._held[target] = (record["chain"], record.t)
+        for held in record["held_before"]:
+            if held != target:
+                self._edges.setdefault((held, target), set()).add(witness)
 
     def inversions(self) -> List[LockOrderInversion]:
         """Pairwise inversions: edges present in both directions."""
@@ -162,7 +167,7 @@ class LockOrderAnalyzer:
         return found
 
     def leaks(self) -> List[str]:
-        """Locks still held at the end of the log."""
+        """Locks still held now."""
         return [
             f"lock {lock!r} acquired by {chain} at t={t:.0f} was never released"
             for lock, (chain, t) in sorted(self._held.items())
@@ -178,79 +183,83 @@ class DataRaceAnalyzer:
     """Pin-discipline (lockset-style) checking of cache data accesses."""
 
     def __init__(self) -> None:
-        #: line index -> current incarnation counter (bumped on re-claim).
-        self._generation: Dict[int, int] = {}
-        #: (line, generation) -> accesses [(tid, rw, pinned, t)].
-        self._accesses: Dict[
-            Tuple[int, int], List[Tuple[int, str, bool, float]]
-        ] = {}
-        self._tags: Dict[Tuple[int, int], Optional[tuple]] = {}
+        #: line index -> (tag, accesses) of its current incarnation.
+        self._open: Dict[int, Tuple[Optional[tuple], List[Access]]] = {}
+        #: line index -> races of its incarnations judged so far, in order.
+        self._judged: Dict[int, List[RaceReport]] = {}
 
-    def feed(self, events: Iterable[Record]) -> "DataRaceAnalyzer":
-        for event in events:
-            if event.kind == "cache.state":
-                # A transition to BUSY re-purposes the line for a new tag:
-                # accesses to different incarnations can never race.
-                if getattr(event["new"], "name", "") == "BUSY":
-                    line = event["line"]
-                    self._generation[line] = self._generation.get(line, 0) + 1
-            elif event.kind == "cache.access":
-                line = event["line"]
-                gen = self._generation.get(line, 0)
-                key = (line, gen)
-                self._accesses.setdefault(key, []).append(
-                    (event["tid"], event["rw"], event["pinned"], event.t)
-                )
-                self._tags[key] = event["tag"]
+    def attach(self, probe: Probe) -> "DataRaceAnalyzer":
+        probe.subscribe("cache.state", self.state)
+        probe.subscribe("cache.access", self.access)
         return self
 
+    def state(self, record: Record) -> None:
+        # A transition to BUSY re-purposes the line for a new tag: accesses
+        # to different incarnations can never race, so the old one is judged
+        # now and its accesses dropped.
+        line = record["line"]
+        if record["new"] is LineState.BUSY and line in self._open:
+            races = self._judge(line, *self._open.pop(line))
+            if races:
+                self._judged.setdefault(line, []).extend(races)
+
+    def access(self, record: Record) -> None:
+        line = record["line"]
+        _tag, accesses = self._open.get(line, (None, []))
+        accesses.append(
+            (record["tid"], record["rw"], record["pinned"], record.t)
+        )
+        self._open[line] = (record["tag"], accesses)
+
     def races(self) -> List[RaceReport]:
+        """Every race found, open incarnations included: by line, then in
+        incarnation order."""
         found: List[RaceReport] = []
-        for key, accesses in sorted(self._accesses.items()):
-            line, _gen = key
-            reported: Set[Tuple[int, int]] = set()
-            for i, first in enumerate(accesses):
-                for second in accesses[i + 1:]:
-                    if first[0] == second[0]:
-                        continue  # same thread
-                    if first[1] != "w" and second[1] != "w":
-                        continue  # read/read
-                    if first[2] and second[2]:
-                        continue  # both pinned: synchronized by discipline
-                    pair = (first[0], second[0])
-                    if pair in reported:
-                        continue
-                    reported.add(pair)
-                    found.append(
-                        RaceReport(
-                            line=line, tag=self._tags.get(key),
-                            first=first, second=second,
-                        )
-                    )
+        for line in sorted(self._judged.keys() | self._open.keys()):
+            found += self._judged.get(line, [])
+            if line in self._open:
+                found += self._judge(line, *self._open[line])
+        return found
+
+    @staticmethod
+    def _judge(
+        line: int, tag: Optional[tuple], accesses: List[Access]
+    ) -> List[RaceReport]:
+        found: List[RaceReport] = []
+        reported: Set[Tuple[int, int]] = set()
+        for i, first in enumerate(accesses):
+            for second in accesses[i + 1:]:
+                if first[0] == second[0]:
+                    continue  # same thread
+                if first[1] != "w" and second[1] != "w":
+                    continue  # read/read
+                if first[2] and second[2]:
+                    continue  # both pinned: synchronized by discipline
+                pair = (first[0], second[0])
+                if pair in reported:
+                    continue
+                reported.add(pair)
+                found.append(RaceReport(line, tag, first, second))
         return found
 
 
 @dataclass
 class AnalysisReport:
-    """Combined offline findings for one recorded run."""
+    """Combined analyzer findings for one run."""
 
     inversions: List[LockOrderInversion] = field(default_factory=list)
     cycles: List[List[str]] = field(default_factory=list)
     races: List[RaceReport] = field(default_factory=list)
     leaks: List[str] = field(default_factory=list)
     events_seen: int = 0
-    #: Older records the bounded log dropped (findings cover the rest).
-    events_dropped: int = 0
 
     @property
     def clean(self) -> bool:
         return not (self.inversions or self.cycles or self.races or self.leaks)
 
     def summary(self) -> str:
-        dropped = self.events_dropped
         lines = [
-            f"analyzed {self.events_seen} events"
-            f"{f' ({dropped} older ones dropped)' if dropped else ''}: "
+            f"analyzed {self.events_seen} events: "
             f"{len(self.inversions)} lock-order inversion(s), "
             f"{len(self.cycles)} acquisition cycle(s), "
             f"{len(self.races)} potential data race(s)"
@@ -263,18 +272,3 @@ class AnalysisReport:
             lines.append(f"  - {race.describe()}")
         lines.extend(f"  - {leak}" for leak in self.leaks)
         return "\n".join(lines)
-
-
-def analyze(log: EventLog) -> AnalysisReport:
-    """Run both offline analyzers over a recorded log."""
-    events = list(log.events())
-    lock = LockOrderAnalyzer().feed(events)
-    data = DataRaceAnalyzer().feed(events)
-    return AnalysisReport(
-        inversions=lock.inversions(),
-        cycles=lock.cycles(),
-        races=data.races(),
-        leaks=lock.leaks(),
-        events_seen=len(events),
-        events_dropped=log.dropped,
-    )

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Protocol records: slot, pointer, lock and line-state transitions.  The
-#: analysis log retains these and the invariant checkers judge them.
+#: analysis session judges these as they arrive.
 PROTOCOL: Dict[str, str] = {
     "sq.reserve": "src qid slot cid alloc_tail occupancy",
     "sq.publish": "src qid slot cid",

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import LockOrderAnalyzer, analyze
+from repro.analysis import AnalysisSession, LockOrderAnalyzer
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.sim.engine import Timeout
-
-from tests.helpers import record
+from repro.sim.probe import Probe
 
 
 @pytest.fixture
@@ -22,9 +21,15 @@ def traced():
     return LockDebugger()
 
 
+def analyse(sim, debugger):
+    """Hand ``debugger`` a probe with an analysis session on it."""
+    debugger.probe = Probe(sim)
+    return AnalysisSession().attach(debugger.probe)
+
+
 @pytest.fixture
-def log(sim, traced):
-    return record(sim, traced)
+def session(sim, traced):
+    return analyse(sim, traced)
 
 
 def _locker(lock_x, lock_y, chain, hold_ns=10.0):
@@ -42,7 +47,7 @@ def _locker(lock_x, lock_y, chain, hold_ns=10.0):
 
 
 class TestInversionDetection:
-    def test_ab_ba_inversion_names_both_processes_and_locks(self, sim, traced, log):
+    def test_ab_ba_inversion_names_both_processes_and_locks(self, sim, traced, session):
         """proc_fwd takes A->B at t=0; proc_rev takes B->A starting t=1000.
         They never contend, the run completes cleanly, and the analyzer
         still reports the latent deadlock with full attribution."""
@@ -59,9 +64,7 @@ class TestInversionDetection:
         sim.spawn(reversed_later(), name="rev")
         sim.run()  # completes: no deadlock in THIS interleaving
 
-        inversions = LockOrderAnalyzer().feed(
-            log.events()
-        ).inversions()
+        inversions = session.lock_order.inversions()
         assert len(inversions) == 1
         inv = inversions[0]
         assert {inv.lock_a, inv.lock_b} == {"lockA", "lockB"}
@@ -73,7 +76,7 @@ class TestInversionDetection:
         assert "proc_fwd" in text and "proc_rev" in text
         assert "lockA" in text and "lockB" in text
 
-    def test_consistent_order_is_clean(self, sim, traced, log):
+    def test_consistent_order_is_clean(self, sim, traced, session):
         lock_a = AgileLock(sim, "lockA", traced)
         lock_b = AgileLock(sim, "lockB", traced)
         for i in range(4):
@@ -81,12 +84,12 @@ class TestInversionDetection:
                 _locker(lock_a, lock_b, AgileLockChain(f"w{i}")), name=f"w{i}"
             )
         sim.run()
-        analyzer = LockOrderAnalyzer().feed(log.events())
+        analyzer = session.lock_order
         assert analyzer.acquisitions == 8
         assert analyzer.inversions() == []
         assert analyzer.cycles() == []
 
-    def test_three_lock_cycle_caught_by_cycle_search(self, sim, traced, log):
+    def test_three_lock_cycle_caught_by_cycle_search(self, sim, traced, session):
         """A->B, B->C, C->A: no pairwise inversion exists, only the DFS
         cycle search sees the length-3 latent deadlock."""
         locks = {n: AgileLock(sim, n, traced) for n in ("A", "B", "C")}
@@ -105,13 +108,13 @@ class TestInversionDetection:
         sim.spawn(staggered("C", "A", "p2", 1000.0), name="p2")
         sim.run()
 
-        analyzer = LockOrderAnalyzer().feed(log.events())
+        analyzer = session.lock_order
         assert analyzer.inversions() == []  # pairwise is blind here
         cycles = analyzer.cycles()
         assert len(cycles) == 1
         assert set(cycles[0]) == {"A", "B", "C"}
 
-    def test_full_report_flags_inversion_as_not_clean(self, sim, traced, log):
+    def test_full_report_flags_inversion_as_not_clean(self, sim, traced, session):
         lock_a = AgileLock(sim, "lockA", traced)
         lock_b = AgileLock(sim, "lockB", traced)
 
@@ -122,7 +125,7 @@ class TestInversionDetection:
         sim.spawn(_locker(lock_a, lock_b, AgileLockChain("fwd")), name="f")
         sim.spawn(rev_later(), name="r")
         sim.run()
-        report = analyze(log)
+        report = session.report()
         assert not report.clean
         assert "lock-order inversion" in report.summary()
 
@@ -153,17 +156,17 @@ def _early_return(lock, chain, bail):
 
 class TestLeakedLock:
     """A lock nobody contends for trips neither the LockDebugger nor the
-    watchdog; the offline replay reports it held at the end of the log."""
+    watchdog; the analysis session reports it held at the end of the run."""
 
-    def test_kernel_that_returns_with_a_lock_held(self, sim, traced, log):
+    def test_kernel_that_returns_with_a_lock_held(self, sim, traced, session):
         lock = AgileLock(sim, "sqdb.s1.q0", traced)
         sim.spawn(_early_return(lock, AgileLockChain("t0"), bail=False))
         sim.run()
-        assert analyze(log).clean
+        assert session.report().clean
 
         sim.spawn(_early_return(lock, AgileLockChain("t1"), bail=True))
         sim.run()  # completes: nobody else wants the lock
-        report = analyze(log)
+        report = session.report()
         assert not report.clean
         assert report.leaks == [
             "lock 'sqdb.s1.q0' acquired by t1 at t=10 was never released"
@@ -171,20 +174,19 @@ class TestLeakedLock:
         assert report.leaks[0] in report.summary()
         assert not (report.inversions or report.cycles or report.races)
 
-    def test_release_whose_acquire_fell_off_the_log_is_ignored(self, sim):
+    def test_release_of_a_lock_held_before_attach_is_ignored(self, sim):
         debugger = LockDebugger()
-        log = record(sim, debugger, maxlen=1)  # keeps only the release
         lock = AgileLock(sim, "cacheset0", debugger)
         sim.spawn(_early_return(lock, AgileLockChain("t0"), bail=False))
+        sim.run(until=5.0)  # the lock is held until t=10
+        session = analyse(sim, debugger)
         sim.run()
-        assert [e.kind for e in log.events()] == ["lock.release"]
-        report = analyze(log)
+        report = session.report()
         assert report.clean
-        assert report.events_dropped == 1
-        assert "analyzed 1 events (1 older ones dropped)" in report.summary()
+        assert report.summary().startswith("analyzed 1 events: ")
 
-    def test_deadlocked_run_ends_with_its_locks_held(self, sim, traced, log):
-        """Figure 1's naive engine deadlocks *by design*, so a log of it
+    def test_deadlocked_run_ends_with_its_locks_held(self, sim, traced, session):
+        """Figure 1's naive engine deadlocks *by design*, so a run of it
         ends with locks held and its tests (tests/core/test_deadlock.py,
         tests/faults/test_naive_dropped_cqe.py) judge the DeadlockError /
         stall report, never ``report.clean``.  The leak list is then the
@@ -199,7 +201,7 @@ class TestLeakedLock:
         with pytest.raises(SimError) as excinfo:
             sim.run()
         assert isinstance(excinfo.value.__cause__, DeadlockError)
-        leaks = analyze(log).leaks
+        leaks = session.report().leaks
         assert len(leaks) == 2 and "'lockA'" in leaks[0] and "'lockB'" in leaks[1]
 
     def test_leak_in_a_storm_kernel_flips_analysis_clean(
@@ -258,7 +260,7 @@ class TestRealProtocolLockOrder:
             ctrl.cache.unpin(line)
 
         run_kernel(host, body, grid=1, block=16)
-        analyzer = LockOrderAnalyzer().feed(session.log.events())
+        analyzer = session.lock_order
         assert analyzer.acquisitions > 0
         assert analyzer.inversions() == []
         assert analyzer.cycles() == []

@@ -1,36 +1,24 @@
-"""Shared fixtures for the test suite, and the ``--agile-checks`` flag.
+"""Shared fixtures for the test suite.
 
-``pytest --agile-checks`` attaches the full :mod:`repro.analysis` runtime
-invariant-checker stack (NVMe queue conformance, cache state-machine
-legality, Share Table coherence, lock/event tracing) to every machine
-(AGILE, BaM, multi-GPU) the suite constructs, so a protocol
-violation anywhere in the models fails the offending test loudly.
+Every machine (AGILE, BaM, multi-GPU) the suite constructs runs under the
+full :mod:`repro.analysis` session (NVMe queue conformance, cache
+state-machine legality, Share Table coherence, lock-order and race
+analysis), so a protocol violation anywhere in the models fails the
+offending test loudly.  A test that needs an unprobed machine builds it
+inside ``listening("analysis", None)``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import attach
 from repro.sim import Simulator
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--agile-checks",
-        action="store_true",
-        default=False,
-        help="attach repro.analysis invariant checkers to every machine",
-    )
+from repro.sim.probe import listening
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _agile_checks(pytestconfig: pytest.Config):
-    if not pytestconfig.getoption("--agile-checks"):
-        yield
-        return
-    from repro.analysis import attach
-    from repro.sim.probe import listening
-
+def _analysis_session():
     with listening("analysis", attach):
         yield
 

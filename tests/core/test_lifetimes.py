@@ -10,11 +10,9 @@ failure the path runs again under :func:`tests.support.cycles.cyclic_garbage`
 and the message names the ``Class.attr -> Class`` edges of each cycle that
 pinned them.
 
-The hosts are built with the ``"analysis"`` role of
-:func:`repro.sim.probe.listening` silenced: an attached analysis session's
-log keeps the model object that emitted each record, and those objects
-hold the probe, so an analysed host is a cycle by design (a diagnostic,
-one host at a time).
+The hosts run under the analysis session, as every machine the suite
+builds does: the session keeps no records, so it holds no model object
+and an analysed host is freed like any other.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.mem.hbm import Hbm
 from repro.nvme.flash import FlashArray
 from repro.nvme.ftl import Ftl
 from repro.serve.experiment import run_cell
-from repro.sim.probe import listening
 from repro.serve.tenancy import TENANCY, tenancy_cell
 from repro.serve.writepath import WRITE_PATH, write_path_cell
 from repro.workloads.dlrm import config1, run_dlrm
@@ -71,8 +68,7 @@ def survivors(monkeypatch) -> Callable[[Callable[[], object]], List[str]]:
             if enabled:
                 gc.enable()
 
-    with listening("analysis", None):
-        yield check
+    yield check
 
 
 def assert_freed(survivors, run: Callable[[], object]) -> None:

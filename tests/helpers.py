@@ -23,13 +23,13 @@ def small_config(**overrides: Any) -> SystemConfig:
     return SystemConfig(**defaults)
 
 
-def record(sim: Any, *parts: Any, maxlen: int = 1_000_000) -> EventLog:
-    """Hand ``parts`` one probe with a retaining log subscribed (a rig
+def record(sim: Any, *parts: Any) -> EventLog:
+    """Hand ``parts`` one probe with a recording log subscribed (a rig
     without a machine); returns the log."""
     probe = Probe(sim)
     for part in parts:
         part.probe = probe
-    return EventLog(maxlen).attach(probe)
+    return EventLog().attach(probe)
 
 
 def make_host(**overrides: Any) -> AgileHost:

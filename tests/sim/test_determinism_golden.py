@@ -11,12 +11,12 @@ trace diff rather than a flaky summary number.
 
 from __future__ import annotations
 
-from repro.analysis import attach
 from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.sim.engine import Simulator, Timeout
 from repro.sim.rng import RngStreams
+from repro.sim.trace import EventLog
 
 
 def _trace_signature(log):
@@ -39,7 +39,7 @@ def _run_mixed_workload(seed: int):
         seed=seed,
     )
     host = AgileHost(cfg)
-    session = attach(host)
+    log = EventLog().attach(host.instrument())
     # Seeded page contents so the data plane (not just the timing plane)
     # participates in the determinism check.
     rng = RngStreams(seed).stream("flash")
@@ -64,7 +64,7 @@ def _run_mixed_workload(seed: int):
         host.run_kernel(kernel, LaunchConfig(1, 32), (sink,))
         host.drain()
     return {
-        "trace": _trace_signature(session.log),
+        "trace": _trace_signature(log),
         "sink": sink,
         "now": host.sim.now,
         "events": host.sim.event_count,

@@ -10,11 +10,11 @@ mirroring the golden-trace determinism contract for fault-free runs.
 
 from __future__ import annotations
 
-from repro.analysis import attach
 from repro.config import CacheConfig, SsdConfig, SystemConfig
 from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.sim.rng import RngStreams
+from repro.sim.trace import EventLog
 
 
 def _trace_signature(log):
@@ -35,7 +35,7 @@ def _run(telemetry: bool, seed: int = 11):
         seed=seed,
     )
     host = AgileHost(cfg, telemetry=True if telemetry else None)
-    session = attach(host)
+    log = EventLog().attach(host.instrument())
     rng = RngStreams(seed).stream("flash")
     page = host.cfg.ssds[0].page_size
     for lba in range(32):
@@ -59,7 +59,7 @@ def _run(telemetry: bool, seed: int = 11):
         host.drain()
     return {
         "host": host,
-        "trace": _trace_signature(session.log),
+        "trace": _trace_signature(log),
         "sink": sink,
         "now": host.sim.now,
         "events": host.sim.event_count,
