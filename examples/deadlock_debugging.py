@@ -30,7 +30,7 @@ def make_host():
 
 # -- the naive design (Figure 1) ----------------------------------------------
 host = make_host()
-engine = NaiveAsyncEngine(host.sim, host.queue_pairs[0],
+engine = NaiveAsyncEngine(host.sim, host.ssds, host.queue_pairs,
                           debugger=host.debugger)
 
 
@@ -38,7 +38,7 @@ def naive_kernel(tc, _ctrl):
     chain = AgileLockChain(f"naive.t{tc.tid}")
     tokens = []
     for i in range(3):  # 2 threads x 3 > 4 SQ entries
-        token = yield from engine.async_issue(tc, chain, Opcode.READ,
+        token = yield from engine.async_issue(tc, chain, 0, Opcode.READ,
                                               tc.tid * 3 + i, None)
         tokens.append(token)
     yield from engine.wait_all(tc, chain, tokens)

@@ -18,8 +18,8 @@ know about; this one enforces the repository's:
 - **AGL006** — no calls to scheduler internals (``._schedule``,
   ``._enqueue``, ``._schedule_resume``, ``._schedule_throw``, ``._step_send``,
   ``._step_throw``) outside ``sim/engine.py``: model code must go through
-  the narrow scheduler-facing API (``schedule_immediate`` /
-  ``schedule_at`` / ``spawn`` / event triggers) so the engine's dispatch
+  the narrow scheduler-facing API (``schedule_at`` / ``spawn`` / event
+  triggers) so the engine's dispatch
   fast path stays the single owner of queue and sequence-number state.
 - **AGL007** — no ad-hoc stats-dict mutations (``stats[...] = ...``,
   ``self.stats = {}``/``defaultdict(...)``) outside ``telemetry/``: every
@@ -235,7 +235,7 @@ class _FileLinter:
             self.add(
                 node, "AGL006",
                 f"call to scheduler internal .{node.func.attr}() outside "
-                f"sim/engine.py; use schedule_immediate/schedule_at/spawn "
+                f"sim/engine.py; use schedule_at/spawn "
                 f"or trigger an Event",
             )
         if (

@@ -122,7 +122,7 @@ class LockOrderAnalyzer:
 
     def __init__(self) -> None:
         #: (held, acquired) -> witnesses {(chain, t)}.
-        self._edges: Dict[Tuple[str, str], Set[Tuple[str, float]]] = {}
+        self.edges: Dict[Tuple[str, str], Set[Tuple[str, float]]] = {}
         #: lock -> (chain, t) of its acquire, until a release answers it.
         self._held: Dict[str, Tuple[str, float]] = {}
         self.acquisitions = 0
@@ -143,16 +143,16 @@ class LockOrderAnalyzer:
         witness = self._held[target] = (record["chain"], record.t)
         for held in record["held_before"]:
             if held != target:
-                self._edges.setdefault((held, target), set()).add(witness)
+                self.edges.setdefault((held, target), set()).add(witness)
 
     def inversions(self) -> List[LockOrderInversion]:
         """Pairwise inversions: edges present in both directions."""
         found: List[LockOrderInversion] = []
         seen: Set[Tuple[str, str]] = set()
-        for (a, b), forward in sorted(self._edges.items()):
+        for (a, b), forward in sorted(self.edges.items()):
             if (b, a) in seen or (a, b) in seen:
                 continue
-            reverse = self._edges.get((b, a))
+            reverse = self.edges.get((b, a))
             if not reverse:
                 continue
             seen.add((a, b))
@@ -176,7 +176,7 @@ class LockOrderAnalyzer:
     def cycles(self) -> List[List[str]]:
         """Simple cycles in the acquisition-order graph (covers chains of
         length > 2 that pairwise inspection misses: A->B->C->A)."""
-        return simple_cycles(self._edges)
+        return simple_cycles(self.edges)
 
 
 class DataRaceAnalyzer:

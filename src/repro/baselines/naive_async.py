@@ -11,7 +11,14 @@ entries whose release depends on those same threads making progress.  The
 AGILE lock-chain debugger (paper §3.5) detects the circular dependency and
 raises :class:`~repro.core.locks.DeadlockError` instead of hanging.
 
-Used by ``tests/core/test_deadlock.py`` and the deadlock example program.
+The queue-pair table, doorbell locks and publish-and-ring are AGILE's
+(:class:`~repro.core.issue.IssueEngine`); only the Figure 1 defects are
+the strawman's: a thread holds its SQE's lock until its own poll retires
+it, blocks on the oldest slot's lock when the SQ is full, and its CQ poll
+drops siblings' completions.
+
+Used by the naive serve backend, ``tests/core/test_deadlock.py`` and the
+deadlock example program.
 """
 
 from __future__ import annotations
@@ -21,10 +28,12 @@ from typing import Any, Dict, Generator, List, Optional
 
 import numpy as np
 
-from repro.core.issue import ring_until_issued
+from repro.config import ApiCostConfig
+from repro.core.issue import IssueEngine
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.gpu.thread import ThreadContext
-from repro.nvme.command import SQE_SIZE, NvmeCommand, Opcode
+from repro.nvme.command import NvmeCommand, Opcode
+from repro.nvme.device import SsdController
 from repro.nvme.queue import QueuePair
 from repro.sim.engine import SimError, SimStallError, Simulator, Timeout
 
@@ -33,6 +42,7 @@ from repro.sim.engine import SimError, SimStallError, Simulator, Timeout
 class NaiveToken:
     """Handle for one outstanding naive-async command."""
 
+    ssd: int
     qp: QueuePair
     slot: int
     cid: int
@@ -40,7 +50,7 @@ class NaiveToken:
     completion: Any = None
 
 
-class NaiveAsyncEngine:
+class NaiveAsyncEngine(IssueEngine):
     """Asynchronous issuing with thread-held SQE locks (Figure 1 lines 1-5)."""
 
     STALL_POLL_NS = 200.0
@@ -48,35 +58,34 @@ class NaiveAsyncEngine:
     def __init__(
         self,
         sim: Simulator,
-        queue_pairs: List[QueuePair],
+        ssds: List[SsdController],
+        queue_pairs: List[List[QueuePair]],
         debugger: Optional[LockDebugger] = None,
     ):
-        self.sim = sim
-        self.queue_pairs = queue_pairs
+        super().__init__(sim, ssds, queue_pairs, ApiCostConfig(), debugger)
         #: One AgileLock per SQE — *held by the issuing thread* until that
         #: thread itself processes the completion.  This is the design flaw.
-        self.slot_locks: Dict[tuple[int, int], AgileLock] = {
-            (qp.qid, slot): AgileLock(
-                sim, f"naive.sqe.q{qp.qid}.{slot}", debugger
+        self.slot_locks: Dict[tuple[int, int, int], AgileLock] = {
+            (si, qp.qid, slot): AgileLock(
+                sim, f"naive.sqe.s{si}.q{qp.qid}.{slot}", debugger
             )
-            for qp in queue_pairs
+            for si, qps in enumerate(queue_pairs)
+            for qp in qps
             for slot in range(qp.sq.depth)
-        }
-        self.doorbell_locks: Dict[int, AgileLock] = {
-            qp.qid: AgileLock(sim, f"naive.sqdb.q{qp.qid}", debugger)
-            for qp in queue_pairs
         }
 
     def async_issue(
         self,
         tc: ThreadContext,
         chain: AgileLockChain,
+        ssd_idx: int,
         opcode: Opcode,
         lba: int,
         data: Optional[np.ndarray],
     ) -> Generator[Any, Any, NaiveToken]:
         """Figure 1, lines 1-3: lock an SQE, enqueue, ring; keep the lock."""
-        qp = self.queue_pairs[tc.tid % len(self.queue_pairs)]
+        qps = self.queue_pairs[ssd_idx]
+        qp = qps[tc.tid % len(qps)]
         # Line 2-3: wait for the next available SQ entry.  The blocking
         # acquire runs the deadlock check on every failed attempt.
         token: Optional[NaiveToken] = None
@@ -85,28 +94,25 @@ class NaiveAsyncEngine:
             yield from tc.atomic()
             if reservation is not None:
                 slot, cid = reservation
-                lock = self.slot_locks[(qp.qid, slot)]
+                lock = self.slot_locks[(ssd_idx, qp.qid, slot)]
                 # The reservation just succeeded, so the lock is free; the
                 # thread takes it and will HOLD it across further issues.
                 if not lock.try_acquire(chain):
                     raise SimError(
                         f"naive slot lock {lock.name} unexpectedly held"
                     )
-                token = NaiveToken(qp=qp, slot=slot, cid=cid, lock=lock)
+                token = NaiveToken(ssd_idx, qp, slot, cid, lock)
             else:
                 # SQ full: block on the oldest slot's lock — exactly the
                 # "spin at line 3" of Figure 1.  With the debugger enabled
                 # the circular wait is reported here.
                 oldest = qp.sq.alloc_tail % qp.sq.depth
-                lock = self.slot_locks[(qp.qid, oldest)]
+                lock = self.slot_locks[(ssd_idx, qp.qid, oldest)]
                 yield from lock.acquire(chain)
                 lock.release(chain)  # retry the reservation
 
         cmd = NvmeCommand(opcode=opcode, cid=token.cid, lba=lba, data=data)
-        yield from tc.hbm_store(SQE_SIZE)
-        qp.sq.publish(token.slot, cmd)
-        db_lock = self.doorbell_locks[qp.qid]
-        yield from ring_until_issued(qp.sq, token.slot, db_lock, chain)
+        yield from self.publish_and_ring(tc, chain, ssd_idx, qp, token.slot, cmd)
         return token
 
     def wait_all(
@@ -125,17 +131,17 @@ class NaiveAsyncEngine:
         arrived for that long, a :class:`SimStallError` is raised whose
         report names every stalled CID and the SQE lock its chain still
         holds (the §3.5 lock-chain diagnosis of a dropped CQE)."""
-        pending = {(t.qp.qid, t.cid): t for t in tokens}
+        pending = {(t.ssd, t.qp.qid, t.cid): t for t in tokens}
         stalled_ns = 0.0
         while pending:
             progressed = False
-            for qp in dict.fromkeys(t.qp for t in tokens):
+            for ssd, qp in dict.fromkeys((t.ssd, t.qp) for t in tokens):
                 completion = qp.cq.peek(qp.cq.host_head)
                 if completion is None:
                     continue
                 qp.cq.consume_to(qp.cq.host_head + 1)
                 yield from qp.cq.doorbell.ring(qp.cq.host_head)
-                token = pending.pop((qp.qid, completion.cid), None)
+                token = pending.pop((ssd, qp.qid, completion.cid), None)
                 if token is not None:
                     token.completion = completion
                     qp.sq.release(token.slot)
@@ -159,7 +165,7 @@ class NaiveAsyncEngine:
     def _stall_report(
         self,
         chain: AgileLockChain,
-        pending: Dict[tuple[int, int], NaiveToken],
+        pending: Dict[tuple[int, int, int], NaiveToken],
         stalled_ns: float,
     ) -> str:
         """Name the stalled CID(s) and the locks the chain still holds."""
@@ -168,11 +174,11 @@ class NaiveAsyncEngine:
             f"{chain.name!r} saw no completion for {len(pending)} "
             f"outstanding command(s)",
         ]
-        for (qid, cid), token in sorted(pending.items()):
+        for (ssd, qid, cid), token in sorted(pending.items()):
             lines.append(
-                f"  stalled CID {cid} on SQ{qid} (slot {token.slot}); "
-                f"its completion never arrived and lock {token.lock.name} "
-                f"is still held"
+                f"  stalled CID {cid} on SSD {ssd} SQ{qid} (slot "
+                f"{token.slot}); its completion never arrived and lock "
+                f"{token.lock.name} is still held"
             )
         held = ", ".join(l.name for l in chain.held) or "none"
         lines.append(f"  locks held by {chain.name!r}: {held}")

@@ -258,16 +258,6 @@ class SsdConfig(Checked):
     def physical_blocks(self) -> int:
         return self.num_blocks + self.op_blocks
 
-    @property
-    def peak_read_bw(self) -> float:
-        """Aggregate flash read bandwidth in bytes/ns."""
-        return self.channels * self.page_size / self.read_latency_ns
-
-    @property
-    def peak_write_bw(self) -> float:
-        """Aggregate flash program bandwidth in bytes/ns."""
-        return self.channels * self.page_size / self.write_latency_ns
-
 
 @dataclass(frozen=True)
 class GpuConfig(Checked):
@@ -310,10 +300,6 @@ class GpuConfig(Checked):
     @property
     def hbm_bytes_per_ns(self) -> float:
         return gbps_to_bytes_per_ns(self.hbm_bandwidth_gbps)
-
-    def cycles(self, n: float) -> float:
-        """Convert a cycle count to nanoseconds."""
-        return n * self.cycle_ns
 
 
 @dataclass(frozen=True)

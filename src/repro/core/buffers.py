@@ -51,12 +51,6 @@ class Transaction:
         yield from self.gate.wait()
         return self.completion
 
-    @property
-    def latency(self) -> float:
-        if self.completed_at is None:
-            raise RuntimeError(f"transaction {self.label!r} still in flight")
-        return self.completed_at - self.issued_at
-
 
 class AgileBuf:
     """A user-specified device buffer (``AgileBufPtr`` in Listing 1).
@@ -113,6 +107,3 @@ class AgileBuf:
 
     def as_array(self, dtype: np.dtype | str) -> np.ndarray:
         return self.view.view(dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AgileBuf({self.label!r}, size={self.size}, source={self.source})"

@@ -108,9 +108,6 @@ class DramTier:
         self.hits += 1
         return data
 
-    def __len__(self) -> int:
-        return len(self._store)
-
 
 class SoftwareCache:
     """The HBM software cache controller."""
@@ -471,21 +468,6 @@ class SoftwareCache:
         if line.pins <= 0:
             raise SimError(f"line {line.index} unpinned below zero")
         line.pins -= 1
-
-    def read_line(
-        self, tc: ThreadContext, line: CacheLine, nbytes: Optional[int] = None
-    ) -> Generator[Any, Any, np.ndarray]:
-        """Copy data out of a pinned, valid line (charges HBM time)."""
-        if not line.valid:
-            raise SimError(f"reading line {line.index} in state {line.state}")
-        n = line.buffer.size if nbytes is None else nbytes
-        if self.probe is not None:
-            self.probe.emit(
-                "cache.access", src=self, line=line.index, tag=line.tag, tid=tc.tid,
-                rw="r", pinned=line.pins > 0,
-            )
-        yield from tc.hbm_load(n)
-        return line.buffer[:n]
 
     def write_line(
         self, tc: ThreadContext, line: CacheLine, data: np.ndarray, offset: int = 0

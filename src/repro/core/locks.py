@@ -35,8 +35,7 @@ class LockDebugger:
     blocked acquire finally succeeds or the held lock is released.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._edges: Dict["AgileLock", Set["AgileLock"]] = {}
         self.checks = 0
         self.deadlocks_found = 0
@@ -53,7 +52,7 @@ class LockDebugger:
                 "lock.blocked", src=target, lock=target.name, chain=chain.name,
                 held=[l.name for l in chain.held],
             )
-        if not self.enabled or not chain.held:
+        if not chain.held:
             return
         for held in chain.held:
             self._edges.setdefault(held, set()).add(target)
@@ -77,8 +76,6 @@ class LockDebugger:
                 "lock.acquire", src=target, lock=target.name, chain=chain.name,
                 held_before=[l.name for l in chain.held if l is not target],
             )
-        if not self.enabled:
-            return
         for held in chain.held:
             deps = self._edges.get(held)
             if deps is not None:
@@ -92,8 +89,6 @@ class LockDebugger:
                 "lock.release", src=lock, lock=lock.name,
                 chain=chain.name if chain is not None else None,
             )
-        if not self.enabled:
-            return
         self._edges.pop(lock, None)
 
     def _find_path(
@@ -191,6 +186,3 @@ class AgileLock:
         if self.debugger is not None:
             self.debugger.on_release(self, chain)
         self.released.fire()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AgileLock({self.name!r}, locked={self.locked})"

@@ -191,21 +191,6 @@ class Machine:
             data, lambda p: self.placement.place(start_lba + p, tenant=tenant)
         )
 
-    def read_logical(
-        self,
-        start_lba: int,
-        nbytes: int,
-        dtype: np.dtype | str = np.uint8,
-        tenant: Optional[str] = None,
-    ) -> np.ndarray:
-        """Read a logically-addressed dataset back (verification helper,
-        the placement-aware sibling of :meth:`read_flash`)."""
-        return self._read_pages(
-            nbytes,
-            dtype,
-            lambda p: self.placement.place(start_lba + p, tenant=tenant),
-        )
-
     def read_flash(
         self,
         ssd_idx: int,
@@ -214,9 +199,13 @@ class Machine:
         dtype: np.dtype | str = np.uint8,
     ) -> np.ndarray:
         """Read a dataset back from flash (verification helper)."""
-        return self._read_pages(
-            nbytes, dtype, lambda p: (ssd_idx, start_lba + p)
-        )
+        page = self.cfg.ssds[0].page_size
+        flash = self.ssds[ssd_idx].flash
+        n_pages = -(-nbytes // page)
+        out = np.empty(n_pages * page, dtype=np.uint8)
+        for p in range(n_pages):
+            out[p * page : (p + 1) * page] = flash.read_page_data(start_lba + p)
+        return out[:nbytes].view(np.dtype(dtype))
 
     def _write_pages(
         self, data: np.ndarray, place: Callable[[int], tuple[int, int]]
@@ -236,23 +225,6 @@ class Machine:
             ssd_idx, device_lba = place(p)
             self.ssds[ssd_idx].flash.write_page_data(device_lba, chunk)
         return n_pages
-
-    def _read_pages(
-        self,
-        nbytes: int,
-        dtype: np.dtype | str,
-        place: Callable[[int], tuple[int, int]],
-    ) -> np.ndarray:
-        """Gather ``nbytes`` from the pages ``place(0), place(1), ...``."""
-        page = self.cfg.ssds[0].page_size
-        n_pages = -(-nbytes // page)
-        out = np.empty(n_pages * page, dtype=np.uint8)
-        for p in range(n_pages):
-            ssd_idx, device_lba = place(p)
-            out[p * page : (p + 1) * page] = self.ssds[
-                ssd_idx
-            ].flash.read_page_data(device_lba)
-        return out[:nbytes].view(np.dtype(dtype))
 
     def preload_cache(self, ssd_idx: int, lbas: Sequence[int]) -> None:
         """Install pages into every GPU's software cache without NVMe

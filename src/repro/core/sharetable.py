@@ -100,9 +100,6 @@ class ShareTable:
                 refcount=entry.refcount, owner_tid=entry.owner_tid, reason=reason,
             )
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def entry(self, tag: tuple[int, int]) -> Optional[ShareEntry]:
         return self._entries.get(tag)
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config import FaultConfig
+from repro.config import FaultConfig, RecoveryConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.telemetry import Counter
@@ -128,6 +128,21 @@ class FaultInjector:
         if self._roll(self._pcie, self.cfg.pcie_stall_rate, "pcie_stalls"):
             return self.cfg.pcie_stall_ns
         return 0.0
+
+
+#: The read-storm recovery policy (the storm experiment's and the tenancy
+#: experiment's storm cells).  Its timeout sits below the worst
+#: latency-outlier tail (mult can reach 40x the 83.8us flash program), so
+#: storms genuinely exercise the timeout -> backoff -> resubmit path, not
+#: just error CQEs.
+STORM_RECOVERY = RecoveryConfig(
+    enabled=True,
+    command_timeout_ns=1_200_000.0,
+    scan_interval_ns=150_000.0,
+    max_retries=4,
+    retry_backoff_ns=50_000.0,
+    breaker_threshold=12,
+)
 
 
 def plan_from_seed(seed: int, intensity: float = 1.0) -> FaultConfig:

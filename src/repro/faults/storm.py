@@ -42,7 +42,11 @@ from repro.config import (
 )
 from repro.core import AgileHost, AgileLockChain
 from repro.core.issue import AgileIoError
-from repro.faults import plan_from_seed, program_erase_plan_from_seed
+from repro.faults import (
+    STORM_RECOVERY,
+    plan_from_seed,
+    program_erase_plan_from_seed,
+)
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.nvme.queue import SlotState
 from repro.serve.experiment import Cell, Check, Experiment, Runner
@@ -92,17 +96,7 @@ def _storm_config(seed: int, intensity: float, num_ssds: int) -> SystemConfig:
         num_ssds,
         SsdConfig(capacity_bytes=1 << 28),
         faults=plan_from_seed(seed, intensity),
-        # Timeout sits below the worst latency-outlier tail (mult can reach
-        # 40x the 83.8us flash program), so storms genuinely exercise the
-        # timeout -> backoff -> resubmit path, not just error CQEs.
-        recovery=RecoveryConfig(
-            enabled=True,
-            command_timeout_ns=1_200_000.0,
-            scan_interval_ns=150_000.0,
-            max_retries=4,
-            retry_backoff_ns=50_000.0,
-            breaker_threshold=12,
-        ),
+        recovery=STORM_RECOVERY,
     )
 
 

@@ -86,9 +86,3 @@ class ThreadContext:
         real SIMT hardware whether or not the code coalesces — kernels that
         model lockstep execution call this once per iteration."""
         return self.warp.coalesce(self.tid, NOT_PARTICIPATING)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ThreadContext(tid={self.tid}, block={self.block_id}, "
-            f"lane={self.lane}, sm={self.sm.index})"
-        )

@@ -76,10 +76,6 @@ class Warp:
         if rnd is not None and len(rnd.keys) >= len(self._members):
             self._complete_round()
 
-    @property
-    def active_lanes(self) -> int:
-        return len(self._members)
-
     # -- coalescing ------------------------------------------------------------
 
     def coalesce(

@@ -24,9 +24,6 @@ class VReg:
     name: str = ""
     width: int = 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"%{self.vid}:{self.name or 'v'}({self.width})"
-
 
 @dataclass(frozen=True)
 class Instr:
@@ -35,11 +32,6 @@ class Instr:
     op: str
     dst: Tuple[VReg, ...] = ()
     src: Tuple[VReg, ...] = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        dsts = ", ".join(map(repr, self.dst))
-        srcs = ", ".join(map(repr, self.src))
-        return f"{dsts} = {self.op} {srcs}"
 
 
 @dataclass

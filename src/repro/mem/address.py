@@ -26,9 +26,6 @@ class Allocation:
     def end(self) -> int:
         return self.addr + self.size
 
-    def contains(self, addr: int, size: int = 1) -> bool:
-        return self.addr <= addr and addr + size <= self.end
-
 
 class BumpAllocator:
     """Contiguous bump allocator with alignment; no free (device lifetime).
@@ -44,14 +41,6 @@ class BumpAllocator:
         self.base = base
         self.capacity = capacity
         self._next = base
-
-    @property
-    def used(self) -> int:
-        return self._next - self.base
-
-    @property
-    def remaining(self) -> int:
-        return self.base + self.capacity - self._next
 
     def alloc(self, size: int, align: int = 64) -> Allocation:
         if size <= 0:

@@ -8,7 +8,7 @@ same simulated HBM, exactly as in the paper's system diagram (Fig. 2).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 import numpy as np
 
@@ -33,28 +33,6 @@ class HbmBuffer:
         self.view = hbm.backing[allocation.addr : allocation.end]
         self.label = label
 
-    @property
-    def addr(self) -> int:
-        return self.allocation.addr
-
-    def as_array(self, dtype: np.dtype | str, count: Optional[int] = None):
-        """Reinterpret the buffer as a typed NumPy array view."""
-        arr = self.view.view(dtype)
-        if count is not None:
-            arr = arr[:count]
-        return arr
-
-    def write_bytes(self, offset: int, data: np.ndarray | bytes) -> None:
-        raw = np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes) else (
-            np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        )
-        self.view[offset : offset + raw.size] = raw
-
-    def read_bytes(self, offset: int, size: int) -> np.ndarray:
-        return self.view[offset : offset + size].copy()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"HbmBuffer({self.label!r}, addr={self.addr:#x}, size={self.allocation.size})"
 
 
 class Hbm:

@@ -72,9 +72,6 @@ class FlashArray:
             )
         self.ftl.host_write(lba, data)
 
-    def populated_pages(self) -> int:
-        return self.ftl.mapped_pages()
-
     # -- timing plane ------------------------------------------------------------
 
     def _channel(self, pp: int) -> FifoServer:
@@ -159,9 +156,4 @@ class FlashArray:
         ftl.commit_program(lba, pp, data)
         ftl.maybe_start_gc(self)
         return True
-
-    def channel_utilization(self) -> float:
-        if not self._channels:
-            return 0.0
-        return sum(c.utilization() for c in self._channels) / len(self._channels)
 

@@ -122,9 +122,6 @@ class Ftl:
         """Physical page serving ``lba`` (identity when never written)."""
         return self._l2p.get(lba, lba)
 
-    def mapped_pages(self) -> int:
-        return len(self._l2p)
-
     @property
     def live_pages(self) -> int:
         return len(self._p2l)

@@ -171,11 +171,6 @@ class SubmissionQueue:
             )
         return cmd
 
-    # -- introspection ----------------------------------------------------------
-
-    def outstanding(self) -> int:
-        return sum(1 for s in self.state if s is not SlotState.EMPTY)
-
 
 @dataclass
 class _CqSlot:

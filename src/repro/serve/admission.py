@@ -46,23 +46,41 @@ class AdmissionQueue:
         self._waiter: Optional[Event] = None
         self._closed = False
 
+    # -- the buffer's policy: FIFO order, shed the arrival ------------------
+
+    def _evict(self, arriving: Request) -> Request:
+        """Who is shed when ``arriving`` finds the buffer full; a queued
+        victim leaves the buffer here."""
+        return arriving
+
+    def _push(self, req: Request) -> None:
+        self._q.append(req)
+
+    def _pop(self) -> Request:
+        return self._q.popleft()
+
+    def _shed(self, req: Request) -> None:
+        req.transition(RequestState.SHED, self.sim.now)
+        self.events.add("shed")
+        if self.on_terminal is not None:
+            self.on_terminal(req)
+
     # -- producer side (arrival processes) --------------------------------
 
     def offer(self, req: Request) -> bool:
-        """Admit ``req`` or shed it; returns True when admitted."""
+        """Admit ``req`` or shed a victim (possibly ``req`` itself);
+        returns True when ``req`` was admitted."""
         if self._closed:
             raise RuntimeError("admission queue is closed")
-        now = self.sim.now
-        if len(self._q) >= self.capacity:
-            req.transition(RequestState.SHED, now)
-            self.events.add("shed")
-            if self.on_terminal is not None:
-                self.on_terminal(req)
-            return False
-        req.transition(RequestState.QUEUED, now)
-        self._q.append(req)
+        if len(self) >= self.capacity:
+            victim = self._evict(req)
+            self._shed(victim)
+            if victim is req:
+                return False
+        req.transition(RequestState.QUEUED, self.sim.now)
+        self._push(req)
         if self.depth is not None:
-            self.depth.set(len(self._q))
+            self.depth.set(len(self))
         self._notify()
         return True
 
@@ -77,10 +95,10 @@ class AdmissionQueue:
         """Pull the next live request, aborting queue-timeout expirees on
         the way; None when the queue is (currently) empty."""
         now = self.sim.now
-        while self._q:
-            req = self._q.popleft()
+        while len(self):
+            req = self._pop()
             if self.depth is not None:
-                self.depth.set(len(self._q))
+                self.depth.set(len(self))
             admitted = req.admitted_ns if req.admitted_ns is not None else now
             if now - admitted > req.cls.queue_timeout_ns:
                 req.transition(RequestState.ABORTED, now)
@@ -93,7 +111,7 @@ class AdmissionQueue:
 
     def wait_for_request(self) -> Generator[Any, Any, None]:
         """Block until the queue is non-empty or closed."""
-        while not self._q and not self._closed:
+        while not len(self) and not self._closed:
             ev = self.sim.event("serve.admit.wait")
             self._waiter = ev
             yield ev
@@ -105,12 +123,8 @@ class AdmissionQueue:
             ev.trigger()
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def drained(self) -> bool:
-        return self._closed and not self._q
+        return self._closed and not len(self)
 
     def __len__(self) -> int:
         return len(self._q)

@@ -260,18 +260,17 @@ class BamServeBackend(ServeBackend):
 
 class NaiveServeBackend(ServeBackend):
     """Figure 1 naive-async on the BaM machine: per-thread SQE-lock issue
-    plus self-polling completion, one :class:`NaiveAsyncEngine` per SSD so
-    commands reach the right device."""
+    plus self-polling completion, one :class:`NaiveAsyncEngine` over every
+    SSD."""
 
     system = "naive"
 
     def __init__(self, cfg: Optional[SystemConfig] = None):
         super().__init__(BamHost(cfg))
         host = self.host
-        self.engines = [
-            NaiveAsyncEngine(host.sim, qps, debugger=host.debugger)
-            for qps in host.queue_pairs
-        ]
+        self.engine = NaiveAsyncEngine(
+            host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
+        )
         # Total SQ slots per SSD bounds safe concurrent outstanding I/O.
         # Worst case every request in the batch targets the same SSD and
         # holds all its page slots at once; staying under the slot count
@@ -282,22 +281,21 @@ class NaiveServeBackend(ServeBackend):
         self.max_batch = max(1, slots_per_ssd // 2)
 
     def _access(self, tc, _ctrl, chain, req, dest):
-        engines = self.engines
+        engine = self.engine
         tokens = []
         try:
             for ssd, lba in req.pages:
-                token = yield from engines[ssd].async_issue(
-                    tc, chain, Opcode.READ, lba, dest
+                token = yield from engine.async_issue(
+                    tc, chain, ssd, Opcode.READ, lba, dest
                 )
-                tokens.append((ssd, token))
-            for ssd in sorted({s for s, _ in tokens}):
-                group = [t for s, t in tokens if s == ssd]
-                yield from engines[ssd].wait_all(
-                    tc, chain, group, stall_after_ns=NAIVE_STALL_NS
+                tokens.append(token)
+            for ssd in sorted({t.ssd for t in tokens}):
+                yield from engine.wait_all(
+                    tc, chain, [t for t in tokens if t.ssd == ssd],
+                    stall_after_ns=NAIVE_STALL_NS,
                 )
             return all(
-                t.completion is not None and t.completion.ok
-                for _, t in tokens
+                t.completion is not None and t.completion.ok for t in tokens
             )
         except (DeadlockError, SimStallError):
             # The Figure 1 defect biting: this thread's completion was
@@ -307,7 +305,7 @@ class NaiveServeBackend(ServeBackend):
             # lock it still holds so the rest of the system stays live,
             # and the request surfaces as ABORTED — the naive curve's
             # collapse under concurrency is exactly these events.
-            for _ssd, token in tokens:
+            for token in tokens:
                 if token.completion is None:
                     token.qp.sq.release(token.slot)
             for lock in list(chain.held):

@@ -31,16 +31,6 @@ class BatchPolicy(Checked):
 
     max_batch: int = legal(64, ge=1)
     max_wait_ns: float = legal(50_000.0, ge=0)
-    #: Poll granularity while a partial batch waits for stragglers.
-    poll_ns: float = legal(0.0, ge=0)
-
-    @property
-    def effective_poll_ns(self) -> float:
-        if self.poll_ns > 0:
-            return self.poll_ns
-        # An eighth of the window keeps the wait bound tight without
-        # flooding the scheduler with wakeups.
-        return max(1_000.0, self.max_wait_ns / 8.0)
 
 
 @dataclass
@@ -82,6 +72,10 @@ class DynamicBatcher:
     def run(self) -> Generator[Any, Any, None]:
         """Sim process: form batches until admission is closed and drained."""
         policy = self.policy
+        # Poll granularity while a partial batch waits for stragglers: an
+        # eighth of the window keeps the wait bound tight without flooding
+        # the scheduler with wakeups.
+        poll_ns = max(1_000.0, policy.max_wait_ns / 8.0)
         while True:
             yield from self.queue.wait_for_request()
             first = self.queue.poll()
@@ -99,7 +93,7 @@ class DynamicBatcher:
                 if self.sim.now >= deadline or self.queue.drained:
                     break
                 remaining = deadline - self.sim.now
-                yield Timeout(min(policy.effective_poll_ns, remaining))
+                yield Timeout(min(poll_ns, remaining))
             yield from self._emit(batch)
         self.dispatcher.close()
 

@@ -134,7 +134,6 @@ class ServeEngine:
         policy = BatchPolicy(
             max_batch=max_batch,
             max_wait_ns=self.cfg.batch.max_wait_ns,
-            poll_ns=self.cfg.batch.poll_ns,
         )
         self.dispatcher = Dispatcher(
             self.sim,

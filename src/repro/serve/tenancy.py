@@ -35,12 +35,15 @@ from repro.config import (
     CacheConfig,
     Checked,
     PlacementConfig,
-    RecoveryConfig,
     SsdConfig,
     SystemConfig,
     legal,
 )
-from repro.faults import plan_from_seed, program_erase_plan_from_seed
+from repro.faults import (
+    STORM_RECOVERY,
+    plan_from_seed,
+    program_erase_plan_from_seed,
+)
 from repro.serve.arrival import ArrivalProcess, Poisson
 from repro.serve.backends import ServeBackend
 from repro.serve.experiment import (
@@ -222,18 +225,6 @@ def _system_config(
         faults = program_erase_plan_from_seed(spec.seed, spec.storm_intensity)
     else:
         faults = None
-    recovery = (
-        RecoveryConfig(
-            enabled=True,
-            command_timeout_ns=1_200_000.0,
-            scan_interval_ns=150_000.0,
-            max_retries=4,
-            retry_backoff_ns=50_000.0,
-            breaker_threshold=12,
-        )
-        if faults is not None
-        else RecoveryConfig()
-    )
     policy = placement if spec.num_ssds > 1 else "striped"
     cfg = SystemConfig(
         seed=spec.seed,
@@ -246,7 +237,7 @@ def _system_config(
         ),
     )
     if faults is not None:
-        cfg = replace(cfg, faults=faults, recovery=recovery)
+        cfg = replace(cfg, faults=faults, recovery=STORM_RECOVERY)
     return cfg.with_ssds(spec.num_ssds)
 
 

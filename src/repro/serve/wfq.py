@@ -33,14 +33,18 @@ shed fraction rises while the inference tenant keeps its queue slots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.serve.request import Request, RequestState
-from repro.sim.engine import Event, Simulator
+from repro.config import Checked, ConfigError, legal
+from repro.serve.admission import AdmissionQueue
+from repro.serve.request import Request
+from repro.sim.engine import Simulator
 from repro.telemetry.metrics import Counter, Gauge
 
 
-class TenantShare:
+@dataclass(frozen=True)
+class TenantShare(Checked):
     """One class's scheduling contract: dispatch weight, shed priority,
     and the starvation bound on shedding.
 
@@ -51,46 +55,35 @@ class TenantShare:
     candidate exists.
     """
 
-    __slots__ = ("name", "weight", "priority", "max_shed_frac")
-
-    def __init__(
-        self,
-        name: str,
-        weight: float = 1.0,
-        priority: int = 0,
-        max_shed_frac: float = 1.0,
-    ):
-        if weight <= 0:
-            raise ValueError(f"share {name!r}: weight must be > 0")
-        if not 0.0 <= max_shed_frac <= 1.0:
-            raise ValueError(
-                f"share {name!r}: max_shed_frac must be in [0, 1]"
-            )
-        self.name = name
-        self.weight = float(weight)
-        self.priority = int(priority)
-        self.max_shed_frac = float(max_shed_frac)
+    name: str
+    weight: float = legal(1.0, gt=0)
+    priority: int = legal(0)
+    max_shed_frac: float = legal(1.0, ge=0, le=1)
 
 
-class TenancyConfig:
+@dataclass(frozen=True)
+class TenancyConfig(Checked):
     """The tenancy scheduler's policy: one :class:`TenantShare` per class
     (declaration order is the deterministic tie-break order)."""
 
-    def __init__(self, shares: Tuple[TenantShare, ...]):
-        if not shares:
-            raise ValueError("tenancy needs at least one share")
-        names = [s.name for s in shares]
+    shares: Tuple[TenantShare, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.shares:
+            raise ConfigError("TenancyConfig.shares needs at least one share")
+        names = [s.name for s in self.shares]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tenant shares: {names}")
-        self.shares = tuple(shares)
+            raise ConfigError(f"TenancyConfig.shares: duplicate names {names}")
 
 
-class WeightedFairAdmission:
+class WeightedFairAdmission(AdmissionQueue):
     """Bounded multi-class admission: weighted-fair pulls, SLO-aware sheds.
 
-    Interface-compatible with :class:`~repro.serve.admission.AdmissionQueue`
-    (the batcher and the engine cannot tell them apart); ``capacity``
-    bounds the *total* buffered requests across classes.
+    :class:`~repro.serve.admission.AdmissionQueue`'s bounded buffer (the
+    batcher and the engine cannot tell them apart) with its own victim
+    choice and pull order; ``capacity`` bounds the *total* buffered
+    requests across classes.
     """
 
     def __init__(
@@ -103,12 +96,7 @@ class WeightedFairAdmission:
         on_terminal: Optional[Callable[[Request], None]] = None,
         class_events: Optional[Counter] = None,
     ):
-        self.sim = sim
-        self.capacity = capacity
-        self.tenancy = tenancy
-        self.events = events
-        self.depth = depth_gauge
-        self.on_terminal = on_terminal
+        super().__init__(sim, capacity, events, depth_gauge, on_terminal)
         #: Per-class scheduler counters (``pull:<cls>`` / ``shed:<cls>`` /
         #: ``shed_guard_fallback``) on the backend's metric registry.
         self.class_events = class_events
@@ -123,13 +111,8 @@ class WeightedFairAdmission:
         self._vt: Dict[str, float] = {name: 0.0 for name in self._order}
         self._vnow = 0.0
         self._offered: Dict[str, int] = {name: 0 for name in self._order}
-        self._shed: Dict[str, int] = {name: 0 for name in self._order}
-        self._pulls: Dict[str, int] = {name: 0 for name in self._order}
+        self._sheds: Dict[str, int] = {name: 0 for name in self._order}
         self._size = 0
-        self._waiter: Optional[Event] = None
-        self._closed = False
-
-    # -- bookkeeping --------------------------------------------------------
 
     def _share(self, req: Request) -> TenantShare:
         share = self._shares.get(req.cls.name)
@@ -140,26 +123,22 @@ class WeightedFairAdmission:
             )
         return share
 
-    def pull_counts(self) -> Dict[str, int]:
-        """Requests handed to the batcher per class (property tests read
-        this to check the weighted-fair share bound)."""
-        return dict(self._pulls)
+    # -- victim choice --------------------------------------------------------
 
-    def _do_shed(self, req: Request) -> None:
-        req.transition(RequestState.SHED, self.sim.now)
-        self._shed[req.cls.name] += 1
-        self.events.add("shed")
-        if self.class_events is not None:
-            self.class_events.add(f"shed:{req.cls.name}")
-        if self.on_terminal is not None:
-            self.on_terminal(req)
-
-    def _pick_victim(self, arriving: Request) -> Request:
+    def _evict(self, arriving: Request) -> Request:
         """Choose who gets shed when the buffer is full: the candidate
         whose class can best afford it.  Candidates are the arrival plus
         the *youngest* queued request of each backlogged class (the
         youngest has waited least — shedding it wastes the least queueing
-        already invested)."""
+        already invested).  A queued victim (QUEUED -> SHED is legal)
+        frees its slot for the arrival."""
+        victim = self._pick_victim(arriving)
+        if victim is not arriving:
+            self._queues[victim.cls.name].remove(victim)
+            self._size -= 1
+        return victim
+
+    def _pick_victim(self, arriving: Request) -> Request:
         candidates: List[Request] = [arriving]
         for name in self._order:
             q = self._queues[name]
@@ -177,7 +156,7 @@ class WeightedFairAdmission:
         for cand in ranked:
             share = self._share(cand)
             offered = max(1, self._offered[cand.cls.name])
-            if (self._shed[cand.cls.name] + 1) / offered <= share.max_shed_frac:
+            if (self._sheds[cand.cls.name] + 1) / offered <= share.max_shed_frac:
                 return cand
         # Every candidate's class is at its shed bound: the guarantee is a
         # ratio, so waiving it once for the least critical candidate keeps
@@ -186,27 +165,20 @@ class WeightedFairAdmission:
             self.class_events.add("shed_guard_fallback")
         return ranked[0]
 
-    # -- producer side (arrival processes) ----------------------------------
+    def _shed(self, req: Request) -> None:
+        self._sheds[req.cls.name] += 1
+        if self.class_events is not None:
+            self.class_events.add(f"shed:{req.cls.name}")
+        super()._shed(req)
 
     def offer(self, req: Request) -> bool:
-        """Admit ``req``, or shed the most affordable victim (possibly
-        ``req`` itself); returns True when ``req`` was admitted."""
-        if self._closed:
-            raise RuntimeError("admission queue is closed")
-        self._share(req)  # unknown classes fail fast
-        self._offered[req.cls.name] += 1
-        if self._size >= self.capacity:
-            victim = self._pick_victim(req)
-            if victim is req:
-                self._do_shed(req)
-                return False
-            # Evict the queued victim (QUEUED -> SHED is legal) and admit
-            # the arrival into the freed slot.
-            self._queues[victim.cls.name].remove(victim)
-            self._size -= 1
-            self._do_shed(victim)
-        now = self.sim.now
-        req.transition(RequestState.QUEUED, now)
+        if not self._closed:
+            self._offered[self._share(req).name] += 1  # unknown classes fail fast
+        return super().offer(req)
+
+    # -- pull order -----------------------------------------------------------
+
+    def _push(self, req: Request) -> None:
         q = self._queues[req.cls.name]
         if not q:
             # A class returning from idle joins at the scheduler's current
@@ -214,18 +186,10 @@ class WeightedFairAdmission:
             self._vt[req.cls.name] = max(self._vt[req.cls.name], self._vnow)
         q.append(req)
         self._size += 1
-        if self.depth is not None:
-            self.depth.set(self._size)
-        self._notify()
-        return True
 
-    def close(self) -> None:
-        self._closed = True
-        self._notify()
-
-    # -- consumer side (the batcher) -----------------------------------------
-
-    def _next_class(self) -> Optional[str]:
+    def _pop(self) -> Request:
+        """The head of the backlogged class with the smallest clock; pulling
+        advances that clock by ``1 / weight``."""
         best: Optional[str] = None
         best_vt = 0.0
         for name in self._order:
@@ -234,47 +198,17 @@ class WeightedFairAdmission:
             vt = self._vt[name]
             if best is None or vt < best_vt:
                 best, best_vt = name, vt
-        return best
+        assert best is not None
+        self._size -= 1
+        self._vt[best] += 1.0 / self._shares[best].weight
+        self._vnow = self._vt[best]
+        return self._queues[best].popleft()
 
     def poll(self) -> Optional[Request]:
-        """Pull the next live request in weighted-fair order, aborting
-        queue-timeout expirees on the way; None when empty."""
-        now = self.sim.now
-        while self._size:
-            name = self._next_class()
-            assert name is not None
-            req = self._queues[name].popleft()
-            self._size -= 1
-            if self.depth is not None:
-                self.depth.set(self._size)
-            share = self._shares[name]
-            self._vt[name] += 1.0 / share.weight
-            self._vnow = self._vt[name]
-            admitted = req.admitted_ns if req.admitted_ns is not None else now
-            if now - admitted > req.cls.queue_timeout_ns:
-                req.transition(RequestState.ABORTED, now)
-                self.events.add("queue_timeout")
-                if self.on_terminal is not None:
-                    self.on_terminal(req)
-                continue
-            self._pulls[name] += 1
-            if self.class_events is not None:
-                self.class_events.add(f"pull:{name}")
-            return req
-        return None
+        req = super().poll()
+        if req is not None and self.class_events is not None:
+            self.class_events.add(f"pull:{req.cls.name}")
+        return req
 
-    def wait_for_request(self) -> Generator[Any, Any, None]:
-        while not self._size and not self._closed:
-            ev = self.sim.event("serve.admit.wait")
-            self._waiter = ev
-            yield ev
-
-    def _notify(self) -> None:
-        if self._waiter is not None and not self._waiter.triggered:
-            ev = self._waiter
-            self._waiter = None
-            ev.trigger()
-
-    @property
-    def drained(self) -> bool:
-        return self._closed and not self._size
+    def __len__(self) -> int:
+        return self._size

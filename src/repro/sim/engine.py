@@ -21,9 +21,9 @@ drained before simulated time may advance.
 Dispatch is allocation-free on the fast path: instead of a fresh closure
 per step, each :class:`Process` owns one reusable ``[seq, kind, target,
 payload]`` dispatch record that is mutated in place and appended to the
-queue.  Raw callbacks go through the narrow scheduler-facing API —
-:meth:`Simulator.schedule_immediate` / :meth:`Simulator.schedule_at` —
-which takes ``fn, *args`` so callers never need to build a ``lambda``.
+queue.  Raw callbacks go through the narrow scheduler-facing API,
+:meth:`Simulator.schedule_at`, which takes ``fn, *args`` so callers never
+need to build a ``lambda``.
 
 Deadlock handling is first-class because the paper's motivating bug
 (Figure 1) *is* a deadlock: the engine detects both global deadlock (event
@@ -72,9 +72,6 @@ class Timeout:
         self.delay = delay
         self.value = value
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Timeout({self.delay})"
-
 
 class At:
     """Awaitable wake-up.  ``yield At(when)`` resumes at absolute time
@@ -112,19 +109,6 @@ class Event:
     @property
     def triggered(self) -> bool:
         return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """True once triggered successfully (not failed)."""
-        return self._triggered and self._exc is None
-
-    @property
-    def value(self) -> Any:
-        if not self._triggered:
-            raise SimError(f"event {self.name!r} not yet triggered")
-        if self._exc is not None:
-            raise self._exc
-        return self._value
 
     def wait(self) -> Generator[Any, Any, None]:
         """``yield from ev.wait()``: block until triggered; a triggered event
@@ -178,10 +162,6 @@ class Event:
         else:
             self._waiters.append(proc)
             proc._waiting_on = self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "triggered" if self._triggered else "pending"
-        return f"Event({self.name!r}, {state})"
 
 
 class Process:
@@ -380,10 +360,6 @@ class Process:
             return f"joining process '{target.name}'"
         return repr(target)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self.alive else "done"
-        return f"Process({self.name!r}, {state})"
-
 
 class Simulator:
     """The event loop.
@@ -421,26 +397,18 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule_immediate(self, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at the current simulated time, after every
-        already-queued same-time event (FIFO).
-
-        This is the scheduler-facing API for model code: no closure needed —
-        pass the callable and its arguments.  Raw callbacks count as pending
-        work: ``run()`` will not declare the simulation finished while any
-        are outstanding.
-        """
-        self._raw_pending += 1
-        self._seq += 1
-        self._immediate.append([self._seq, _K_CALL, fn, args])
-
     def schedule_at(
         self, when: float, fn: Callable[..., None], *args: Any
     ) -> None:
-        """Schedule ``fn(*args)`` at absolute simulated time ``when``.
+        """Schedule ``fn(*args)`` at absolute simulated time ``when``; at
+        ``when == now`` it runs after every already-queued same-time event
+        (FIFO).
 
-        Like :meth:`schedule_immediate`, raw callbacks count as pending work
-        (e.g. an in-flight doorbell value that has not yet reached the SSD).
+        This is the scheduler-facing API for model code: no closure needed —
+        pass the callable and its arguments.  Raw callbacks count as pending
+        work (e.g. an in-flight doorbell value that has not yet reached the
+        SSD): ``run()`` will not declare the simulation finished while any
+        are outstanding.
         """
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")

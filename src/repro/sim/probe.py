@@ -85,10 +85,6 @@ class Record:
             return self.data[key]
         raise RecordError(f"{self.kind!r} records declare no field {key!r}")
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """``record[key]``: an undeclared ``key`` raises, never ``default``."""
-        return self[key]
-
 
 class Probe:
     """One machine's record fan-out: emitters call :meth:`emit`,

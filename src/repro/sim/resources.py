@@ -154,10 +154,6 @@ class FairShareServer:
         self.work_done = 0.0
         self._job_name = f"{name}.job"
 
-    @property
-    def active_jobs(self) -> int:
-        return len(self._jobs)
-
     def _advance(self, now: float) -> None:
         """Bring virtual time to ``now`` at r(n) = min(per_job_cap,
         total_rate / n), the rate the n jobs active since _last_t shared."""

@@ -37,7 +37,3 @@ class RngStreams:
             gen = np.random.Generator(np.random.Philox(seq))
             self._cache[name] = gen
         return gen
-
-    def fork(self, salt: int) -> "RngStreams":
-        """Derive an independent family of streams (e.g. per repetition)."""
-        return RngStreams((self.seed * 0x9E3779B97F4A7C15 + salt) & (2**63 - 1))

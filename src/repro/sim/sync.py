@@ -56,13 +56,6 @@ class SimLock:
         else:
             self.owner = None
 
-    def waiters(self) -> list[Hashable]:
-        """Identities currently queued on this lock (for deadlock reports)."""
-        return [who for who, _ in self._waiters]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SimLock({self.name!r}, owner={self.owner!r})"
-
 
 class Signal:
     """One-shot hook on a state change: the owner of the state calls

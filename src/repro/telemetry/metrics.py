@@ -59,9 +59,6 @@ class Counter:
     def snapshot(self) -> Dict[str, float]:
         return dict(self._values)
 
-    def reset(self) -> None:
-        self._values.clear()
-
     def __getitem__(self, name: str) -> float:
         return self.get(name)
 
@@ -70,7 +67,7 @@ class Gauge:
     """A piecewise-constant value integrated over a supplied clock.
 
     ``mean()`` is the time-average (queue occupancy, cache residency);
-    ``maximum()`` the high-water mark.  An optional ``sampler`` callback
+    the snapshot's ``max`` the high-water mark.  An optional ``sampler`` callback
     fires on every :meth:`set` as ``sampler(value=value)`` — telemetry uses
     it to emit Chrome-trace counter series without the gauge knowing about
     export formats.
@@ -97,10 +94,6 @@ class Gauge:
         self._max = initial
         self.sampler: Optional[Callable[..., None]] = None
 
-    @property
-    def value(self) -> float:
-        return self._value
-
     def set(self, value: float) -> None:
         now = self._clock()
         self._area += self._value * (now - self._last_t)
@@ -111,18 +104,12 @@ class Gauge:
         if self.sampler is not None:
             self.sampler(value=value)
 
-    def add(self, delta: float) -> None:
-        self.set(self._value + delta)
-
     def mean(self) -> float:
         now = self._clock()
         total = self._area + self._value * (now - self._last_t)
         if now <= 0:
             return self._value
         return total / now
-
-    def maximum(self) -> float:
-        return self._max
 
     def snapshot(self) -> Dict[str, float]:
         return {"value": self._value, "mean": self.mean(), "max": self._max}
@@ -216,12 +203,3 @@ class Histogram:
             "buckets": buckets,
             "quantiles": self.quantiles(),
         }
-
-    def reset(self) -> None:
-        self._counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self._min = None
-        self._max = None
-        self._values = []
-        self._sorted_len = 0

@@ -104,9 +104,3 @@ class MetricRegistry:
             },
             "collected": self.collect(),
         }
-
-    def reset(self) -> None:
-        for family in self._counter_families.values():
-            family.reset()
-        for hist in self._histograms.values():
-            hist.reset()

@@ -21,7 +21,7 @@ threads, so Perfetto renders one swim lane per modelled component.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.telemetry.metrics import Clock
 
@@ -69,12 +69,3 @@ class SpanRecorder:
     ) -> None:
         """One sample of a (possibly multi-series) counter timeline."""
         self._append(("C", self._clock(), None, name, layer, track, dict(series)))
-
-    # -- introspection ---------------------------------------------------------
-
-    def layers(self) -> Dict[str, int]:
-        """Record count per layer (acceptance checks / tests)."""
-        seen: Dict[str, int] = {}
-        for rec in self._records:
-            seen[rec[4]] = seen.get(rec[4], 0) + 1
-        return seen

@@ -33,6 +33,10 @@ from repro.workloads.access import (
 )
 from repro.workloads.graphs import CsrGraph, load_graph
 
+#: Registers per thread by system; the agile and bam values are the
+#: ``repro.kir`` estimates Fig. 12 reports, and set the occupancy simulated.
+REGISTERS_PER_THREAD = {"native": 32, "agile": 37, "bam": 45}
+
 SystemName = Literal["native", "agile", "bam"]
 
 
@@ -122,7 +126,7 @@ def run_bfs(
     kernel = KernelSpec(
         name=f"bfs.{system}",
         body=_expand_kernel(system, row_reg, col_reg, graph),
-        registers_per_thread={"native": 32, "agile": 37, "bam": 45}[system],
+        registers_per_thread=REGISTERS_PER_THREAD[system],
     )
     start_ns = sim.now
     while frontier and (max_levels is None or level < max_levels):

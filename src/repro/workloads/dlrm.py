@@ -98,9 +98,6 @@ class EmbeddingLayout:
             self.total_vecs + self.vecs_per_page - 1
         ) // self.vecs_per_page
 
-    def vector_index(self, feature: int, cat_id: int) -> int:
-        return int(self.offsets[feature]) + cat_id
-
     def locate(self, vec_idx: int) -> tuple[int, int, int]:
         """-> (ssd, lba, byte offset) through the placement policy."""
         page = vec_idx // self.vecs_per_page

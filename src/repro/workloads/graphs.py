@@ -39,9 +39,6 @@ class CsrGraph:
     def num_edges(self) -> int:
         return int(self.col_idx.shape[0])
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.col_idx[self.row_ptr[v] : self.row_ptr[v + 1]]
-
 
 def _edges_to_csr(
     src: np.ndarray,

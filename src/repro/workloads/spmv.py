@@ -27,6 +27,10 @@ from repro.workloads.access import (
 )
 from repro.workloads.graphs import CsrGraph, load_graph
 
+#: Registers per thread by system; the agile and bam values are the
+#: ``repro.kir`` estimates Fig. 12 reports, and set the occupancy simulated.
+REGISTERS_PER_THREAD = {"native": 36, "agile": 42, "bam": 56}
+
 SystemName = Literal["native", "agile", "bam"]
 
 
@@ -126,7 +130,7 @@ def run_spmv(
     kernel = KernelSpec(
         name=f"spmv.{system}",
         body=_spmv_kernel(system, row_reg, col_reg, val_reg, x_reg, graph, x),
-        registers_per_thread={"native": 36, "agile": 42, "bam": 56}[system],
+        registers_per_thread=REGISTERS_PER_THREAD[system],
     )
     threads = min(num_threads, n)
     launch_cfg = LaunchConfig.for_threads(threads, 256)

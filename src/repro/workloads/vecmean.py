@@ -14,6 +14,10 @@ from repro.gpu import Gpu, KernelSpec, LaunchConfig
 from repro.sim import Simulator
 from repro.workloads.access import read_range, region, workload_config
 
+#: Registers per thread by system; the agile and bam values are the
+#: ``repro.kir`` estimates Fig. 12 reports, and set the occupancy simulated.
+REGISTERS_PER_THREAD = {"native": 28, "agile": 31, "bam": 32}
+
 SystemName = Literal["native", "agile", "bam"]
 
 
@@ -73,7 +77,7 @@ def run_vector_mean(
     kernel = KernelSpec(
         name=f"vecmean.{system}",
         body=body,
-        registers_per_thread={"native": 28, "agile": 31, "bam": 32}[system],
+        registers_per_thread=REGISTERS_PER_THREAD[system],
     )
     threads = min(num_threads, max(1, n // chunk))
     launch_cfg = LaunchConfig.for_threads(threads, 256)

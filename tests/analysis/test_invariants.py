@@ -240,7 +240,7 @@ class TestEndToEndClean:
                 line = yield from ctrl.read_page(
                     tc, chain, 0, (tc.tid + i) % pages
                 )
-                yield from ctrl.cache.read_line(tc, line, 64)
+                yield from tc.hbm_load(64)  # copy out of the pinned line
                 ctrl.cache.unpin(line)
 
         run_kernel(host, body, grid=1, block=32)

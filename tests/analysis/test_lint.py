@@ -102,7 +102,7 @@ class TestSchedulerInternals:
     def test_direct_schedule_call_fires(self, tmp_path):
         v = run_lint(tmp_path, "def f(sim, fn):\n    sim._schedule(0.0, fn)\n")
         assert codes(v) == ["AGL006"]
-        assert "schedule_immediate" in v[0].message
+        assert "schedule_at" in v[0].message
 
     def test_enqueue_and_step_calls_fire(self, tmp_path):
         src = (
@@ -115,7 +115,6 @@ class TestSchedulerInternals:
     def test_narrow_api_is_fine(self, tmp_path):
         src = (
             "def f(sim, fn, when_ns):\n"
-            "    sim.schedule_immediate(fn)\n"
             "    sim.schedule_at(when_ns, fn, 1)\n"
         )
         assert run_lint(tmp_path, src) == []

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import AnalysisSession, LockOrderAnalyzer
+from repro.analysis import AnalysisSession, LockOrderAnalyzer, attach
+from repro.bench.__main__ import EXPERIMENTS
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.sim.engine import Timeout
-from repro.sim.probe import Probe
+from repro.sim.probe import Probe, listening
+
+from tests.serve.test_experiments import MINI
 
 
 @pytest.fixture
@@ -133,7 +136,7 @@ class TestInversionDetection:
 class TestCycleReportOrder:
     def test_dynamic_cycles_canonical(self):
         an = LockOrderAnalyzer()
-        an._edges = {
+        an.edges = {
             ("y", "z"): {("c1", 1.0)},
             ("z", "x"): {("c1", 2.0)},
             ("x", "y"): {("c1", 3.0)},
@@ -244,7 +247,6 @@ class TestRealProtocolLockOrder:
         consistent global acquisition order across a whole workload."""
         import numpy as np
 
-        from repro.analysis import attach
         from repro.core import AgileLockChain as Chain
 
         from tests.helpers import make_host, run_kernel
@@ -256,7 +258,7 @@ class TestRealProtocolLockOrder:
         def body(tc, ctrl):
             chain = Chain(f"t{tc.tid}")
             line = yield from ctrl.read_page(tc, chain, 0, tc.tid % 8)
-            yield from ctrl.cache.read_line(tc, line, 64)
+            yield from tc.hbm_load(64)  # copy out of the pinned line
             ctrl.cache.unpin(line)
 
         run_kernel(host, body, grid=1, block=16)
@@ -264,3 +266,42 @@ class TestRealProtocolLockOrder:
         assert analyzer.acquisitions > 0
         assert analyzer.inversions() == []
         assert analyzer.cycles() == []
+
+
+def _lock_orders(name, sets):
+    """``(host class, lock-order analyzer)`` of every machine one run of
+    experiment ``name`` builds."""
+    found = []
+    with listening(
+        "analysis",
+        lambda host: found.append((type(host).__name__, attach(host).lock_order)),
+    ):
+        exp = EXPERIMENTS[name]
+        exp.run(*exp.configure(sets))
+    return found
+
+
+class TestOneLockAtATime:
+    """AGILE and BaM never hold two ``AgileLock``s at once (the
+    ``core/locks.py`` claim), so their order graphs stay empty; only the
+    naive Figure 1 baseline, which holds SQE locks across issues, fills
+    one."""
+
+    @pytest.mark.parametrize("name, sets, hosts", [
+        ("fig11", MINI["fig11"], {"AgileHost", "BamHost"}),
+        ("write-path", MINI["write-path"], {"AgileHost"}),
+        ("storm", ["intensity=0"], {"AgileHost"}),
+    ])
+    def test_agile_and_bam_order_graphs_stay_empty(self, name, sets, hosts):
+        orders = _lock_orders(name, sets)
+        assert {host for host, _ in orders} == hosts
+        for host in hosts:
+            assert sum(o.acquisitions for h, o in orders if h == host) > 0
+        assert [o.edges for _, o in orders if o.edges] == []
+
+    def test_naive_cell_fills_its_order_graph(self):
+        orders = _lock_orders(
+            "serve-sweep",
+            ["duration_ns=1e6", "system=naive", "target_rps=20000"],
+        )
+        assert sum(len(o.edges) for _, o in orders) > 0

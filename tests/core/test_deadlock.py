@@ -26,7 +26,8 @@ def _naive_kernel(engine, requests_per_thread):
         tokens = []
         for i in range(requests_per_thread):
             token = yield from engine.async_issue(
-                tc, chain, Opcode.READ, tc.tid * requests_per_thread + i, None
+                tc, chain, 0, Opcode.READ,
+                tc.tid * requests_per_thread + i, None,
             )
             tokens.append(token)
         yield from engine.wait_all(tc, chain, tokens)
@@ -41,7 +42,7 @@ class TestFigure1Deadlock:
         and the lock-chain debugger reports the circular dependency."""
         host = make_host(queue_pairs=1, queue_depth=4)
         engine = NaiveAsyncEngine(
-            host.sim, host.queue_pairs[0], debugger=host.debugger
+            host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
         )
         kernel = KernelSpec(
             name="naive", body=_naive_kernel(engine, requests_per_thread=3)
@@ -66,7 +67,7 @@ class TestFigure1Deadlock:
         host = make_host(queue_pairs=1, queue_depth=16)
         host.ssds[0].flash.write_page_data(0, np.full(4096, 1, np.uint8))
         engine = NaiveAsyncEngine(
-            host.sim, host.queue_pairs[0], debugger=host.debugger
+            host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
         )
         kernel = KernelSpec(
             name="naive_ok", body=_naive_kernel(engine, requests_per_thread=3)

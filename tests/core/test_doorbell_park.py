@@ -208,7 +208,7 @@ class TestLiveness:
         holder then wants ``line``.  The debugger names the cycle at that
         attempt — nobody has to be spinning for it to be seen — and the
         parked thread cost one ``lock.blocked`` record, not one per period."""
-        debugger = LockDebugger(enabled=True)
+        debugger = LockDebugger()
         rig = Rig(debugger)
         log = record(rig.sim, debugger)
         line = AgileLock(rig.sim, "line", debugger)

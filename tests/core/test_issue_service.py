@@ -10,6 +10,7 @@ import pytest
 from repro.config import CacheConfig, SsdConfig
 from repro.core import AgileLockChain
 from repro.nvme.command import Opcode
+from repro.nvme.queue import SlotState
 from repro.sim import SimError
 
 from tests.helpers import make_host, run_kernel
@@ -30,7 +31,7 @@ class TestSubmit:
             chain = AgileLockChain(f"c{tc.tid}")
             txn = yield from ctrl.raw_read(tc, chain, 0, 1, dest)
             yield from txn.wait()
-            latencies.append(txn.latency)
+            latencies.append(txn.completed_at - txn.issued_at)
 
         run_kernel(host, body, block=1)
         assert dest[0] == 5
@@ -39,7 +40,7 @@ class TestSubmit:
         # Every SQE went back to EMPTY.
         for qps in host.queue_pairs:
             for qp in qps:
-                assert qp.sq.outstanding() == 0
+                assert set(qp.sq.state) == {SlotState.EMPTY}
 
     def test_unknown_ssd_rejected(self):
         host = make_host()

@@ -10,7 +10,7 @@ from repro.sim import SimError, Simulator, Timeout
 
 @pytest.fixture
 def debugger():
-    return LockDebugger(enabled=True)
+    return LockDebugger()
 
 
 def test_chain_tracks_held_locks(sim, debugger):
@@ -138,9 +138,8 @@ class TestDeadlockDetection:
         """Without the debug option the AB-BA program simply deadlocks —
         caught by the engine's global deadlock detector instead."""
         sim = Simulator()
-        off = LockDebugger(enabled=False)
-        a = AgileLock(sim, "a", off)
-        b = AgileLock(sim, "b", off)
+        a = AgileLock(sim, "a")
+        b = AgileLock(sim, "b")
 
         def t1():
             chain = AgileLockChain("t1")

@@ -29,7 +29,7 @@ def _naive_kernel(engine, stall_after_ns):
         tokens = []
         for i in range(2):
             token = yield from engine.async_issue(
-                tc, chain, Opcode.READ, tc.tid * 2 + i, None
+                tc, chain, 0, Opcode.READ, tc.tid * 2 + i, None
             )
             tokens.append(token)
         yield from engine.wait_all(
@@ -44,7 +44,7 @@ def test_naive_async_stalls_on_dropped_cqe_and_names_the_cid():
     # exhaustion deadlock — the hang comes purely from the lost completion.
     host = make_host(queue_pairs=1, queue_depth=16, faults=DROP_FIRST)
     engine = NaiveAsyncEngine(
-        host.sim, host.queue_pairs[0], debugger=host.debugger
+        host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
     )
     kernel = KernelSpec(
         name="naive_drop", body=_naive_kernel(engine, stall_after_ns=1e6)
@@ -63,7 +63,7 @@ def test_naive_async_stalls_on_dropped_cqe_and_names_the_cid():
     report = str(cause)
     assert "stalled CID" in report
     assert "completion never arrived" in report
-    assert "naive.sqe.q0" in report  # the still-held SQE lock is named
+    assert "naive.sqe.s0.q0" in report  # the still-held SQE lock is named
     assert host.ssds[0].dropped_cqes == 1
 
 

@@ -12,12 +12,24 @@ from repro.sim import SimError, Simulator, Timeout
 
 class TestWarpDirect:
     def test_register_and_retire(self, sim):
+        """A round waits for every registered lane; retiring lane 2 at
+        t=5 completes lane 1's round then."""
         warp = Warp(sim, 0)
         warp.register(1)
         warp.register(2)
-        assert warp.active_lanes == 2
-        warp.retire(1)
-        assert warp.active_lanes == 1
+        slots = []
+
+        def lane1():
+            slots.append((yield from warp.coalesce(1, "k")))
+
+        def retire2():
+            yield Timeout(5)
+            warp.retire(2)
+
+        sim.spawn(lane1(), name="t1")
+        sim.spawn(retire2(), name="t2")
+        sim.run()
+        assert sim.now == 5 and slots[0].group == [1]
 
     def test_unregistered_thread_rejected(self, sim):
         warp = Warp(sim, 0)

@@ -3,6 +3,8 @@ estimates."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.kir import (
@@ -99,3 +101,15 @@ class TestFigure12:
         for kernel, variants in figure12_registers().items():
             for variant, regs in variants.items():
                 assert 16 <= regs <= 255, (kernel, variant, regs)
+
+    @pytest.mark.parametrize("kernel,module", [
+        ("vector_mean", "vecmean"), ("bfs", "bfs"), ("spmv", "spmv"),
+    ])
+    def test_simulated_registers_are_the_kir_estimates(self, kernel, module):
+        """The registers per thread a workload launches with (its simulated
+        occupancy) are the KIR estimates Fig. 12 reports."""
+        simulated = importlib.import_module(
+            f"repro.workloads.{module}"
+        ).REGISTERS_PER_THREAD
+        estimated = figure12_registers()[kernel]
+        assert {v: simulated[v] for v in estimated} == estimated

@@ -35,20 +35,20 @@ def test_invalid_args():
 
 
 def test_used_and_remaining_track():
+    """After 100 B, exactly the remaining 900 B still fit."""
     alloc = BumpAllocator(1000)
     alloc.alloc(100, align=1)
-    assert alloc.used == 100
-    assert alloc.remaining == 900
+    with pytest.raises(AddressSpaceError):
+        alloc.alloc(901, align=1)
+    assert alloc.alloc(900, align=1).end == 1000
 
 
 def test_allocation_contains():
+    """An allocation spans exactly ``[addr, addr + size)``."""
     alloc = BumpAllocator(1000)
     a = alloc.alloc(64, align=64)
-    assert a.contains(a.addr)
-    assert a.contains(a.addr + 63)
-    assert not a.contains(a.addr + 64)
-    assert a.contains(a.addr, 64)
-    assert not a.contains(a.addr, 65)
+    assert (a.addr, a.end) == (0, 64)
+    assert alloc.alloc(1, align=1).addr == a.end
 
 
 @given(

@@ -19,22 +19,21 @@ def test_buffers_are_views_of_shared_backing(sim, hbm):
     a = hbm.alloc(128, label="a")
     b = hbm.alloc(128, label="b")
     a.view[:] = 7
-    assert hbm.backing[a.addr : a.addr + 128].sum() == 7 * 128
+    assert hbm.backing[a.allocation.addr : a.allocation.end].sum() == 7 * 128
     assert b.view.sum() == 0  # disjoint
 
 
 def test_typed_array_view_roundtrip(sim, hbm):
     buf = hbm.alloc(64)
-    arr = buf.as_array(np.float32)
-    arr[:] = np.arange(16, dtype=np.float32)
-    again = buf.as_array(np.float32, count=16)
-    assert np.array_equal(again, np.arange(16, dtype=np.float32))
+    buf.view.view(np.float32)[:] = np.arange(16, dtype=np.float32)
+    again = hbm.backing[buf.allocation.addr : buf.allocation.end]
+    assert np.array_equal(again.view(np.float32), np.arange(16, dtype=np.float32))
 
 
 def test_write_read_bytes(sim, hbm):
     buf = hbm.alloc(32)
-    buf.write_bytes(4, b"\x01\x02\x03")
-    out = buf.read_bytes(4, 3)
+    buf.view[4:7] = [1, 2, 3]
+    out = hbm.backing[buf.allocation.addr + 4 : buf.allocation.addr + 7]
     assert list(out) == [1, 2, 3]
 
 

@@ -121,7 +121,7 @@ class TestSubmissionQueue:
         sq.try_reserve()
         slot, _ = sq.try_reserve()
         sq.publish(slot, _cmd(1))
-        assert sq.outstanding() == 2
+        assert sum(s is not SlotState.EMPTY for s in sq.state) == 2
 
 
 class TestCompletionQueue:

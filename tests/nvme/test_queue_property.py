@@ -50,7 +50,8 @@ class Driver:
         sq = self.qp.sq
         reserved = sq.try_reserve()
         if reserved is None:
-            assert sq.outstanding() == DEPTH  # full is the only legal reason
+            # Full is the only legal reason.
+            assert SlotState.EMPTY not in sq.state
             return False
         slot, cid = reserved
         # Protocol invariant: the CID handed out is not in flight.

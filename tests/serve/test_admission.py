@@ -90,7 +90,7 @@ class TestAdmission:
             while True:
                 yield from q.wait_for_request()
                 req = q.poll()
-                if req is None and q.closed:
+                if req is None and q.drained:
                     return
                 if req is not None:
                     pulled.append(req)
@@ -111,7 +111,7 @@ class TestAdmission:
         _sim, _counter, gauge, q = make_queue(capacity=8)
         for i in range(5):
             q.offer(_req(i))
-        assert gauge.maximum() == 5
+        assert gauge.snapshot()["max"] == 5
         q.poll()
         assert gauge.snapshot()["value"] == 4
 
@@ -147,7 +147,7 @@ class TestOccupancyBound:
                 if req is not None:
                     pulled.append(req)
             assert len(q) <= capacity
-        assert gauge.maximum() <= capacity
+        assert gauge.snapshot()["max"] <= capacity
         shed = [r for r in offered if r.state is RequestState.SHED]
         queued = [r for r in offered if r.state is RequestState.QUEUED]
         assert len(shed) + len(queued) == len(offered)

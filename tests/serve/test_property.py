@@ -59,7 +59,7 @@ def test_admission_occupancy_never_exceeds_bound(seed, rate_rps, capacity):
         admission_capacity=capacity,
     )
     report = engine.run()
-    assert engine.admission.depth.maximum() <= capacity
+    assert engine.admission.depth.snapshot()["max"] <= capacity
     _assert_books_balance(engine, report)
 
 

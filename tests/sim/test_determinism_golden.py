@@ -126,7 +126,7 @@ def _run_engine_torture(seed: int):
                 got = yield ev
                 emit("woke", who=i, step=k, value=got)
             else:
-                sim.schedule_immediate(emit_cb, i, k)
+                sim.schedule_at(sim.now, emit_cb, i, k)
             emit("step", who=i, step=k, now=sim.now)
 
     for i in range(6):

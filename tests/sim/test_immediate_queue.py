@@ -48,7 +48,7 @@ def run_engine_callbacks(program):
         delay, kids = node
         nid = next(ids)
         if delay == 0.0:
-            sim.schedule_immediate(fire, nid, kids)
+            sim.schedule_at(sim.now, fire, nid, kids)
         else:
             sim.schedule_at(sim.now + delay, fire, nid, kids)
 
@@ -153,10 +153,7 @@ def test_fifo_among_same_timestamp_schedules(n):
     sim = Simulator()
     seen = []
     for i in range(n):
-        if i % 2:
-            sim.schedule_immediate(seen.append, i)
-        else:
-            sim.schedule_at(0.0, seen.append, i)
+        sim.schedule_at(0.0, seen.append, i)
     sim.run()
     assert seen == list(range(n))
     assert sim.now == 0.0

@@ -47,12 +47,12 @@ class TestEmitterEnd:
 
 class TestSubscriberEnd:
     def test_typo_in_a_checker_field_raises(self, sim):
-        """A checker reading ``head_doorbel`` through ``.get(key, 0)``
-        used to read 0 and never fire; now the read itself fails."""
+        """A checker reading ``head_doorbel`` fails at the read itself
+        instead of reading a default and never firing."""
 
         class Typo(CqPhaseChecker):
             def check(self, event):
-                event.get("head_doorbel", 0)
+                event["head_doorbel"]
 
         probe = Probe(sim)
         Typo().attach(probe)
@@ -65,7 +65,7 @@ class TestSubscriberEnd:
         probe.subscribe("cq.post", seen.append)
         _cq_post(probe, pos=3)
         (record,) = seen
-        assert record["pos"] == record.get("pos") == 3
+        assert record["pos"] == 3
         assert set(record.data) == KINDS["cq.post"]
 
 

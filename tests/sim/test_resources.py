@@ -192,7 +192,7 @@ class TestFairShareServer:
             sim.spawn(job(work, i * 3))
         sim.run()
         assert ps.work_done == pytest.approx(total, rel=1e-6)
-        assert ps.active_jobs == 0
+        assert ps._jobs == []
 
 
 # -- lazily armed departures against the eager formulation they replace ------
@@ -314,7 +314,7 @@ class TestLazyArming:
         lazy, got = run_fair_share(CountedFairShareServer, jobs)
         assert got == want  # every departure time, exactly
         assert (lazy.work_done, lazy._V) == (eager.work_done, eager._V)
-        assert lazy.active_jobs == 0 and lazy._armed == float("inf")
+        assert lazy._jobs == [] and lazy._armed == float("inf")
         # One callback per arm, and an arm only where the head changed.
         assert lazy.fired == lazy.arms <= lazy.cohorts + lazy.preempts + lazy.rearms
         assert lazy.fired <= eager.fired
@@ -362,7 +362,7 @@ class TestLazyArming:
         ps, done = run_fair_share(
             CountedFairShareServer, jobs, max_events=20 * len(jobs) + 20
         )
-        assert len(done) == len(jobs) and ps.active_jobs == 0
+        assert len(done) == len(jobs) and ps._jobs == []
         _, want = run_fair_share(EagerFairShareServer, jobs)
         assert done == want
 

@@ -32,13 +32,6 @@ class TestRngStreams:
             streams.stream("a").random(8) == streams.stream("b").random(8)
         ).all()
 
-    def test_fork_changes_streams(self):
-        base = RngStreams(7)
-        forked = base.fork(1)
-        assert not (
-            base.stream("a").random(8) == forked.stream("a").random(8)
-        ).all()
-
 
 class TestCounter:
     def test_add_and_get(self):
@@ -55,12 +48,6 @@ class TestCounter:
         c.add("x")
         assert snap["x"] == 1
         assert c["x"] == 2
-
-    def test_reset(self):
-        c = Counter()
-        c.add("x", 5)
-        c.reset()
-        assert c["x"] == 0
 
 
 class TestTimeWeightedStat:
@@ -79,13 +66,7 @@ class TestTimeWeightedStat:
         sim.run()
         # 0 for 10 ns, 4 for 10 ns, 0 for 20 ns -> mean = 40/40 = 1.0
         assert stat.mean() == pytest.approx(1.0)
-        assert stat.maximum() == 4.0
-
-    def test_add_delta(self):
-        sim = Simulator()
-        stat = Gauge(clock=lambda: sim.now, initial=1.0)
-        stat.add(2.0)
-        assert stat.value == 3.0
+        assert stat.snapshot()["max"] == 4.0
 
     def test_mean_at_time_zero(self):
         sim = Simulator()

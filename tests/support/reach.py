@@ -21,10 +21,12 @@ process:
 2. *tier-1* — ``pytest -x -q`` in-process, its progress on stderr
    (skipped by ``--no-tier1``);
 3. the report: one row per function no gated run entered, ``tier-1-only``
-   if tier-1 entered it and ``none`` if nothing did, then the totals.
+   if tier-1 entered it and ``none`` if nothing did, and its reason from
+   :data:`KEPT`, then the totals.
 
-Every row is either deleted or kept for a stated reason; run it at every
-re-anchor and before a change that claims code is unreached.
+Every row is either deleted or kept for a reason stated in :data:`KEPT`;
+run it at every re-anchor and before a change that claims code is
+unreached.
 """
 
 from __future__ import annotations
@@ -45,6 +47,71 @@ SRC = ROOT / "src" / "repro"
 EXAMPLES = ROOT / "examples"
 
 Key = Tuple[str, int, str]  # (file, first line, name)
+
+PAPER_API = "the paper's API"
+DIAGNOSTIC = "diagnostic or error path"
+ABSTRACT = "abstract declaration subclasses override"
+TRACE = "Chrome-trace export `bench run --trace` writes"
+
+#: Functions kept although no gated run enters them, by
+#: ``file:qualname`` under ``src/repro``, each with its reason.
+KEPT: Dict[str, str] = {
+    "core/ctrl.py:AgileCtrl.async_write": PAPER_API,
+    "core/arraywrap.py:AgileArray.get_many": PAPER_API,
+    "core/arraywrap.py:AgileArray.set": PAPER_API,
+    "core/sharetable.py:ShareTable.mark_modified": PAPER_API,
+    "core/sharetable.py:ShareTable._propagate_to_cache": PAPER_API,
+    "analysis/invariants.py:InvariantChecker.fail": DIAGNOSTIC,
+    "analysis/lint.py:_FileLinter.add": DIAGNOSTIC,
+    "analysis/races.py:LockOrderInversion.describe": DIAGNOSTIC,
+    "analysis/races.py:RaceReport.describe": DIAGNOSTIC,
+    "analysis/races.py:RaceReport.describe.<locals>.fmt": DIAGNOSTIC,
+    "analysis/source.py:Finding.__str__": DIAGNOSTIC,
+    "config.py:Interval.__repr__": DIAGNOSTIC,
+    "core/locks.py:AgileLockChain.__repr__": DIAGNOSTIC,
+    "serve/request.py:Request.__repr__": DIAGNOSTIC,
+    "sim/engine.py:At.__repr__": DIAGNOSTIC,
+    "sim/engine.py:Process.waiting_description": DIAGNOSTIC,
+    "sim/engine.py:Simulator._stall_report": DIAGNOSTIC,
+    "sim/engine.py:Simulator._stall_report.<locals>.<lambda>": DIAGNOSTIC,
+    "store/diff.py:_describe": DIAGNOSTIC,
+    "store/diff.py:_numeric": DIAGNOSTIC,
+    "analysis/invariants.py:InvariantChecker.check": ABSTRACT,
+    "core/policies.py:CachePolicy.on_hit": ABSTRACT,
+    "core/policies.py:CachePolicy.on_fill": ABSTRACT,
+    "core/policies.py:CachePolicy.select_victim": ABSTRACT,
+    "placement/policy.py:PlacementPolicy._on_attach": ABSTRACT,
+    "placement/policy.py:PlacementPolicy.place": ABSTRACT,
+    "placement/policy.py:_StickyPlacement._pick": ABSTRACT,
+    "serve/arrival.py:ArrivalProcess.gaps": ABSTRACT,
+    "serve/backends.py:ServeBackend._access": ABSTRACT,
+    "telemetry/__init__.py:Telemetry.chrome_trace": TRACE,
+    "telemetry/__init__.py:TelemetryCapture.chrome_trace": TRACE,
+    "telemetry/__init__.py:TelemetryCapture.write_chrome_trace":
+        "perfbench's child writes its `--trace-out` with it",
+    "telemetry/export.py:_layer_pid": TRACE,
+    "telemetry/export.py:chrome_trace_events": TRACE,
+    "telemetry/export.py:chrome_trace": TRACE,
+    "telemetry/export.py:write_chrome_trace": TRACE,
+    "telemetry/spans.py:SpanRecorder.records": TRACE,
+    "analysis/__main__.py:main": "file waits for ROADMAP item 1 (perfbench counts files)",
+    "sim/trace.py:EventLog.__init__": "tests' trace recorder; file waits for ROADMAP item 1",
+    "sim/trace.py:EventLog.attach": "tests' trace recorder; file waits for ROADMAP item 1",
+    "sim/trace.py:EventLog.events": "tests' trace recorder; file waits for ROADMAP item 1",
+    "workloads/vecmean.py:run_vector_mean": "file waits for ROADMAP item 1",
+    "workloads/vecmean.py:run_vector_mean.<locals>.body": "file waits for ROADMAP item 1",
+    "analysis/races.py:simple_cycles.<locals>.dfs":
+        "cycle search of a non-empty order graph; races.py waits for item 2",
+    "bench/__main__.py:_cmd_list": "the CLI's `list` verb (README, DESIGN §14)",
+    "serve/experiment.py:_replace_path": "dotted `--set` into a nested spec",
+    "serve/experiment.py:Experiment.<lambda>": "run()'s default no-op cell callback",
+    "telemetry/registry.py:MetricRegistry.__init__.<locals>.<lambda>":
+        "the registry's clock until a host binds the simulator's",
+    "placement/policy.py:TenantAffinePlacement._pick.<locals>.<lambda>":
+        "least-loaded device for a page with no tenant",
+    "faults/storm.py:_settle_writebacks.<locals>.waiter":
+        "waits out write-backs `host.drain` cannot see; no CI seed parks one",
+}
 
 
 def _functions(code: CodeType) -> Iterator[CodeType]:
@@ -181,14 +248,27 @@ def table(
         verdict = "?" if tier1 is None else (
             "tier-1-only" if key in tier1 else "none"
         )
-        where = f"{os.path.relpath(key[0], SRC)}:{key[1]}"
-        rows.append(f"{where:<30} {qualname:<48} {lines:>5}  {verdict}")
+        path = os.path.relpath(key[0], SRC)
+        reason = KEPT.get(f"{path}:{qualname}", "")
+        rows.append(
+            f"{path + ':' + str(key[1]):<30} {qualname:<48} {lines:>5}  "
+            f"{verdict:<11}  {reason}"
+        )
     total = sum(funcs[key][1] for key in unreached)
-    out = [f"{'file:line':<30} {'function':<48} {'lines':>5}  entered by", *rows]
+    out = [
+        f"{'file:line':<30} {'function':<48} {'lines':>5}  "
+        f"{'entered by':<11}  kept because",
+        *rows,
+    ]
     out.append(
         f"{len(unreached)} of {len(funcs)} functions ({total} lines) entered"
         " by no gated run"
     )
+    bare = [
+        key for key in unreached
+        if f"{os.path.relpath(key[0], SRC)}:{funcs[key][0]}" not in KEPT
+    ]
+    out.append(f"{len(bare)} of them without a reason in KEPT")
     if tier1 is not None:
         none = [key for key in unreached if key not in tier1]
         out.append(

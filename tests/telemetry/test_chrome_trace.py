@@ -29,10 +29,11 @@ def _run_point(**kw):
 
 
 class TestDocumentStructure:
-    def test_trace_covers_four_layers_with_valid_events(self):
+    def test_trace_covers_four_layers_with_valid_events(self, tmp_path):
         with telemetry.capture() as cap:
             _run_point()
-        doc = cap.chrome_trace()
+        cap.write_chrome_trace(tmp_path / "trace.json")
+        doc = json.loads((tmp_path / "trace.json").read_text())
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert doc["displayTimeUnit"] == "ns"
         assert doc["otherData"]["recorded_events"] > 0
