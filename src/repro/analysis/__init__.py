@@ -1,18 +1,16 @@
-"""``repro.analysis`` — protocol invariant checkers, sim-time race and
-lock-order analysis, and the simulation-safety lint.
+"""``repro.analysis`` — protocol invariant checkers, the held-lock map,
+and the simulation-safety lint.
 
-Three layers (see DESIGN.md "Invariants & analysis"):
+Three parts (see DESIGN.md "Invariants & analysis"):
 
 1. *Runtime invariant checkers* (:mod:`repro.analysis.invariants`)
    subscribe to a live machine's probe and fail the simulation loudly the
-   instant a protocol rule from the paper is broken.
-2. *Analyzers* (:mod:`repro.analysis.races`) fold the same records into a
-   lock-order graph and per-line access sets as they arrive, and report
-   latent lock-order inversions and unsynchronized cache-line accesses even
-   when this seed got lucky.
+   instant a protocol rule from the paper is broken — queue conformance,
+   the cache-line FSM and pin discipline, Share Table coherence.
+2. *Held locks* (:mod:`repro.analysis.leaks`): the locks acquired and not
+   released, which the report names as leaks.
 3. *Static lint* (:mod:`repro.analysis.lint`) enforces syntactic
-   simulation-safety rules (AGL001-AGL015) on the source tree without
-   running anything.
+   simulation-safety rules on the source tree without running anything.
 
 Typical use::
 
@@ -21,7 +19,7 @@ Typical use::
     host = AgileHost(cfg)           # or BamHost, AgileHost(cfg, num_gpus=2)
     session = attach(host)
     ... run kernels ...
-    report = session.report()       # race/lock-order findings so far
+    report = session.report()       # locks still held so far
     assert report.clean, report.summary()
 """
 
@@ -37,13 +35,7 @@ from repro.analysis.invariants import (
     ShareTableChecker,
     SqConformanceChecker,
 )
-from repro.analysis.races import (
-    AnalysisReport,
-    DataRaceAnalyzer,
-    LockOrderAnalyzer,
-    LockOrderInversion,
-    RaceReport,
-)
+from repro.analysis.leaks import AnalysisReport, HeldLocks
 from repro.sim.probe import PROTOCOL, Probe, Record
 
 __all__ = [
@@ -51,12 +43,9 @@ __all__ = [
     "AnalysisSession",
     "CacheStateChecker",
     "CqPhaseChecker",
-    "DataRaceAnalyzer",
+    "HeldLocks",
     "InvariantChecker",
     "InvariantViolation",
-    "LockOrderAnalyzer",
-    "LockOrderInversion",
-    "RaceReport",
     "ShareTableChecker",
     "SqConformanceChecker",
     "attach",
@@ -64,23 +53,21 @@ __all__ = [
 
 
 class AnalysisSession:
-    """One probe's live checkers and analyzers; it keeps no records."""
+    """One probe's live checkers and held-lock map; it keeps no records."""
 
     def __init__(self) -> None:
         self.checkers = [
             SqConformanceChecker(), CqPhaseChecker(), CacheStateChecker(),
             ShareTableChecker(),
         ]
-        self.lock_order = LockOrderAnalyzer()
-        self.data_race = DataRaceAnalyzer()
+        self.held = HeldLocks()
         #: Every protocol record delivered.
         self.events_seen = 0
 
     def attach(self, probe: Probe) -> "AnalysisSession":
         for kind in PROTOCOL:
             probe.subscribe(kind, self._count)
-        self.lock_order.attach(probe)
-        self.data_race.attach(probe)
+        self.held.attach(probe)
         for checker in self.checkers:
             checker.attach(probe)
         return self
@@ -89,13 +76,9 @@ class AnalysisSession:
         self.events_seen += 1
 
     def report(self) -> AnalysisReport:
-        """The analyzers' findings over every record delivered so far."""
+        """The findings over every record delivered so far."""
         return AnalysisReport(
-            inversions=self.lock_order.inversions(),
-            cycles=self.lock_order.cycles(),
-            races=self.data_race.races(),
-            leaks=self.lock_order.leaks(),
-            events_seen=self.events_seen,
+            leaks=self.held.leaks(), events_seen=self.events_seen
         )
 
     def events_checked(self) -> int:

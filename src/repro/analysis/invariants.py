@@ -229,21 +229,32 @@ FAILURE_LINE_TRANSITIONS: Dict[Tuple[LineState, LineState], Set[str]] = {
 
 
 class CacheStateChecker(InvariantChecker):
-    """Cache line FSM legality: only §3.4 transitions may occur.
+    """Cache line FSM legality and the pin discipline.
 
-    Notably illegal: ``BUSY -> MODIFIED`` (writing a line whose fill is in
-    flight), ``BUSY -> INVALID`` (dropping an in-flight fill) unless the
-    fill *failed* (reason ``fill_error``), and ``INVALID -> MODIFIED``
-    (dirtying a line that holds no data).
+    - Only §3.4 transitions may occur.  Notably illegal: ``BUSY ->
+      MODIFIED`` (writing a line whose fill is in flight), ``BUSY ->
+      INVALID`` (dropping an in-flight fill) unless the fill *failed*
+      (reason ``fill_error``), and ``INVALID -> MODIFIED`` (dirtying a line
+      that holds no data).
+    - Line bytes are written only under a pin (§2.3.2): an unpinned line
+      can be evicted and re-claimed for another page mid-copy.
     """
 
-    KINDS = ("cache.state",)
+    KINDS = ("cache.state", "cache.access")
 
     def __init__(self) -> None:
         super().__init__()
         self.transitions = 0
 
     def check(self, event: Record) -> None:
+        if event.kind == "cache.access":
+            if not event["pinned"]:
+                self.fail(
+                    event,
+                    f"thread {event['tid']} wrote line {event['line']} "
+                    f"(tag {event['tag']}) without a pin",
+                )
+            return
         old, new = event["old"], event["new"]
         self.transitions += 1
         if (old, new) in LEGAL_LINE_TRANSITIONS:

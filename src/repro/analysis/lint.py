@@ -27,12 +27,6 @@ know about; this one enforces the repository's:
   (``Counter.add`` / ``Gauge.set`` / ``Histogram.observe``) so the unified
   registry stays the single source of truth for ``stats()`` snapshots,
   experiment documents, and the Chrome-trace exporters.
-- **AGL008** — serving-request terminal states (``COMPLETED`` / ``SHED`` /
-  ``ABORTED``) may only be assigned to ``state``/``status`` attributes via
-  the serve state machine (``Request.transition`` in
-  ``serve/request.py``): ad-hoc terminal mutations would bypass the
-  legal-transition check and the exactly-one-terminal accounting the SLO
-  reports and property tests rely on.
 - **AGL009** — no iteration (``for``, comprehension, ``sum()``) over a
   ``set``/``frozenset``/set display and no ``.popitem()``: that order is a
   hash-seed or allocator accident and becomes the order of same-instant
@@ -45,13 +39,6 @@ know about; this one enforces the repository's:
   address map, and every ``(ssd_idx, device_lba)`` coordinate comes from
   it (``host.placement.place``), so an array-layout change is a policy
   swap, not a grep across every workload.
-- **AGL014** — no direct mutation of the flash page store (``._pages``
-  assignment, ``del``, or mutator calls like ``.pop()``/``.update()``)
-  outside ``repro/nvme/ftl.py``: the FTL owns physical page contents, and
-  every change must flow through its program/invalidate/erase paths so
-  the L2P map, per-block valid counts, and the WAF/conservation ledger
-  (``host_programs + gc_programs + seeded_pages - invalidations ==
-  live_pages``) cannot drift from the stored bytes.
 - **AGL015** — tenant classes come from the registry
   (``serve/registry.py``): no ``RequestClass(...)`` construction and no
   string-literal label passed to ``tenant_class(...)`` anywhere else.
@@ -112,22 +99,9 @@ STATS_DICT_NAMES = {"stats", "_stats", "counters", "_counters"}
 #: ad-hoc metrics dict (AGL007).
 DICT_CONSTRUCTORS = {"dict", "defaultdict", "collections.defaultdict"}
 
-#: Serving-request terminal state names (AGL008): assigning one of these
-#: enum members to a state/status attribute outside the serve state machine
-#: bypasses Request.transition's legality and accounting guarantees.
-SERVE_TERMINAL_NAMES = {"COMPLETED", "SHED", "ABORTED"}
-
-#: Attribute names AGL008 guards against ad-hoc terminal assignment.
-STATE_ATTR_NAMES = {"state", "_state", "status", "_status"}
-
 #: Names that hold an SSD-array size (AGL013): ``x % <one of these>``
 #: fabricates a device index by hand, bypassing the placement layer.
 SSD_COUNT_NAMES = {"num_ssds", "n_ssds", "nssds", "ssd_count", "num_devices"}
-
-#: The FTL's physical page store attribute (AGL014) and the dict methods
-#: that mutate it in place.
-PAGE_STORE_NAME = "_pages"
-PAGE_STORE_MUTATORS = {"pop", "popitem", "update", "setdefault", "clear"}
 
 #: Tenant-class construction entry points (AGL015): ``RequestClass`` may
 #: only be constructed in the registry, and ``tenant_class`` must be
@@ -177,14 +151,8 @@ class _FileLinter:
         #: The telemetry spine owns metric storage; everyone else uses its
         #: typed instruments.
         self.stats_dict_ok = "telemetry" in parts
-        #: The serve state machine is the single legal mutation point for
-        #: request terminal states.
-        self.serve_state_ok = path.name == "request.py" and "serve" in parts
         #: The placement package owns logical->physical mapping arithmetic.
         self.placement_ok = "placement" in parts
-        #: The FTL owns the flash page store; everyone else reads pages
-        #: through FlashArray/Ftl accessors and writes via programs.
-        self.page_store_ok = path.name == "ftl.py" and "nvme" in parts
         #: The tenant registry is the single place classes are minted and
         #: labels are spelled out.
         self.tenant_registry_ok = (
@@ -211,10 +179,6 @@ class _FileLinter:
                 self._check_call(node, imports_random)
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 self._check_stats_mutation(node)
-                self._check_terminal_state_mutation(node)
-                self._check_page_store_mutation(node)
-            elif isinstance(node, ast.Delete):
-                self._check_page_store_mutation(node)
             elif isinstance(node, ast.BinOp):
                 self._check_device_index_arith(node)
             elif isinstance(node, (ast.For, ast.comprehension)):
@@ -237,18 +201,6 @@ class _FileLinter:
                 f"call to scheduler internal .{node.func.attr}() outside "
                 f"sim/engine.py; use schedule_at/spawn "
                 f"or trigger an Event",
-            )
-        if (
-            not self.page_store_ok
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in PAGE_STORE_MUTATORS
-            and self._bare_name(node.func.value) == PAGE_STORE_NAME
-        ):
-            self.add(
-                node, "AGL014",
-                f"flash page-store mutator _pages.{node.func.attr}() "
-                f"outside repro/nvme/ftl.py; page contents change only "
-                f"through the FTL's program/invalidate/erase paths",
             )
         self._check_tenant_class(node)
         name = self._bare_name(node.func)
@@ -380,57 +332,6 @@ class _FileLinter:
                         f"in the repro.telemetry registry (trace.group / "
                         f"registry.counter)",
                     )
-
-    def _check_terminal_state_mutation(
-        self, node: ast.Assign | ast.AugAssign
-    ) -> None:
-        """AGL008: terminal request states flow only through the serve
-        state machine (``Request.transition``)."""
-        if self.serve_state_ok or isinstance(node, ast.AugAssign):
-            return
-        value = node.value
-        if not (
-            isinstance(value, ast.Attribute)
-            and value.attr in SERVE_TERMINAL_NAMES
-        ):
-            return
-        for tgt in node.targets:
-            name = self._bare_name(tgt)
-            if name in STATE_ATTR_NAMES:
-                self.add(
-                    tgt, "AGL008",
-                    f"ad-hoc terminal-state assignment {name} = "
-                    f"...{value.attr}; request terminal states may only be "
-                    f"set via Request.transition (serve/request.py)",
-                )
-
-    def _check_page_store_mutation(
-        self, node: ast.Assign | ast.AugAssign | ast.Delete
-    ) -> None:
-        """AGL014: flash page contents change only inside the FTL, where
-        the L2P map and the WAF/conservation ledger move with them."""
-        if self.page_store_ok:
-            return
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.Delete):
-            targets = node.targets
-        else:
-            targets = [node.target]
-        for tgt in targets:
-            if isinstance(tgt, ast.Subscript):
-                name = self._bare_name(tgt.value)
-                shape = f"{name}[...]"
-            else:
-                name = self._bare_name(tgt)
-                shape = f"{name} = ..."
-            if name == PAGE_STORE_NAME:
-                self.add(
-                    tgt, "AGL014",
-                    f"direct flash page-store mutation ({shape}) outside "
-                    f"repro/nvme/ftl.py; page contents change only through "
-                    f"the FTL's program/invalidate/erase paths",
-                )
 
     def _check_device_index_arith(self, node: ast.BinOp) -> None:
         """AGL013: physical device indices come from a PlacementPolicy,

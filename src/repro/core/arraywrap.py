@@ -130,7 +130,6 @@ class AgileArray:
         line = yield from cache.acquire(
             tc, chain, ssd_idx, lba, pin=True, wait=True, for_write=True
         )
-        raw = np.array([value], dtype=self.dtype).view(np.uint8)
-        yield from tc.hbm_store(raw.size)
-        line.buffer[offset : offset + raw.size] = raw
+        raw = np.array([value], dtype=self.dtype)
+        yield from cache.write_line(tc, line, raw, offset)
         cache.unpin(line)

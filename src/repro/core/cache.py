@@ -473,15 +473,23 @@ class SoftwareCache:
         self, tc: ThreadContext, line: CacheLine, data: np.ndarray, offset: int = 0
     ) -> Generator[Any, Any, None]:
         """Copy data into a pinned line and mark it MODIFIED."""
+        yield from self.copy_in(tc, line, data, offset)
+        self.set_line_state(line, LineState.MODIFIED, reason="write_line")
+
+    def copy_in(
+        self, tc: ThreadContext, line: CacheLine, data: np.ndarray, offset: int = 0
+    ) -> Generator[Any, Any, None]:
+        """Copy data into a pinned line, state unchanged.  Every write of
+        line bytes comes through here; the cache-state checker fails its
+        ``cache.access`` record if the line is not pinned (§2.3.2)."""
         raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         if self.probe is not None:
             self.probe.emit(
-                "cache.access", src=self, line=line.index, tag=line.tag, tid=tc.tid,
-                rw="w", pinned=line.pins > 0,
+                "cache.access", line=line.index, tag=line.tag, tid=tc.tid,
+                pinned=line.pins > 0,
             )
         yield from tc.hbm_store(raw.size)
         line.buffer[offset : offset + raw.size] = raw
-        self.set_line_state(line, LineState.MODIFIED, reason="write_line")
 
     # -- host-side helpers ------------------------------------------------------------
 

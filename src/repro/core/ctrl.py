@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import ApiCostConfig, SystemConfig
 from repro.core.arraywrap import AgileArray
 from repro.core.buffers import AgileBuf, Transaction
-from repro.core.cache import CacheLine, LineState, SoftwareCache
+from repro.core.cache import CacheLine, SoftwareCache
 from repro.core.issue import IssueEngine
 from repro.core.locks import AgileLockChain
 from repro.core.sharetable import ShareTable
@@ -324,11 +324,10 @@ class AgileCtrl:
         if line is not None and line.valid:
             line.pins += 1
             yield from tc.hbm_load(n)
-            yield from tc.hbm_store(n)
-            line.buffer[:n] = buf.view[:n]
             # Write-through: flash will match the line once the command
-            # lands, so the line stays clean.
-            line.state = LineState.READY
+            # lands, so a READY line stays READY; a MODIFIED one stays
+            # MODIFIED for eviction write-back to persist.
+            yield from self.cache.copy_in(tc, line, buf.view[:n])
             self.cache.unpin(line)
             self.stats.add("async_write_cache_updates")
         snapshot = np.array(buf.view[: self.line_size], copy=True)

@@ -41,7 +41,7 @@ class LockDebugger:
         self.deadlocks_found = 0
         #: Optional :class:`~repro.sim.probe.Probe`; every lock operation
         #: of every :class:`AgileLock` built with this debugger is emitted
-        #: here, which is what the lock-order analyzer judges.
+        #: here, which is what the analysis session's held-lock map reads.
         self.probe = None
 
     def on_failed_acquire(

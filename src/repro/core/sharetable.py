@@ -220,8 +220,10 @@ class ShareTable:
         if line is None or line.state is LineState.BUSY:
             self.stats.add("share_propagate_skipped")
             return
+        # Pin before the copy yields, or the line can be evicted and
+        # re-claimed for another page while the bytes are in flight.
+        line.pins += 1
         data = np.asarray(entry.buf.view[: line.buffer.size])
-        yield from tc.hbm_store(data.size)
-        line.buffer[: data.size] = data
-        self.cache.set_line_state(line, LineState.MODIFIED, reason="propagate")
+        yield from self.cache.write_line(tc, line, data)
+        self.cache.unpin(line)
         self.stats.add("share_propagated")

@@ -48,8 +48,8 @@ class FlashArray:
         #: Armed by the host when the fault plan is active
         #: (:class:`repro.faults.FaultInjector`); None costs nothing.
         self.injector = None
-        #: Logical->physical mapping, page store, and GC (AGL014: the page
-        #: store is mutated only inside ``repro/nvme/ftl.py``).
+        #: Logical->physical mapping, page store, and GC (the page store
+        #: is mutated only inside ``repro/nvme/ftl.py``).
         self.ftl = Ftl(sim, cfg)
 
     # -- data plane ------------------------------------------------------------

@@ -22,8 +22,7 @@ Every page access on an SSD flows through one :class:`Ftl` (owned by its
   pauses are made of.
 
 The page store ``Ftl._pages`` (physical page -> bytes) is the only place
-flash contents live; mutating it anywhere outside this module is banned by
-lint rule AGL014.  Accounting invariant (checked by tests): every committed
+flash contents live, and only this module mutates it.  Accounting invariant (checked by tests): every committed
 program adds one live page and every invalidation removes one, so
 ``host_programs + gc_programs + seeded_pages - invalidations == live_pages``.
 
@@ -68,7 +67,7 @@ class Ftl:
         self._l2p: dict[int, int] = {}
         #: Physical page -> owning logical LBA (live pages only).
         self._p2l: dict[int, int] = {}
-        #: Physical page -> contents.  THE page store (see AGL014).
+        #: Physical page -> contents.  THE page store.
         self._pages: dict[int, np.ndarray] = {}
         self._state = [_FREE] * cfg.physical_blocks
         self._valid = [0] * cfg.physical_blocks

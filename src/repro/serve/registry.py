@@ -7,9 +7,10 @@ a name constant exported here, and keys its arrival maps and reports on
 the same constants.  The lint rule AGL015 enforces the monopoly: a
 ``RequestClass(...)`` construction (or a string-literal label handed to
 ``tenant_class``) anywhere else in ``src/repro`` is a finding.  The
-payoff is the same as AGL008's for request states: per-class accounting,
-scheduling shares, and store-side metric names can trust that a label
-seen anywhere in the system is one of these, spelled one way.
+payoff is the same as ``Request.transition``'s for request states:
+per-class accounting, scheduling shares, and store-side metric names can
+trust that a label seen anywhere in the system is one of these, spelled
+one way.
 
 The registry entry fixes the *identity* of a tenant (its label, its op,
 its default request shape); experiment specs still own the *quantities*

@@ -8,12 +8,13 @@ Every request walks one path through a fixed lifecycle::
                                                 COMPLETED <--ok--+
 
 Exactly one terminal state (``COMPLETED`` / ``SHED`` / ``ABORTED``) is
-reached, exactly once, and **only** via :meth:`Request.transition` — the
-lint rule AGL008 bans ad-hoc assignments of terminal states anywhere else,
-so shed/timeout/abort accounting can trust the machine instead of auditing
-every mutation site.  Timestamps for each hop are recorded on the request,
-which is all the SLO accountant needs to attribute latency to queueing,
-batching, or service.
+reached, exactly once, and **only** via :meth:`Request.transition`:
+``state`` has no setter, and a terminal ``_state`` set around it leaves
+``finished_ns`` unset, which :attr:`Request.latency_ns` refuses when the
+SLO accountant books the request.  So shed/timeout/abort accounting can
+trust the machine instead of auditing every mutation site.  Timestamps
+for each hop are recorded on the request, which is all the SLO accountant
+needs to attribute latency to queueing, batching, or service.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class Request:
 
     def transition(self, new: RequestState, now: float) -> None:
         """Move to ``new`` at simulated time ``now``; the single legal
-        mutation point for request state (AGL008)."""
+        mutation point for request state."""
         if new not in LEGAL_TRANSITIONS[self._state]:
             raise ServeStateError(
                 f"request {self.rid} ({self.cls.name}): illegal transition "

@@ -38,7 +38,7 @@ PROTOCOL: Dict[str, str] = {
     "lock.acquire": "src lock chain held_before",
     "lock.release": "src lock chain",
     "cache.state": "src line set way old new tag reason",
-    "cache.access": "src line tag tid rw pinned",
+    "cache.access": "line tag tid pinned",
     "share.state": "src tag old new refcount owner_tid reason",
     "share.register": "src tag owner_tid replaced_refcount replaced_same_buf",
     "fault.cqe_drop": "src qid cid status",

@@ -169,6 +169,27 @@ class TestCacheState:
             host.cache.set_line_state(line, LineState.MODIFIED, reason="bug")
         assert session.events_seen >= 2
 
+    def test_unpinned_write_fires(self, probe):
+        checker = CacheStateChecker().attach(probe)
+        probe.emit("cache.access", line=3, tag=(0, 5), tid=0, pinned=True)
+        with pytest.raises(InvariantViolation, match="without a pin"):
+            probe.emit("cache.access", line=3, tag=(0, 5), tid=1, pinned=False)
+        assert checker.events_checked == 2 and checker.transitions == 0
+
+    def test_real_unpinned_write_fails_inside_the_call(self):
+        """A cached page written without its pin (§2.3.2) fails inside the
+        write: one thread, no second access needed."""
+        host = make_host()
+        host.preload_cache(0, [4])
+
+        def body(tc, ctrl):
+            chain = AgileLockChain("t")
+            line = yield from ctrl.cache.acquire(tc, chain, 0, 4, pin=False)
+            with pytest.raises(InvariantViolation, match="thread 0 wrote"):
+                yield from ctrl.cache.write_line(tc, line, np.ones(8, np.uint8))
+
+        run_kernel(host, body, block=1)
+
     def test_legal_lifecycle_is_silent(self, probe):
         checker = CacheStateChecker().attach(probe)
         legal = [

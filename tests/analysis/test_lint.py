@@ -183,58 +183,6 @@ class TestStatsDict:
         assert lint_paths([str(f)]) == []
 
 
-class TestServeTerminalStates:
-    def test_adhoc_terminal_assignment_fires(self, tmp_path):
-        src = (
-            "def finish(req, RequestState):\n"
-            "    req.state = RequestState.COMPLETED\n"
-        )
-        v = run_lint(tmp_path, src)
-        assert codes(v) == ["AGL008"]
-        assert "Request.transition" in v[0].message
-
-    def test_private_status_attribute_fires(self, tmp_path):
-        src = (
-            "class Req:\n"
-            "    def shed(self, RequestState):\n"
-            "        self._status = RequestState.SHED\n"
-        )
-        assert codes(run_lint(tmp_path, src)) == ["AGL008"]
-
-    def test_bare_local_state_name_fires(self, tmp_path):
-        src = (
-            "def f(RequestState):\n"
-            "    state = RequestState.ABORTED\n"
-        )
-        assert codes(run_lint(tmp_path, src)) == ["AGL008"]
-
-    def test_serve_request_module_is_exempt(self, tmp_path):
-        serve = tmp_path / "serve"
-        serve.mkdir()
-        f = serve / "request.py"
-        f.write_text(
-            "def transition(self, RequestState):\n"
-            "    self.state = RequestState.COMPLETED\n"
-        )
-        assert lint_paths([str(f)]) == []
-
-    def test_non_state_attribute_is_fine(self, tmp_path):
-        # Recording the terminal enum somewhere other than a state slot
-        # (a result field, a log record) is not a transition.
-        src = (
-            "def f(req, RequestState):\n"
-            "    req.outcome = RequestState.COMPLETED\n"
-        )
-        assert run_lint(tmp_path, src) == []
-
-    def test_non_terminal_enum_member_is_fine(self, tmp_path):
-        src = (
-            "def f(req, RequestState):\n"
-            "    req.state = RequestState.QUEUED\n"
-        )
-        assert run_lint(tmp_path, src) == []
-
-
 class TestDeviceIndexArith:
     def test_modulo_num_ssds_fires(self, tmp_path):
         v = run_lint(tmp_path, "def f(page, num_ssds):\n    return page % num_ssds\n")
@@ -265,57 +213,6 @@ class TestDeviceIndexArith:
 
     def test_len_of_non_ssd_sequence_is_fine(self, tmp_path):
         src = "def f(i, workers):\n    return i % len(workers)\n"
-        assert run_lint(tmp_path, src) == []
-
-
-class TestPageStoreMutation:
-    def test_subscript_assignment_fires(self, tmp_path):
-        src = (
-            "class Flash:\n"
-            "    def poke(self, pp, data):\n"
-            "        self._pages[pp] = data\n"
-        )
-        v = run_lint(tmp_path, src)
-        assert codes(v) == ["AGL014"]
-        assert "program/invalidate/erase" in v[0].message
-
-    def test_delete_fires(self, tmp_path):
-        src = "def wipe(self, pp):\n    del self._pages[pp]\n"
-        assert codes(run_lint(tmp_path, src)) == ["AGL014"]
-
-    def test_rebinding_the_store_fires(self, tmp_path):
-        src = (
-            "class Flash:\n"
-            "    def reset(self):\n"
-            "        self._pages = {}\n"
-        )
-        assert codes(run_lint(tmp_path, src)) == ["AGL014"]
-
-    def test_mutator_call_fires(self, tmp_path):
-        src = "def drop(self, pp):\n    self._pages.pop(pp, None)\n"
-        v = run_lint(tmp_path, src)
-        assert codes(v) == ["AGL014"]
-        assert ".pop()" in v[0].message
-
-    def test_ftl_module_is_exempt(self, tmp_path):
-        nvme = tmp_path / "nvme"
-        nvme.mkdir()
-        f = nvme / "ftl.py"
-        f.write_text(
-            "def program(self, pp, data):\n    self._pages[pp] = data\n"
-        )
-        assert lint_paths([str(f)]) == []
-
-    def test_reads_and_nonmutators_are_fine(self, tmp_path):
-        src = (
-            "def peek(self, pp):\n"
-            "    data = self._pages.get(pp)\n"
-            "    return self._pages[pp] if data is None else data\n"
-        )
-        assert run_lint(tmp_path, src) == []
-
-    def test_unrelated_names_are_fine(self, tmp_path):
-        src = "def f(self, k, v):\n    self._pages_meta[k] = v\n"
         assert run_lint(tmp_path, src) == []
 
 
@@ -491,6 +388,103 @@ class TestCli:
         assert codes(first) == ["AGL011", "AGL009", "AGL006", "AGL007", "AGL001"]
 
 
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: The lint rows of the planted-bug matrix: one realistic offender per
+#: plant, in the module it would land in, as ``(module under src/repro,
+#: [(text, planted text), ...], rule)``.
+TREE_PLANTS = {
+    "agl001_wall_clock_delay": ("nvme/device.py", [(
+        "        yield Timeout(self.cfg.cmd_overhead_ns)",
+        "        import time\n"
+        "        yield Timeout(self.cfg.cmd_overhead_ns + time.perf_counter() % 1e-3)",
+    )], "AGL001"),
+    "agl001_wall_clock_span": ("gpu/device.py", [(
+        "from typing import Any, Generator, Optional, Sequence\n",
+        "import time\nfrom typing import Any, Generator, Optional, Sequence\n",
+    ), (
+        '"gpu.kernel", name=self.kernel.name, t0=self.start_time,',
+        '"gpu.kernel", name=self.kernel.name,\n'
+        "                t0=self.start_time + time.perf_counter() % 1e-3,",
+    )], "AGL001"),
+    "agl002_unseeded_storm_rng": ("faults/storm.py", [(
+        "rng = np.random.default_rng(host.cfg.seed * 7919 + tc.tid)",
+        "rng = np.random.default_rng()",
+    )], "AGL002"),
+    "agl002_unseeded_host_seed": ("core/host.py", [(
+        "from functools import partial\n",
+        "import random\nfrom functools import partial\n",
+    ), (
+        "self.rng = RngStreams(self.cfg.seed)",
+        "self.rng = RngStreams(int(random.random() * 2**31))",
+    )], "AGL002"),
+    "agl003_sleep_in_process": ("core/issue.py", [(
+        "        yield from tc.hbm_store(SQE_SIZE)\n        qp.sq.publish(slot, cmd)",
+        "        yield from tc.hbm_store(SQE_SIZE)\n"
+        "        import time\n"
+        "        time.sleep(0)\n"
+        "        qp.sq.publish(slot, cmd)",
+    )], "AGL003"),
+    "agl006_resume_bypassing_event": ("sim/sync.py", [(
+        "            for ev in waiters:\n                ev.trigger()",
+        "            for ev in waiters:\n"
+        "                for proc in ev._waiters:\n"
+        "                    proc._schedule_resume(None)\n"
+        "                ev._waiters = []",
+    )], "AGL006"),
+    "agl007_adhoc_stats_dict": ("core/issue.py", [(
+        '        self.stats.add("commands_submitted")',
+        '        self.stats.add("commands_submitted")\n'
+        '        counters = self.__dict__.setdefault("counters", {})\n'
+        '        counters["published"] = counters.get("published", 0) + 1',
+    )], "AGL007"),
+    "agl009_popitem_eviction": ("core/cache.py", [(
+        "self._store.pop(next(iter(self._store)))",
+        "self._store.popitem()",
+    )], "AGL009"),
+    "agl009_sum_over_a_set": ("serve/slo.py", [(
+        "return sum(self.device_gc_busy_ns)",
+        "return sum(set(self.device_gc_busy_ns))",
+    )], "AGL009"),
+    "agl009_arrivals_from_a_set": ("serve/engine.py", [(
+        "            for cls in self.classes\n        ]",
+        "            for cls in set(self.classes)\n        ]",
+    )], "AGL009"),
+    "agl011_literal_delay": ("core/issue.py", [(
+        "yield Timeout(DOORBELL_BACKOFF_NS)",
+        "yield Timeout(60.0)",
+    )], "AGL011"),
+    "agl013_modulo_placement": ("workloads/access.py", [(
+        "        ssd, lba = self.placement.place(self.base + page)",
+        "        num_ssds = self.placement.geometry.num_ssds\n"
+        "        logical = self.base + page\n"
+        "        ssd, lba = logical % num_ssds, logical // num_ssds",
+    )], "AGL013"),
+    "agl015_label_literal": ("serve/tenancy.py", [(
+        "        tenant_class(\n            INFER,",
+        '        tenant_class(\n            "infer",',
+    )], "AGL015"),
+}
+
+
+class TestPlantsInTheTree:
+    @pytest.mark.parametrize("name", sorted(TREE_PLANTS))
+    def test_plant_trips_its_rule(self, tmp_path, name):
+        """The module lints clean as it is and trips exactly the plant's
+        rule once planted (the copy keeps the module's path, so no rule's
+        directory exemption differs from the real tree's)."""
+        module, edits, rule = TREE_PLANTS[name]
+        source = (SRC / module).read_text()
+        copy = tmp_path / "repro" / module
+        copy.parent.mkdir(parents=True)
+        copy.write_text(source)
+        assert lint_paths([str(copy)]) == []
+        for text, planted in edits:
+            assert source.count(text) == 1, f"plant site moved in {module}"
+            source = source.replace(text, planted)
+        copy.write_text(source)
+        assert set(codes(lint_paths([str(copy)]))) == {rule}
+
+
 def test_repo_source_tree_is_clean():
-    src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    assert lint_paths([str(src)]) == []
+    assert lint_paths([str(SRC)]) == []

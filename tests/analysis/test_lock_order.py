@@ -1,16 +1,17 @@
-"""Lock-order analysis over real simulated lock traffic (paper §3.5).
+"""Lock discipline over real simulated lock traffic (paper §3.5).
 
-The central claim: a genuine A->B / B->A inversion is reported *even when
-the run never deadlocks* because the two processes touched the locks at
-disjoint simulated times — strictly stronger than the runtime
-LockDebugger, which only fires when the inversion actually blocks.
+AGILE and BaM hold one ``AgileLock`` at a time, so no order of two locks
+can ever invert on them; a test-side reader of each ``lock.acquire``
+record's ``held_before`` pins that.  The analysis session's held-lock map
+names every lock a run ends with, which the runtime LockDebugger cannot
+see when nobody else wants the lock.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import AnalysisSession, LockOrderAnalyzer, attach
+from repro.analysis import AnalysisSession, attach
 from repro.bench.__main__ import EXPERIMENTS
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
 from repro.sim.engine import Timeout
@@ -49,101 +50,6 @@ def _locker(lock_x, lock_y, chain, hold_ns=10.0):
     return proc()
 
 
-class TestInversionDetection:
-    def test_ab_ba_inversion_names_both_processes_and_locks(self, sim, traced, session):
-        """proc_fwd takes A->B at t=0; proc_rev takes B->A starting t=1000.
-        They never contend, the run completes cleanly, and the analyzer
-        still reports the latent deadlock with full attribution."""
-        lock_a = AgileLock(sim, "lockA", traced)
-        lock_b = AgileLock(sim, "lockB", traced)
-        fwd = AgileLockChain("proc_fwd")
-        rev = AgileLockChain("proc_rev")
-
-        def reversed_later():
-            yield Timeout(1000.0)  # long after proc_fwd released everything
-            yield from _locker(lock_b, lock_a, rev)
-
-        sim.spawn(_locker(lock_a, lock_b, fwd), name="fwd")
-        sim.spawn(reversed_later(), name="rev")
-        sim.run()  # completes: no deadlock in THIS interleaving
-
-        inversions = session.lock_order.inversions()
-        assert len(inversions) == 1
-        inv = inversions[0]
-        assert {inv.lock_a, inv.lock_b} == {"lockA", "lockB"}
-        forward_chains = {c for c, _t in inv.forward_chains}
-        reverse_chains = {c for c, _t in inv.reverse_chains}
-        assert forward_chains == {"proc_fwd"}
-        assert reverse_chains == {"proc_rev"}
-        text = inv.describe()
-        assert "proc_fwd" in text and "proc_rev" in text
-        assert "lockA" in text and "lockB" in text
-
-    def test_consistent_order_is_clean(self, sim, traced, session):
-        lock_a = AgileLock(sim, "lockA", traced)
-        lock_b = AgileLock(sim, "lockB", traced)
-        for i in range(4):
-            sim.spawn(
-                _locker(lock_a, lock_b, AgileLockChain(f"w{i}")), name=f"w{i}"
-            )
-        sim.run()
-        analyzer = session.lock_order
-        assert analyzer.acquisitions == 8
-        assert analyzer.inversions() == []
-        assert analyzer.cycles() == []
-
-    def test_three_lock_cycle_caught_by_cycle_search(self, sim, traced, session):
-        """A->B, B->C, C->A: no pairwise inversion exists, only the DFS
-        cycle search sees the length-3 latent deadlock."""
-        locks = {n: AgileLock(sim, n, traced) for n in ("A", "B", "C")}
-
-        def staggered(first, second, chain_name, start):
-            chain = AgileLockChain(chain_name)
-
-            def proc():
-                yield Timeout(start)
-                yield from _locker(locks[first], locks[second], chain)
-
-            return proc()
-
-        sim.spawn(staggered("A", "B", "p0", 0.0), name="p0")
-        sim.spawn(staggered("B", "C", "p1", 500.0), name="p1")
-        sim.spawn(staggered("C", "A", "p2", 1000.0), name="p2")
-        sim.run()
-
-        analyzer = session.lock_order
-        assert analyzer.inversions() == []  # pairwise is blind here
-        cycles = analyzer.cycles()
-        assert len(cycles) == 1
-        assert set(cycles[0]) == {"A", "B", "C"}
-
-    def test_full_report_flags_inversion_as_not_clean(self, sim, traced, session):
-        lock_a = AgileLock(sim, "lockA", traced)
-        lock_b = AgileLock(sim, "lockB", traced)
-
-        def rev_later():
-            yield Timeout(1000.0)
-            yield from _locker(lock_b, lock_a, AgileLockChain("rev"))
-
-        sim.spawn(_locker(lock_a, lock_b, AgileLockChain("fwd")), name="f")
-        sim.spawn(rev_later(), name="r")
-        sim.run()
-        report = session.report()
-        assert not report.clean
-        assert "lock-order inversion" in report.summary()
-
-
-class TestCycleReportOrder:
-    def test_dynamic_cycles_canonical(self):
-        an = LockOrderAnalyzer()
-        an.edges = {
-            ("y", "z"): {("c1", 1.0)},
-            ("z", "x"): {("c1", 2.0)},
-            ("x", "y"): {("c1", 3.0)},
-        }
-        assert an.cycles() == [["x", "y", "z", "x"]]
-
-
 def _early_return(lock, chain, bail):
     """A kernel in which one path to the exit skips the release."""
 
@@ -175,7 +81,6 @@ class TestLeakedLock:
             "lock 'sqdb.s1.q0' acquired by t1 at t=10 was never released"
         ]
         assert report.leaks[0] in report.summary()
-        assert not (report.inversions or report.cycles or report.races)
 
     def test_release_of_a_lock_held_before_attach_is_ignored(self, sim):
         debugger = LockDebugger()
@@ -241,41 +146,32 @@ class TestLeakedLock:
         assert "lock 'leaked' acquired by storm.t0" in checks["analysis_clean"]["detail"]
 
 
-class TestRealProtocolLockOrder:
-    def test_issue_path_lock_order_is_consistent(self):
-        """The real AGILE issue path (SQ slot -> doorbell lock) must show a
-        consistent global acquisition order across a whole workload."""
-        import numpy as np
+def _nested(host, found):
+    """Subscribe a reader of ``host``'s ``lock.acquire`` records: it books
+    the host kind, counts acquisitions and keeps every one made while
+    another lock was held."""
+    kind, acquired, nested = type(host).__name__, [0], []
+    found.append((kind, acquired, nested))
 
-        from repro.core import AgileLockChain as Chain
+    def acquire(record):
+        acquired[0] += 1
+        if record["held_before"]:
+            nested.append((record["held_before"], record["lock"]))
 
-        from tests.helpers import make_host, run_kernel
-
-        host = make_host()
-        session = attach(host)
-        host.load_data(0, 0, np.arange(8 * 1024, dtype=np.uint32))
-
-        def body(tc, ctrl):
-            chain = Chain(f"t{tc.tid}")
-            line = yield from ctrl.read_page(tc, chain, 0, tc.tid % 8)
-            yield from tc.hbm_load(64)  # copy out of the pinned line
-            ctrl.cache.unpin(line)
-
-        run_kernel(host, body, grid=1, block=16)
-        analyzer = session.lock_order
-        assert analyzer.acquisitions > 0
-        assert analyzer.inversions() == []
-        assert analyzer.cycles() == []
+    host.instrument().subscribe("lock.acquire", acquire)
 
 
-def _lock_orders(name, sets):
-    """``(host class, lock-order analyzer)`` of every machine one run of
-    experiment ``name`` builds."""
+def _acquisitions(name, sets):
+    """``(host class, [acquisitions], nested acquisitions)`` of every
+    machine one run of experiment ``name`` builds, each under the full
+    analysis session."""
     found = []
-    with listening(
-        "analysis",
-        lambda host: found.append((type(host).__name__, attach(host).lock_order)),
-    ):
+
+    def build(host):
+        attach(host)
+        _nested(host, found)
+
+    with listening("analysis", build):
         exp = EXPERIMENTS[name]
         exp.run(*exp.configure(sets))
     return found
@@ -283,25 +179,63 @@ def _lock_orders(name, sets):
 
 class TestOneLockAtATime:
     """AGILE and BaM never hold two ``AgileLock``s at once (the
-    ``core/locks.py`` claim), so their order graphs stay empty; only the
-    naive Figure 1 baseline, which holds SQE locks across issues, fills
-    one."""
+    ``core/locks.py`` claim), so no acquisition of theirs names a held
+    lock; only the naive Figure 1 baseline, which holds SQE locks across
+    issues, nests."""
 
     @pytest.mark.parametrize("name, sets, hosts", [
         ("fig11", MINI["fig11"], {"AgileHost", "BamHost"}),
         ("write-path", MINI["write-path"], {"AgileHost"}),
         ("storm", ["intensity=0"], {"AgileHost"}),
     ])
-    def test_agile_and_bam_order_graphs_stay_empty(self, name, sets, hosts):
-        orders = _lock_orders(name, sets)
-        assert {host for host, _ in orders} == hosts
+    def test_agile_and_bam_acquire_with_nothing_held(self, name, sets, hosts):
+        found = _acquisitions(name, sets)
+        assert {host for host, _, _ in found} == hosts
         for host in hosts:
-            assert sum(o.acquisitions for h, o in orders if h == host) > 0
-        assert [o.edges for _, o in orders if o.edges] == []
+            assert sum(n[0] for h, n, _ in found if h == host) > 0
+        assert [nested for _, _, nested in found if nested] == []
 
-    def test_naive_cell_fills_its_order_graph(self):
-        orders = _lock_orders(
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_cached_read_kernel(self, monkeypatch, planted):
+        """The AGILE issue path (SQ slot -> doorbell lock) of a cached-read
+        kernel acquires with nothing held; planting a lock held around the
+        doorbell ring shows in ``held_before``."""
+        import numpy as np
+
+        from repro.core.issue import IssueEngine
+
+        from tests.helpers import make_host, run_kernel
+
+        host = make_host()
+        if planted:
+            outer = AgileLock(host.sim, "outer", host.debugger)
+            honest = IssueEngine.publish_and_ring
+
+            def nested(self, tc, chain, *args):
+                yield from outer.acquire(chain)
+                yield from honest(self, tc, chain, *args)
+                outer.release(chain)
+
+            monkeypatch.setattr(IssueEngine, "publish_and_ring", nested)
+        found = []
+        _nested(host, found)
+        host.load_data(0, 0, np.arange(8 * 1024, dtype=np.uint32))
+
+        def body(tc, ctrl):
+            chain = AgileLockChain(f"t{tc.tid}")
+            line = yield from ctrl.read_page(tc, chain, 0, tc.tid % 8)
+            yield from tc.hbm_load(64)  # copy out of the pinned line
+            ctrl.cache.unpin(line)
+
+        run_kernel(host, body, grid=1, block=16)
+        [(_, acquired, held)] = found
+        assert acquired[0] > 0 and bool(held) == planted
+
+    def test_naive_cell_acquires_with_a_lock_held(self):
+        """The reader can fire: the naive engine rings its doorbell while
+        its SQE lock is held."""
+        found = _acquisitions(
             "serve-sweep",
             ["duration_ns=1e6", "system=naive", "target_rps=20000"],
         )
-        assert sum(len(o.edges) for _, o in orders) > 0
+        assert sum(len(nested) for _, _, nested in found) > 0

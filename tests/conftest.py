@@ -2,8 +2,8 @@
 
 Every machine (AGILE, BaM, multi-GPU) the suite constructs runs under the
 full :mod:`repro.analysis` session (NVMe queue conformance, cache
-state-machine legality, Share Table coherence, lock-order and race
-analysis), so a protocol violation anywhere in the models fails the
+state-machine legality and pin discipline, Share Table coherence, held
+locks), so a protocol violation anywhere in the models fails the
 offending test loudly.  A test that needs an unprobed machine builds it
 inside ``listening("analysis", None)``.
 """

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import CacheConfig
 from repro.core import AgileLockChain, BufState, LineState
-from repro.sim import SimError
+from repro.sim import SimError, Timeout
 
 from tests.helpers import make_host, run_kernel
 
@@ -225,6 +225,55 @@ class TestAsyncBuffers:
         assert line.buffer[0] == 123
         assert line.state is LineState.MODIFIED
         assert host.trace.counter("share")["share_propagated"] == 1
+
+    def test_async_write_keeps_a_modified_line_modified(self):
+        """Write-through to a dirty line: its cached bytes are the newest,
+        so it stays MODIFIED for eviction write-back (the cache FSM has no
+        MODIFIED -> READY)."""
+        host = make_host()
+        host.preload_cache(0, [8])
+        buf = host.make_buffer()
+        buf.view[:] = 200
+
+        def body(tc, ctrl, buf):
+            chain = AgileLockChain(f"c{tc.tid}")
+            yield from ctrl.write_page(tc, chain, 0, 8, np.full(4096, 7, np.uint8))
+            txn = yield from ctrl.async_write(tc, chain, 0, 8, buf)
+            yield from txn.wait()
+
+        run_kernel(host, body, block=1, args=(buf,))
+        line = host.cache.lookup(0, 8)
+        assert line.state is LineState.MODIFIED
+        assert line.buffer[0] == 200
+        assert host.ssds[0].flash.read_page_data(8)[0] == 200
+
+    def test_propagation_pins_the_line_across_its_copy(self):
+        """Sixteen readers of other pages evict every unpinned line while
+        the propagating copy of page 5 is in flight: the copy must land in
+        page 5's line, never in the line re-claimed for page 42."""
+        host = make_host(cache=CacheConfig(num_lines=8, ways=8))
+        host.preload_cache(0, list(range(5, 13)))
+        buf = host.make_buffer()
+        readers_start_ns = 609.0  # while thread 0's copy is in flight
+
+        def body(tc, ctrl, buf):
+            chain = AgileLockChain(f"c{tc.tid}")
+            if tc.tid == 0:
+                got = yield from ctrl.async_read(tc, chain, 0, 5, buf)
+                yield from got.wait()
+                got.view[0] = 123
+                ctrl.share_table.mark_modified(tc, (0, 5))
+                yield from ctrl.release_buffer(tc, chain, got)
+            elif tc.tid >= 32:
+                yield Timeout(readers_start_ns)
+                line = yield from ctrl.read_page(tc, chain, 0, 42 + tc.tid - 32)
+                ctrl.cache.unpin(line)
+
+        run_kernel(host, body, block=48, args=(buf,))
+        assert host.trace.counter("share")["share_propagated"] == 1
+        line = host.cache.lookup(0, 5)
+        page = host.ssds[0].flash.read_page_data(5) if line is None else line.buffer
+        assert page[0] == 123
 
     def test_share_state_transitions(self):
         host = make_host()

@@ -184,6 +184,6 @@ def test_every_command_reaches_a_terminal_state(drawn):
             assert all(state is SlotState.EMPTY for state in qp.sq.state), (
                 f"SQ{qp.qid} leaked slots: {qp.sq.state}"
             )
-    # Runtime invariant checkers raise inline; the offline analyzers get a
-    # final pass over the recorded stream too.
+    # Runtime invariant checkers raise inline; the report adds the locks
+    # still held.
     assert session.report().clean

@@ -16,7 +16,8 @@ process:
    ``examples``, every ``examples/*.py`` (each run in-process with
    ``runpy``, as CI's test job runs them), the tolerance-0 golden gate of
    each document, and perfbench's quick pass (each workload once inside
-   ``telemetry.capture()``).  Recording starts before ``repro`` is
+   ``telemetry.capture()``, the first one's capture written as a Chrome
+   trace the way perfbench's child writes ``--trace-out``).  Recording starts before ``repro`` is
    imported, so import-time calls count;
 2. *tier-1* — ``pytest -x -q`` in-process, its progress on stderr
    (skipped by ``--no-tier1``);
@@ -51,7 +52,6 @@ Key = Tuple[str, int, str]  # (file, first line, name)
 PAPER_API = "the paper's API"
 DIAGNOSTIC = "diagnostic or error path"
 ABSTRACT = "abstract declaration subclasses override"
-TRACE = "Chrome-trace export `bench run --trace` writes"
 
 #: Functions kept although no gated run enters them, by
 #: ``file:qualname`` under ``src/repro``, each with its reason.
@@ -63,9 +63,6 @@ KEPT: Dict[str, str] = {
     "core/sharetable.py:ShareTable._propagate_to_cache": PAPER_API,
     "analysis/invariants.py:InvariantChecker.fail": DIAGNOSTIC,
     "analysis/lint.py:_FileLinter.add": DIAGNOSTIC,
-    "analysis/races.py:LockOrderInversion.describe": DIAGNOSTIC,
-    "analysis/races.py:RaceReport.describe": DIAGNOSTIC,
-    "analysis/races.py:RaceReport.describe.<locals>.fmt": DIAGNOSTIC,
     "analysis/source.py:Finding.__str__": DIAGNOSTIC,
     "config.py:Interval.__repr__": DIAGNOSTIC,
     "core/locks.py:AgileLockChain.__repr__": DIAGNOSTIC,
@@ -85,23 +82,12 @@ KEPT: Dict[str, str] = {
     "placement/policy.py:_StickyPlacement._pick": ABSTRACT,
     "serve/arrival.py:ArrivalProcess.gaps": ABSTRACT,
     "serve/backends.py:ServeBackend._access": ABSTRACT,
-    "telemetry/__init__.py:Telemetry.chrome_trace": TRACE,
-    "telemetry/__init__.py:TelemetryCapture.chrome_trace": TRACE,
-    "telemetry/__init__.py:TelemetryCapture.write_chrome_trace":
-        "perfbench's child writes its `--trace-out` with it",
-    "telemetry/export.py:_layer_pid": TRACE,
-    "telemetry/export.py:chrome_trace_events": TRACE,
-    "telemetry/export.py:chrome_trace": TRACE,
-    "telemetry/export.py:write_chrome_trace": TRACE,
-    "telemetry/spans.py:SpanRecorder.records": TRACE,
     "analysis/__main__.py:main": "file waits for ROADMAP item 1 (perfbench counts files)",
     "sim/trace.py:EventLog.__init__": "tests' trace recorder; file waits for ROADMAP item 1",
     "sim/trace.py:EventLog.attach": "tests' trace recorder; file waits for ROADMAP item 1",
     "sim/trace.py:EventLog.events": "tests' trace recorder; file waits for ROADMAP item 1",
     "workloads/vecmean.py:run_vector_mean": "file waits for ROADMAP item 1",
     "workloads/vecmean.py:run_vector_mean.<locals>.body": "file waits for ROADMAP item 1",
-    "analysis/races.py:simple_cycles.<locals>.dfs":
-        "cycle search of a non-empty order graph; races.py waits for item 2",
     "bench/__main__.py:_cmd_list": "the CLI's `list` verb (README, DESIGN §14)",
     "serve/experiment.py:_replace_path": "dotted `--set` into a nested spec",
     "serve/experiment.py:Experiment.<lambda>": "run()'s default no-op cell callback",
@@ -181,14 +167,15 @@ def document_commands() -> List[Tuple[str, List[str]]]:
     return commands
 
 
-def perfbench_quick() -> None:
+def perfbench_quick(workdir: Path) -> None:
     """perfbench's quick pass in-process: every workload once, its hosts
-    built inside ``telemetry.capture()``, then its output checks."""
+    built inside ``telemetry.capture()``, then its output checks; the
+    first workload's capture goes to ``workdir`` as a Chrome trace."""
     from perfbench import counters
     from perfbench.workloads import REGISTRY
     from repro import telemetry
 
-    for name, factory in REGISTRY.items():
+    for i, (name, factory) in enumerate(REGISTRY.items()):
         workload = factory()
         workload.prepare(7)
         with telemetry.capture() as cap:
@@ -196,6 +183,8 @@ def perfbench_quick() -> None:
             workload.run()
         failed = [c for c in workload.outcome().checks if not c[1]]
         counters.extract(cap.sessions)
+        if i == 0:
+            cap.write_chrome_trace(str(workdir / "perfbench-trace.json"))
         if failed:
             raise SystemExit(f"perfbench {name}: failed {failed}")
 
@@ -217,7 +206,7 @@ def gated_pass(workdir: Path) -> Tuple[Set[Key], List[str]]:
         lint_main([str(SRC), str(EXAMPLES)])
         for example in sorted(EXAMPLES.glob("*.py")):
             runpy.run_path(str(example), run_name="__main__")
-        perfbench_quick()
+        perfbench_quick(workdir)
         gate = workdir / "gate.txt"
         with open(gate, "w", encoding="utf-8") as fh, redirect_stdout(fh):
             store_main(["gate", *map(str, docs), "--baseline",
