@@ -30,8 +30,7 @@ def make_host():
 
 # -- the naive design (Figure 1) ----------------------------------------------
 host = make_host()
-engine = NaiveAsyncEngine(host.sim, host.ssds, host.queue_pairs,
-                          debugger=host.debugger)
+engine = NaiveAsyncEngine(host)
 
 
 def naive_kernel(tc, _ctrl):

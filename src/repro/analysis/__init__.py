@@ -7,8 +7,8 @@ Three parts (see DESIGN.md "Invariants & analysis"):
    subscribe to a live machine's probe and fail the simulation loudly the
    instant a protocol rule from the paper is broken — queue conformance,
    the cache-line FSM and pin discipline, Share Table coherence.
-2. *Held locks* (:mod:`repro.analysis.leaks`): the locks acquired and not
-   released, which the report names as leaks.
+2. *Held locks* and *live Share Table entries* (:mod:`repro.analysis.leaks`),
+   which the report names as leaks.
 3. *Static lint* (:mod:`repro.analysis.lint`) enforces syntactic
    simulation-safety rules on the source tree without running anything.
 
@@ -35,7 +35,7 @@ from repro.analysis.invariants import (
     ShareTableChecker,
     SqConformanceChecker,
 )
-from repro.analysis.leaks import AnalysisReport, HeldLocks
+from repro.analysis.leaks import AnalysisReport, HeldLocks, LiveEntries
 from repro.sim.probe import PROTOCOL, Probe, Record
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "HeldLocks",
     "InvariantChecker",
     "InvariantViolation",
+    "LiveEntries",
     "ShareTableChecker",
     "SqConformanceChecker",
     "attach",
@@ -53,7 +54,7 @@ __all__ = [
 
 
 class AnalysisSession:
-    """One probe's live checkers and held-lock map; it keeps no records."""
+    """One probe's live checkers and leak maps; it keeps no records."""
 
     def __init__(self) -> None:
         self.checkers = [
@@ -61,6 +62,7 @@ class AnalysisSession:
             ShareTableChecker(),
         ]
         self.held = HeldLocks()
+        self.entries = LiveEntries()
         #: Every protocol record delivered.
         self.events_seen = 0
 
@@ -68,6 +70,7 @@ class AnalysisSession:
         for kind in PROTOCOL:
             probe.subscribe(kind, self._count)
         self.held.attach(probe)
+        self.entries.attach(probe)
         for checker in self.checkers:
             checker.attach(probe)
         return self
@@ -78,7 +81,7 @@ class AnalysisSession:
     def report(self) -> AnalysisReport:
         """The findings over every record delivered so far."""
         return AnalysisReport(
-            leaks=self.held.leaks(), events_seen=self.events_seen
+            self.held.leaks(), self.events_seen, self.entries.leaks()
         )
 
     def events_checked(self) -> int:

@@ -21,26 +21,25 @@ paper's analysis:
 5. **No warp-level coalescing** of same-page requests; deduplication
    happens only at the cache (BUSY-hit) level.
 
-:data:`BAM_API`, :class:`BamCostConfig` and
+:data:`BAM_API`, :class:`BamIoEngine`'s polling constants and
 :attr:`BamCache.CRITICAL_SECTION_ATOMICS` encode differences 3-4 in
 cycles; differences 1-2 and 5 are structural and emerge from the control
-flow below.
+flow below.  :class:`~repro.baselines.harness.BamHost` stacks the two
+subclasses into the same :class:`~repro.core.node.GpuNode` as AGILE's,
+with AGILE's controller on top and no service.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 import numpy as np
 
-from repro.config import ApiCostConfig, SystemConfig
+from repro.config import ApiCostConfig
 from repro.core.cache import CacheLine, SoftwareCache
 from repro.core.issue import IssueEngine
 from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
-from repro.core.policies import ClockPolicy
 from repro.gpu.thread import ThreadContext
-from repro.mem.hbm import Hbm
 from repro.nvme.command import NvmeCommand, NvmeCompletion, Opcode
 from repro.nvme.device import SsdController
 from repro.nvme.queue import QueuePair
@@ -55,25 +54,20 @@ BAM_API = ApiCostConfig(
 )
 
 
-@dataclass(frozen=True)
-class BamCostConfig:
-    """BaM's inline CQ-polling costs (no AGILE counterpart: AGILE's
-    completions are retired by the service, not the issuing thread)."""
-
-    #: Cycles burned per inline CQ-poll iteration.
-    poll_check_cycles: float = 60.0
-    #: Cycles per CQE drained by an application thread.
-    per_cqe_drain_cycles: float = 10.0
-    #: Initial polling interval while waiting for a completion (ns).
-    poll_interval_ns: float = 400.0
-    #: Exponential poll back-off cap (ns).
-    max_poll_interval_ns: float = 4_000.0
-
-
 class BamIoEngine(IssueEngine):
     """BaM's per-thread synchronous NVMe path: AGILE's enqueue and
     doorbell, but the issuing thread holds its SQE and polls the CQ
-    itself until its own completion shows."""
+    itself until its own completion shows.  The polling costs below have no
+    AGILE counterpart: there the service retires completions."""
+
+    #: Cycles burned per inline CQ-poll iteration.
+    POLL_CHECK_CYCLES = 60.0
+    #: Cycles per CQE drained by an application thread.
+    PER_CQE_DRAIN_CYCLES = 10.0
+    #: Initial polling interval while waiting for a completion (ns).
+    POLL_INTERVAL_NS = 400.0
+    #: Exponential poll back-off cap (ns).
+    MAX_POLL_INTERVAL_NS = 4_000.0
 
     def __init__(
         self,
@@ -84,7 +78,6 @@ class BamIoEngine(IssueEngine):
         stats: Optional[Counter] = None,
     ):
         super().__init__(sim, ssds, queue_pairs, BAM_API, debugger, stats)
-        self.costs = BamCostConfig()
         #: Per-CQ completion boards: (ssd, qid) -> {cid: completion}.
         self._boards: Dict[tuple[int, int], Dict[int, NvmeCompletion]] = {
             key: {} for key in self.doorbell_locks
@@ -131,9 +124,9 @@ class BamIoEngine(IssueEngine):
         key = (ssd_idx, qp.qid)
         board = self._boards[key]
         board_lock = self._board_locks[key]
-        interval = self.costs.poll_interval_ns
+        interval = self.POLL_INTERVAL_NS
         while True:
-            yield from tc.compute(self.costs.poll_check_cycles)
+            yield from tc.compute(self.POLL_CHECK_CYCLES)
             mine = board.pop(cid, None)
             if mine is not None:
                 return mine
@@ -150,7 +143,7 @@ class BamIoEngine(IssueEngine):
                         drained += 1
                     if drained:
                         yield from tc.compute(
-                            self.costs.per_cqe_drain_cycles * drained
+                            self.PER_CQE_DRAIN_CYCLES * drained
                         )
                         yield from tc.atomic()
                         self.stats.add("cqes_drained", drained)
@@ -165,7 +158,7 @@ class BamIoEngine(IssueEngine):
                     return mine
             self.stats.add("poll_iterations")
             yield Timeout(interval)
-            interval = min(interval * 1.5, self.costs.max_poll_interval_ns)
+            interval = min(interval * 1.5, self.MAX_POLL_INTERVAL_NS)
 
 
 class BamCache(SoftwareCache):
@@ -195,34 +188,3 @@ class BamCache(SoftwareCache):
             tc, chain, tag[0], Opcode.READ, tag[1], line.buffer
         )
         self._finish_fill(line, tag)
-
-
-class BamCtrl:
-    """User-facing BaM controller: synchronous page reads through the
-    cache."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: SystemConfig,
-        hbm: Hbm,
-        ssds: List[SsdController],
-        queue_pairs: List[List[QueuePair]],
-        debugger: Optional[LockDebugger] = None,
-        stats: Optional[Counter] = None,
-    ):
-        self.io = BamIoEngine(sim, ssds, queue_pairs, debugger, stats)
-        self.cache = BamCache(
-            sim, cfg.cache, hbm, ClockPolicy(), self.io, BAM_API,
-            debugger=debugger, stats=self.io.stats,
-        )
-
-    def read_page(
-        self,
-        tc: ThreadContext,
-        chain: AgileLockChain,
-        ssd_idx: int,
-        lba: int,
-    ) -> Generator[Any, Any, CacheLine]:
-        """Blocking page access; caller must ``ctrl.cache.unpin`` the line."""
-        return self.cache.acquire(tc, chain, ssd_idx, lba)

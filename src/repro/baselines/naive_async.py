@@ -28,14 +28,13 @@ from typing import Any, Dict, Generator, List, Optional
 
 import numpy as np
 
-from repro.config import ApiCostConfig
 from repro.core.issue import IssueEngine
-from repro.core.locks import AgileLock, AgileLockChain, LockDebugger
+from repro.core.locks import AgileLock, AgileLockChain
+from repro.core.machine import Machine
 from repro.gpu.thread import ThreadContext
 from repro.nvme.command import NvmeCommand, Opcode
-from repro.nvme.device import SsdController
 from repro.nvme.queue import QueuePair
-from repro.sim.engine import SimError, SimStallError, Simulator, Timeout
+from repro.sim.engine import SimError, SimStallError, Timeout
 
 
 @dataclass
@@ -55,21 +54,21 @@ class NaiveAsyncEngine(IssueEngine):
 
     STALL_POLL_NS = 200.0
 
-    def __init__(
-        self,
-        sim: Simulator,
-        ssds: List[SsdController],
-        queue_pairs: List[List[QueuePair]],
-        debugger: Optional[LockDebugger] = None,
-    ):
-        super().__init__(sim, ssds, queue_pairs, ApiCostConfig(), debugger)
+    def __init__(self, host: Machine):
+        """Beside ``host``'s GPU-0 engine: its SSDs, queue pairs, costs,
+        lock debugger, ``io`` group and probe."""
+        sim, own = host.sim, host.nodes[0].issue
+        super().__init__(
+            sim, own.ssds, own.queue_pairs, own.api, host.debugger, own.stats
+        )
+        self.probe = host.probe
         #: One AgileLock per SQE — *held by the issuing thread* until that
         #: thread itself processes the completion.  This is the design flaw.
         self.slot_locks: Dict[tuple[int, int, int], AgileLock] = {
             (si, qp.qid, slot): AgileLock(
-                sim, f"naive.sqe.s{si}.q{qp.qid}.{slot}", debugger
+                sim, f"naive.sqe.s{si}.q{qp.qid}.{slot}", host.debugger
             )
-            for si, qps in enumerate(queue_pairs)
+            for si, qps in enumerate(own.queue_pairs)
             for qp in qps
             for slot in range(qp.sq.depth)
         }

@@ -26,7 +26,7 @@ from repro.config import ApiCostConfig, SystemConfig
 from repro.core.arraywrap import AgileArray
 from repro.core.buffers import AgileBuf, Transaction
 from repro.core.cache import CacheLine, SoftwareCache
-from repro.core.issue import IssueEngine
+from repro.core.issue import DeviceDeadError, IssueEngine
 from repro.core.locks import AgileLockChain
 from repro.core.sharetable import ShareTable
 from repro.gpu.thread import ThreadContext
@@ -282,25 +282,32 @@ class AgileCtrl:
                 buf.finish_fill()  # our buffer carries nothing
                 self.stats.add("async_read_shared")
                 return entry.buf
-        txn = yield from self.issue.submit(
-            tc, chain, ssd_idx, Opcode.READ, lba,
-            buf.view[: self.line_size], label="aread",
-        )
+        try:
+            txn = yield from self.issue.submit(
+                tc, chain, ssd_idx, Opcode.READ, lba,
+                buf.view[: self.line_size], label="aread",
+            )
+        except DeviceDeadError:  # failed before any yield: nobody joined
+            self._fail_async_read(buf, tag)
+            raise
         txn.on_complete = lambda c, b=buf, t=tag: self._finish_async_read(b, t, c)
         return buf
 
     def _finish_async_read(self, buf: AgileBuf, tag, completion) -> None:
-        """Completion action for a Share-Table-owned buffer fill: on error,
-        retire the table entry (sharers are notified through the shared
-        buffer's failure flag) and mark the buffer failed."""
-        if completion is not None and not completion.ok:
+        """Completion action for a Share-Table-owned buffer fill."""
+        if completion is None or completion.ok:
+            buf.finish_fill()
+        else:
             self.stats.add("async_read_failures")
-            if self.share_table is not None:
-                self.share_table.on_fill_failed(tag, buf)
-            buf.source = None
-            buf.fail_fill()
-            return
-        buf.finish_fill()
+            self._fail_async_read(buf, tag)
+
+    def _fail_async_read(self, buf: AgileBuf, tag) -> None:
+        """Retire the fill's table entry (sharers are notified through the
+        shared buffer's failure flag) and mark the buffer failed."""
+        if self.share_table is not None:
+            self.share_table.on_fill_failed(tag, buf)
+        buf.source = None
+        buf.fail_fill()
 
     def async_write(
         self,

@@ -25,7 +25,7 @@ from repro.config import SystemConfig
 from repro.core.buffers import AgileBuf
 from repro.core.issue import IssueEngine
 from repro.core.machine import Machine
-from repro.core.node import GpuNode, build_node
+from repro.core.node import build_node
 from repro.core.policies import CachePolicy
 from repro.core.sharetable import SharePolicy
 from repro.faults import FaultInjector
@@ -49,8 +49,6 @@ class AgileHost(Machine):
     """
 
     reserved_sms = 1
-    #: One AGILE stack per GPU, in GPU order.
-    nodes: list[GpuNode]
 
     def __init__(
         self,
@@ -177,49 +175,10 @@ class AgileHost(Machine):
 
     def _register_collectors(self) -> None:
         super()._register_collectors()
-        reg = self.trace
-        gpu, ssds, service = self.gpu, self.ssds, self.service
+        # The polling warps charge their reserved SM in closed form.
+        self._sm_cycles[f"sm{self.gpu.sms[-1].index}"] = self.service.thread_cycles
         issues = [node.issue for node in self.nodes]
-        reg.register_collector(
-            "flash_channel_busy_ns",
-            lambda: {
-                f"ssd{ssd.index}.ch{ci}": ch.busy_time
-                for ssd in ssds
-                for ci, ch in enumerate(ssd.flash._channels)
-            },
-        )
-        reg.register_collector(
-            "link_bytes",
-            lambda: {
-                **{
-                    f"ssd{ssd.index}.pcie.{direction}": pipe.bytes_moved
-                    for ssd in ssds
-                    for direction, pipe in (
-                        ("up", ssd.link.upstream),
-                        ("down", ssd.link.downstream),
-                    )
-                },
-                "gpu.pcie": gpu.pcie_pipe.bytes_moved,
-            },
-        )
-        reg.register_collector(
-            "hbm",
-            lambda: {
-                "loads": gpu.hbm.loads,
-                "stores": gpu.hbm.stores,
-                "atomics": gpu.hbm.atomics,
-                "utilization": gpu.hbm.utilization(),
-            },
-        )
-        reg.register_collector(
-            "sm_thread_cycles",
-            lambda: {
-                f"sm{sm.index}": sm.issued_thread_cycles() for sm in gpu.sms
-            }
-            # The polling warps charge their reserved SM in closed form.
-            | {f"sm{gpu.sms[-1].index}": service.thread_cycles()},
-        )
-        reg.register_collector(
+        self.trace.register_collector(
             "inflight", lambda: {"cids": sum(i.inflight() for i in issues)}
         )
 

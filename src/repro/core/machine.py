@@ -4,10 +4,9 @@ The paper compares AGILE and BaM on the *same* GPU, SSDs and queue
 geometry, and its §5 multi-GPU extension "only requires some modifications
 to the Host APIs".  :class:`Machine` is that common substrate: simulator,
 metric registry, GPU(s), NVMe driver, SSD array, placement policy,
-instrumentation probe, data staging and kernel launch.  A host subclass adds
-only what its system runs on top (the per-GPU AGILE stack, or the BaM
-controller), fills :attr:`Machine.ctrls` with one kernel-side controller
-per GPU, and ends its constructor with :meth:`Machine._finish`.
+instrumentation probe, data staging and kernel launch.  A host subclass
+fills :attr:`Machine.nodes` with its system's stack for each GPU (AGILE's
+or BaM's) and ends its constructor with :meth:`Machine._finish`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ class Machine:
 
     #: SMs kept out of user kernels (AGILE dedicates one to its service).
     reserved_sms = 0
-    #: One runtime stack per GPU (AGILE's ``GpuNode``); none on BaM.
+    #: One :class:`~repro.core.node.GpuNode` per GPU, in GPU order: AGILE's
+    #: full stack, or BaM's engine and cache without a service.  Its
+    #: ``ctrl`` is the first argument every kernel body receives.
     nodes: Sequence[Any] = ()
 
     def __init__(
@@ -98,9 +99,6 @@ class Machine:
         #: (the AGILE host wires its own; symmetric mapping keeps the
         #: systems' data layouts comparable).
         self.placement: PlacementPolicy = placement_for_config(self.cfg)
-        #: One kernel-side controller per GPU (the first argument every
-        #: kernel body receives); filled by the subclass.
-        self.ctrls: list[Any] = []
         #: None until something listens (:meth:`instrument`), then its
         #: subscribers: the telemetry and analysis sessions.
         self.probe: Optional[probe_mod.Probe] = None
@@ -146,12 +144,10 @@ class Machine:
                 for qp in ssd.queue_pairs:
                     parts += (qp.sq, qp.cq, qp.sq.doorbell, qp.cq.doorbell)
             for node in self.nodes:
-                parts += (node.issue, node.service)
-                if node.share_table is not None:
-                    parts.append(node.share_table)
-            parts += (ctrl.cache for ctrl in self.ctrls)
+                parts += (node.issue, node.cache, node.service, node.share_table)
             for part in parts:
-                part.probe = probe
+                if part is not None:
+                    part.probe = probe
         return self.probe
 
     def _register_collectors(self) -> None:
@@ -160,15 +156,55 @@ class Machine:
         nothing during the simulation.  Each closes over the parts it
         reads, never the machine: the machine owns the registry, and a
         cycle through it would keep HBM and flash alive until a GC pass."""
-        sim, driver = self.sim, self.driver
-        self.trace.register_collector(
+        reg, sim, driver = self.trace, self.sim, self.driver
+        gpu, ssds = self.gpu, self.ssds
+        reg.register_collector(
             "sim", lambda: {"now": sim.now, "event_count": sim.event_count}
         )
-        self.trace.register_collector(
+        reg.register_collector(
             "devices",
             lambda: {
                 f"ssd{i}": st for i, st in enumerate(driver.device_stats())
             },
+        )
+        reg.register_collector(
+            "flash_channel_busy_ns",
+            lambda: {
+                f"ssd{ssd.index}.ch{ci}": ch.busy_time
+                for ssd in ssds
+                for ci, ch in enumerate(ssd.flash._channels)
+            },
+        )
+        reg.register_collector(
+            "link_bytes",
+            lambda: {
+                **{
+                    f"ssd{ssd.index}.pcie.{direction}": pipe.bytes_moved
+                    for ssd in ssds
+                    for direction, pipe in (
+                        ("up", ssd.link.upstream),
+                        ("down", ssd.link.downstream),
+                    )
+                },
+                "gpu.pcie": gpu.pcie_pipe.bytes_moved,
+            },
+        )
+        reg.register_collector(
+            "hbm",
+            lambda: {
+                "loads": gpu.hbm.loads,
+                "stores": gpu.hbm.stores,
+                "atomics": gpu.hbm.atomics,
+                "utilization": gpu.hbm.utilization(),
+            },
+        )
+        #: Each SM's thread-cycle reader (AGILE's reserved SM reads its
+        #: service's closed form instead).
+        self._sm_cycles = cycles = {
+            f"sm{sm.index}": sm.issued_thread_cycles for sm in gpu.sms
+        }
+        reg.register_collector(
+            "sm_thread_cycles", lambda: {sm: read() for sm, read in cycles.items()}
         )
 
     # -- data staging (host side, no simulated time) -------------------------
@@ -231,9 +267,9 @@ class Machine:
         traffic — the paper's Fig. 11 step-3 methodology (cache-API
         overhead isolation)."""
         flash = self.ssds[ssd_idx].flash
-        for ctrl in self.ctrls:
+        for node in self.nodes:
             for lba in lbas:
-                ctrl.cache.preload(ssd_idx, lba, flash.read_page_data(lba))
+                node.cache.preload(ssd_idx, lba, flash.read_page_data(lba))
 
     def alloc_view(
         self, nbytes: int, label: str = "user", gpu_idx: int = 0
@@ -273,7 +309,7 @@ class Machine:
         return self.gpus[gpu_idx].launch(
             kernel,
             launch_cfg,
-            args=(self.ctrls[gpu_idx], *args),
+            args=(self.nodes[gpu_idx].ctrl, *args),
             reserve_sms=self.reserved_sms,
         )
 

@@ -1,10 +1,11 @@
-"""One GPU's AGILE stack and its builder — ``initializeAgile`` for one GPU.
+"""One GPU's stack and AGILE's builder — ``initializeAgile`` for one GPU.
 
 The paper's §5 shares SSDs among GPUs through disjoint queue pairs, and
 "the AGILE service and interfaces on the CUDA kernel do not need any
 change".  So every GPU of an :class:`~repro.core.host.AgileHost` gets the
 same stack from :func:`build_node`, over its own queue-pair range and its
-own HBM; only the stat-group prefix tells them apart.
+own HBM; only the stat-group prefix tells them apart.  ``BamHost`` builds
+the same :class:`GpuNode` shape from BaM's engine and cache, with no service.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from repro.nvme.queue import QueuePair
 
 @dataclass
 class GpuNode:
-    """One GPU's complete AGILE stack."""
+    """One GPU's stack: issue engine, cache and controller every system
+    has; the service, recovery and Share Table only AGILE runs."""
 
     gpu: Gpu
     issue: IssueEngine
     cache: SoftwareCache
-    service: AgileService
+    service: Optional[AgileService]
     ctrl: AgileCtrl
     recovery: Optional[RecoveryManager] = None
     share_table: Optional[ShareTable] = None
@@ -48,8 +50,7 @@ def build_node(
 ) -> GpuNode:
     """IssueEngine -> SoftwareCache -> ShareTable -> AgileService ->
     AgileCtrl for GPU ``index`` of ``machine`` over its queue pairs, stat
-    groups named ``prefix + {io,cache,...}``; the controller joins
-    ``machine.ctrls``."""
+    groups named ``prefix + {io,cache,...}``."""
     cfg, sim = machine.cfg, machine.sim
     gpu = machine.gpus[index]
 
@@ -108,7 +109,6 @@ def build_node(
         machine.placement,
         stats=group("ctrl"),
     )
-    machine.ctrls.append(ctrl)
     return GpuNode(
         gpu, issue, cache, service, ctrl, recovery, share_table
     )

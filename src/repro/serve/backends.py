@@ -128,9 +128,9 @@ class ServeBackend:
         cache: snapshots taken, durably acked, and declared lost (terminal
         write failure after recovery retries)."""
         totals = {"writebacks": 0, "writebacks_acked": 0, "writebacks_lost": 0}
-        for ctrl in self.host.ctrls:
+        for node in self.host.nodes:
             for key in totals:
-                totals[key] += int(ctrl.cache.stats.get(key))
+                totals[key] += int(node.cache.stats.get(key))
         return totals
 
     def load_pattern(self, classes: Sequence, page_size: int = 4096) -> None:
@@ -268,9 +268,7 @@ class NaiveServeBackend(ServeBackend):
     def __init__(self, cfg: Optional[SystemConfig] = None):
         super().__init__(BamHost(cfg))
         host = self.host
-        self.engine = NaiveAsyncEngine(
-            host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
-        )
+        self.engine = NaiveAsyncEngine(host)
         # Total SQ slots per SSD bounds safe concurrent outstanding I/O.
         # Worst case every request in the batch targets the same SSD and
         # holds all its page slots at once; staying under the slot count

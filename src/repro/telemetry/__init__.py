@@ -108,37 +108,33 @@ class Telemetry:
             r["name"], r["layer"], r["track"], value=r["value"]
         ))
         for kind, spec in SPANS.items():
-            # GC runs, like the byte counters and SQE fetch bursts below,
-            # are booked for machines running the AGILE stack only.
-            if kind != "ftl.gc" or machine.nodes:
-                probe.subscribe(kind, self._span(kind, *spec))
-        if machine.nodes:
-            traffic = reg.counter(
-                "mem.hbm.traffic",
-                description="HBM bytes moved by direction",
-                labels=("load_bytes", "store_bytes"),
+            probe.subscribe(kind, self._span(kind, *spec))
+        traffic = reg.counter(
+            "mem.hbm.traffic",
+            description="HBM bytes moved by direction",
+            labels=("load_bytes", "store_bytes"),
+        )
+        fetch_batch, dma_bytes = {}, {}
+        for ssd in machine.ssds:
+            fetch_batch[id(ssd)] = reg.histogram(
+                f"nvme.ssd{ssd.index}.fetch_batch",
+                description="SQEs fetched per doorbell-triggered DMA burst",
+                buckets=(1, 2, 4, 8, 16),
             )
-            fetch_batch, dma_bytes = {}, {}
-            for ssd in machine.ssds:
-                fetch_batch[id(ssd)] = reg.histogram(
-                    f"nvme.ssd{ssd.index}.fetch_batch",
-                    description="SQEs fetched per doorbell-triggered DMA burst",
-                    buckets=(1, 2, 4, 8, 16),
-                )
-                dma_bytes[id(ssd.link)] = reg.counter(
-                    f"mem.ssd{ssd.index}.pcie.dma_bytes",
-                    description="SSD-link DMA payload bytes by direction",
-                    labels=("read", "write"),
-                )
-            probe.subscribe("hbm.traffic", lambda r: traffic.add(
-                r["direction"], r["nbytes"]
-            ))
-            probe.subscribe("pcie.dma", lambda r: dma_bytes[id(r["src"])].add(
-                r["direction"], r["nbytes"]
-            ))
-            probe.subscribe("nvme.fetch", lambda r: fetch_batch[id(r["src"])].observe(
-                r["batch"]
-            ))
+            dma_bytes[id(ssd.link)] = reg.counter(
+                f"mem.ssd{ssd.index}.pcie.dma_bytes",
+                description="SSD-link DMA payload bytes by direction",
+                labels=("read", "write"),
+            )
+        probe.subscribe("hbm.traffic", lambda r: traffic.add(
+            r["direction"], r["nbytes"]
+        ))
+        probe.subscribe("pcie.dma", lambda r: dma_bytes[id(r["src"])].add(
+            r["direction"], r["nbytes"]
+        ))
+        probe.subscribe("nvme.fetch", lambda r: fetch_batch[id(r["src"])].observe(
+            r["batch"]
+        ))
         machine.telemetry = self
 
     def _span(self, kind: str, name: str, layer: str, track: str):

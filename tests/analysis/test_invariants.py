@@ -12,6 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.analysis import InvariantViolation, attach
 from repro.baselines import BamHost
 from repro.analysis.invariants import (
@@ -31,6 +32,7 @@ from repro.nvme.queue import make_queue_pair
 from repro.sim.probe import Probe
 
 from tests.helpers import make_host, run_kernel, small_config
+from tests.serve.helpers import small_serve_engine
 
 
 class _FakeQueue:
@@ -230,6 +232,46 @@ class TestShareTable:
             )
 
 
+def _kernel_cell(make):
+    """32 threads' cached page reads on a fresh ``make(config)`` host."""
+
+    def run():
+        host = make(small_config())
+        host.load_data(0, 0, np.arange(16 * 1024, dtype=np.uint32))
+
+        def body(tc, ctrl):
+            chain = AgileLockChain(f"kinds.t{tc.tid}")
+            line = yield from ctrl.read_page(tc, chain, 0, tc.tid % 16)
+            ctrl.cache.unpin(line)
+
+        kernel = KernelSpec(name="kinds", body=body, registers_per_thread=48)
+        with host:
+            if len(host.gpus) > 1:
+                host.run_kernels(kernel, LaunchConfig(1, 32), [(), ()])
+            else:
+                host.run_kernel(kernel, LaunchConfig(1, 32))
+            host.drain()
+        return host, 0
+
+    return run
+
+
+def _naive_cell():
+    """A light naive serve cell: the Fig. 1 engine on the BaM machine."""
+    engine = small_serve_engine("naive", rate_rps=20_000.0)
+    report = engine.run()
+    return engine.backend.host, report.aborted
+
+
+#: Every host kind, each run once: ``() -> (host, aborted requests)``.
+HOST_KINDS = {
+    "agile": _kernel_cell(AgileHost),
+    "bam": _kernel_cell(BamHost),
+    "agile-2gpu": _kernel_cell(partial(AgileHost, num_gpus=2)),
+    "naive": _naive_cell,
+}
+
+
 class TestEndToEndClean:
     def test_every_suite_machine_runs_under_the_session(self):
         """The suite arms the ``analysis`` role for every test
@@ -270,32 +312,37 @@ class TestEndToEndClean:
         report = session.report()
         assert report.clean, report.summary()
 
-    @pytest.mark.parametrize(
-        "host_cls", [AgileHost, BamHost, partial(AgileHost, num_gpus=2)],
-        ids=["agile", "bam", "agile-2gpu"],
-    )
-    def test_every_host_kind_is_checked(self, host_cls):
+    @pytest.mark.parametrize("kind", HOST_KINDS)
+    def test_every_host_kind_is_checked(self, kind):
         """The machine's one walk reaches every host kind's rings,
-        doorbells, locks and caches, so the checkers judge BaM and
-        multi-GPU runs too."""
-        host = host_cls(small_config())
+        doorbells, locks, caches and engines, so the checkers judge and
+        telemetry books BaM, naive and multi-GPU runs as they do AGILE's:
+        the same stat groups, a doorbell stall behind every contended
+        doorbell visit, and the machine's collectors."""
+        with telemetry.capture() as cap:
+            host, aborted = HOST_KINDS[kind]()
         session = attach(host)
-        host.load_data(0, 0, np.arange(16 * 1024, dtype=np.uint32))
-
-        def body(tc, ctrl):
-            chain = AgileLockChain(f"kinds.t{tc.tid}")
-            line = yield from ctrl.read_page(tc, chain, 0, tc.tid % 16)
-            ctrl.cache.unpin(line)
-
-        kernel = KernelSpec(name="kinds", body=body, registers_per_thread=48)
-        with host:
-            if len(host.gpus) > 1:
-                host.run_kernels(kernel, LaunchConfig(1, 32), [(), ()])
-            else:
-                host.run_kernel(kernel, LaunchConfig(1, 32))
-            host.drain()
         sq, cq, cache = session.checkers[:3]
         assert sq.events_checked > 0 and cq.events_checked > 0
-        assert cache.events_checked > 0
+        if kind != "naive":  # the strawman reads around the cache
+            assert cache.events_checked > 0
         report = session.report()
         assert report.clean, report.summary()
+
+        [metrics] = [tel.snapshot()["metrics"] for tel in cap.sessions]
+        prefix = "gpu0." if len(host.gpus) > 1 else ""
+        counters, collected = metrics["counters"], metrics["collected"]
+        assert {prefix + "io", prefix + "cache"} <= set(counters)
+        assert "bam" not in counters
+        assert {
+            "flash_channel_busy_ns", "link_bytes", "hbm", "sm_thread_cycles"
+        } <= set(collected)
+        io = counters[prefix + "io"]
+        if kind == "bam":  # BaM's threads meet at the doorbell here
+            assert io["doorbell_contended"] > 0
+        if io.get("doorbell_contended", 0) > 0:
+            assert counters["gpu.stall_ns"]["doorbell"] > 0
+        if kind == "naive":
+            assert aborted == 0
+            completed = [d["completed_reads"] for d in collected["devices"].values()]
+            assert io["commands_submitted"] == sum(completed) > 0

@@ -10,11 +10,13 @@ rows are ``tests/analysis/test_lint.py::TestPlantsInTheTree``.
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
 import pytest
 
+from repro.bench.__main__ import main
 from repro.config import CacheConfig
 from repro.core import AgileLockChain
 from repro.core.cache import SoftwareCache
@@ -257,3 +259,27 @@ def test_a_page_stored_around_the_ftl_commit_loses_the_rewrite(monkeypatch):
     monkeypatch.setattr(Ftl, "commit_program", around)
     with pytest.raises(AssertionError, match="== 200"):
         test_ctrl.TestAsyncBuffers().test_async_write_through()
+
+
+def test_a_skipped_share_drop_flips_storm_analysis_clean(monkeypatch, tmp_path):
+    """One sharer's skipped refcount drop, planted in the storm smoke cell:
+    its entry is still registered when the run is judged, so the session's
+    live-entry map names it and only ``analysis_clean`` fails."""
+    honest = ShareTable.release
+    skipped = []
+
+    def skip_one(self, tc, tag):
+        if not skipped and self.entry(tag).refcount > 1:
+            skipped.append(tag)
+            return
+        yield from honest(self, tc, tag)
+
+    monkeypatch.setattr(ShareTable, "release", skip_one)
+    out = tmp_path / "storm.json"
+    smoke = ["run", "storm", "--seed", "1", "--set", "intensity=0"]
+    assert main([*smoke, "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [n for n, c in checks.items() if not c["ok"]] == ["analysis_clean"]
+    detail = checks["analysis_clean"]["detail"]
+    assert "1 Share Table entry(ies) live" in detail
+    assert f"share entry {skipped[0]} registered by thread" in detail

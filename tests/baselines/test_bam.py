@@ -40,7 +40,7 @@ class TestBamCorrectness:
 
         run_bam(host, body, block=1, args=(got,))
         assert got["v"] == 8
-        assert host.trace.counter("bam")["commands_submitted"] == 1
+        assert host.trace.counter("io")["commands_submitted"] == 1
 
     def test_element_reads_match_data(self):
         host = make_bam_host()
@@ -68,8 +68,8 @@ class TestBamCorrectness:
             ctrl.cache.unpin(line)
 
         run_bam(host, body, block=32)
-        assert host.trace.counter("bam")["commands_submitted"] == 1
-        assert host.trace.counter("bam")["busy_hits"] == 31
+        assert host.trace.counter("io")["commands_submitted"] == 1
+        assert host.trace.counter("cache")["busy_hits"] == 31
 
     def test_cache_hit_avoids_io(self):
         host = make_bam_host()
@@ -83,8 +83,8 @@ class TestBamCorrectness:
             ctrl.cache.unpin(line)
 
         run_bam(host, body, block=4)
-        assert host.trace.counter("bam").get("commands_submitted", 0) == 0
-        assert host.trace.counter("bam")["hits"] == 4
+        assert host.trace.counter("io").get("commands_submitted", 0) == 0
+        assert host.trace.counter("cache")["hits"] == 4
 
     def test_eviction_writeback_persists(self):
         host = BamHost(small_config(cache=CacheConfig(num_lines=4, ways=2)))
@@ -100,7 +100,7 @@ class TestBamCorrectness:
                 ctrl.cache.unpin(line)
 
         run_bam(host, body, block=1)
-        assert host.trace.counter("bam")["writebacks"] == 1
+        assert host.trace.counter("cache")["writebacks"] == 1
         assert host.ssds[0].flash.read_page_data(0)[0] == 99
 
 
@@ -130,8 +130,8 @@ class TestBamTiming:
             ctrl.cache.unpin(line)
 
         run_bam(host, body, block=1)
-        assert host.trace.counter("bam")["poll_iterations"] > 0
-        assert host.trace.counter("bam")["cqes_drained"] == 1
+        assert host.trace.counter("io")["poll_iterations"] > 0
+        assert host.trace.counter("io")["cqes_drained"] == 1
 
     def test_bam_cache_api_costs_exceed_agile(self):
         """Preloaded-cache access (no I/O at all): BaM's heavier critical

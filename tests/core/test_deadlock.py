@@ -41,9 +41,7 @@ class TestFigure1Deadlock:
         fills before anyone reaches the completion phase (Figure 1 step 1-2)
         and the lock-chain debugger reports the circular dependency."""
         host = make_host(queue_pairs=1, queue_depth=4)
-        engine = NaiveAsyncEngine(
-            host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
-        )
+        engine = NaiveAsyncEngine(host)
         kernel = KernelSpec(
             name="naive", body=_naive_kernel(engine, requests_per_thread=3)
         )
@@ -66,9 +64,7 @@ class TestFigure1Deadlock:
         the bug is specifically queue exhaustion, not the engine itself."""
         host = make_host(queue_pairs=1, queue_depth=16)
         host.ssds[0].flash.write_page_data(0, np.full(4096, 1, np.uint8))
-        engine = NaiveAsyncEngine(
-            host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
-        )
+        engine = NaiveAsyncEngine(host)
         kernel = KernelSpec(
             name="naive_ok", body=_naive_kernel(engine, requests_per_thread=3)
         )

@@ -43,9 +43,7 @@ def test_naive_async_stalls_on_dropped_cqe_and_names_the_cid():
     # Queue depth 16 >> 2 outstanding: this is NOT the Fig. 1 queue
     # exhaustion deadlock — the hang comes purely from the lost completion.
     host = make_host(queue_pairs=1, queue_depth=16, faults=DROP_FIRST)
-    engine = NaiveAsyncEngine(
-        host.sim, host.ssds, host.queue_pairs, debugger=host.debugger
-    )
+    engine = NaiveAsyncEngine(host)
     kernel = KernelSpec(
         name="naive_drop", body=_naive_kernel(engine, stall_after_ns=1e6)
     )

@@ -195,3 +195,28 @@ class TestCircuitBreaker:
         assert host.recovery.breakers[0].open
         assert "consecutive failures" in host.recovery.dead_reason(0)
         assert host.issue.inflight() == 0
+
+    def test_a_failed_fast_async_read_leaves_no_entry_to_join(self):
+        """A fail-fast submit issues nothing, so the Share Table entry its
+        miss registered is retired before the error leaves ``async_read``:
+        a second thread's read of the same page misses and fails fast too,
+        instead of joining a fill that never comes."""
+        host = make_host(recovery=FAST_RECOVERY)
+        host.recovery.breakers[0].open = True
+        bufs = [host.make_buffer() for _ in range(2)]
+        errors = {}
+
+        def body(tc, ctrl):
+            chain = AgileLockChain(f"t{tc.tid}")
+            yield from tc.compute(1_000.0 * tc.tid)  # thread 1 reads second
+            try:
+                got = yield from ctrl.async_read(tc, chain, 0, 7, bufs[tc.tid])
+                errors[tc.tid] = f"joined {got.label}"
+            except DeviceDeadError as exc:
+                errors[tc.tid] = type(exc).__name__
+
+        run_kernel(host, body, block=2)
+        assert errors == {0: "DeviceDeadError", 1: "DeviceDeadError"}
+        assert host.share_table.entry((0, 7)) is None
+        assert bufs[0].failed and bufs[0].source is None
+        assert host.trace.counter("io")["failed_fast"] == 2

@@ -81,7 +81,6 @@ NOT_CHECKED = {
     "KernelSpec": "one kernel's body and footprint; checks its registers",
     "LaunchConfig": "one launch's grid and block; checks its dims",
     "DlrmConfig": "the paper's three MLP shapes, built only by name",
-    "BamCostConfig": "BaM's fixed cost model; no caller sets it",
 }
 
 CASES = [
